@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels
 from .scalars import ZERO_LOG2
 from .spaces import InvalidSpecError
-from .shifts import NotInvertibleError, ShiftOperator, WeightSequence, dual_form
+from .shifts import NotInvertibleError, ShiftOperator, dual_form
 
 __all__ = [
     "BranchEvidence",
@@ -196,16 +196,12 @@ def _first_crossings(values: np.ndarray, m_grid: Sequence,
     return tuple(crossings), all_crossed
 
 
-def _weight_reach(w: WeightSequence) -> Optional[tuple[int, int]]:
-    return w.defined_range()
-
-
 def _clip_n(op: ShiftOperator, cfg: HorizonConfig, need_lo, need_hi) -> int:
     """Largest n <= n_max with the needed weight positions defined.
 
     need_lo(n)/need_hi(n) give the extreme positions touched at horizon n.
     """
-    reach = _weight_reach(op.weights)
+    reach = op.weights.defined_range()
     n = cfg.n_max
     if reach is None:
         return n
@@ -228,28 +224,22 @@ def _avg_term_logs(op: ShiftOperator, k: int, branch: str, n_eff: int) -> np.nda
     """
     m = op.space.matrix
     w = op.weights
-    out = np.empty(n_eff, dtype=np.float64)
-    acc = 0.0
-    for j in range(1, n_eff + 1):
-        if branch == "left" and op.direction == "backward":
-            acc += w.log2(-j + 1)
-            out[j - 1] = m.entry_log2(-j, k) + acc
-        elif branch == "right" and op.direction == "backward":
-            acc += w.log2(j)
-            out[j - 1] = m.entry_log2(j, k) - acc
-        elif branch == "left" and op.direction == "forward":
-            acc += w.log2(j - 1)
-            out[j - 1] = m.entry_log2(j, k) + acc
-        elif branch == "right" and op.direction == "forward":
-            acc += w.log2(-j)
-            out[j - 1] = m.entry_log2(-j, k) - acc
-        elif branch == "unilateral":
-            if j >= 2:
-                acc += w.log2(j - 1)
-            out[j - 1] = m.entry_log2(j, k) + acc
-        else:
-            raise ValueError(f"unknown branch {branch!r}")
-    return out
+    # each cumsum runs over this call's own slice in the order j = 1, 2, ...:
+    # it is the sequential running sum, bitwise (a difference of a longer
+    # prefix is not, for non-dyadic weights)
+    if branch == "unilateral":
+        acc = np.concatenate(([0.0], np.cumsum(w.log2_window(1, n_eff - 1))))
+        return m.log2_row(k, 1, n_eff) + acc
+    backward = op.direction == "backward"
+    if branch == "left" and backward:
+        return m.log2_row(k, -n_eff, -1)[::-1] + np.cumsum(w.log2_window(-n_eff + 1, 0)[::-1])
+    if branch == "right" and backward:
+        return m.log2_row(k, 1, n_eff) - np.cumsum(w.log2_window(1, n_eff))
+    if branch == "left":
+        return m.log2_row(k, 1, n_eff) + np.cumsum(w.log2_window(0, n_eff - 1))
+    if branch == "right":
+        return m.log2_row(k, -n_eff, -1)[::-1] - np.cumsum(w.log2_window(-n_eff, -1)[::-1])
+    raise ValueError(f"unknown branch {branch!r}")
 
 
 _AVG_ATTESTABLE_PAIRS = {("constant", "constant"), ("step", "constant"),
@@ -448,7 +438,7 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
 
     la_level = m.log2_row(level, ext_lo, ext_hi)
     la_k = m.log2_row(k, lo, hi)
-    valid = np.array([la != ZERO_LOG2 for la in la_k], dtype=bool)
+    valid = la_k != ZERO_LOG2
 
     idx = np.arange(ext_lo, ext_hi + 1)
     pf_at = prefix[idx - base]  # log-prefix ending just before each index

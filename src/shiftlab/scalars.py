@@ -18,11 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "Exact",
     "ExactLike",
+    "Log2Cache",
+    "Log2Memo",
     "LogMagnitude",
     "ZERO_LOG2",
     "compensated_sum",
@@ -117,6 +121,66 @@ def log2_exact(x: ExactLike) -> float:
         mant *= 2
         e -= 1
     return e + math.log2(float(mant))
+
+
+class Log2Memo:
+    """log2_exact for families whose entries repeat (constants, tables).
+
+    Each distinct value is converted once per memo; an array request gathers
+    the repeats with numpy.  Only for families with few distinct values: the
+    memo holds every value it has seen.
+    """
+
+    def __init__(self):
+        self._logs: dict[Fraction, float] = {}
+
+    def of(self, x: ExactLike) -> float:
+        out = self._logs.get(x)
+        if out is None:
+            out = self._logs[x] = log2_exact(x)
+        return out
+
+    def array(self, values: Sequence[ExactLike]) -> np.ndarray:
+        codes: dict = {}
+        idx = [codes.setdefault(v, len(codes)) for v in values]
+        logs = np.array([self.of(v) for v in codes], dtype=np.float64)
+        return logs[np.array(idx, dtype=np.intp)]
+
+
+class Log2Cache:
+    """float64 log2 values over one contiguous index range, grown on demand.
+
+    ``window(lo, hi, fill)`` calls ``fill(a, b)`` (the log2 values at indices
+    a..b) only for indices outside the cached range, so each index is
+    converted once while requests overlap or touch that range.  A request
+    disjoint from it replaces the range instead: filling the gap could touch
+    indices no request asked for, where finite tables raise.  Returned arrays
+    are read-only views into the cache.
+    """
+
+    def __init__(self):
+        self._lo = 0
+        self._values = np.empty(0, dtype=np.float64)
+
+    def window(self, lo: int, hi: int, fill: Callable[[int, int], np.ndarray]) -> np.ndarray:
+        if hi < lo:
+            return np.empty(0, dtype=np.float64)
+        c_lo, cached = self._lo, self._values
+        c_hi = c_lo + cached.size - 1
+        if cached.size == 0 or lo > c_hi + 1 or hi < c_lo - 1:
+            values, new_lo = fill(lo, hi), lo
+        elif lo < c_lo or hi > c_hi:
+            parts = [cached]
+            if lo < c_lo:
+                parts.insert(0, fill(lo, c_lo - 1))
+            if hi > c_hi:
+                parts.append(fill(c_hi + 1, hi))
+            values, new_lo = np.concatenate(parts), min(lo, c_lo)
+        else:
+            return cached[lo - c_lo:hi - c_lo + 1]
+        values.flags.writeable = False
+        self._lo, self._values = new_lo, values
+        return values[lo - new_lo:hi - new_lo + 1]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .scalars import exact_from_json, exact_to_json, log2_exact
+from .scalars import Log2Cache, Log2Memo, exact_from_json, exact_to_json, log2_exact
 from .spaces import InvalidSpecError, SparseVector, SpaceSpec, scaled_matrix
 
 __all__ = [
@@ -62,10 +62,15 @@ class WeightSequence:
     Families: 'constant', 'geometric' (coef * ratio**j, optionally over |j|),
     'table' (finite window, tail rule 'error' or 'hold'), 'blocks' (the
     synthesized block table), 'dual' (reciprocal reindex of a base sequence).
+    Table and block params carry the table's index bounds 'lo' and 'hi'.
     """
 
     family: str
     params: dict = field(default_factory=dict)
+    _log2_cache: Log2Cache = field(default_factory=Log2Cache, init=False, repr=False,
+                                   compare=False)
+    _log2_memo: Log2Memo = field(default_factory=Log2Memo, init=False, repr=False,
+                                 compare=False)
 
     def value(self, j: int) -> Fraction:
         fam = self.family
@@ -79,8 +84,7 @@ class WeightSequence:
             if j in table:
                 return table[j]
             if self.params.get("tail") == "hold":
-                lo, hi = min(table), max(table)
-                return table[lo if j < lo else hi]
+                return table[self.params["lo"] if j < self.params["lo"] else self.params["hi"]]
             raise UndefinedWeightError(f"weight undefined at position {j}")
         if fam == "dual":
             base: WeightSequence = self.params["base"]
@@ -97,15 +101,39 @@ class WeightSequence:
         return log2_exact(self.value(j))
 
     def log2_window(self, lo: int, hi: int) -> np.ndarray:
-        return np.array([self.log2(j) for j in range(lo, hi + 1)], dtype=np.float64)
+        """Vector of log2 |w(j)| for j in [lo, hi].
+
+        Served from one cached float64 array that grows with the index range
+        requested, so every weight is converted at most once per sequence;
+        constant, table and block families, and their duals, convert only
+        their distinct values.  The result is a read-only view into that
+        cache: copy it before writing.  Raises UndefinedWeightError where
+        value() would.
+        """
+        return self._log2_cache.window(lo, hi, self._log2_fill)
+
+    def _log2_fill(self, lo: int, hi: int) -> np.ndarray:
+        if self.family == "constant":
+            return np.full(hi - lo + 1, self._log2_memo.of(self.params["value"]))
+        values = [self.value(j) for j in range(lo, hi + 1)]
+        if self._repeating:
+            return self._log2_memo.array(values)
+        # closed forms (geometric, dual of one): a new value at almost every index
+        return np.array([log2_exact(v) for v in values], dtype=np.float64)
+
+    @property
+    def _repeating(self) -> bool:
+        """True for families with few distinct values (constants, tables)."""
+        if self.family == "dual":
+            return self.params["base"]._repeating
+        return self.family in ("constant", "table", "blocks")
 
     def defined_range(self) -> Optional[tuple[int, int]]:
         """(lo, hi) for finite tables without a tail rule, None if unbounded."""
         if self.family in ("table", "blocks"):
             if self.params.get("tail") == "hold":
                 return None
-            table = self.params["table"]
-            return (min(table), max(table))
+            return (self.params["lo"], self.params["hi"])
         if self.family == "dual":
             base_range = self.params["base"].defined_range()
             if base_range is None:
@@ -144,7 +172,8 @@ def table_weights(table: dict, tail: str = "error") -> WeightSequence:
     frozen = {int(j): _positive(v) for j, v in table.items()}
     if not frozen:
         raise InvalidSpecError("empty weight table")
-    return WeightSequence("table", {"table": frozen, "tail": tail})
+    return WeightSequence("table", {"table": frozen, "tail": tail,
+                                    "lo": min(frozen), "hi": max(frozen)})
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,15 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .scalars import LogMagnitude, ZERO_LOG2, exact_from_json, exact_to_json, log2_exact
+from .scalars import (
+    Log2Cache,
+    Log2Memo,
+    LogMagnitude,
+    ZERO_LOG2,
+    exact_from_json,
+    exact_to_json,
+    log2_exact,
+)
 
 __all__ = [
     "KotheMatrix",
@@ -59,6 +67,9 @@ class KotheMatrix:
     index_set: str = _BILATERAL
     params: dict = field(default_factory=dict)
     tail_tag: Optional[str] = None
+    _log2_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _log2_memo: Log2Memo = field(default_factory=Log2Memo, init=False, repr=False,
+                                 compare=False)
 
     def _check_index(self, j: int) -> None:
         if self.index_set == _UNILATERAL and j < 1:
@@ -101,15 +112,30 @@ class KotheMatrix:
         """Vector of log2 a(j, k) for j in [lo, hi]; -inf marks zero entries.
 
         Unilateral matrices report -inf for j < 1 so that window sweeps can
-        use a uniform indexing.
+        use a uniform indexing.  Each level keeps one cached float64 row that
+        grows with the index range requested, so every entry is converted at
+        most once per matrix; constant, half-line and table families convert
+        only their distinct values.  The result is a read-only view into that
+        cache: copy it before writing.
         """
-        out = np.empty(hi - lo + 1, dtype=np.float64)
-        for pos, j in enumerate(range(lo, hi + 1)):
-            if self.index_set == _UNILATERAL and j < 1:
-                out[pos] = ZERO_LOG2
-            else:
-                out[pos] = self.entry_log2(j, k)
-        return out
+        if k < 1:
+            raise ValueError("seminorm level k must be >= 1")
+        row = self._log2_rows.get(k)
+        if row is None:
+            row = self._log2_rows[k] = Log2Cache()
+        return row.window(lo, hi, lambda a, b: self._log2_fill(k, a, b))
+
+    def _log2_fill(self, k: int, lo: int, hi: int) -> np.ndarray:
+        if self.index_set == _UNILATERAL and lo < 1:
+            head = np.full(min(hi, 0) - lo + 1, ZERO_LOG2)
+            return head if hi < 1 else np.concatenate((head, self._log2_fill(k, 1, hi)))
+        if self.family == "constant":
+            return np.full(hi - lo + 1, self._log2_memo.of(self.params["value"]))
+        entries = [self.entry(j, k) for j in range(lo, hi + 1)]
+        if self.family in ("halfline", "table"):
+            return self._log2_memo.array(entries)
+        # closed forms (power, scaled, callable): a new value at almost every index
+        return np.array([log2_exact(v) for v in entries], dtype=np.float64)
 
     def to_json(self) -> dict:
         obj = {"family": self.family, "index_set": self.index_set}
