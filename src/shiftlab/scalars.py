@@ -140,7 +140,7 @@ class Log2Memo:
             out = self._logs[x] = log2_exact(x)
         return out
 
-    def array(self, values: Sequence[ExactLike]) -> np.ndarray:
+    def array(self, values: Iterable[ExactLike]) -> np.ndarray:
         codes: dict = {}
         idx = [codes.setdefault(v, len(codes)) for v in values]
         logs = np.array([self.of(v) for v in codes], dtype=np.float64)

@@ -115,11 +115,11 @@ class WeightSequence:
     def _log2_fill(self, lo: int, hi: int) -> np.ndarray:
         if self.family == "constant":
             return np.full(hi - lo + 1, self._log2_memo.of(self.params["value"]))
-        values = [self.value(j) for j in range(lo, hi + 1)]
+        values = (self.value(j) for j in range(lo, hi + 1))
         if self._repeating:
             return self._log2_memo.array(values)
         # closed forms (geometric, dual of one): a new value at almost every index
-        return np.array([log2_exact(v) for v in values], dtype=np.float64)
+        return np.fromiter(map(log2_exact, values), dtype=np.float64, count=hi - lo + 1)
 
     @property
     def _repeating(self) -> bool:

@@ -112,17 +112,19 @@ class KotheMatrix:
         """Vector of log2 a(j, k) for j in [lo, hi]; -inf marks zero entries.
 
         Unilateral matrices report -inf for j < 1 so that window sweeps can
-        use a uniform indexing.  Each level keeps one cached float64 row that
-        grows with the index range requested, so every entry is converted at
-        most once per matrix; constant, half-line and table families convert
-        only their distinct values.  The result is a read-only view into that
-        cache: copy it before writing.
+        use a uniform indexing.  Each level (one for all levels of a constant
+        matrix) keeps one cached float64 row that grows with the index range
+        requested, so every entry is converted at most once per matrix;
+        constant, half-line and table families convert only their distinct
+        values.  The result is a read-only view into that cache: copy it
+        before writing.
         """
         if k < 1:
             raise ValueError("seminorm level k must be >= 1")
-        row = self._log2_rows.get(k)
+        key = 1 if self.family == "constant" else k  # constant rows are equal at every level
+        row = self._log2_rows.get(key)
         if row is None:
-            row = self._log2_rows[k] = Log2Cache()
+            row = self._log2_rows[key] = Log2Cache()
         return row.window(lo, hi, lambda a, b: self._log2_fill(k, a, b))
 
     def _log2_fill(self, k: int, lo: int, hi: int) -> np.ndarray:
@@ -131,11 +133,11 @@ class KotheMatrix:
             return head if hi < 1 else np.concatenate((head, self._log2_fill(k, 1, hi)))
         if self.family == "constant":
             return np.full(hi - lo + 1, self._log2_memo.of(self.params["value"]))
-        entries = [self.entry(j, k) for j in range(lo, hi + 1)]
+        entries = (self.entry(j, k) for j in range(lo, hi + 1))
         if self.family in ("halfline", "table"):
             return self._log2_memo.array(entries)
         # closed forms (power, scaled, callable): a new value at almost every index
-        return np.array([log2_exact(v) for v in entries], dtype=np.float64)
+        return np.fromiter(map(log2_exact, entries), dtype=np.float64, count=hi - lo + 1)
 
     def to_json(self) -> dict:
         obj = {"family": self.family, "index_set": self.index_set}
