@@ -1,4 +1,4 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels, in numpy.
 
 Everything here works on float64 arrays of base-2 logarithms.  The three
 kernels dominate runtime on long horizon sweeps:
@@ -6,65 +6,29 @@ kernels dominate runtime on long horizon sweeps:
 * log2_magnitude_sum    compensated sum of magnitudes given as log2 values
 * running_log2_average  running Cesàro averages of a magnitude sequence
 * window_inf_curve      per-step infima of ratio grids for uniform-expansivity
-                        certificates
-
-Set SHIFTLAB_NO_NUMBA=1 to force the numpy fallback path (the `*_py`
-functions are always importable for benchmarking and equivalence tests).
-SHIFTLAB_THREADS bounds the thread count used by the parallel kernel.
+                        certificates: a blocked sweep over a zero-copy
+                        sliding-window view of the ratio grid
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-NUMBA_DISABLE_ENV = "SHIFTLAB_NO_NUMBA"
-THREADS_ENV = "SHIFTLAB_THREADS"
-
-_LN2 = math.log(2.0)
 _NEG_INF = float("-inf")
 
-
-def _numba_requested() -> bool:
-    return os.environ.get(NUMBA_DISABLE_ENV, "").strip() not in ("1", "true", "yes")
-
-
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        import warnings
-
-        with warnings.catch_warnings():
-            # threading-layer probing emits a benign TBB version warning
-            warnings.simplefilter("ignore")
-            import numba
-            from numba import njit, prange
-            from numba.core.errors import NumbaWarning
-
-        warnings.filterwarnings("ignore", category=NumbaWarning)
-        # skip the TBB/OMP probing (and its version warnings): the portable
-        # built-in layer is deterministic and always present
-        numba.config.THREADING_LAYER = "workqueue"
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - environment without numba
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    threads = os.environ.get(THREADS_ENV, "").strip()
-    if threads.isdigit() and int(threads) >= 1:
-        try:
-            numba.set_num_threads(min(int(threads), numba.config.NUMBA_NUM_THREADS))
-        except ValueError:  # pragma: no cover - bad thread count, keep default
-            pass
+# Cells of the window-infimum scratch block (128 KiB of float64).  Blocks of a
+# few rows lose to per-row overhead, larger ones to cache misses and peak RSS.
+_BLOCK_CELLS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
 # compensated magnitude sum
 # ---------------------------------------------------------------------------
 
-def log2_magnitude_sum_py(logs: np.ndarray) -> float:
+def log2_magnitude_sum(logs: np.ndarray) -> float:
     """log2 of sum(2**logs[i]) via max-shift plus exact fsum.
 
     Sorting first makes the result independent of input order; math.fsum is
@@ -82,44 +46,6 @@ def log2_magnitude_sum_py(logs: np.ndarray) -> float:
     return m + math.log2(total)
 
 
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _neumaier_exp2_sum(shifted: np.ndarray) -> float:
-        # Neumaier compensated summation of 2**shifted (shifted <= 0).
-        s = 0.0
-        c = 0.0
-        for i in range(shifted.shape[0]):
-            x = 2.0 ** shifted[i]
-            t = s + x
-            if abs(s) >= abs(x):
-                c += (s - t) + x
-            else:
-                c += (x - t) + s
-            s = t
-        return s + c
-
-    @njit(cache=True)
-    def _log2_magnitude_sum_jit(logs: np.ndarray) -> float:
-        if logs.shape[0] == 0:
-            return -np.inf
-        m = logs[0]
-        for i in range(1, logs.shape[0]):
-            if logs[i] > m:
-                m = logs[i]
-        if m == -np.inf:
-            return -np.inf
-        shifted = np.sort(logs) - m
-        total = _neumaier_exp2_sum(shifted)
-        return m + math.log(total) / _LN2
-
-    def log2_magnitude_sum(logs: np.ndarray) -> float:
-        return _log2_magnitude_sum_jit(np.ascontiguousarray(logs, dtype=np.float64))
-
-else:
-    log2_magnitude_sum = log2_magnitude_sum_py
-
-
 def log2_magnitude_sum_list(logs) -> float:
     return log2_magnitude_sum(np.asarray(logs, dtype=np.float64))
 
@@ -128,7 +54,7 @@ def log2_magnitude_sum_list(logs) -> float:
 # running Cesàro averages in the log domain
 # ---------------------------------------------------------------------------
 
-def running_log2_average_py(log_terms: np.ndarray) -> np.ndarray:
+def running_log2_average(log_terms: np.ndarray) -> np.ndarray:
     """out[i] = log2( (2**t[0] + ... + 2**t[i]) / (i+1) )."""
     log_terms = np.asarray(log_terms, dtype=np.float64)
     if log_terms.size == 0:
@@ -138,89 +64,48 @@ def running_log2_average_py(log_terms: np.ndarray) -> np.ndarray:
     return prefix - counts
 
 
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _running_log2_average_jit(log_terms: np.ndarray) -> np.ndarray:
-        n = log_terms.shape[0]
-        out = np.empty(n, dtype=np.float64)
-        acc = -np.inf
-        for i in range(n):
-            a = acc
-            b = log_terms[i]
-            if a < b:
-                a, b = b, a
-            if b == -np.inf:
-                acc = a
-            else:
-                acc = a + math.log1p(2.0 ** (b - a)) / _LN2
-            out[i] = acc - math.log(i + 1.0) / _LN2
-        return out
-
-    def running_log2_average(log_terms: np.ndarray) -> np.ndarray:
-        return _running_log2_average_jit(np.ascontiguousarray(log_terms, dtype=np.float64))
-
-else:
-    running_log2_average = running_log2_average_py
-
-
 # ---------------------------------------------------------------------------
 # window-infimum curves
 # ---------------------------------------------------------------------------
 
-def window_inf_curve_py(g: np.ndarray, h: np.ndarray, valid: np.ndarray, n_max: int):
+def window_inf_curve(g: np.ndarray, h: np.ndarray, valid: np.ndarray, n_max: int):
     """For n = 1..n_max compute inf over valid j of g[j+n] - h[j].
 
-    g has length len(h) + n_max; h and valid share an origin.  Returns the
-    inf curve and the argmin index (into h) per step; an all-invalid window
-    yields +inf and argmin -1.
+    g has length at least len(h) + n_max; h and valid share an origin.
+    Returns the inf curve and the argmin index (into h) per step, the first
+    such index on ties; an all-invalid window yields +inf and argmin -1.
+    Valid entries of g and h must not be NaN or +inf.
+
+    The span [a, b) from the first to the last valid index is one
+    (n_max, b - a) grid whose row n - 1 is g[a+n : b+n] - h[a:b], a
+    zero-copy sliding-window view of g.  It is reduced a block of rows at a
+    time in one scratch buffer of _BLOCK_CELLS cells (one row, if the span
+    is wider).  Invalid columns are set to +inf before each row's argmin;
+    column 0 is valid, so they never win a row, not even a tie.
     """
     g = np.asarray(g, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
-    m = h.size
     inf_curve = np.full(n_max, np.inf, dtype=np.float64)
     argmin = np.full(n_max, -1, dtype=np.int64)
-    if not valid.any():
+    idx = np.flatnonzero(valid)
+    if idx.size == 0:
         return inf_curve, argmin
-    idx = np.nonzero(valid)[0]
-    hv = h[idx]
-    for n in range(1, n_max + 1):
-        vals = g[idx + n] - hv
-        k = int(np.argmin(vals))
-        inf_curve[n - 1] = vals[k]
-        argmin[n - 1] = idx[k]
+    a, b = int(idx[0]), int(idx[-1]) + 1
+    width = b - a
+    holes = np.flatnonzero(~valid[a:b])
+    h_span = h[a:b].copy()
+    h_span[holes] = 0.0  # keep -inf - -inf (NaN, with a warning) out of the holes
+    grid = sliding_window_view(g[a + 1:b + n_max], width)
+    rows = max(1, _BLOCK_CELLS // width)
+    scratch = np.empty((min(rows, n_max), width), dtype=np.float64)
+    for r0 in range(0, n_max, rows):
+        r1 = min(r0 + rows, n_max)
+        block = scratch[:r1 - r0]
+        np.subtract(grid[r0:r1], h_span, out=block)
+        if holes.size:
+            block[:, holes] = np.inf
+        cols = block.argmin(axis=1)
+        inf_curve[r0:r1] = block[np.arange(r1 - r0), cols]
+        argmin[r0:r1] = cols + a
     return inf_curve, argmin
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True, parallel=True)
-    def _window_inf_curve_jit(g: np.ndarray, h: np.ndarray, valid: np.ndarray, n_max: int):
-        m = h.shape[0]
-        inf_curve = np.full(n_max, np.inf, dtype=np.float64)
-        argmin = np.full(n_max, -1, dtype=np.int64)
-        for n in prange(1, n_max + 1):
-            best = np.inf
-            best_j = -1
-            for j in range(m):
-                if not valid[j]:
-                    continue
-                v = g[j + n] - h[j]
-                if v < best or best_j == -1:
-                    best = v
-                    best_j = j
-            inf_curve[n - 1] = best
-            argmin[n - 1] = best_j
-        return inf_curve, argmin
-
-    def window_inf_curve(g, h, valid, n_max: int):
-        return _window_inf_curve_jit(
-            np.ascontiguousarray(g, dtype=np.float64),
-            np.ascontiguousarray(h, dtype=np.float64),
-            np.ascontiguousarray(valid, dtype=np.bool_),
-            n_max,
-        )
-
-else:
-    window_inf_curve = window_inf_curve_py

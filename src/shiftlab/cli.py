@@ -3,14 +3,12 @@
 Subcommands: check, synthesize, orbit, density, props.  Exit codes:
 0 completed, 1 usage/input error, 2 math audit or property failure.
 Outputs embed the resolved config and the library version; pass
---no-timestamp for byte-reproducible files.  SHIFTLAB_THREADS bounds kernel
-parallelism, SHIFTLAB_NO_NUMBA=1 forces the numpy fallback path.
+--no-timestamp for byte-reproducible files.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -313,10 +311,6 @@ def props(n_max, window, k_max, l_max, m_grid, basis_window, out, no_timestamp):
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("SHIFTLAB_THREADS", "").strip()
-    if threads and not threads.isdigit():
-        click.echo("SHIFTLAB_THREADS must be a positive integer", err=True)
-        return EXIT_USAGE
     try:
         cli.main(args=argv, standalone_mode=False)
         return EXIT_OK

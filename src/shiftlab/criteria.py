@@ -460,23 +460,27 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
         curve = np.full(n_eff, np.inf)
         return curve, np.ones(n_eff, dtype=bool)
 
-    curve, _ = _kernels.window_inf_curve(g_arr, h_arr, valid, n_eff)
-
-    # tail-edge sensitivity: drop the outermost valid candidate on each tail
-    trimmed = valid.copy()
+    # tail-edge sensitivity: the outermost valid candidate on each tail is
+    # kept out of the kernel and folded in afterwards, in index order, so
+    # the curve is the infimum over all of valid and usable marks the steps
+    # where the interior alone attains it
     edges = tail_edges if form == "A" else tuple(
         {"lo": "hi", "hi": "lo"}[e] for e in tail_edges)
-    nz = np.nonzero(trimmed)[0]
-    for edge in edges:
-        if nz.size:
-            trimmed[nz[0] if edge == "lo" else nz[-1]] = False
-    nz2 = np.nonzero(trimmed)[0]
-    if nz2.size == 0:
-        usable = np.zeros(n_eff, dtype=bool)
-    else:
-        curve2, _ = _kernels.window_inf_curve(g_arr, h_arr, trimmed, n_eff)
-        usable = curve2 == curve
-    return curve, usable
+    nz = np.flatnonzero(valid)
+    lo_edge = nz[0] if "lo" in edges else None
+    hi_edge = nz[-1] if "hi" in edges and nz[-1] != lo_edge else None
+    trimmed = valid.copy()
+    trimmed[[j for j in (lo_edge, hi_edge) if j is not None]] = False
+    interior, _ = _kernels.window_inf_curve(g_arr, h_arr, trimmed, n_eff)  # +inf if empty
+    curve = interior
+    if lo_edge is not None:  # the first index wins a tie
+        edge_vals = g_arr[lo_edge + 1:lo_edge + 1 + n_eff] - h_arr[lo_edge]
+        curve = np.where(curve < edge_vals, curve, edge_vals)
+    if hi_edge is not None:  # the last index loses a tie
+        edge_vals = g_arr[hi_edge + 1:hi_edge + 1 + n_eff] - h_arr[hi_edge]
+        curve = np.where(edge_vals < curve, edge_vals, curve)
+    # an empty interior (+inf) never equals an edge value (never +inf): not usable
+    return curve, interior == curve
 
 
 def _ue_n_eff(op: ShiftOperator, cfg: HorizonConfig) -> int:

@@ -22,6 +22,8 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
+from . import _kernels
+
 __all__ = [
     "Exact",
     "ExactLike",
@@ -261,8 +263,6 @@ def compensated_sum(values: Sequence[LogMagnitude] | Iterable[LogMagnitude]) -> 
     heavy lifting happens in the kernels module so that million-term
     Cesàro horizons stay fast.
     """
-    from . import _kernels  # deferred: numba compilation only when needed
-
     logs = [v.log2 for v in values]
     if not logs:
         return LogMagnitude.zero()

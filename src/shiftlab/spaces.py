@@ -70,6 +70,8 @@ class KotheMatrix:
     _log2_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _log2_memo: Log2Memo = field(default_factory=Log2Memo, init=False, repr=False,
                                  compare=False)
+    _log2_half_rows: dict = field(default_factory=dict, init=False, repr=False,
+                                  compare=False)
 
     def _check_index(self, j: int) -> None:
         if self.index_set == _UNILATERAL and j < 1:
@@ -116,8 +118,8 @@ class KotheMatrix:
         matrix) keeps one cached float64 row that grows with the index range
         requested, so every entry is converted at most once per matrix;
         constant, half-line and table families convert only their distinct
-        values.  The result is a read-only view into that cache: copy it
-        before writing.
+        values, and power rows convert a(j, k) = a(-j, k) once.  The result
+        is a read-only view into that cache: copy it before writing.
         """
         if k < 1:
             raise ValueError("seminorm level k must be >= 1")
@@ -133,11 +135,26 @@ class KotheMatrix:
             return head if hi < 1 else np.concatenate((head, self._log2_fill(k, 1, hi)))
         if self.family == "constant":
             return np.full(hi - lo + 1, self._log2_memo.of(self.params["value"]))
+        if self.family == "power":
+            return self._log2_power(k, lo, hi)
         entries = (self.entry(j, k) for j in range(lo, hi + 1))
         if self.family in ("halfline", "table"):
             return self._log2_memo.array(entries)
-        # closed forms (power, scaled, callable): a new value at almost every index
+        # closed forms (scaled, callable): a new value at almost every index
         return np.fromiter(map(log2_exact, entries), dtype=np.float64, count=hi - lo + 1)
+
+    def _log2_power(self, k: int, lo: int, hi: int) -> np.ndarray:
+        """a(j, k) = a(-j, k): gather a cached row over |j| >= 0, so each
+        value is converted once per level whatever the signs of j."""
+        mags = np.abs(np.arange(lo, hi + 1))
+        m_lo, m_hi = int(mags.min()), int(mags.max())
+        half = self._log2_half_rows.get(k)
+        if half is None:
+            half = self._log2_half_rows[k] = Log2Cache()
+        row = half.window(m_lo, m_hi, lambda a, b: np.fromiter(
+            (log2_exact(self.entry(i, k)) for i in range(a, b + 1)),
+            dtype=np.float64, count=b - a + 1))
+        return row[mags - m_lo]
 
     def to_json(self) -> dict:
         obj = {"family": self.family, "index_set": self.index_set}
@@ -175,6 +192,9 @@ def halfline_matrix() -> KotheMatrix:
 def table_matrix(rows: dict, lo: int, hi: int, tail: str = "error",
                  index_set: str = _BILATERAL) -> KotheMatrix:
     frozen = {int(j): tuple(Fraction(v) for v in vals) for j, vals in rows.items()}
+    missing = next((j for j in range(lo, hi + 1) if j not in frozen), None)
+    if missing is not None:
+        raise InvalidSpecError(f"table has no row for index {missing} in [{lo}, {hi}]")
     for j, vals in frozen.items():
         if any(v < 0 for v in vals):
             raise InvalidSpecError("matrix entries must be nonnegative")

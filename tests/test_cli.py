@@ -45,6 +45,16 @@ class TestCheck:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    def test_table_space_with_missing_row_is_rejected(self, capsys, tmp_path):
+        one = {"num": "1", "den": "1"}
+        spec = tmp_path / "space.json"
+        spec.write_text(json.dumps({"family": "table", "params": {
+            "lo": 0, "hi": 2, "tail": "hold", "rows": {"0": [one], "2": [one]}}}))
+        code, _, err = run(capsys, "check", "--space", f"@{spec}", "--weights", "constant:2",
+                           "--criterion", "ae", "--n-max", "8", "--window", "4")
+        assert code == EXIT_USAGE
+        assert "no row for index 1" in err
+
     def test_missing_option_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "check", "--space", "c0_Z")
         assert code == EXIT_USAGE

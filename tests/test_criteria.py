@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shiftlab.blocks import build_blocks
@@ -17,7 +18,7 @@ from shiftlab.criteria import (
     unif_pos_expansive,
 )
 from shiftlab.shifts import ShiftOperator, constant_weights, table_weights
-from shiftlab.spaces import InvalidSpecError, preset
+from shiftlab.spaces import InvalidSpecError, SpaceSpec, power_matrix, preset, table_matrix
 
 F = Fraction
 CFG = HorizonConfig(n_max=256, window=128, m_grid=(1, 2, 4, 16, 2 ** 10), k_max=2,
@@ -426,3 +427,92 @@ class TestHierarchy:
         rep = hierarchy_audit(op, CFG)
         assert rep.consistent
         assert not rep.ue.certified and not rep.ae.certified and not rep.e_diag.certified
+
+
+def _ue_curve_two_pass(op, k, level, split, form, cfg, n_eff):
+    """The two-pass tail-edge check: the kernel over the full mask, then
+    again over the edge-trimmed mask, usable where the two agree."""
+    from shiftlab import _kernels
+    from shiftlab.criteria import _split_window
+
+    m = op.space.matrix
+    lo, hi, tail_edges = _split_window(op, k, split, cfg)
+    ext_lo, ext_hi = (lo, hi + n_eff) if form == "A" else (lo - n_eff, hi)
+    base = min(ext_lo, lo) - 1
+    wlogs = op.weights.log2_window(base, max(ext_hi, hi) + 1)
+    prefix = np.concatenate(([0.0], np.cumsum(wlogs)))
+    la_k = m.log2_row(k, lo, hi)
+    valid = la_k != -np.inf
+    g = m.log2_row(level, ext_lo, ext_hi) + prefix[np.arange(ext_lo, ext_hi + 1) - base]
+    h = la_k + prefix[np.arange(lo, hi + 1) - base]
+    if form == "B":
+        g, h, valid = g[::-1].copy(), h[::-1].copy(), valid[::-1].copy()
+    if not valid.any():
+        return np.full(n_eff, np.inf), np.ones(n_eff, dtype=bool)
+    curve, _ = _kernels.window_inf_curve(g, h, valid, n_eff)
+    trimmed = valid.copy()
+    edges = tail_edges if form == "A" else tuple({"lo": "hi", "hi": "lo"}[e] for e in tail_edges)
+    nz = np.nonzero(trimmed)[0]
+    for edge in edges:
+        trimmed[nz[0] if edge == "lo" else nz[-1]] = False
+    if not trimmed.any():
+        return curve, np.zeros(n_eff, dtype=bool)
+    curve2, _ = _kernels.window_inf_curve(g, h, trimmed, n_eff)
+    return curve, curve2 == curve
+
+
+def _single_support_space():
+    # level 1 is nonzero at j = 3 only, so a window holds one valid index
+    # and the edge-trimmed mask is empty
+    rows = {j: [F(0), F(1)] for j in range(-20, 21)}
+    rows[3] = [F(2, 3), F(5, 2)]
+    return SpaceSpec(table_matrix(rows, -20, 20, tail="hold"), 0)
+
+
+def _odd_table_weights():
+    odd = (F(1, 3), F(5, 2), F(8, 3), F(3, 8), F(2, 5), F(2))
+    return table_weights({j: odd[(j * j + 3 * j) % len(odd)] for j in range(-60, 61)},
+                         tail="hold")
+
+
+class TestUeCurveSinglePass:
+    """_ue_curve runs the kernel once, on the edge-trimmed mask, and folds
+    the tail-edge columns in afterwards; curve and usable must be bitwise
+    the two-pass result."""
+
+    CFG = HorizonConfig(n_max=40, window=12, m_grid=(1,), k_max=2)
+    SPACES = {
+        "c0_Z": lambda: preset("c0_Z"),
+        "s_Z": lambda: preset("s_Z"),
+        "halfline_Z": lambda: preset("halfline_Z"),
+        "single": _single_support_space,
+        "lp_N": lambda: preset("lp_N", 2),
+        "s_N": lambda: SpaceSpec(power_matrix("N"), 1),
+    }
+    WEIGHTS = {"constant": lambda: constant_weights(F(5, 2)), "odd-table": _odd_table_weights}
+
+    @pytest.mark.parametrize("weights", sorted(WEIGHTS))
+    @pytest.mark.parametrize("space", sorted(SPACES))
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_matches_two_pass_bitwise(self, direction, space, weights):
+        from shiftlab.criteria import _ue_curve
+
+        op = ShiftOperator(direction, self.WEIGHTS[weights](), self.SPACES[space]())
+        splits = ("Z", "N", "-N") if op.bilateral else ("N",)
+        n_eff = 30
+        for split in splits:
+            for form in ("A", "B"):
+                for k, level in ((1, 1), (1, 2), (2, 3)):
+                    curve, usable = _ue_curve(op, k, level, split, form, self.CFG, n_eff)
+                    want_curve, want_usable = _ue_curve_two_pass(
+                        op, k, level, split, form, self.CFG, n_eff)
+                    assert curve.tobytes() == want_curve.tobytes(), (split, form, k, level)
+                    assert np.array_equal(usable, want_usable), (split, form, k, level)
+
+    def test_single_valid_index_is_never_usable(self):
+        from shiftlab.criteria import _ue_curve
+
+        op = ShiftOperator("forward", constant_weights(2), _single_support_space())
+        for split, form in (("Z", "A"), ("Z", "B"), ("N", "A"), ("N", "B")):
+            curve, usable = _ue_curve(op, 1, 2, split, form, self.CFG, 30)
+            assert np.all(np.isfinite(curve)) and not usable.any()

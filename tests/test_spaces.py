@@ -1,5 +1,7 @@
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from shiftlab.spaces import (
     index_support,
     parse_space,
     preset,
+    power_matrix,
     seminorm,
     space_from_json,
     space_to_json,
@@ -122,6 +125,20 @@ class TestSparseVector:
         assert x.scale(0).is_zero
 
 
+class TestPowerLog2Row:
+    def test_mixed_sign_windows_convert_each_magnitude_once(self):
+        from shiftlab import spaces
+
+        m = power_matrix()
+        with mock.patch.object(spaces, "log2_exact", wraps=spaces.log2_exact) as conv:
+            rows = {k: m.log2_row(k, -7, 30) for k in (1, 3)}
+            rows[3] = m.log2_row(3, -40, 12)  # grows the cached rows on both sides
+        assert conv.call_count == 31 + 41  # |j| <= 30 at level 1, |j| <= 40 at level 3
+        for k, (lo, hi) in ((1, (-7, 30)), (3, (-40, 12))):
+            want = np.array([m.entry_log2(j, k) for j in range(lo, hi + 1)])
+            assert rows[k].tobytes() == want.tobytes()
+
+
 class TestTableMatrix:
     def test_tail_error(self):
         m = table_matrix({0: [1, 2], 1: [1, 1]}, 0, 1)
@@ -138,6 +155,14 @@ class TestTableMatrix:
             table_matrix({0: [2, 1]}, 0, 0)
         with pytest.raises(InvalidSpecError):
             table_matrix({0: [0, 0]}, 0, 0)
+
+    def test_rejects_missing_row(self):
+        with pytest.raises(InvalidSpecError, match="index 1 "):
+            table_matrix({0: [1], 2: [1]}, 0, 2)
+        one = {"num": "1", "den": "1"}
+        spec = {"family": "table", "params": {"lo": -1, "hi": 1, "rows": {"-1": [one], "1": [one]}}}
+        with pytest.raises(InvalidSpecError, match="index 0 "):
+            space_from_json(spec)
 
 
 def test_json_roundtrip():
