@@ -471,14 +471,14 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     hi_edge = nz[-1] if "hi" in edges and nz[-1] != lo_edge else None
     trimmed = valid.copy()
     trimmed[[j for j in (lo_edge, hi_edge) if j is not None]] = False
-    interior, _ = _kernels.window_inf_curve(g_arr, h_arr, trimmed, n_eff)  # +inf if empty
-    curve = interior
+    interior = _kernels.window_inf_curve(g_arr, h_arr, trimmed, n_eff)[0]  # +inf if empty
+    curve = interior.copy()
     if lo_edge is not None:  # the first index wins a tie
         edge_vals = g_arr[lo_edge + 1:lo_edge + 1 + n_eff] - h_arr[lo_edge]
-        curve = np.where(curve < edge_vals, curve, edge_vals)
+        np.copyto(curve, edge_vals, where=edge_vals <= curve)
     if hi_edge is not None:  # the last index loses a tie
         edge_vals = g_arr[hi_edge + 1:hi_edge + 1 + n_eff] - h_arr[hi_edge]
-        curve = np.where(edge_vals < curve, edge_vals, curve)
+        np.copyto(curve, edge_vals, where=edge_vals < curve)
     # an empty interior (+inf) never equals an edge value (never +inf): not usable
     return curve, interior == curve
 
