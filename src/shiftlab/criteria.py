@@ -473,12 +473,12 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     trimmed[[j for j in (lo_edge, hi_edge) if j is not None]] = False
     interior = _kernels.window_inf_curve(g_arr, h_arr, trimmed, n_eff)[0]  # +inf if empty
     curve = interior.copy()
-    if lo_edge is not None:  # the first index wins a tie
-        edge_vals = g_arr[lo_edge + 1:lo_edge + 1 + n_eff] - h_arr[lo_edge]
-        np.copyto(curve, edge_vals, where=edge_vals <= curve)
-    if hi_edge is not None:  # the last index loses a tie
-        edge_vals = g_arr[hi_edge + 1:hi_edge + 1 + n_eff] - h_arr[hi_edge]
-        np.copyto(curve, edge_vals, where=edge_vals < curve)
+    # the low edge precedes every interior index, so it wins a tie; the high
+    # edge follows them and loses it
+    for j, wins in ((lo_edge, np.less_equal), (hi_edge, np.less)):
+        if j is not None:
+            edge_vals = g_arr[j + 1:j + 1 + n_eff] - h_arr[j]
+            np.copyto(curve, edge_vals, where=wins(edge_vals, curve))
     # an empty interior (+inf) never equals an edge value (never +inf): not usable
     return curve, interior == curve
 
