@@ -46,10 +46,6 @@ def log2_magnitude_sum(logs: np.ndarray) -> float:
     return m + math.log2(total)
 
 
-def log2_magnitude_sum_list(logs) -> float:
-    return log2_magnitude_sum(np.asarray(logs, dtype=np.float64))
-
-
 # ---------------------------------------------------------------------------
 # running Cesàro averages in the log domain
 # ---------------------------------------------------------------------------

@@ -14,34 +14,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .criteria import (
-    HorizonConfig,
-    Verdict,
-    VerdictKind,
-    avg_expansive_backward,
-    avg_expansive_forward,
-    avg_pos_expansive,
-    expansive_basis_diagnostic,
-    unif_expansive_backward,
-    unif_expansive_forward,
-    unif_pos_expansive,
-    _first_crossings,
-)
+from .criteria import HorizonConfig, Verdict, VerdictKind, check_criterion, _first_crossings
 from .shifts import (
-    ConjugacyWeights,
     ShiftOperator,
     basis_orbit_norm,
     conjugate_to_unweighted,
     dual_form,
     weight_product,
 )
-from .spaces import InvalidSpecError, SpaceSpec, scaled_matrix
+from .spaces import InvalidSpecError
 
 import numpy as np
 
 __all__ = [
     "PowerShift",
-    "RotationRecord",
     "ScalingSystem",
     "ShiftSystem",
     "SumSystem",
@@ -87,11 +73,6 @@ class SumSystem:
 
 
 SystemSpec = Union[ShiftSystem, ScalingSystem, SumSystem]
-
-
-@dataclass(frozen=True)
-class RotationRecord:
-    label: str
 
 
 def _unit_label(lam) -> str:
@@ -169,7 +150,7 @@ def power_orbit_norm(p: PowerShift, j0: int, n: int, k: int) -> Fraction:
     return abs(coeff) * op.space.matrix.entry(pos, k)
 
 
-def conjugacy_transfer(sys: ShiftSystem, diag: ConjugacyWeights | None = None):
+def conjugacy_transfer(sys: ShiftSystem):
     """Diagonal conjugacy: transfer a bilateral backward shift to the
     unweighted shift on the reweighted space.  Returns (new system, v).
 
@@ -177,14 +158,7 @@ def conjugacy_transfer(sys: ShiftSystem, diag: ConjugacyWeights | None = None):
     ||B^n x||'_k == ||B_w^n phi_v(x)||_k where phi_v scales coordinate j by
     v(j); orbit norms of corresponding vectors are invariant.
     """
-    op = sys.op
-    new_space, unweighted, v = conjugate_to_unweighted(op)
-    if diag is not None:
-        # conjugate by a caller-supplied diagonal instead of the canonical one
-        new_matrix = scaled_matrix(op.space.matrix, diag, tag="conjugacy")
-        new_space = SpaceSpec(new_matrix, op.space.p)
-        unweighted = ShiftOperator("backward", op.weights, new_space)
-        return ShiftSystem(unweighted, sys.rotation), diag
+    _, unweighted, v = conjugate_to_unweighted(sys.op)
     return ShiftSystem(unweighted, sys.rotation), v
 
 
@@ -239,27 +213,11 @@ def _scaling_check(sys: ScalingSystem, criterion: str, cfg: HorizonConfig) -> Ve
                    config=cfg)
 
 
-def _shift_check(op: ShiftOperator, criterion: str, cfg: HorizonConfig) -> Verdict:
-    if criterion == "ae":
-        return (avg_expansive_backward if op.direction == "backward"
-                else avg_expansive_forward)(op, cfg)
-    if criterion == "ape":
-        return avg_pos_expansive(op, cfg)
-    if criterion == "ue":
-        return (unif_expansive_backward if op.direction == "backward"
-                else unif_expansive_forward)(op, cfg)[1]
-    if criterion == "upe":
-        return unif_pos_expansive(op, cfg)
-    if criterion == "e":
-        return expansive_basis_diagnostic(op, cfg)
-    raise InvalidSpecError(f"unknown criterion {criterion!r}")
-
-
 def system_check(sys: SystemSpec, criterion: str, cfg: HorizonConfig) -> Verdict:
     """Verdict for a system; a direct sum is certified exactly when every
     component is (max-combined seminorms force the conjunction)."""
     if isinstance(sys, ShiftSystem):
-        return _shift_check(sys.op, criterion, cfg)
+        return check_criterion(sys.op, criterion, cfg)
     if isinstance(sys, ScalingSystem):
         return _scaling_check(sys, criterion, cfg)
     parts = [system_check(c, criterion, cfg) for c in sys.components]

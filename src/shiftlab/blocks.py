@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .spaces import InvalidSpecError
-from .shifts import WeightSequence
+from .shifts import WeightSequence, weight_product
 
 __all__ = [
     "AuditReport",
@@ -489,12 +489,6 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
                 violations.append(f"plateau value mismatch at j={j}, n={n}")
                 break
 
-    def product(lo: int, hi: int) -> Fraction:
-        out = Fraction(1)
-        for m in range(lo, hi + 1):
-            out *= w.value(m)
-        return out
-
     products: dict[int, dict[int, Fraction]] = {}
     hyperbolic: dict[int, bool] = {}
     c_values: dict[int, Fraction] = {}
@@ -512,11 +506,11 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
             if abs(t) > 2 ** (p.k - 1) - 2:
                 continue
             n_j = p.n_mid
-            per_j[j] = abs(product(t - n_j + 1, t))
+            per_j[j] = abs(weight_product(w, t - n_j + 1, t))
             # inverse products q_j(t) = 1/|w_{t+1}...w_{t+n_j}| must equal the
             # mirrored products p_j(-t) by the reversed-reciprocal symmetry
-            q = 1 / abs(product(t + 1, t + n_j))
-            if q != abs(product(-t - n_j + 1, -t)):
+            q = 1 / abs(weight_product(w, t + 1, t + n_j))
+            if q != abs(weight_product(w, -t - n_j + 1, -t)):
                 inverse_match = False
                 violations.append(f"inverse product mismatch at t={t}, j={j}")
         products[t] = per_j

@@ -18,18 +18,7 @@ import click
 from . import __version__
 from .algebra import run_props_suite
 from .blocks import SearchCapExceeded, build_blocks, hypercyclicity_witness, verify_inequalities
-from .criteria import (
-    HorizonConfig,
-    avg_expansive_backward,
-    avg_expansive_forward,
-    avg_pos_expansive,
-    expansive_basis_diagnostic,
-    hierarchy_audit,
-    mixing_check,
-    unif_expansive_backward,
-    unif_expansive_forward,
-    unif_pos_expansive,
-)
+from .criteria import HorizonConfig, check_criterion, hierarchy_audit
 from .density import cesaro_trace, distributional_report
 from .reporting import canonical_json, envelope, write_csv
 from .scalars import log2_exact
@@ -140,26 +129,12 @@ def check(space_text, weights_text, criterion, side, n_max, window, k_max, l_max
             "invertible": [check_invertible(op, k, cfg).to_json()
                            for k in range(1, cfg.k_max + 1)],
         }
-    elif criterion == "ae":
-        fn = avg_expansive_backward if side == "backward" else avg_expansive_forward
-        payload = fn(op, cfg).to_json()
-    elif criterion == "ape":
-        payload = avg_pos_expansive(op, cfg, side="op").to_json()
-    elif criterion == "ape-inverse":
-        payload = avg_pos_expansive(op, cfg, side="inverse").to_json()
-    elif criterion == "ue":
-        fn = unif_expansive_backward if side == "backward" else unif_expansive_forward
-        prop, verdict = fn(op, cfg)
-        payload = verdict.to_json()
-        payload["upe"] = prop == "a"
-    elif criterion == "upe":
-        payload = unif_pos_expansive(op, cfg).to_json()
-    elif criterion == "e":
-        payload = expansive_basis_diagnostic(op, cfg).to_json()
-    elif criterion == "mixing":
-        payload = mixing_check(op, cfg).to_json()
-    else:
+    elif criterion == "hierarchy":
         payload = hierarchy_audit(op, cfg).to_json()
+    else:
+        payload = check_criterion(op, criterion, cfg).to_json()
+        if criterion == "ue":
+            payload["upe"] = payload["property"] == "a"
 
     config = {"space": space_to_json(space), "weights": weights_to_json(weights),
               "side": side, "criterion": criterion, "horizon": cfg.to_json()}

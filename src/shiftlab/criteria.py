@@ -42,6 +42,7 @@ __all__ = [
     "avg_expansive_backward",
     "avg_expansive_forward",
     "avg_pos_expansive",
+    "check_criterion",
     "default_m_grid",
     "window_infimum_trace",
     "expansive_basis_diagnostic",
@@ -284,28 +285,27 @@ def _avg_branch_evidence(op: ShiftOperator, k: int, branch: str,
         n_eff=n_eff)
 
 
+def _avg_evidence(op: ShiftOperator, cfg: HorizonConfig, branches: Sequence[str],
+                  n_eff: int) -> list[BranchEvidence]:
+    """Evidence for every level k = 1..k_max, k-major, branches in the given
+    order within each k."""
+    return [_avg_branch_evidence(op, k, branch, cfg, n_eff)
+            for k in range(1, cfg.k_max + 1) for branch in branches]
+
+
+def _kind(certified: bool, bounded: bool) -> VerdictKind:
+    if certified:
+        return VerdictKind.CERTIFIED_UNBOUNDED
+    return VerdictKind.BOUNDED_WITNESS if bounded else VerdictKind.INCONCLUSIVE
+
+
 def _avg_verdict(op: ShiftOperator, cfg: HorizonConfig, criterion: str) -> Verdict:
-    n_eff = _avg_n_eff(op, cfg)
-    evidence = []
-    left_cert = right_cert = False
-    all_bounded = True
-    for k in range(1, cfg.k_max + 1):
-        for branch in ("left", "right"):  # left branch examined first
-            ev = _avg_branch_evidence(op, k, branch, cfg, n_eff)
-            evidence.append(ev)
-            if ev.certified:
-                left_cert = left_cert or branch == "left"
-                right_cert = right_cert or branch == "right"
-            if ev.attestation is None:
-                all_bounded = False
-    if left_cert or right_cert:
-        kind = VerdictKind.CERTIFIED_UNBOUNDED
-        branch = {(True, True): "both", (True, False): "left", (False, True): "right"}[
-            (left_cert, right_cert)]
-    elif all_bounded:
-        kind, branch = VerdictKind.BOUNDED_WITNESS, "none"
-    else:
-        kind, branch = VerdictKind.INCONCLUSIVE, "none"
+    evidence = _avg_evidence(op, cfg, ("left", "right"), _avg_n_eff(op, cfg))
+    left = any(ev.certified for ev in evidence if ev.label == "left")
+    right = any(ev.certified for ev in evidence if ev.label == "right")
+    branch = {(True, True): "both", (True, False): "left", (False, True): "right",
+              (False, False): "none"}[(left, right)]
+    kind = _kind(left or right, all(ev.attestation is not None for ev in evidence))
     return Verdict(criterion, kind, branch=branch, evidence=tuple(evidence), config=cfg)
 
 
@@ -355,28 +355,14 @@ def avg_pos_expansive(op: ShiftOperator, cfg: HorizonConfig, side: str = "op") -
                            config=cfg)
         if side == "inverse":
             raise NotInvertibleError("unilateral forward shift has no inverse")
+        branch = "unilateral"
         n_eff = _clip_n(op, cfg, lambda n: 1, lambda n: n - 1)
-        ev = _avg_branch_evidence(op, 1, "unilateral", cfg, n_eff)
-        evidence = [ev]
-        certified = ev.certified
-        bounded = ev.attestation is not None
-        for k in range(2, cfg.k_max + 1):
-            ev_k = _avg_branch_evidence(op, k, "unilateral", cfg, n_eff)
-            evidence.append(ev_k)
-            certified = certified or ev_k.certified
-            bounded = bounded and ev_k.attestation is not None
-        kind = (VerdictKind.CERTIFIED_UNBOUNDED if certified
-                else VerdictKind.BOUNDED_WITNESS if bounded else VerdictKind.INCONCLUSIVE)
-        return Verdict("avg-pos-expansive", kind, branch="unilateral",
-                       evidence=tuple(evidence), config=cfg)
-    branch = "left" if side == "op" else "right"
-    n_eff = _avg_n_eff(op, cfg)
-    evidence = [_avg_branch_evidence(op, k, branch, cfg, n_eff)
-                for k in range(1, cfg.k_max + 1)]
-    certified = any(ev.certified for ev in evidence)
-    bounded = all(ev.attestation is not None for ev in evidence)
-    kind = (VerdictKind.CERTIFIED_UNBOUNDED if certified
-            else VerdictKind.BOUNDED_WITNESS if bounded else VerdictKind.INCONCLUSIVE)
+    else:
+        branch = "left" if side == "op" else "right"
+        n_eff = _avg_n_eff(op, cfg)
+    evidence = _avg_evidence(op, cfg, (branch,), n_eff)
+    kind = _kind(any(ev.certified for ev in evidence),
+                 all(ev.attestation is not None for ev in evidence))
     return Verdict("avg-pos-expansive", kind, branch=branch,
                    evidence=tuple(evidence), config=cfg)
 
@@ -424,7 +410,6 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     m = op.space.matrix
     w = op.weights
     lo, hi, tail_edges = _split_window(op, k, split, cfg)
-    width = hi - lo + 1
 
     if form == "A":
         ext_lo, ext_hi = lo, hi + n_eff
@@ -440,20 +425,16 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     la_k = m.log2_row(k, lo, hi)
     valid = la_k != ZERO_LOG2
 
-    idx = np.arange(ext_lo, ext_hi + 1)
-    pf_at = prefix[idx - base]  # log-prefix ending just before each index
-    if form == "A":
-        g = la_level + pf_at                      # g[i] = la_l(i) + P(i)
-        h = la_k + prefix[np.arange(lo, hi + 1) - base]
-        # value(j, n) = g[j+n] - h[j]
-        g_arr, h_arr = g, h
-    else:
-        # value(j, n) = (la_l(j-n) + P(j-n)) - (la_k(j) + P(j)); reverse the
-        # index direction so the kernel's g[j + n] convention applies
-        g = la_level + pf_at
-        h = la_k + prefix[np.arange(lo, hi + 1) - base]
-        g_arr = g[::-1].copy()
-        h_arr = h[::-1].copy()
+    # P(i) = prefix[i - base] is the log-prefix ending just before index i;
+    # g[i] = la_l(i) + P(i), h[j] = la_k(j) + P(j), and the A-form value is
+    # value(j, n) = g[j+n] - h[j]
+    g = la_level + prefix[np.arange(ext_lo, ext_hi + 1) - base]
+    h = la_k + prefix[np.arange(lo, hi + 1) - base]
+    if form == "B":
+        # value(j, n) = g[j-n] - h[j]; reverse the index direction so the
+        # kernel's g[j + n] convention applies
+        g = g[::-1].copy()
+        h = h[::-1].copy()
         valid = valid[::-1].copy()
 
     if not valid.any():
@@ -471,13 +452,13 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     hi_edge = nz[-1] if "hi" in edges and nz[-1] != lo_edge else None
     trimmed = valid.copy()
     trimmed[[j for j in (lo_edge, hi_edge) if j is not None]] = False
-    interior = _kernels.window_inf_curve(g_arr, h_arr, trimmed, n_eff)[0]  # +inf if empty
+    interior = _kernels.window_inf_curve(g, h, trimmed, n_eff)[0]  # +inf if empty
     curve = interior.copy()
     # the low edge precedes every interior index, so it wins a tie; the high
     # edge follows them and loses it
     for j, wins in ((lo_edge, np.less_equal), (hi_edge, np.less)):
         if j is not None:
-            edge_vals = g_arr[j + 1:j + 1 + n_eff] - h_arr[j]
+            edge_vals = g[j + 1:j + 1 + n_eff] - h[j]
             np.copyto(curve, edge_vals, where=wins(edge_vals, curve))
     # an empty interior (+inf) never equals an edge value (never +inf): not usable
     return curve, interior == curve
@@ -518,32 +499,24 @@ def _ue_property_for_k(op: ShiftOperator, k: int, prop: str, cfg: HorizonConfig,
     return None
 
 
-def _ue_forward_properties(op: ShiftOperator, cfg: HorizonConfig):
-    attestation = _ue_attestation(op)
-    n_eff = _ue_n_eff(op, cfg)
-    holders = []
+def _ue_regime(op: ShiftOperator, prop: str, cfg: HorizonConfig, n_eff: int,
+               attestation: Optional[str]):
+    """(holds, evidence) for one regime: a succeeding level at every k in
+    1..k_max.  The search stops at the first k with none, whose evidence
+    records the failure."""
     evidence = []
-    for prop in ("A", "B", "C"):
-        per_k = []
-        holds = True
-        for k in range(1, cfg.k_max + 1):
-            found = _ue_property_for_k(op, k, prop, cfg, n_eff, attestation)
-            if found is None:
-                holds = False
-                per_k.append(BranchEvidence(k=k, level=None, label=prop, certified=False,
-                                            attestation=attestation, n_eff=n_eff))
-                break
-            level, split_crossings = found
-            for split, crossings in split_crossings:
-                per_k.append(BranchEvidence(
-                    k=k, level=level, label=f"{prop}:{split}", certified=True,
-                    crossings=crossings, attestation=attestation, n_eff=n_eff))
-        evidence.extend(per_k)
-        if holds:
-            holders.append(prop)
-    if len(holders) > 1:
-        raise AssertionError(f"mutually exclusive properties both certified: {holders}")
-    return holders[0] if holders else "none", tuple(evidence), attestation
+    for k in range(1, cfg.k_max + 1):
+        found = _ue_property_for_k(op, k, prop, cfg, n_eff, attestation)
+        if found is None:
+            evidence.append(BranchEvidence(k=k, level=None, label=prop, certified=False,
+                                           attestation=attestation, n_eff=n_eff))
+            return False, evidence
+        level, split_crossings = found
+        for split, crossings in split_crossings:
+            evidence.append(BranchEvidence(
+                k=k, level=level, label=f"{prop}:{split}", certified=True,
+                crossings=crossings, attestation=attestation, n_eff=n_eff))
+    return True, evidence
 
 
 def unif_expansive_forward(op: ShiftOperator, cfg: HorizonConfig):
@@ -552,11 +525,20 @@ def unif_expansive_forward(op: ShiftOperator, cfg: HorizonConfig):
     inverse products do, (C) each half-line handles one direction."""
     if op.direction != "forward" or not op.bilateral:
         raise InvalidSpecError("unif_expansive_forward needs a bilateral forward shift")
-    prop, evidence, attestation = _ue_forward_properties(op, cfg)
-    kind = VerdictKind.CERTIFIED_UNBOUNDED if prop != "none" else (
-        VerdictKind.INCONCLUSIVE)
-    verdict = Verdict("unif-expansive", kind, property_label=prop,
-                      evidence=evidence, config=cfg,
+    attestation = _ue_attestation(op)
+    n_eff = _ue_n_eff(op, cfg)
+    holders = []
+    evidence = []
+    for regime in ("A", "B", "C"):
+        holds, per_k = _ue_regime(op, regime, cfg, n_eff, attestation)
+        evidence.extend(per_k)
+        if holds:
+            holders.append(regime)
+    if len(holders) > 1:
+        raise AssertionError(f"mutually exclusive properties both certified: {holders}")
+    prop = holders[0] if holders else "none"
+    verdict = Verdict("unif-expansive", _kind(bool(holders), False), property_label=prop,
+                      evidence=tuple(evidence), config=cfg,
                       notes=() if attestation else
                       ("no ratio-profile attestation for this weight family; "
                        "certificates unavailable, window evidence only",))
@@ -586,24 +568,9 @@ def unif_pos_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     """Uniform positive expansivity: regime (A) alone for forward shifts
     (bilateral or unilateral), regime (a) for bilateral backward shifts."""
     if op.direction == "forward":
-        attestation = _ue_attestation(op)
-        n_eff = _ue_n_eff(op, cfg)
-        evidence = []
-        holds = True
-        for k in range(1, cfg.k_max + 1):
-            found = _ue_property_for_k(op, k, "A", cfg, n_eff, attestation)
-            if found is None:
-                holds = False
-                evidence.append(BranchEvidence(k=k, level=None, label="A", certified=False,
-                                               attestation=attestation, n_eff=n_eff))
-                break
-            level, split_crossings = found
-            for split, crossings in split_crossings:
-                evidence.append(BranchEvidence(k=k, level=level, label=f"A:{split}",
-                                               certified=True, crossings=crossings,
-                                               attestation=attestation, n_eff=n_eff))
-        kind = VerdictKind.CERTIFIED_UNBOUNDED if holds else VerdictKind.INCONCLUSIVE
-        return Verdict("unif-pos-expansive", kind, property_label="A" if holds else "none",
+        holds, evidence = _ue_regime(op, "A", cfg, _ue_n_eff(op, cfg), _ue_attestation(op))
+        return Verdict("unif-pos-expansive", _kind(holds, False),
+                       property_label="A" if holds else "none",
                        evidence=tuple(evidence), config=cfg)
     if not op.bilateral:
         return Verdict("unif-pos-expansive", VerdictKind.BOUNDED_WITNESS,
@@ -612,8 +579,7 @@ def unif_pos_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
                        config=cfg)
     prop, verdict = unif_expansive_backward(op, cfg)
     holds = prop == "a"
-    return Verdict("unif-pos-expansive",
-                   VerdictKind.CERTIFIED_UNBOUNDED if holds else VerdictKind.INCONCLUSIVE,
+    return Verdict("unif-pos-expansive", _kind(holds, False),
                    property_label="a" if holds else "none",
                    evidence=verdict.evidence, config=cfg)
 
@@ -781,16 +747,31 @@ class HierarchyReport:
 def hierarchy_audit(op: ShiftOperator, cfg: HorizonConfig) -> HierarchyReport:
     """Runs the uniform, average, and basis-diagnostic checks with one shared
     config and asserts the implication chain is never inverted."""
-    if op.direction == "backward":
-        prop, ue = unif_expansive_backward(op, cfg)
-        ae = avg_expansive_backward(op, cfg)
-    else:
-        prop, ue = unif_expansive_forward(op, cfg)
-        ae = avg_expansive_forward(op, cfg)
-    ed = expansive_basis_diagnostic(op, cfg)
+    ue = check_criterion(op, "ue", cfg)
+    ae = check_criterion(op, "ae", cfg)
+    ed = check_criterion(op, "e", cfg)
     violations = []
     if ue.certified and not ae.certified:
         violations.append("uniform certified but average not certified")
     if ae.certified and not ed.certified:
         violations.append("average certified but basis diagnostic not certified")
-    return HierarchyReport(prop, ue, ae, ed, not violations, tuple(violations))
+    return HierarchyReport(ue.property_label, ue, ae, ed, not violations, tuple(violations))
+
+
+def check_criterion(op: ShiftOperator, criterion: str, cfg: HorizonConfig) -> Verdict:
+    """The verdict of the checker that serves one criterion name ('ae', 'ape',
+    'ape-inverse', 'ue', 'upe', 'e', 'mixing') for the shift's direction."""
+    backward = op.direction == "backward"
+    if criterion == "ae":
+        return (avg_expansive_backward if backward else avg_expansive_forward)(op, cfg)
+    if criterion in ("ape", "ape-inverse"):
+        return avg_pos_expansive(op, cfg, side="op" if criterion == "ape" else "inverse")
+    if criterion == "ue":
+        return (unif_expansive_backward if backward else unif_expansive_forward)(op, cfg)[1]
+    if criterion == "upe":
+        return unif_pos_expansive(op, cfg)
+    if criterion == "e":
+        return expansive_basis_diagnostic(op, cfg)
+    if criterion == "mixing":
+        return mixing_check(op, cfg)
+    raise InvalidSpecError(f"unknown criterion {criterion!r}")

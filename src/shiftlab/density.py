@@ -65,9 +65,6 @@ def upper_density(indicator, n_max: int, n0: Optional[int] = None) -> DensityEst
     return DensityEstimate(n_max, n0, best, tuple(ratios))
 
 
-_VECTORS = {"e-1-forward": "backward_orbit", "e1-backward": "inverse_orbit"}
-
-
 def _norm_sequence(build: BlockBuild, vector: str, n_max: int) -> list[Fraction]:
     if vector in ("e-1-forward", "e:-1"):
         return backward_norms(build, n_max)

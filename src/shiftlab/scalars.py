@@ -27,6 +27,7 @@ from . import _kernels
 __all__ = [
     "Exact",
     "ExactLike",
+    "InvalidSpecError",
     "Log2Cache",
     "Log2Memo",
     "LogMagnitude",
@@ -37,7 +38,6 @@ __all__ = [
     "exact_from_json",
     "exact_to_json",
     "log2_exact",
-    "parse_exact",
     "to_log",
 ]
 
@@ -49,16 +49,15 @@ ExactLike = Union[Fraction, int]
 ZERO_LOG2 = float("-inf")  # sentinel log2 of a zero magnitude
 
 
+class InvalidSpecError(ValueError):
+    """Raised for malformed space/weight descriptors."""
+
+
 def exact(num: int | str | Fraction, den: int = 1) -> Fraction:
     """Build an exact scalar; accepts ints, 'p/q' strings, or Fractions."""
     if isinstance(num, str):
         return Fraction(num)
     return Fraction(num, den)
-
-
-def parse_exact(text: str) -> Fraction:
-    """Parse 'p/q' or integer decimal text into an exact scalar."""
-    return Fraction(text.strip())
 
 
 def exact_to_json(x: ExactLike) -> dict:
@@ -68,7 +67,12 @@ def exact_to_json(x: ExactLike) -> dict:
 
 
 def exact_from_json(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
+    """Inverse of exact_to_json; a malformed value is an InvalidSpecError."""
+    try:
+        return Fraction(int(obj["num"]), int(obj["den"]))
+    except (TypeError, KeyError, ValueError, ZeroDivisionError):
+        raise InvalidSpecError(
+            f'exact scalar must be {{"num": <int>, "den": <nonzero int>}}, got {obj!r}') from None
 
 
 def exact_arith(a: ExactLike, b: ExactLike, op: str):
@@ -102,27 +106,29 @@ def _is_pow2(n: int) -> bool:
 def log2_exact(x: ExactLike) -> float:
     """log2|x| for a rational x, accurate to ~1 ulp, -inf for zero.
 
-    Big integers never pass through float conversion directly: the fraction
-    is shifted into [1, 2) exactly, converted with the correctly rounded
-    Fraction->float division, and only then handed to libm.
+    Big integers never pass through float conversion directly: the ratio
+    is shifted into [1, 2) exactly, converted with Python's correctly
+    rounded int/int division (the one Fraction->float uses), and only then
+    handed to libm.
     """
-    f = Fraction(x)
-    num = abs(f.numerator)
-    den = f.denominator
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    num = abs(x.numerator)
+    den = x.denominator
     if num == 0:
         return ZERO_LOG2
     if _is_pow2(num) and _is_pow2(den):
         return float(num.bit_length() - den.bit_length())
     e = num.bit_length() - den.bit_length()
-    # mantissa = |x| / 2**e lies in [1/2, 2); normalize to [1, 2)
+    # mantissa num / den = |x| / 2**e lies in [1/2, 2); normalize to [1, 2)
     if e >= 0:
-        mant = Fraction(num, den << e)
+        den <<= e
     else:
-        mant = Fraction(num << -e, den)
-    if mant < 1:
-        mant *= 2
+        num <<= -e
+    if num < den:
+        num <<= 1
         e -= 1
-    return e + math.log2(float(mant))
+    return e + math.log2(num / den)
 
 
 class Log2Memo:
@@ -230,13 +236,6 @@ class LogMagnitude:
             return LogMagnitude.zero()
         return LogMagnitude(self.log2 - other.log2, self.exact and other.exact)
 
-    def pow_int(self, n: int) -> "LogMagnitude":
-        if self.is_zero:
-            if n <= 0:
-                raise ZeroDivisionError("zero magnitude to a nonpositive power")
-            return LogMagnitude.zero()
-        return LogMagnitude(self.log2 * n, self.exact)
-
     def __lt__(self, other: "LogMagnitude") -> bool:
         return self.log2 < other.log2
 
@@ -266,5 +265,5 @@ def compensated_sum(values: Sequence[LogMagnitude] | Iterable[LogMagnitude]) -> 
     logs = [v.log2 for v in values]
     if not logs:
         return LogMagnitude.zero()
-    total_log2 = _kernels.log2_magnitude_sum_list(logs)
+    total_log2 = _kernels.log2_magnitude_sum(logs)
     return LogMagnitude(total_log2, False)

@@ -31,7 +31,6 @@ __all__ = [
     "WeightSequence",
     "WitnessReport",
     "apply",
-    "basis_orbit_log2",
     "basis_orbit_norm",
     "check_invertible",
     "check_operator_wellposed",
@@ -274,10 +273,6 @@ def basis_orbit_norm(op: ShiftOperator, j0: int, n: int, k: int) -> Fraction:
         if op.direction == "forward" and target < 1:
             raise NotInvertibleError("inverse forward orbit leaves the index set")
     return abs(_orbit_product(op, j0, n)) * op.space.matrix.entry(target, k)
-
-
-def basis_orbit_log2(op: ShiftOperator, j0: int, n: int, k: int) -> float:
-    return log2_exact(basis_orbit_norm(op, j0, n, k))
 
 
 # ---------------------------------------------------------------------------

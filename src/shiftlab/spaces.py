@@ -15,7 +15,9 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
+from . import _kernels
 from .scalars import (
+    InvalidSpecError,
     Log2Cache,
     Log2Memo,
     LogMagnitude,
@@ -48,16 +50,12 @@ _BILATERAL = "Z"
 _UNILATERAL = "N"
 
 
-class InvalidSpecError(ValueError):
-    """Raised for malformed space/weight descriptors."""
-
-
 @dataclass(frozen=True)
 class KotheMatrix:
     """Closed-form or tabulated family a(j, k) of seminorm weights.
 
-    family: one of 'constant', 'power', 'halfline', 'table', 'scaled',
-    'callable'.  tail_tag is a structural attestation used by the
+    family: one of 'constant', 'power', 'halfline', 'table', 'scaled'.
+    tail_tag is a structural attestation used by the
     finite-horizon checkers to decide whether window extrema extend to the
     index tails ('constant', 'polynomial', 'step', None for tabulated data
     with no rule).
@@ -93,8 +91,6 @@ class KotheMatrix:
             base: KotheMatrix = self.params["base"]
             diag: Callable[[int], Fraction] = self.params["diag"]
             return base.entry(j, k) * abs(diag(j))
-        if fam == "callable":
-            return Fraction(self.params["fn"](j, k))
         if fam == "table":
             rows: dict = self.params["rows"]
             lo, hi = self.params["lo"], self.params["hi"]
@@ -140,7 +136,7 @@ class KotheMatrix:
         entries = (self.entry(j, k) for j in range(lo, hi + 1))
         if self.family in ("halfline", "table"):
             return self._log2_memo.array(entries)
-        # closed forms (scaled, callable): a new value at almost every index
+        # closed form (scaled): a new value at almost every index
         return np.fromiter(map(log2_exact, entries), dtype=np.float64, count=hi - lo + 1)
 
     def _log2_power(self, k: int, lo: int, hi: int) -> np.ndarray:
@@ -298,9 +294,7 @@ def seminorm(x: SparseVector, k: int, space: SpaceSpec):
     powed = [log2_exact(t) * space.p for t in terms if t != 0]
     if not powed:
         return Fraction(0)
-    from . import _kernels
-
-    total = _kernels.log2_magnitude_sum_list(powed)
+    total = _kernels.log2_magnitude_sum(powed)
     return LogMagnitude(total / space.p, False)
 
 

@@ -4,6 +4,26 @@ import math
 import pytest
 
 from shiftlab.cli import EXIT_OK, EXIT_USAGE, main
+from shiftlab.criteria import (
+    HorizonConfig,
+    avg_expansive_backward,
+    avg_expansive_forward,
+    avg_pos_expansive,
+    expansive_basis_diagnostic,
+    hierarchy_audit,
+    mixing_check,
+    unif_expansive_backward,
+    unif_expansive_forward,
+    unif_pos_expansive,
+)
+from shiftlab.reporting import canonical_json
+from shiftlab.shifts import (
+    ShiftOperator,
+    check_invertible,
+    check_operator_wellposed,
+    parse_weights,
+)
+from shiftlab.spaces import parse_space
 
 
 def run(capsys, *args):
@@ -55,6 +75,23 @@ class TestCheck:
         assert code == EXIT_USAGE
         assert "no row for index 1" in err
 
+    def test_malformed_scalar_in_space_file_is_rejected(self, capsys, tmp_path):
+        spec = tmp_path / "space.json"
+        spec.write_text(json.dumps({"family": "table", "params": {
+            "lo": 0, "hi": 0, "rows": {"0": [1]}}}))
+        code, _, err = run(capsys, "check", "--space", f"@{spec}", "--weights", "constant:2",
+                           "--n-max", "8", "--window", "4")
+        assert code == EXIT_USAGE
+        assert "exact scalar must be" in err and "got 1" in err
+
+    def test_scalar_without_den_in_weights_file_is_rejected(self, capsys, tmp_path):
+        spec = tmp_path / "weights.json"
+        spec.write_text(json.dumps({"family": "constant", "value": {"num": "1"}}))
+        code, _, err = run(capsys, "check", "--space", "c0_Z", "--weights", f"@{spec}",
+                           "--n-max", "8", "--window", "4")
+        assert code == EXIT_USAGE
+        assert "exact scalar must be" in err and "got {'num': '1'}" in err
+
     def test_missing_option_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "check", "--space", "c0_Z")
         assert code == EXIT_USAGE
@@ -82,6 +119,52 @@ class TestCheck:
         code, out, _ = run(capsys, *base, "--criterion", "ape-inverse")
         # inverse branch terms 2^{-j} are attested nonincreasing: bounded
         assert code == EXIT_OK and json.loads(out)["report"]["kind"] == "BoundedWitness"
+
+
+CRITERIA = ["ae", "ape", "ape-inverse", "ue", "upe", "e", "mixing", "hierarchy", "wellposed"]
+PARITY_CFG = HorizonConfig(n_max=64, window=16, m_grid=(1, 2, 4))
+
+
+def _direct_report(op: ShiftOperator, criterion: str) -> dict:
+    """The report of the public checker for one criterion, called directly."""
+    cfg = PARITY_CFG
+    backward = op.direction == "backward"
+    if criterion == "wellposed":
+        ks = range(1, cfg.k_max + 1)
+        return {"wellposed": [check_operator_wellposed(op, k, cfg).to_json() for k in ks],
+                "invertible": [check_invertible(op, k, cfg).to_json() for k in ks]}
+    if criterion == "ue":
+        prop, verdict = (unif_expansive_backward if backward else unif_expansive_forward)(op, cfg)
+        return verdict.to_json() | {"upe": prop == "a"}
+    checkers = {
+        "ae": avg_expansive_backward if backward else avg_expansive_forward,
+        "ape": lambda op, cfg: avg_pos_expansive(op, cfg, side="op"),
+        "ape-inverse": lambda op, cfg: avg_pos_expansive(op, cfg, side="inverse"),
+        "upe": unif_pos_expansive,
+        "e": expansive_basis_diagnostic,
+        "mixing": mixing_check,
+        "hierarchy": hierarchy_audit,
+    }
+    return checkers[criterion](op, cfg).to_json()
+
+
+@pytest.mark.parametrize("space", ["c0_Z", "c0_N"])
+@pytest.mark.parametrize("side", ["backward", "forward"])
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_check_report_matches_public_checker(capsys, space, side, criterion):
+    op = ShiftOperator(side, parse_weights("constant:2"), parse_space(space))
+    try:
+        want = json.loads(canonical_json(_direct_report(op, criterion)))
+    except ValueError:  # InvalidSpecError, NotInvertibleError: the checker rejects op
+        want = None
+    code, out, _ = run(capsys, "check", "--space", space, "--weights", "constant:2",
+                       "--side", side, "--criterion", criterion,
+                       "--n-max", "64", "--window", "16", "--m-grid", "1,2,4", "--no-timestamp")
+    if want is None:
+        assert code == EXIT_USAGE
+    else:
+        assert code == EXIT_OK
+        assert json.loads(out)["report"] == want
 
 
 class TestSynthesize:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shiftlab.scalars import (
+    InvalidSpecError,
     LogMagnitude,
     ZERO_LOG2,
     compensated_sum,
@@ -57,6 +58,66 @@ class TestExactArith:
     def test_json_roundtrip(self):
         x = Fraction(-(10 ** 40) + 1, 3 ** 30)
         assert exact_from_json(exact_to_json(x)) == x
+
+    @pytest.mark.parametrize("obj", [1, "1/2", [1, 2], None, {"num": "1"},
+                                     {"num": "x", "den": "1"}, {"num": "1", "den": "0"}])
+    def test_malformed_json_is_invalid_spec(self, obj):
+        with pytest.raises(InvalidSpecError) as err:
+            exact_from_json(obj)
+        assert str(err.value).startswith("exact scalar must be ")
+        assert str(err.value).endswith(f"got {obj!r}")
+
+    def test_invalid_spec_error_reexported(self):
+        from shiftlab.spaces import InvalidSpecError as from_spaces
+
+        assert from_spaces is InvalidSpecError
+
+
+def _log2_exact_reference(x) -> float:
+    """log2_exact as first written: a Fraction mantissa in [1, 2)."""
+    f = Fraction(x)
+    num, den = abs(f.numerator), f.denominator
+    if num == 0:
+        return ZERO_LOG2
+    if num & (num - 1) == 0 and den & (den - 1) == 0:
+        return float(num.bit_length() - den.bit_length())
+    e = num.bit_length() - den.bit_length()
+    mant = Fraction(num, den << e) if e >= 0 else Fraction(num << -e, den)
+    if mant < 1:
+        mant *= 2
+        e -= 1
+    return e + math.log2(float(mant))
+
+
+def _same_float(a: float, b: float) -> bool:
+    return math.copysign(1.0, a) == math.copysign(1.0, b) and a == b
+
+
+# wide rationals, near-powers of two (mantissa at the ends of [1, 2)) and
+# the (|j|+1)**k entries of the power matrix
+wide_rationals = st.builds(Fraction, st.integers(-(2 ** 400), 2 ** 400),
+                           st.integers(1, 2 ** 400))
+near_pow2 = st.builds(lambda m, d, up: Fraction(2 ** m + d, 2 ** (m - up)),
+                      st.integers(1, 300), st.sampled_from((-1, 1)), st.integers(0, 1))
+power_entries = st.builds(lambda j, k: (j + 1) ** k, st.integers(0, 10 ** 5),
+                          st.integers(1, 12))
+# numerator and denominator of equal bit length (|x| in (1/2, 2)): log2 is
+# below 1, so a mis-rounded mantissa shows in the result
+same_length = st.builds(Fraction, st.integers(2 ** 300, 2 ** 301 - 1),
+                        st.integers(2 ** 300, 2 ** 301 - 1))
+
+
+class TestLog2ExactReference:
+    @given(st.one_of(wide_rationals, near_pow2, same_length, power_entries,
+                     st.integers(-(2 ** 80), 2 ** 80), power_entries.map(Fraction)))
+    def test_bitwise_equal_to_reference(self, x):
+        assert _same_float(log2_exact(x), _log2_exact_reference(x))
+
+    @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(3, 8), Fraction(2, 5),
+                                   Fraction(5, 2), Fraction(8, 3), 0, Fraction(0), -7,
+                                   Fraction(-5, 3), 2 ** 1100 + 1, Fraction(1, 2 ** 1100 - 1)])
+    def test_fixed_values(self, x):
+        assert _same_float(log2_exact(x), _log2_exact_reference(x))
 
 
 class TestToLog:
