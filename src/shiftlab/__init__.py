@@ -7,7 +7,7 @@ inequality audit, upper-density chaos diagnostics, and a closure-law suite.
 
 __version__ = "0.1.0"
 
-from .scalars import Exact, LogMagnitude, compensated_sum, exact, exact_arith, to_log
+from .scalars import Exact, LogMagnitude, compensated_sum, to_log
 from .spaces import SparseVector, SpaceSpec, basis_vector, preset, seminorm
 from .shifts import ShiftOperator, WeightSequence, apply, basis_orbit_norm, constant_weights
 from .criteria import HorizonConfig, Verdict, VerdictKind
@@ -29,8 +29,6 @@ __all__ = [
     "build_blocks",
     "compensated_sum",
     "constant_weights",
-    "exact",
-    "exact_arith",
     "preset",
     "seminorm",
     "to_log",

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 K_CAP_DEFAULT = 64
-I_CAP_DEFAULT = 10 ** 7
+I_CAP = 10 ** 7
 
 
 class SearchCapExceeded(RuntimeError):
@@ -165,7 +165,7 @@ def closed_form_norms(layout: BlockLayout, j: int):
     return _closed_form_a_range(j, p.k), _closed_form_b_range(j, p.r, p.i)
 
 
-def build_blocks(j_max: int, k_cap: int = K_CAP_DEFAULT, i_cap: int = I_CAP_DEFAULT) -> BlockBuild:
+def build_blocks(j_max: int, k_cap: int = K_CAP_DEFAULT) -> BlockBuild:
     """Construct blocks 1..j_max with minimal admissible parameters.
 
     eq1 (at j): card{1 <= n <= s_j : norm_n <= 1/(j+1)} / s_j >= 1 - 1/j
@@ -197,7 +197,7 @@ def build_blocks(j_max: int, k_cap: int = K_CAP_DEFAULT, i_cap: int = I_CAP_DEFA
         total_s = sum(norms, Fraction(0))
         alpha_j = total_s / s_j
         if j >= 2:
-            i_j = _search_i(j, i_prev, r, norms, s_j, i_cap)
+            i_j = _search_i(j, i_prev, r, norms, s_j)
         b_range = _closed_form_b_range(j, r, i_j)
         norms.extend(b_range)
         b_j = 2 * r + i_j - 1
@@ -229,7 +229,7 @@ def _search_k(j: int, k_prev: int, r: int, norms: list, t_prev: int, k_cap: int)
         f"no k in ({k_prev}, {k_cap}] satisfies eq1 and eq2 at block {j}")
 
 
-def _search_i(j: int, i_prev: int, r: int, norms: list, s_j: int, i_cap: int) -> int:
+def _search_i(j: int, i_prev: int, r: int, norms: list, s_j: int) -> int:
     """Minimal i > i_prev with eq3; the count of large norms up to t_j is
     (count up to s_j) + i since only the B_j plateau reaches j+1 (the rise
     and fall stay below because 2**(r-1) < (j+1)**2).  The affine form is
@@ -246,8 +246,8 @@ def _search_i(j: int, i_prev: int, r: int, norms: list, s_j: int, i_cap: int) ->
     # j(c + i) >= (j-1)(s_j + 2r + i - 1)  <=>  i >= (j-1)(s_j + 2r - 1) - j c
     bound = (j - 1) * (s_j + 2 * r - 1) - j * c
     i_j = max(i_prev + 1, bound)
-    if i_j > i_cap:
-        raise SearchCapExceeded(f"eq3 at block {j} needs i = {i_j} > cap {i_cap}")
+    if i_j > I_CAP:
+        raise SearchCapExceeded(f"eq3 at block {j} needs i = {i_j} > cap {I_CAP}")
     if not eq3(i_j):
         raise SearchCapExceeded(f"affine eq3 bound failed enumeration at block {j}")
     if i_j > i_prev + 1 and eq3(i_j - 1):
@@ -276,8 +276,9 @@ def _assemble_weights(layout: BlockLayout) -> WeightSequence:
         for offset, val in enumerate(b_tpl):
             table[p.s + 2 + offset] = val
     t_max = layout.t_max
-    return WeightSequence("blocks", {
-        "table": table, "lo": -t_max, "hi": t_max + 1, "j_max": layout.j_max,
+    # a table with no tail; j_max makes weights_to_json write the blocks form
+    return WeightSequence("table", {
+        "table": table, "tail": "error", "lo": -t_max, "hi": t_max + 1, "j_max": layout.j_max,
     })
 
 
@@ -341,7 +342,7 @@ class AuditReport:
         }
 
 
-def verify_inequalities(build: BlockBuild, j_max: Optional[int] = None) -> AuditReport:
+def verify_inequalities(build: BlockBuild) -> AuditReport:
     """Re-verify every inequality with exact arithmetic from raw products.
 
     Checks, for 2 <= j <= j_max: eq1, eq2, eq3 at the chosen parameters; the
@@ -352,7 +353,7 @@ def verify_inequalities(build: BlockBuild, j_max: Optional[int] = None) -> Audit
     (k_1 is fixed, not chosen).
     """
     layout = build.layout
-    j_max = layout.j_max if j_max is None else j_max
+    j_max = layout.j_max
     violations: list[str] = []
 
     nb = backward_norms(build)
@@ -497,23 +498,24 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
     inverse_match = True
     certified = plateau_ok
 
-    for t in range(-t_range, t_range + 1):
-        per_j: dict[int, Fraction] = {}
-        for j in range(1, layout.j_max + 1):
-            p = layout[j]
-            # the products stay in the unit-weight stretch of the block only
-            # for shifts well inside the plateau half-width
-            if abs(t) > 2 ** (p.k - 1) - 2:
-                continue
-            n_j = p.n_mid
-            per_j[j] = abs(weight_product(w, t - n_j + 1, t))
+    ts = range(-t_range, t_range + 1)
+    for t in ts:
+        # the products stay in the unit-weight stretch of the block only for
+        # shifts well inside the plateau half-width; the rule depends on |t|,
+        # so products[-t] has the same blocks as products[t]
+        products[t] = {j: abs(weight_product(w, t - layout[j].n_mid + 1, t))
+                       for j in range(1, layout.j_max + 1)
+                       if abs(t) <= 2 ** (layout[j].k - 1) - 2}
+
+    for t in ts:
+        per_j = products[t]
+        for j in per_j:
             # inverse products q_j(t) = 1/|w_{t+1}...w_{t+n_j}| must equal the
             # mirrored products p_j(-t) by the reversed-reciprocal symmetry
-            q = 1 / abs(weight_product(w, t + 1, t + n_j))
-            if q != abs(weight_product(w, -t - n_j + 1, -t)):
+            q = 1 / abs(weight_product(w, t + 1, t + layout[j].n_mid))
+            if q != products[-t][j]:
                 inverse_match = False
                 violations.append(f"inverse product mismatch at t={t}, j={j}")
-        products[t] = per_j
         if len(per_j) < 2:
             # convergence along j is not observable yet at this build size
             hyperbolic[t] = False

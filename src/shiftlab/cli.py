@@ -19,7 +19,7 @@ from . import __version__
 from .algebra import run_props_suite
 from .blocks import SearchCapExceeded, build_blocks, hypercyclicity_witness, verify_inequalities
 from .criteria import HorizonConfig, check_criterion, hierarchy_audit
-from .density import cesaro_trace, distributional_report
+from .density import distributional_report
 from .reporting import canonical_json, envelope, write_csv
 from .scalars import log2_exact
 from .shifts import (
@@ -156,9 +156,10 @@ def synthesize(j_max, t_range, out, weights_out, no_timestamp):
     audit = verify_inequalities(build)
     witness = hypercyclicity_witness(build, t_range=t_range)
     lo, hi = -build.layout.t_max, build.layout.t_max + 1
+    window = {str(j): str(build.weights.value(j)) for j in range(lo, hi + 1)}
     payload = {
         "layout": [build.layout[j].to_json() for j in range(1, j_max + 1)],
-        "weights_window": {str(j): str(build.weights.value(j)) for j in range(lo, hi + 1)},
+        "weights_window": window,
         "audits": {
             "eq1": audit.eq1, "eq2": audit.eq2, "eq3": audit.eq3,
             "eq4": {"ok": audit.eq4_ok, "first_violation": audit.eq4_first_violation},
@@ -172,8 +173,8 @@ def synthesize(j_max, t_range, out, weights_out, no_timestamp):
     config = {"blocks": j_max, "t_range": t_range}
     _emit(out, canonical_json(envelope("synthesize", config, payload, not no_timestamp)))
     if weights_out:
-        Path(weights_out).write_text(canonical_json(weights_to_json(build.weights) | {
-            "table_window": {str(j): str(build.weights.value(j)) for j in range(lo, hi + 1)}}))
+        Path(weights_out).write_text(canonical_json(
+            weights_to_json(build.weights) | {"table_window": window}))
     if not payload["all_passed"]:
         raise AuditFailure("block construction audit failed")
 
@@ -242,32 +243,33 @@ def density(weights_text, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_
             else [Fraction(1, j + 1) for j in range(1, build.j_max + 1)])
     kays = ([Fraction(v) for v in k_grid.split(",")] if k_grid
             else [Fraction(j + 1) for j in range(1, build.j_max + 1)])
+    if fmt == "json":
+        vec_name = "e-1-forward" if vector == "e:-1" else "e1-backward"
+        report = distributional_report(build, vec_name, [int(K) for K in kays], taus,
+                                       n_horizon, n0)
+        config = {"weights": weights_text, "vector": vector, "n": n_horizon, "n0": n0}
+        _emit(out, canonical_json(envelope("density", config, report, not no_timestamp)))
+        return
+
     norms = (backward_norms(build, n_horizon) if vector == "e:-1"
              else forward_norms(build, n_horizon))
-    vec_name = "e-1-forward" if vector == "e:-1" else "e1-backward"
-    trace = cesaro_trace(build, vec_name, "op", n_horizon)
-
     header = (["n", "norm_log2", "running_average"]
               + [f"ratio_small({t})" for t in taus] + [f"ratio_large({K})" for K in kays])
     small_counts = [0] * len(taus)
     large_counts = [0] * len(kays)
+    total = Fraction(0)  # exact, as in density.cesaro_trace
     rows = []
     for n in range(1, n_horizon + 1):
         v = norms[n]
+        total += v
         for i, t in enumerate(taus):
             small_counts[i] += v <= t
         for i, K in enumerate(kays):
             large_counts[i] += v >= K
-        row = [n, repr(log2_exact(v)), repr(float(trace.value_at(n)))]
+        row = [n, repr(log2_exact(v)), repr(float(total / n))]
         row += [repr(c / n) for c in small_counts] + [repr(c / n) for c in large_counts]
         rows.append(row)
-    if fmt == "csv":
-        _emit(out, write_csv(header, rows))
-        return
-    report = distributional_report(build, vec_name, [int(K) for K in kays], taus,
-                                   n_horizon, n0)
-    config = {"weights": weights_text, "vector": vector, "n": n_horizon, "n0": n0}
-    _emit(out, canonical_json(envelope("density", config, report, not no_timestamp)))
+    _emit(out, write_csv(header, rows))
 
 
 @cli.command()

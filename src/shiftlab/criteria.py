@@ -319,7 +319,7 @@ def average_trace(op: ShiftOperator, k: int, branch: str, cfg: HorizonConfig) ->
 def window_infimum_trace(op: ShiftOperator, k: int, level: int, split: str, form: str,
                          cfg: HorizonConfig) -> CriterionTrace:
     """Window-infimum curve of one uniform-expansivity ratio (log2 values)."""
-    n_eff = _ue_n_eff(op, cfg)
+    n_eff = _ue_n_eff(op, cfg, cfg.window)
     curve, _ = _ue_curve(op, k, level, split, form, cfg, n_eff)
     return CriterionTrace(f"inf:{form}:{split}:k={k},l={level}", tuple(curve.tolist()))
 
@@ -382,7 +382,7 @@ def _ue_attestation(op: ShiftOperator) -> Optional[str]:
     return _UE_ATTESTABLE_PAIRS.get((op.space.matrix.tail_tag, op.weights.tail_tag))
 
 
-def _split_window(op: ShiftOperator, k: int, split: str, cfg: HorizonConfig):
+def _split_window(op: ShiftOperator, split: str, cfg: HorizonConfig):
     """(lo, hi, tail_edges) of the j-window for one split of the support."""
     w = cfg.window
     if not op.bilateral:
@@ -409,7 +409,7 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     """
     m = op.space.matrix
     w = op.weights
-    lo, hi, tail_edges = _split_window(op, k, split, cfg)
+    lo, hi, tail_edges = _split_window(op, split, cfg)
 
     if form == "A":
         ext_lo, ext_hi = lo, hi + n_eff
@@ -464,14 +464,15 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     return curve, interior == curve
 
 
-def _ue_n_eff(op: ShiftOperator, cfg: HorizonConfig) -> int:
+def _ue_n_eff(op: ShiftOperator, cfg: HorizonConfig, radius: int) -> int:
+    """cfg.n_max, cut to what a finite weight table reaches from within `radius`."""
     reach = op.weights.defined_range()
     if reach is None:
         return cfg.n_max
     lo, hi = reach
-    room = min(abs(lo), abs(hi)) - cfg.window - 2
+    room = min(abs(lo), abs(hi)) - radius - 2
     if room < 1:
-        raise InvalidSpecError("weight table too small for the window; shrink cfg.window")
+        raise InvalidSpecError(f"weight table too small for a window of radius {radius}")
     return min(cfg.n_max, room)
 
 
@@ -526,7 +527,7 @@ def unif_expansive_forward(op: ShiftOperator, cfg: HorizonConfig):
     if op.direction != "forward" or not op.bilateral:
         raise InvalidSpecError("unif_expansive_forward needs a bilateral forward shift")
     attestation = _ue_attestation(op)
-    n_eff = _ue_n_eff(op, cfg)
+    n_eff = _ue_n_eff(op, cfg, cfg.window)
     holders = []
     evidence = []
     for regime in ("A", "B", "C"):
@@ -568,7 +569,8 @@ def unif_pos_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     """Uniform positive expansivity: regime (A) alone for forward shifts
     (bilateral or unilateral), regime (a) for bilateral backward shifts."""
     if op.direction == "forward":
-        holds, evidence = _ue_regime(op, "A", cfg, _ue_n_eff(op, cfg), _ue_attestation(op))
+        holds, evidence = _ue_regime(op, "A", cfg, _ue_n_eff(op, cfg, cfg.window),
+                                     _ue_attestation(op))
         return Verdict("unif-pos-expansive", _kind(holds, False),
                        property_label="A" if holds else "none",
                        evidence=tuple(evidence), config=cfg)
@@ -625,13 +627,7 @@ def expansive_basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict
     window, does some level's two-sided orbit-norm sup cross the whole grid?
     The full expansivity condition quantifies over all vectors; basis orbits
     are the computable shadow."""
-    reach = op.weights.defined_range()
-    n_eff = cfg.n_max
-    if reach is not None:
-        room = min(abs(reach[0]), abs(reach[1])) - cfg.basis_window - 2
-        if room < 1:
-            raise InvalidSpecError("weight table too small for basis_window")
-        n_eff = min(n_eff, room)
+    n_eff = _ue_n_eff(op, cfg, cfg.basis_window)
     j_lo = 1 if not op.bilateral else -cfg.basis_window
     one_sided = not op.structurally_invertible
     evidence = []
@@ -687,8 +683,7 @@ def _null_certification(terms: np.ndarray, attested: bool, tau_grid: Sequence[fl
     return certified, results
 
 
-def mixing_check(op: ShiftOperator, cfg: HorizonConfig,
-                 tau_grid: Optional[Sequence[float]] = None) -> Verdict:
+def mixing_check(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     """Topological-mixing surrogate for bilateral backward shifts: both term
     sequences a(-j,k)|w(-j+1)...w(0)| and a(j,k)/|w(1)...w(j)| must be
     certified null at every level.  On any average-expansivity certificate
@@ -696,8 +691,7 @@ def mixing_check(op: ShiftOperator, cfg: HorizonConfig,
     exclusion is asserted by the hierarchy tests."""
     if op.direction != "backward" or not op.bilateral:
         raise InvalidSpecError("mixing_check needs a bilateral backward shift")
-    if tau_grid is None:
-        tau_grid = [2.0 ** (-m) for m in range(0, 11)]
+    tau_grid = [2.0 ** (-m) for m in range(0, 11)]
     n_eff = _avg_n_eff(op, cfg)
     evidence = []
     mixing = True

@@ -33,10 +33,9 @@ __all__ = [
     "LogMagnitude",
     "ZERO_LOG2",
     "compensated_sum",
-    "exact",
-    "exact_arith",
     "exact_from_json",
     "exact_to_json",
+    "json_field",
     "log2_exact",
     "to_log",
 ]
@@ -51,13 +50,6 @@ ZERO_LOG2 = float("-inf")  # sentinel log2 of a zero magnitude
 
 class InvalidSpecError(ValueError):
     """Raised for malformed space/weight descriptors."""
-
-
-def exact(num: int | str | Fraction, den: int = 1) -> Fraction:
-    """Build an exact scalar; accepts ints, 'p/q' strings, or Fractions."""
-    if isinstance(num, str):
-        return Fraction(num)
-    return Fraction(num, den)
 
 
 def exact_to_json(x: ExactLike) -> dict:
@@ -75,28 +67,23 @@ def exact_from_json(obj: dict) -> Fraction:
             f'exact scalar must be {{"num": <int>, "den": <nonzero int>}}, got {obj!r}') from None
 
 
-def exact_arith(a: ExactLike, b: ExactLike, op: str):
-    """Exact field arithmetic dispatch.
+_JSON_KINDS = {dict: "an object", int: "an integer", str: "a string"}
 
-    op is one of 'add', 'sub', 'mul', 'div', 'cmp'.  'cmp' returns -1/0/+1.
-    Division by zero raises ZeroDivisionError: a zero divisor always means
-    an invalid operator weight or a degenerate input upstream.
+
+def json_field(obj, key: str, where: str, kind: type = object):
+    """obj[key] of a JSON spec object, checked to be a `kind`.
+
+    A missing field, or one of another type, is an InvalidSpecError naming
+    the field; `where` names the object in the message ("weight JSON").
     """
-    a = Fraction(a)
-    b = Fraction(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise ZeroDivisionError("exact division by zero (invalid weight or degenerate input)")
-        return a / b
-    if op == "cmp":
-        return (a > b) - (a < b)
-    raise ValueError(f"unknown op {op!r}")
+    if not isinstance(obj, dict):
+        raise InvalidSpecError(f"{where} must be an object, got {obj!r}")
+    if key not in obj:
+        raise InvalidSpecError(f"{where} has no {key!r} field")
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise InvalidSpecError(f"{where} field {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def _is_pow2(n: int) -> bool:

@@ -10,6 +10,19 @@ kills e_1 and the unilateral forward shift has no inverse.  All weights are
 ingested as magnitudes (positive exact rationals): every criterion downstream
 depends only on |w| and on nonnegative matrix entries, so phases are dropped
 at the door.
+
+JSON wire forms of a weight sequence (weights_to_json, weights_from_json,
+``--weights @file.json``), exact scalars written as in spaces:
+
+    {"family": "constant", "value": <scalar>}
+    {"family": "geometric", "coef": <scalar>, "ratio": <scalar>, "abs_index": false}
+    {"family": "table", "tail": "error", "table": {"-1": <scalar>, "0": <scalar>}}
+    {"family": "blocks", "j_max": 4}
+
+Geometric weights are coef * ratio**j (coef * ratio**|j| with abs_index
+true; default false).  A table's tail "error" (the default) rejects other
+positions, "hold" repeats the edge weights.  The blocks form is the table
+of blocks.build_blocks(j_max), rebuilt on load.
 """
 
 from __future__ import annotations
@@ -20,7 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .scalars import Log2Cache, Log2Memo, exact_from_json, exact_to_json, log2_exact
+from .scalars import (Log2Cache, Log2Memo, exact_from_json, exact_to_json, json_field,
+                      log2_exact)
 from .spaces import InvalidSpecError, SparseVector, SpaceSpec, scaled_matrix
 
 __all__ = [
@@ -59,9 +73,10 @@ class WeightSequence:
     """Nonzero weight magnitudes w(j), given by a closed-form descriptor.
 
     Families: 'constant', 'geometric' (coef * ratio**j, optionally over |j|),
-    'table' (finite window, tail rule 'error' or 'hold'), 'blocks' (the
-    synthesized block table), 'dual' (reciprocal reindex of a base sequence).
-    Table and block params carry the table's index bounds 'lo' and 'hi'.
+    'table' (finite window, tail rule 'error' or 'hold'), 'dual' (reciprocal
+    reindex of a base sequence).  Table params carry the table's index bounds
+    'lo' and 'hi'; the synthesized block table also carries its block count
+    'j_max', and is written as the 'blocks' wire form.
     """
 
     family: str
@@ -82,18 +97,13 @@ class WeightSequence:
             table: dict = self.params["table"]
             if j in table:
                 return table[j]
+            lo, hi = self.params["lo"], self.params["hi"]
             if self.params.get("tail") == "hold":
-                return table[self.params["lo"] if j < self.params["lo"] else self.params["hi"]]
-            raise UndefinedWeightError(f"weight undefined at position {j}")
+                return table[lo if j < lo else hi]
+            raise UndefinedWeightError(f"weight table spans [{lo}, {hi}], got {j}")
         if fam == "dual":
             base: WeightSequence = self.params["base"]
             return 1 / base.value(j + self.params["shift"])
-        if fam == "blocks":
-            table = self.params["table"]
-            if j in table:
-                return table[j]
-            raise UndefinedWeightError(
-                f"block weight table spans [{self.params['lo']}, {self.params['hi']}], got {j}")
         raise InvalidSpecError(f"unknown weight family {self.family!r}")
 
     def log2(self, j: int) -> float:
@@ -104,7 +114,7 @@ class WeightSequence:
 
         Served from one cached float64 array that grows with the index range
         requested, so every weight is converted at most once per sequence;
-        constant, table and block families, and their duals, convert only
+        constant and table families, and their duals, convert only
         their distinct values.  The result is a read-only view into that
         cache: copy it before writing.  Raises UndefinedWeightError where
         value() would.
@@ -125,11 +135,11 @@ class WeightSequence:
         """True for families with few distinct values (constants, tables)."""
         if self.family == "dual":
             return self.params["base"]._repeating
-        return self.family in ("constant", "table", "blocks")
+        return self.family in ("constant", "table")
 
     def defined_range(self) -> Optional[tuple[int, int]]:
         """(lo, hi) for finite tables without a tail rule, None if unbounded."""
-        if self.family in ("table", "blocks"):
+        if self.family == "table":
             if self.params.get("tail") == "hold":
                 return None
             return (self.params["lo"], self.params["hi"])
@@ -459,7 +469,7 @@ def conjugate_to_unweighted(op: ShiftOperator):
     if op.direction != "backward" or not op.bilateral:
         raise InvalidSpecError("conjugacy transfer is defined for bilateral backward shifts")
     v = ConjugacyWeights(op.weights)
-    new_matrix = scaled_matrix(op.space.matrix, v, tag="conjugacy")
+    new_matrix = scaled_matrix(op.space.matrix, v)
     new_space = SpaceSpec(new_matrix, op.space.p)
     unweighted = ShiftOperator("backward", constant_weights(1), new_space)
     return new_space, unweighted, v
@@ -491,43 +501,57 @@ def weights_to_json(w: WeightSequence) -> dict:
         return {"family": "geometric", "coef": exact_to_json(w.params["coef"]),
                 "ratio": exact_to_json(w.params["ratio"]),
                 "abs_index": bool(w.params.get("abs_index"))}
+    if w.family == "table" and "j_max" in w.params:
+        return {"family": "blocks", "j_max": w.params["j_max"]}
     if w.family == "table":
         return {"family": "table", "tail": w.params.get("tail", "error"),
                 "table": {str(j): exact_to_json(v) for j, v in w.params["table"].items()}}
-    if w.family == "blocks":
-        return {"family": "blocks", "j_max": w.params["j_max"]}
     raise InvalidSpecError(f"cannot serialize weight family {w.family!r}")
 
 
 def weights_from_json(obj: dict) -> WeightSequence:
-    fam = obj["family"]
+    """Inverse of weights_to_json; a missing or malformed field is an
+    InvalidSpecError naming it."""
+    where = "weight JSON"
+    fam = json_field(obj, "family", where, str)
     if fam == "constant":
-        return constant_weights(exact_from_json(obj["value"]))
+        return constant_weights(exact_from_json(json_field(obj, "value", where)))
     if fam == "geometric":
-        return geometric_weights(exact_from_json(obj["coef"]), exact_from_json(obj["ratio"]),
+        return geometric_weights(exact_from_json(json_field(obj, "coef", where)),
+                                 exact_from_json(json_field(obj, "ratio", where)),
                                  bool(obj.get("abs_index")))
     if fam == "table":
-        return table_weights({int(j): exact_from_json(v) for j, v in obj["table"].items()},
+        table = json_field(obj, "table", where, dict)
+        return table_weights({int(j): exact_from_json(v) for j, v in table.items()},
                              obj.get("tail", "error"))
     if fam == "blocks":
         from .blocks import build_blocks
 
-        return build_blocks(int(obj["j_max"])).weights
+        return build_blocks(json_field(obj, "j_max", where, int)).weights
     raise InvalidSpecError(f"unknown weight family {fam!r}")
 
 
-def parse_weights(text: str) -> WeightSequence:
-    """CLI shorthand: 'constant:2', 'constant:1/2', 'geometric:1:2', 'blocks:4'."""
-    parts = text.split(":")
-    fam = parts[0]
-    if fam == "constant":
-        return constant_weights(Fraction(parts[1]))
-    if fam == "geometric":
-        coef, ratio = Fraction(parts[1]), Fraction(parts[2])
-        abs_index = len(parts) > 3 and parts[3] == "abs"
-        return geometric_weights(coef, ratio, abs_index)
-    if fam == "blocks":
-        from .blocks import build_blocks
+# argument count and usage of each weight shorthand
+_SHORTHANDS = {"constant": (1, "constant:<c>"), "geometric": (2, "geometric:<coef>:<ratio>[:abs]"),
+               "blocks": (1, "blocks:<J>")}
 
-        return build_blocks(int(parts[1])).weights
-    raise InvalidSpecError(f"cannot parse weight shorthand {text!r}")
+
+def parse_weights(text: str) -> WeightSequence:
+    """CLI shorthand: 'constant:2', 'constant:1/2', 'geometric:1:2[:abs]', 'blocks:4'."""
+    fam, *args = text.split(":")
+    if fam not in _SHORTHANDS:
+        raise InvalidSpecError(f"cannot parse weight shorthand {text!r}")
+    needed, usage = _SHORTHANDS[fam]
+    try:
+        nums = [int(a) if fam == "blocks" else Fraction(a) for a in args[:needed]]
+    except (ValueError, ZeroDivisionError):
+        nums = []
+    if len(nums) < needed:
+        raise InvalidSpecError(f"weight shorthand {text!r} needs {usage}")
+    if fam == "constant":
+        return constant_weights(nums[0])
+    if fam == "geometric":
+        return geometric_weights(nums[0], nums[1], args[2:3] == ["abs"])
+    from .blocks import build_blocks
+
+    return build_blocks(nums[0]).weights

@@ -5,6 +5,20 @@ are closed-form families (constant, polynomial, half-line step, diagonal
 rescale of another family) or tabulated windows with a declared tail rule.
 Entries a(j, k) are nonnegative exact rationals, nondecreasing in the level
 k, with every row eventually positive.
+
+JSON wire form of a space (space_to_json, space_from_json, ``--space
+@file.json``), exact scalars written {"num": "<int>", "den": "<int>"}:
+
+    {"family": "constant", "index_set": "Z", "p": 0, "params": {"value": <scalar>}}
+    {"family": "power", "index_set": "N", "p": 1}
+    {"family": "halfline", "p": 2}
+    {"family": "table", "index_set": "Z", "p": 0, "params": {"lo": -1, "hi": 1,
+     "tail": "hold", "rows": {"-1": [<a(-1,1)>, <a(-1,2)>], "0": [...], "1": [...]}}}
+
+Defaults: index_set "Z" ("N" is 1, 2, ...; half-line matrices are always
+"Z"), p 0 (else p >= 1), constant value 1, table tail "error" (rejects j
+outside [lo, hi]; "hold" repeats the edge rows).  A table has a row for
+every j in [lo, hi]; levels past the end of a row repeat its last entry.
 """
 
 from __future__ import annotations
@@ -24,6 +38,7 @@ from .scalars import (
     ZERO_LOG2,
     exact_from_json,
     exact_to_json,
+    json_field,
     log2_exact,
 )
 
@@ -203,10 +218,9 @@ def table_matrix(rows: dict, lo: int, hi: int, tail: str = "error",
                        tail_tag="hold" if tail == "hold" else None)
 
 
-def scaled_matrix(base: KotheMatrix, diag: Callable[[int], Fraction], tag: str) -> KotheMatrix:
+def scaled_matrix(base: KotheMatrix, diag: Callable[[int], Fraction]) -> KotheMatrix:
     """Diagonal rescale a'(j, k) = a(j, k) * |diag(j)| (conjugated spaces)."""
-    return KotheMatrix("scaled", base.index_set, {"base": base, "diag": diag, "tag": tag},
-                       tail_tag=None)
+    return KotheMatrix("scaled", base.index_set, {"base": base, "diag": diag}, tail_tag=None)
 
 
 @dataclass(frozen=True)
@@ -220,8 +234,8 @@ class SpaceSpec:
     p: float = 0
 
     def __post_init__(self):
-        if not (self.p == 0 or self.p >= 1):
-            raise InvalidSpecError(f"exponent p must be 0 or >= 1, got {self.p}")
+        if not isinstance(self.p, (int, float)) or not (self.p == 0 or self.p >= 1):
+            raise InvalidSpecError(f"exponent p must be 0 or >= 1, got {self.p!r}")
 
     @property
     def index_set(self) -> str:
@@ -350,21 +364,34 @@ def space_to_json(space: SpaceSpec) -> dict:
 
 
 def space_from_json(obj: dict) -> SpaceSpec:
-    fam = obj["family"]
+    """Inverse of space_to_json; a missing or malformed field is an
+    InvalidSpecError naming it."""
+    fam = json_field(obj, "family", "space JSON", str)
+    params = json_field(obj, "params", "space JSON", dict) if "params" in obj else {}
     index_set = obj.get("index_set", _BILATERAL)
+    if index_set not in (_BILATERAL, _UNILATERAL):
+        raise InvalidSpecError(
+            f"space JSON field 'index_set' must be 'Z' or 'N', got {index_set!r}")
     p = obj.get("p", 0)
     if fam == "constant":
-        value = obj.get("params", {}).get("value")
+        value = params.get("value")
         matrix = constant_matrix(exact_from_json(value) if value else 1, index_set)
     elif fam == "power":
         matrix = power_matrix(index_set)
     elif fam == "halfline":
         matrix = halfline_matrix()
     elif fam == "table":
-        params = obj["params"]
-        rows = {int(j): [exact_from_json(v) for v in row] for j, row in params["rows"].items()}
-        matrix = table_matrix(rows, params["lo"], params["hi"], params.get("tail", "error"),
-                              index_set)
+        where = "space JSON params"
+        rows = json_field(params, "rows", where, dict)
+        bad = next((j for j, row in rows.items() if not isinstance(row, list)), None)
+        if bad is not None:
+            raise InvalidSpecError(
+                f"{where} row {bad} must be a list of scalars, got {rows[bad]!r}")
+        matrix = table_matrix({int(j): [exact_from_json(v) for v in row]
+                               for j, row in rows.items()},
+                              json_field(params, "lo", where, int),
+                              json_field(params, "hi", where, int),
+                              params.get("tail", "error"), index_set)
     else:
         raise InvalidSpecError(f"unknown matrix family {fam!r} in space JSON")
     return SpaceSpec(matrix, p)

@@ -1,8 +1,10 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
+from shiftlab.blocks import build_blocks
 from shiftlab.cli import EXIT_OK, EXIT_USAGE, main
 from shiftlab.criteria import (
     HorizonConfig,
@@ -16,6 +18,7 @@ from shiftlab.criteria import (
     unif_expansive_forward,
     unif_pos_expansive,
 )
+from shiftlab.density import cesaro_trace, distributional_report
 from shiftlab.reporting import canonical_json
 from shiftlab.shifts import (
     ShiftOperator,
@@ -91,6 +94,64 @@ class TestCheck:
                            "--n-max", "8", "--window", "4")
         assert code == EXIT_USAGE
         assert "exact scalar must be" in err and "got {'num': '1'}" in err
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"family": "table", "params": {"lo": 0, "hi": 0, "rows": {"0": 1}}},
+         "space JSON params row 0 must be a list of scalars, got 1"),
+        ({"family": "table", "params": {"lo": 0, "hi": 0}},
+         "space JSON params has no 'rows' field"),
+        ({"family": "table", "params": {"lo": 0, "hi": 0, "rows": [[1]]}},
+         "space JSON params field 'rows' must be an object, got [[1]]"),
+        ({"family": "table", "params": {"lo": "0", "hi": 0, "rows": {}}},
+         "space JSON params field 'lo' must be an integer, got '0'"),
+        ({"family": "table"}, "space JSON params has no 'rows' field"),
+        ({"family": "constant", "params": 1}, "space JSON field 'params' must be an object, got 1"),
+        ({"family": "power", "index_set": "Q"},
+         "space JSON field 'index_set' must be 'Z' or 'N', got 'Q'"),
+        ({"family": "power", "p": "1"}, "exponent p must be 0 or >= 1, got '1'"),
+        ({"params": {}}, "space JSON has no 'family' field"),
+        ([1], "space JSON must be an object, got [1]"),
+    ])
+    def test_malformed_space_file_names_the_field(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run(capsys, "check", "--space", f"@{path}", "--weights", "constant:2",
+                           "--n-max", "8", "--window", "4")
+        assert code == EXIT_USAGE
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"family": "table", "tail": "hold"}, "weight JSON has no 'table' field"),
+        ({"family": "table", "table": [1]}, "weight JSON field 'table' must be an object, got [1]"),
+        ({"family": "constant"}, "weight JSON has no 'value' field"),
+        ({"family": "geometric", "coef": {"num": "1", "den": "1"}},
+         "weight JSON has no 'ratio' field"),
+        ({"family": "blocks", "j_max": "2"},
+         "weight JSON field 'j_max' must be an integer, got '2'"),
+        ({"family": 2}, "weight JSON field 'family' must be a string, got 2"),
+    ])
+    def test_malformed_weights_file_names_the_field(self, capsys, tmp_path, spec, message):
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(spec))
+        code, _, err = run(capsys, "check", "--space", "c0_Z", "--weights", f"@{path}",
+                           "--n-max", "8", "--window", "4")
+        assert code == EXIT_USAGE
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, usage", [
+        ("constant", "constant:<c>"),
+        ("constant:", "constant:<c>"),
+        ("constant:1/0", "constant:<c>"),
+        ("geometric:2", "geometric:<coef>:<ratio>[:abs]"),
+        ("geometric:1:x", "geometric:<coef>:<ratio>[:abs]"),
+        ("blocks", "blocks:<J>"),
+        ("blocks:x", "blocks:<J>"),
+    ])
+    def test_weight_shorthand_with_missing_fields(self, capsys, text, usage):
+        code, _, err = run(capsys, "check", "--space", "c0_Z", "--weights", text,
+                           "--n-max", "8", "--window", "4")
+        assert code == EXIT_USAGE
+        assert err == f"error: weight shorthand {text!r} needs {usage}\n"
 
     def test_missing_option_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "check", "--space", "c0_Z")
@@ -245,6 +306,34 @@ class TestDensity:
         assert code == EXIT_OK
         rep = json.loads(out)
         assert rep["report"]["irregularity_levels"]["2"]["evidence"] is True
+
+    @pytest.mark.parametrize("vector, name", [("e:-1", "e-1-forward"), ("e:1", "e1-backward")])
+    def test_routes_agree_with_library(self, capsys, vector, name):
+        # the CSV keeps its own running sum and the JSON branch calls the
+        # library report; both must stay what the library computes
+        build = build_blocks(2)
+        code, out, _ = run(capsys, "density", "--weights", "blocks:2", "--vector", vector,
+                           "--format", "csv")
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.split("\r\n")[1:] if line]
+        trace = cesaro_trace(build, name, "op", build.layout.t_max)
+        assert len(rows) == build.layout.t_max
+        assert [row[2] for row in rows] == [repr(float(trace.value_at(n)))
+                                            for n in range(1, len(rows) + 1)]
+        code, out, _ = run(capsys, "density", "--weights", "blocks:2", "--vector", vector,
+                           "--format", "json", "--no-timestamp")
+        assert code == EXIT_OK
+        want = json.loads(canonical_json(distributional_report(build, name, [2, 3],
+                                                               [Fraction(1, 2), Fraction(1, 3)])))
+        assert json.loads(out)["report"] == want
+
+    def test_horizon_past_table_reach_is_input_error(self, capsys):
+        for fmt, message in (("csv", "error: 'weight table spans [-172, 173], got -173'\n"),
+                             ("json", "error: horizon 999 exceeds the table reach 172\n")):
+            code, _, err = run(capsys, "density", "--weights", "blocks:2", "--n", "999",
+                               "--format", fmt)
+            assert code == EXIT_USAGE
+            assert err == message
 
 
 class TestProps:

@@ -436,7 +436,7 @@ def _ue_curve_two_pass(op, k, level, split, form, cfg, n_eff):
     from shiftlab.criteria import _split_window
 
     m = op.space.matrix
-    lo, hi, tail_edges = _split_window(op, k, split, cfg)
+    lo, hi, tail_edges = _split_window(op, split, cfg)
     ext_lo, ext_hi = (lo, hi + n_eff) if form == "A" else (lo - n_eff, hi)
     base = min(ext_lo, lo) - 1
     wlogs = op.weights.log2_window(base, max(ext_hi, hi) + 1)

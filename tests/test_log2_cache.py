@@ -61,7 +61,7 @@ MATRICES = {
     "halfline": halfline_matrix,
     "table-error": lambda: table_matrix(_matrix_rows(-15, 15), -15, 15),
     "table-hold": lambda: table_matrix(_matrix_rows(-15, 15), -15, 15, tail="hold"),
-    "scaled": lambda: scaled_matrix(power_matrix(), lambda j: F(2 * j + 1, 7), tag="test"),
+    "scaled": lambda: scaled_matrix(power_matrix(), lambda j: F(2 * j + 1, 7)),
 }
 
 WEIGHTS = {

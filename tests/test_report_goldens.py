@@ -1,0 +1,64 @@
+"""Report goldens: the sha256 of the ``--no-timestamp`` stdout of fast CLI
+commands, recorded before the exact lane's duplicate walks were removed.
+
+A refactor that must not move a report byte is checked here in tier-1; the
+digests change only with a deliberate change of a report, and then the new
+digests are recorded with the reason in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from shiftlab.cli import EXIT_OK, main
+
+HORIZON = ("--n-max", "64", "--window", "16", "--m-grid", "1,2,4", "--no-timestamp")
+
+GOLDENS = [
+    (("synthesize", "--blocks", "2", "--no-timestamp"),
+     "adba7c3600b8e3d4039db5c443e2f65d46d537d0e13c94770c7f4c7f63faff8b"),
+    # the two witness orbits have equal norms, so their CSV tables are equal
+    (("density", "--weights", "blocks:2", "--vector", "e:-1", "--format", "csv",
+      "--no-timestamp"),
+     "4f4dfa5d022c7394e26b62aedd33675f12181bb9c8949404621edbd981ba34cd"),
+    (("density", "--weights", "blocks:2", "--vector", "e:1", "--format", "csv",
+      "--no-timestamp"),
+     "4f4dfa5d022c7394e26b62aedd33675f12181bb9c8949404621edbd981ba34cd"),
+    (("density", "--weights", "blocks:2", "--vector", "e:-1", "--format", "json",
+      "--no-timestamp"),
+     "bf5f3847c5b4d0112ab8905c6b2c2b728e9291c03e79f20c805c0215bca8484d"),
+    (("density", "--weights", "blocks:2", "--vector", "e:1", "--format", "json",
+      "--no-timestamp"),
+     "bbcd0ee427016a6776532e4974b5a64d5e15f097eff2c2e2fa77ca290310ae9b"),
+    (("check", "--space", "lp_Z:2", "--weights", "constant:2", "--criterion", "ae", *HORIZON),
+     "80307aac95479f47f3bd49bc5067c814ca4915df7a2a0202b8c11b9ffb905b45"),
+    (("check", "--space", "lp_Z:2", "--weights", "constant:2", "--criterion", "ue", *HORIZON),
+     "8c42f0f31f97ab04df26440983fa3ccafe9f173f5758506292e4293854d8071f"),
+    (("check", "--space", "lp_Z:2", "--weights", "constant:2", "--criterion", "hierarchy",
+      *HORIZON),
+     "161578d05d33927b7e1fa62698f139a5b214d8df33e8a77c6267f365e5fac0a9"),
+    (("check", "--space", "lp_Z:2", "--weights", "constant:2", "--criterion", "wellposed",
+      *HORIZON),
+     "6d0466efb001c14ca4f62d6efceb6060b7908f3267e1f70f904bec09c571913c"),
+    (("check", "--space", "c0_Z", "--weights", "blocks:2", "--side", "backward",
+      "--criterion", "ae", *HORIZON),
+     "d34f025bb34c47fee74d2f764433c5063ab9fe1c7c09900480511aab4e0d568f"),
+    (("check", "--space", "c0_Z", "--weights", "blocks:2", "--side", "forward",
+      "--criterion", "ue", *HORIZON),
+     "8d90d04f7906ad4538fe3b9ac5c348cc9c3f502873ac3c8997748a0234a5475d"),
+    (("check", "--space", "c0_Z", "--weights", "blocks:2", "--side", "backward",
+      "--criterion", "hierarchy", "--basis-window", "16", *HORIZON),
+     "3d260be9a28e677993de8384cfb0379ca295da915624adf61fa3756e278b5048"),
+]
+
+
+def _test_id(args) -> str:
+    return " ".join(a for a in args if a not in HORIZON)
+
+
+@pytest.mark.parametrize("args, digest", GOLDENS, ids=[_test_id(a) for a, _ in GOLDENS])
+def test_report_digest(capsys, args, digest):
+    code = main(list(args))
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

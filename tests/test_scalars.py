@@ -9,8 +9,6 @@ from shiftlab.scalars import (
     LogMagnitude,
     ZERO_LOG2,
     compensated_sum,
-    exact,
-    exact_arith,
     exact_from_json,
     exact_to_json,
     log2_exact,
@@ -27,34 +25,6 @@ def ulp_tol(*values, n=2):
 
 
 class TestExactArith:
-    def test_mul(self):
-        assert exact_arith(Fraction(1, 2), Fraction(1, 2), "mul") == Fraction(1, 4)
-
-    def test_block_norm_sum(self):
-        # the twelve first-block orbit norms: 2,4,8,16,16,8,4,2 and four halves
-        values = [2, 4, 8, 16, 16, 8, 4, 2] + [Fraction(1, 2)] * 4
-        total = Fraction(0)
-        for v in values:
-            total = exact_arith(total, v, "add")
-        assert total == 62
-
-    def test_div_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            exact_arith(1, 0, "div")
-
-    def test_cmp(self):
-        assert exact_arith(Fraction(1, 3), Fraction(1, 2), "cmp") == -1
-        assert exact_arith(2, 2, "cmp") == 0
-
-    @given(rationals, nonzero_rationals)
-    def test_field_roundtrip(self, a, b):
-        q = exact_arith(a, b, "div")
-        assert exact_arith(q, b, "mul") == a
-
-    def test_canonical(self):
-        assert exact(6, 4) == Fraction(3, 2)
-        assert exact("31/6").denominator == 6
-
     def test_json_roundtrip(self):
         x = Fraction(-(10 ** 40) + 1, 3 ** 30)
         assert exact_from_json(exact_to_json(x)) == x
