@@ -18,16 +18,24 @@ for j >= 2, the minimal k_j > k_{j-1} making the small-norm density bound
 (eq1) and the block-average bound (eq2) hold exactly, then the minimal
 i_j > i_{j-1} making the large-norm density bound (eq3) hold exactly.  All
 counts and sums are exact rationals; nothing here touches floating point.
+
+All of it works on runs, not per index: (value, length) weight runs, and
+orbit norms as geometric segments (first, ratio, length), compared as maximal
+segments and counted, summed and bounded at the ends of constant runs.
+Shifted products add the dyadic weights as one integer exponent of 2.  The
+per-index raw-product route is the reference in tests/block_oracle.py.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import repeat
 from fractions import Fraction
 from typing import Optional
 
 from .spaces import InvalidSpecError
-from .shifts import WeightSequence, weight_product
+from .shifts import WeightSequence
 
 __all__ = [
     "AuditReport",
@@ -36,11 +44,11 @@ __all__ = [
     "BlockParams",
     "HypercyclicityAudit",
     "SearchCapExceeded",
-    "backward_norms",
     "build_blocks",
     "closed_form_norms",
-    "forward_norms",
     "hypercyclicity_witness",
+    "norm_runs",
+    "orbit_segments",
     "r_of",
     "verify_inequalities",
 ]
@@ -65,20 +73,6 @@ def r_of(j: int) -> int:
     while (1 << r) < target:
         r += 1
     return r
-
-
-def _template_a(j: int, k: int) -> list[Fraction]:
-    return ([Fraction(1)] * (2 ** k - 1) + [Fraction(j, 2 * (j + 1))]
-            + [Fraction(1, 2)] * (2 * k - 1) + [Fraction(1)] + [Fraction(2)] * (2 * k))
-
-
-def _template_b(r: int, i: int) -> list[Fraction]:
-    return [Fraction(1, 2)] * r + [Fraction(1)] * (i - 1) + [Fraction(2)] * r
-
-
-def _template_c(j: int, k: int) -> list[Fraction]:
-    return ([Fraction(1, 2)] * (2 * k) + [Fraction(1)] + [Fraction(2)] * (2 * k - 1)
-            + [Fraction(2 * (j + 1), j)] + [Fraction(1)] * (2 ** k - 1))
 
 
 @dataclass(frozen=True)
@@ -119,43 +113,59 @@ class BlockLayout:
         return self.blocks[-1].t
 
     def templates(self, j: int):
-        p = self[j]
-        return _template_a(j, p.k), _template_b(p.r, p.i), _template_c(j, p.k)
+        """A_j, B_j, C_j as (value, length) weight runs."""
+        p, half, one, two = self[j], Fraction(1, 2), Fraction(1), Fraction(2)
+        k, low, high = p.k, Fraction(j, 2 * (j + 1)), Fraction(2 * (j + 1), j)
+        return ([(one, 2 ** k - 1), (low, 1), (half, 2 * k - 1), (one, 1), (two, 2 * k)],
+                [(half, p.r), (one, p.i - 1), (two, p.r)],
+                [(half, 2 * k), (one, 1), (two, 2 * k - 1), (high, 1), (one, 2 ** k - 1)])
+
+    def weight_runs(self) -> list:
+        """(start, length, value) runs of the weight table, by position: left
+        of I, A_j on [-s_j, -(t_{j-1}+1)] and B_j on [-t_j, -(s_j+1)], both
+        written left to right; right of I, C_j on [t_{j-1}+2, s_j+1] and B_j
+        on [s_j+2, t_j+1]."""
+        placed = [(0, [(Fraction(1), 2)])]  # I = (1, 1)
+        for j in range(1, self.j_max + 1):
+            p, (a, b, c) = self[j], self.templates(j)
+            placed += [(-p.s, a), (-p.t, b), (p.t - p.a - p.b + 2, c), (p.s + 2, b)]
+        runs = []
+        for start, template in sorted(placed, key=lambda at: at[0]):
+            for v, n in template:
+                runs.append((start, n, v))
+                start += n
+        return runs
 
 
 @dataclass(frozen=True)
 class BlockBuild:
-    """Finished construction: layout, assembled weight table, and the exact
-    orbit-norm sequence used during the search (closed-form route)."""
+    """Finished construction: layout and assembled weight table."""
 
     layout: BlockLayout
     weights: WeightSequence
-    norms: tuple  # norms[n] = ||B^n e_{-1}||, n = 0..t_max, exact
 
     @property
     def j_max(self) -> int:
         return self.layout.j_max
 
 
-def _closed_form_a_range(j: int, k: int) -> list[Fraction]:
-    """Orbit norms contributed by A_j: rise 2/j..2**(2k)/j, repeat the peak,
-    fall back to 2/j, then 2**k copies of 1/(j+1)."""
-    rise = [Fraction(2 ** m, j) for m in range(1, 2 * k + 1)]
-    fall = [Fraction(2 ** m, j) for m in range(2 * k, 0, -1)]
-    return rise + fall + [Fraction(1, j + 1)] * (2 ** k)
+def _closed_form_a_range(j: int, k: int) -> list:
+    """Orbit norms contributed by A_j, as segments (first, ratio, length):
+    rise 2/j..2**(2k)/j, repeat the peak and fall back to 2/j, then 2**k
+    copies of 1/(j+1)."""
+    return [(Fraction(2, j), 2, 2 * k), (Fraction(2 ** (2 * k), j), Fraction(1, 2), 2 * k),
+            (Fraction(1, j + 1), 1, 2 ** k)]
 
 
-def _closed_form_b_range(j: int, r: int, i: int) -> list[Fraction]:
-    """Orbit norms contributed by B_j: rise to 2**r/(j+1), hold i times,
-    fall, end at 1/(j+1)."""
-    rise = [Fraction(2 ** m, j + 1) for m in range(1, r)]
-    hold = [Fraction(2 ** r, j + 1)] * i
-    fall = [Fraction(2 ** m, j + 1) for m in range(r - 1, 0, -1)]
-    return rise + hold + fall + [Fraction(1, j + 1)]
+def _closed_form_b_range(j: int, r: int, i: int) -> list:
+    """Orbit norms contributed by B_j: rise to 2**(r-1)/(j+1), hold
+    2**r/(j+1) i times, fall to 1/(j+1)."""
+    return [(Fraction(2, j + 1), 2, r - 1), (Fraction(2 ** r, j + 1), 1, i),
+            (Fraction(2 ** (r - 1), j + 1), Fraction(1, 2), r)]
 
 
 def closed_form_norms(layout: BlockLayout, j: int):
-    """The two displayed norm stretches for block j.
+    """The two displayed norm stretches for block j, as segments.
 
     Returns (first, second): the orbit norms on (t_{j-1}, s_j] and on
     (s_j, t_j].  The backward orbit of e_{-1} and the inverse orbit of e_1
@@ -163,6 +173,42 @@ def closed_form_norms(layout: BlockLayout, j: int):
     """
     p = layout[j]
     return _closed_form_a_range(j, p.k), _closed_form_b_range(j, p.r, p.i)
+
+
+def _value_runs(segments, n_max: Optional[int] = None) -> list:
+    """(value, length) runs of the sequence the segments spell, cut after
+    n_max terms: a ratio-1 segment is one run, a rise or fall (short) one run
+    per term."""
+    out, room = [], math.inf if n_max is None else n_max
+    for f, r, n in segments:
+        for v, m in [(f, n)] if r == 1 else [(f * r ** e, 1) for e in range(n)]:
+            if room <= 0:
+                return out
+            if m:
+                out.append((v, min(m, room)))
+                room -= m
+    return out
+
+
+def _canonical(segments) -> list:
+    """Maximal geometric segments of the sequence the segments spell: from
+    the left, a segment takes the ratio of its first two terms and runs while
+    that ratio holds.  Equal sequences give equal lists."""
+    out = []  # [first, ratio (None while one term long), length, last term]
+    for f, r, n in segments:
+        while n:
+            cur = out[-1] if out else None
+            if cur and cur[1] is None:
+                cur[1] = f / cur[3]
+            if cur and f == cur[3] * cur[1]:
+                take = n if r == cur[1] else 1
+                cur[2] += take
+            else:
+                cur, take = [f, None, 1, f], 1
+                out.append(cur)
+            cur[3] = f * r ** (take - 1)
+            f, n = cur[3] * r, n - take
+    return [tuple(seg[:3]) for seg in out]
 
 
 def build_blocks(j_max: int, k_cap: int = K_CAP_DEFAULT) -> BlockBuild:
@@ -173,55 +219,48 @@ def build_blocks(j_max: int, k_cap: int = K_CAP_DEFAULT) -> BlockBuild:
     eq3 (at j): card{1 <= n <= t_j : norm_n >= j+1} / t_j >= 1 - 1/j
 
     Minimality is with respect to the strict monotonicity constraints
-    k_j > k_{j-1}, i_j > i_{j-1}.  The search walks the closed-form norm
-    sequence; an independent raw-product audit lives in verify_inequalities.
+    k_j > k_{j-1}, i_j > i_{j-1}.  The search counts and sums the closed-form
+    norm runs; an independent weight-product audit lives in
+    verify_inequalities.
     """
     if j_max < 1:
         raise InvalidSpecError("need at least one block")
-    norms: list[Fraction] = []  # norms[n-1] = ||B^n e_{-1}||
+    segs: list = []  # closed-form norm segments, n = 1..t_{j-1}
     blocks: list[BlockParams] = []
     t_prev = 0
     k_prev, i_prev = 0, 0
     for j in range(1, j_max + 1):
         r = r_of(j)
-        if j == 1:
-            k_j, i_j = 2, 2
-        else:
-            k_j = _search_k(j, k_prev, r, norms, t_prev, k_cap)
-            i_j = None  # chosen after the A-range norms are in place
-        a_range = _closed_form_a_range(j, k_j)
-        norms.extend(a_range)
+        k_j = 2 if j == 1 else _search_k(j, k_prev, r, _value_runs(segs), t_prev, k_cap)
+        segs += _closed_form_a_range(j, k_j)
         a_j = 4 * k_j + 2 ** k_j
         s_j = t_prev + a_j
-        assert len(norms) == s_j
-        total_s = sum(norms, Fraction(0))
-        alpha_j = total_s / s_j
-        if j >= 2:
-            i_j = _search_i(j, i_prev, r, norms, s_j)
-        b_range = _closed_form_b_range(j, r, i_j)
-        norms.extend(b_range)
+        runs = _value_runs(segs)
+        assert sum(n for _, n in runs) == s_j
+        alpha_j = sum(v * n for v, n in runs) / s_j
+        i_j = 2 if j == 1 else _search_i(j, i_prev, r, runs, s_j)
+        segs += _closed_form_b_range(j, r, i_j)
         b_j = 2 * r + i_j - 1
         t_j = s_j + b_j
-        assert len(norms) == t_j
+        assert sum(n for _, _, n in segs) == t_j
         n_mid = t_prev + 4 * k_j + 2 ** (k_j - 1)
         blocks.append(BlockParams(j, k_j, i_j, r, a_j, b_j, s_j, t_j, n_mid, alpha_j))
         t_prev, k_prev, i_prev = t_j, k_j, i_j
     layout = BlockLayout(tuple(blocks))
-    weights = _assemble_weights(layout)
-    return BlockBuild(layout, weights, tuple([Fraction(1)] + norms))
+    return BlockBuild(layout, _assemble_weights(layout))
 
 
-def _search_k(j: int, k_prev: int, r: int, norms: list, t_prev: int, k_cap: int) -> int:
+def _search_k(j: int, k_prev: int, r: int, runs: list, t_prev: int, k_cap: int) -> int:
     small = Fraction(1, j + 1)
     need = 1 - Fraction(1, j)
-    prefix_small = sum(1 for v in norms if v <= small)
-    prefix_total = sum(norms, Fraction(0))
+    prefix_small = sum(n for v, n in runs if v <= small)
+    prefix_total = sum(v * n for v, n in runs)
     for k in range(k_prev + 1, k_cap + 1):
-        a_range = _closed_form_a_range(j, k)
+        a_runs = _value_runs(_closed_form_a_range(j, k))
         s_j = t_prev + 4 * k + 2 ** k
-        card = prefix_small + sum(1 for v in a_range if v <= small)
+        card = prefix_small + sum(n for v, n in a_runs if v <= small)
         eq1 = Fraction(card, s_j) >= need
-        total = prefix_total + sum(a_range, Fraction(0))
+        total = prefix_total + sum(v * n for v, n in a_runs)
         eq2 = total / (s_j + 4 * r) >= j + 1
         if eq1 and eq2:
             return k
@@ -229,18 +268,17 @@ def _search_k(j: int, k_prev: int, r: int, norms: list, t_prev: int, k_cap: int)
         f"no k in ({k_prev}, {k_cap}] satisfies eq1 and eq2 at block {j}")
 
 
-def _search_i(j: int, i_prev: int, r: int, norms: list, s_j: int) -> int:
+def _search_i(j: int, i_prev: int, r: int, runs: list, s_j: int) -> int:
     """Minimal i > i_prev with eq3; the count of large norms up to t_j is
     (count up to s_j) + i since only the B_j plateau reaches j+1 (the rise
     and fall stay below because 2**(r-1) < (j+1)**2).  The affine form is
-    solved, then the result is confirmed by direct enumeration."""
+    solved, then the result is confirmed by direct count."""
     big = Fraction(j + 1)
-    c = sum(1 for v in norms if v >= big)
+    c = sum(n for v, n in runs if v >= big)
 
     def eq3(i: int) -> bool:
         t_j = s_j + 2 * r + i - 1
-        b_range = _closed_form_b_range(j, r, i)
-        card = c + sum(1 for v in b_range if v >= big)
+        card = c + sum(n for v, n in _value_runs(_closed_form_b_range(j, r, i)) if v >= big)
         return Fraction(card, t_j) >= 1 - Fraction(1, j)
 
     # j(c + i) >= (j-1)(s_j + 2r + i - 1)  <=>  i >= (j-1)(s_j + 2r - 1) - j c
@@ -256,62 +294,75 @@ def _search_i(j: int, i_prev: int, r: int, norms: list, s_j: int) -> int:
 
 
 def _assemble_weights(layout: BlockLayout) -> WeightSequence:
-    """Place blocks around I = (1, 1) at positions 0, 1.
-
-    Left of the origin, A_j occupies [-s_j, -(t_{j-1}+1)] and B_j occupies
-    [-t_j, -(s_j+1)], both written left to right.  Right of the origin, C_j
-    occupies [t_{j-1}+2, s_j+1] and B_j follows on [s_j+2, t_j+1].
-    """
-    table: dict[int, Fraction] = {0: Fraction(1), 1: Fraction(1)}
-    for j in range(1, layout.j_max + 1):
-        a_tpl, b_tpl, c_tpl = layout.templates(j)
-        p = layout[j]
-        t_prev = p.t - p.a - p.b
-        for offset, val in enumerate(a_tpl):
-            table[-p.s + offset] = val
-        for offset, val in enumerate(b_tpl):
-            table[-p.t + offset] = val
-        for offset, val in enumerate(c_tpl):
-            table[t_prev + 2 + offset] = val
-        for offset, val in enumerate(b_tpl):
-            table[p.s + 2 + offset] = val
+    """The weight table, filled from layout.weight_runs().  It carries the
+    layout, so BlockBuild(layout, weights) and the blocks wire form can be
+    recovered from the weights alone."""
+    table: dict[int, Fraction] = {}
+    for start, n, v in layout.weight_runs():
+        table.update(zip(range(start, start + n), repeat(v)))
     t_max = layout.t_max
-    # a table with no tail; j_max makes weights_to_json write the blocks form
     return WeightSequence("table", {
-        "table": table, "tail": "error", "lo": -t_max, "hi": t_max + 1, "j_max": layout.j_max,
+        "table": table, "tail": "error", "lo": -t_max, "hi": t_max + 1, "layout": layout,
     })
 
 
-def backward_norms(build: BlockBuild, n_max: Optional[int] = None) -> list[Fraction]:
-    """Raw-product route: out[n] = |w_{-1} w_{-2} ... w_{-n}| for n <= n_max.
-
-    Independent of the closed-form sequences; this is the audit oracle.
-    """
-    n_max = build.layout.t_max if n_max is None else n_max
-    w = build.weights
-    out = [Fraction(1)]
-    p = Fraction(1)
-    for n in range(1, n_max + 1):
-        p *= w.value(-n)
-        out.append(p)
+def orbit_segments(build: BlockBuild, direction: str) -> list:
+    """Raw-product route, independent of the closed forms: the witness orbit
+    norms, n = 1..t_max, as segments formed from the weight runs the orbit
+    meets.  'backward': ||B^n e_{-1}|| = w_{-1} ... w_{-n}; 'forward': the
+    inverse orbit of e_1, 1 / (w_2 ... w_{n+1})."""
+    runs = build.layout.weight_runs()
+    if direction == "backward":
+        steps = [(v, n) for start, n, v in reversed(runs) if start < 0]
+    else:
+        steps = [(1 / v, n) for start, n, v in runs if start > 1]
+    out, p = [], Fraction(1)
+    for v, n in steps:
+        out.append((p * v, v, n))
+        p *= v ** n
     return out
 
 
-def forward_norms(build: BlockBuild, n_max: Optional[int] = None) -> list[Fraction]:
-    """Raw-product route: out[n] = 1 / |w_2 w_3 ... w_{n+1}| (inverse orbit)."""
-    n_max = build.layout.t_max if n_max is None else n_max
-    w = build.weights
-    out = [Fraction(1)]
-    p = Fraction(1)
-    for n in range(1, n_max + 1):
-        p *= w.value(n + 1)
-        out.append(1 / p)
-    return out
+def norm_runs(build: BlockBuild, direction: str, n_max: Optional[int] = None) -> list:
+    """(value, length) runs of orbit_segments(build, direction) for
+    n = 1..n_max (default t_max).  Past t_max the orbit leaves the table,
+    which raises the table's UndefinedWeightError."""
+    t_max = build.layout.t_max
+    n_max = t_max if n_max is None else n_max
+    if n_max > t_max:
+        build.weights.value(-t_max - 1 if direction == "backward" else t_max + 2)
+    return _value_runs(orbit_segments(build, direction), n_max)
+
+
+def _first_below(runs, c, lo: int, hi: int) -> Optional[int]:
+    """First n in [lo, hi] with norm_1 + ... + norm_n < c * n, or None; inside
+    a constant run the gap between the two sides is linear in n."""
+    n0, acc = 0, Fraction(0)  # acc = norm_1 + ... + norm_n0
+    for v, m in runs:
+        a, b = max(lo, n0 + 1), min(hi, n0 + m)
+        gap = acc + v * (a - n0) - c * a
+        # the gap falls by c - v per step: negative at a, or first negative at
+        # a + gap // (c - v) + 1 if that is still in the run
+        n = a if gap < 0 else a + gap // (c - v) + 1 if v < c else b + 1
+        if n <= b:
+            return n
+        n0, acc = n0 + m, acc + v * m
+    return None
+
+
+def _first_other(runs, value, lo: int, hi: int) -> Optional[int]:
+    """First n in [lo, hi] outside the runs of norm value, or None."""
+    n0 = 0
+    for v, m in runs:
+        if n0 < hi and n0 + m >= lo and v != value:
+            return max(lo, n0 + 1)
+        n0 += m
+    return None
 
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Exact re-verification of eq1..eq4 against raw weight products."""
+    """Exact re-verification of eq1..eq4 against weight products."""
 
     j_max: int
     closed_form_matches_products: bool
@@ -343,80 +394,61 @@ class AuditReport:
 
 
 def verify_inequalities(build: BlockBuild) -> AuditReport:
-    """Re-verify every inequality with exact arithmetic from raw products.
+    """Re-verify every inequality with exact arithmetic from weight products.
 
     Checks, for 2 <= j <= j_max: eq1, eq2, eq3 at the chosen parameters; the
     running-average lower bound eq4 (average >= j+1 for every n in
-    [t_{j-1} + 4 k_j, t_j + 4 k_{j+1}], needs block j+1); and the entrywise
-    equality of the closed-form sequences with the raw products plus the
-    backward/forward symmetry.  eq2 at j = 1 is reported but not required
-    (k_1 is fixed, not chosen).
+    [t_{j-1} + 4 k_j, t_j + 4 k_{j+1}], needs block j+1); and the equality
+    of the closed-form sequences with the products plus the backward/forward
+    symmetry, both as maximal geometric segments.  eq2 at j = 1 is reported
+    but not required (k_1 is fixed, not chosen).
     """
     layout = build.layout
     j_max = layout.j_max
     violations: list[str] = []
 
-    nb = backward_norms(build)
-    nf = forward_norms(build)
-    symmetry = nb == nf
+    backward = orbit_segments(build, "backward")
+    canonical = _canonical(backward)
+    symmetry = canonical == _canonical(orbit_segments(build, "forward"))
     if not symmetry:
         violations.append("backward/forward norm symmetry broken")
-    closed = list(build.norms)
-    matches = nb == closed
+    closed = [seg for j in range(1, j_max + 1) for half in closed_form_norms(layout, j)
+              for seg in half]
+    matches = canonical == _canonical(closed)
     if not matches:
         violations.append("closed-form norms disagree with raw products")
-
-    prefix = [Fraction(0)] * (layout.t_max + 1)
-    acc = Fraction(0)
-    for n in range(1, layout.t_max + 1):
-        acc += nb[n]
-        prefix[n] = acc
 
     eq1: dict = {}
     eq2: dict = {}
     eq3: dict = {}
     for j in range(2, j_max + 1):
         p = layout[j]
-        small = Fraction(1, j + 1)
-        card1 = sum(1 for n in range(1, p.s + 1) if nb[n] <= small)
-        ratio1 = Fraction(card1, p.s)
-        ok1 = ratio1 >= 1 - Fraction(1, j)
-        eq1[j] = {"card": card1, "ratio": str(ratio1), "ok": ok1}
-        if not ok1:
-            violations.append(f"eq1 fails at j={j}")
+        need = 1 - Fraction(1, j)
+        head = _value_runs(backward, p.s)
+        card1 = sum(n for v, n in head if v <= Fraction(1, j + 1))
+        card3 = sum(n for v, n in _value_runs(backward, p.t) if v >= j + 1)
+        for eq, card, n in ((eq1, card1, p.s), (eq3, card3, p.t)):
+            eq[j] = {"card": card, "ratio": str(Fraction(card, n)), "ok": Fraction(card, n) >= need}
+        lhs2 = sum(v * n for v, n in head) / (p.s + 4 * p.r)
+        eq2[j] = {"value": str(lhs2), "ok": lhs2 >= j + 1}
+        violations += [f"eq{i} fails at j={j}" for i, eq in enumerate((eq1, eq2, eq3), 1)
+                       if not eq[j]["ok"]]
 
-        lhs2 = prefix[p.s] / (p.s + 4 * p.r)
-        ok2 = lhs2 >= j + 1
-        eq2[j] = {"value": str(lhs2), "ok": ok2}
-        if not ok2:
-            violations.append(f"eq2 fails at j={j}")
-
-        card3 = sum(1 for n in range(1, p.t + 1) if nb[n] >= j + 1)
-        ratio3 = Fraction(card3, p.t)
-        ok3 = ratio3 >= 1 - Fraction(1, j)
-        eq3[j] = {"card": card3, "ratio": str(ratio3), "ok": ok3}
-        if not ok3:
-            violations.append(f"eq3 fails at j={j}")
-
-    eq4_ok = True
+    runs = _value_runs(backward)
     eq4_first = None
     for j in range(1, j_max):
         p, nxt = layout[j], layout[j + 1]
         t_prev = p.t - p.a - p.b
-        for n in range(t_prev + 4 * p.k, p.t + 4 * nxt.k + 1):
-            if prefix[n] < (j + 1) * n:
-                eq4_ok = False
-                eq4_first = n
-                violations.append(f"eq4 fails at j={j}, n={n}")
-                break
-        if not eq4_ok:
+        eq4_first = _first_below(runs, j + 1, t_prev + 4 * p.k, p.t + 4 * nxt.k)
+        if eq4_first is not None:
+            violations.append(f"eq4 fails at j={j}, n={eq4_first}")
             break
 
     p1 = layout[1]
-    lhs_j1 = prefix[p1.s] / (p1.s + 4 * p1.r)
+    lhs_j1 = sum(v * n for v, n in _value_runs(backward, p1.s)) / (p1.s + 4 * p1.r)
     eq2_j1 = {"value": str(lhs_j1), "holds": lhs_j1 >= 2}
 
-    return AuditReport(j_max, matches, symmetry, eq1, eq2, eq3, eq4_ok, eq4_first,
+    return AuditReport(j_max, matches, symmetry, eq1, eq2, eq3, eq4_first is None, eq4_first,
                        eq2_j1, tuple(violations))
 
 
@@ -459,6 +491,21 @@ class HypercyclicityAudit:
         }
 
 
+def _window_product(runs, lo: int, hi: int) -> Fraction:
+    """w_lo ... w_hi from the (start, length, value) weight runs: the powers of
+    two add up as one integer exponent, the other weights multiply exactly."""
+    exp, rest = 0, Fraction(1)
+    for start, n, v in runs:
+        m = min(hi, start + n - 1) - max(lo, start) + 1
+        if m > 0:
+            num, den = v.numerator, v.denominator
+            if num & (num - 1) or den & (den - 1):
+                rest *= v ** m
+            else:
+                exp += m * (num.bit_length() - den.bit_length())
+    return rest * Fraction(2) ** exp
+
+
 def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
                            thresholds: Optional[list] = None) -> HypercyclicityAudit:
     """Audit the transitivity witness sequence n_j = t_{j-1} + 4k_j + 2**(k_j-1).
@@ -474,21 +521,20 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
     if thresholds is None:
         thresholds = [Fraction(1, 2 ** m) for m in range(0, 11)]
     layout = build.layout
-    nb = backward_norms(build)
-    nf = forward_norms(build)
-    w = build.weights
+    orbits = [norm_runs(build, "backward"), norm_runs(build, "forward")]
+    weights = layout.weight_runs()
     violations: list[str] = []
 
     plateau_ok = True
     for j in range(1, layout.j_max + 1):
         p = layout[j]
         half = 2 ** (p.k - 1)
-        expected = Fraction(1, j + 1)
-        for n in range(p.n_mid - half + 1, p.n_mid + half + 1):
-            if nb[n] != expected or nf[n] != expected:
-                plateau_ok = False
-                violations.append(f"plateau value mismatch at j={j}, n={n}")
-                break
+        window = (p.n_mid - half + 1, p.n_mid + half)
+        firsts = [n for n in (_first_other(runs, Fraction(1, j + 1), *window) for runs in orbits)
+                  if n is not None]
+        if firsts:
+            plateau_ok = False
+            violations.append(f"plateau value mismatch at j={j}, n={min(firsts)}")
 
     products: dict[int, dict[int, Fraction]] = {}
     hyperbolic: dict[int, bool] = {}
@@ -503,7 +549,7 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
         # the products stay in the unit-weight stretch of the block only for
         # shifts well inside the plateau half-width; the rule depends on |t|,
         # so products[-t] has the same blocks as products[t]
-        products[t] = {j: abs(weight_product(w, t - layout[j].n_mid + 1, t))
+        products[t] = {j: _window_product(weights, t - layout[j].n_mid + 1, t)
                        for j in range(1, layout.j_max + 1)
                        if abs(t) <= 2 ** (layout[j].k - 1) - 2}
 
@@ -512,7 +558,7 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
         for j in per_j:
             # inverse products q_j(t) = 1/|w_{t+1}...w_{t+n_j}| must equal the
             # mirrored products p_j(-t) by the reversed-reciprocal symmetry
-            q = 1 / abs(weight_product(w, t + 1, t + layout[j].n_mid))
+            q = 1 / _window_product(weights, t + 1, t + layout[j].n_mid)
             if q != products[-t][j]:
                 inverse_match = False
                 violations.append(f"inverse product mismatch at t={t}, j={j}")
@@ -522,8 +568,7 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
             schedules[t] = []
             skipped.append(t)
             continue
-        cs = {j: v * (j + 1) for j, v in per_j.items()}
-        c_set = set(cs.values())
+        c_set = {v * (j + 1) for j, v in per_j.items()}
         hyperbolic[t] = len(c_set) == 1
         if not hyperbolic[t]:
             violations.append(f"shifted products at t={t} not of the form c/(j+1)")
@@ -537,22 +582,14 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
         if not decreasing:
             violations.append(f"shifted products at t={t} not strictly decreasing")
             certified = False
-        schedule = []
+        schedules[t] = []
         for tau in thresholds:
             measured = next((j for j in sorted(per_j) if per_j[j] <= tau), None)
-            if measured is not None:
-                schedule.append({"threshold": str(tau), "first_j": measured,
-                                 "extrapolated": False})
-            else:
-                # p_j = c/(j+1) <= tau  <=>  j >= c/tau - 1, from the exact form
-                need = c / tau - 1
-                first_j = int(need) if need == int(need) else int(need) + 1
-                schedule.append({"threshold": str(tau), "first_j": first_j,
-                                 "extrapolated": True})
-        schedules[t] = schedule
+            # else p_j = c/(j+1) <= tau  <=>  j >= c/tau - 1 (> 1), from the exact form
+            first_j = math.ceil(c / tau - 1) if measured is None else measured
+            schedules[t].append({"threshold": str(tau), "first_j": first_j,
+                                 "extrapolated": measured is None})
 
-    if inverse_match is False:
-        certified = False
     return HypercyclicityAudit(
         layout.j_max, t_range, plateau_ok, products, hyperbolic, c_values,
-        schedules, inverse_match, certified, tuple(violations), tuple(skipped))
+        schedules, inverse_match, certified and inverse_match, tuple(violations), tuple(skipped))

@@ -17,9 +17,10 @@ import click
 
 from . import __version__
 from .algebra import run_props_suite
-from .blocks import SearchCapExceeded, build_blocks, hypercyclicity_witness, verify_inequalities
+from .blocks import (BlockBuild, SearchCapExceeded, build_blocks, hypercyclicity_witness,
+                     verify_inequalities)
 from .criteria import HorizonConfig, check_criterion, hierarchy_audit
-from .density import distributional_report
+from .density import density_rows, distributional_report
 from .reporting import canonical_json, envelope, write_csv
 from .scalars import log2_exact
 from .shifts import (
@@ -155,8 +156,9 @@ def synthesize(j_max, t_range, out, weights_out, no_timestamp):
     build = build_blocks(j_max)
     audit = verify_inequalities(build)
     witness = hypercyclicity_witness(build, t_range=t_range)
-    lo, hi = -build.layout.t_max, build.layout.t_max + 1
-    window = {str(j): str(build.weights.value(j)) for j in range(lo, hi + 1)}
+    window = {}
+    for start, n, v in build.layout.weight_runs():
+        window.update(dict.fromkeys(map(str, range(start, start + n)), str(v)))
     payload = {
         "layout": [build.layout[j].to_json() for j in range(1, j_max + 1)],
         "weights_window": window,
@@ -233,11 +235,10 @@ def orbit(space_text, weights_text, side, vector, n_range, k_range, fmt, out, no
 def density(weights_text, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_timestamp):
     """Per-step norms, running averages, and counting ratios for the witness
     orbits of the block construction."""
-    from .blocks import backward_norms, forward_norms
-
-    if not weights_text.startswith("blocks:"):
+    weights = _load_weights(weights_text)
+    if "layout" not in weights.params:
         raise InvalidSpecError("density works on the synthesized block weights (blocks:<J>)")
-    build = build_blocks(int(weights_text.split(":")[1]))
+    build = BlockBuild(weights.params["layout"], weights)
     n_horizon = build.layout.t_max if n_horizon is None else n_horizon
     taus = ([Fraction(t) for t in tau_grid.split(",")] if tau_grid
             else [Fraction(1, j + 1) for j in range(1, build.j_max + 1)])
@@ -251,25 +252,9 @@ def density(weights_text, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_
         _emit(out, canonical_json(envelope("density", config, report, not no_timestamp)))
         return
 
-    norms = (backward_norms(build, n_horizon) if vector == "e:-1"
-             else forward_norms(build, n_horizon))
     header = (["n", "norm_log2", "running_average"]
               + [f"ratio_small({t})" for t in taus] + [f"ratio_large({K})" for K in kays])
-    small_counts = [0] * len(taus)
-    large_counts = [0] * len(kays)
-    total = Fraction(0)  # exact, as in density.cesaro_trace
-    rows = []
-    for n in range(1, n_horizon + 1):
-        v = norms[n]
-        total += v
-        for i, t in enumerate(taus):
-            small_counts[i] += v <= t
-        for i, K in enumerate(kays):
-            large_counts[i] += v >= K
-        row = [n, repr(log2_exact(v)), repr(float(total / n))]
-        row += [repr(c / n) for c in small_counts] + [repr(c / n) for c in large_counts]
-        rows.append(row)
-    _emit(out, write_csv(header, rows))
+    _emit(out, write_csv(header, density_rows(build, vector, n_horizon, taus, kays)))
 
 
 @cli.command()

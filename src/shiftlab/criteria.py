@@ -740,15 +740,16 @@ class HierarchyReport:
 
 def hierarchy_audit(op: ShiftOperator, cfg: HorizonConfig) -> HierarchyReport:
     """Runs the uniform, average, and basis-diagnostic checks with one shared
-    config and asserts the implication chain is never inverted."""
+    config and asserts the implication chain is never inverted: only a
+    BoundedWitness contradicts a certificate, an Inconclusive one is unconfirmed."""
     ue = check_criterion(op, "ue", cfg)
     ae = check_criterion(op, "ae", cfg)
     ed = check_criterion(op, "e", cfg)
     violations = []
-    if ue.certified and not ae.certified:
-        violations.append("uniform certified but average not certified")
-    if ae.certified and not ed.certified:
-        violations.append("average certified but basis diagnostic not certified")
+    if ue.certified and ae.kind is VerdictKind.BOUNDED_WITNESS:
+        violations.append("uniform certified but average bounded")
+    if ae.certified and ed.kind is VerdictKind.BOUNDED_WITNESS:
+        violations.append("average certified but basis diagnostic bounded")
     return HierarchyReport(ue.property_label, ue, ae, ed, not violations, tuple(violations))
 
 

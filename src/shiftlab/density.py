@@ -2,21 +2,28 @@
 
 Density claims about orbit-norm sequences are realized at block horizons:
 the finite surrogate for a limsup of counting ratios is the maximum ratio
-over a tail window [N0, N], with exact rational ratios throughout.
+over a tail window [N0, N], with exact rational ratios throughout.  For the
+block orbits the ratios are taken on constant-value norm runs
+(blocks.norm_runs): inside a run the ratio is monotone in n, so its
+maximum over the run is at one of the run's ends.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .blocks import BlockBuild, backward_norms, forward_norms
+from .blocks import BlockBuild, norm_runs
+from .scalars import log2_exact
 from .spaces import InvalidSpecError
 
 __all__ = [
     "DensityEstimate",
     "cesaro_trace",
+    "density_rows",
     "distributional_report",
     "upper_density",
 ]
@@ -29,7 +36,7 @@ class DensityEstimate:
     horizon: int
     base: int
     value: Fraction
-    ratios: tuple  # (n, Fraction) at each n in [base, horizon]
+    ratios: tuple  # (n, Fraction) at each n in [base, horizon], or at run ends
 
     def to_json(self) -> dict:
         return {"horizon": self.horizon, "base": self.base, "value": str(self.value),
@@ -42,36 +49,42 @@ def upper_density(indicator, n_max: int, n0: Optional[int] = None) -> DensityEst
     indicator: callable n -> bool or a sequence indexed from n = 1.
     Default base N0 = max(1, n_max // 10).
     """
-    if n0 is None:
-        n0 = max(1, n_max // 10)
-    if not (1 <= n0 <= n_max):
-        raise InvalidSpecError("need 1 <= n0 <= n_max")
     if callable(indicator):
         flags = [bool(indicator(n)) for n in range(1, n_max + 1)]
     else:
         flags = [bool(v) for v in indicator[:n_max]]
         if len(flags) < n_max:
             raise InvalidSpecError("indicator sequence shorter than the horizon")
-    count = 0
-    best = Fraction(0)
-    ratios = []
-    for n, flag in enumerate(flags, start=1):
-        count += flag
-        if n >= n0:
-            r = Fraction(count, n)
-            ratios.append((n, r))
-            if r > best:
-                best = r
+    return _run_density([(flag, 1) for flag in flags], bool, n_max, n0)
+
+
+def _run_density(runs, pred, n_max: int, n0: Optional[int]) -> DensityEstimate:
+    """upper_density of {n : pred(v)} for a sequence given as (v, length)
+    runs: on the run after n = a the ratio (count_a + f*(n - a))/n is
+    monotone in n, so only the ends of the run's part of [n0, n_max] count."""
+    n0 = max(1, n_max // 10) if n0 is None else n0
+    if not (1 <= n0 <= n_max):
+        raise InvalidSpecError("need 1 <= n0 <= n_max")
+    count, a, best, ratios = 0, 0, Fraction(0), []
+    for v, m in runs:
+        f = pred(v)
+        for n in sorted({max(a + 1, n0), a + m}):
+            if n0 <= n <= a + m:
+                ratios.append((n, Fraction(count + f * (n - a), n)))
+                best = max(best, ratios[-1][1])
+        count, a = count + f * m, a + m
     return DensityEstimate(n_max, n0, best, tuple(ratios))
 
 
-def _norm_sequence(build: BlockBuild, vector: str, n_max: int) -> list[Fraction]:
-    if vector in ("e-1-forward", "e:-1"):
-        return backward_norms(build, n_max)
-    if vector in ("e1-backward", "e:1"):
-        return forward_norms(build, n_max)
-    raise InvalidSpecError(
-        f"distributional vectors are 'e-1-forward' or 'e1-backward', got {vector!r}")
+_ORBITS = {"e-1-forward": "backward", "e:-1": "backward",
+           "e1-backward": "forward", "e:1": "forward"}
+
+
+def _orbit(vector: str) -> str:
+    if vector not in _ORBITS:
+        raise InvalidSpecError(
+            f"distributional vectors are 'e-1-forward' or 'e1-backward', got {vector!r}")
+    return _ORBITS[vector]
 
 
 def distributional_report(build: BlockBuild, vector: str = "e-1-forward",
@@ -95,16 +108,9 @@ def distributional_report(build: BlockBuild, vector: str = "e-1-forward",
         k_grid = [j + 1 for j in range(1, layout.j_max + 1)]
     if tau_grid is None:
         tau_grid = [Fraction(1, j + 1) for j in range(1, layout.j_max + 1)]
-    norms = _norm_sequence(build, vector, n_horizon)
-
-    large = {}
-    for K in k_grid:
-        est = upper_density([v >= K for v in norms[1:]], n_horizon, n0)
-        large[K] = est
-    small = {}
-    for tau in tau_grid:
-        est = upper_density([v <= tau for v in norms[1:]], n_horizon, n0)
-        small[tau] = est
+    runs = norm_runs(build, _orbit(vector), n_horizon)
+    large = {K: _run_density(runs, lambda v: v >= K, n_horizon, n0) for K in k_grid}
+    small = {tau: _run_density(runs, lambda v: v <= tau, n_horizon, n0) for tau in tau_grid}
 
     levels = {}
     for j in range(1, layout.j_max + 1):
@@ -126,13 +132,17 @@ def distributional_report(build: BlockBuild, vector: str = "e-1-forward",
 
 @dataclass(frozen=True)
 class ExactTrace:
-    """Running averages (1/n) sum of orbit norms, exact."""
+    """Running averages (1/n) sum of orbit norms, exact, kept per norm run."""
 
     label: str
-    values: tuple  # Fractions, index n-1 holds the average at n
+    runs: tuple  # (first n of the run, sum of the norms before it, norm)
+    n_max: int
 
     def value_at(self, n: int) -> Fraction:
-        return self.values[n - 1]
+        if not 1 <= n <= self.n_max:
+            raise IndexError(f"trace covers n = 1..{self.n_max}, got {n}")
+        start, before, v = self.runs[bisect_right(self.runs, n, key=lambda run: run[0]) - 1]
+        return (before + v * (n - start + 1)) / n
 
 
 def cesaro_trace(build: BlockBuild, vector: str = "e-1-forward",
@@ -142,19 +152,36 @@ def cesaro_trace(build: BlockBuild, vector: str = "e-1-forward",
     side 'op' averages ||B^n e|| (the backward orbit for e_{-1}); side
     'inverse' averages the inverse orbit.  By the reversed-reciprocal
     symmetry of the construction the two traces coincide; both routes are
-    computed from raw products so the equality stays testable.
+    computed from weight products so the equality stays testable.
     """
     n_max = build.layout.t_max if n_max is None else n_max
-    if side == "op":
-        norms = _norm_sequence(build, vector, n_max)
-    elif side == "inverse":
-        flipped = "e1-backward" if vector in ("e-1-forward", "e:-1") else "e-1-forward"
-        norms = _norm_sequence(build, flipped, n_max)
-    else:
+    if side not in ("op", "inverse"):
         raise InvalidSpecError("side must be 'op' or 'inverse'")
-    out = []
-    acc = Fraction(0)
-    for n in range(1, n_max + 1):
-        acc += norms[n]
-        out.append(acc / n)
-    return ExactTrace(f"cesaro:{vector}:{side}", tuple(out))
+    direction = _orbit(vector)
+    if side == "inverse":
+        direction = "forward" if direction == "backward" else "backward"
+    runs = norm_runs(build, direction, n_max)
+    out, start, acc = [], 1, Fraction(0)
+    for v, m in runs:
+        out.append((start, acc, v))
+        start, acc = start + m, acc + v * m
+    return ExactTrace(f"cesaro:{vector}:{side}", tuple(out), n_max)
+
+
+def density_rows(build: BlockBuild, vector: str, n_horizon: int, taus, kays) -> list:
+    """Rows n, log2 norm, running average and the counting ratios of the
+    small- and large-norm sets, for n = 1..n_horizon.  The running sum is
+    N / L with L the lcm of the norms' denominators, so N / (L * n) is
+    float(sum / n) from one correctly rounded integer division."""
+    runs = norm_runs(build, _orbit(vector), n_horizon)
+    lcm = math.lcm(*(v.denominator for v, _ in runs))
+    counts = [0] * (len(taus) + len(kays))
+    total, n, rows = 0, 0, []
+    for v, m in runs:
+        norm_log2, step = repr(log2_exact(v)), v.numerator * (lcm // v.denominator)
+        flags = [v <= t for t in taus] + [v >= K for K in kays]
+        for n in range(n + 1, n + m + 1):
+            total += step
+            counts = [c + f for c, f in zip(counts, flags)]
+            rows.append([n, norm_log2, repr(total / (lcm * n))] + [repr(c / n) for c in counts])
+    return rows

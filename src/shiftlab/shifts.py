@@ -75,8 +75,8 @@ class WeightSequence:
     Families: 'constant', 'geometric' (coef * ratio**j, optionally over |j|),
     'table' (finite window, tail rule 'error' or 'hold'), 'dual' (reciprocal
     reindex of a base sequence).  Table params carry the table's index bounds
-    'lo' and 'hi'; the synthesized block table also carries its block count
-    'j_max', and is written as the 'blocks' wire form.
+    'lo' and 'hi'; the synthesized block table also carries its
+    blocks.BlockLayout 'layout', and is written as the 'blocks' wire form.
     """
 
     family: str
@@ -501,8 +501,8 @@ def weights_to_json(w: WeightSequence) -> dict:
         return {"family": "geometric", "coef": exact_to_json(w.params["coef"]),
                 "ratio": exact_to_json(w.params["ratio"]),
                 "abs_index": bool(w.params.get("abs_index"))}
-    if w.family == "table" and "j_max" in w.params:
-        return {"family": "blocks", "j_max": w.params["j_max"]}
+    if w.family == "table" and "layout" in w.params:
+        return {"family": "blocks", "j_max": w.params["layout"].j_max}
     if w.family == "table":
         return {"family": "table", "tail": w.params.get("tail", "error"),
                 "table": {str(j): exact_to_json(v) for j, v in w.params["table"].items()}}

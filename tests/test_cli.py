@@ -336,6 +336,88 @@ class TestDensity:
             assert err == message
 
 
+    def test_blocks_shorthand_error_names_the_form(self, capsys):
+        code, _, err = run(capsys, "density", "--weights", "blocks:x")
+        assert code == EXIT_USAGE
+        assert "blocks:<J>" in err
+
+    def test_non_block_weights_are_input_error(self, capsys):
+        code, _, err = run(capsys, "density", "--weights", "constant:2")
+        assert code == EXIT_USAGE
+        assert "synthesized block weights" in err
+
+    def test_blocks_weight_file_matches_shorthand(self, capsys, tmp_path):
+        spec = tmp_path / "blocks.json"
+        spec.write_text(json.dumps({"family": "blocks", "j_max": 2}))
+        code, from_file, _ = run(capsys, "density", "--weights", f"@{spec}", "--format", "csv")
+        assert code == EXIT_OK
+        code, from_shorthand, _ = run(capsys, "density", "--weights", "blocks:2", "--format", "csv")
+        assert code == EXIT_OK
+        assert from_file == from_shorthand
+
+    def test_builds_the_blocks_once(self, capsys, monkeypatch):
+        import shiftlab.blocks
+        import shiftlab.cli
+
+        calls = []
+        real = shiftlab.blocks.build_blocks
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shiftlab.blocks, "build_blocks", counted)
+        monkeypatch.setattr(shiftlab.cli, "build_blocks", counted)
+        for fmt in ("csv", "json"):
+            code, _, _ = run(capsys, "density", "--weights", "blocks:2", "--format", fmt)
+            assert code == EXIT_OK
+        assert calls == [(2,), (2,)]
+
+    def test_csv_rows_match_per_index_route(self, capsys):
+        from block_oracle import density_csv_rows
+
+        build = build_blocks(3)
+        for vector, taus, kays, n in (("e:-1", None, None, None),
+                                      ("e:1", "1/2,1/7,3/5", "2,9,100", 1000)):
+            args = ["density", "--weights", "blocks:3", "--vector", vector, "--format", "csv"]
+            args += ["--tau-grid", taus, "--k-grid", kays, "--n", str(n)] if n else []
+            code, out, _ = run(capsys, *args)
+            assert code == EXIT_OK
+            rows = [line.split(",") for line in out.split("\r\n")[1:] if line]
+            want = density_csv_rows(
+                build, vector, n or build.layout.t_max,
+                [Fraction(t) for t in taus.split(",")] if taus else [Fraction(1, j + 1)
+                                                                      for j in range(1, 4)],
+                [Fraction(K) for K in kays.split(",")] if kays else [Fraction(j + 1)
+                                                                      for j in range(1, 4)])
+            assert rows == [[str(c) for c in row] for row in want]
+
+
+class TestHierarchyExitCodes:
+    def test_inconclusive_diagnostic_is_not_an_inversion(self, capsys):
+        # ae is certified while the basis diagnostic is only Inconclusive at
+        # this horizon: unconfirmed, not contradicted
+        code, out, _ = run(capsys, "check", "--space", "c0_Z", "--weights", "blocks:2",
+                           "--criterion", "hierarchy", "--n-max", "64", "--window", "16",
+                           "--m-grid", "1,2,4", "--no-timestamp")
+        assert code == EXIT_OK
+        rep = json.loads(out)["report"]
+        assert rep["ae"]["kind"] == "CertifiedUnbounded"
+        assert rep["e_diag"]["kind"] == "Inconclusive"
+        assert rep["consistent"] is True and rep["violations"] == []
+
+    def test_bounded_witness_is_an_inversion(self, capsys):
+        # ue certifies while ae has a BoundedWitness: a real contradiction
+        code, out, err = run(capsys, "check", "--space", "halfline_Z", "--weights", "constant:2",
+                             "--criterion", "hierarchy", "--m-grid", "1,2,4", "--no-timestamp")
+        assert code == 2
+        assert "hierarchy audit inconsistent" in err
+        rep = json.loads(out)["report"]
+        assert rep["ue"]["kind"] == "CertifiedUnbounded"
+        assert rep["ae"]["kind"] == "BoundedWitness"
+        assert rep["consistent"] is False
+
+
 class TestProps:
     def test_suite_passes(self, capsys):
         code, out, _ = run(capsys, "props", "--no-timestamp")

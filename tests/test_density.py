@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from shiftlab.blocks import backward_norms, build_blocks
+from block_oracle import backward_norms
+from shiftlab.blocks import build_blocks
 from shiftlab.density import cesaro_trace, distributional_report, upper_density
 from shiftlab.spaces import InvalidSpecError
 
@@ -87,7 +88,7 @@ class TestCesaroTrace:
     def test_sides_agree(self, build4):
         a = cesaro_trace(build4, "e-1-forward", "op", 500)
         b = cesaro_trace(build4, "e-1-forward", "inverse", 500)
-        assert a.values == b.values
+        assert [a.value_at(n) for n in range(1, 501)] == [b.value_at(n) for n in range(1, 501)]
 
     def test_log_lane_agrees_with_exact_route(self, build4):
         # the criteria module forms its averages in the log domain; rebuild

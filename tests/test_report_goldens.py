@@ -1,5 +1,6 @@
 """Report goldens: the sha256 of the ``--no-timestamp`` stdout of fast CLI
-commands, recorded before the exact lane's duplicate walks were removed.
+commands, recorded before the exact lane's duplicate walks were removed (and
+the blocks:3/blocks:4 exact-lane reports before that lane moved to runs).
 
 A refactor that must not move a report byte is checked here in tier-1; the
 digests change only with a deliberate change of a report, and then the new
@@ -30,6 +31,24 @@ GOLDENS = [
     (("density", "--weights", "blocks:2", "--vector", "e:1", "--format", "json",
       "--no-timestamp"),
      "bbcd0ee427016a6776532e4974b5a64d5e15f097eff2c2e2fa77ca290310ae9b"),
+    # the exact-lane reports of the benchmark (blocks:4 defaults as in
+    # perfbench/oracle.json), recorded before the lane moved to runs
+    (("synthesize", "--blocks", "3", "--no-timestamp"),
+     "eec2639eeaa2507c3568fdfe9f4ddce56eb529ee2964cfe2e4f57c3f85c740ee"),
+    (("synthesize", "--blocks", "4", "--no-timestamp"),
+     "3f2ba86edff33aea4fb987fd958a36d910e8a4eab4ec36e258027b7e6377870f"),
+    (("density", "--weights", "blocks:4", "--vector", "e:-1", "--format", "csv",
+      "--no-timestamp"),
+     "0d30d945ed914ffc18e725eaeb539a356c5afbdef39370a4e81fe515c1b811a0"),
+    (("density", "--weights", "blocks:4", "--vector", "e:1", "--format", "csv",
+      "--no-timestamp"),
+     "0d30d945ed914ffc18e725eaeb539a356c5afbdef39370a4e81fe515c1b811a0"),
+    (("density", "--weights", "blocks:4", "--vector", "e:-1", "--format", "json",
+      "--no-timestamp"),
+     "e64d0448b40370e8605b5cb642903b890211dd663837b2ae07ab5f39bfec0bbb"),
+    (("density", "--weights", "blocks:4", "--vector", "e:1", "--format", "json",
+      "--no-timestamp"),
+     "3491068845101692f3cd1c08ac97ddac0e9814bc4dd8f1a40a5c106a4bd5ec53"),
     (("check", "--space", "lp_Z:2", "--weights", "constant:2", "--criterion", "ae", *HORIZON),
      "80307aac95479f47f3bd49bc5067c814ca4915df7a2a0202b8c11b9ffb905b45"),
     (("check", "--space", "lp_Z:2", "--weights", "constant:2", "--criterion", "ue", *HORIZON),
