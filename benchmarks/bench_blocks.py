@@ -2,16 +2,15 @@
 """Time the exact block lane layer by layer: the run route of the library
 against the per-index reference route kept in tests/block_oracle.py.
 
-Layers: build_blocks, verify_inequalities (audit), hypercyclicity_witness,
-distributional_report and the density CSV rows (density_rows, e_{-1} orbit,
-default thresholds, horizon min(t_J, --csv-n) so that the row lists stay a
-few hundred MB at J = 5).  The run route is the best of --repeats calls; the
-reference route runs once (minutes at J = 5) and only up to --oracle-max.
+Layers, at J = 4 and J = 5: build_blocks, verify_inequalities (audit),
+hypercyclicity_witness, distributional_report and the density CSV rows
+(density_rows, e_{-1} orbit, default thresholds, horizon min(t_J, 200 000)
+so that the row lists stay a few hundred MB at J = 5).  The run route is the
+best of 3 calls; the reference route runs once (minutes at J = 5).
 
-Run:  PYTHONPATH=src python benchmarks/bench_blocks.py [--blocks 4 5] [--oracle-max 5]
+Run:  PYTHONPATH=src python benchmarks/bench_blocks.py
 """
 
-import argparse
 import sys
 import time
 from fractions import Fraction
@@ -23,6 +22,10 @@ from shiftlab.density import density_rows, distributional_report
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import block_oracle  # noqa: E402
 
+BLOCKS = (4, 5)
+CSV_ROWS = 200_000
+REPEATS = 3
+
 
 def timeit(fn, repeats):
     best = float("inf")
@@ -33,9 +36,9 @@ def timeit(fn, repeats):
     return best
 
 
-def layers(j_max, csv_n):
+def layers(j_max):
     build = build_blocks(j_max)
-    n = min(build.layout.t_max, csv_n)
+    n = min(build.layout.t_max, CSV_ROWS)
     taus = [Fraction(1, j + 1) for j in range(1, j_max + 1)]
     kays = [Fraction(j + 1) for j in range(1, j_max + 1)]
     return [
@@ -52,20 +55,14 @@ def layers(j_max, csv_n):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--blocks", type=int, nargs="+", default=[4, 5])
-    ap.add_argument("--oracle-max", type=int, default=5, help="largest J for the reference")
-    ap.add_argument("--csv-n", type=int, default=200_000, help="horizon cap for the CSV rows")
-    ap.add_argument("--repeats", type=int, default=3)
-    args = ap.parse_args()
     print("=" * 72)
-    print(f"shiftlab exact block lane (run route: best of {args.repeats}; reference: once)")
+    print(f"shiftlab exact block lane (run route: best of {REPEATS}; reference: once)")
     print("=" * 72)
     print(f"{'J':<3}{'layer':<28}{'runs':>10}{'per-index':>14}{'speedup':>10}")
-    for j_max in args.blocks:
-        for name, run, reference in layers(j_max, args.csv_n):
-            fast = timeit(run, args.repeats)
-            if reference is not None and j_max <= args.oracle_max:
+    for j_max in BLOCKS:
+        for name, run, reference in layers(j_max):
+            fast = timeit(run, REPEATS)
+            if reference is not None:
                 slow = timeit(reference, 1)
                 ref_cols = f"{slow:>13.3f}s{slow / fast:>9.0f}x"
             else:

@@ -23,7 +23,9 @@ All of it works on runs, not per index: (value, length) weight runs, and
 orbit norms as geometric segments (first, ratio, length), compared as maximal
 segments and counted, summed and bounded at the ends of constant runs.
 Shifted products add the dyadic weights as one integer exponent of 2.  The
-per-index raw-product route is the reference in tests/block_oracle.py.
+weight table is filled from the weight runs and audited against them at run
+ends.  The per-index raw-product route is the reference in
+tests/block_oracle.py.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .spaces import InvalidSpecError
-from .shifts import WeightSequence
+from .shifts import UndefinedWeightError, WeightSequence
 
 __all__ = [
     "AuditReport",
@@ -45,6 +47,7 @@ __all__ = [
     "HypercyclicityAudit",
     "SearchCapExceeded",
     "build_blocks",
+    "build_of",
     "closed_form_norms",
     "hypercyclicity_witness",
     "norm_runs",
@@ -179,9 +182,14 @@ def _value_runs(segments, n_max: Optional[int] = None) -> list:
     """(value, length) runs of the sequence the segments spell, cut after
     n_max terms: a ratio-1 segment is one run, a rise or fall (short) one run
     per term."""
-    out, room = [], math.inf if n_max is None else n_max
+    out = []
+    room = math.inf if n_max is None else n_max
     for f, r, n in segments:
-        for v, m in [(f, n)] if r == 1 else [(f * r ** e, 1) for e in range(n)]:
+        if r == 1:
+            terms = [(f, n)]
+        else:
+            terms = [(f * r ** e, 1) for e in range(n)]
+        for v, m in terms:
             if room <= 0:
                 return out
             if m:
@@ -306,6 +314,13 @@ def _assemble_weights(layout: BlockLayout) -> WeightSequence:
     })
 
 
+def build_of(weights: WeightSequence) -> BlockBuild:
+    """The BlockBuild whose table the weights are (a blocks:<J> weight)."""
+    if "layout" not in weights.params:
+        raise InvalidSpecError("density works on the synthesized block weights (blocks:<J>)")
+    return BlockBuild(weights.params["layout"], weights)
+
+
 def orbit_segments(build: BlockBuild, direction: str) -> list:
     """Raw-product route, independent of the closed forms: the witness orbit
     norms, n = 1..t_max, as segments formed from the weight runs the orbit
@@ -325,12 +340,13 @@ def orbit_segments(build: BlockBuild, direction: str) -> list:
 
 def norm_runs(build: BlockBuild, direction: str, n_max: Optional[int] = None) -> list:
     """(value, length) runs of orbit_segments(build, direction) for
-    n = 1..n_max (default t_max).  Past t_max the orbit leaves the table,
-    which raises the table's UndefinedWeightError."""
+    n = 1..n_max (default t_max).  Past t_max the orbit leaves the table:
+    UndefinedWeightError, as the table itself raises."""
     t_max = build.layout.t_max
     n_max = t_max if n_max is None else n_max
     if n_max > t_max:
-        build.weights.value(-t_max - 1 if direction == "backward" else t_max + 2)
+        j = -t_max - 1 if direction == "backward" else t_max + 2
+        raise UndefinedWeightError(f"weight table spans [{-t_max}, {t_max + 1}], got {j}")
     return _value_runs(orbit_segments(build, direction), n_max)
 
 
@@ -340,10 +356,14 @@ def _first_below(runs, c, lo: int, hi: int) -> Optional[int]:
     n0, acc = 0, Fraction(0)  # acc = norm_1 + ... + norm_n0
     for v, m in runs:
         a, b = max(lo, n0 + 1), min(hi, n0 + m)
-        gap = acc + v * (a - n0) - c * a
-        # the gap falls by c - v per step: negative at a, or first negative at
-        # a + gap // (c - v) + 1 if that is still in the run
-        n = a if gap < 0 else a + gap // (c - v) + 1 if v < c else b + 1
+        gap = acc + v * (a - n0) - c * a  # sum minus c * n at n = a
+        if gap < 0:
+            n = a
+        elif v < c:
+            # the gap falls by c - v per step, so it first goes negative here
+            n = a + gap // (c - v) + 1
+        else:
+            n = b + 1  # the gap does not fall inside this run
         if n <= b:
             return n
         n0, acc = n0 + m, acc + v * m
@@ -362,7 +382,9 @@ def _first_other(runs, value, lo: int, hi: int) -> Optional[int]:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Exact re-verification of eq1..eq4 against weight products."""
+    """Exact re-verification of eq1..eq4 against weight products.  The products
+    are formed from the layout's weight runs; the weight table is checked
+    against those runs at each run's ends and in size."""
 
     j_max: int
     closed_form_matches_products: bool
@@ -417,6 +439,11 @@ def verify_inequalities(build: BlockBuild) -> AuditReport:
     matches = canonical == _canonical(closed)
     if not matches:
         violations.append("closed-form norms disagree with raw products")
+    table = build.weights.params["table"]
+    if len(table) != 2 * layout.t_max + 2 or any(
+            table.get(start) != v or table.get(start + n - 1) != v
+            for start, n, v in layout.weight_runs() if n):
+        violations.append("weight table disagrees with its runs")
 
     eq1: dict = {}
     eq2: dict = {}
@@ -426,13 +453,16 @@ def verify_inequalities(build: BlockBuild) -> AuditReport:
         need = 1 - Fraction(1, j)
         head = _value_runs(backward, p.s)
         card1 = sum(n for v, n in head if v <= Fraction(1, j + 1))
-        card3 = sum(n for v, n in _value_runs(backward, p.t) if v >= j + 1)
-        for eq, card, n in ((eq1, card1, p.s), (eq3, card3, p.t)):
-            eq[j] = {"card": card, "ratio": str(Fraction(card, n)), "ok": Fraction(card, n) >= need}
+        ratio1 = Fraction(card1, p.s)
+        eq1[j] = {"card": card1, "ratio": str(ratio1), "ok": ratio1 >= need}
         lhs2 = sum(v * n for v, n in head) / (p.s + 4 * p.r)
         eq2[j] = {"value": str(lhs2), "ok": lhs2 >= j + 1}
-        violations += [f"eq{i} fails at j={j}" for i, eq in enumerate((eq1, eq2, eq3), 1)
-                       if not eq[j]["ok"]]
+        card3 = sum(n for v, n in _value_runs(backward, p.t) if v >= j + 1)
+        ratio3 = Fraction(card3, p.t)
+        eq3[j] = {"card": card3, "ratio": str(ratio3), "ok": ratio3 >= need}
+        for i, eq in enumerate((eq1, eq2, eq3), 1):
+            if not eq[j]["ok"]:
+                violations.append(f"eq{i} fails at j={j}")
 
     runs = _value_runs(backward)
     eq4_first = None
@@ -555,6 +585,7 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
 
     for t in ts:
         per_j = products[t]
+        schedules[t] = []
         for j in per_j:
             # inverse products q_j(t) = 1/|w_{t+1}...w_{t+n_j}| must equal the
             # mirrored products p_j(-t) by the reversed-reciprocal symmetry
@@ -565,7 +596,6 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
         if len(per_j) < 2:
             # convergence along j is not observable yet at this build size
             hyperbolic[t] = False
-            schedules[t] = []
             skipped.append(t)
             continue
         c_set = {v * (j + 1) for j, v in per_j.items()}
@@ -573,7 +603,6 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
         if not hyperbolic[t]:
             violations.append(f"shifted products at t={t} not of the form c/(j+1)")
             certified = False
-            schedules[t] = []
             continue
         c = c_set.pop()
         c_values[t] = c
@@ -582,11 +611,12 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
         if not decreasing:
             violations.append(f"shifted products at t={t} not strictly decreasing")
             certified = False
-        schedules[t] = []
         for tau in thresholds:
             measured = next((j for j in sorted(per_j) if per_j[j] <= tau), None)
-            # else p_j = c/(j+1) <= tau  <=>  j >= c/tau - 1 (> 1), from the exact form
-            first_j = math.ceil(c / tau - 1) if measured is None else measured
+            first_j = measured
+            if measured is None:
+                # p_j = c/(j+1) <= tau  <=>  j >= c/tau - 1, from the exact form
+                first_j = math.ceil(c / tau - 1)
             schedules[t].append({"threshold": str(tau), "first_j": first_j,
                                  "extrapolated": measured is None})
 

@@ -17,7 +17,7 @@ import click
 
 from . import __version__
 from .algebra import run_props_suite
-from .blocks import (BlockBuild, SearchCapExceeded, build_blocks, hypercyclicity_witness,
+from .blocks import (SearchCapExceeded, build_blocks, build_of, hypercyclicity_witness,
                      verify_inequalities)
 from .criteria import HorizonConfig, check_criterion, hierarchy_audit
 from .density import density_rows, distributional_report
@@ -235,10 +235,7 @@ def orbit(space_text, weights_text, side, vector, n_range, k_range, fmt, out, no
 def density(weights_text, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_timestamp):
     """Per-step norms, running averages, and counting ratios for the witness
     orbits of the block construction."""
-    weights = _load_weights(weights_text)
-    if "layout" not in weights.params:
-        raise InvalidSpecError("density works on the synthesized block weights (blocks:<J>)")
-    build = BlockBuild(weights.params["layout"], weights)
+    build = build_of(_load_weights(weights_text))
     n_horizon = build.layout.t_max if n_horizon is None else n_horizon
     taus = ([Fraction(t) for t in tau_grid.split(",")] if tau_grid
             else [Fraction(1, j + 1) for j in range(1, build.j_max + 1)])

@@ -184,7 +184,6 @@ def _first_crossings(values: np.ndarray, m_grid: Sequence,
     """First n (1-based) with values[n-1] >= log2(M), restricted to usable
     steps; certified when every threshold crosses."""
     crossings = []
-    all_crossed = True
     for m, lm in zip(m_grid, _grid_log2(m_grid)):
         mask = values >= lm - CROSS_EPS
         if usable is not None:
@@ -192,9 +191,7 @@ def _first_crossings(values: np.ndarray, m_grid: Sequence,
         hit = np.nonzero(mask)[0]
         first = int(hit[0]) + 1 if hit.size else None
         crossings.append(Crossing(float(m), first))
-        if first is None:
-            all_crossed = False
-    return tuple(crossings), all_crossed
+    return tuple(crossings), all(c.first_n is not None for c in crossings)
 
 
 def _clip_n(op: ShiftOperator, cfg: HorizonConfig, need_lo, need_hi) -> int:
@@ -255,9 +252,7 @@ def _avg_bound_attestation(op: ShiftOperator, terms: np.ndarray) -> Optional[tup
     (nonincreasing profile) or strictly inside the window (unimodal peak).
     """
     pair = (op.space.matrix.tail_tag, op.weights.tail_tag)
-    if pair not in _AVG_ATTESTABLE_PAIRS:
-        return None
-    if terms.size == 0:
+    if pair not in _AVG_ATTESTABLE_PAIRS or terms.size == 0:
         return None
     arg = int(np.argmax(terms))
     if arg == terms.size - 1:
@@ -487,15 +482,13 @@ def _ue_property_for_k(op: ShiftOperator, k: int, prop: str, cfg: HorizonConfig,
             return None
     for level in range(k, cfg.l_max + 1):
         all_crossings = []
-        ok = True
         for split, form in parts:
             curve, usable = _ue_curve(op, k, level, split, form, cfg, n_eff)
             crossings, certified = _first_crossings(curve, cfg.m_grid, usable)
             all_crossings.append((split, crossings))
             if not (certified and attestation is not None):
-                ok = False
                 break
-        if ok:
+        else:
             return level, all_crossings
     return None
 

@@ -178,7 +178,8 @@ def density_rows(build: BlockBuild, vector: str, n_horizon: int, taus, kays) -> 
     counts = [0] * (len(taus) + len(kays))
     total, n, rows = 0, 0, []
     for v, m in runs:
-        norm_log2, step = repr(log2_exact(v)), v.numerator * (lcm // v.denominator)
+        norm_log2 = repr(log2_exact(v))
+        step = v.numerator * (lcm // v.denominator)  # v = step / lcm
         flags = [v <= t for t in taus] + [v >= K for K in kays]
         for n in range(n + 1, n + m + 1):
             total += step

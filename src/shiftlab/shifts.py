@@ -209,8 +209,6 @@ class ShiftOperator:
 
 def weight_product(w: WeightSequence, lo: int, hi: int) -> Fraction:
     """prod of w(j) over the integer interval [lo, hi]; empty product is 1."""
-    if lo > hi:
-        return Fraction(1)
     out = Fraction(1)
     for j in range(lo, hi + 1):
         out *= w.value(j)

@@ -300,9 +300,9 @@ def seminorm(x: SparseVector, k: int, space: SpaceSpec):
         return Fraction(0)
     if space.p == 0:
         return max(terms)
-    if space.p == 1 or len(terms) == 1:
-        if space.p == 1:
-            return sum(terms, Fraction(0))
+    if space.p == 1:
+        return sum(terms, Fraction(0))
+    if len(terms) == 1:
         # single coordinate: (|a x|^p)^(1/p) == |a x| exactly
         return terms[0]
     powed = [log2_exact(t) * space.p for t in terms if t != 0]

@@ -23,6 +23,8 @@ from shiftlab.blocks import (
 )
 from shiftlab.density import _run_density, cesaro_trace, distributional_report, upper_density
 from shiftlab.reporting import canonical_json
+from shiftlab.shifts import UndefinedWeightError, WeightSequence, parse_weights
+from shiftlab.spaces import InvalidSpecError
 
 F = Fraction
 J_VALUES = (1, 2, 3, 4)
@@ -107,8 +109,42 @@ def test_cesaro_trace_equals_per_index_route(j_max, side):
 def test_orbit_past_the_table_raises_the_table_error():
     b = build(2)
     for direction, index in (("backward", -173), ("forward", 174)):
-        with pytest.raises(KeyError, match=f"got {index}"):
+        with pytest.raises(UndefinedWeightError) as table_error:
+            b.weights.value(index)
+        with pytest.raises(UndefinedWeightError) as orbit_error:
             norm_runs(b, direction, 173)
+        assert str(orbit_error.value) == str(table_error.value)
+
+
+def _tampered(b, changes):
+    table = dict(b.weights.params["table"])
+    for j, v in changes.items():
+        if v is None:
+            del table[j]
+        else:
+            table[j] = v
+    weights = WeightSequence("table", dict(b.weights.params, table=table))
+    return blocks.BlockBuild(b.layout, weights)
+
+
+@pytest.mark.parametrize("j_max", (2, 3))
+def test_audit_checks_the_table_against_its_runs(j_max):
+    b = build(j_max)
+    assert verify_inequalities(b).all_passed
+    runs = b.layout.weight_runs()
+    start, n, v = runs[len(runs) // 2]
+    for changes in ({start: v * 2}, {start + n - 1: v / 2}, {start + n - 1: None},
+                    {b.layout.t_max + 2: F(1)}):
+        audit = verify_inequalities(_tampered(b, changes))
+        assert audit.violations == ("weight table disagrees with its runs",)
+
+
+def test_build_of_recovers_the_build_from_its_weights():
+    b = build(3)
+    assert blocks.build_of(b.weights) == b
+    assert blocks.build_of(parse_weights("blocks:3")).layout == b.layout
+    with pytest.raises(InvalidSpecError, match="blocks:<J>"):
+        blocks.build_of(parse_weights("constant:2"))
 
 
 # ---------------------------------------------------------------------------
