@@ -5,14 +5,17 @@ against the per-index reference route kept in tests/block_oracle.py.
 Layers, at J = 4 and J = 5: build_blocks, verify_inequalities (audit),
 hypercyclicity_witness, distributional_report and the density CSV rows
 (density_rows, e_{-1} orbit, default thresholds, horizon min(t_J, 200 000)
-so that the row lists stay a few hundred MB at J = 5).  The run route is the
-best of 3 calls; the reference route runs once (minutes at J = 5).
+so that the reference route's row list stays a few hundred MB at J = 5; the
+run route's rows are consumed one at a time, as the CLI writes them).  The
+run route is the best of 3 calls; the reference route runs once (minutes at
+J = 5).
 
 Run:  PYTHONPATH=src python benchmarks/bench_blocks.py
 """
 
 import sys
 import time
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,7 +52,7 @@ def layers(j_max):
          lambda: block_oracle.hypercyclicity_witness(build)),
         ("distributional_report", lambda: distributional_report(build),
          lambda: block_oracle.distributional_report(build)),
-        (f"csv rows (n={n:,})", lambda: density_rows(build, "e:-1", n, taus, kays),
+        (f"csv rows (n={n:,})", lambda: deque(density_rows(build, "e:-1", n, taus, kays), 0),
          lambda: block_oracle.density_csv_rows(build, "e:-1", n, taus, kays)),
     ]
 

@@ -212,7 +212,7 @@ def orbit(space_text, weights_text, side, vector, n_range, k_range, fmt, out, no
         rows.append(row)
     header = ["n"] + [f"log2_norm_k{k}" for k in ks]
     if fmt == "csv":
-        _emit(out, write_csv(header, rows))
+        write_csv(out, header, rows)
         return
     config = {"space": space_to_json(space), "weights": weights_to_json(weights),
               "side": side, "vector": vector, "n": n_range, "k": k_range}
@@ -251,7 +251,7 @@ def density(weights_text, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_
 
     header = (["n", "norm_log2", "running_average"]
               + [f"ratio_small({t})" for t in taus] + [f"ratio_large({K})" for K in kays])
-    _emit(out, write_csv(header, density_rows(build, vector, n_horizon, taus, kays)))
+    write_csv(out, header, density_rows(build, vector, n_horizon, taus, kays))
 
 
 @cli.command()

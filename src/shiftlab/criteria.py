@@ -391,6 +391,24 @@ def _split_window(op: ShiftOperator, split: str, cfg: HorizonConfig):
     raise ValueError(split)
 
 
+# the last interior curves, oldest evicted first (README, "Log lane": why grids repeat)
+_CURVE_MEMO_SIZE = 16
+_curve_memo: dict = {}
+
+
+def _interior_curve(g, h, trimmed, n_eff: int) -> np.ndarray:
+    """window_inf_curve(g, h, trimmed, n_eff)'s curve, read-only."""
+    key = (n_eff, g.tobytes(), h.tobytes(), trimmed.tobytes())
+    curve = _curve_memo.get(key)
+    if curve is None:
+        curve = _kernels.window_inf_curve(g, h, trimmed, n_eff)[0]
+        curve.flags.writeable = False
+        if len(_curve_memo) >= _CURVE_MEMO_SIZE:
+            del _curve_memo[next(iter(_curve_memo))]
+        _curve_memo[key] = curve
+    return curve
+
+
 def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
               cfg: HorizonConfig, n_eff: int):
     """Window-infimum curve for the A-form or B-form ratio on one split.
@@ -401,6 +419,9 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     Returns (curve, usable) where usable marks steps at which removing the
     tail-edge candidates does not change the infimum (the window value is
     then a true infimum for attested ratio profiles).
+
+    The interior curve is memoized whole (no early exit), keyed by n_eff and
+    the bytes of g, h and trimmed: a repeat is swept once, bitwise equal.
     """
     m = op.space.matrix
     w = op.weights
@@ -447,7 +468,7 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     hi_edge = nz[-1] if "hi" in edges and nz[-1] != lo_edge else None
     trimmed = valid.copy()
     trimmed[[j for j in (lo_edge, hi_edge) if j is not None]] = False
-    interior = _kernels.window_inf_curve(g, h, trimmed, n_eff)[0]  # +inf if empty
+    interior = _interior_curve(g, h, trimmed, n_eff)  # +inf if empty
     curve = interior.copy()
     # the low edge precedes every interior index, so it wins a tie; the high
     # edge follows them and loses it

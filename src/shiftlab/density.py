@@ -14,7 +14,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .blocks import BlockBuild, norm_runs
 from .scalars import log2_exact
@@ -168,15 +168,19 @@ def cesaro_trace(build: BlockBuild, vector: str = "e-1-forward",
     return ExactTrace(f"cesaro:{vector}:{side}", tuple(out), n_max)
 
 
-def density_rows(build: BlockBuild, vector: str, n_horizon: int, taus, kays) -> list:
+def density_rows(build: BlockBuild, vector: str, n_horizon: int, taus, kays) -> Iterator[list]:
     """Rows n, log2 norm, running average and the counting ratios of the
-    small- and large-norm sets, for n = 1..n_horizon.  The running sum is
-    N / L with L the lcm of the norms' denominators, so N / (L * n) is
+    small- and large-norm sets, for n = 1..n_horizon, made as they are read
+    (a horizon past the table's reach raises at the call).  The running sum
+    is N / L with L the lcm of the norms' denominators, so N / (L * n) is
     float(sum / n) from one correctly rounded integer division."""
-    runs = norm_runs(build, _orbit(vector), n_horizon)
+    return _rows(norm_runs(build, _orbit(vector), n_horizon), taus, kays)
+
+
+def _rows(runs, taus, kays) -> Iterator[list]:
     lcm = math.lcm(*(v.denominator for v, _ in runs))
     counts = [0] * (len(taus) + len(kays))
-    total, n, rows = 0, 0, []
+    total, n = 0, 0
     for v, m in runs:
         norm_log2 = repr(log2_exact(v))
         step = v.numerator * (lcm // v.denominator)  # v = step / lcm
@@ -184,5 +188,4 @@ def density_rows(build: BlockBuild, vector: str, n_horizon: int, taus, kays) -> 
         for n in range(n + 1, n + m + 1):
             total += step
             counts = [c + f for c, f in zip(counts, flags)]
-            rows.append([n, norm_log2, repr(total / (lcm * n))] + [repr(c / n) for c in counts])
-    return rows
+            yield [n, norm_log2, repr(total / (lcm * n))] + [repr(c / n) for c in counts]

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import csv
 import datetime
-import io
 import json
+import sys
+from contextlib import nullcontext
 from fractions import Fraction
+from typing import Iterable, Optional
 
 from . import __version__
 
@@ -43,10 +45,10 @@ def envelope(command: str, config: dict, payload: dict, timestamp: bool = True) 
     return out
 
 
-def write_csv(header: list[str], rows: list[list]) -> str:
-    """RFC-4180 text: CRLF line ends, minimal quoting, mandatory header."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def write_csv(out_path: Optional[str], header: list[str], rows: Iterable[list]) -> None:
+    """RFC-4180 text into the file out_path, or stdout if None: CRLF line
+    ends, minimal quoting, mandatory header.  Rows are written as read."""
+    with open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout) as stream:
+        writer = csv.writer(stream, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)

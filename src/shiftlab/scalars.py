@@ -135,10 +135,10 @@ class Log2Memo:
             out = self._logs[x] = log2_exact(x)
         return out
 
-    def array(self, values: Iterable[ExactLike]) -> np.ndarray:
+    def array(self, values: Iterable[ExactLike], reciprocal: bool = False) -> np.ndarray:
         codes: dict = {}
         idx = [codes.setdefault(v, len(codes)) for v in values]
-        logs = np.array([self.of(v) for v in codes], dtype=np.float64)
+        logs = np.array([self.of(1 / v if reciprocal else v) for v in codes], dtype=np.float64)
         return logs[np.array(idx, dtype=np.intp)]
 
 

@@ -122,12 +122,14 @@ class WeightSequence:
         return self._log2_cache.window(lo, hi, self._log2_fill)
 
     def _log2_fill(self, lo: int, hi: int) -> np.ndarray:
-        if self.family == "constant":
-            return np.full(hi - lo + 1, self._log2_memo.of(self.params["value"]))
-        values = (self.value(j) for j in range(lo, hi + 1))
-        if self._repeating:
-            return self._log2_memo.array(values)
+        if self.tail_tag == "constant":  # a constant or its dual
+            return np.full(hi - lo + 1, self._log2_memo.of(self.value(lo)))
+        if self._repeating:  # code the (base) values: one reciprocal per distinct value
+            dual = self.family == "dual"
+            w, s = (self.params["base"], self.params["shift"]) if dual else (self, 0)
+            return self._log2_memo.array(map(w.value, range(lo + s, hi + s + 1)), reciprocal=dual)
         # closed forms (geometric, dual of one): a new value at almost every index
+        values = map(self.value, range(lo, hi + 1))
         return np.fromiter(map(log2_exact, values), dtype=np.float64, count=hi - lo + 1)
 
     @property

@@ -327,13 +327,17 @@ class TestDensity:
                                                                [Fraction(1, 2), Fraction(1, 3)])))
         assert json.loads(out)["report"] == want
 
-    def test_horizon_past_table_reach_is_input_error(self, capsys):
+    def test_horizon_past_table_reach_is_input_error(self, capsys, tmp_path):
+        # rejected before any output: no CSV header on stdout, no --out file
+        out_file = tmp_path / "rows.csv"
         for fmt, message in (("csv", "error: 'weight table spans [-172, 173], got -173'\n"),
                              ("json", "error: horizon 999 exceeds the table reach 172\n")):
-            code, _, err = run(capsys, "density", "--weights", "blocks:2", "--n", "999",
-                               "--format", fmt)
-            assert code == EXIT_USAGE
-            assert err == message
+            for extra in ((), ("--out", str(out_file))):
+                code, out, err = run(capsys, "density", "--weights", "blocks:2", "--n", "999",
+                                     "--format", fmt, *extra)
+                assert code == EXIT_USAGE
+                assert (out, err) == ("", message)
+                assert not out_file.exists()
 
 
     def test_blocks_shorthand_error_names_the_form(self, capsys):

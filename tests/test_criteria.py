@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -516,3 +520,139 @@ class TestUeCurveSinglePass:
         for split, form in (("Z", "A"), ("Z", "B"), ("N", "A"), ("N", "B")):
             curve, usable = _ue_curve(op, 1, 2, split, form, self.CFG, 30)
             assert np.all(np.isfinite(curve)) and not usable.any()
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """An empty curve memo, and the list of kernel calls made through it."""
+    from shiftlab import _kernels, criteria
+
+    calls = []
+    real = _kernels.window_inf_curve
+
+    def counted(g, h, valid, n_max):
+        calls.append(n_max)
+        return real(g, h, valid, n_max)
+
+    monkeypatch.setattr(criteria, "_curve_memo", {})
+    monkeypatch.setattr(_kernels, "window_inf_curve", counted)
+    return calls
+
+
+def _grid(n_eff=6, width=9, seed=0):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=width + n_eff)
+    h = rng.normal(size=width)
+    return g, h, np.ones(width, dtype=bool)
+
+
+class TestCurveMemo:
+    """_ue_curve sweeps each byte-distinct interior grid once; hits must be
+    bitwise what the kernel returns and must not depend on call order."""
+
+    CFG = HorizonConfig(n_max=40, window=12, m_grid=(1,), k_max=2)
+
+    @pytest.mark.parametrize("space", [("lp_Z", 2), ("s_Z",), ("c0_Z",)])
+    def test_warm_memo_matches_cold(self, cold_memo, space):
+        from shiftlab.criteria import _ue_curve
+
+        op = ShiftOperator("forward", constant_weights(F(5, 2)), preset(*space))
+        args = [(k, level, split, form) for k, level in ((1, 1), (1, 2))
+                for split in ("Z", "N", "-N") for form in ("A", "B")]
+        cold = [_ue_curve(op, *a, self.CFG, 30) for a in args]
+        swept = len(cold_memo)
+        warm = [_ue_curve(op, *a, self.CFG, 30) for a in args]
+        assert len(cold_memo) == swept  # 12 grids fit in the memo: all hits
+        for (c_curve, c_usable), (w_curve, w_usable) in zip(cold, warm):
+            assert w_curve.tobytes() == c_curve.tobytes()
+            assert np.array_equal(w_usable, c_usable)
+
+    def test_level_independent_rows_share_one_sweep(self, cold_memo):
+        from shiftlab.criteria import _ue_curve
+
+        op = ShiftOperator("forward", constant_weights(2), preset("lp_Z", 2))
+        for k, level in ((1, 1), (1, 2), (2, 2), (2, 3)):
+            _ue_curve(op, k, level, "Z", "A", self.CFG, 30)
+        assert len(cold_memo) == 1
+
+    def test_hits_are_read_only_and_unaffected_by_copies(self, cold_memo):
+        from shiftlab import _kernels
+        from shiftlab.criteria import _interior_curve, _ue_curve
+
+        g, h, valid = _grid()
+        first = _interior_curve(g, h, valid, 6)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        mine = first.copy()
+        mine[:] = 7.0
+        again = _interior_curve(g, h, valid, 6)
+        assert len(cold_memo) == 1
+        assert again.tobytes() == _kernels.window_inf_curve(g, h, valid, 6)[0].tobytes()
+        op = ShiftOperator("forward", constant_weights(2), preset("s_Z"))
+        curve, usable = _ue_curve(op, 1, 2, "Z", "A", self.CFG, 30)
+        want = curve.tobytes(), usable.tobytes()
+        curve[:], usable[:] = 0.0, False
+        curve, usable = _ue_curve(op, 1, 2, "Z", "A", self.CFG, 30)
+        assert (curve.tobytes(), usable.tobytes()) == want
+
+    def test_byte_distinct_inputs_miss(self, cold_memo):
+        from shiftlab import _kernels
+        from shiftlab.criteria import _interior_curve
+
+        g, h, valid = _grid()
+        h[4] = 0.0
+        _interior_curve(g, h, valid, 6)
+        negative_zero = h.copy()
+        negative_zero[4] = -0.0
+        _interior_curve(g, negative_zero, valid, 6)
+        assert len(cold_memo) == 2
+        holed = valid.copy()
+        holed[5] = False
+        got = _interior_curve(g, h, holed, 6)
+        assert len(cold_memo) == 3
+        _interior_curve(g, h, valid, 5)
+        assert len(cold_memo) == 4
+        assert got.tobytes() == _kernels.window_inf_curve(g, h, holed, 6)[0].tobytes()
+
+    def test_memo_is_bounded_and_evicts_the_oldest(self, cold_memo):
+        from shiftlab import criteria
+
+        bound = criteria._CURVE_MEMO_SIZE
+        grids = [_grid(seed=s) for s in range(bound + 3)]
+        for grid in grids:
+            criteria._interior_curve(*grid, 6)
+            assert len(criteria._curve_memo) <= bound
+        assert len(cold_memo) == bound + 3
+        criteria._interior_curve(*grids[-1], 6)  # newest: a hit
+        assert len(cold_memo) == bound + 3
+        criteria._interior_curve(*grids[0], 6)  # oldest: evicted, swept again
+        assert len(cold_memo) == bound + 4
+
+    def test_reports_do_not_depend_on_run_order(self, tmp_path):
+        from shiftlab.cli import EXIT_OK, main
+
+        args = ["check", "--weights", "constant:2", "--criterion", "ue", "--n-max", "64",
+                "--window", "32", "--m-grid", "1,2,4,16", "--no-timestamp"]
+        spaces = ("lp_Z:2", "c0_Z", "halfline_Z")  # lp_Z and c0_Z sweep the same grids
+        for space in spaces:
+            out = tmp_path / f"fresh-{space}.json"
+            _python("-m", "shiftlab.cli", *args, "--space", space, "--out", str(out))
+        for order in (spaces, spaces[::-1]):
+            for space in order:
+                out = tmp_path / "in-process.json"
+                assert main(args + ["--space", space, "--out", str(out)]) == EXIT_OK
+                assert out.read_bytes() == (tmp_path / f"fresh-{space}.json").read_bytes()
+
+
+def _python(*args) -> str:
+    """stdout of a fresh interpreter that imports shiftlab from src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src}).stdout
+
+
+def test_cli_import_loads_no_hashlib():
+    # the curve memo keys on raw bytes; hashlib would load OpenSSL (+4 MiB RSS)
+    code = "import sys, shiftlab.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    assert _python("-c", code).strip() == "[]"

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from shiftlab.blocks import build_blocks
 from shiftlab.criteria import _avg_term_logs
-from shiftlab.scalars import ZERO_LOG2
+from shiftlab.scalars import ZERO_LOG2, log2_exact
 from shiftlab.shifts import (
     ShiftOperator,
     UndefinedWeightError,
@@ -170,6 +170,34 @@ class TestLog2Cache:
         v, u = constant_weights(2), constant_weights(2)
         v.log2_window(0, 5)
         assert v == u
+
+
+# bases of the dual weights whose log2 windows convert each distinct base
+# value once: constants, tables with either tail, the block table
+DUAL_BASES = {
+    "constant:2": lambda: constant_weights(2),
+    "constant:1/2": lambda: constant_weights(F(1, 2)),
+    "table-error": lambda: table_weights(_weight_table(-25, 25)),
+    "table-hold": lambda: table_weights(_weight_table(-25, 25), tail="hold"),
+    "blocks:3": lambda: build_blocks(3).weights,
+}
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+@pytest.mark.parametrize("name", sorted(DUAL_BASES))
+def test_dual_windows_match_per_index_values(name, shift):
+    base = DUAL_BASES[name]()
+    lo, hi = base.params.get("lo", -25) - shift, base.params.get("hi", 25) - shift
+    for a, b in ((lo - 3, lo + 3), (hi - 3, hi + 3), (lo - 1, hi + 1), (lo, hi), (hi + 2, hi + 9)):
+        w = WeightSequence("dual", {"base": base, "shift": shift})
+        try:
+            want = np.array([log2_exact(w.value(j)) for j in range(a, b + 1)])
+        except UndefinedWeightError as exc:
+            with pytest.raises(UndefinedWeightError) as got:
+                w.log2_window(a, b)
+            assert str(got.value) == str(exc)
+            continue
+        assert w.log2_window(a, b).tobytes() == want.tobytes(), (a, b)
 
 
 def _avg_term_logs_loop(op, k, branch, n_eff):
