@@ -22,22 +22,20 @@ counts and sums are exact rationals; nothing here touches floating point.
 All of it works on runs, not per index: (value, length) weight runs, and
 orbit norms as geometric segments (first, ratio, length), compared as maximal
 segments and counted, summed and bounded at the ends of constant runs.
-Shifted products add the dyadic weights as one integer exponent of 2.  The
-weight table is filled from the weight runs and audited against them at run
-ends.  The per-index raw-product route is the reference in
-tests/block_oracle.py.
+The weight table is held as the layout's nonempty weight runs and audited
+against them, run by run.  The per-index raw-product route is the reference
+in tests/block_oracle.py.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from fractions import Fraction
 from typing import Optional
 
 from .spaces import InvalidSpecError
-from .shifts import UndefinedWeightError, WeightSequence
+from .shifts import UndefinedWeightError, WeightSequence, weight_product
 
 __all__ = [
     "AuditReport",
@@ -124,7 +122,7 @@ class BlockLayout:
                 [(half, 2 * k), (one, 1), (two, 2 * k - 1), (high, 1), (one, 2 ** k - 1)])
 
     def weight_runs(self) -> list:
-        """(start, length, value) runs of the weight table, by position: left
+        """Nonempty (start, length, value) runs of the weights, by position: left
         of I, A_j on [-s_j, -(t_{j-1}+1)] and B_j on [-t_j, -(s_j+1)], both
         written left to right; right of I, C_j on [t_{j-1}+2, s_j+1] and B_j
         on [s_j+2, t_j+1]."""
@@ -135,14 +133,15 @@ class BlockLayout:
         runs = []
         for start, template in sorted(placed, key=lambda at: at[0]):
             for v, n in template:
-                runs.append((start, n, v))
+                if n:
+                    runs.append((start, n, v))
                 start += n
         return runs
 
 
 @dataclass(frozen=True)
 class BlockBuild:
-    """Finished construction: layout and assembled weight table."""
+    """Finished construction: layout and weight table."""
 
     layout: BlockLayout
     weights: WeightSequence
@@ -302,16 +301,12 @@ def _search_i(j: int, i_prev: int, r: int, runs: list, s_j: int) -> int:
 
 
 def _assemble_weights(layout: BlockLayout) -> WeightSequence:
-    """The weight table, filled from layout.weight_runs().  It carries the
+    """The weight table: the runs of layout.weight_runs().  It carries the
     layout, so BlockBuild(layout, weights) and the blocks wire form can be
     recovered from the weights alone."""
-    table: dict[int, Fraction] = {}
-    for start, n, v in layout.weight_runs():
-        table.update(zip(range(start, start + n), repeat(v)))
     t_max = layout.t_max
-    return WeightSequence("table", {
-        "table": table, "tail": "error", "lo": -t_max, "hi": t_max + 1, "layout": layout,
-    })
+    return WeightSequence("table", {"runs": tuple(layout.weight_runs()), "tail": "error",
+                                    "lo": -t_max, "hi": t_max + 1, "layout": layout})
 
 
 def build_of(weights: WeightSequence) -> BlockBuild:
@@ -383,8 +378,8 @@ def _first_other(runs, value, lo: int, hi: int) -> Optional[int]:
 @dataclass(frozen=True)
 class AuditReport:
     """Exact re-verification of eq1..eq4 against weight products.  The products
-    are formed from the layout's weight runs; the weight table is checked
-    against those runs at each run's ends and in size."""
+    are formed from the layout's weight runs; the weight table's runs are
+    checked against those runs."""
 
     j_max: int
     closed_form_matches_products: bool
@@ -439,10 +434,7 @@ def verify_inequalities(build: BlockBuild) -> AuditReport:
     matches = canonical == _canonical(closed)
     if not matches:
         violations.append("closed-form norms disagree with raw products")
-    table = build.weights.params["table"]
-    if len(table) != 2 * layout.t_max + 2 or any(
-            table.get(start) != v or table.get(start + n - 1) != v
-            for start, n, v in layout.weight_runs() if n):
+    if build.weights.params["runs"] != tuple(layout.weight_runs()):
         violations.append("weight table disagrees with its runs")
 
     eq1: dict = {}
@@ -521,21 +513,6 @@ class HypercyclicityAudit:
         }
 
 
-def _window_product(runs, lo: int, hi: int) -> Fraction:
-    """w_lo ... w_hi from the (start, length, value) weight runs: the powers of
-    two add up as one integer exponent, the other weights multiply exactly."""
-    exp, rest = 0, Fraction(1)
-    for start, n, v in runs:
-        m = min(hi, start + n - 1) - max(lo, start) + 1
-        if m > 0:
-            num, den = v.numerator, v.denominator
-            if num & (num - 1) or den & (den - 1):
-                rest *= v ** m
-            else:
-                exp += m * (num.bit_length() - den.bit_length())
-    return rest * Fraction(2) ** exp
-
-
 def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
                            thresholds: Optional[list] = None) -> HypercyclicityAudit:
     """Audit the transitivity witness sequence n_j = t_{j-1} + 4k_j + 2**(k_j-1).
@@ -552,7 +529,7 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
         thresholds = [Fraction(1, 2 ** m) for m in range(0, 11)]
     layout = build.layout
     orbits = [norm_runs(build, "backward"), norm_runs(build, "forward")]
-    weights = layout.weight_runs()
+    weights = build.weights
     violations: list[str] = []
 
     plateau_ok = True
@@ -579,7 +556,7 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
         # the products stay in the unit-weight stretch of the block only for
         # shifts well inside the plateau half-width; the rule depends on |t|,
         # so products[-t] has the same blocks as products[t]
-        products[t] = {j: _window_product(weights, t - layout[j].n_mid + 1, t)
+        products[t] = {j: weight_product(weights, t - layout[j].n_mid + 1, t)
                        for j in range(1, layout.j_max + 1)
                        if abs(t) <= 2 ** (layout[j].k - 1) - 2}
 
@@ -589,7 +566,7 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
         for j in per_j:
             # inverse products q_j(t) = 1/|w_{t+1}...w_{t+n_j}| must equal the
             # mirrored products p_j(-t) by the reversed-reciprocal symmetry
-            q = 1 / _window_product(weights, t + 1, t + layout[j].n_mid)
+            q = 1 / weight_product(weights, t + 1, t + layout[j].n_mid)
             if q != products[-t][j]:
                 inverse_match = False
                 violations.append(f"inverse product mismatch at t={t}, j={j}")

@@ -29,7 +29,6 @@ __all__ = [
     "ExactLike",
     "InvalidSpecError",
     "Log2Cache",
-    "Log2Memo",
     "LogMagnitude",
     "ZERO_LOG2",
     "compensated_sum",
@@ -116,30 +115,6 @@ def log2_exact(x: ExactLike) -> float:
         num <<= 1
         e -= 1
     return e + math.log2(num / den)
-
-
-class Log2Memo:
-    """log2_exact for families whose entries repeat (constants, tables).
-
-    Each distinct value is converted once per memo; an array request gathers
-    the repeats with numpy.  Only for families with few distinct values: the
-    memo holds every value it has seen.
-    """
-
-    def __init__(self):
-        self._logs: dict[Fraction, float] = {}
-
-    def of(self, x: ExactLike) -> float:
-        out = self._logs.get(x)
-        if out is None:
-            out = self._logs[x] = log2_exact(x)
-        return out
-
-    def array(self, values: Iterable[ExactLike], reciprocal: bool = False) -> np.ndarray:
-        codes: dict = {}
-        idx = [codes.setdefault(v, len(codes)) for v in values]
-        logs = np.array([self.of(1 / v if reciprocal else v) for v in codes], dtype=np.float64)
-        return logs[np.array(idx, dtype=np.intp)]
 
 
 class Log2Cache:

@@ -21,20 +21,21 @@ JSON wire forms of a weight sequence (weights_to_json, weights_from_json,
 
 Geometric weights are coef * ratio**j (coef * ratio**|j| with abs_index
 true; default false).  A table's tail "error" (the default) rejects other
-positions, "hold" repeats the edge weights.  The blocks form is the table
-of blocks.build_blocks(j_max), rebuilt on load.
+positions and may leave gaps; "hold" repeats the edge weights and allows no
+gap.  The blocks form is the table of blocks.build_blocks(j_max), rebuilt on
+load.  A table is held as runs of equal weights and written index by index.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .scalars import (Log2Cache, Log2Memo, exact_from_json, exact_to_json, json_field,
-                      log2_exact)
+from .scalars import Log2Cache, exact_from_json, exact_to_json, json_field, log2_exact
 from .spaces import InvalidSpecError, SparseVector, SpaceSpec, scaled_matrix
 
 __all__ = [
@@ -74,17 +75,17 @@ class WeightSequence:
 
     Families: 'constant', 'geometric' (coef * ratio**j, optionally over |j|),
     'table' (finite window, tail rule 'error' or 'hold'), 'dual' (reciprocal
-    reindex of a base sequence).  Table params carry the table's index bounds
-    'lo' and 'hi'; the synthesized block table also carries its
-    blocks.BlockLayout 'layout', and is written as the 'blocks' wire form.
+    reindex of a base sequence).  Table params: 'runs', a sorted tuple of
+    maximal (start, length, value) runs, gaps allowed for the 'error' tail;
+    'tail'; the index bounds 'lo' and 'hi'.  The synthesized block table also
+    carries its blocks.BlockLayout 'layout', and is written as the 'blocks'
+    wire form.
     """
 
     family: str
     params: dict = field(default_factory=dict)
     _log2_cache: Log2Cache = field(default_factory=Log2Cache, init=False, repr=False,
                                    compare=False)
-    _log2_memo: Log2Memo = field(default_factory=Log2Memo, init=False, repr=False,
-                                 compare=False)
 
     def value(self, j: int) -> Fraction:
         fam = self.family
@@ -93,18 +94,49 @@ class WeightSequence:
         if fam == "geometric":
             e = abs(j) if self.params.get("abs_index") else j
             return self.params["coef"] * self.params["ratio"] ** e
-        if fam == "table":
-            table: dict = self.params["table"]
-            if j in table:
-                return table[j]
-            lo, hi = self.params["lo"], self.params["hi"]
-            if self.params.get("tail") == "hold":
-                return table[lo if j < lo else hi]
-            raise UndefinedWeightError(f"weight table spans [{lo}, {hi}], got {j}")
-        if fam == "dual":
-            base: WeightSequence = self.params["base"]
-            return 1 / base.value(j + self.params["shift"])
+        runs = self._runs(j, j)
+        if runs is not None:
+            return runs[0][2]
+        if fam == "dual":  # of a closed form
+            return 1 / self.params["base"].value(j + self.params["shift"])
         raise InvalidSpecError(f"unknown weight family {self.family!r}")
+
+    def _runs(self, lo: int, hi: int) -> Optional[list]:
+        """(start, length, value) runs that cover [lo, hi] exactly, or None for
+        closed forms (geometric weights and their duals); [] if hi < lo.
+
+        Raises UndefinedWeightError at the first index no run or hold tail
+        covers.  A dual maps its base's runs to (start - shift, n, 1/v).
+        """
+        fam = self.family
+        if hi < lo:
+            return []
+        if fam == "constant":
+            return [(lo, hi - lo + 1, self.params["value"])]
+        if fam == "dual":
+            s = self.params["shift"]
+            runs = self.params["base"]._runs(lo + s, hi + s)
+            return None if runs is None else [(a - s, n, 1 / v) for a, n, v in runs]
+        if fam != "table":
+            return None
+        table, t_lo, t_hi = self.params["runs"], self.params["lo"], self.params["hi"]
+        hold = self.params["tail"] == "hold"
+        out, j = [], lo  # j: the first index not yet covered
+        if hold and j < t_lo:
+            j = min(hi, t_lo - 1) + 1
+            out.append((lo, j - lo, table[0][2]))
+        # from the first run that ends at or after j, while the runs meet
+        for start, n, v in table[bisect_right(table, j, key=lambda run: run[0] + run[1]):]:
+            if start > j or j > hi:
+                break
+            end = min(hi, start + n - 1)
+            out.append((j, end - j + 1, v))
+            j = end + 1
+        if j <= hi and not hold:
+            raise UndefinedWeightError(f"weight table spans [{t_lo}, {t_hi}], got {j}")
+        if j <= hi:  # hold tables have no gaps, so j > t_hi here
+            out.append((j, hi - j + 1, table[-1][2]))
+        return out
 
     def log2(self, j: int) -> float:
         return log2_exact(self.value(j))
@@ -114,35 +146,23 @@ class WeightSequence:
 
         Served from one cached float64 array that grows with the index range
         requested, so every weight is converted at most once per sequence;
-        constant and table families, and their duals, convert only
-        their distinct values.  The result is a read-only view into that
-        cache: copy it before writing.  Raises UndefinedWeightError where
-        value() would.
+        constants, tables and their duals convert one value per run.  The
+        result is a read-only view into that cache: copy it before writing.
+        Raises UndefinedWeightError where value() would.
         """
         return self._log2_cache.window(lo, hi, self._log2_fill)
 
     def _log2_fill(self, lo: int, hi: int) -> np.ndarray:
-        if self.tail_tag == "constant":  # a constant or its dual
-            return np.full(hi - lo + 1, self._log2_memo.of(self.value(lo)))
-        if self._repeating:  # code the (base) values: one reciprocal per distinct value
-            dual = self.family == "dual"
-            w, s = (self.params["base"], self.params["shift"]) if dual else (self, 0)
-            return self._log2_memo.array(map(w.value, range(lo + s, hi + s + 1)), reciprocal=dual)
-        # closed forms (geometric, dual of one): a new value at almost every index
-        values = map(self.value, range(lo, hi + 1))
-        return np.fromiter(map(log2_exact, values), dtype=np.float64, count=hi - lo + 1)
-
-    @property
-    def _repeating(self) -> bool:
-        """True for families with few distinct values (constants, tables)."""
-        if self.family == "dual":
-            return self.params["base"]._repeating
-        return self.family in ("constant", "table")
+        runs = self._runs(lo, hi)
+        if runs is None:  # closed forms: a new value at almost every index
+            values = map(self.value, range(lo, hi + 1))
+            return np.fromiter(map(log2_exact, values), dtype=np.float64, count=hi - lo + 1)
+        return np.repeat([log2_exact(v) for _, _, v in runs], [n for _, n, _ in runs])
 
     def defined_range(self) -> Optional[tuple[int, int]]:
         """(lo, hi) for finite tables without a tail rule, None if unbounded."""
         if self.family == "table":
-            if self.params.get("tail") == "hold":
+            if self.params["tail"] == "hold":
                 return None
             return (self.params["lo"], self.params["hi"])
         if self.family == "dual":
@@ -180,11 +200,23 @@ def geometric_weights(coef, ratio, abs_index: bool = False) -> WeightSequence:
 
 
 def table_weights(table: dict, tail: str = "error") -> WeightSequence:
-    frozen = {int(j): _positive(v) for j, v in table.items()}
-    if not frozen:
+    """The table {j: w(j)} as maximal runs; a 'hold' table may have no gap."""
+    if tail not in ("error", "hold"):
+        raise InvalidSpecError(f"weight table tail must be 'error' or 'hold', got {tail!r}")
+    runs: list = []
+    for j, v in sorted((int(j), _positive(v)) for j, v in table.items()):
+        if runs and runs[-1][0] + runs[-1][1] == j and runs[-1][2] == v:
+            runs[-1][1] += 1
+        else:
+            runs.append([j, 1, v])
+    if not runs:
         raise InvalidSpecError("empty weight table")
-    return WeightSequence("table", {"table": frozen, "tail": tail,
-                                    "lo": min(frozen), "hi": max(frozen)})
+    lo, hi = runs[0][0], runs[-1][0] + runs[-1][1] - 1
+    gap = next((a + n for (a, n, _), (b, _, _) in zip(runs, runs[1:]) if a + n < b), None)
+    if tail == "hold" and gap is not None:
+        raise InvalidSpecError(f"hold weight table has no weight at {gap} in [{lo}, {hi}]")
+    return WeightSequence("table", {"runs": tuple(map(tuple, runs)), "tail": tail,
+                                    "lo": lo, "hi": hi})
 
 
 @dataclass(frozen=True)
@@ -210,10 +242,13 @@ class ShiftOperator:
 
 
 def weight_product(w: WeightSequence, lo: int, hi: int) -> Fraction:
-    """prod of w(j) over the integer interval [lo, hi]; empty product is 1."""
+    """prod of w(j) over [lo, hi], one power per run; empty product is 1."""
+    runs = w._runs(lo, hi)
+    if runs is None:  # closed forms: one weight per index
+        runs = [(j, 1, w.value(j)) for j in range(lo, hi + 1)]
     out = Fraction(1)
-    for j in range(lo, hi + 1):
-        out *= w.value(j)
+    for _, n, v in runs:
+        out *= v ** n
     return out
 
 
@@ -504,8 +539,9 @@ def weights_to_json(w: WeightSequence) -> dict:
     if w.family == "table" and "layout" in w.params:
         return {"family": "blocks", "j_max": w.params["layout"].j_max}
     if w.family == "table":
-        return {"family": "table", "tail": w.params.get("tail", "error"),
-                "table": {str(j): exact_to_json(v) for j, v in w.params["table"].items()}}
+        return {"family": "table", "tail": w.params["tail"],
+                "table": {str(j): exact_to_json(v) for start, n, v in w.params["runs"]
+                          for j in range(start, start + n)}}
     raise InvalidSpecError(f"cannot serialize weight family {w.family!r}")
 
 

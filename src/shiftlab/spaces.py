@@ -33,7 +33,6 @@ from . import _kernels
 from .scalars import (
     InvalidSpecError,
     Log2Cache,
-    Log2Memo,
     LogMagnitude,
     ZERO_LOG2,
     exact_from_json,
@@ -81,8 +80,6 @@ class KotheMatrix:
     params: dict = field(default_factory=dict)
     tail_tag: Optional[str] = None
     _log2_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _log2_memo: Log2Memo = field(default_factory=Log2Memo, init=False, repr=False,
-                                 compare=False)
     _log2_half_rows: dict = field(default_factory=dict, init=False, repr=False,
                                   compare=False)
 
@@ -128,9 +125,9 @@ class KotheMatrix:
         use a uniform indexing.  Each level (one for all levels of a constant
         matrix) keeps one cached float64 row that grows with the index range
         requested, so every entry is converted at most once per matrix;
-        constant, half-line and table families convert only their distinct
-        values, and power rows convert a(j, k) = a(-j, k) once.  The result
-        is a read-only view into that cache: copy it before writing.
+        constant rows convert their one value, and power rows convert
+        a(j, k) = a(-j, k) once.  The result is a read-only view into that
+        cache: copy it before writing.
         """
         if k < 1:
             raise ValueError("seminorm level k must be >= 1")
@@ -145,13 +142,10 @@ class KotheMatrix:
             head = np.full(min(hi, 0) - lo + 1, ZERO_LOG2)
             return head if hi < 1 else np.concatenate((head, self._log2_fill(k, 1, hi)))
         if self.family == "constant":
-            return np.full(hi - lo + 1, self._log2_memo.of(self.params["value"]))
+            return np.full(hi - lo + 1, log2_exact(self.params["value"]))
         if self.family == "power":
             return self._log2_power(k, lo, hi)
         entries = (self.entry(j, k) for j in range(lo, hi + 1))
-        if self.family in ("halfline", "table"):
-            return self._log2_memo.array(entries)
-        # closed form (scaled): a new value at almost every index
         return np.fromiter(map(log2_exact, entries), dtype=np.float64, count=hi - lo + 1)
 
     def _log2_power(self, k: int, lo: int, hi: int) -> np.ndarray:
@@ -163,7 +157,7 @@ class KotheMatrix:
         if half is None:
             half = self._log2_half_rows[k] = Log2Cache()
         row = half.window(m_lo, m_hi, lambda a, b: np.fromiter(
-            (log2_exact(self.entry(i, k)) for i in range(a, b + 1)),
+            (log2_exact((i + 1) ** k) for i in range(a, b + 1)),
             dtype=np.float64, count=b - a + 1))
         return row[mags - m_lo]
 

@@ -16,7 +16,14 @@ from typing import Optional
 
 from shiftlab.blocks import AuditReport, HypercyclicityAudit, closed_form_norms
 from shiftlab.density import DensityEstimate
-from shiftlab.shifts import weight_product
+
+
+def weight_product(weights, lo: int, hi: int) -> Fraction:
+    """w(lo) ... w(hi), multiplied one weight at a time."""
+    out = Fraction(1)
+    for j in range(lo, hi + 1):
+        out *= weights.value(j)
+    return out
 
 
 def expand_runs(runs) -> list:

@@ -40,15 +40,17 @@ def build(j_max):
 @pytest.mark.parametrize("j_max", J_VALUES)
 def test_table_entries_equal_their_weight_runs(j_max):
     b = build(j_max)
-    runs = b.layout.weight_runs()
-    table = b.weights.params["table"]
-    position = -b.layout.t_max
-    for start, n, v in runs:
+    t_max = b.layout.t_max
+    position = -t_max
+    for start, n, v in b.layout.weight_runs():
         assert start == position and n > 0  # contiguous, no empty run
-        assert all(table[j] == v for j in range(start, start + n))
+        assert all(b.weights.value(j) == v for j in range(start, start + n))
         position += n
-    assert position == b.layout.t_max + 2
-    assert len(table) == 2 * b.layout.t_max + 2
+    assert position == t_max + 2
+    for j in (-t_max - 1, t_max + 2):
+        with pytest.raises(UndefinedWeightError) as error:
+            b.weights.value(j)
+        assert error.value.args == (f"weight table spans [{-t_max}, {t_max + 1}], got {j}",)
 
 
 @pytest.mark.parametrize("j_max", J_VALUES)
@@ -116,14 +118,8 @@ def test_orbit_past_the_table_raises_the_table_error():
         assert str(orbit_error.value) == str(table_error.value)
 
 
-def _tampered(b, changes):
-    table = dict(b.weights.params["table"])
-    for j, v in changes.items():
-        if v is None:
-            del table[j]
-        else:
-            table[j] = v
-    weights = WeightSequence("table", dict(b.weights.params, table=table))
+def _tampered(b, runs):
+    weights = WeightSequence("table", dict(b.weights.params, runs=tuple(runs)))
     return blocks.BlockBuild(b.layout, weights)
 
 
@@ -131,11 +127,15 @@ def _tampered(b, changes):
 def test_audit_checks_the_table_against_its_runs(j_max):
     b = build(j_max)
     assert verify_inequalities(b).all_passed
-    runs = b.layout.weight_runs()
-    start, n, v = runs[len(runs) // 2]
-    for changes in ({start: v * 2}, {start + n - 1: v / 2}, {start + n - 1: None},
-                    {b.layout.t_max + 2: F(1)}):
-        audit = verify_inequalities(_tampered(b, changes))
+    runs = list(b.weights.params["runs"])
+    i = next(i for i in range(len(runs) // 2, len(runs)) if runs[i][1] > 1)
+    start, n, v = runs[i]
+    head, tail = runs[:i], runs[i + 1:]
+    for tampered in (head + [(start, n, v * 2)] + tail,  # a changed value
+                     head + [(start, n - 1, v)] + tail,  # a shortened run
+                     head + tail,  # a dropped run
+                     runs + [(b.layout.t_max + 2, 1, F(1))]):  # an extra run
+        audit = verify_inequalities(_tampered(b, tampered))
         assert audit.violations == ("weight table disagrees with its runs",)
 
 
@@ -234,8 +234,7 @@ def test_window_product_matches_weight_by_weight(lo, width):
 
     b = build(2)
     hi = min(lo + width, 173)
-    assert blocks._window_product(b.layout.weight_runs(), lo, hi) == weight_product(
-        b.weights, lo, hi)
+    assert weight_product(b.weights, lo, hi) == oracle.weight_product(b.weights, lo, hi)
 
 
 def _layout(params):

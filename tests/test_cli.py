@@ -129,6 +129,11 @@ class TestCheck:
         ({"family": "blocks", "j_max": "2"},
          "weight JSON field 'j_max' must be an integer, got '2'"),
         ({"family": 2}, "weight JSON field 'family' must be a string, got 2"),
+        ({"family": "table", "tail": "hold",
+          "table": {"0": {"num": "1", "den": "1"}, "2": {"num": "3", "den": "1"}}},
+         "hold weight table has no weight at 1 in [0, 2]"),
+        ({"family": "table", "tail": "wrap", "table": {"0": {"num": "1", "den": "1"}}},
+         "weight table tail must be 'error' or 'hold', got 'wrap'"),
     ])
     def test_malformed_weights_file_names_the_field(self, capsys, tmp_path, spec, message):
         path = tmp_path / "weights.json"

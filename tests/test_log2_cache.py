@@ -172,8 +172,8 @@ class TestLog2Cache:
         assert v == u
 
 
-# bases of the dual weights whose log2 windows convert each distinct base
-# value once: constants, tables with either tail, the block table
+# bases of the dual weights whose log2 windows convert one value per base run:
+# constants, tables with either tail, the block table
 DUAL_BASES = {
     "constant:2": lambda: constant_weights(2),
     "constant:1/2": lambda: constant_weights(F(1, 2)),
