@@ -7,7 +7,7 @@ inequality audit, upper-density chaos diagnostics, and a closure-law suite.
 
 __version__ = "0.1.0"
 
-from .scalars import Exact, LogMagnitude, compensated_sum, to_log
+from .scalars import Exact, LogMagnitude
 from .spaces import SparseVector, SpaceSpec, basis_vector, preset, seminorm
 from .shifts import ShiftOperator, WeightSequence, apply, basis_orbit_norm, constant_weights
 from .criteria import HorizonConfig, Verdict, VerdictKind
@@ -27,10 +27,8 @@ __all__ = [
     "basis_orbit_norm",
     "basis_vector",
     "build_blocks",
-    "compensated_sum",
     "constant_weights",
     "preset",
     "seminorm",
-    "to_log",
     "__version__",
 ]

@@ -55,7 +55,6 @@ __all__ = [
 ]
 
 K_CAP_DEFAULT = 64
-I_CAP = 10 ** 7
 
 
 class SearchCapExceeded(RuntimeError):
@@ -291,8 +290,6 @@ def _search_i(j: int, i_prev: int, r: int, runs: list, s_j: int) -> int:
     # j(c + i) >= (j-1)(s_j + 2r + i - 1)  <=>  i >= (j-1)(s_j + 2r - 1) - j c
     bound = (j - 1) * (s_j + 2 * r - 1) - j * c
     i_j = max(i_prev + 1, bound)
-    if i_j > I_CAP:
-        raise SearchCapExceeded(f"eq3 at block {j} needs i = {i_j} > cap {I_CAP}")
     if not eq3(i_j):
         raise SearchCapExceeded(f"affine eq3 bound failed enumeration at block {j}")
     if i_j > i_prev + 1 and eq3(i_j - 1):
@@ -397,16 +394,15 @@ class AuditReport:
         return not self.violations
 
     def to_json(self) -> dict:
+        """The audits section of the synthesize report, less the witness."""
         return {
-            "j_max": self.j_max,
-            "closed_form_matches_products": self.closed_form_matches_products,
-            "symmetry_holds": self.symmetry_holds,
             "eq1": self.eq1,
             "eq2": self.eq2,
             "eq3": self.eq3,
             "eq4": {"ok": self.eq4_ok, "first_violation": self.eq4_first_violation},
             "eq2_at_j1": self.eq2_at_j1,
-            "violations": list(self.violations),
+            "oracle_equivalence": self.closed_form_matches_products,
+            "symmetry": self.symmetry_holds,
         }
 
 

@@ -145,7 +145,8 @@ def check(space_text, weights_text, criterion, side, n_max, window, k_max, l_max
 
 
 @cli.command()
-@click.option("--blocks", "j_max", default=4, show_default=True, help="blocks to construct")
+@click.option("--blocks", "j_max", default=4, show_default=True, type=click.IntRange(1, 5),
+              help="blocks to construct")
 @click.option("--t-range", default=8, show_default=True, help="shift range for the witness audit")
 @click.option("--out", default=None, type=click.Path())
 @click.option("--weights-out", default=None, type=click.Path(),
@@ -162,14 +163,7 @@ def synthesize(j_max, t_range, out, weights_out, no_timestamp):
     payload = {
         "layout": [build.layout[j].to_json() for j in range(1, j_max + 1)],
         "weights_window": window,
-        "audits": {
-            "eq1": audit.eq1, "eq2": audit.eq2, "eq3": audit.eq3,
-            "eq4": {"ok": audit.eq4_ok, "first_violation": audit.eq4_first_violation},
-            "eq2_at_j1": audit.eq2_at_j1,
-            "oracle_equivalence": audit.closed_form_matches_products,
-            "symmetry": audit.symmetry_holds,
-            "hc": witness.to_json(),
-        },
+        "audits": audit.to_json() | {"hc": witness.to_json()},
         "all_passed": audit.all_passed and witness.certified,
     }
     config = {"blocks": j_max, "t_range": t_range}

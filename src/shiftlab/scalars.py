@@ -9,8 +9,10 @@ Two numeric lanes run through the whole package:
   float64, used for open-ended horizon sweeps where orbit products such as
   2**(2*k) overflow any fixed-width float.
 
-Multiplication of magnitudes is addition of log2 values and is exact
-whenever both operands are (signed) powers of two.
+Values cross from the exact lane to the log lane through log2_exact, exact
+for powers of two and within about one ulp otherwise; Log2Cache keeps those
+conversions over an index range.  LogMagnitude is only the value
+spaces.seminorm returns where a seminorm is not rational.
 """
 
 from __future__ import annotations
@@ -18,11 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
-
-from . import _kernels
 
 __all__ = [
     "Exact",
@@ -31,12 +31,10 @@ __all__ = [
     "Log2Cache",
     "LogMagnitude",
     "ZERO_LOG2",
-    "compensated_sum",
     "exact_from_json",
     "exact_to_json",
     "json_field",
     "log2_exact",
-    "to_log",
 ]
 
 # ExactScalar is fractions.Fraction: unbounded signed numerator, positive
@@ -155,77 +153,7 @@ class Log2Cache:
 
 @dataclass(frozen=True)
 class LogMagnitude:
-    """A nonnegative magnitude held as its base-2 logarithm.
-
-    log2 == -inf encodes magnitude zero.  The `exact` flag is True when the
-    stored log2 value is the mathematically exact logarithm (powers of two
-    and products thereof); it propagates through multiplication.
-    """
+    """A nonnegative magnitude held as its base-2 logarithm, -inf for zero:
+    what spaces.seminorm returns where the seminorm is not rational."""
 
     log2: float
-    exact: bool = False
-
-    @staticmethod
-    def zero() -> "LogMagnitude":
-        return LogMagnitude(ZERO_LOG2, True)
-
-    @staticmethod
-    def one() -> "LogMagnitude":
-        return LogMagnitude(0.0, True)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log2 == ZERO_LOG2
-
-    def magnitude(self) -> float:
-        """Plain float value; overflows to inf rather than raising."""
-        if self.is_zero:
-            return 0.0
-        try:
-            return 2.0 ** self.log2
-        except OverflowError:
-            return math.inf
-
-    def __mul__(self, other: "LogMagnitude") -> "LogMagnitude":
-        if self.is_zero or other.is_zero:
-            return LogMagnitude.zero()
-        return LogMagnitude(self.log2 + other.log2, self.exact and other.exact)
-
-    def __truediv__(self, other: "LogMagnitude") -> "LogMagnitude":
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero magnitude")
-        if self.is_zero:
-            return LogMagnitude.zero()
-        return LogMagnitude(self.log2 - other.log2, self.exact and other.exact)
-
-    def __lt__(self, other: "LogMagnitude") -> bool:
-        return self.log2 < other.log2
-
-    def __le__(self, other: "LogMagnitude") -> bool:
-        return self.log2 <= other.log2
-
-
-def to_log(x: ExactLike | LogMagnitude) -> LogMagnitude:
-    """Convert an exact scalar (or pass through a LogMagnitude) to log form."""
-    if isinstance(x, LogMagnitude):
-        return x
-    f = Fraction(x)
-    num = abs(f.numerator)
-    den = f.denominator
-    is_exact = num == 0 or (_is_pow2(num) and _is_pow2(den))
-    return LogMagnitude(log2_exact(f), is_exact)
-
-
-def compensated_sum(values: Sequence[LogMagnitude] | Iterable[LogMagnitude]) -> LogMagnitude:
-    """Sum of magnitudes, returned in log form.
-
-    Deterministic regardless of the input order (terms are sorted before
-    accumulation) and within 2**-40 relative error of the true sum; the
-    heavy lifting happens in the kernels module so that million-term
-    Cesàro horizons stay fast.
-    """
-    logs = [v.log2 for v in values]
-    if not logs:
-        return LogMagnitude.zero()
-    total_log2 = _kernels.log2_magnitude_sum(logs)
-    return LogMagnitude(total_log2, False)

@@ -39,7 +39,6 @@ from .scalars import Log2Cache, exact_from_json, exact_to_json, json_field, log2
 from .spaces import InvalidSpecError, SparseVector, SpaceSpec, scaled_matrix
 
 __all__ = [
-    "ConjugacyWeights",
     "NotInvertibleError",
     "ShiftOperator",
     "UndefinedWeightError",
@@ -79,7 +78,7 @@ class WeightSequence:
     maximal (start, length, value) runs, gaps allowed for the 'error' tail;
     'tail'; the index bounds 'lo' and 'hi'.  The synthesized block table also
     carries its blocks.BlockLayout 'layout', and is written as the 'blocks'
-    wire form.
+    wire form.  Every weight is read as runs, through _runs.
     """
 
     family: str
@@ -88,37 +87,30 @@ class WeightSequence:
                                    compare=False)
 
     def value(self, j: int) -> Fraction:
-        fam = self.family
-        if fam == "constant":
-            return self.params["value"]
-        if fam == "geometric":
-            e = abs(j) if self.params.get("abs_index") else j
-            return self.params["coef"] * self.params["ratio"] ** e
-        runs = self._runs(j, j)
-        if runs is not None:
-            return runs[0][2]
-        if fam == "dual":  # of a closed form
-            return 1 / self.params["base"].value(j + self.params["shift"])
-        raise InvalidSpecError(f"unknown weight family {self.family!r}")
+        return self._runs(j, j)[0][2]
 
-    def _runs(self, lo: int, hi: int) -> Optional[list]:
-        """(start, length, value) runs that cover [lo, hi] exactly, or None for
-        closed forms (geometric weights and their duals); [] if hi < lo.
+    def _runs(self, lo: int, hi: int) -> list:
+        """(start, length, value) runs that cover [lo, hi] exactly; [] if hi < lo.
 
-        Raises UndefinedWeightError at the first index no run or hold tail
-        covers.  A dual maps its base's runs to (start - shift, n, 1/v).
+        Every weight is read here.  A constant is one run, a geometric weight
+        one run per index, and a dual maps its base's runs to
+        (start - shift, n, 1/v).  Raises UndefinedWeightError at the first
+        index no table run or hold tail covers.
         """
         fam = self.family
         if hi < lo:
             return []
         if fam == "constant":
             return [(lo, hi - lo + 1, self.params["value"])]
+        if fam == "geometric":
+            coef, ratio = self.params["coef"], self.params["ratio"]
+            abs_index = self.params.get("abs_index")
+            return [(j, 1, coef * ratio ** (abs(j) if abs_index else j)) for j in range(lo, hi + 1)]
         if fam == "dual":
             s = self.params["shift"]
-            runs = self.params["base"]._runs(lo + s, hi + s)
-            return None if runs is None else [(a - s, n, 1 / v) for a, n, v in runs]
+            return [(a - s, n, 1 / v) for a, n, v in self.params["base"]._runs(lo + s, hi + s)]
         if fam != "table":
-            return None
+            raise InvalidSpecError(f"unknown weight family {self.family!r}")
         table, t_lo, t_hi = self.params["runs"], self.params["lo"], self.params["hi"]
         hold = self.params["tail"] == "hold"
         out, j = [], lo  # j: the first index not yet covered
@@ -146,7 +138,7 @@ class WeightSequence:
 
         Served from one cached float64 array that grows with the index range
         requested, so every weight is converted at most once per sequence;
-        constants, tables and their duals convert one value per run.  The
+        one value is converted per run, so per index for geometric weights.  The
         result is a read-only view into that cache: copy it before writing.
         Raises UndefinedWeightError where value() would.
         """
@@ -154,9 +146,6 @@ class WeightSequence:
 
     def _log2_fill(self, lo: int, hi: int) -> np.ndarray:
         runs = self._runs(lo, hi)
-        if runs is None:  # closed forms: a new value at almost every index
-            values = map(self.value, range(lo, hi + 1))
-            return np.fromiter(map(log2_exact, values), dtype=np.float64, count=hi - lo + 1)
         return np.repeat([log2_exact(v) for _, _, v in runs], [n for _, n, _ in runs])
 
     def defined_range(self) -> Optional[tuple[int, int]]:
@@ -243,11 +232,8 @@ class ShiftOperator:
 
 def weight_product(w: WeightSequence, lo: int, hi: int) -> Fraction:
     """prod of w(j) over [lo, hi], one power per run; empty product is 1."""
-    runs = w._runs(lo, hi)
-    if runs is None:  # closed forms: one weight per index
-        runs = [(j, 1, w.value(j)) for j in range(lo, hi + 1)]
     out = Fraction(1)
-    for _, n, v in runs:
+    for _, n, v in w._runs(lo, hi):
         out *= v ** n
     return out
 
@@ -464,46 +450,23 @@ def check_invertible(op: ShiftOperator, k: int, cfg) -> WitnessReport:
 # conjugacy to the unweighted shift, duality
 # ---------------------------------------------------------------------------
 
-class ConjugacyWeights:
-    """The diagonal v with v_0 = 1, v_{-j} = w_{-j+1}...w_0, v_j = 1/(w_1...w_j).
-
-    Satisfies v_{m} = v_{m+1} * w_{m+1}; values are cached as they are
-    materialized outward from 0.
-    """
-
-    def __init__(self, w: WeightSequence):
-        self._w = w
-        self._cache: dict[int, Fraction] = {0: Fraction(1)}
-        self._lo = 0
-        self._hi = 0
-
-    def value(self, j: int) -> Fraction:
-        cache = self._cache
-        while self._hi < j:
-            nxt = self._hi + 1
-            cache[nxt] = cache[self._hi] / self._w.value(nxt)
-            self._hi = nxt
-        while self._lo > j:
-            nxt = self._lo - 1
-            cache[nxt] = cache[self._lo] * self._w.value(self._lo)
-            self._lo = nxt
-        return cache[j]
-
-    def __call__(self, j: int) -> Fraction:
-        return self.value(j)
-
-
 def conjugate_to_unweighted(op: ShiftOperator):
     """Transfer a bilateral backward shift to the unweighted shift.
 
     Returns (conjugated SpaceSpec, unweighted backward shift on it, v).  The
     new space carries seminorms ||x||'_k = ||(v_j x_j)_j||_k, so the orbit of
     any vector under the unweighted shift there matches the orbit of its
-    diagonal image under the weighted shift, exactly.
+    diagonal image under the weighted shift, exactly.  The diagonal is
+    v_0 = 1, v_{-j} = w_{-j+1}...w_0 and v_j = 1/(w_1...w_j) for j > 0, so
+    v_m = v_{m+1} * w_{m+1}.
     """
     if op.direction != "backward" or not op.bilateral:
         raise InvalidSpecError("conjugacy transfer is defined for bilateral backward shifts")
-    v = ConjugacyWeights(op.weights)
+    w = op.weights
+
+    def v(j: int) -> Fraction:
+        return weight_product(w, j + 1, 0) if j < 0 else 1 / weight_product(w, 1, j)
+
     new_matrix = scaled_matrix(op.space.matrix, v)
     new_space = SpaceSpec(new_matrix, op.space.p)
     unweighted = ShiftOperator("backward", constant_weights(1), new_space)

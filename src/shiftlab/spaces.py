@@ -284,12 +284,13 @@ def basis_vector(j: int) -> SparseVector:
 def seminorm(x: SparseVector, k: int, space: SpaceSpec):
     """Seminorm of a sparse vector at level k.
 
-    Exact (a Fraction) for p in {0, 1} and for single-support vectors at any
-    exponent; otherwise a LogMagnitude computed in floating point.
+    An exact Fraction wherever the value is rational for every input of its
+    kind: p in {0, 1}, or at most one nonzero term |x_j| a(j, k).  Otherwise
+    LogMagnitude(log2), with log2 from _kernels.log2_magnitude_sum.
     """
     if k < 1:
         raise ValueError("seminorm level k must be >= 1")
-    terms = [(abs(c) * space.matrix.entry(j, k)) for j, c in x.entries]
+    terms = [t for t in (abs(c) * space.matrix.entry(j, k) for j, c in x.entries) if t]
     if not terms:
         return Fraction(0)
     if space.p == 0:
@@ -297,13 +298,10 @@ def seminorm(x: SparseVector, k: int, space: SpaceSpec):
     if space.p == 1:
         return sum(terms, Fraction(0))
     if len(terms) == 1:
-        # single coordinate: (|a x|^p)^(1/p) == |a x| exactly
+        # single term: (|a x|^p)^(1/p) == |a x| exactly
         return terms[0]
-    powed = [log2_exact(t) * space.p for t in terms if t != 0]
-    if not powed:
-        return Fraction(0)
-    total = _kernels.log2_magnitude_sum(powed)
-    return LogMagnitude(total / space.p, False)
+    total = _kernels.log2_magnitude_sum([log2_exact(t) * space.p for t in terms])
+    return LogMagnitude(total / space.p)
 
 
 def index_support(space: SpaceSpec, k: int, window: tuple[int, int]) -> list[int]:

@@ -144,6 +144,17 @@ class TestSearchMinimality:
         with pytest.raises(SearchCapExceeded):
             build_blocks(3, k_cap=7)
 
+    @pytest.mark.parametrize("j_max,kit", [(6, (23, 42_393_034, 52_142_520)),
+                                            (7, (29, 3_229_915_912, 3_818_929_471))])
+    def test_blocks_6_and_7_build_and_pass_both_audits(self, j_max, kit):
+        # the i search is an affine solve and the table is its runs, so an
+        # i_j in the billions costs no more than a small one
+        build = build_blocks(j_max)
+        p = build.layout[j_max]
+        assert (p.k, p.i, p.t) == kit
+        assert verify_inequalities(build).all_passed
+        assert hypercyclicity_witness(build).certified
+
 
 class TestAudit:
     def test_full_audit_passes(self, build4):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from shiftlab.blocks import build_blocks
+from shiftlab.blocks import build_blocks, hypercyclicity_witness, verify_inequalities
 from shiftlab.cli import EXIT_OK, EXIT_USAGE, main
 from shiftlab.criteria import (
     HorizonConfig,
@@ -259,6 +259,17 @@ class TestSynthesize:
         audits = json.loads(out)["report"]["audits"]
         assert audits["eq1"]["2"]["ratio"] == "64/105"
         assert audits["oracle_equivalence"] and audits["symmetry"]
+        build = build_blocks(2)
+        want = verify_inequalities(build).to_json() | {"hc": hypercyclicity_witness(build).to_json()}
+        assert audits == json.loads(canonical_json(want))
+
+    @pytest.mark.parametrize("j_max", ["0", "6"])
+    def test_blocks_outside_one_to_five_is_usage_error(self, capsys, j_max):
+        # blocks 6 and 7 build in the library, but the report writes
+        # 2 t_J + 2 weights one by one (t_6 = 52 142 520)
+        code, out, err = run(capsys, "synthesize", "--blocks", j_max, "--no-timestamp")
+        assert code == EXIT_USAGE and out == ""
+        assert "is not in the range 1<=x<=5" in err
 
 
 class TestOrbit:

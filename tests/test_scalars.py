@@ -4,15 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from shiftlab import _kernels
 from shiftlab.scalars import (
     InvalidSpecError,
-    LogMagnitude,
     ZERO_LOG2,
-    compensated_sum,
     exact_from_json,
     exact_to_json,
     log2_exact,
-    to_log,
 )
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=997)
@@ -91,20 +89,20 @@ class TestLog2ExactReference:
 
 
 class TestToLog:
+    """Values of log2_exact, the exact-to-log conversion."""
+
     def test_quarter_exact(self):
-        lm = to_log(Fraction(1, 4))
-        assert lm.log2 == -2.0 and lm.exact
+        assert log2_exact(Fraction(1, 4)) == -2.0
 
     def test_power_exact(self):
-        lm = to_log(Fraction(2 ** 13))
-        assert lm.log2 == 13.0 and lm.exact
+        assert log2_exact(Fraction(2 ** 13)) == 13.0
 
     def test_zero_sentinel(self):
-        assert to_log(0).log2 == ZERO_LOG2
+        assert log2_exact(0) == ZERO_LOG2
 
     def test_nontrivial_value(self):
         # independent evaluator: math.log2 on the small fraction directly
-        got = to_log(Fraction(31, 6)).log2
+        got = log2_exact(Fraction(31, 6))
         want = math.log2(31 / 6)
         assert got == pytest.approx(want, abs=ulp_tol(want))
 
@@ -123,8 +121,7 @@ class TestToLog:
            st.integers(min_value=-200, max_value=200))
     def test_product_law_exact_for_dyadics(self, e1, e2):
         a, b = Fraction(2) ** e1, Fraction(2) ** e2
-        assert to_log(a * b).log2 == to_log(a).log2 + to_log(b).log2
-        assert to_log(a * b).exact
+        assert log2_exact(a * b) == log2_exact(a) + log2_exact(b) == e1 + e2
 
     @given(nonzero_rationals, nonzero_rationals)
     def test_cmp_agrees_with_logs(self, a, b):
@@ -133,54 +130,36 @@ class TestToLog:
             assert (la < lb) == (abs(a) < abs(b))
 
 
-class TestLogMagnitude:
-    def test_mul_is_add(self):
-        x = LogMagnitude(3.0, True) * LogMagnitude(4.0, True)
-        assert x.log2 == 7.0 and x.exact
-
-    def test_zero_absorbs(self):
-        assert (LogMagnitude.zero() * LogMagnitude(5.0)).is_zero
-
-    def test_div_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            LogMagnitude.one() / LogMagnitude.zero()
-
-    def test_magnitude_overflow_to_inf(self):
-        assert LogMagnitude(40000.0).magnitude() == math.inf
-
-
 class TestCompensatedSum:
+    """Laws of _kernels.log2_magnitude_sum, the compensated sum of magnitudes
+    behind spaces.seminorm."""
+
     def test_four_ones(self):
-        s = compensated_sum([LogMagnitude(0.0, True)] * 4)
-        assert s.log2 == 2.0
+        assert _kernels.log2_magnitude_sum([0.0] * 4) == 2.0
 
     def test_geometric(self):
         # 2^1 + ... + 2^10 = 2^11 - 2 = 2046
-        s = compensated_sum([LogMagnitude(float(m)) for m in range(1, 11)])
-        assert s.log2 == pytest.approx(math.log2(2046), rel=1e-12)
+        got = _kernels.log2_magnitude_sum([float(m) for m in range(1, 11)])
+        assert got == pytest.approx(math.log2(2046), rel=1e-12)
 
     def test_first_block_norms_vs_exact(self):
         values = [2, 4, 8, 16, 16, 8, 4, 2] + [Fraction(1, 2)] * 4
-        s = compensated_sum([to_log(v) for v in values])
-        assert s.log2 == pytest.approx(math.log2(62), rel=2.0 ** -40)
-
-    def test_empty(self):
-        assert compensated_sum([]).is_zero
+        got = _kernels.log2_magnitude_sum([log2_exact(v) for v in values])
+        assert got == pytest.approx(math.log2(62), rel=2.0 ** -40)
 
     def test_order_independence(self):
-        vals = [to_log(Fraction(3, 7) ** k) for k in range(50)]
-        a = compensated_sum(vals).log2
-        b = compensated_sum(list(reversed(vals))).log2
-        assert a == b
+        logs = [log2_exact(Fraction(3, 7) ** k) for k in range(50)]
+        assert (_kernels.log2_magnitude_sum(logs)
+                == _kernels.log2_magnitude_sum(list(reversed(logs))))
 
     @given(st.lists(st.integers(min_value=-80, max_value=80), min_size=1, max_size=300))
     def test_dyadic_against_exact_oracle(self, exponents):
         # exact oracle: sum the dyadics as Fractions
         truth = sum((Fraction(2) ** e for e in exponents), Fraction(0))
-        got = compensated_sum([to_log(Fraction(2) ** e) for e in exponents]).log2
+        got = _kernels.log2_magnitude_sum([log2_exact(Fraction(2) ** e) for e in exponents])
         assert got == pytest.approx(log2_exact(truth), abs=2.0 ** -40 + ulp_tol(got))
 
     def test_million_term_dyadic(self):
         # 2^20 copies of 1 sum to exactly 2^20
-        got = compensated_sum([LogMagnitude(0.0, True)] * (2 ** 20)).log2
+        got = _kernels.log2_magnitude_sum([0.0] * (2 ** 20))
         assert abs(got - 20.0) <= 2.0 ** -40 * 20

@@ -190,14 +190,23 @@ class TestConjugacy:
             want = weight_product(BUILD.weights, -n + 1, 0)
             assert seminorm(basis_vector(-n), 1, new_space) == want
 
-    @given(st.integers(-15, 15))
-    def test_diagonal_recurrences(self, j):
-        # v(m) = v(m+1) w(m+1), equivalently v(-j-1) = w(-j) v(-j) and
-        # v(j+1) = v(j) / w(j+1)
-        _, _, v = conjugate_to_unweighted(op_backward(BUILD.weights))
-        w = BUILD.weights
-        assert v(j) == v(j + 1) * w.value(j + 1)
-        assert v(-abs(j) - 1) == w.value(-abs(j)) * v(-abs(j))
+    def test_diagonal_recurrences(self):
+        # v(0) = 1 and v(m) = v(m+1) w(m+1), equivalently v(-j-1) = w(-j) v(-j)
+        # and v(j+1) = v(j) / w(j+1), for every weight family
+        families = {
+            "constant:2": constant_weights(2),
+            "geometric": geometric_weights(Fraction(1, 3), Fraction(5, 2)),
+            "geometric-abs": geometric_weights(3, Fraction(2, 5), abs_index=True),
+            "table-hold": table_weights({-2: 3, -1: Fraction(1, 2), 0: 2, 1: Fraction(5, 3)},
+                                        tail="hold"),
+            "blocks:3": build_blocks(3).weights,
+        }
+        for name, w in families.items():
+            _, _, v = conjugate_to_unweighted(op_backward(w))
+            assert v(0) == 1, name
+            for j in range(-30, 31):
+                assert v(j) == v(j + 1) * w.value(j + 1), (name, j)
+                assert v(-abs(j) - 1) == w.value(-abs(j)) * v(-abs(j)), (name, j)
 
 
 class TestDualForm:

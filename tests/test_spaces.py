@@ -88,6 +88,12 @@ class TestSeminorm:
         assert isinstance(v, LogMagnitude)
         assert v.log2 == pytest.approx(0.5)  # sqrt(2)
 
+    def test_p2_one_nonzero_term_is_exact(self):
+        # a(-2, 1) = 0 on halfline_Z, so only the term at 1 is left: |4| * 1
+        x = SparseVector.from_pairs([(-2, 3), (1, 4)])
+        v = seminorm(x, 1, preset("halfline_Z", 2))
+        assert isinstance(v, Fraction) and v == 4
+
     def test_zero_vector(self):
         assert seminorm(SparseVector(), 3, PRESETS["s_Z"]) == 0
 

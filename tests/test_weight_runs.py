@@ -1,9 +1,10 @@
-"""Weight tables are held as runs and read through one run reader.
+"""Every weight is read as runs, through one run reader.
 
-Random tables, with gaps for the 'error' tail and without for 'hold', and
-their duals are read over random windows, including windows that cross the
-table's ends and its gaps.  The log2 window, the exact weight product and the
-error each must equal what a plain dict lookup, one index at a time, gives.
+Random tables, with gaps for the 'error' tail and without for 'hold', random
+geometric weights, over j and over |j|, and the duals of both are read over
+random windows, including windows that cross a table's ends and its gaps.
+The log2 window, the exact weight product and the error each must equal what
+a plain dict lookup or the geometric formula, one index at a time, gives.
 """
 
 import math
@@ -17,6 +18,7 @@ from shiftlab.scalars import log2_exact
 from shiftlab.shifts import (
     UndefinedWeightError,
     WeightSequence,
+    geometric_weights,
     table_weights,
     weight_product,
     weights_from_json,
@@ -42,19 +44,30 @@ def tables(draw):
     return {lo + i: v for i, v in enumerate(entries) if v is not None}, tail
 
 
-def _reference(table, tail, shift):
-    """j -> w(j) by dict lookup, raising the table's error; shift None reads
-    the table itself, else its dual 1 / w(j + shift)."""
+def _lookup(table, tail):
+    """j -> w(j) by dict lookup, raising the table's error."""
     lo, hi = min(table), max(table)
 
-    def base(j):
+    def one(j):
         if j in table:
             return table[j]
         if tail == "hold" and not lo <= j <= hi:
             return table[lo if j < lo else hi]
         raise UndefinedWeightError(f"weight table spans [{lo}, {hi}], got {j}")
 
-    return base if shift is None else lambda j: 1 / base(j + shift)
+    return one
+
+
+@st.composite
+def families(draw):
+    """(weights, j -> w(j)): a drawn table with its dict lookup, or a geometric
+    weight with its formula."""
+    if draw(st.booleans()):
+        table, tail = draw(tables())
+        return table_weights(table, tail), _lookup(table, tail)
+    coef, ratio, abs_index = draw(VALUES), draw(VALUES), draw(st.booleans())
+    return (geometric_weights(coef, ratio, abs_index),
+            lambda j: coef * ratio ** (abs(j) if abs_index else j))
 
 
 def _per_index(f, lo, hi):
@@ -76,13 +89,13 @@ windows = st.lists(st.tuples(st.integers(-30, 30), st.integers(-1, 30)), min_siz
 
 
 @settings(max_examples=300, deadline=None)
-@given(tables(), st.sampled_from([None, 1, -1]), windows)
-def test_runs_read_like_a_dict(drawn, shift, wins):
-    table, tail = drawn
-    w = table_weights(table, tail)
+@given(families(), st.sampled_from([None, 1, -1]), windows)
+def test_runs_read_like_a_dict(family, shift, wins):
+    w, base = family
+    one = base
     if shift is not None:
         w = WeightSequence("dual", {"base": w, "shift": shift})
-    one = _reference(table, tail, shift)
+        one = lambda j: 1 / base(j + shift)  # noqa: E731
     for lo, width in wins:
         hi = lo + width
         values, message = _per_index(one, lo, hi)
