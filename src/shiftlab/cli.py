@@ -21,7 +21,7 @@ from .blocks import (SearchCapExceeded, build_blocks, build_of, hypercyclicity_w
                      verify_inequalities)
 from .criteria import HorizonConfig, check_criterion, hierarchy_audit
 from .density import density_rows, distributional_report
-from .reporting import canonical_json, envelope, write_csv
+from .reporting import RUNS, canonical_json, envelope, splice_runs, write_csv
 from .scalars import log2_exact
 from .shifts import (
     ShiftOperator,
@@ -157,20 +157,19 @@ def synthesize(j_max, t_range, out, weights_out, no_timestamp):
     build = build_blocks(j_max)
     audit = verify_inequalities(build)
     witness = hypercyclicity_witness(build, t_range=t_range)
-    window = {}
-    for start, n, v in build.layout.weight_runs():
-        window.update(dict.fromkeys(map(str, range(start, start + n)), str(v)))
+    runs = build.layout.weight_runs()
     payload = {
         "layout": [build.layout[j].to_json() for j in range(1, j_max + 1)],
-        "weights_window": window,
+        "weights_window": RUNS,
         "audits": audit.to_json() | {"hc": witness.to_json()},
         "all_passed": audit.all_passed and witness.certified,
     }
     config = {"blocks": j_max, "t_range": t_range}
-    _emit(out, canonical_json(envelope("synthesize", config, payload, not no_timestamp)))
+    _emit(out, splice_runs(
+        canonical_json(envelope("synthesize", config, payload, not no_timestamp)), runs))
     if weights_out:
-        Path(weights_out).write_text(canonical_json(
-            weights_to_json(build.weights) | {"table_window": window}))
+        Path(weights_out).write_text(splice_runs(
+            canonical_json(weights_to_json(build.weights) | {"table_window": RUNS}), runs))
     if not payload["all_passed"]:
         raise AuditFailure("block construction audit failed")
 
@@ -198,15 +197,11 @@ def orbit(space_text, weights_text, side, vector, n_range, k_range, fmt, out, no
     n_lo, n_hi = _parse_range(n_range)
     k_lo, k_hi = _parse_range(k_range)
     ks = range(k_lo, k_hi + 1)
-    rows = []
-    for n in range(n_lo, n_hi + 1):
-        row = [n]
-        for k in ks:
-            row.append(repr(log2_exact(basis_orbit_norm(op, j0, n, k))))
-        rows.append(row)
+    rows = [[n] + [repr(log2_exact(basis_orbit_norm(op, j0, n, k))) for k in ks]
+            for n in range(n_lo, n_hi + 1)]
     header = ["n"] + [f"log2_norm_k{k}" for k in ks]
     if fmt == "csv":
-        write_csv(out, header, rows)
+        write_csv(out, header, (",".join(map(str, row)) for row in rows))
         return
     config = {"space": space_to_json(space), "weights": weights_to_json(weights),
               "side": side, "vector": vector, "n": n_range, "k": k_range}

@@ -14,6 +14,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import truediv
 from typing import Iterator, Optional, Sequence
 
 from .blocks import BlockBuild, norm_runs
@@ -168,24 +170,25 @@ def cesaro_trace(build: BlockBuild, vector: str = "e-1-forward",
     return ExactTrace(f"cesaro:{vector}:{side}", tuple(out), n_max)
 
 
-def density_rows(build: BlockBuild, vector: str, n_horizon: int, taus, kays) -> Iterator[list]:
-    """Rows n, log2 norm, running average and the counting ratios of the
-    small- and large-norm sets, for n = 1..n_horizon, made as they are read
-    (a horizon past the table's reach raises at the call).  The running sum
-    is N / L with L the lcm of the norms' denominators, so N / (L * n) is
-    float(sum / n) from one correctly rounded integer division."""
+def density_rows(build: BlockBuild, vector: str, n_horizon: int, taus, kays) -> Iterator[str]:
+    """CSV records (rows joined with commas) n, log2 norm, running average and
+    the counting ratios of the small- and large-norm sets, for n = 1..n_horizon,
+    made as read (a horizon past the table's reach raises at the call).  The
+    running sum is N / L with L the lcm of the norm denominators: N / (L * n)
+    is float(sum / n), one correctly rounded int division, as is count / n."""
     return _rows(norm_runs(build, _orbit(vector), n_horizon), taus, kays)
 
 
-def _rows(runs, taus, kays) -> Iterator[list]:
+def _rows(runs, taus, kays) -> Iterator[str]:
     lcm = math.lcm(*(v.denominator for v, _ in runs))
-    counts = [0] * (len(taus) + len(kays))
-    total, n = 0, 0
-    for v, m in runs:
-        norm_log2 = repr(log2_exact(v))
-        step = v.numerator * (lcm // v.denominator)  # v = step / lcm
+    scales = [lcm] + [1] * (len(taus) + len(kays))
+    sums, a = [0] * len(scales), 0  # N and the counts at n = a
+    for v, m in runs:  # inside a run each ratio is (c + f * (n - a)) / (d * n)
         flags = [v <= t for t in taus] + [v >= K for K in kays]
-        for n in range(n + 1, n + m + 1):
-            total += step
-            counts = [c + f for c, f in zip(counts, flags)]
-            yield [n, norm_log2, repr(total / (lcm * n))] + [repr(c / n) for c in counts]
+        steps = [v.numerator * (lcm // v.denominator)] + flags  # N grows by v * lcm
+        cols = [map(repr, map(truediv, range(c + f, c + f * m + 1, f) if f else repeat(c, m),
+                              range(d * (a + 1), d * (a + m + 1), d)))
+                for c, f, d in zip(sums, steps, scales)]
+        yield from map(",".join, zip(map(str, range(a + 1, a + m + 1)),
+                                     repeat(repr(log2_exact(v)), m), *cols))
+        sums, a = [c + f * m for c, f in zip(sums, steps)], a + m

@@ -17,7 +17,9 @@ from typing import Iterable, Optional
 
 from . import __version__
 
-__all__ = ["canonical_json", "envelope", "write_csv"]
+__all__ = ["RUNS", "canonical_json", "envelope", "splice_runs", "write_csv"]
+
+RUNS = "<runs>"  # the value splice_runs replaces
 
 
 def _default(obj):
@@ -30,6 +32,19 @@ def _default(obj):
 
 def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, default=_default) + "\n"
+
+
+def splice_runs(text: str, runs) -> str:
+    """text (canonical JSON) with the value RUNS replaced by the object
+    {str(j): str(v) for j in [start, start + length)} of the (start, length, v)
+    runs, as canonical_json writes it; ints and Fractions need no escaping."""
+    head, _, tail = text.partition(f'"{RUNS}"')
+    entries = []
+    for start, n, v in runs:
+        entries += map(f'"%d": "{v}"'.__mod__, range(start, start + n))
+    entries.sort()  # as sort_keys sorts: the quote closing a key sorts below digits
+    pad = "\n  " + " " * head[head.rindex("\n") + 1:].index('"')  # the key's indent + 2
+    return "".join((head, "{", pad, ("," + pad).join(entries), pad[:-2], "}", tail))
 
 
 def envelope(command: str, config: dict, payload: dict, timestamp: bool = True) -> dict:
@@ -45,10 +60,12 @@ def envelope(command: str, config: dict, payload: dict, timestamp: bool = True) 
     return out
 
 
-def write_csv(out_path: Optional[str], header: list[str], rows: Iterable[list]) -> None:
+def write_csv(out_path: Optional[str], header: list[str], records: Iterable[str]) -> None:
     """RFC-4180 text into the file out_path, or stdout if None: CRLF line
-    ends, minimal quoting, mandatory header.  Rows are written as read."""
+    ends, mandatory header.  The header is quoted where it needs it (minimal
+    quoting: a threshold given on the command line is free text).  Records
+    come joined with commas and are written as read, unquoted: their fields
+    are int and float reprs, which hold no comma, quote or line break."""
     with open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout) as stream:
-        writer = csv.writer(stream, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(stream, lineterminator="\r\n").writerow(header)
+        stream.writelines(map("%s\r\n".__mod__, records))

@@ -463,9 +463,14 @@ def conjugate_to_unweighted(op: ShiftOperator):
     if op.direction != "backward" or not op.bilateral:
         raise InvalidSpecError("conjugacy transfer is defined for bilateral backward shifts")
     w = op.weights
+    pos, neg = [Fraction(1)], [Fraction(1)]  # v_0, v_1, ... and v_0, v_-1, ...
 
     def v(j: int) -> Fraction:
-        return weight_product(w, j + 1, 0) if j < 0 else 1 / weight_product(w, 1, j)
+        while len(pos) <= j:
+            pos.append(pos[-1] / w.value(len(pos)))
+        while len(neg) <= -j:
+            neg.append(neg[-1] * w.value(1 - len(neg)))
+        return pos[j] if j >= 0 else neg[-j]
 
     new_matrix = scaled_matrix(op.space.matrix, v)
     new_space = SpaceSpec(new_matrix, op.space.p)

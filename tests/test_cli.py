@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from shiftlab.blocks import build_blocks, hypercyclicity_witness, verify_inequalities
+from shiftlab.blocks import build_blocks, hypercyclicity_witness, norm_runs, verify_inequalities
 from shiftlab.cli import EXIT_OK, EXIT_USAGE, main
 from shiftlab.criteria import (
     HorizonConfig,
@@ -397,8 +397,13 @@ class TestDensity:
         from block_oracle import density_csv_rows
 
         build = build_blocks(3)
+        # a horizon in the middle of the longest norm run
+        runs = norm_runs(build, "backward")
+        longest = max(range(len(runs)), key=lambda i: runs[i][1])
+        mid = sum(m for _, m in runs[:longest]) + runs[longest][1] // 2
         for vector, taus, kays, n in (("e:-1", None, None, None),
-                                      ("e:1", "1/2,1/7,3/5", "2,9,100", 1000)):
+                                      ("e:1", "1/2,1/7,3/5", "2,9,100", 1000),
+                                      ("e:-1", "1/2,1/3,1/4", "2,3,4", mid)):
             args = ["density", "--weights", "blocks:3", "--vector", vector, "--format", "csv"]
             args += ["--tau-grid", taus, "--k-grid", kays, "--n", str(n)] if n else []
             code, out, _ = run(capsys, *args)

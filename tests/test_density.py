@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from block_oracle import backward_norms
 from shiftlab.blocks import build_blocks
-from shiftlab.density import cesaro_trace, distributional_report, upper_density
+from shiftlab.density import _rows, cesaro_trace, distributional_report, upper_density
+from shiftlab.scalars import log2_exact
 from shiftlab.spaces import InvalidSpecError
 
 F = Fraction
@@ -47,6 +48,37 @@ class TestUpperDensity:
         sub = [a[i] and b[i] for i in range(n)]
         sup = [a[i] or b[i] for i in range(n)]
         assert upper_density(sub, n, 1).value <= upper_density(sup, n, 1).value
+
+
+def _per_index_rows(runs, taus, kays):
+    """The density CSV records with an exact running sum, one n at a time."""
+    total, counts, n, out = F(0), [0] * (len(taus) + len(kays)), 0, []
+    for v, m in runs:
+        flags = [v <= t for t in taus] + [v >= K for K in kays]
+        for _ in range(m):
+            n, total = n + 1, total + v
+            counts = [c + f for c, f in zip(counts, flags)]
+            out.append(",".join([str(n), repr(log2_exact(v)), repr(float(total / n))]
+                                + [repr(c / n) for c in counts]))
+    return out
+
+
+# small parts and parts past 2^60, where a float sum or ratio would round
+_PART = st.one_of(st.integers(1, 60), st.integers(2 ** 60, 2 ** 66))
+
+
+class TestDensityRows:
+    @given(st.lists(st.tuples(st.builds(F, _PART, _PART), st.integers(1, 50)),
+                    min_size=1, max_size=8),
+           st.data())
+    def test_runs_match_per_index_route(self, runs, data):
+        # thresholds at a norm, just below or above it, or anywhere
+        norms = [v for v, _ in runs]
+        near = st.builds(lambda v, e: v * e, st.sampled_from(norms),
+                         st.sampled_from([F(1), F(2 ** 62 - 1, 2 ** 62), F(2 ** 62 + 1, 2 ** 62)]))
+        grid = st.lists(st.one_of(near, st.builds(F, _PART, _PART)), max_size=3)
+        taus, kays = data.draw(grid), data.draw(grid)
+        assert list(_rows(runs, taus, kays)) == _per_index_rows(runs, taus, kays)
 
 
 class TestDistributionalReport:

@@ -68,7 +68,18 @@ GOLDENS = [
     (("check", "--space", "c0_Z", "--weights", "blocks:2", "--side", "backward",
       "--criterion", "hierarchy", "--basis-window", "16", *HORIZON),
      "3d260be9a28e677993de8384cfb0379ca295da915624adf61fa3756e278b5048"),
+    # the orbit table, a CSV written through the same writer as the density
+    # table, and its JSON form
+    (("orbit", "--space", "s_Z", "--weights", "constant:1", "--side", "forward",
+      "--vector", "e:0", "--n", "-50:50", "--k", "1:3", "--format", "csv", "--no-timestamp"),
+     "4f156fe063a35f386882f29ff53b6126785372ebd2f1044edb95d4e3349cd95f"),
+    (("orbit", "--space", "s_Z", "--weights", "constant:1", "--side", "forward",
+      "--vector", "e:0", "--n", "-50:50", "--k", "1:3", "--format", "json", "--no-timestamp"),
+     "cb6f238be91c21830d47e6ffe3cddb3e0592ebad18c4e89603fb7cf911017d04"),
 ]
+
+# the --weights-out file of synthesize --blocks 2 (its stdout is the first golden)
+WEIGHTS_OUT_DIGEST = "651133a8f269eb11124f11c068ffb0ad3adefcc5181a41df3a8d64a5140d9e08"
 
 
 def _test_id(args) -> str:
@@ -81,3 +92,11 @@ def test_report_digest(capsys, args, digest):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_weights_out_digest(capsys, tmp_path):
+    path = tmp_path / "weights.json"
+    code = main(["synthesize", "--blocks", "2", "--no-timestamp", "--weights-out", str(path)])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WEIGHTS_OUT_DIGEST

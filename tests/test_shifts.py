@@ -207,6 +207,14 @@ class TestConjugacy:
             for j in range(-30, 31):
                 assert v(j) == v(j + 1) * w.value(j + 1), (name, j)
                 assert v(-abs(j) - 1) == w.value(-abs(j)) * v(-abs(j)), (name, j)
+        # a wide window: w_j = (3/2)^j gives v_j = (2/3)^(j(j+1)/2) for j > 0
+        # and v_{-j} = (2/3)^(j(j-1)/2), each index one step from the last
+        w = geometric_weights(1, Fraction(3, 2))
+        _, _, v = conjugate_to_unweighted(op_backward(w))
+        assert v(500) == Fraction(2, 3) ** (500 * 501 // 2)
+        assert v(-500) == Fraction(2, 3) ** (500 * 499 // 2)
+        for j in range(-500, 501):
+            assert v(j) == v(j + 1) * w.value(j + 1), j
 
 
 class TestDualForm:
