@@ -29,11 +29,6 @@ def timeit(fn, *args, repeats=5):
     return best
 
 
-def bench_magnitude_sum(n=1_000_000):
-    logs = rng.uniform(-200, 200, size=n)
-    return "log2_magnitude_sum", f"{n:,} terms", timeit(_kernels.log2_magnitude_sum, logs), None
-
-
 def bench_running_average(n=1_000_000):
     terms = rng.uniform(-50, 50, size=n)
     return ("running_log2_average", f"{n:,} steps",
@@ -53,7 +48,7 @@ def main():
     print("=" * 72)
     print("shiftlab kernel benchmark (best of 5)")
     print("=" * 72)
-    rows = [bench_magnitude_sum(), bench_running_average(), bench_window_inf()]
+    rows = [bench_running_average(), bench_window_inf()]
     print(f"{'kernel':<24}{'size':<18}{'kernel':>10}{'per-n ref':>12}{'speedup':>9}")
     for name, size, kernel, reference in rows:
         ref_cols = (f"{reference * 1e3:>10.1f}ms{reference / kernel:>8.1f}x"

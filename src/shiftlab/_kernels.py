@@ -1,9 +1,8 @@
 """Hot numeric kernels, in numpy.
 
-Everything here works on float64 arrays of base-2 logarithms.  The three
+Everything here works on float64 arrays of base-2 logarithms.  The two
 kernels dominate runtime on long horizon sweeps:
 
-* log2_magnitude_sum    compensated sum of magnitudes given as log2 values
 * running_log2_average  running Cesàro averages of a magnitude sequence
 * window_inf_curve      per-step infima of ratio grids for uniform-expansivity
                         certificates: a blocked sweep over a zero-copy
@@ -12,38 +11,12 @@ kernels dominate runtime on long horizon sweeps:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-_NEG_INF = float("-inf")
 
 # Cells of the window-infimum scratch block (128 KiB of float64).  Blocks of a
 # few rows lose to per-row overhead, larger ones to cache misses and peak RSS.
 _BLOCK_CELLS = 1 << 14
-
-
-# ---------------------------------------------------------------------------
-# compensated magnitude sum
-# ---------------------------------------------------------------------------
-
-def log2_magnitude_sum(logs: np.ndarray) -> float:
-    """log2 of sum(2**logs[i]) via max-shift plus exact fsum.
-
-    Sorting first makes the result independent of input order; math.fsum is
-    correctly rounded, so the only error sources are the exp2/log2 calls
-    (well under the 2**-40 relative budget).
-    """
-    logs = np.asarray(logs, dtype=np.float64)
-    if logs.size == 0:
-        return _NEG_INF
-    m = float(np.max(logs))
-    if m == _NEG_INF:
-        return _NEG_INF
-    shifted = np.sort(logs) - m
-    total = math.fsum(np.exp2(shifted).tolist())
-    return m + math.log2(total)
 
 
 # ---------------------------------------------------------------------------

@@ -33,18 +33,15 @@ from .shifts import NotInvertibleError, ShiftOperator, dual_form
 __all__ = [
     "BranchEvidence",
     "Crossing",
-    "CriterionTrace",
     "HierarchyReport",
     "HorizonConfig",
     "Verdict",
     "VerdictKind",
-    "average_trace",
     "avg_expansive_backward",
     "avg_expansive_forward",
     "avg_pos_expansive",
     "check_criterion",
     "default_m_grid",
-    "window_infimum_trace",
     "expansive_basis_diagnostic",
     "hierarchy_audit",
     "mixing_check",
@@ -73,9 +70,13 @@ class HorizonConfig:
     def __post_init__(self):
         if self.n_max < 1 or self.window < 1 or self.k_max < 1:
             raise InvalidSpecError("n_max, window, k_max must all be >= 1")
+        if self.basis_window < 1:
+            raise InvalidSpecError(f"basis_window must be >= 1, got {self.basis_window}")
         grid = tuple(self.m_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise InvalidSpecError("m_grid must be nonempty and strictly increasing")
+        if grid[0] <= 0:
+            raise InvalidSpecError(f"m_grid entries must be > 0, got {grid[0]}")
         object.__setattr__(self, "m_grid", grid)
         if self.l_max is None:
             object.__setattr__(self, "l_max", self.k_max + 5)
@@ -149,20 +150,6 @@ class Verdict:
             "notes": list(self.notes),
             "config": self.config.to_json() if self.config else None,
         }
-
-
-@dataclass(frozen=True)
-class CriterionTrace:
-    """Per-step values of an aggregate (running average or window infimum),
-    held as base-2 logarithms of the nonnegative magnitudes; recomputable
-    from orbit norms."""
-
-    label: str
-    values: tuple
-    start_n: int = 1
-
-    def value_log2(self, n: int) -> float:
-        return self.values[n - self.start_n]
 
 
 # ---------------------------------------------------------------------------
@@ -302,21 +289,6 @@ def _avg_verdict(op: ShiftOperator, cfg: HorizonConfig, criterion: str) -> Verdi
               (False, False): "none"}[(left, right)]
     kind = _kind(left or right, all(ev.attestation is not None for ev in evidence))
     return Verdict(criterion, kind, branch=branch, evidence=tuple(evidence), config=cfg)
-
-
-def average_trace(op: ShiftOperator, k: int, branch: str, cfg: HorizonConfig) -> CriterionTrace:
-    """Running Cesàro averages of one branch's term sequence (log2 values)."""
-    n_eff = _avg_n_eff(op, cfg)
-    averages = _kernels.running_log2_average(_avg_term_logs(op, k, branch, n_eff))
-    return CriterionTrace(f"avg:{op.direction}:{branch}:k={k}", tuple(averages.tolist()))
-
-
-def window_infimum_trace(op: ShiftOperator, k: int, level: int, split: str, form: str,
-                         cfg: HorizonConfig) -> CriterionTrace:
-    """Window-infimum curve of one uniform-expansivity ratio (log2 values)."""
-    n_eff = _ue_n_eff(op, cfg, cfg.window)
-    curve, _ = _ue_curve(op, k, level, split, form, cfg, n_eff)
-    return CriterionTrace(f"inf:{form}:{split}:k={k},l={level}", tuple(curve.tolist()))
 
 
 def avg_expansive_backward(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:

@@ -1,4 +1,4 @@
-"""Exact rational scalars and log-domain magnitudes.
+"""Exact rational scalars and their base-2 logarithms.
 
 Two numeric lanes run through the whole package:
 
@@ -11,14 +11,12 @@ Two numeric lanes run through the whole package:
 
 Values cross from the exact lane to the log lane through log2_exact, exact
 for powers of two and within about one ulp otherwise; Log2Cache keeps those
-conversions over an index range.  LogMagnitude is only the value
-spaces.seminorm returns where a seminorm is not rational.
+conversions over an index range.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -29,7 +27,6 @@ __all__ = [
     "ExactLike",
     "InvalidSpecError",
     "Log2Cache",
-    "LogMagnitude",
     "ZERO_LOG2",
     "exact_from_json",
     "exact_to_json",
@@ -149,11 +146,3 @@ class Log2Cache:
         values.flags.writeable = False
         self._lo, self._values = new_lo, values
         return values[lo - new_lo:hi - new_lo + 1]
-
-
-@dataclass(frozen=True)
-class LogMagnitude:
-    """A nonnegative magnitude held as its base-2 logarithm, -inf for zero:
-    what spaces.seminorm returns where the seminorm is not rational."""
-
-    log2: float

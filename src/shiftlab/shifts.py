@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .scalars import Log2Cache, exact_from_json, exact_to_json, json_field, log2_exact
-from .spaces import InvalidSpecError, SparseVector, SpaceSpec, scaled_matrix
+from .spaces import InvalidSpecError, SpaceSpec, scaled_matrix
 
 __all__ = [
     "NotInvertibleError",
@@ -44,7 +44,6 @@ __all__ = [
     "UndefinedWeightError",
     "WeightSequence",
     "WitnessReport",
-    "apply",
     "basis_orbit_norm",
     "check_invertible",
     "check_operator_wellposed",
@@ -238,11 +237,6 @@ def weight_product(w: WeightSequence, lo: int, hi: int) -> Fraction:
     return out
 
 
-def _orbit_target(op: ShiftOperator, j0: int, n: int) -> int:
-    step = -1 if op.direction == "backward" else 1
-    return j0 + step * n
-
-
 def _orbit_product(op: ShiftOperator, j0: int, n: int) -> Fraction:
     """|coefficient| of T^n e_{j0} (n may be negative for invertible shifts)."""
     w = op.weights
@@ -261,40 +255,15 @@ def _orbit_product(op: ShiftOperator, j0: int, n: int) -> Fraction:
     return 1 / weight_product(w, j0 + n, j0 - 1)
 
 
-def apply(op: ShiftOperator, x: SparseVector, n: int) -> SparseVector:
-    """Exact image of x under the n-th power of the shift.
-
-    Negative n applies the inverse; on unilateral spaces this raises
-    NotInvertibleError whenever the orbit would need a missing coordinate
-    (forward) or the operator has no inverse at all (backward).
-    """
-    if n == 0 or x.is_zero:
-        return x
-    unilateral = not op.bilateral
-    if unilateral and n < 0 and op.direction == "backward":
-        raise NotInvertibleError("unilateral backward shift has no inverse")
-    pairs = []
-    for j0, c in x.entries:
-        target = _orbit_target(op, j0, n)
-        if unilateral:
-            if op.direction == "backward" and target < 1:
-                # B e_1 = 0: coordinates shifted off the edge vanish
-                continue
-            if op.direction == "forward" and target < 1:
-                raise NotInvertibleError(
-                    f"inverse forward shift undefined: e_{j0} has no preimage at step {n}")
-        pairs.append((target, c * _orbit_product(op, j0, n)))
-    return SparseVector.from_pairs(pairs)
-
-
 def basis_orbit_norm(op: ShiftOperator, j0: int, n: int, k: int) -> Fraction:
     """||T^n e_{j0}||_k via the single-coordinate closed form.
 
-    Equals seminorm(apply(op, e_{j0}, n), k) exactly: a weight product times
-    one matrix entry (basis-vector norms do not depend on the exponent p).
+    A weight product times one matrix entry (basis-vector norms do not depend
+    on the exponent p).  tests/vector_oracle.py keeps the per-vector route
+    this stands in for: T applied one step at a time, then the seminorm.
     """
     unilateral = not op.bilateral
-    target = _orbit_target(op, j0, n)
+    target = j0 - n if op.direction == "backward" else j0 + n
     if unilateral:
         if op.direction == "backward":
             if n < 0:
@@ -482,7 +451,8 @@ def dual_form(op: ShiftOperator) -> ShiftOperator:
     """The inverse, represented as the opposite-direction shift.
 
     F_w^{-1} = B_{w'} with w'_j = 1/w_{j-1};  B_w^{-1} = F_{w'} with
-    w'_j = 1/w_{j+1}.  apply(dual_form(op), x, n) == apply(op, x, -n).
+    w'_j = 1/w_{j+1}.  The tests check dual_form(op)^n x == op^(-n) x with
+    the per-vector route of tests/vector_oracle.py.
     """
     if not op.structurally_invertible:
         raise NotInvertibleError("unilateral shifts have no dual inverse form")

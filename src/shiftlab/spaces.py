@@ -1,4 +1,4 @@
-"""Köthe matrices, sequence-space specs, seminorms, and the preset catalog.
+"""Köthe matrices, sequence-space specs, and the preset catalog.
 
 A matrix descriptor must produce entries at arbitrary indices, so matrices
 are closed-form families (constant, polynomial, half-line step, diagonal
@@ -25,15 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from . import _kernels
 from .scalars import (
     InvalidSpecError,
     Log2Cache,
-    LogMagnitude,
     ZERO_LOG2,
     exact_from_json,
     exact_to_json,
@@ -44,17 +42,13 @@ from .scalars import (
 __all__ = [
     "KotheMatrix",
     "SpaceSpec",
-    "SparseVector",
-    "basis_vector",
     "constant_matrix",
     "halfline_matrix",
-    "index_support",
     "parse_space",
     "power_matrix",
     "preset",
     "PRESET_NAMES",
     "scaled_matrix",
-    "seminorm",
     "space_from_json",
     "space_to_json",
     "table_matrix",
@@ -238,78 +232,6 @@ class SpaceSpec:
     @property
     def bilateral(self) -> bool:
         return self.index_set == _BILATERAL
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """Finitely supported vector: sorted (index, nonzero coefficient) pairs."""
-
-    entries: tuple = ()
-
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[int, Fraction]]) -> "SparseVector":
-        acc: dict[int, Fraction] = {}
-        for j, c in pairs:
-            c = Fraction(c)
-            if c != 0:
-                acc[j] = acc.get(j, Fraction(0)) + c
-        cleaned = tuple(sorted((j, c) for j, c in acc.items() if c != 0))
-        return SparseVector(cleaned)
-
-    @property
-    def support(self) -> tuple:
-        return tuple(j for j, _ in self.entries)
-
-    def coeff(self, j: int) -> Fraction:
-        for jj, c in self.entries:
-            if jj == j:
-                return c
-        return Fraction(0)
-
-    def scale(self, c: Fraction) -> "SparseVector":
-        c = Fraction(c)
-        if c == 0:
-            return SparseVector()
-        return SparseVector(tuple((j, v * c) for j, v in self.entries))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.entries
-
-
-def basis_vector(j: int) -> SparseVector:
-    return SparseVector(((j, Fraction(1)),))
-
-
-def seminorm(x: SparseVector, k: int, space: SpaceSpec):
-    """Seminorm of a sparse vector at level k.
-
-    An exact Fraction wherever the value is rational for every input of its
-    kind: p in {0, 1}, or at most one nonzero term |x_j| a(j, k).  Otherwise
-    LogMagnitude(log2), with log2 from _kernels.log2_magnitude_sum.
-    """
-    if k < 1:
-        raise ValueError("seminorm level k must be >= 1")
-    terms = [t for t in (abs(c) * space.matrix.entry(j, k) for j, c in x.entries) if t]
-    if not terms:
-        return Fraction(0)
-    if space.p == 0:
-        return max(terms)
-    if space.p == 1:
-        return sum(terms, Fraction(0))
-    if len(terms) == 1:
-        # single term: (|a x|^p)^(1/p) == |a x| exactly
-        return terms[0]
-    total = _kernels.log2_magnitude_sum([log2_exact(t) * space.p for t in terms])
-    return LogMagnitude(total / space.p)
-
-
-def index_support(space: SpaceSpec, k: int, window: tuple[int, int]) -> list[int]:
-    """Indices j in [window] with a(j, k) != 0 (the level-k support set)."""
-    lo, hi = window
-    if space.index_set == _UNILATERAL:
-        lo = max(lo, 1)
-    return [j for j in range(lo, hi + 1) if space.matrix.entry(j, k) != 0]
 
 
 PRESET_NAMES = ("c0_Z", "lp_Z", "c0_N", "lp_N", "s_Z", "halfline_Z")

@@ -158,6 +158,23 @@ class TestCheck:
         assert code == EXIT_USAGE
         assert err == f"error: weight shorthand {text!r} needs {usage}\n"
 
+    @pytest.mark.parametrize("args, message", [
+        # an empty basis window would certify e with no evidence rows at all
+        (("--space", "c0_N", "--weights", "constant:1/2", "--criterion", "e",
+          "--side", "forward", "--basis-window", "0"), "basis_window must be >= 1, got 0"),
+        (("--space", "lp_Z:2", "--weights", "constant:1/2", "--criterion", "e",
+          "--side", "forward", "--basis-window", "-3"), "basis_window must be >= 1, got -3"),
+        # thresholds are compared in log2
+        (("--space", "c0_Z", "--weights", "constant:2", "--m-grid", "0,2,4"),
+         "m_grid entries must be > 0, got 0"),
+        (("--space", "c0_Z", "--weights", "constant:2", "--m-grid", "-4,2"),
+         "m_grid entries must be > 0, got -4"),
+    ])
+    def test_horizon_out_of_range_names_the_field(self, capsys, args, message):
+        code, out, err = run(capsys, "check", *args, "--n-max", "8", "--window", "4")
+        assert code == EXIT_USAGE
+        assert out == "" and err == f"error: {message}\n"
+
     def test_missing_option_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "check", "--space", "c0_Z")
         assert code == EXIT_USAGE

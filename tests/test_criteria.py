@@ -362,24 +362,23 @@ class TestTraces:
     def test_average_trace_closed_form(self):
         import math
 
-        from shiftlab.criteria import average_trace
+        from shiftlab import _kernels
+        from shiftlab.criteria import _avg_term_logs
 
         op = ShiftOperator("backward", constant_weights(2), preset("c0_Z"))
-        trace = average_trace(op, 1, "left", HorizonConfig(n_max=40, window=8, m_grid=(1,)))
+        averages = _kernels.running_log2_average(_avg_term_logs(op, 1, "left", 40))
         for n in (1, 5, 20, 40):
             want = math.log2((2 ** (n + 1) - 2) / n)
-            assert trace.value_log2(n) == pytest.approx(want, rel=1e-12)
+            assert averages[n - 1] == pytest.approx(want, rel=1e-12)
 
     def test_window_infimum_trace_matches_checker_route(self):
-        import math
-
-        from shiftlab.criteria import window_infimum_trace
+        from shiftlab.criteria import _ue_curve
 
         op = ShiftOperator("forward", constant_weights(2), preset("lp_Z", 2))
         cfg = HorizonConfig(n_max=30, window=16, m_grid=(1,))
-        trace = window_infimum_trace(op, 1, 1, "Z", "A", cfg)
+        curve, _ = _ue_curve(op, 1, 1, "Z", "A", cfg, 30)
         for n in range(1, 31):
-            assert trace.value_log2(n) == pytest.approx(float(n), abs=1e-12)
+            assert curve[n - 1] == pytest.approx(float(n), abs=1e-12)
 
 
 class TestHonestNonCertification:

@@ -1,8 +1,8 @@
 """Kernels against per-step reference loops kept in this file.
 
 window_inf_curve must be bitwise equal to the per-n loop it replaced
-(values as bytes, argmin exactly, first index on ties); the other kernels
-agree with sequential loops within their stated error budgets.
+(values as bytes, argmin exactly, first index on ties); the running
+average agrees with a sequential loop within its error budget.
 """
 
 import math
@@ -16,20 +16,6 @@ from shiftlab import _kernels
 
 
 rng = np.random.default_rng(20240817)
-
-
-def log2_magnitude_sum_reference(logs):
-    """Neumaier-compensated sum of 2**(logs - max), one term at a time."""
-    logs = np.sort(np.asarray(logs, dtype=np.float64))
-    if logs.size == 0 or logs[-1] == -np.inf:
-        return -np.inf
-    m = float(logs[-1])
-    s = c = 0.0
-    for x in (2.0 ** (v - m) for v in logs.tolist()):
-        t = s + x
-        c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
-        s = t
-    return m + math.log2(s + c)
 
 
 def running_log2_average_reference(log_terms):
@@ -67,24 +53,6 @@ def assert_same_curve(got, want):
     assert c1.dtype == np.float64 and a1.dtype == np.int64
     assert c1.tobytes() == c2.tobytes()
     assert np.array_equal(a1, a2)
-
-
-class TestMagnitudeSum:
-    def test_matches_fallback(self):
-        logs = rng.uniform(-300, 300, size=4096)
-        a = _kernels.log2_magnitude_sum(logs)
-        b = log2_magnitude_sum_reference(logs)
-        assert a == pytest.approx(b, abs=2.0 ** -40 * max(1.0, abs(b)))
-
-    def test_empty_and_zero(self):
-        assert _kernels.log2_magnitude_sum(np.array([])) == -np.inf
-        assert _kernels.log2_magnitude_sum(np.array([-np.inf, -np.inf])) == -np.inf
-
-    def test_huge_dynamic_range(self):
-        # the small term is far below the representable shift: drop is harmless
-        logs = np.array([100000.0, 0.0])
-        got = _kernels.log2_magnitude_sum(logs)
-        assert got == pytest.approx(100000.0)
 
 
 class TestRunningAverage:

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from shiftlab import _kernels
 from shiftlab.scalars import (
     InvalidSpecError,
     ZERO_LOG2,
@@ -128,38 +127,3 @@ class TestToLog:
         la, lb = log2_exact(abs(a)), log2_exact(abs(b))
         if abs(la - lb) > 2.0 ** -30:
             assert (la < lb) == (abs(a) < abs(b))
-
-
-class TestCompensatedSum:
-    """Laws of _kernels.log2_magnitude_sum, the compensated sum of magnitudes
-    behind spaces.seminorm."""
-
-    def test_four_ones(self):
-        assert _kernels.log2_magnitude_sum([0.0] * 4) == 2.0
-
-    def test_geometric(self):
-        # 2^1 + ... + 2^10 = 2^11 - 2 = 2046
-        got = _kernels.log2_magnitude_sum([float(m) for m in range(1, 11)])
-        assert got == pytest.approx(math.log2(2046), rel=1e-12)
-
-    def test_first_block_norms_vs_exact(self):
-        values = [2, 4, 8, 16, 16, 8, 4, 2] + [Fraction(1, 2)] * 4
-        got = _kernels.log2_magnitude_sum([log2_exact(v) for v in values])
-        assert got == pytest.approx(math.log2(62), rel=2.0 ** -40)
-
-    def test_order_independence(self):
-        logs = [log2_exact(Fraction(3, 7) ** k) for k in range(50)]
-        assert (_kernels.log2_magnitude_sum(logs)
-                == _kernels.log2_magnitude_sum(list(reversed(logs))))
-
-    @given(st.lists(st.integers(min_value=-80, max_value=80), min_size=1, max_size=300))
-    def test_dyadic_against_exact_oracle(self, exponents):
-        # exact oracle: sum the dyadics as Fractions
-        truth = sum((Fraction(2) ** e for e in exponents), Fraction(0))
-        got = _kernels.log2_magnitude_sum([log2_exact(Fraction(2) ** e) for e in exponents])
-        assert got == pytest.approx(log2_exact(truth), abs=2.0 ** -40 + ulp_tol(got))
-
-    def test_million_term_dyadic(self):
-        # 2^20 copies of 1 sum to exactly 2^20
-        got = _kernels.log2_magnitude_sum([0.0] * (2 ** 20))
-        assert abs(got - 20.0) <= 2.0 ** -40 * 20

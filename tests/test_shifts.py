@@ -1,14 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shiftlab.blocks import build_blocks
 from shiftlab.criteria import HorizonConfig
 from shiftlab.shifts import (
     NotInvertibleError,
     ShiftOperator,
-    apply,
     basis_orbit_norm,
     check_invertible,
     check_operator_wellposed,
@@ -22,7 +21,8 @@ from shiftlab.shifts import (
     weights_from_json,
     weights_to_json,
 )
-from shiftlab.spaces import SparseVector, basis_vector, preset, seminorm
+from shiftlab.spaces import parse_space, preset
+from vector_oracle import apply, basis_vector, seminorm
 
 CFG = HorizonConfig(n_max=64, window=60, m_grid=(1, 2, 4), k_max=2)
 BUILD = build_blocks(2)
@@ -34,6 +34,19 @@ def op_backward(w, space="c0_Z", p=None):
 
 def op_forward(w, space="c0_Z", p=None):
     return ShiftOperator("forward", w, preset(space, p))
+
+
+def oracle_norm(op, j0, n, k):
+    """||T^n e_{j0}||_k by the per-vector route of tests/vector_oracle.py."""
+    return seminorm(apply(op, basis_vector(j0), n), k, op.space)
+
+
+def outcome(f, *args):
+    """f(*args), or NotInvertibleError where the call raises it."""
+    try:
+        return f(*args)
+    except NotInvertibleError:
+        return NotInvertibleError
 
 
 class TestWeightProduct:
@@ -56,12 +69,14 @@ class TestWeightProduct:
 
 
 class TestApply:
+    """The one-step route of tests/vector_oracle.py."""
+
     def test_step_on_block_weights(self):
         got = apply(op_backward(BUILD.weights), basis_vector(-1), 1)
-        assert got.entries == ((-2, Fraction(2)),)
+        assert got == {-2: Fraction(2)}
 
     def test_identity(self):
-        x = SparseVector.from_pairs([(0, 1), (5, Fraction(-2, 3))])
+        x = {0: Fraction(1), 5: Fraction(-2, 3)}
         assert apply(op_forward(constant_weights(7)), x, 0) == x
 
     def test_forward_unit(self):
@@ -70,13 +85,13 @@ class TestApply:
 
     def test_inverse_composition(self):
         op = op_backward(constant_weights(Fraction(5, 3)))
-        x = SparseVector.from_pairs([(-2, 1), (3, Fraction(7, 2))])
+        x = {-2: Fraction(1), 3: Fraction(7, 2)}
         assert apply(op, apply(op, x, 3), -3) == x
 
     def test_unilateral_backward_kills_edge(self):
         op = ShiftOperator("backward", constant_weights(2), preset("lp_N", 1))
-        assert apply(op, basis_vector(1), 1).is_zero
-        assert apply(op, basis_vector(3), 2).entries == ((1, Fraction(4)),)
+        assert apply(op, basis_vector(1), 1) == {}
+        assert apply(op, basis_vector(3), 2) == {1: Fraction(4)}
 
     def test_unilateral_backward_no_inverse(self):
         op = ShiftOperator("backward", constant_weights(2), preset("lp_N", 1))
@@ -85,7 +100,7 @@ class TestApply:
 
     def test_unilateral_forward_partial_inverse(self):
         op = ShiftOperator("forward", constant_weights(2), preset("lp_N", 1))
-        assert apply(op, basis_vector(3), -2).entries == ((1, Fraction(1, 4)),)
+        assert apply(op, basis_vector(3), -2) == {1: Fraction(1, 4)}
         with pytest.raises(NotInvertibleError):
             apply(op, basis_vector(1), -1)
 
@@ -102,21 +117,34 @@ class TestBasisOrbitNorm:
     def test_s_Z_unweighted_forward(self):
         assert basis_orbit_norm(op_forward(constant_weights(1), "s_Z"), 0, 5, 2) == 36
 
+    # the closed form must agree exactly with stepping the operator n times
+    # and taking the seminorm, and raise NotInvertibleError on the same calls;
+    # on a unilateral space e_{j0} is e_{|j0|+1}
     @settings(max_examples=80)
-    @given(st.sampled_from(["c0_Z", "s_Z", "halfline_Z", "lp_Z"]),
+    @given(st.sampled_from(["c0_Z", "s_Z", "halfline_Z", "lp_Z", "lp_Z:2", "c0_N", "lp_N:1"]),
+           st.sampled_from(["backward", "forward"]),
            st.integers(-50, 50), st.integers(-200, 200), st.integers(1, 5))
-    def test_oracle_equivalence_vs_apply(self, name, j0, n, k):
-        # closed form must agree exactly with applying the operator and
-        # taking the seminorm, sampled over |j0| <= 50, |n| <= 200, k <= 5
+    @example("c0_N", "forward", 2, -2, 1)  # F^{-2} e_3 = e_1 / (w_1 w_2)
+    @example("c0_N", "forward", 2, -3, 1)  # e_1 has no preimage
+    @example("lp_N:1", "backward", 2, 3, 1)  # B^3 e_3 = 0
+    @example("lp_N:1", "backward", 0, -1, 1)  # no inverse at all
+    def test_oracle_equivalence_vs_apply(self, name, direction, j0, n, k):
+        space = parse_space(name)
+        if not space.bilateral:
+            j0 = abs(j0) + 1
         for w in (constant_weights(2), constant_weights(Fraction(1, 2))):
-            op = ShiftOperator("backward", w, preset(name))
-            assert basis_orbit_norm(op, j0, n, k) == seminorm(apply(op, basis_vector(j0), n), k, op.space)
+            op = ShiftOperator(direction, w, space)
+            assert outcome(basis_orbit_norm, op, j0, n, k) == outcome(oracle_norm, op, j0, n, k)
 
     @settings(max_examples=40)
-    @given(st.integers(-30, 30), st.integers(-40, 40), st.integers(1, 2))
-    def test_oracle_equivalence_block_weights(self, j0, n, k):
-        op = op_backward(BUILD.weights)
-        assert basis_orbit_norm(op, j0, n, k) == seminorm(apply(op, basis_vector(j0), n), k, op.space)
+    @given(st.sampled_from(["c0_Z", "c0_N"]), st.sampled_from(["backward", "forward"]),
+           st.integers(-30, 30), st.integers(-40, 40), st.integers(1, 2))
+    def test_oracle_equivalence_block_weights(self, name, direction, j0, n, k):
+        space = preset(name)
+        if not space.bilateral:
+            j0 = abs(j0) + 1
+        op = ShiftOperator(direction, BUILD.weights, space)
+        assert outcome(basis_orbit_norm, op, j0, n, k) == outcome(oracle_norm, op, j0, n, k)
 
 
 class TestWellPosedInvertible:
@@ -226,15 +254,15 @@ class TestDualForm:
     def test_apply_matches_inverse(self):
         op = op_backward(BUILD.weights)
         dual = dual_form(op)
-        x = SparseVector.from_pairs([(1, 1), (-3, Fraction(2, 5))])
+        x = {1: Fraction(1), -3: Fraction(2, 5)}
         for n in range(-8, 9):
             assert apply(dual, x, n) == apply(op, x, -n)
 
     def test_block_inverse_value(self):
         # w_2 = 1/2 so B^{-1} e_1 = e_2 / w_2 = 2 e_2, via both routes
         op = op_backward(BUILD.weights)
-        assert apply(op, basis_vector(1), -1).entries == ((2, Fraction(2)),)
-        assert apply(dual_form(op), basis_vector(1), 1).entries == ((2, Fraction(2)),)
+        assert apply(op, basis_vector(1), -1) == {2: Fraction(2)}
+        assert apply(dual_form(op), basis_vector(1), 1) == {2: Fraction(2)}
 
     def test_double_dual_restores_magnitudes(self):
         op = op_backward(BUILD.weights)
