@@ -14,6 +14,9 @@ At desk scale they become three-valued verdicts:
 
 Enlarging the horizon or the window never revokes a certificate: crossings
 are first crossings, and attested window values do not move.
+
+A check searches only while its report can still change, so no
+window-infimum curve is swept for a family pair without a tail attestation.
 """
 
 from __future__ import annotations
@@ -465,7 +468,7 @@ def _ue_n_eff(op: ShiftOperator, cfg: HorizonConfig, radius: int) -> int:
 
 
 def _ue_property_for_k(op: ShiftOperator, k: int, prop: str, cfg: HorizonConfig,
-                       n_eff: int, attestation: Optional[str]):
+                       n_eff: int):
     """Search levels for one property at one k; smallest succeeding level."""
     parts = {"A": (("Z", "A"),), "B": (("Z", "B"),),
              "C": (("N", "A"), ("-N", "B"))}[prop]
@@ -479,7 +482,7 @@ def _ue_property_for_k(op: ShiftOperator, k: int, prop: str, cfg: HorizonConfig,
             curve, usable = _ue_curve(op, k, level, split, form, cfg, n_eff)
             crossings, certified = _first_crossings(curve, cfg.m_grid, usable)
             all_crossings.append((split, crossings))
-            if not (certified and attestation is not None):
+            if not certified:
                 break
         else:
             return level, all_crossings
@@ -490,10 +493,11 @@ def _ue_regime(op: ShiftOperator, prop: str, cfg: HorizonConfig, n_eff: int,
                attestation: Optional[str]):
     """(holds, evidence) for one regime: a succeeding level at every k in
     1..k_max.  The search stops at the first k with none, whose evidence
-    records the failure."""
+    records the failure.  Without an attestation no level can succeed, so
+    no curve is swept: the report is the failing k = 1 row."""
     evidence = []
     for k in range(1, cfg.k_max + 1):
-        found = _ue_property_for_k(op, k, prop, cfg, n_eff, attestation)
+        found = _ue_property_for_k(op, k, prop, cfg, n_eff) if attestation else None
         if found is None:
             evidence.append(BranchEvidence(k=k, level=None, label=prop, certified=False,
                                            attestation=attestation, n_eff=n_eff))

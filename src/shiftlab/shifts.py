@@ -362,13 +362,14 @@ def _tail_attestation(op: ShiftOperator) -> Optional[str]:
 
 
 def _window_check(op: ShiftOperator, condition: str, k: int, cfg) -> WitnessReport:
+    """Report of the first level in [k, l_max] whose zero pattern holds, with
+    or without a tail attestation: no later level can change it."""
     name = f"{op.direction}-{condition}"
     if condition == "invertible" and not op.bilateral:
         reason = ("unilateral forward shift has no inverse" if op.direction == "forward"
                   else "unilateral backward shift has nontrivial kernel")
         return WitnessReport(name, "fails", k, detail=reason)
     attestation = _tail_attestation(op)
-    best_inconclusive: Optional[WitnessReport] = None
     for level in range(k, cfg.l_max + 1):
         pairs = _ratio_terms(op, condition, k, level, cfg.window)
         if not pairs:
@@ -380,24 +381,11 @@ def _window_check(op: ShiftOperator, condition: str, k: int, cfg) -> WitnessRepo
         # 0/0 = 1 by convention
         ratios = [(j, Fraction(1) if num == 0 else num / den) for j, num, den in pairs]
         sup_j, sup = max(ratios, key=lambda t: t[1])
-        at_boundary = sup_j in (pairs[0][0], pairs[-1][0])
-        report = WitnessReport(
-            name,
-            "holds" if attestation else "inconclusive",
-            k,
-            level=level,
-            window_sup_log2=log2_exact(sup),
-            window_sup=str(sup),
-            attestation=attestation,
-            sup_at_boundary=at_boundary,
-            detail="" if attestation else "finite window-sup but no tail attestation",
-        )
-        if attestation:
-            return report
-        if best_inconclusive is None:
-            best_inconclusive = report
-    if best_inconclusive is not None:
-        return best_inconclusive
+        return WitnessReport(
+            name, "holds" if attestation else "inconclusive", k, level=level,
+            window_sup_log2=log2_exact(sup), window_sup=str(sup), attestation=attestation,
+            sup_at_boundary=sup_j in (pairs[0][0], pairs[-1][0]),
+            detail="" if attestation else "finite window-sup but no tail attestation")
     return WitnessReport(
         name, "fails", k,
         detail=f"zero-pattern implication fails for every level <= {cfg.l_max} on the window")
