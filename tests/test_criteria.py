@@ -655,3 +655,33 @@ def test_cli_import_loads_no_hashlib():
     # the curve memo keys on raw bytes; hashlib would load OpenSSL (+4 MiB RSS)
     code = "import sys, shiftlab.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
     assert _python("-c", code).strip() == "[]"
+
+
+class TestSearchStopsWhenDecided:
+    """No uniform regime certifies without a tail attestation, so an
+    unattested check sweeps no window-infimum curve."""
+
+    CFG = HorizonConfig(n_max=200, window=20, m_grid=(1, 2, 4), k_max=3)
+
+    @pytest.mark.parametrize("criterion", ["ue", "upe", "hierarchy"])
+    @pytest.mark.parametrize("side", ["backward", "forward"])
+    @pytest.mark.parametrize("space, weights", [("s_Z", "geometric:1:2"), ("c0_Z", "blocks:3")])
+    def test_unattested_pair_sweeps_no_curve(self, cold_memo, space, weights, side, criterion):
+        from shiftlab.criteria import check_criterion
+        from shiftlab.shifts import parse_weights
+        from shiftlab.spaces import parse_space
+
+        op = ShiftOperator(side, parse_weights(weights), parse_space(space))
+        if criterion == "hierarchy":
+            ue = hierarchy_audit(op, self.CFG).ue
+        else:
+            ue = check_criterion(op, criterion, self.CFG)
+        assert cold_memo == []
+        assert ue.kind is VerdictKind.INCONCLUSIVE
+        assert [(ev.k, ev.level, ev.certified) for ev in ue.evidence] == [
+            (1, None, False)] * len(ue.evidence)
+
+    def test_attested_pair_sweeps(self, cold_memo):
+        op = ShiftOperator("backward", constant_weights(2), preset("lp_Z", 2))
+        assert unif_expansive_backward(op, self.CFG)[1].certified
+        assert cold_memo

@@ -181,6 +181,38 @@ class TestWellPosedInvertible:
         assert rep.status == "inconclusive"
         assert rep.sup_at_boundary
 
+    @staticmethod
+    def _levels_tried(monkeypatch):
+        """The levels at which the window check builds its ratio terms."""
+        from shiftlab import shifts
+
+        levels, real = [], shifts._ratio_terms
+
+        def recorded(op, condition, k, level, window):
+            levels.append(level)
+            return real(op, condition, k, level, window)
+
+        monkeypatch.setattr(shifts, "_ratio_terms", recorded)
+        return levels
+
+    def test_unattested_search_stops_at_first_clean_level(self, monkeypatch):
+        # geometric weights have no tail attestation, so no later level can
+        # turn 'inconclusive' into 'holds': level 1 breaks at the step edge,
+        # level 2 is clean and ends the search
+        levels = self._levels_tried(monkeypatch)
+        op = op_forward(geometric_weights(1, 2), "halfline_Z")
+        rep = check_operator_wellposed(op, 1, HorizonConfig(k_max=3))
+        assert rep.status == "inconclusive" and rep.level == 2
+        assert levels == [1, 2]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_attested_search_passes_a_violating_level(self, monkeypatch, k):
+        levels = self._levels_tried(monkeypatch)
+        op = op_forward(constant_weights(2), "halfline_Z")
+        rep = check_operator_wellposed(op, k, HorizonConfig(window=16, k_max=3))
+        assert rep.ok and rep.level == k + 1
+        assert levels == [k, k + 1]
+
     def test_unilateral_forward_not_invertible(self):
         op = ShiftOperator("forward", constant_weights(2), preset("lp_N", 1))
         rep = check_invertible(op, 1, CFG)
