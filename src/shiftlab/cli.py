@@ -55,13 +55,21 @@ def _load_weights(text: str):
     return parse_weights(text)
 
 
+def _ints(option: str, form: str, text: str, fields) -> tuple:
+    """The fields as integers; an input error naming the option otherwise."""
+    try:
+        return tuple(map(int, fields))
+    except ValueError:
+        raise InvalidSpecError(f"{option} needs {form}, got {text!r}") from None
+
+
 def _parse_grid(text: str):
-    return tuple(int(v) for v in text.split(","))
+    return _ints("--m-grid", "comma-separated integers like 1,2,4", text, text.split(","))
 
 
-def _parse_range(text: str):
+def _parse_range(option: str, text: str):
     lo, _, hi = text.partition(":")
-    return int(lo), int(hi) if hi else int(lo)
+    return _ints(option, "<lo>:<hi> or <n> with integers", text, (lo, hi or lo))
 
 
 def _emit(out_path, text: str):
@@ -191,11 +199,11 @@ def orbit(space_text, weights_text, side, vector, n_range, k_range, fmt, out, no
     space = _load_space(space_text)
     weights = _load_weights(weights_text)
     op = ShiftOperator(side, weights, space)
-    if not vector.startswith("e:"):
-        raise InvalidSpecError("vector must be 'e:<index>'")
-    j0 = int(vector[2:])
-    n_lo, n_hi = _parse_range(n_range)
-    k_lo, k_hi = _parse_range(k_range)
+    prefix, _, index = vector.partition(":")
+    (j0,) = _ints("--vector", "e:<index> with an integer index", vector,
+                  (index if prefix == "e" else "",))
+    n_lo, n_hi = _parse_range("--n", n_range)
+    k_lo, k_hi = _parse_range("--k", k_range)
     ks = range(k_lo, k_hi + 1)
     rows = [[n] + [repr(log2_exact(basis_orbit_norm(op, j0, n, k))) for k in ks]
             for n in range(n_lo, n_hi + 1)]

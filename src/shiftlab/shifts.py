@@ -62,6 +62,8 @@ __all__ = [
 class UndefinedWeightError(KeyError):
     """A weight was requested outside the sequence's defined range."""
 
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
+
 
 class NotInvertibleError(ValueError):
     """Inverse application requested where no inverse exists."""
@@ -508,7 +510,8 @@ def parse_weights(text: str) -> WeightSequence:
         nums = [int(a) if fam == "blocks" else Fraction(a) for a in args[:needed]]
     except (ValueError, ZeroDivisionError):
         nums = []
-    if len(nums) < needed:
+    optional = [["abs"]] if fam == "geometric" else []
+    if len(nums) < needed or args[needed:] not in [[], *optional]:
         raise InvalidSpecError(f"weight shorthand {text!r} needs {usage}")
     if fam == "constant":
         return constant_weights(nums[0])

@@ -140,7 +140,10 @@ class KotheMatrix:
         if self.family == "power":
             return self._log2_power(k, lo, hi)
         entries = (self.entry(j, k) for j in range(lo, hi + 1))
-        return np.fromiter(map(log2_exact, entries), dtype=np.float64, count=hi - lo + 1)
+        try:
+            return np.fromiter(map(log2_exact, entries), dtype=np.float64, count=hi - lo + 1)
+        except IndexError as exc:  # an 'error' tail table that the horizon outruns
+            raise InvalidSpecError(str(exc)) from None
 
     def _log2_power(self, k: int, lo: int, hi: int) -> np.ndarray:
         """a(j, k) = a(-j, k): gather a cached row over |j| >= 0, so each
@@ -242,8 +245,11 @@ def preset(name: str, p: float | None = None) -> SpaceSpec:
 
     c0_Z / c0_N: sup-norm spaces with unit matrix; lp_Z(p) / lp_N(p): power
     sum spaces with unit matrix; s_Z: rapidly decreasing sequences
-    (a(j,k) = (|j|+1)**k, p = 1); halfline_Z: step matrix, any p.
+    (a(j,k) = (|j|+1)**k, p = 1); halfline_Z: step matrix, any p.  Only
+    lp_Z, lp_N and halfline_Z take p.
     """
+    if p is not None and name in ("c0_Z", "c0_N", "s_Z"):
+        raise InvalidSpecError(f"preset {name} takes no exponent, got p = {p!r}")
     if name == "c0_Z":
         return SpaceSpec(constant_matrix(1, _BILATERAL), 0)
     if name == "c0_N":
@@ -261,10 +267,11 @@ def preset(name: str, p: float | None = None) -> SpaceSpec:
 
 def parse_space(text: str) -> SpaceSpec:
     """Parse CLI shorthand like 'lp_Z:2', 's_Z', 'halfline_Z'."""
-    name, _, arg = text.partition(":")
-    p = None
-    if arg:
-        p = float(arg) if "." in arg else int(arg)
+    name, colon, arg = text.partition(":")
+    try:
+        p = (float(arg) if "." in arg else int(arg)) if colon else None
+    except ValueError:
+        raise InvalidSpecError(f"--space needs <preset>[:<p>] with a number p, got {text!r}") from None
     return preset(name, p)
 
 

@@ -158,6 +158,62 @@ class TestCheck:
         assert code == EXIT_USAGE
         assert err == f"error: weight shorthand {text!r} needs {usage}\n"
 
+    @pytest.mark.parametrize("text, usage", [
+        ("constant:2:9", "constant:<c>"),
+        ("blocks:3:1", "blocks:<J>"),
+        ("geometric:1:2:bogus", "geometric:<coef>:<ratio>[:abs]"),
+    ])
+    def test_weight_shorthand_with_extra_fields(self, capsys, text, usage):
+        code, out, err = run(capsys, "check", "--space", "c0_Z", "--weights", text,
+                             "--n-max", "8", "--window", "4")
+        assert code == EXIT_USAGE
+        assert out == "" and err == f"error: weight shorthand {text!r} needs {usage}\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (("check", "--space", "c0_Z", "--weights", "constant:2", "--m-grid", "1,x"),
+         "--m-grid needs comma-separated integers like 1,2,4, got '1,x'"),
+        (("orbit", "--space", "c0_Z", "--weights", "constant:2", "--n", "1:x"),
+         "--n needs <lo>:<hi> or <n> with integers, got '1:x'"),
+        (("orbit", "--space", "c0_Z", "--weights", "constant:2", "--k", "x"),
+         "--k needs <lo>:<hi> or <n> with integers, got 'x'"),
+        (("orbit", "--space", "c0_Z", "--weights", "constant:2", "--vector", "e:x"),
+         "--vector needs e:<index> with an integer index, got 'e:x'"),
+        (("check", "--space", "lp_Z:x", "--weights", "constant:2"),
+         "--space needs <preset>[:<p>] with a number p, got 'lp_Z:x'"),
+    ])
+    def test_malformed_number_names_the_option(self, capsys, args, message):
+        code, out, err = run(capsys, *args)
+        assert code == EXIT_USAGE
+        assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("space, p", [("c0_Z", "2"), ("c0_N", "2"), ("s_Z", "3")])
+    def test_exponent_on_a_fixed_exponent_preset_is_rejected(self, capsys, space, p):
+        # the exponent used to be dropped, and the report said p 0 or p 1
+        code, out, err = run(capsys, "check", "--space", f"{space}:{p}", "--weights",
+                             "constant:2", "--n-max", "8", "--window", "4")
+        assert code == EXIT_USAGE
+        assert out == "" and err == f"error: preset {space} takes no exponent, got p = {p}\n"
+
+    @pytest.mark.parametrize("criterion, j", [("ae", -50), ("ape", -50), ("e", -101),
+                                              ("mixing", -50)])
+    def test_horizon_past_an_error_tail_table_is_input_error(self, capsys, tmp_path,
+                                                             criterion, j):
+        spec = tmp_path / "tbl.json"
+        rows = {str(i): [{"num": "1", "den": "1"}, {"num": "2", "den": "1"}]
+                for i in range(-5, 6)}
+        spec.write_text(json.dumps({"family": "table", "params": {
+            "lo": -5, "hi": 5, "tail": "error", "rows": rows}}))
+        args = ("check", "--space", f"@{spec}", "--weights", "constant:2", "--n-max", "50",
+                "--window", "10", "--no-timestamp")
+        code, out, err = run(capsys, *args, "--criterion", criterion)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: matrix entry at j={j} outside tabulated window [-5,5]\n"
+        # no tail attestation, so ue sweeps nothing and stays inconclusive
+        code, out, _ = run(capsys, *args, "--criterion", "ue")
+        assert code == EXIT_OK
+        assert json.loads(out)["report"]["kind"] == "Inconclusive"
+
     @pytest.mark.parametrize("args, message", [
         # an empty basis window would certify e with no evidence rows at all
         (("--space", "c0_N", "--weights", "constant:1/2", "--criterion", "e",
@@ -319,6 +375,12 @@ class TestOrbit:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    def test_undefined_weight_message_is_unquoted(self, capsys):
+        code, out, err = run(capsys, "orbit", "--space", "c0_Z", "--weights", "blocks:2",
+                             "--n", "0:400", "--k", "1:1")
+        assert code == EXIT_USAGE
+        assert out == "" and err == "error: weight table spans [-172, 173], got 174\n"
+
 
 class TestDensity:
     def test_csv_columns(self, capsys):
@@ -363,7 +425,7 @@ class TestDensity:
     def test_horizon_past_table_reach_is_input_error(self, capsys, tmp_path):
         # rejected before any output: no CSV header on stdout, no --out file
         out_file = tmp_path / "rows.csv"
-        for fmt, message in (("csv", "error: 'weight table spans [-172, 173], got -173'\n"),
+        for fmt, message in (("csv", "error: weight table spans [-172, 173], got -173\n"),
                              ("json", "error: horizon 999 exceeds the table reach 172\n")):
             for extra in ((), ("--out", str(out_file))):
                 code, out, err = run(capsys, "density", "--weights", "blocks:2", "--n", "999",

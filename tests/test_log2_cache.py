@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from shiftlab.blocks import build_blocks
 from shiftlab.criteria import _avg_term_logs
-from shiftlab.scalars import ZERO_LOG2, log2_exact
+from shiftlab.scalars import ZERO_LOG2, InvalidSpecError, log2_exact
 from shiftlab.shifts import (
     ShiftOperator,
     UndefinedWeightError,
@@ -103,8 +103,11 @@ def _reference(one, lo, hi):
 
 
 def _row_reference(m, k, lo, hi):
-    return _reference(lambda j: ZERO_LOG2 if m.index_set == "N" and j < 1
-                      else m.entry_log2(j, k), lo, hi)
+    """Where entry raises IndexError (past an 'error' tail table), the row
+    fill raises InvalidSpecError: the horizon outran the input."""
+    ref = _reference(lambda j: ZERO_LOG2 if m.index_set == "N" and j < 1
+                     else m.entry_log2(j, k), lo, hi)
+    return InvalidSpecError if ref is IndexError else ref
 
 
 def _check(cached, expected):
@@ -155,7 +158,7 @@ class TestLog2Cache:
         assert w.log2_window(-25, 25).tobytes() == _reference(w.log2, -25, 25).tobytes()
         m = table_matrix(_matrix_rows(-15, 15), -15, 15)
         assert m.log2_row(2, -3, 3).tobytes() == _row_reference(m, 2, -3, 3).tobytes()
-        with pytest.raises(IndexError):
+        with pytest.raises(InvalidSpecError):
             m.log2_row(2, -3, 16)
         assert m.log2_row(2, -15, 15).tobytes() == _row_reference(m, 2, -15, 15).tobytes()
 

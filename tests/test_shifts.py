@@ -316,3 +316,9 @@ def test_parse_weights_shorthand():
     assert parse_weights("constant:1/2").value(3) == Fraction(1, 2)
     assert parse_weights("geometric:1:2").value(3) == 8
     assert parse_weights("blocks:1").value(-1) == 2
+
+
+def test_undefined_weight_error_is_a_key_error_with_plain_text():
+    with pytest.raises(KeyError) as error:
+        table_weights({0: 1, 1: 2}).value(2)
+    assert str(error.value) == "weight table spans [0, 1], got 2"
