@@ -200,6 +200,7 @@ def orbit(space_text, weights_text, side, vector, n_range, k_range, fmt, out, no
     weights = _load_weights(weights_text)
     op = ShiftOperator(side, weights, space)
     prefix, _, index = vector.partition(":")
+    # a prefix other than 'e' fails as an empty index
     (j0,) = _ints("--vector", "e:<index> with an integer index", vector,
                   (index if prefix == "e" else "",))
     n_lo, n_hi = _parse_range("--n", n_range)

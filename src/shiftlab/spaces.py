@@ -271,7 +271,8 @@ def parse_space(text: str) -> SpaceSpec:
     try:
         p = (float(arg) if "." in arg else int(arg)) if colon else None
     except ValueError:
-        raise InvalidSpecError(f"--space needs <preset>[:<p>] with a number p, got {text!r}") from None
+        raise InvalidSpecError(
+            f"--space needs <preset>[:<p>] with a number p, got {text!r}") from None
     return preset(name, p)
 
 
