@@ -69,10 +69,10 @@ def summary(args: tuple[str, ...], out: str):
     if criterion == "wellposed":
         return {cond: [[r["status"], r["l"]] for r in report[cond]]
                 for cond in ("wellposed", "invertible")}
-    out = {"verdict": _verdict(report)}
+    verdict = {"verdict": _verdict(report)}
     if "upe" in report:
-        out["upe"] = report["upe"]
-    return out
+        verdict["upe"] = report["upe"]
+    return verdict
 
 
 def run_one(args: tuple[str, ...]) -> dict:
