@@ -26,11 +26,10 @@ from .scalars import log2_exact
 from .shifts import (
     ShiftOperator,
     basis_orbit_norm,
-    check_invertible,
-    check_operator_wellposed,
     parse_weights,
     weights_from_json,
     weights_to_json,
+    window_check,
 )
 from .spaces import InvalidSpecError, parse_space, space_from_json, space_to_json
 
@@ -132,12 +131,9 @@ def check(space_text, weights_text, criterion, side, n_max, window, k_max, l_max
     cfg = _horizon(n_max, window, k_max, l_max, m_grid, basis_window)
 
     if criterion == "wellposed":
-        payload = {
-            "wellposed": [check_operator_wellposed(op, k, cfg).to_json()
-                          for k in range(1, cfg.k_max + 1)],
-            "invertible": [check_invertible(op, k, cfg).to_json()
-                           for k in range(1, cfg.k_max + 1)],
-        }
+        payload = {key: [window_check(op, condition, k, cfg).to_json()
+                         for k in range(1, cfg.k_max + 1)]
+                   for key, condition in (("wellposed", "defined"), ("invertible", "invertible"))}
     elif criterion == "hierarchy":
         payload = hierarchy_audit(op, cfg).to_json()
     else:

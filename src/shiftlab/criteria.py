@@ -31,7 +31,7 @@ import numpy as np
 from . import _kernels
 from .scalars import ZERO_LOG2
 from .spaces import InvalidSpecError
-from .shifts import NotInvertibleError, ShiftOperator, dual_form
+from .shifts import NotInvertibleError, ShiftOperator, dual_form, tail_attestation
 
 __all__ = [
     "BranchEvidence",
@@ -40,17 +40,9 @@ __all__ = [
     "HorizonConfig",
     "Verdict",
     "VerdictKind",
-    "avg_expansive_backward",
-    "avg_expansive_forward",
-    "avg_pos_expansive",
     "check_criterion",
     "default_m_grid",
-    "expansive_basis_diagnostic",
     "hierarchy_audit",
-    "mixing_check",
-    "unif_expansive_backward",
-    "unif_expansive_forward",
-    "unif_pos_expansive",
 ]
 
 
@@ -230,25 +222,20 @@ def _avg_term_logs(op: ShiftOperator, k: int, branch: str, n_eff: int) -> np.nda
     raise ValueError(f"unknown branch {branch!r}")
 
 
-_AVG_ATTESTABLE_PAIRS = {("constant", "constant"), ("step", "constant"),
-                         ("polynomial", "constant"), ("hold", "constant")}
-
-
 def _avg_bound_attestation(op: ShiftOperator, terms: np.ndarray) -> Optional[tuple[float, str]]:
     """Per-term bound plus tail attestation, when the family pair supports one.
 
-    The structural gate requires a closed-form matrix tail and constant
-    weights; the numeric gate requires the term maximum to sit at the start
-    (nonincreasing profile) or strictly inside the window (unimodal peak).
+    The structural gate is shifts.tail_attestation; the numeric gate requires
+    the term maximum to sit at the start (nonincreasing profile) or strictly
+    inside the window (unimodal peak).
     """
-    pair = (op.space.matrix.tail_tag, op.weights.tail_tag)
-    if pair not in _AVG_ATTESTABLE_PAIRS or terms.size == 0:
+    if tail_attestation(op) is None or terms.size == 0:
         return None
     arg = int(np.argmax(terms))
     if arg == terms.size - 1:
         return None  # still growing at the window edge
     profile = "nonincreasing term profile" if arg == 0 else "unimodal term profile"
-    return float(terms[arg]), f"{profile} ({pair[0]} matrix, {pair[1]} weights)"
+    return float(terms[arg]), f"{profile} ({op.space.matrix.tail_tag} matrix, constant weights)"
 
 
 def _avg_n_eff(op: ShiftOperator, cfg: HorizonConfig) -> int:
@@ -284,51 +271,36 @@ def _kind(certified: bool, bounded: bool) -> VerdictKind:
     return VerdictKind.BOUNDED_WITNESS if bounded else VerdictKind.INCONCLUSIVE
 
 
-def _avg_verdict(op: ShiftOperator, cfg: HorizonConfig, criterion: str) -> Verdict:
+def _avg_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
+    """Running averages of the left and right branch terms (_avg_term_logs):
+    divergence of either branch at any level certifies average expansivity
+    of a bilateral shift."""
     evidence = _avg_evidence(op, cfg, ("left", "right"), _avg_n_eff(op, cfg))
     left = any(ev.certified for ev in evidence if ev.label == "left")
     right = any(ev.certified for ev in evidence if ev.label == "right")
     branch = {(True, True): "both", (True, False): "left", (False, True): "right",
               (False, False): "none"}[(left, right)]
     kind = _kind(left or right, all(ev.attestation is not None for ev in evidence))
-    return Verdict(criterion, kind, branch=branch, evidence=tuple(evidence), config=cfg)
+    return Verdict("avg-expansive", kind, branch=branch, evidence=tuple(evidence), config=cfg)
 
 
-def avg_expansive_backward(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
-    """Running averages of a(-j,k)|w(-j+1)...w(0)| (left) and of
-    a(j,k)/|w(1)...w(j)| (right): divergence of either branch at any level
-    certifies average expansivity of a bilateral backward shift."""
-    if op.direction != "backward" or not op.bilateral:
-        raise InvalidSpecError("avg_expansive_backward needs a bilateral backward shift")
-    return _avg_verdict(op, cfg, "avg-expansive")
-
-
-def avg_expansive_forward(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
-    """Forward-shift analogue: left terms a(j,k)|w(0)...w(j-1)|, right terms
-    a(-j,k)/|w(-j)...w(-1)|."""
-    if op.direction != "forward" or not op.bilateral:
-        raise InvalidSpecError("avg_expansive_forward needs a bilateral forward shift")
-    return _avg_verdict(op, cfg, "avg-expansive")
-
-
-def avg_pos_expansive(op: ShiftOperator, cfg: HorizonConfig, side: str = "op") -> Verdict:
-    """One-sided averages: the left branch certifies the operator itself,
-    the right branch its inverse.  Unilateral forward shifts use the
-    convention |w(1)...w(j-1)| = 1 at j = 1; unilateral backward shifts are
-    never positively expansive (the first basis vector dies)."""
-    if side not in ("op", "inverse"):
-        raise InvalidSpecError("side must be 'op' or 'inverse'")
+def _avg_pos_expansive(op: ShiftOperator, cfg: HorizonConfig, criterion: str) -> Verdict:
+    """One-sided averages: the left branch certifies the operator itself
+    ('ape'), the right branch its inverse ('ape-inverse').  Unilateral
+    forward shifts use the convention |w(1)...w(j-1)| = 1 at j = 1;
+    unilateral backward shifts are never positively expansive (the first
+    basis vector dies)."""
     if not op.bilateral:
         if op.direction == "backward":
             return Verdict("avg-pos-expansive", VerdictKind.BOUNDED_WITNESS, branch="none",
                            notes=("unilateral backward shift: orbit of e_1 is eventually zero",),
                            config=cfg)
-        if side == "inverse":
+        if criterion == "ape-inverse":
             raise NotInvertibleError("unilateral forward shift has no inverse")
         branch = "unilateral"
         n_eff = _clip_n(op, cfg, lambda n: 1, lambda n: n - 1)
     else:
-        branch = "left" if side == "op" else "right"
+        branch = "left" if criterion == "ape" else "right"
         n_eff = _avg_n_eff(op, cfg)
     evidence = _avg_evidence(op, cfg, (branch,), n_eff)
     kind = _kind(any(ev.certified for ev in evidence),
@@ -340,17 +312,6 @@ def avg_pos_expansive(op: ShiftOperator, cfg: HorizonConfig, side: str = "op") -
 # ---------------------------------------------------------------------------
 # uniform expansivity: window-infimum curves
 # ---------------------------------------------------------------------------
-
-_UE_ATTESTABLE_PAIRS = {
-    ("constant", "constant"): "constant ratio profile in j",
-    ("step", "constant"): "ratio profile constant on the support",
-    ("polynomial", "constant"): "ratio profile unimodal in j on each half-line",
-}
-
-
-def _ue_attestation(op: ShiftOperator) -> Optional[str]:
-    return _UE_ATTESTABLE_PAIRS.get((op.space.matrix.tail_tag, op.weights.tail_tag))
-
 
 def _split_window(op: ShiftOperator, split: str, cfg: HorizonConfig):
     """(lo, hi, tail_edges) of the j-window for one split of the support."""
@@ -455,16 +416,16 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     return curve, interior == curve
 
 
-def _ue_n_eff(op: ShiftOperator, cfg: HorizonConfig, radius: int) -> int:
-    """cfg.n_max, cut to what a finite weight table reaches from within `radius`."""
+def _ue_n_eff(op: ShiftOperator, cfg: HorizonConfig, radius: int) -> Optional[int]:
+    """cfg.n_max, cut to what a finite weight table reaches from within
+    `radius`; None when the table does not reach past it.  Such a table has
+    an 'error' tail, so its pair is unattested and sweeps no curve."""
     reach = op.weights.defined_range()
     if reach is None:
         return cfg.n_max
     lo, hi = reach
     room = min(abs(lo), abs(hi)) - radius - 2
-    if room < 1:
-        raise InvalidSpecError(f"weight table too small for a window of radius {radius}")
-    return min(cfg.n_max, room)
+    return min(cfg.n_max, room) if room >= 1 else None
 
 
 def _ue_property_for_k(op: ShiftOperator, k: int, prop: str, cfg: HorizonConfig,
@@ -510,13 +471,24 @@ def _ue_regime(op: ShiftOperator, prop: str, cfg: HorizonConfig, n_eff: int,
     return True, evidence
 
 
-def unif_expansive_forward(op: ShiftOperator, cfg: HorizonConfig):
-    """Certify one of the three uniform-expansivity regimes of a bilateral
-    forward shift: (A) forward products beat every level uniformly, (B) the
-    inverse products do, (C) each half-line handles one direction."""
-    if op.direction != "forward" or not op.bilateral:
-        raise InvalidSpecError("unif_expansive_forward needs a bilateral forward shift")
-    attestation = _ue_attestation(op)
+_BACKWARD_PROPERTY = {"A": "b", "B": "a", "C": "c", "none": "none"}
+
+
+def _unif_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
+    """The certified uniform-expansivity regime of a bilateral shift.
+
+    Forward: (A) forward products beat every level uniformly, (B) the inverse
+    products do, (C) each half-line handles one direction.  Backward: the
+    forward regime of the inverse's opposite-direction form, mapped to
+    (a), (b), (c); regime (a) also means uniformly positively expansive."""
+    if op.direction == "backward":
+        verdict = _unif_expansive(dual_form(op), cfg)
+        prop = _BACKWARD_PROPERTY[verdict.property_label]
+        notes = verdict.notes + (("regime (a): uniformly positively expansive",)
+                                 if prop == "a" else ())
+        return Verdict("unif-expansive", verdict.kind, property_label=prop,
+                       evidence=verdict.evidence, notes=notes, config=cfg)
+    attestation = (tail_attestation(op) or {}).get("profile")
     n_eff = _ue_n_eff(op, cfg, cfg.window)
     holders = []
     evidence = []
@@ -527,40 +499,20 @@ def unif_expansive_forward(op: ShiftOperator, cfg: HorizonConfig):
             holders.append(regime)
     if len(holders) > 1:
         raise AssertionError(f"mutually exclusive properties both certified: {holders}")
-    prop = holders[0] if holders else "none"
-    verdict = Verdict("unif-expansive", _kind(bool(holders), False), property_label=prop,
-                      evidence=tuple(evidence), config=cfg,
-                      notes=() if attestation else
-                      ("no ratio-profile attestation for this weight family; "
-                       "certificates unavailable, window evidence only",))
-    return prop, verdict
+    return Verdict("unif-expansive", _kind(bool(holders), False),
+                   property_label=holders[0] if holders else "none",
+                   evidence=tuple(evidence), config=cfg,
+                   notes=() if attestation else
+                   ("no ratio-profile attestation for this weight family; "
+                    "certificates unavailable, window evidence only",))
 
 
-_BACKWARD_PROPERTY = {"A": "b", "B": "a", "C": "c", "none": "none"}
-
-
-def unif_expansive_backward(op: ShiftOperator, cfg: HorizonConfig):
-    """Delegates to the forward checker on the inverse's opposite-direction
-    form and maps the certified regime; regime (a) additionally means the
-    backward shift is uniformly positively expansive."""
-    if op.direction != "backward" or not op.bilateral:
-        raise InvalidSpecError("unif_expansive_backward needs a bilateral backward shift")
-    fwd_prop, verdict = unif_expansive_forward(dual_form(op), cfg)
-    prop = _BACKWARD_PROPERTY[fwd_prop]
-    notes = verdict.notes
-    if prop == "a":
-        notes = notes + ("regime (a): uniformly positively expansive",)
-    mapped = Verdict("unif-expansive", verdict.kind, property_label=prop,
-                     evidence=verdict.evidence, notes=notes, config=cfg)
-    return prop, mapped
-
-
-def unif_pos_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
+def _unif_pos_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     """Uniform positive expansivity: regime (A) alone for forward shifts
     (bilateral or unilateral), regime (a) for bilateral backward shifts."""
     if op.direction == "forward":
         holds, evidence = _ue_regime(op, "A", cfg, _ue_n_eff(op, cfg, cfg.window),
-                                     _ue_attestation(op))
+                                     (tail_attestation(op) or {}).get("profile"))
         return Verdict("unif-pos-expansive", _kind(holds, False),
                        property_label="A" if holds else "none",
                        evidence=tuple(evidence), config=cfg)
@@ -569,8 +521,8 @@ def unif_pos_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
                        property_label="none",
                        notes=("unilateral backward shifts are never positively expansive",),
                        config=cfg)
-    prop, verdict = unif_expansive_backward(op, cfg)
-    holds = prop == "a"
+    verdict = _unif_expansive(op, cfg)
+    holds = verdict.property_label == "a"
     return Verdict("unif-pos-expansive", _kind(holds, False),
                    property_label="a" if holds else "none",
                    evidence=verdict.evidence, config=cfg)
@@ -612,18 +564,20 @@ def _orbit_log_curves(op: ShiftOperator, j0: int, k: int, n_eff: int):
     return entry0, pos, neg
 
 
-def expansive_basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
+def _basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     """DIAGNOSTIC: necessary evidence only.  For each basis index in the
     window, does some level's two-sided orbit-norm sup cross the whole grid?
     The full expansivity condition quantifies over all vectors; basis orbits
     are the computable shadow."""
     n_eff = _ue_n_eff(op, cfg, cfg.basis_window)
+    if n_eff is None:
+        raise InvalidSpecError(f"weight table too small for a window of radius {cfg.basis_window}")
     j_lo = 1 if not op.bilateral else -cfg.basis_window
     one_sided = not op.structurally_invertible
     evidence = []
     all_certified = True
     all_bounded = True
-    pair_ok = (op.space.matrix.tail_tag, op.weights.tail_tag) in _AVG_ATTESTABLE_PAIRS
+    pair_ok = tail_attestation(op) is not None
     for j0 in range(j_lo, cfg.basis_window + 1):
         best: Optional[BranchEvidence] = None
         for k in range(1, cfg.k_max + 1):
@@ -673,14 +627,12 @@ def _null_certification(terms: np.ndarray, attested: bool, tau_grid: Sequence[fl
     return certified, results
 
 
-def mixing_check(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
+def _mixing(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     """Topological-mixing surrogate for bilateral backward shifts: both term
     sequences a(-j,k)|w(-j+1)...w(0)| and a(j,k)/|w(1)...w(j)| must be
     certified null at every level.  On any average-expansivity certificate
     some branch terms diverge in average, so this must not certify: the
     exclusion is asserted by the hierarchy tests."""
-    if op.direction != "backward" or not op.bilateral:
-        raise InvalidSpecError("mixing_check needs a bilateral backward shift")
     tau_grid = [2.0 ** (-m) for m in range(0, 11)]
     n_eff = _avg_n_eff(op, cfg)
     evidence = []
@@ -743,20 +695,34 @@ def hierarchy_audit(op: ShiftOperator, cfg: HorizonConfig) -> HierarchyReport:
     return HierarchyReport(ue.property_label, ue, ae, ed, not violations, tuple(violations))
 
 
+# criterion name -> the directions of the bilateral shifts it is defined for;
+# the other criteria take every shift
+_BILATERAL_ONLY = {"ae": ("backward", "forward"), "ue": ("backward", "forward"),
+                   "mixing": ("backward",)}
+
+
 def check_criterion(op: ShiftOperator, criterion: str, cfg: HorizonConfig) -> Verdict:
-    """The verdict of the checker that serves one criterion name ('ae', 'ape',
-    'ape-inverse', 'ue', 'upe', 'e', 'mixing') for the shift's direction."""
-    backward = op.direction == "backward"
-    if criterion == "ae":
-        return (avg_expansive_backward if backward else avg_expansive_forward)(op, cfg)
+    """The verdict for one criterion name, for either shift direction.
+
+    'ae'           average expansivity (bilateral shifts only)
+    'ape'          average positive expansivity of the operator
+    'ape-inverse'  the same for its inverse (NotInvertibleError for a
+                   unilateral forward shift)
+    'ue'           uniform expansivity regime (bilateral shifts only)
+    'upe'          uniform positive expansivity
+    'e'            basis-orbit expansivity diagnostic
+    'mixing'       mixing surrogate (bilateral backward shifts only)
+
+    An unknown name, or a shift the criterion does not apply to, is an
+    InvalidSpecError."""
+    directions = _BILATERAL_ONLY.get(criterion)
+    if directions and not (op.bilateral and op.direction in directions):
+        raise InvalidSpecError(
+            f"criterion {criterion!r} needs a bilateral {' or '.join(directions)} shift")
     if criterion in ("ape", "ape-inverse"):
-        return avg_pos_expansive(op, cfg, side="op" if criterion == "ape" else "inverse")
-    if criterion == "ue":
-        return (unif_expansive_backward if backward else unif_expansive_forward)(op, cfg)[1]
-    if criterion == "upe":
-        return unif_pos_expansive(op, cfg)
-    if criterion == "e":
-        return expansive_basis_diagnostic(op, cfg)
-    if criterion == "mixing":
-        return mixing_check(op, cfg)
-    raise InvalidSpecError(f"unknown criterion {criterion!r}")
+        return _avg_pos_expansive(op, cfg, criterion)
+    checker = {"ae": _avg_expansive, "ue": _unif_expansive, "upe": _unif_pos_expansive,
+               "e": _basis_diagnostic, "mixing": _mixing}.get(criterion)
+    if checker is None:
+        raise InvalidSpecError(f"unknown criterion {criterion!r}")
+    return checker(op, cfg)

@@ -45,17 +45,17 @@ __all__ = [
     "WeightSequence",
     "WitnessReport",
     "basis_orbit_norm",
-    "check_invertible",
-    "check_operator_wellposed",
     "conjugate_to_unweighted",
     "constant_weights",
     "dual_form",
     "geometric_weights",
     "parse_weights",
     "table_weights",
+    "tail_attestation",
     "weight_product",
     "weights_from_json",
     "weights_to_json",
+    "window_check",
 ]
 
 
@@ -348,30 +348,42 @@ def _ratio_terms(op: ShiftOperator, condition: str, k: int, level: int, window: 
     return pairs
 
 
-def _tail_attestation(op: ShiftOperator) -> Optional[str]:
-    """Structural reason the window-sup of a ratio extends to the tails."""
-    mt = op.space.matrix.tail_tag
-    wt = op.weights.tail_tag
-    if wt != "constant":
+# The one table of tail attestations.  A (matrix, weight) family pair is
+# attested when its weights are constant and its matrix tail tag is listed;
+# the entry says why window_check's ratio sup ("ratio") and a uniform ratio
+# profile ("profile") extend past the window.  A "hold" matrix attests only
+# the running-average term profiles, which need no stored reason.
+_TAIL_ATTESTATIONS = {
+    "constant": {"ratio": "constant matrix rows and constant weights: ratio constant in j",
+                 "profile": "constant ratio profile in j"},
+    "step": {"ratio": "step matrix and constant weights: ratio eventually constant on each tail",
+             "profile": "ratio profile constant on the support"},
+    "polynomial": {"ratio": "polynomial matrix and constant weights: ratio monotone on each tail",
+                   "profile": "ratio profile unimodal in j on each half-line"},
+    "hold": {},
+}
+
+
+def tail_attestation(op: ShiftOperator) -> Optional[dict]:
+    """The _TAIL_ATTESTATIONS entry of the operator's family pair; None when
+    the pair has no tail attestation."""
+    if op.weights.tail_tag != "constant":
         return None
-    if mt == "constant":
-        return "constant matrix rows and constant weights: ratio constant in j"
-    if mt == "step":
-        return "step matrix and constant weights: ratio eventually constant on each tail"
-    if mt == "polynomial":
-        return "polynomial matrix and constant weights: ratio monotone on each tail"
-    return None
+    return _TAIL_ATTESTATIONS.get(op.space.matrix.tail_tag)
 
 
-def _window_check(op: ShiftOperator, condition: str, k: int, cfg) -> WitnessReport:
-    """Report of the first level in [k, l_max] whose zero pattern holds, with
-    or without a tail attestation: no later level can change it."""
+def window_check(op: ShiftOperator, condition: str, k: int, cfg) -> WitnessReport:
+    """Level search l in [k, l_max] for a finite window-sup certificate that
+    the shift maps the space into itself (condition 'defined') or that its
+    inverse does ('invertible'); definitive only with an attested tail.  The
+    report is that of the first level whose zero pattern holds, with or
+    without a tail attestation: no later level can change it."""
     name = f"{op.direction}-{condition}"
     if condition == "invertible" and not op.bilateral:
         reason = ("unilateral forward shift has no inverse" if op.direction == "forward"
                   else "unilateral backward shift has nontrivial kernel")
         return WitnessReport(name, "fails", k, detail=reason)
-    attestation = _tail_attestation(op)
+    attestation = (tail_attestation(op) or {}).get("ratio")
     for level in range(k, cfg.l_max + 1):
         pairs = _ratio_terms(op, condition, k, level, cfg.window)
         if not pairs:
@@ -391,18 +403,6 @@ def _window_check(op: ShiftOperator, condition: str, k: int, cfg) -> WitnessRepo
     return WitnessReport(
         name, "fails", k,
         detail=f"zero-pattern implication fails for every level <= {cfg.l_max} on the window")
-
-
-def check_operator_wellposed(op: ShiftOperator, k: int, cfg) -> WitnessReport:
-    """Search levels l in [k, l_max] for a finite sup certificate that the
-    shift maps the space into itself; definitive only with an attested tail.
-    """
-    return _window_check(op, "defined", k, cfg)
-
-
-def check_invertible(op: ShiftOperator, k: int, cfg) -> WitnessReport:
-    """Mirror image of the well-posedness check, for the inverse."""
-    return _window_check(op, "invertible", k, cfg)
 
 
 # ---------------------------------------------------------------------------

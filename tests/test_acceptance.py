@@ -32,13 +32,8 @@ from shiftlab.blocks import (
 from shiftlab.criteria import (
     HorizonConfig,
     VerdictKind,
-    avg_expansive_backward,
-    expansive_basis_diagnostic,
+    check_criterion,
     hierarchy_audit,
-    mixing_check,
-    unif_expansive_backward,
-    unif_expansive_forward,
-    unif_pos_expansive,
 )
 from shiftlab.shifts import ShiftOperator, basis_orbit_norm, constant_weights
 from shiftlab.spaces import preset
@@ -130,24 +125,24 @@ def test_06_criteria_battery(build4):
                         basis_window=8)
     for space in (preset("lp_Z", 2), preset("c0_Z")):
         op = ShiftOperator("backward", constant_weights(2), space)
-        prop, ue = unif_expansive_backward(op, cfg)
-        assert prop == "a" and ue.certified
-        assert unif_pos_expansive(op, cfg).certified
-        assert avg_expansive_backward(op, cfg).certified
-        assert expansive_basis_diagnostic(op, cfg).certified
+        ue = check_criterion(op, "ue", cfg)
+        assert ue.property_label == "a" and ue.certified
+        assert check_criterion(op, "upe", cfg).certified
+        assert check_criterion(op, "ae", cfg).certified
+        assert check_criterion(op, "e", cfg).certified
         fop = ShiftOperator("forward", constant_weights(2), space)
-        fprop, fue = unif_expansive_forward(fop, cfg)
-        assert fprop == "A" and fue.certified
+        fue = check_criterion(fop, "ue", cfg)
+        assert fue.property_label == "A" and fue.certified
 
         unit = ShiftOperator("backward", constant_weights(1), space)
-        assert avg_expansive_backward(unit, cfg).kind is VerdictKind.BOUNDED_WITNESS
+        assert check_criterion(unit, "ae", cfg).kind is VerdictKind.BOUNDED_WITNESS
 
     s_cfg = HorizonConfig(n_max=1200, window=1000, m_grid=(1, 2, 4, 16, 256), k_max=3)
     s_op = ShiftOperator("forward", constant_weights(1), preset("s_Z"))
-    prop, ue = unif_expansive_forward(s_op, s_cfg)
-    assert prop == "C"
+    ue = check_criterion(s_op, "ue", s_cfg)
+    assert ue.property_label == "C"
     assert all(e.level == e.k + 1 for e in ue.evidence if e.certified)
-    assert not unif_pos_expansive(s_op, s_cfg).certified  # property A fails
+    assert not check_criterion(s_op, "upe", s_cfg).certified  # property A fails
     from shiftlab.criteria import _ue_curve
     import math
     for k in (1, 2, 3):
@@ -156,8 +151,8 @@ def test_06_criteria_battery(build4):
             assert usable[n - 1] and curve[n - 1] >= math.log2(n) - 1e-9
 
     hl = ShiftOperator("forward", constant_weights(2), preset("halfline_Z"))
-    hprop, hue = unif_expansive_forward(hl, cfg)
-    assert hprop == "A" and hue.certified
+    hue = check_criterion(hl, "ue", cfg)
+    assert hue.property_label == "A" and hue.certified
     _passed(6, "battery: w=2 -> (a)/(A)+UPE+AE+E-diag; w=1 -> BoundedWitness; "
                "s_Z -> (C) at l=k+1 with window-inf >= n; halfline -> (A)")
 
@@ -172,9 +167,9 @@ def test_07_mixing_exclusion(build4):
          HorizonConfig(n_max=build4.layout.t_max, window=300, m_grid=(1, 2, 4), k_max=2)),
     ]
     for name, op, use in battery:
-        ae = avg_expansive_backward(op, use)
+        ae = check_criterion(op, "ae", use)
         assert ae.certified, name
-        mix = mixing_check(op, use)
+        mix = check_criterion(op, "mixing", use)
         assert mix.property_label != "mixing", name
         for k in range(1, use.k_max + 1):
             sides = {e.label: e.certified for e in mix.evidence if e.k == k}

@@ -6,26 +6,10 @@ import pytest
 
 from shiftlab.blocks import build_blocks, hypercyclicity_witness, norm_runs, verify_inequalities
 from shiftlab.cli import EXIT_OK, EXIT_USAGE, main
-from shiftlab.criteria import (
-    HorizonConfig,
-    avg_expansive_backward,
-    avg_expansive_forward,
-    avg_pos_expansive,
-    expansive_basis_diagnostic,
-    hierarchy_audit,
-    mixing_check,
-    unif_expansive_backward,
-    unif_expansive_forward,
-    unif_pos_expansive,
-)
+from shiftlab.criteria import HorizonConfig, check_criterion, hierarchy_audit
 from shiftlab.density import cesaro_trace, distributional_report
 from shiftlab.reporting import canonical_json
-from shiftlab.shifts import (
-    ShiftOperator,
-    check_invertible,
-    check_operator_wellposed,
-    parse_weights,
-)
+from shiftlab.shifts import ShiftOperator, parse_weights, window_check
 from shiftlab.spaces import parse_space
 
 
@@ -224,6 +208,45 @@ class TestCheck:
         assert code == EXIT_USAGE
         assert out == "" and err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("args, message", [
+        (("--space", "c0_N", "--criterion", "ae"),
+         "criterion 'ae' needs a bilateral backward or forward shift"),
+        (("--space", "c0_N", "--criterion", "ue"),
+         "criterion 'ue' needs a bilateral backward or forward shift"),
+        (("--space", "c0_Z", "--side", "forward", "--criterion", "mixing"),
+         "criterion 'mixing' needs a bilateral backward shift"),
+    ])
+    def test_shift_outside_the_criterion_names_it(self, capsys, args, message):
+        code, out, err = run(capsys, "check", "--weights", "constant:2", *args,
+                             "--n-max", "8", "--window", "4")
+        assert code == EXIT_USAGE
+        assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("criterion", ["ue", "upe", "hierarchy"])
+    def test_weight_table_inside_the_window_leaves_ue_inconclusive(self, capsys, criterion):
+        # blocks:2 spans [-172, 173], inside the default window of 1000; the
+        # pair is unattested, so the uniform rows need no curve and no n_eff
+        code, out, _ = run(capsys, "check", "--space", "c0_Z", "--weights", "blocks:2",
+                           "--criterion", criterion, "--no-timestamp")
+        assert code == EXIT_OK
+        report = json.loads(out)["report"]
+        ue = report["ue"] if criterion == "hierarchy" else report
+        assert ue["kind"] == "Inconclusive"
+        assert ue["evidence"] and all(ev["n_eff"] is None for ev in ue["evidence"])
+
+    def test_weight_table_inside_the_basis_window_is_input_error(self, capsys):
+        # the basis diagnostic reads weights that far out, so it still rejects
+        code, out, err = run(capsys, "check", "--space", "c0_Z", "--weights", "blocks:1",
+                             "--criterion", "e")
+        assert code == EXIT_USAGE
+        assert out == "" and err == "error: weight table too small for a window of radius 50\n"
+
+    def test_weight_table_past_the_window_cuts_n_eff(self, capsys):
+        code, out, _ = run(capsys, "check", "--space", "c0_Z", "--weights", "blocks:2",
+                           "--criterion", "ue", "--window", "100", "--no-timestamp")
+        assert code == EXIT_OK
+        assert {ev["n_eff"] for ev in json.loads(out)["report"]["evidence"]} == {70}
+
     def test_missing_option_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "check", "--space", "c0_Z")
         assert code == EXIT_USAGE
@@ -258,26 +281,18 @@ PARITY_CFG = HorizonConfig(n_max=64, window=16, m_grid=(1, 2, 4))
 
 
 def _direct_report(op: ShiftOperator, criterion: str) -> dict:
-    """The report of the public checker for one criterion, called directly."""
+    """The report of the library entry for one criterion, called directly."""
     cfg = PARITY_CFG
-    backward = op.direction == "backward"
     if criterion == "wellposed":
         ks = range(1, cfg.k_max + 1)
-        return {"wellposed": [check_operator_wellposed(op, k, cfg).to_json() for k in ks],
-                "invertible": [check_invertible(op, k, cfg).to_json() for k in ks]}
+        return {"wellposed": [window_check(op, "defined", k, cfg).to_json() for k in ks],
+                "invertible": [window_check(op, "invertible", k, cfg).to_json() for k in ks]}
+    if criterion == "hierarchy":
+        return hierarchy_audit(op, cfg).to_json()
+    report = check_criterion(op, criterion, cfg).to_json()
     if criterion == "ue":
-        prop, verdict = (unif_expansive_backward if backward else unif_expansive_forward)(op, cfg)
-        return verdict.to_json() | {"upe": prop == "a"}
-    checkers = {
-        "ae": avg_expansive_backward if backward else avg_expansive_forward,
-        "ape": lambda op, cfg: avg_pos_expansive(op, cfg, side="op"),
-        "ape-inverse": lambda op, cfg: avg_pos_expansive(op, cfg, side="inverse"),
-        "upe": unif_pos_expansive,
-        "e": expansive_basis_diagnostic,
-        "mixing": mixing_check,
-        "hierarchy": hierarchy_audit,
-    }
-    return checkers[criterion](op, cfg).to_json()
+        report["upe"] = report["property"] == "a"
+    return report
 
 
 @pytest.mark.parametrize("space", ["c0_Z", "c0_N"])

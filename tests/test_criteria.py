@@ -11,15 +11,8 @@ from shiftlab.blocks import build_blocks
 from shiftlab.criteria import (
     HorizonConfig,
     VerdictKind,
-    avg_expansive_backward,
-    avg_expansive_forward,
-    avg_pos_expansive,
-    expansive_basis_diagnostic,
+    check_criterion,
     hierarchy_audit,
-    mixing_check,
-    unif_expansive_backward,
-    unif_expansive_forward,
-    unif_pos_expansive,
 )
 from shiftlab.shifts import ShiftOperator, constant_weights, table_weights
 from shiftlab.spaces import InvalidSpecError, SpaceSpec, power_matrix, preset, table_matrix
@@ -65,7 +58,7 @@ class TestHorizonConfig:
 class TestAvgExpansive:
     def test_doubling_backward_left(self):
         op = ShiftOperator("backward", constant_weights(2), preset("c0_Z"))
-        v = avg_expansive_backward(op, CFG)
+        v = check_criterion(op, "ae", CFG)
         assert v.certified and v.branch == "left"
         # closed form g(n) = (2^{n+1} - 2)/n: first crossings must match the
         # exact enumeration
@@ -77,27 +70,27 @@ class TestAvgExpansive:
 
     def test_unit_weights_bounded(self):
         op = ShiftOperator("backward", constant_weights(1), preset("c0_Z"))
-        v = avg_expansive_backward(op, CFG)
+        v = check_criterion(op, "ae", CFG)
         assert v.kind is VerdictKind.BOUNDED_WITNESS
         assert all(e.bound_log2 == 0.0 for e in v.evidence)
 
     def test_blocks_both_branches(self, build4, blocks_op):
-        v = avg_expansive_backward(blocks_op, blocks_cfg(build4))
+        v = check_criterion(blocks_op, "ae", blocks_cfg(build4))
         assert v.certified and v.branch == "both"
 
     def test_forward_doubling(self):
         op = ShiftOperator("forward", constant_weights(2), preset("lp_Z", 1))
-        v = avg_expansive_forward(op, CFG)
+        v = check_criterion(op, "ae", CFG)
         assert v.certified and v.branch == "left"
 
     def test_forward_unit_bounded(self):
         op = ShiftOperator("forward", constant_weights(1), preset("lp_Z", 1))
-        assert avg_expansive_forward(op, CFG).kind is VerdictKind.BOUNDED_WITNESS
+        assert check_criterion(op, "ae", CFG).kind is VerdictKind.BOUNDED_WITNESS
 
     def test_s_Z_unweighted_polynomial_averages(self):
         op = ShiftOperator("forward", constant_weights(1), preset("s_Z"))
         cfg = HorizonConfig(n_max=2048, window=64, m_grid=(1, 2, 4, 16, 64), k_max=2)
-        v = avg_expansive_forward(op, cfg)
+        v = check_criterion(op, "ae", cfg)
         assert v.certified
         # polynomial-sum oracle at k = 1: averages (1/n) sum (j+1) = (n+3)/2
         left = [e for e in v.evidence if e.label == "left" and e.k == 1][0]
@@ -108,26 +101,31 @@ class TestAvgExpansive:
 
     def test_halfline_vanishing_left_terms(self):
         op = ShiftOperator("backward", constant_weights(1), preset("halfline_Z"))
-        v = avg_expansive_backward(op, CFG)
+        v = check_criterion(op, "ae", CFG)
         assert v.kind is VerdictKind.BOUNDED_WITNESS
 
     def test_wrong_direction_rejected(self):
-        op = ShiftOperator("forward", constant_weights(2), preset("c0_Z"))
-        with pytest.raises(InvalidSpecError):
-            avg_expansive_backward(op, CFG)
+        # ae, ue and mixing need a bilateral shift, mixing a backward one too
+        cases = [(c, side, "c0_N") for c in ("ae", "ue", "mixing")
+                 for side in ("backward", "forward")] + [("mixing", "forward", "c0_Z")]
+        for criterion, side, space in cases:
+            op = ShiftOperator(side, constant_weights(2), preset(space))
+            message = f"criterion '{criterion}' needs a bilateral"
+            with pytest.raises(InvalidSpecError, match=message):
+                check_criterion(op, criterion, CFG)
 
     def test_determinism(self, build4, blocks_op):
         cfg = blocks_cfg(build4)
-        a = avg_expansive_backward(blocks_op, cfg).to_json()
-        b = avg_expansive_backward(blocks_op, cfg).to_json()
+        a = check_criterion(blocks_op, "ae", cfg).to_json()
+        b = check_criterion(blocks_op, "ae", cfg).to_json()
         assert a == b
 
     def test_monotone_evidence_in_n_max(self):
         op = ShiftOperator("backward", constant_weights(2), preset("c0_Z"))
-        small = avg_expansive_backward(op, CFG)
-        big = avg_expansive_backward(
-            op, HorizonConfig(n_max=CFG.n_max * 4, window=CFG.window,
-                              m_grid=CFG.m_grid, k_max=CFG.k_max))
+        small = check_criterion(op, "ae", CFG)
+        big = check_criterion(
+            op, "ae", HorizonConfig(n_max=CFG.n_max * 4, window=CFG.window,
+                                    m_grid=CFG.m_grid, k_max=CFG.k_max))
         assert small.certified and big.certified
         for e1, e2 in zip(small.evidence, big.evidence):
             assert [c.first_n for c in e1.crossings] == [c.first_n for c in e2.crossings]
@@ -138,9 +136,9 @@ class TestAvgExpansive:
         op = ShiftOperator("forward", constant_weights(1), preset("s_Z"))
         base = HorizonConfig(n_max=100, window=500, m_grid=(1, 2, 4, 16), k_max=2)
         wide = HorizonConfig(n_max=100, window=900, m_grid=(1, 2, 4, 16), k_max=2)
-        p1, v1 = unif_expansive_forward(op, base)
-        p2, v2 = unif_expansive_forward(op, wide)
-        assert p1 == p2 == "C" and v1.certified and v2.certified
+        v1 = check_criterion(op, "ue", base)
+        v2 = check_criterion(op, "ue", wide)
+        assert v1.property_label == v2.property_label == "C" and v1.certified and v2.certified
         c1 = [(e.label, [c.first_n for c in e.crossings]) for e in v1.evidence if e.certified]
         c2 = [(e.label, [c.first_n for c in e.crossings]) for e in v2.evidence if e.certified]
         assert c1 == c2
@@ -153,24 +151,24 @@ class TestAvgPosExpansive:
                    ShiftOperator("backward", constant_weights(F(1, 2)), preset("c0_Z")),
                    blocks_op):
             use = cfg if op is blocks_op else CFG
-            full = avg_expansive_backward(op, use)
-            left = avg_pos_expansive(op, use, side="op")
-            right = avg_pos_expansive(op, use, side="inverse")
+            full = check_criterion(op, "ae", use)
+            left = check_criterion(op, "ape", use)
+            right = check_criterion(op, "ape-inverse", use)
             assert left.certified == (full.branch in ("left", "both"))
             assert right.certified == (full.branch in ("right", "both"))
 
     def test_blocks_certified_both_sides(self, build4, blocks_op):
         cfg = blocks_cfg(build4)
-        assert avg_pos_expansive(blocks_op, cfg, side="op").certified
-        assert avg_pos_expansive(blocks_op, cfg, side="inverse").certified
+        assert check_criterion(blocks_op, "ape", cfg).certified
+        assert check_criterion(blocks_op, "ape-inverse", cfg).certified
 
     def test_unit_weights_bounded(self):
         op = ShiftOperator("backward", constant_weights(1), preset("c0_Z"))
-        assert avg_pos_expansive(op, CFG).kind is VerdictKind.BOUNDED_WITNESS
+        assert check_criterion(op, "ape", CFG).kind is VerdictKind.BOUNDED_WITNESS
 
     def test_unilateral_forward(self):
         op = ShiftOperator("forward", constant_weights(2), preset("lp_N", 1))
-        v = avg_pos_expansive(op, CFG)
+        v = check_criterion(op, "ape", CFG)
         assert v.certified
         # terms 2^{j-1}: averages (2^n - 1)/n
         ev = v.evidence[0]
@@ -181,15 +179,15 @@ class TestAvgPosExpansive:
 
     def test_unilateral_backward_never(self):
         op = ShiftOperator("backward", constant_weights(2), preset("lp_N", 1))
-        v = avg_pos_expansive(op, CFG)
+        v = check_criterion(op, "ape", CFG)
         assert v.kind is VerdictKind.BOUNDED_WITNESS
 
 
 class TestUnifExpansiveForward:
     def test_doubling_is_A(self):
         op = ShiftOperator("forward", constant_weights(2), preset("lp_Z", 2))
-        prop, v = unif_expansive_forward(op, CFG)
-        assert prop == "A" and v.certified
+        v = check_criterion(op, "ue", CFG)
+        assert v.property_label == "A" and v.certified
         # ratio 2^n: the level-1 inf curve crossings are exact
         ev = [e for e in v.evidence if e.label == "A:Z" and e.k == 1][0]
         assert ev.level == 1
@@ -200,20 +198,20 @@ class TestUnifExpansiveForward:
 
     def test_halving_is_B(self):
         op = ShiftOperator("forward", constant_weights(F(1, 2)), preset("lp_Z", 2))
-        prop, v = unif_expansive_forward(op, CFG)
-        assert prop == "B" and v.certified
+        v = check_criterion(op, "ue", CFG)
+        assert v.property_label == "B" and v.certified
 
     def test_halfline_is_A(self):
         op = ShiftOperator("forward", constant_weights(2), preset("halfline_Z"))
-        prop, v = unif_expansive_forward(op, CFG)
-        assert prop == "A"
+        v = check_criterion(op, "ue", CFG)
+        assert v.property_label == "A"
         assert all(e.level == e.k for e in v.evidence if e.certified)
 
     def test_s_Z_is_C_with_next_level(self):
         op = ShiftOperator("forward", constant_weights(1), preset("s_Z"))
         cfg = HorizonConfig(n_max=1200, window=1000, m_grid=(1, 2, 4, 16, 256), k_max=3)
-        prop, v = unif_expansive_forward(op, cfg)
-        assert prop == "C"
+        v = check_criterion(op, "ue", cfg)
+        assert v.property_label == "C"
         certified = [e for e in v.evidence if e.certified]
         assert certified and all(e.level == e.k + 1 for e in certified)
 
@@ -259,76 +257,76 @@ class TestUnifExpansiveForward:
     def test_blocks_has_no_regime(self, build4):
         op = ShiftOperator("forward", build4.weights, preset("c0_Z"))
         cfg = HorizonConfig(n_max=256, window=300, m_grid=(1, 2, 4), k_max=2)
-        prop, v = unif_expansive_forward(op, cfg)
-        assert prop == "none" and not v.certified
+        v = check_criterion(op, "ue", cfg)
+        assert v.property_label == "none" and not v.certified
 
 
 class TestUnifExpansiveBackward:
     def test_doubling_is_a_and_upe(self):
         op = ShiftOperator("backward", constant_weights(2), preset("lp_Z", 2))
-        prop, v = unif_expansive_backward(op, CFG)
-        assert prop == "a" and v.certified
+        v = check_criterion(op, "ue", CFG)
+        assert v.property_label == "a" and v.certified
         assert any("uniformly positively expansive" in note for note in v.notes)
 
     def test_halving_is_b(self):
         op = ShiftOperator("backward", constant_weights(F(1, 2)), preset("lp_Z", 2))
-        prop, v = unif_expansive_backward(op, CFG)
-        assert prop == "b" and v.certified
+        v = check_criterion(op, "ue", CFG)
+        assert v.property_label == "b" and v.certified
 
     def test_blocks_none(self, build4, blocks_op):
         cfg = blocks_cfg(build4, n_max=512)
-        prop, v = unif_expansive_backward(blocks_op, cfg)
-        assert prop == "none" and not v.certified
+        v = check_criterion(blocks_op, "ue", cfg)
+        assert v.property_label == "none" and not v.certified
 
 
 class TestUnifPosExpansive:
     def test_forward_doubling(self):
         op = ShiftOperator("forward", constant_weights(2), preset("lp_Z", 2))
-        assert unif_pos_expansive(op, CFG).certified
+        assert check_criterion(op, "upe", CFG).certified
 
     def test_backward_doubling_via_regime_a(self):
         op = ShiftOperator("backward", constant_weights(2), preset("lp_Z", 2))
-        v = unif_pos_expansive(op, CFG)
+        v = check_criterion(op, "upe", CFG)
         assert v.certified and v.property_label == "a"
 
     def test_s_Z_not_upe(self):
         op = ShiftOperator("forward", constant_weights(1), preset("s_Z"))
         cfg = HorizonConfig(n_max=1200, window=1000, m_grid=(1, 2, 4, 16, 256), k_max=3)
-        v = unif_pos_expansive(op, cfg)
+        v = check_criterion(op, "upe", cfg)
         assert not v.certified
 
     def test_unilateral_tripling(self):
         op = ShiftOperator("forward", constant_weights(3), preset("lp_N", 1))
-        v = unif_pos_expansive(op, CFG)
+        v = check_criterion(op, "upe", CFG)
         assert v.certified
 
     def test_unilateral_backward_never(self):
         op = ShiftOperator("backward", constant_weights(3), preset("lp_N", 1))
-        v = unif_pos_expansive(op, CFG)
+        v = check_criterion(op, "upe", CFG)
         assert v.kind is VerdictKind.BOUNDED_WITNESS
 
 
 class TestBasisDiagnostic:
     def test_doubling_certified(self):
         op = ShiftOperator("backward", constant_weights(2), preset("lp_Z", 1))
-        v = expansive_basis_diagnostic(op, CFG)
+        v = check_criterion(op, "e", CFG)
         assert v.certified
         assert any("diagnostic" in note for note in v.notes)
 
     def test_unit_weights_bounded(self):
         op = ShiftOperator("backward", constant_weights(1), preset("lp_Z", 1))
-        v = expansive_basis_diagnostic(op, CFG)
+        v = check_criterion(op, "e", CFG)
         assert v.kind is VerdictKind.BOUNDED_WITNESS
 
     def test_blocks_certified(self, build4, blocks_op):
-        v = expansive_basis_diagnostic(blocks_op, blocks_cfg(build4, n_max=4000))
+        v = check_criterion(blocks_op, "e", blocks_cfg(build4, n_max=4000))
         assert v.certified
 
 
 class TestMixing:
     def test_halving_not_mixing(self):
         op = ShiftOperator("backward", constant_weights(F(1, 2)), preset("c0_Z"))
-        v = mixing_check(op, CFG)
+        v = check_criterion(op, "mixing", CFG)
         assert v.property_label == "not-mixing"
         # the left sequence does certify null; only the right one blocks
         left = [e for e in v.evidence if e.label == "null:left" and e.k == 1][0]
@@ -336,7 +334,7 @@ class TestMixing:
         assert left.certified and not right.certified
 
     def test_blocks_not_mixing_to_full_horizon(self, build4, blocks_op):
-        v = mixing_check(blocks_op, blocks_cfg(build4))
+        v = check_criterion(blocks_op, "mixing", blocks_cfg(build4))
         assert v.property_label == "not-mixing"
 
     def test_piecewise_doubling_halving(self):
@@ -344,13 +342,14 @@ class TestMixing:
         table = {j: F(2) for j in range(-64, 1)}
         table.update({j: F(1, 2) for j in range(1, 65)})
         op = ShiftOperator("backward", table_weights(table, tail="hold"), preset("c0_Z"))
-        v = mixing_check(op, HorizonConfig(n_max=60, window=32, m_grid=(1, 2, 4, 16), k_max=1))
+        cfg = HorizonConfig(n_max=60, window=32, m_grid=(1, 2, 4, 16), k_max=1)
+        v = check_criterion(op, "mixing", cfg)
         assert v.property_label == "not-mixing"
 
     def test_exclusion_on_certified_family(self, build4, blocks_op):
         cfg = blocks_cfg(build4)
-        assert avg_expansive_backward(blocks_op, cfg).certified
-        v = mixing_check(blocks_op, cfg)
+        assert check_criterion(blocks_op, "ae", cfg).certified
+        v = check_criterion(blocks_op, "mixing", cfg)
         assert v.property_label != "mixing"
         # per level: never both sides certified null
         for k in range(1, cfg.k_max + 1):
@@ -385,8 +384,8 @@ class TestHonestNonCertification:
     def test_halfline_shrinking_forward_has_no_regime(self):
         # mass drains into the dead zone: no uniform regime can certify
         op = ShiftOperator("forward", constant_weights(F(1, 2)), preset("halfline_Z"))
-        prop, v = unif_expansive_forward(op, CFG)
-        assert prop == "none" and not v.certified
+        v = check_criterion(op, "ue", CFG)
+        assert v.property_label == "none" and not v.certified
 
     def test_signed_geometric_collapses_both_branches(self):
         from shiftlab.shifts import geometric_weights
@@ -396,7 +395,7 @@ class TestHonestNonCertification:
         # stays honest rather than claimed
         op = ShiftOperator("backward", geometric_weights(1, F(3, 2)), preset("c0_Z"))
         cfg = HorizonConfig(n_max=128, window=32, m_grid=(1, 2, 4, 16), k_max=1)
-        assert avg_expansive_backward(op, cfg).kind is VerdictKind.INCONCLUSIVE
+        assert check_criterion(op, "ae", cfg).kind is VerdictKind.INCONCLUSIVE
 
     def test_abs_geometric_avg_certifies_without_attestation(self):
         from shiftlab.shifts import geometric_weights
@@ -407,8 +406,8 @@ class TestHonestNonCertification:
         op = ShiftOperator("backward", geometric_weights(1, 2, abs_index=True),
                            preset("c0_Z"))
         cfg = HorizonConfig(n_max=128, window=32, m_grid=(1, 2, 4, 16), k_max=1)
-        assert avg_expansive_backward(op, cfg).certified
-        prop, v = unif_expansive_backward(op, cfg)
+        assert check_criterion(op, "ae", cfg).certified
+        v = check_criterion(op, "ue", cfg)
         assert v.kind is VerdictKind.INCONCLUSIVE
         assert any("attestation" in note for note in v.notes)
 
@@ -667,7 +666,6 @@ class TestSearchStopsWhenDecided:
     @pytest.mark.parametrize("side", ["backward", "forward"])
     @pytest.mark.parametrize("space, weights", [("s_Z", "geometric:1:2"), ("c0_Z", "blocks:3")])
     def test_unattested_pair_sweeps_no_curve(self, cold_memo, space, weights, side, criterion):
-        from shiftlab.criteria import check_criterion
         from shiftlab.shifts import parse_weights
         from shiftlab.spaces import parse_space
 
@@ -683,5 +681,5 @@ class TestSearchStopsWhenDecided:
 
     def test_attested_pair_sweeps(self, cold_memo):
         op = ShiftOperator("backward", constant_weights(2), preset("lp_Z", 2))
-        assert unif_expansive_backward(op, self.CFG)[1].certified
+        assert check_criterion(op, "ue", self.CFG).certified
         assert cold_memo

@@ -6,6 +6,7 @@ list the README documents."""
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -38,3 +39,50 @@ def test_readme_lists_the_package_exports():
                 for alias in node.names]
     assert imported == shiftlab.__all__
     exec(compile(code, "README.md", "exec"), {})
+
+
+
+# Exports that nothing in src/shiftlab calls, kept on purpose
+DEAD_EXPORT_ALLOWLIST = {
+    # the closure-law API that tests/test_acceptance.py exercises
+    "algebra.invert", "algebra.component", "algebra.system_orbit_norm", "density.upper_density",
+    # named by the README and timed by perfbench
+    "density.cesaro_trace",
+}
+
+
+def _count_references(node, owners: frozenset, refs: Counter) -> None:
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            name = child.id
+        elif isinstance(child, ast.Attribute):
+            name = child.attr
+        elif isinstance(child, ast.alias):
+            name = child.name
+        else:
+            name = None
+        if name is not None and name not in owners:
+            refs[name] += 1
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            _count_references(child, owners | {child.name}, refs)
+        else:
+            _count_references(child, owners, refs)
+
+
+def _references() -> Counter:
+    """How often src/shiftlab reads, imports or looks up each name as an
+    attribute, outside the def or class that defines it."""
+    refs: Counter = Counter()
+    for path in Path(shiftlab.__file__).parent.glob("*.py"):
+        _count_references(ast.parse(path.read_text()), frozenset(), refs)
+    return refs
+
+
+def test_every_export_has_a_caller():
+    # a submodule export is used in src/shiftlab, is a package export, or is
+    # allowlisted above; and an allowlisted name is really unused
+    refs = _references()
+    unused = {f"{name.rsplit('.', 1)[1]}.{attr}" for name in MODULES if name != "shiftlab"
+              for attr in getattr(importlib.import_module(name), "__all__", ())
+              if refs[attr] == 0 and attr not in shiftlab.__all__}
+    assert unused == DEAD_EXPORT_ALLOWLIST

@@ -9,8 +9,6 @@ from shiftlab.shifts import (
     NotInvertibleError,
     ShiftOperator,
     basis_orbit_norm,
-    check_invertible,
-    check_operator_wellposed,
     conjugate_to_unweighted,
     constant_weights,
     dual_form,
@@ -20,6 +18,7 @@ from shiftlab.shifts import (
     weight_product,
     weights_from_json,
     weights_to_json,
+    window_check,
 )
 from shiftlab.spaces import parse_space, preset
 from vector_oracle import apply, basis_vector, seminorm
@@ -150,34 +149,34 @@ class TestBasisOrbitNorm:
 class TestWellPosedInvertible:
     def test_unit_matrix_constant_weights(self):
         op = op_backward(constant_weights(2))
-        rep = check_operator_wellposed(op, 1, CFG)
+        rep = window_check(op, "defined", 1, CFG)
         assert rep.ok and rep.level == 1 and rep.window_sup == "2"
-        rep = check_invertible(op, 1, CFG)
+        rep = window_check(op, "invertible", 1, CFG)
         assert rep.ok and rep.level == 1 and rep.window_sup == "1/2"
 
     def test_halfline_forward_needs_next_level(self):
         # at l = k the zero pattern breaks at the step edge (entry 2/0);
         # l = k+1 clears it with ratio sup 2 under the 0/0 = 1 convention
         op = op_forward(constant_weights(2), "halfline_Z")
-        rep = check_operator_wellposed(op, 1, CFG)
+        rep = window_check(op, "defined", 1, CFG)
         assert rep.ok and rep.level == 2 and rep.window_sup == "2"
 
     def test_halfline_forward_invertible_same_level(self):
         # off the support both entries vanish, so the 0/0 = 1 convention
         # pins the sup at 1 (the live ratios are 1/2)
         op = op_forward(constant_weights(2), "halfline_Z")
-        rep = check_invertible(op, 1, CFG)
+        rep = window_check(op, "invertible", 1, CFG)
         assert rep.ok and rep.level == 1 and rep.window_sup == "1"
 
     def test_s_Z_unweighted_forward_invertible(self):
         op = op_forward(constant_weights(1), "s_Z")
-        rep = check_invertible(op, 2, CFG)
+        rep = window_check(op, "invertible", 2, CFG)
         # ratio ((|j|+1)/(|j+1|+1))^k peaks at j = -1 with value 2^k
         assert rep.ok and rep.level == 2 and rep.window_sup == "4"
 
     def test_growing_weights_inconclusive(self):
         op = op_backward(geometric_weights(1, 2, abs_index=True))
-        rep = check_operator_wellposed(op, 1, CFG)
+        rep = window_check(op, "defined", 1, CFG)
         assert rep.status == "inconclusive"
         assert rep.sup_at_boundary
 
@@ -201,7 +200,7 @@ class TestWellPosedInvertible:
         # level 2 is clean and ends the search
         levels = self._levels_tried(monkeypatch)
         op = op_forward(geometric_weights(1, 2), "halfline_Z")
-        rep = check_operator_wellposed(op, 1, HorizonConfig(k_max=3))
+        rep = window_check(op, "defined", 1, HorizonConfig(k_max=3))
         assert rep.status == "inconclusive" and rep.level == 2
         assert levels == [1, 2]
 
@@ -209,13 +208,13 @@ class TestWellPosedInvertible:
     def test_attested_search_passes_a_violating_level(self, monkeypatch, k):
         levels = self._levels_tried(monkeypatch)
         op = op_forward(constant_weights(2), "halfline_Z")
-        rep = check_operator_wellposed(op, k, HorizonConfig(window=16, k_max=3))
+        rep = window_check(op, "defined", k, HorizonConfig(window=16, k_max=3))
         assert rep.ok and rep.level == k + 1
         assert levels == [k, k + 1]
 
     def test_unilateral_forward_not_invertible(self):
         op = ShiftOperator("forward", constant_weights(2), preset("lp_N", 1))
-        rep = check_invertible(op, 1, CFG)
+        rep = window_check(op, "invertible", 1, CFG)
         assert rep.ok is False
 
 
