@@ -1,7 +1,9 @@
 """Every name a shiftlab module lists in __all__ must exist in it, so that a
 deletion that leaves a stale export fails here rather than at
-``from shiftlab.<module> import *``; and the package's own __all__ is the
-list the README documents."""
+``from shiftlab.<module> import *``; every such name has a caller in the
+package or is a package export or is allowlisted, so that code whose last
+caller goes does not stay behind as an export; and the package's own
+__all__ is the list the README documents."""
 
 import ast
 import importlib
@@ -39,7 +41,6 @@ def test_readme_lists_the_package_exports():
                 for alias in node.names]
     assert imported == shiftlab.__all__
     exec(compile(code, "README.md", "exec"), {})
-
 
 
 # Exports that nothing in src/shiftlab calls, kept on purpose
