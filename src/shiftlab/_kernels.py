@@ -41,25 +41,23 @@ def window_inf_curve(g: np.ndarray, h: np.ndarray, valid: np.ndarray, n_max: int
     """For n = 1..n_max compute inf over valid j of g[j+n] - h[j].
 
     g has length at least len(h) + n_max; h and valid share an origin.
-    Returns the inf curve and the argmin index (into h) per step, the first
-    such index on ties; an all-invalid window yields +inf and argmin -1.
-    Valid entries of g and h must not be NaN or +inf.
+    Returns the inf curve; an all-invalid window yields +inf.  Valid entries
+    of g and h must not be NaN or +inf.
 
     The span [a, b) from the first to the last valid index is one
     (n_max, b - a) grid whose row n - 1 is g[a+n : b+n] - h[a:b], a
     zero-copy sliding-window view of g.  It is reduced a block of rows at a
     time in one scratch buffer of _BLOCK_CELLS cells (one row, if the span
-    is wider).  Invalid columns are set to +inf before each row's argmin;
-    column 0 is valid, so they never win a row, not even a tie.
+    is wider).  Invalid columns are set to +inf, which leaves each row's
+    minimum that of its valid columns (column 0 is valid).
     """
     g = np.asarray(g, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
     inf_curve = np.full(n_max, np.inf, dtype=np.float64)
-    argmin = np.full(n_max, -1, dtype=np.int64)
     idx = np.flatnonzero(valid)
     if idx.size == 0:
-        return inf_curve, argmin
+        return inf_curve
     a, b = int(idx[0]), int(idx[-1]) + 1
     width = b - a
     holes = np.flatnonzero(~valid[a:b])
@@ -74,7 +72,5 @@ def window_inf_curve(g: np.ndarray, h: np.ndarray, valid: np.ndarray, n_max: int
         np.subtract(grid[r0:r1], h_span, out=block)
         if holes.size:
             block[:, holes] = np.inf
-        cols = block.argmin(axis=1)
-        inf_curve[r0:r1] = block[np.arange(r1 - r0), cols]
-        argmin[r0:r1] = cols + a
-    return inf_curve, argmin
+        block.min(axis=1, out=inf_curve[r0:r1])
+    return inf_curve

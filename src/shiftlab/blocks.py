@@ -35,13 +35,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .spaces import InvalidSpecError
-from .shifts import UndefinedWeightError, WeightSequence, weight_product
+from .shifts import TableWeights, UndefinedWeightError, WeightSequence, weight_product
 
 __all__ = [
     "AuditReport",
     "BlockBuild",
     "BlockLayout",
     "BlockParams",
+    "BlockWeights",
     "HypercyclicityAudit",
     "SearchCapExceeded",
     "build_blocks",
@@ -136,6 +137,17 @@ class BlockLayout:
                     runs.append((start, n, v))
                 start += n
         return runs
+
+
+@dataclass(frozen=True)
+class BlockWeights(TableWeights):
+    """The table of layout.weight_runs(); it carries the layout, so the
+    BlockBuild and the blocks wire form are recovered from the weights."""
+
+    layout: BlockLayout
+
+    def to_json(self) -> dict:
+        return {"family": "blocks", "j_max": self.layout.j_max}
 
 
 @dataclass(frozen=True)
@@ -297,20 +309,16 @@ def _search_i(j: int, i_prev: int, r: int, runs: list, s_j: int) -> int:
     return i_j
 
 
-def _assemble_weights(layout: BlockLayout) -> WeightSequence:
-    """The weight table: the runs of layout.weight_runs().  It carries the
-    layout, so BlockBuild(layout, weights) and the blocks wire form can be
-    recovered from the weights alone."""
-    t_max = layout.t_max
-    return WeightSequence("table", {"runs": tuple(layout.weight_runs()), "tail": "error",
-                                    "lo": -t_max, "hi": t_max + 1, "layout": layout})
+def _assemble_weights(layout: BlockLayout) -> BlockWeights:
+    return BlockWeights(tuple(layout.weight_runs()), "error", -layout.t_max, layout.t_max + 1,
+                        layout)
 
 
 def build_of(weights: WeightSequence) -> BlockBuild:
     """The BlockBuild whose table the weights are (a blocks:<J> weight)."""
-    if "layout" not in weights.params:
+    if not isinstance(weights, BlockWeights):
         raise InvalidSpecError("density works on the synthesized block weights (blocks:<J>)")
-    return BlockBuild(weights.params["layout"], weights)
+    return BlockBuild(weights.layout, weights)
 
 
 def orbit_segments(build: BlockBuild, direction: str) -> list:
@@ -430,7 +438,7 @@ def verify_inequalities(build: BlockBuild) -> AuditReport:
     matches = canonical == _canonical(closed)
     if not matches:
         violations.append("closed-form norms disagree with raw products")
-    if build.weights.params["runs"] != tuple(layout.weight_runs()):
+    if build.weights.runs != tuple(layout.weight_runs()):
         violations.append("weight table disagrees with its runs")
 
     eq1: dict = {}
@@ -509,8 +517,7 @@ class HypercyclicityAudit:
         }
 
 
-def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
-                           thresholds: Optional[list] = None) -> HypercyclicityAudit:
+def hypercyclicity_witness(build: BlockBuild, t_range: int = 8) -> HypercyclicityAudit:
     """Audit the transitivity witness sequence n_j = t_{j-1} + 4k_j + 2**(k_j-1).
 
     First part: the orbit norms equal 1/(j+1) exactly for every n in
@@ -521,8 +528,6 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
     q_j(t) = p_j(-t); they are checked directly as well (derived, not
     displayed).
     """
-    if thresholds is None:
-        thresholds = [Fraction(1, 2 ** m) for m in range(0, 11)]
     layout = build.layout
     orbits = [norm_runs(build, "backward"), norm_runs(build, "forward")]
     weights = build.weights
@@ -584,7 +589,7 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8,
         if not decreasing:
             violations.append(f"shifted products at t={t} not strictly decreasing")
             certified = False
-        for tau in thresholds:
+        for tau in (Fraction(1, 2 ** m) for m in range(0, 11)):
             measured = next((j for j in sorted(per_j) if per_j[j] <= tau), None)
             first_j = measured
             if measured is None:

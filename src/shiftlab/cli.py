@@ -19,18 +19,11 @@ from . import __version__
 from .algebra import run_props_suite
 from .blocks import (SearchCapExceeded, build_blocks, build_of, hypercyclicity_witness,
                      verify_inequalities)
-from .criteria import HorizonConfig, check_criterion, hierarchy_audit
+from .criteria import HorizonConfig, check_criterion
 from .density import density_rows, distributional_report
 from .reporting import RUNS, canonical_json, envelope, splice_runs, write_csv
 from .scalars import log2_exact
-from .shifts import (
-    ShiftOperator,
-    basis_orbit_norm,
-    parse_weights,
-    weights_from_json,
-    weights_to_json,
-    window_check,
-)
+from .shifts import ShiftOperator, basis_orbit_norm, parse_weights, weights_from_json, window_check
 from .spaces import InvalidSpecError, parse_space, space_from_json, space_to_json
 
 EXIT_OK = 0
@@ -62,10 +55,6 @@ def _ints(option: str, form: str, text: str, fields) -> tuple:
         raise InvalidSpecError(f"{option} needs {form}, got {text!r}") from None
 
 
-def _parse_grid(text: str):
-    return _ints("--m-grid", "comma-separated integers like 1,2,4", text, text.split(","))
-
-
 def _parse_range(option: str, text: str):
     lo, _, hi = text.partition(":")
     return _ints(option, "<lo>:<hi> or <n> with integers", text, (lo, hi or lo))
@@ -79,12 +68,10 @@ def _emit(out_path, text: str):
 
 
 def _horizon(n_max, window, k_max, l_max, m_grid, basis_window) -> HorizonConfig:
-    kwargs = dict(n_max=n_max, window=window, k_max=k_max, basis_window=basis_window)
-    if l_max is not None:
-        kwargs["l_max"] = l_max
-    if m_grid is not None:
-        kwargs["m_grid"] = _parse_grid(m_grid)
-    return HorizonConfig(**kwargs)
+    grid = HorizonConfig.m_grid if m_grid is None else _ints(
+        "--m-grid", "comma-separated integers like 1,2,4", m_grid, m_grid.split(","))
+    return HorizonConfig(n_max=n_max, window=window, m_grid=grid, k_max=k_max, l_max=l_max,
+                         basis_window=basis_window)
 
 
 _horizon_options = [
@@ -134,14 +121,12 @@ def check(space_text, weights_text, criterion, side, n_max, window, k_max, l_max
         payload = {key: [window_check(op, condition, k, cfg).to_json()
                          for k in range(1, cfg.k_max + 1)]
                    for key, condition in (("wellposed", "defined"), ("invertible", "invertible"))}
-    elif criterion == "hierarchy":
-        payload = hierarchy_audit(op, cfg).to_json()
     else:
         payload = check_criterion(op, criterion, cfg).to_json()
         if criterion == "ue":
             payload["upe"] = payload["property"] == "a"
 
-    config = {"space": space_to_json(space), "weights": weights_to_json(weights),
+    config = {"space": space_to_json(space), "weights": weights.to_json(),
               "side": side, "criterion": criterion, "horizon": cfg.to_json()}
     _emit(out, canonical_json(envelope("check", config, payload, not no_timestamp)))
     if criterion == "hierarchy" and not payload["consistent"]:
@@ -173,7 +158,7 @@ def synthesize(j_max, t_range, out, weights_out, no_timestamp):
         canonical_json(envelope("synthesize", config, payload, not no_timestamp)), runs))
     if weights_out:
         Path(weights_out).write_text(splice_runs(
-            canonical_json(weights_to_json(build.weights) | {"table_window": RUNS}), runs))
+            canonical_json(build.weights.to_json() | {"table_window": RUNS}), runs))
     if not payload["all_passed"]:
         raise AuditFailure("block construction audit failed")
 
@@ -208,7 +193,7 @@ def orbit(space_text, weights_text, side, vector, n_range, k_range, fmt, out, no
     if fmt == "csv":
         write_csv(out, header, (",".join(map(str, row)) for row in rows))
         return
-    config = {"space": space_to_json(space), "weights": weights_to_json(weights),
+    config = {"space": space_to_json(space), "weights": weights.to_json(),
               "side": side, "vector": vector, "n": n_range, "k": k_range}
     payload = {"header": header, "rows": rows}
     _emit(out, canonical_json(envelope("orbit", config, payload, not no_timestamp)))

@@ -22,7 +22,7 @@ window-infimum curve is swept for a family pair without a tail attestation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -41,13 +41,8 @@ __all__ = [
     "Verdict",
     "VerdictKind",
     "check_criterion",
-    "default_m_grid",
     "hierarchy_audit",
 ]
-
-
-def default_m_grid() -> tuple:
-    return tuple(2 ** m for m in range(0, 21))
 
 
 @dataclass(frozen=True)
@@ -57,7 +52,7 @@ class HorizonConfig:
 
     n_max: int = 10_000
     window: int = 1_000
-    m_grid: tuple = field(default_factory=default_m_grid)
+    m_grid: tuple = tuple(2 ** m for m in range(0, 21))
     k_max: int = 3
     l_max: Optional[int] = None
     basis_window: int = 50
@@ -176,23 +171,6 @@ def _first_crossings(values: np.ndarray, m_grid: Sequence,
     return tuple(crossings), all(c.first_n is not None for c in crossings)
 
 
-def _clip_n(op: ShiftOperator, cfg: HorizonConfig, need_lo, need_hi) -> int:
-    """Largest n <= n_max with the needed weight positions defined.
-
-    need_lo(n)/need_hi(n) give the extreme positions touched at horizon n.
-    """
-    reach = op.weights.defined_range()
-    n = cfg.n_max
-    if reach is None:
-        return n
-    lo, hi = reach
-    while n >= 1 and not (need_lo(n) >= lo and need_hi(n) <= hi):
-        n -= 1
-    if n < 1:
-        raise InvalidSpecError("weight table too small for the requested horizon")
-    return n
-
-
 def _avg_term_logs(op: ShiftOperator, k: int, branch: str, n_eff: int) -> np.ndarray:
     """log2 of the branch term sequence, j = 1..n_eff.
 
@@ -239,9 +217,19 @@ def _avg_bound_attestation(op: ShiftOperator, terms: np.ndarray) -> Optional[tup
 
 
 def _avg_n_eff(op: ShiftOperator, cfg: HorizonConfig) -> int:
+    """cfg.n_max, cut to what a finite weight table on [lo, hi] allows: at
+    horizon n the branch terms read w(-n+1..n) backward, w(-n..n-1) forward
+    and w(1..n-1) on a unilateral forward shift."""
+    lo, hi = op.weights.defined_range() or (-math.inf, math.inf)
     if op.direction == "backward":
-        return _clip_n(op, cfg, lambda n: -n + 1, lambda n: n)
-    return _clip_n(op, cfg, lambda n: -n, lambda n: n - 1)
+        n = min(cfg.n_max, 1 - lo, hi)
+    elif op.bilateral:
+        n = min(cfg.n_max, -lo, hi + 1)
+    else:
+        n = min(cfg.n_max, hi + 1) if lo <= 1 else 0
+    if n < 1:
+        raise InvalidSpecError("weight table too small for the requested horizon")
+    return n
 
 
 def _avg_branch_evidence(op: ShiftOperator, k: int, branch: str,
@@ -298,11 +286,9 @@ def _avg_pos_expansive(op: ShiftOperator, cfg: HorizonConfig, criterion: str) ->
         if criterion == "ape-inverse":
             raise NotInvertibleError("unilateral forward shift has no inverse")
         branch = "unilateral"
-        n_eff = _clip_n(op, cfg, lambda n: 1, lambda n: n - 1)
     else:
         branch = "left" if criterion == "ape" else "right"
-        n_eff = _avg_n_eff(op, cfg)
-    evidence = _avg_evidence(op, cfg, (branch,), n_eff)
+    evidence = _avg_evidence(op, cfg, (branch,), _avg_n_eff(op, cfg))
     kind = _kind(any(ev.certified for ev in evidence),
                  all(ev.attestation is not None for ev in evidence))
     return Verdict("avg-pos-expansive", kind, branch=branch,
@@ -337,7 +323,7 @@ def _interior_curve(g, h, trimmed, n_eff: int) -> np.ndarray:
     key = (n_eff, g.tobytes(), h.tobytes(), trimmed.tobytes())
     curve = _curve_memo.get(key)
     if curve is None:
-        curve = _kernels.window_inf_curve(g, h, trimmed, n_eff)[0]
+        curve = _kernels.window_inf_curve(g, h, trimmed, n_eff)
         curve.flags.writeable = False
         if len(_curve_memo) >= _CURVE_MEMO_SIZE:
             del _curve_memo[next(iter(_curve_memo))]
@@ -420,10 +406,7 @@ def _ue_n_eff(op: ShiftOperator, cfg: HorizonConfig, radius: int) -> Optional[in
     """cfg.n_max, cut to what a finite weight table reaches from within
     `radius`; None when the table does not reach past it.  Such a table has
     an 'error' tail, so its pair is unattested and sweeps no curve."""
-    reach = op.weights.defined_range()
-    if reach is None:
-        return cfg.n_max
-    lo, hi = reach
+    lo, hi = op.weights.defined_range() or (-math.inf, math.inf)
     room = min(abs(lo), abs(hi)) - radius - 2
     return min(cfg.n_max, room) if room >= 1 else None
 
@@ -553,7 +536,7 @@ def _orbit_log_curves(op: ShiftOperator, j0: int, k: int, n_eff: int):
         p_pos = prefix[(j0 + ns - 1) - lo + 1] - prefix[j0 - lo]
     pos = p_pos + row[tgt_pos - lo]
     entry0 = float(row[j0 - lo])
-    if not op.structurally_invertible:
+    if not op.bilateral:
         return entry0, pos, None
     tgt_neg = j0 - step * ns
     if op.direction == "backward":
@@ -573,7 +556,6 @@ def _basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     if n_eff is None:
         raise InvalidSpecError(f"weight table too small for a window of radius {cfg.basis_window}")
     j_lo = 1 if not op.bilateral else -cfg.basis_window
-    one_sided = not op.structurally_invertible
     evidence = []
     all_certified = True
     all_bounded = True
@@ -606,7 +588,7 @@ def _basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     kind = (VerdictKind.CERTIFIED_UNBOUNDED if all_certified
             else VerdictKind.BOUNDED_WITNESS if all_bounded else VerdictKind.INCONCLUSIVE)
     notes = ("diagnostic: basis orbits only; the underlying condition quantifies over all vectors",)
-    if one_sided:
+    if not op.bilateral:
         notes = notes + ("one-sided orbit only: operator has no inverse",)
     return Verdict("expansive-basis-diagnostic", kind, evidence=tuple(evidence),
                    notes=notes, config=cfg)
@@ -698,11 +680,11 @@ def hierarchy_audit(op: ShiftOperator, cfg: HorizonConfig) -> HierarchyReport:
 # criterion name -> the directions of the bilateral shifts it is defined for;
 # the other criteria take every shift
 _BILATERAL_ONLY = {"ae": ("backward", "forward"), "ue": ("backward", "forward"),
-                   "mixing": ("backward",)}
+                   "hierarchy": ("backward", "forward"), "mixing": ("backward",)}
 
 
-def check_criterion(op: ShiftOperator, criterion: str, cfg: HorizonConfig) -> Verdict:
-    """The verdict for one criterion name, for either shift direction.
+def check_criterion(op: ShiftOperator, criterion: str, cfg: HorizonConfig):
+    """The Verdict for one criterion name, for either shift direction.
 
     'ae'           average expansivity (bilateral shifts only)
     'ape'          average positive expansivity of the operator
@@ -712,6 +694,8 @@ def check_criterion(op: ShiftOperator, criterion: str, cfg: HorizonConfig) -> Ve
     'upe'          uniform positive expansivity
     'e'            basis-orbit expansivity diagnostic
     'mixing'       mixing surrogate (bilateral backward shifts only)
+    'hierarchy'    hierarchy_audit's HierarchyReport of 'ue', 'ae' and 'e'
+                   (bilateral shifts only)
 
     An unknown name, or a shift the criterion does not apply to, is an
     InvalidSpecError."""
@@ -722,7 +706,8 @@ def check_criterion(op: ShiftOperator, criterion: str, cfg: HorizonConfig) -> Ve
     if criterion in ("ape", "ape-inverse"):
         return _avg_pos_expansive(op, cfg, criterion)
     checker = {"ae": _avg_expansive, "ue": _unif_expansive, "upe": _unif_pos_expansive,
-               "e": _basis_diagnostic, "mixing": _mixing}.get(criterion)
+               "e": _basis_diagnostic, "mixing": _mixing,
+               "hierarchy": hierarchy_audit}.get(criterion)
     if checker is None:
         raise InvalidSpecError(f"unknown criterion {criterion!r}")
     return checker(op, cfg)

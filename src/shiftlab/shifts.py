@@ -11,8 +11,10 @@ ingested as magnitudes (positive exact rationals): every criterion downstream
 depends only on |w| and on nonnegative matrix entries, so phases are dropped
 at the door.
 
-JSON wire forms of a weight sequence (weights_to_json, weights_from_json,
-``--weights @file.json``), exact scalars written as in spaces:
+The weight families are WeightSequence types: ConstantWeights,
+GeometricWeights, TableWeights, blocks.BlockWeights and DualWeights (the
+weights of an inverse).  JSON wire forms (to_json, weights_from_json,
+``--weights @file.json``; none for DualWeights), scalars as in spaces:
 
     {"family": "constant", "value": <scalar>}
     {"family": "geometric", "coef": <scalar>, "ratio": <scalar>, "abs_index": false}
@@ -31,14 +33,17 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from .scalars import Log2Cache, exact_from_json, exact_to_json, json_field, log2_exact
-from .spaces import InvalidSpecError, SpaceSpec, scaled_matrix
+from .spaces import InvalidSpecError, ScaledMatrix, SpaceSpec
 
 __all__ = [
+    "ConstantWeights",
+    "DualWeights",
+    "GeometricWeights",
     "NotInvertibleError",
     "ShiftOperator",
     "UndefinedWeightError",
@@ -50,11 +55,11 @@ __all__ = [
     "dual_form",
     "geometric_weights",
     "parse_weights",
+    "TableWeights",
     "table_weights",
     "tail_attestation",
     "weight_product",
     "weights_from_json",
-    "weights_to_json",
     "window_check",
 ]
 
@@ -71,65 +76,17 @@ class NotInvertibleError(ValueError):
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Nonzero weight magnitudes w(j), given by a closed-form descriptor.
+    """Base of the weight families: nonzero weight magnitudes w(j), read as
+    the (start, length, value) runs that cover [lo, hi] exactly (_runs; []
+    if hi < lo), which raise UndefinedWeightError at the first index no run
+    covers."""
 
-    Families: 'constant', 'geometric' (coef * ratio**j, optionally over |j|),
-    'table' (finite window, tail rule 'error' or 'hold'), 'dual' (reciprocal
-    reindex of a base sequence).  Table params: 'runs', a sorted tuple of
-    maximal (start, length, value) runs, gaps allowed for the 'error' tail;
-    'tail'; the index bounds 'lo' and 'hi'.  The synthesized block table also
-    carries its blocks.BlockLayout 'layout', and is written as the 'blocks'
-    wire form.  Every weight is read as runs, through _runs.
-    """
-
-    family: str
-    params: dict = field(default_factory=dict)
+    tail_tag: ClassVar[Optional[str]] = None
     _log2_cache: Log2Cache = field(default_factory=Log2Cache, init=False, repr=False,
                                    compare=False)
 
     def value(self, j: int) -> Fraction:
         return self._runs(j, j)[0][2]
-
-    def _runs(self, lo: int, hi: int) -> list:
-        """(start, length, value) runs that cover [lo, hi] exactly; [] if hi < lo.
-
-        Every weight is read here.  A constant is one run, a geometric weight
-        one run per index, and a dual maps its base's runs to
-        (start - shift, n, 1/v).  Raises UndefinedWeightError at the first
-        index no table run or hold tail covers.
-        """
-        fam = self.family
-        if hi < lo:
-            return []
-        if fam == "constant":
-            return [(lo, hi - lo + 1, self.params["value"])]
-        if fam == "geometric":
-            coef, ratio = self.params["coef"], self.params["ratio"]
-            abs_index = self.params.get("abs_index")
-            return [(j, 1, coef * ratio ** (abs(j) if abs_index else j)) for j in range(lo, hi + 1)]
-        if fam == "dual":
-            s = self.params["shift"]
-            return [(a - s, n, 1 / v) for a, n, v in self.params["base"]._runs(lo + s, hi + s)]
-        if fam != "table":
-            raise InvalidSpecError(f"unknown weight family {self.family!r}")
-        table, t_lo, t_hi = self.params["runs"], self.params["lo"], self.params["hi"]
-        hold = self.params["tail"] == "hold"
-        out, j = [], lo  # j: the first index not yet covered
-        if hold and j < t_lo:
-            j = min(hi, t_lo - 1) + 1
-            out.append((lo, j - lo, table[0][2]))
-        # from the first run that ends at or after j, while the runs meet
-        for start, n, v in table[bisect_right(table, j, key=lambda run: run[0] + run[1]):]:
-            if start > j or j > hi:
-                break
-            end = min(hi, start + n - 1)
-            out.append((j, end - j + 1, v))
-            j = end + 1
-        if j <= hi and not hold:
-            raise UndefinedWeightError(f"weight table spans [{t_lo}, {t_hi}], got {j}")
-        if j <= hi:  # hold tables have no gaps, so j > t_hi here
-            out.append((j, hi - j + 1, table[-1][2]))
-        return out
 
     def log2(self, j: int) -> float:
         return log2_exact(self.value(j))
@@ -151,26 +108,101 @@ class WeightSequence:
 
     def defined_range(self) -> Optional[tuple[int, int]]:
         """(lo, hi) for finite tables without a tail rule, None if unbounded."""
-        if self.family == "table":
-            if self.params["tail"] == "hold":
-                return None
-            return (self.params["lo"], self.params["hi"])
-        if self.family == "dual":
-            base_range = self.params["base"].defined_range()
-            if base_range is None:
-                return None
-            lo, hi = base_range
-            s = self.params["shift"]
-            return (lo - s, hi - s)
         return None
+
+
+@dataclass(frozen=True)
+class ConstantWeights(WeightSequence):
+    """w(j) = weight at every j: one run."""
+
+    weight: Fraction
+    tail_tag = "constant"
+
+    def _runs(self, lo: int, hi: int) -> list:
+        return [(lo, hi - lo + 1, self.weight)] if lo <= hi else []
+
+    def to_json(self) -> dict:
+        return {"family": "constant", "value": exact_to_json(self.weight)}
+
+
+@dataclass(frozen=True)
+class GeometricWeights(WeightSequence):
+    """w(j) = coef * ratio**j, over |j| with abs_index: one run per index."""
+
+    coef: Fraction
+    ratio: Fraction
+    abs_index: bool = False
+
+    def _runs(self, lo: int, hi: int) -> list:
+        return [(j, 1, self.coef * self.ratio ** (abs(j) if self.abs_index else j))
+                for j in range(lo, hi + 1)]
+
+    def to_json(self) -> dict:
+        return {"family": "geometric", "coef": exact_to_json(self.coef),
+                "ratio": exact_to_json(self.ratio), "abs_index": bool(self.abs_index)}
+
+
+@dataclass(frozen=True)
+class TableWeights(WeightSequence):
+    """Sorted maximal (start, length, value) runs on [lo, hi], gaps allowed
+    for the 'error' tail; a 'hold' tail repeats the edge weights."""
+
+    runs: tuple
+    tail: str
+    lo: int
+    hi: int
+
+    def _runs(self, lo: int, hi: int) -> list:
+        if hi < lo:
+            return []
+        table, hold = self.runs, self.tail == "hold"
+        out, j = [], lo  # j: the first index not yet covered
+        if hold and j < self.lo:
+            j = min(hi, self.lo - 1) + 1
+            out.append((lo, j - lo, table[0][2]))
+        # from the first run that ends at or after j, while the runs meet
+        for start, n, v in table[bisect_right(table, j, key=lambda run: run[0] + run[1]):]:
+            if start > j or j > hi:
+                break
+            end = min(hi, start + n - 1)
+            out.append((j, end - j + 1, v))
+            j = end + 1
+        if j <= hi and not hold:
+            raise UndefinedWeightError(f"weight table spans [{self.lo}, {self.hi}], got {j}")
+        if j <= hi:  # hold tables have no gaps, so j > self.hi here
+            out.append((j, hi - j + 1, table[-1][2]))
+        return out
+
+    def defined_range(self) -> Optional[tuple[int, int]]:
+        return None if self.tail == "hold" else (self.lo, self.hi)
+
+    def to_json(self) -> dict:
+        return {"family": "table", "tail": self.tail,
+                "table": {str(j): exact_to_json(v) for start, n, v in self.runs
+                          for j in range(start, start + n)}}
+
+
+@dataclass(frozen=True)
+class DualWeights(WeightSequence):
+    """w(j) = 1 / base(j + shift), run by run: the weights of dual_form."""
+
+    base: WeightSequence
+    shift: int
 
     @property
     def tail_tag(self) -> Optional[str]:
-        if self.family == "constant":
-            return "constant"
-        if self.family == "dual":
-            return self.params["base"].tail_tag
-        return None
+        return self.base.tail_tag
+
+    def _runs(self, lo: int, hi: int) -> list:
+        s = self.shift
+        return [(a - s, n, 1 / v) for a, n, v in self.base._runs(lo + s, hi + s)]
+
+    def defined_range(self) -> Optional[tuple[int, int]]:
+        reach = self.base.defined_range()
+        return None if reach is None else (reach[0] - self.shift, reach[1] - self.shift)
+
+    def to_json(self) -> dict:
+        raise InvalidSpecError("cannot serialize weight family 'dual'")
 
 
 def _positive(value) -> Fraction:
@@ -180,16 +212,15 @@ def _positive(value) -> Fraction:
     return abs(v)
 
 
-def constant_weights(value) -> WeightSequence:
-    return WeightSequence("constant", {"value": _positive(value)})
+def constant_weights(value) -> ConstantWeights:
+    return ConstantWeights(_positive(value))
 
 
-def geometric_weights(coef, ratio, abs_index: bool = False) -> WeightSequence:
-    return WeightSequence("geometric", {"coef": _positive(coef), "ratio": _positive(ratio),
-                                        "abs_index": abs_index})
+def geometric_weights(coef, ratio, abs_index: bool = False) -> GeometricWeights:
+    return GeometricWeights(_positive(coef), _positive(ratio), abs_index)
 
 
-def table_weights(table: dict, tail: str = "error") -> WeightSequence:
+def table_weights(table: dict, tail: str = "error") -> TableWeights:
     """The table {j: w(j)} as maximal runs; a 'hold' table may have no gap."""
     if tail not in ("error", "hold"):
         raise InvalidSpecError(f"weight table tail must be 'error' or 'hold', got {tail!r}")
@@ -205,8 +236,7 @@ def table_weights(table: dict, tail: str = "error") -> WeightSequence:
     gap = next((a + n for (a, n, _), (b, _, _) in zip(runs, runs[1:]) if a + n < b), None)
     if tail == "hold" and gap is not None:
         raise InvalidSpecError(f"hold weight table has no weight at {gap} in [{lo}, {hi}]")
-    return WeightSequence("table", {"runs": tuple(map(tuple, runs)), "tail": tail,
-                                    "lo": lo, "hi": hi})
+    return TableWeights(tuple(map(tuple, runs)), tail, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -224,11 +254,6 @@ class ShiftOperator:
     @property
     def bilateral(self) -> bool:
         return self.space.bilateral
-
-    @property
-    def structurally_invertible(self) -> bool:
-        # unilateral forward shifts miss e_1; unilateral backward shifts kill it
-        return self.bilateral
 
 
 def weight_product(w: WeightSequence, lo: int, hi: int) -> Fraction:
@@ -431,7 +456,7 @@ def conjugate_to_unweighted(op: ShiftOperator):
             neg.append(neg[-1] * w.value(1 - len(neg)))
         return pos[j] if j >= 0 else neg[-j]
 
-    new_matrix = scaled_matrix(op.space.matrix, v)
+    new_matrix = ScaledMatrix(op.space.matrix, v)
     new_space = SpaceSpec(new_matrix, op.space.p)
     unweighted = ShiftOperator("backward", constant_weights(1), new_space)
     return new_space, unweighted, v
@@ -444,37 +469,19 @@ def dual_form(op: ShiftOperator) -> ShiftOperator:
     w'_j = 1/w_{j+1}.  The tests check dual_form(op)^n x == op^(-n) x with
     the per-vector route of tests/vector_oracle.py.
     """
-    if not op.structurally_invertible:
+    if not op.bilateral:  # a unilateral forward shift misses e_1, a backward one kills it
         raise NotInvertibleError("unilateral shifts have no dual inverse form")
     if op.direction == "backward":
-        dual = WeightSequence("dual", {"base": op.weights, "shift": 1})
-        return ShiftOperator("forward", dual, op.space)
-    dual = WeightSequence("dual", {"base": op.weights, "shift": -1})
-    return ShiftOperator("backward", dual, op.space)
+        return ShiftOperator("forward", DualWeights(op.weights, 1), op.space)
+    return ShiftOperator("backward", DualWeights(op.weights, -1), op.space)
 
 
 # ---------------------------------------------------------------------------
 # wire formats
 # ---------------------------------------------------------------------------
 
-def weights_to_json(w: WeightSequence) -> dict:
-    if w.family == "constant":
-        return {"family": "constant", "value": exact_to_json(w.params["value"])}
-    if w.family == "geometric":
-        return {"family": "geometric", "coef": exact_to_json(w.params["coef"]),
-                "ratio": exact_to_json(w.params["ratio"]),
-                "abs_index": bool(w.params.get("abs_index"))}
-    if w.family == "table" and "layout" in w.params:
-        return {"family": "blocks", "j_max": w.params["layout"].j_max}
-    if w.family == "table":
-        return {"family": "table", "tail": w.params["tail"],
-                "table": {str(j): exact_to_json(v) for start, n, v in w.params["runs"]
-                          for j in range(start, start + n)}}
-    raise InvalidSpecError(f"cannot serialize weight family {w.family!r}")
-
-
 def weights_from_json(obj: dict) -> WeightSequence:
-    """Inverse of weights_to_json; a missing or malformed field is an
+    """Inverse of WeightSequence.to_json; a missing or malformed field is an
     InvalidSpecError naming it."""
     where = "weight JSON"
     fam = json_field(obj, "family", where, str)

@@ -1,10 +1,10 @@
 """Köthe matrices, sequence-space specs, and the preset catalog.
 
-A matrix descriptor must produce entries at arbitrary indices, so matrices
-are closed-form families (constant, polynomial, half-line step, diagonal
-rescale of another family) or tabulated windows with a declared tail rule.
-Entries a(j, k) are nonnegative exact rationals, nondecreasing in the level
-k, with every row eventually positive.
+A matrix must produce entries at arbitrary indices, so its families, all
+KotheMatrix types, are closed forms (ConstantMatrix, PowerMatrix,
+HalflineMatrix, ScaledMatrix) or a tabulated window with a declared tail
+rule (TableMatrix).  Entries a(j, k) are nonnegative exact rationals,
+nondecreasing in the level k, with every row eventually positive.
 
 JSON wire form of a space (space_to_json, space_from_json, ``--space
 @file.json``), exact scalars written {"num": "<int>", "den": "<int>"}:
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -40,15 +40,17 @@ from .scalars import (
 )
 
 __all__ = [
+    "ConstantMatrix",
+    "HalflineMatrix",
     "KotheMatrix",
+    "PowerMatrix",
+    "ScaledMatrix",
     "SpaceSpec",
+    "TableMatrix",
     "constant_matrix",
-    "halfline_matrix",
     "parse_space",
-    "power_matrix",
     "preset",
     "PRESET_NAMES",
-    "scaled_matrix",
     "space_from_json",
     "space_to_json",
     "table_matrix",
@@ -60,54 +62,24 @@ _UNILATERAL = "N"
 
 @dataclass(frozen=True)
 class KotheMatrix:
-    """Closed-form or tabulated family a(j, k) of seminorm weights.
+    """Base of the matrix families a(j, k).  A family gives its entries
+    (_entry), wire name and params, and tail_tag: the structural attestation
+    with which the finite-horizon checkers decide whether window extrema
+    extend to the index tails (None: no rule)."""
 
-    family: one of 'constant', 'power', 'halfline', 'table', 'scaled'.
-    tail_tag is a structural attestation used by the
-    finite-horizon checkers to decide whether window extrema extend to the
-    index tails ('constant', 'polynomial', 'step', None for tabulated data
-    with no rule).
-    """
-
-    family: str
-    index_set: str = _BILATERAL
-    params: dict = field(default_factory=dict)
-    tail_tag: Optional[str] = None
+    family: ClassVar[str]
+    tail_tag: ClassVar[Optional[str]] = None
+    index_set = _BILATERAL  # a field of the families that take either index set
     _log2_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _log2_half_rows: dict = field(default_factory=dict, init=False, repr=False,
-                                  compare=False)
-
-    def _check_index(self, j: int) -> None:
-        if self.index_set == _UNILATERAL and j < 1:
-            raise IndexError(f"index {j} outside unilateral index set")
+    _log2_half_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def entry(self, j: int, k: int) -> Fraction:
         """Exact entry a(j, k); k >= 1."""
         if k < 1:
             raise ValueError("seminorm level k must be >= 1")
-        self._check_index(j)
-        fam = self.family
-        if fam == "constant":
-            return self.params["value"]
-        if fam == "power":
-            return Fraction((abs(j) + 1) ** k)
-        if fam == "halfline":
-            return Fraction(1) if j > -k else Fraction(0)
-        if fam == "scaled":
-            base: KotheMatrix = self.params["base"]
-            diag: Callable[[int], Fraction] = self.params["diag"]
-            return base.entry(j, k) * abs(diag(j))
-        if fam == "table":
-            rows: dict = self.params["rows"]
-            lo, hi = self.params["lo"], self.params["hi"]
-            tail = self.params.get("tail", "error")
-            if lo <= j <= hi:
-                return rows[j][min(k, len(rows[j])) - 1]
-            if tail == "hold":
-                edge = lo if j < lo else hi
-                return rows[edge][min(k, len(rows[edge])) - 1]
-            raise IndexError(f"matrix entry at j={j} outside tabulated window [{lo},{hi}]")
-        raise InvalidSpecError(f"unknown matrix family {self.family!r}")
+        if self.index_set == _UNILATERAL and j < 1:
+            raise IndexError(f"index {j} outside unilateral index set")
+        return self._entry(j, k)
 
     def entry_log2(self, j: int, k: int) -> float:
         return log2_exact(self.entry(j, k))
@@ -125,7 +97,7 @@ class KotheMatrix:
         """
         if k < 1:
             raise ValueError("seminorm level k must be >= 1")
-        key = 1 if self.family == "constant" else k  # constant rows are equal at every level
+        key = 1 if isinstance(self, ConstantMatrix) else k  # equal rows at every level
         row = self._log2_rows.get(key)
         if row is None:
             row = self._log2_rows[key] = Log2Cache()
@@ -135,17 +107,49 @@ class KotheMatrix:
         if self.index_set == _UNILATERAL and lo < 1:
             head = np.full(min(hi, 0) - lo + 1, ZERO_LOG2)
             return head if hi < 1 else np.concatenate((head, self._log2_fill(k, 1, hi)))
-        if self.family == "constant":
-            return np.full(hi - lo + 1, log2_exact(self.params["value"]))
-        if self.family == "power":
-            return self._log2_power(k, lo, hi)
+        return self._log2_cells(k, lo, hi)
+
+    def _log2_cells(self, k: int, lo: int, hi: int) -> np.ndarray:
+        """log2 a(j, k) for j in [lo, hi] inside the index set, entry by entry."""
         entries = (self.entry(j, k) for j in range(lo, hi + 1))
         try:
             return np.fromiter(map(log2_exact, entries), dtype=np.float64, count=hi - lo + 1)
         except IndexError as exc:  # an 'error' tail table that the horizon outruns
             raise InvalidSpecError(str(exc)) from None
 
-    def _log2_power(self, k: int, lo: int, hi: int) -> np.ndarray:
+    def wire_params(self) -> dict:  # the "params" of the space wire form
+        return {}
+
+
+@dataclass(frozen=True)
+class ConstantMatrix(KotheMatrix):
+    """a(j, k) = value at every index and level."""
+
+    value: Fraction
+    index_set: str = _BILATERAL
+    family, tail_tag = "constant", "constant"
+
+    def _entry(self, j: int, k: int) -> Fraction:
+        return self.value
+
+    def _log2_cells(self, k: int, lo: int, hi: int) -> np.ndarray:
+        return np.full(hi - lo + 1, log2_exact(self.value))
+
+    def wire_params(self) -> dict:
+        return {"value": exact_to_json(self.value)}
+
+
+@dataclass(frozen=True)
+class PowerMatrix(KotheMatrix):
+    """a(j, k) = (|j| + 1)**k, the rapidly-decreasing-sequences family."""
+
+    index_set: str = _BILATERAL
+    family, tail_tag = "power", "polynomial"
+
+    def _entry(self, j: int, k: int) -> Fraction:
+        return Fraction((abs(j) + 1) ** k)
+
+    def _log2_cells(self, k: int, lo: int, hi: int) -> np.ndarray:
         """a(j, k) = a(-j, k): gather a cached row over |j| >= 0, so each
         value is converted once per level whatever the signs of j."""
         mags = np.abs(np.arange(lo, hi + 1))
@@ -158,41 +162,66 @@ class KotheMatrix:
             dtype=np.float64, count=b - a + 1))
         return row[mags - m_lo]
 
-    def to_json(self) -> dict:
-        obj = {"family": self.family, "index_set": self.index_set}
-        if self.family == "constant":
-            obj["params"] = {"value": exact_to_json(self.params["value"])}
-        elif self.family == "table":
-            obj["params"] = {
-                "lo": self.params["lo"],
-                "hi": self.params["hi"],
-                "tail": self.params.get("tail", "error"),
-                "rows": {
-                    str(j): [exact_to_json(v) for v in row]
-                    for j, row in self.params["rows"].items()
-                },
-            }
-        else:
-            obj["params"] = {}
-        return obj
 
-
-def constant_matrix(value: Fraction | int = 1, index_set: str = _BILATERAL) -> KotheMatrix:
-    return KotheMatrix("constant", index_set, {"value": Fraction(value)}, tail_tag="constant")
-
-
-def power_matrix(index_set: str = _BILATERAL) -> KotheMatrix:
-    """a(j, k) = (|j| + 1)**k, the rapidly-decreasing-sequences family."""
-    return KotheMatrix("power", index_set, {}, tail_tag="polynomial")
-
-
-def halfline_matrix() -> KotheMatrix:
+@dataclass(frozen=True)
+class HalflineMatrix(KotheMatrix):
     """a(j, k) = 1 for j > -k, else 0; rows fill in as the level grows."""
-    return KotheMatrix("halfline", _BILATERAL, {}, tail_tag="step")
+
+    family, tail_tag = "halfline", "step"
+
+    def _entry(self, j: int, k: int) -> Fraction:
+        return Fraction(1) if j > -k else Fraction(0)
+
+
+@dataclass(frozen=True)
+class TableMatrix(KotheMatrix):
+    """Rows (a(j, 1), a(j, 2), ...) for every j in [lo, hi] and a tail rule."""
+
+    rows: dict
+    lo: int
+    hi: int
+    tail: str = "error"
+    index_set: str = _BILATERAL
+    family = "table"
+
+    @property
+    def tail_tag(self) -> Optional[str]:
+        return "hold" if self.tail == "hold" else None
+
+    def _entry(self, j: int, k: int) -> Fraction:
+        lo, hi = self.lo, self.hi
+        if self.tail != "hold" and not lo <= j <= hi:
+            raise IndexError(f"matrix entry at j={j} outside tabulated window [{lo},{hi}]")
+        row = self.rows[min(max(j, lo), hi)]  # a 'hold' tail repeats the edge rows
+        return row[min(k, len(row)) - 1]
+
+    def wire_params(self) -> dict:
+        return {"lo": self.lo, "hi": self.hi, "tail": self.tail,
+                "rows": {str(j): [exact_to_json(v) for v in row] for j, row in self.rows.items()}}
+
+
+@dataclass(frozen=True)
+class ScaledMatrix(KotheMatrix):
+    """Diagonal rescale a'(j, k) = a(j, k) * |diag(j)| (conjugated spaces)."""
+
+    base: KotheMatrix
+    diag: Callable[[int], Fraction]
+    family = "scaled"
+
+    @property
+    def index_set(self) -> str:
+        return self.base.index_set
+
+    def _entry(self, j: int, k: int) -> Fraction:
+        return self.base.entry(j, k) * abs(self.diag(j))
+
+
+def constant_matrix(value: Fraction | int = 1, index_set: str = _BILATERAL) -> ConstantMatrix:
+    return ConstantMatrix(Fraction(value), index_set)
 
 
 def table_matrix(rows: dict, lo: int, hi: int, tail: str = "error",
-                 index_set: str = _BILATERAL) -> KotheMatrix:
+                 index_set: str = _BILATERAL) -> TableMatrix:
     frozen = {int(j): tuple(Fraction(v) for v in vals) for j, vals in rows.items()}
     missing = next((j for j in range(lo, hi + 1) if j not in frozen), None)
     if missing is not None:
@@ -204,14 +233,7 @@ def table_matrix(rows: dict, lo: int, hi: int, tail: str = "error",
             raise InvalidSpecError(f"row {j} not nondecreasing in the level")
         if all(v == 0 for v in vals):
             raise InvalidSpecError(f"row {j} has no positive entry")
-    return KotheMatrix("table", index_set,
-                       {"rows": frozen, "lo": lo, "hi": hi, "tail": tail},
-                       tail_tag="hold" if tail == "hold" else None)
-
-
-def scaled_matrix(base: KotheMatrix, diag: Callable[[int], Fraction]) -> KotheMatrix:
-    """Diagonal rescale a'(j, k) = a(j, k) * |diag(j)| (conjugated spaces)."""
-    return KotheMatrix("scaled", base.index_set, {"base": base, "diag": diag}, tail_tag=None)
+    return TableMatrix(frozen, lo, hi, tail, index_set)
 
 
 @dataclass(frozen=True)
@@ -259,9 +281,9 @@ def preset(name: str, p: float | None = None) -> SpaceSpec:
     if name == "lp_N":
         return SpaceSpec(constant_matrix(1, _UNILATERAL), 1 if p is None else p)
     if name == "s_Z":
-        return SpaceSpec(power_matrix(_BILATERAL), 1)
+        return SpaceSpec(PowerMatrix(_BILATERAL), 1)
     if name == "halfline_Z":
-        return SpaceSpec(halfline_matrix(), 0 if p is None else p)
+        return SpaceSpec(HalflineMatrix(), 0 if p is None else p)
     raise InvalidSpecError(f"unknown preset {name!r} (known: {', '.join(PRESET_NAMES)})")
 
 
@@ -279,7 +301,7 @@ def parse_space(text: str) -> SpaceSpec:
 def space_to_json(space: SpaceSpec) -> dict:
     return {
         "family": space.matrix.family,
-        "params": space.matrix.to_json().get("params", {}),
+        "params": space.matrix.wire_params(),
         "p": space.p,
         "index_set": space.index_set,
     }
@@ -299,9 +321,9 @@ def space_from_json(obj: dict) -> SpaceSpec:
         value = params.get("value")
         matrix = constant_matrix(exact_from_json(value) if value else 1, index_set)
     elif fam == "power":
-        matrix = power_matrix(index_set)
+        matrix = PowerMatrix(index_set)
     elif fam == "halfline":
-        matrix = halfline_matrix()
+        matrix = HalflineMatrix()
     elif fam == "table":
         where = "space JSON params"
         rows = json_field(params, "rows", where, dict)

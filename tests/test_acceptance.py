@@ -87,8 +87,7 @@ def test_03_inequality_audits(build4):
 
 
 def test_04_hypercyclicity_witness(build4):
-    audit = hypercyclicity_witness(build4, t_range=8,
-                                   thresholds=[F(1, 2 ** m) for m in range(0, 11)])
+    audit = hypercyclicity_witness(build4, t_range=8)
     assert audit.plateau_ok
     nb = backward_norms(build4)
     nf = forward_norms(build4)

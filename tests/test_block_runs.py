@@ -7,6 +7,7 @@ on random inputs, including the failing cases a passing build never reaches
 (an eq4 violation inside a run, a broken plateau, a density ratio at n0).
 """
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from shiftlab.blocks import (
 )
 from shiftlab.density import _run_density, cesaro_trace, distributional_report, upper_density
 from shiftlab.reporting import canonical_json
-from shiftlab.shifts import UndefinedWeightError, WeightSequence, parse_weights
+from shiftlab.shifts import UndefinedWeightError, parse_weights
 from shiftlab.spaces import InvalidSpecError
 
 F = Fraction
@@ -119,7 +120,7 @@ def test_orbit_past_the_table_raises_the_table_error():
 
 
 def _tampered(b, runs):
-    weights = WeightSequence("table", dict(b.weights.params, runs=tuple(runs)))
+    weights = dataclasses.replace(b.weights, runs=tuple(runs))
     return blocks.BlockBuild(b.layout, weights)
 
 
@@ -127,7 +128,7 @@ def _tampered(b, runs):
 def test_audit_checks_the_table_against_its_runs(j_max):
     b = build(j_max)
     assert verify_inequalities(b).all_passed
-    runs = list(b.weights.params["runs"])
+    runs = list(b.weights.runs)
     i = next(i for i in range(len(runs) // 2, len(runs)) if runs[i][1] > 1)
     start, n, v = runs[i]
     head, tail = runs[:i], runs[i + 1:]

@@ -215,6 +215,8 @@ class TestCheck:
          "criterion 'ue' needs a bilateral backward or forward shift"),
         (("--space", "c0_Z", "--side", "forward", "--criterion", "mixing"),
          "criterion 'mixing' needs a bilateral backward shift"),
+        (("--space", "c0_N", "--criterion", "hierarchy"),
+         "criterion 'hierarchy' needs a bilateral backward or forward shift"),
     ])
     def test_shift_outside_the_criterion_names_it(self, capsys, args, message):
         code, out, err = run(capsys, "check", "--weights", "constant:2", *args,

@@ -6,16 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from shiftlab.blocks import build_blocks
 from shiftlab.criteria import (
     HorizonConfig,
     VerdictKind,
+    _avg_n_eff,
     check_criterion,
     hierarchy_audit,
 )
 from shiftlab.shifts import ShiftOperator, constant_weights, table_weights
-from shiftlab.spaces import InvalidSpecError, SpaceSpec, power_matrix, preset, table_matrix
+from shiftlab.spaces import InvalidSpecError, PowerMatrix, SpaceSpec, preset, table_matrix
 
 F = Fraction
 CFG = HorizonConfig(n_max=256, window=128, m_grid=(1, 2, 4, 16, 2 ** 10), k_max=2,
@@ -181,6 +183,52 @@ class TestAvgPosExpansive:
         op = ShiftOperator("backward", constant_weights(2), preset("lp_N", 1))
         v = check_criterion(op, "ape", CFG)
         assert v.kind is VerdictKind.BOUNDED_WITNESS
+
+
+def _avg_n_eff_loop(op, cfg):
+    """The step-by-step search _avg_n_eff's closed form replaced: from n_max
+    down, the first n whose branch terms read only weights in the table's
+    reach (w(-n+1..n) backward, w(-n..n-1) forward, w(1..n-1) on a
+    unilateral forward shift)."""
+    if op.direction == "backward":
+        need_lo, need_hi = (lambda n: -n + 1), (lambda n: n)
+    elif op.bilateral:
+        need_lo, need_hi = (lambda n: -n), (lambda n: n - 1)
+    else:
+        need_lo, need_hi = (lambda n: 1), (lambda n: n - 1)
+    reach = op.weights.defined_range()
+    n = cfg.n_max
+    if reach is None:
+        return n
+    lo, hi = reach
+    while n >= 1 and not (need_lo(n) >= lo and need_hi(n) <= hi):
+        n -= 1
+    if n < 1:
+        raise InvalidSpecError("weight table too small for the requested horizon")
+    return n
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.none(), st.tuples(st.integers(-12, 12), st.integers(0, 30))),
+       st.integers(1, 40), st.sampled_from(["backward", "forward"]),
+       st.sampled_from(["c0_Z", "c0_N"]))
+@example((1, 3), 9, "forward", "c0_N")  # a unilateral table from 1 is cut at hi + 1
+@example((2, 3), 9, "forward", "c0_N")  # one from 2 misses w(1)
+def test_avg_n_eff_closed_form_matches_the_loop(reach, n_max, direction, space):
+    # reach None: constant weights, defined everywhere; else a table on
+    # [lo, lo + width]
+    weights = (constant_weights(2) if reach is None
+               else table_weights({j: 2 for j in range(reach[0], sum(reach) + 1)}))
+    op = ShiftOperator(direction, weights, preset(space))
+    cfg = HorizonConfig(n_max=n_max, window=8)
+    try:
+        want = _avg_n_eff_loop(op, cfg)
+    except InvalidSpecError as exc:
+        with pytest.raises(InvalidSpecError) as got:
+            _avg_n_eff(op, cfg)
+        assert str(got.value) == str(exc)
+        return
+    assert _avg_n_eff(op, cfg) == want
 
 
 class TestUnifExpansiveForward:
@@ -451,7 +499,7 @@ def _ue_curve_two_pass(op, k, level, split, form, cfg, n_eff):
         g, h, valid = g[::-1].copy(), h[::-1].copy(), valid[::-1].copy()
     if not valid.any():
         return np.full(n_eff, np.inf), np.ones(n_eff, dtype=bool)
-    curve, _ = _kernels.window_inf_curve(g, h, valid, n_eff)
+    curve = _kernels.window_inf_curve(g, h, valid, n_eff)
     trimmed = valid.copy()
     edges = tail_edges if form == "A" else tuple({"lo": "hi", "hi": "lo"}[e] for e in tail_edges)
     nz = np.nonzero(trimmed)[0]
@@ -459,7 +507,7 @@ def _ue_curve_two_pass(op, k, level, split, form, cfg, n_eff):
         trimmed[nz[0] if edge == "lo" else nz[-1]] = False
     if not trimmed.any():
         return curve, np.zeros(n_eff, dtype=bool)
-    curve2, _ = _kernels.window_inf_curve(g, h, trimmed, n_eff)
+    curve2 = _kernels.window_inf_curve(g, h, trimmed, n_eff)
     return curve, curve2 == curve
 
 
@@ -489,7 +537,7 @@ class TestUeCurveSinglePass:
         "halfline_Z": lambda: preset("halfline_Z"),
         "single": _single_support_space,
         "lp_N": lambda: preset("lp_N", 2),
-        "s_N": lambda: SpaceSpec(power_matrix("N"), 1),
+        "s_N": lambda: SpaceSpec(PowerMatrix("N"), 1),
     }
     WEIGHTS = {"constant": lambda: constant_weights(F(5, 2)), "odd-table": _odd_table_weights}
 
@@ -586,7 +634,7 @@ class TestCurveMemo:
         mine[:] = 7.0
         again = _interior_curve(g, h, valid, 6)
         assert len(cold_memo) == 1
-        assert again.tobytes() == _kernels.window_inf_curve(g, h, valid, 6)[0].tobytes()
+        assert again.tobytes() == _kernels.window_inf_curve(g, h, valid, 6).tobytes()
         op = ShiftOperator("forward", constant_weights(2), preset("s_Z"))
         curve, usable = _ue_curve(op, 1, 2, "Z", "A", self.CFG, 30)
         want = curve.tobytes(), usable.tobytes()
@@ -611,7 +659,7 @@ class TestCurveMemo:
         assert len(cold_memo) == 3
         _interior_curve(g, h, valid, 5)
         assert len(cold_memo) == 4
-        assert got.tobytes() == _kernels.window_inf_curve(g, h, holed, 6)[0].tobytes()
+        assert got.tobytes() == _kernels.window_inf_curve(g, h, holed, 6).tobytes()
 
     def test_memo_is_bounded_and_evicts_the_oldest(self, cold_memo):
         from shiftlab import criteria

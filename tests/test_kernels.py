@@ -1,8 +1,8 @@
 """Kernels against per-step reference loops kept in this file.
 
 window_inf_curve must be bitwise equal to the per-n loop it replaced
-(values as bytes, argmin exactly, first index on ties); the running
-average agrees with a sequential loop within its error budget.
+(values as bytes); the running average agrees with a sequential loop
+within its error budget.
 """
 
 import math
@@ -35,24 +35,19 @@ def window_inf_curve_reference(g, h, valid, n_max):
     h = np.asarray(h, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
     inf_curve = np.full(n_max, np.inf, dtype=np.float64)
-    argmin = np.full(n_max, -1, dtype=np.int64)
     if not valid.any():
-        return inf_curve, argmin
+        return inf_curve
     idx = np.nonzero(valid)[0]
     hv = h[idx]
     for n in range(1, n_max + 1):
         vals = g[idx + n] - hv
-        k = int(np.argmin(vals))
-        inf_curve[n - 1] = vals[k]
-        argmin[n - 1] = idx[k]
-    return inf_curve, argmin
+        inf_curve[n - 1] = vals[int(np.argmin(vals))]
+    return inf_curve
 
 
 def assert_same_curve(got, want):
-    (c1, a1), (c2, a2) = got, want
-    assert c1.dtype == np.float64 and a1.dtype == np.int64
-    assert c1.tobytes() == c2.tobytes()
-    assert np.array_equal(a1, a2)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 class TestRunningAverage:
@@ -135,18 +130,17 @@ class TestWindowInfCurve:
         g = np.zeros(10)
         h = np.zeros(5)
         valid = np.array([False, True, False, True, True])
-        curve, arg = _kernels.window_inf_curve(g, h, valid, 5)
-        assert np.all(curve == 0.0) and np.all(arg == 1)
+        curve = _kernels.window_inf_curve(g, h, valid, 5)
+        assert np.all(curve == 0.0)
 
     def test_all_invalid_gives_inf(self):
         g, h, _, n_max = self._random_case()
-        curve, arg = _kernels.window_inf_curve(g, h, np.zeros(h.size, dtype=bool), n_max)
-        assert np.all(np.isinf(curve)) and np.all(arg == -1)
+        curve = _kernels.window_inf_curve(g, h, np.zeros(h.size, dtype=bool), n_max)
+        assert np.all(np.isinf(curve))
 
     def test_brute_force_small(self):
         g, h, valid, n_max = self._random_case(width=12, n_max=9)
-        curve, arg = _kernels.window_inf_curve(g, h, valid, n_max)
+        curve = _kernels.window_inf_curve(g, h, valid, n_max)
         for n in range(1, n_max + 1):
             vals = [g[j + n] - h[j] for j in range(h.size) if valid[j]]
             assert curve[n - 1] == min(vals)
-            assert valid[arg[n - 1]]

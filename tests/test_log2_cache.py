@@ -18,21 +18,21 @@ from shiftlab.blocks import build_blocks
 from shiftlab.criteria import _avg_term_logs
 from shiftlab.scalars import ZERO_LOG2, InvalidSpecError, log2_exact
 from shiftlab.shifts import (
+    DualWeights,
     ShiftOperator,
     UndefinedWeightError,
-    WeightSequence,
     constant_weights,
     dual_form,
     geometric_weights,
     table_weights,
 )
 from shiftlab.spaces import (
+    HalflineMatrix,
+    PowerMatrix,
+    ScaledMatrix,
     SpaceSpec,
     constant_matrix,
-    halfline_matrix,
-    power_matrix,
     preset,
-    scaled_matrix,
     table_matrix,
 )
 
@@ -56,12 +56,12 @@ def _matrix_rows(lo, hi):
 MATRICES = {
     "constant-Z": lambda: constant_matrix(F(5, 3)),
     "constant-N": lambda: constant_matrix(F(5, 3), "N"),
-    "power": power_matrix,
-    "power-N": lambda: power_matrix("N"),
-    "halfline": halfline_matrix,
+    "power": PowerMatrix,
+    "power-N": lambda: PowerMatrix("N"),
+    "halfline": HalflineMatrix,
     "table-error": lambda: table_matrix(_matrix_rows(-15, 15), -15, 15),
     "table-hold": lambda: table_matrix(_matrix_rows(-15, 15), -15, 15, tail="hold"),
-    "scaled": lambda: scaled_matrix(power_matrix(), lambda j: F(2 * j + 1, 7)),
+    "scaled": lambda: ScaledMatrix(PowerMatrix(), lambda j: F(2 * j + 1, 7)),
 }
 
 WEIGHTS = {
@@ -71,10 +71,8 @@ WEIGHTS = {
     "table-error": lambda: table_weights(_weight_table(-25, 25)),
     "table-hold": lambda: table_weights(_weight_table(-25, 25), tail="hold"),
     "blocks": lambda: build_blocks(2).weights,
-    "dual-table": lambda: WeightSequence("dual", {"base": table_weights(_weight_table(-25, 25)),
-                                                  "shift": 1}),
-    "dual-geometric": lambda: WeightSequence(
-        "dual", {"base": geometric_weights(F(1, 3), F(5, 2)), "shift": -1}),
+    "dual-table": lambda: DualWeights(base=table_weights(_weight_table(-25, 25)), shift=1),
+    "dual-geometric": lambda: DualWeights(base=geometric_weights(F(1, 3), F(5, 2)), shift=-1),
 }
 
 
@@ -172,7 +170,7 @@ class TestLog2Cache:
 
     def test_writes_to_results_do_not_reach_the_cache(self):
         w = geometric_weights(F(1, 3), F(5, 2))
-        m = power_matrix()
+        m = PowerMatrix()
         for get, ref in ((lambda: w.log2_window(-4, 4), _reference(w.log2, -4, 4)),
                          (lambda: m.log2_row(2, -4, 4), _row_reference(m, 2, -4, 4))):
             out = get()
@@ -183,7 +181,7 @@ class TestLog2Cache:
             assert get().tobytes() == ref.tobytes()
 
     def test_equality_ignores_the_cache(self):
-        a, b = power_matrix(), power_matrix()
+        a, b = PowerMatrix(), PowerMatrix()
         a.log2_row(1, 0, 5)
         assert a == b
         v, u = constant_weights(2), constant_weights(2)
@@ -206,9 +204,9 @@ DUAL_BASES = {
 @pytest.mark.parametrize("name", sorted(DUAL_BASES))
 def test_dual_windows_match_per_index_values(name, shift):
     base = DUAL_BASES[name]()
-    lo, hi = base.params.get("lo", -25) - shift, base.params.get("hi", 25) - shift
+    lo, hi = getattr(base, "lo", -25) - shift, getattr(base, "hi", 25) - shift
     for a, b in ((lo - 3, lo + 3), (hi - 3, hi + 3), (lo - 1, hi + 1), (lo, hi), (hi + 2, hi + 9)):
-        w = WeightSequence("dual", {"base": base, "shift": shift})
+        w = DualWeights(base=base, shift=shift)
         try:
             want = np.array([log2_exact(w.value(j)) for j in range(a, b + 1)])
         except UndefinedWeightError as exc:
@@ -271,7 +269,7 @@ class TestAvgTermLogs:
     @pytest.mark.parametrize("weights", sorted(AVG_WEIGHTS))
     @pytest.mark.parametrize("matrix", ["constant", "power"])
     def test_unilateral_branch_bitwise(self, weights, matrix):
-        m = constant_matrix(1, "N") if matrix == "constant" else power_matrix("N")
+        m = constant_matrix(1, "N") if matrix == "constant" else PowerMatrix("N")
         op = ShiftOperator("forward", AVG_WEIGHTS[weights](), SpaceSpec(m, 1))
         for k in (1, 2):
             for n_eff in (1, 2, 150):

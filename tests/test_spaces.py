@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 
 from shiftlab.spaces import (
     InvalidSpecError,
+    PowerMatrix,
     parse_space,
     preset,
-    power_matrix,
     space_from_json,
     space_to_json,
     table_matrix,
@@ -104,7 +104,7 @@ class TestPowerLog2Row:
     def test_mixed_sign_windows_convert_each_magnitude_once(self):
         from shiftlab import spaces
 
-        m = power_matrix()
+        m = PowerMatrix()
         with mock.patch.object(spaces, "log2_exact", wraps=spaces.log2_exact) as conv:
             rows = {k: m.log2_row(k, -7, 30) for k in (1, 3)}
             rows[3] = m.log2_row(3, -40, 12)  # grows the cached rows on both sides

@@ -16,13 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from shiftlab.scalars import log2_exact
 from shiftlab.shifts import (
+    DualWeights,
     UndefinedWeightError,
-    WeightSequence,
     geometric_weights,
     table_weights,
     weight_product,
     weights_from_json,
-    weights_to_json,
 )
 from shiftlab.spaces import InvalidSpecError
 
@@ -94,7 +93,7 @@ def test_runs_read_like_a_dict(family, shift, wins):
     w, base = family
     one = base
     if shift is not None:
-        w = WeightSequence("dual", {"base": w, "shift": shift})
+        w = DualWeights(base=w, shift=shift)
         one = lambda j: 1 / base(j + shift)  # noqa: E731
     for lo, width in wins:
         hi = lo + width
@@ -117,8 +116,8 @@ def test_runs_read_like_a_dict(family, shift, wins):
 @given(tables())
 def test_table_json_roundtrip(drawn):
     w = table_weights(*drawn)
-    assert weights_from_json(weights_to_json(w)) == w
-    runs = w.params["runs"]
+    assert weights_from_json(w.to_json()) == w
+    runs = w.runs
     assert all(a + n < b or v != u for (a, n, v), (b, _, u) in zip(runs, runs[1:]))  # maximal
 
 
