@@ -1,4 +1,4 @@
-"""Hot numeric kernels, in numpy.
+"""Hot numeric kernels and the log2 cache they read: the log lane, in numpy.
 
 Everything here works on float64 arrays of base-2 logarithms.  The two
 kernels dominate runtime on long horizon sweeps:
@@ -17,6 +17,41 @@ from numpy.lib.stride_tricks import sliding_window_view
 # Cells of the window-infimum scratch block (128 KiB of float64).  Blocks of a
 # few rows lose to per-row overhead, larger ones to cache misses and peak RSS.
 _BLOCK_CELLS = 1 << 14
+
+
+class Log2Cache:
+    """float64 log2 values over one contiguous index range, grown on demand.
+
+    ``window(lo, hi, fill)`` calls ``fill(a, b)`` (the log2 values at indices
+    a..b) only for indices outside the cached range, so each index is
+    converted once while requests overlap or touch that range.  A request
+    disjoint from it replaces the range instead: filling the gap could touch
+    indices no request asked for, where finite tables raise.  Returned arrays
+    are read-only views into the cache.
+    """
+
+    def __init__(self):
+        self._lo, self._values = 0, None  # no array before the first fill
+
+    def window(self, lo: int, hi: int, fill) -> np.ndarray:
+        if hi < lo:
+            return np.empty(0, dtype=np.float64)
+        c_lo, cached = self._lo, self._values
+        c_hi = c_lo - 1 if cached is None else c_lo + cached.size - 1
+        if cached is None or lo > c_hi + 1 or hi < c_lo - 1:
+            values, new_lo = fill(lo, hi), lo
+        elif lo < c_lo or hi > c_hi:
+            parts = [cached]
+            if lo < c_lo:
+                parts.insert(0, fill(lo, c_lo - 1))
+            if hi > c_hi:
+                parts.append(fill(c_hi + 1, hi))
+            values, new_lo = np.concatenate(parts), min(lo, c_lo)
+        else:
+            return cached[lo - c_lo:hi - c_lo + 1]
+        values.flags.writeable = False
+        self._lo, self._values = new_lo, values
+        return values[lo - new_lo:hi - new_lo + 1]
 
 
 # ---------------------------------------------------------------------------

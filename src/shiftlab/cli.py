@@ -16,10 +16,8 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .algebra import run_props_suite
 from .blocks import (SearchCapExceeded, build_blocks, build_of, hypercyclicity_witness,
                      verify_inequalities)
-from .criteria import HorizonConfig, check_criterion
 from .density import density_rows, distributional_report
 from .reporting import RUNS, canonical_json, envelope, splice_runs, write_csv
 from .scalars import log2_exact
@@ -68,6 +66,7 @@ def _emit(out_path, text: str):
 
 
 def _horizon(n_max, window, k_max, l_max, m_grid, basis_window) -> HorizonConfig:
+    from .criteria import HorizonConfig  # the log lane: only check and props load it
     grid = HorizonConfig.m_grid if m_grid is None else _ints(
         "--m-grid", "comma-separated integers like 1,2,4", m_grid, m_grid.split(","))
     return HorizonConfig(n_max=n_max, window=window, m_grid=grid, k_max=k_max, l_max=l_max,
@@ -112,6 +111,7 @@ def cli():
 def check(space_text, weights_text, criterion, side, n_max, window, k_max, l_max,
           m_grid, basis_window, out, no_timestamp):
     """Run one criterion checker and emit its verdict report."""
+    from .criteria import check_criterion
     space = _load_space(space_text)
     weights = _load_weights(weights_text)
     op = ShiftOperator(side, weights, space)
@@ -239,6 +239,7 @@ def density(weights_text, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_
 @click.option("--no-timestamp", is_flag=True, default=False)
 def props(n_max, window, k_max, l_max, m_grid, basis_window, out, no_timestamp):
     """Run the closure-law suite over the preset battery (exit 2 on failure)."""
+    from .algebra import run_props_suite
     cfg = _horizon(min(n_max, 512), min(window, 128), min(k_max, 2), l_max,
                    m_grid or "1,2,4,8", min(basis_window, 8))
     results = run_props_suite(cfg)

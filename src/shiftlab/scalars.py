@@ -10,23 +10,20 @@ Two numeric lanes run through the whole package:
   2**(2*k) overflow any fixed-width float.
 
 Values cross from the exact lane to the log lane through log2_exact, exact
-for powers of two and within about one ulp otherwise; Log2Cache keeps those
-conversions over an index range.
+for powers of two and within about one ulp otherwise; _kernels.Log2Cache
+keeps those conversions over an index range.  This module imports no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Union
-
-import numpy as np
+from typing import Union
 
 __all__ = [
     "Exact",
     "ExactLike",
     "InvalidSpecError",
-    "Log2Cache",
     "ZERO_LOG2",
     "exact_from_json",
     "exact_to_json",
@@ -110,39 +107,3 @@ def log2_exact(x: ExactLike) -> float:
         num <<= 1
         e -= 1
     return e + math.log2(num / den)
-
-
-class Log2Cache:
-    """float64 log2 values over one contiguous index range, grown on demand.
-
-    ``window(lo, hi, fill)`` calls ``fill(a, b)`` (the log2 values at indices
-    a..b) only for indices outside the cached range, so each index is
-    converted once while requests overlap or touch that range.  A request
-    disjoint from it replaces the range instead: filling the gap could touch
-    indices no request asked for, where finite tables raise.  Returned arrays
-    are read-only views into the cache.
-    """
-
-    def __init__(self):
-        self._lo = 0
-        self._values = np.empty(0, dtype=np.float64)
-
-    def window(self, lo: int, hi: int, fill: Callable[[int, int], np.ndarray]) -> np.ndarray:
-        if hi < lo:
-            return np.empty(0, dtype=np.float64)
-        c_lo, cached = self._lo, self._values
-        c_hi = c_lo + cached.size - 1
-        if cached.size == 0 or lo > c_hi + 1 or hi < c_lo - 1:
-            values, new_lo = fill(lo, hi), lo
-        elif lo < c_lo or hi > c_hi:
-            parts = [cached]
-            if lo < c_lo:
-                parts.insert(0, fill(lo, c_lo - 1))
-            if hi > c_hi:
-                parts.append(fill(c_hi + 1, hi))
-            values, new_lo = np.concatenate(parts), min(lo, c_lo)
-        else:
-            return cached[lo - c_lo:hi - c_lo + 1]
-        values.flags.writeable = False
-        self._lo, self._values = new_lo, values
-        return values[lo - new_lo:hi - new_lo + 1]

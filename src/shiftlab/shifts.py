@@ -35,9 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import ClassVar, Optional
 
-import numpy as np
-
-from .scalars import Log2Cache, exact_from_json, exact_to_json, json_field, log2_exact
+from .scalars import exact_from_json, exact_to_json, json_field, log2_exact
 from .spaces import InvalidSpecError, ScaledMatrix, SpaceSpec
 
 __all__ = [
@@ -82,8 +80,7 @@ class WeightSequence:
     covers."""
 
     tail_tag: ClassVar[Optional[str]] = None
-    _log2_cache: Log2Cache = field(default_factory=Log2Cache, init=False, repr=False,
-                                   compare=False)
+    _log2_cache: object = field(default=None, init=False, repr=False, compare=False)
 
     def value(self, j: int) -> Fraction:
         return self._runs(j, j)[0][2]
@@ -100,9 +97,13 @@ class WeightSequence:
         result is a read-only view into that cache: copy it before writing.
         Raises UndefinedWeightError where value() would.
         """
+        from ._kernels import Log2Cache
+        if self._log2_cache is None:  # made on the first call: the exact lane makes none
+            object.__setattr__(self, "_log2_cache", Log2Cache())
         return self._log2_cache.window(lo, hi, self._log2_fill)
 
     def _log2_fill(self, lo: int, hi: int) -> np.ndarray:
+        import numpy as np
         runs = self._runs(lo, hi)
         return np.repeat([log2_exact(v) for _, _, v in runs], [n for _, n, _ in runs])
 

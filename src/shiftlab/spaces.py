@@ -27,11 +27,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, ClassVar, Optional
 
-import numpy as np
-
 from .scalars import (
     InvalidSpecError,
-    Log2Cache,
     ZERO_LOG2,
     exact_from_json,
     exact_to_json,
@@ -95,6 +92,7 @@ class KotheMatrix:
         a(j, k) = a(-j, k) once.  The result is a read-only view into that
         cache: copy it before writing.
         """
+        from ._kernels import Log2Cache  # the log lane, and numpy, load here
         if k < 1:
             raise ValueError("seminorm level k must be >= 1")
         key = 1 if isinstance(self, ConstantMatrix) else k  # equal rows at every level
@@ -104,6 +102,7 @@ class KotheMatrix:
         return row.window(lo, hi, lambda a, b: self._log2_fill(k, a, b))
 
     def _log2_fill(self, k: int, lo: int, hi: int) -> np.ndarray:
+        import numpy as np
         if self.index_set == _UNILATERAL and lo < 1:
             head = np.full(min(hi, 0) - lo + 1, ZERO_LOG2)
             return head if hi < 1 else np.concatenate((head, self._log2_fill(k, 1, hi)))
@@ -111,6 +110,7 @@ class KotheMatrix:
 
     def _log2_cells(self, k: int, lo: int, hi: int) -> np.ndarray:
         """log2 a(j, k) for j in [lo, hi] inside the index set, entry by entry."""
+        import numpy as np
         entries = (self.entry(j, k) for j in range(lo, hi + 1))
         try:
             return np.fromiter(map(log2_exact, entries), dtype=np.float64, count=hi - lo + 1)
@@ -133,6 +133,7 @@ class ConstantMatrix(KotheMatrix):
         return self.value
 
     def _log2_cells(self, k: int, lo: int, hi: int) -> np.ndarray:
+        import numpy as np
         return np.full(hi - lo + 1, log2_exact(self.value))
 
     def wire_params(self) -> dict:
@@ -152,6 +153,8 @@ class PowerMatrix(KotheMatrix):
     def _log2_cells(self, k: int, lo: int, hi: int) -> np.ndarray:
         """a(j, k) = a(-j, k): gather a cached row over |j| >= 0, so each
         value is converted once per level whatever the signs of j."""
+        import numpy as np
+        from ._kernels import Log2Cache
         mags = np.abs(np.arange(lo, hi + 1))
         m_lo, m_hi = int(mags.min()), int(mags.max())
         half = self._log2_half_rows.get(k)
@@ -215,6 +218,9 @@ class ScaledMatrix(KotheMatrix):
     def _entry(self, j: int, k: int) -> Fraction:
         return self.base.entry(j, k) * abs(self.diag(j))
 
+    def wire_params(self) -> dict:
+        raise InvalidSpecError("cannot serialize matrix family 'scaled'")
+
 
 def constant_matrix(value: Fraction | int = 1, index_set: str = _BILATERAL) -> ConstantMatrix:
     return ConstantMatrix(Fraction(value), index_set)
@@ -222,6 +228,8 @@ def constant_matrix(value: Fraction | int = 1, index_set: str = _BILATERAL) -> C
 
 def table_matrix(rows: dict, lo: int, hi: int, tail: str = "error",
                  index_set: str = _BILATERAL) -> TableMatrix:
+    if tail not in ("error", "hold"):
+        raise InvalidSpecError(f"matrix table tail must be 'error' or 'hold', got {tail!r}")
     frozen = {int(j): tuple(Fraction(v) for v in vals) for j, vals in rows.items()}
     missing = next((j for j in range(lo, hi + 1) if j not in frozen), None)
     if missing is not None:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -702,6 +703,37 @@ def test_cli_import_loads_no_hashlib():
     # the curve memo keys on raw bytes; hashlib would load OpenSSL (+4 MiB RSS)
     code = "import sys, shiftlab.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
     assert _python("-c", code).strip() == "[]"
+
+
+# Prints the log-lane modules loaded after a bare `import shiftlab`, then after
+# each command line (a JSON list in argv[2]) run through cli.main.
+LANE_PROBE = """
+import json, sys
+import shiftlab
+
+def loaded():
+    lane = {"numpy", "shiftlab._kernels", "shiftlab.criteria", "shiftlab.algebra"}
+    print(json.dumps(sorted(lane & set(sys.modules))))
+
+loaded()
+from shiftlab.cli import main
+for i, args in enumerate(json.loads(sys.argv[2])):
+    assert main([*args, "--no-timestamp", "--out", f"{sys.argv[1]}/{i}"]) == 0
+    loaded()
+"""
+
+
+def test_exact_lane_loads_no_log_lane(tmp_path):
+    # synthesize and density run on Fractions alone; check needs the log lane,
+    # so the last line shows that the probe sees it load
+    runs = [["synthesize", "--blocks", "2"],
+            ["density", "--weights", "blocks:2", "--format", "csv"],
+            ["density", "--weights", "blocks:2", "--format", "json"],
+            ["check", "--space", "lp_Z:2", "--weights", "constant:2", "--criterion", "ue",
+             "--n-max", "64", "--window", "16"]]
+    out = _python("-c", LANE_PROBE, str(tmp_path), json.dumps(runs))
+    assert [json.loads(line) for line in out.splitlines()] == [
+        [], [], [], [], ["numpy", "shiftlab._kernels", "shiftlab.criteria"]]
 
 
 class TestSearchStopsWhenDecided:

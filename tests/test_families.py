@@ -133,3 +133,5 @@ def test_unwritten_families():
     scaled = ScaledMatrix(PowerMatrix("N"), lambda j: F(1, j))
     assert scaled.index_set == "N" and scaled.tail_tag is None
     assert scaled.entry(3, 2) == F(16, 3)
+    with pytest.raises(InvalidSpecError, match="cannot serialize matrix family 'scaled'"):
+        space_to_json(SpaceSpec(scaled, 1))

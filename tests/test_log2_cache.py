@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftlab._kernels import Log2Cache
 from shiftlab.blocks import build_blocks
 from shiftlab.criteria import _avg_term_logs
 from shiftlab.scalars import ZERO_LOG2, InvalidSpecError, log2_exact
@@ -123,6 +124,33 @@ requests = st.lists(st.tuples(st.integers(-200, 200), st.integers(-1, 60), st.in
 
 
 class TestLog2Cache:
+    def test_fresh_cache_answers_an_empty_request_then_a_first_window(self):
+        cache, fills = Log2Cache(), []
+
+        def fill(a, b):
+            fills.append((a, b))
+            return np.arange(a, b + 1, dtype=np.float64)
+
+        empty = cache.window(4, 3, fill)
+        assert empty.dtype == np.float64 and empty.size == 0 and fills == []
+        assert cache.window(-2, 3, fill).tolist() == [-2, -1, 0, 1, 2, 3]
+        assert cache.window(0, 1, fill).tolist() == [0, 1]
+        assert fills == [(-2, 3)]
+
+    @pytest.mark.parametrize("name", sorted(MATRICES))
+    def test_matrix_holds_no_array_before_its_first_row(self, name):
+        m = MATRICES[name]()
+        assert m._log2_rows == {} and m._log2_half_rows == {}
+        m.log2_row(2, 1, 3)
+        assert all(isinstance(c, Log2Cache) for c in m._log2_rows.values()) and m._log2_rows
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    def test_weights_hold_no_array_before_their_first_window(self, name):
+        w = WEIGHTS[name]()
+        assert w._log2_cache is None
+        w.log2_window(1, 3)
+        assert isinstance(w._log2_cache, Log2Cache)
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(MATRICES)), requests)
     def test_matrix_rows_match_entry_log2(self, name, reqs):

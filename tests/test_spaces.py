@@ -131,6 +131,14 @@ class TestTableMatrix:
         with pytest.raises(InvalidSpecError):
             table_matrix({0: [0, 0]}, 0, 0)
 
+    def test_rejects_unknown_tail(self):
+        with pytest.raises(InvalidSpecError, match="tail must be 'error' or 'hold', got 'wrap'"):
+            table_matrix({0: [1]}, 0, 0, tail="wrap")
+        one = {"num": "1", "den": "1"}
+        spec = {"family": "table", "params": {"lo": 0, "hi": 0, "tail": "wrap", "rows": {"0": [one]}}}
+        with pytest.raises(InvalidSpecError, match="'wrap'"):
+            space_from_json(spec)
+
     def test_rejects_missing_row(self):
         with pytest.raises(InvalidSpecError, match="index 1 "):
             table_matrix({0: [1], 2: [1]}, 0, 2)
