@@ -66,28 +66,11 @@ def _emit(out_path, text: str):
 
 
 def _horizon(n_max, window, k_max, l_max, m_grid, basis_window) -> HorizonConfig:
-    from .criteria import HorizonConfig  # the log lane: only check and props load it
+    from .criteria import HorizonConfig  # the log lane: only check loads it
     grid = HorizonConfig.m_grid if m_grid is None else _ints(
         "--m-grid", "comma-separated integers like 1,2,4", m_grid, m_grid.split(","))
     return HorizonConfig(n_max=n_max, window=window, m_grid=grid, k_max=k_max, l_max=l_max,
                          basis_window=basis_window)
-
-
-_horizon_options = [
-    click.option("--n-max", default=10_000, show_default=True, help="horizon for n"),
-    click.option("--window", default=1_000, show_default=True, help="index-window radius"),
-    click.option("--k-max", default=3, show_default=True, help="seminorm levels checked"),
-    click.option("--l-max", default=None, type=int, help="level search bound (default k_max+5)"),
-    click.option("--m-grid", default=None, help="comma-separated ascending thresholds"),
-    click.option("--basis-window", default=50, show_default=True,
-                 help="basis-index radius for the expansivity diagnostic"),
-]
-
-
-def _with_horizon(fn):
-    for opt in reversed(_horizon_options):
-        fn = opt(fn)
-    return fn
 
 
 @click.group()
@@ -105,7 +88,13 @@ def cli():
     default="ae", show_default=True)
 @click.option("--side", type=click.Choice(["backward", "forward"]), default="backward",
               show_default=True)
-@_with_horizon
+@click.option("--n-max", default=10_000, show_default=True, help="horizon for n")
+@click.option("--window", default=1_000, show_default=True, help="index-window radius")
+@click.option("--k-max", default=3, show_default=True, help="seminorm levels checked")
+@click.option("--l-max", default=None, type=int, help="level search bound (default k_max+5)")
+@click.option("--m-grid", default=None, help="comma-separated ascending thresholds")
+@click.option("--basis-window", default=50, show_default=True,
+              help="basis-index radius for the expansivity diagnostic")
 @click.option("--out", default=None, type=click.Path())
 @click.option("--no-timestamp", is_flag=True, default=False)
 def check(space_text, weights_text, criterion, side, n_max, window, k_max, l_max,
@@ -234,17 +223,13 @@ def density(weights_text, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_
 
 
 @cli.command()
-@_with_horizon
 @click.option("--out", default=None, type=click.Path())
 @click.option("--no-timestamp", is_flag=True, default=False)
-def props(n_max, window, k_max, l_max, m_grid, basis_window, out, no_timestamp):
+def props(out, no_timestamp):
     """Run the closure-law suite over the preset battery (exit 2 on failure)."""
-    from .algebra import run_props_suite
-    cfg = _horizon(min(n_max, 512), min(window, 128), min(k_max, 2), l_max,
-                   m_grid or "1,2,4,8", min(basis_window, 8))
-    results = run_props_suite(cfg)
-    config = {"horizon": cfg.to_json()}
-    _emit(out, canonical_json(envelope("props", config, results, not no_timestamp)))
+    from .algebra import run_props_suite  # here, so that other commands do not compile it
+    results = run_props_suite()
+    _emit(out, canonical_json(envelope("props", {}, results, not no_timestamp)))
     if not results["all_passed"]:
         raise AuditFailure("closure-law suite failed")
 

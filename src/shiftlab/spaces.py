@@ -16,9 +16,10 @@ JSON wire form of a space (space_to_json, space_from_json, ``--space
      "tail": "hold", "rows": {"-1": [<a(-1,1)>, <a(-1,2)>], "0": [...], "1": [...]}}}
 
 Defaults: index_set "Z" ("N" is 1, 2, ...; half-line matrices are always
-"Z"), p 0 (else p >= 1), constant value 1, table tail "error" (rejects j
-outside [lo, hi]; "hold" repeats the edge rows).  A table has a row for
-every j in [lo, hi]; levels past the end of a row repeat its last entry.
+"Z" and reject "N"), p 0 (else a number >= 1, not a bool), constant value
+1, table tail "error" (rejects j outside [lo, hi]; "hold" repeats the edge
+rows).  A table has a row for every j in [lo, hi]; levels past the end of a
+row repeat its last entry.
 """
 
 from __future__ import annotations
@@ -255,7 +256,8 @@ class SpaceSpec:
     p: float = 0
 
     def __post_init__(self):
-        if not isinstance(self.p, (int, float)) or not (self.p == 0 or self.p >= 1):
+        if (isinstance(self.p, bool) or not isinstance(self.p, (int, float))
+                or not (self.p == 0 or self.p >= 1)):
             raise InvalidSpecError(f"exponent p must be 0 or >= 1, got {self.p!r}")
 
     @property
@@ -331,6 +333,8 @@ def space_from_json(obj: dict) -> SpaceSpec:
     elif fam == "power":
         matrix = PowerMatrix(index_set)
     elif fam == "halfline":
+        if index_set != _BILATERAL:
+            raise InvalidSpecError(f"halfline space JSON needs index_set 'Z', got {index_set!r}")
         matrix = HalflineMatrix()
     elif fam == "table":
         where = "space JSON params"

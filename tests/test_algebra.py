@@ -2,23 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from shiftlab.algebra import (
-    PowerShift,
-    ScalingSystem,
-    ShiftSystem,
-    conjugacy_transfer,
-    direct_sum,
-    invert,
-    power,
-    power_orbit_norm,
-    rotate,
-    run_props_suite,
-    system_check,
-    system_orbit_norm,
-)
+from shiftlab.algebra import PowerShift, power_orbit_norm, run_props_suite
 from shiftlab.blocks import build_blocks
-from shiftlab.criteria import HorizonConfig
-from shiftlab.shifts import ShiftOperator, basis_orbit_norm, constant_weights
+from shiftlab.criteria import HorizonConfig, check_criterion
+from shiftlab.shifts import (
+    ShiftOperator,
+    basis_orbit_norm,
+    conjugate_to_unweighted,
+    constant_weights,
+    dual_form,
+)
 from shiftlab.spaces import InvalidSpecError, preset
 
 F = Fraction
@@ -26,7 +19,7 @@ CFG = HorizonConfig(n_max=128, window=64, m_grid=(1, 2, 4, 16), k_max=2, basis_w
 
 
 def backward(w):
-    return ShiftSystem(ShiftOperator("backward", constant_weights(w), preset("lp_Z", 2)))
+    return ShiftOperator("backward", constant_weights(w), preset("lp_Z", 2))
 
 
 @pytest.fixture(scope="module")
@@ -34,61 +27,37 @@ def build4():
     return build_blocks(4)
 
 
-class TestRotate:
-    def test_minus_one_preserves_verdicts(self):
-        sys = backward(2)
-        a = system_check(sys, "ae", CFG)
-        b = system_check(rotate(sys, -1), "ae", CFG)
-        assert a.to_json() == b.to_json()
-
-    def test_unit_phase_label(self):
-        sys = rotate(backward(2), "i")
-        assert sys.rotation == "i"
-        assert system_check(sys, "ue", CFG).certified
-
-    def test_rejects_non_unimodular(self):
-        with pytest.raises(InvalidSpecError):
-            rotate(backward(2), F(1, 2))
-
-    def test_orbit_norms_bit_identical(self):
-        sys = backward(F(3, 5))
-        rot = rotate(sys, -1)
-        for j0 in (-3, 0, 4):
-            for n in range(-5, 6):
-                assert (system_orbit_norm(sys, j0, n, 1)
-                        == system_orbit_norm(rot, j0, n, 1))
-
-
 class TestInvert:
     def test_involution_on_orbit_norms(self):
-        sys = backward(F(2, 3))
-        twice = invert(invert(sys))
+        op = backward(F(2, 3))
+        twice = dual_form(dual_form(op))
         for j0 in (-2, 0, 3):
             for n in range(-6, 7):
-                assert (system_orbit_norm(sys, j0, n, 2)
-                        == system_orbit_norm(twice, j0, n, 2))
+                assert basis_orbit_norm(op, j0, n, 2) == basis_orbit_norm(twice, j0, n, 2)
 
     def test_inverse_swaps_regimes(self):
-        prop_fwd = system_check(invert(backward(2)), "ue", CFG)
+        prop_fwd = check_criterion(dual_form(backward(2)), "ue", CFG)
         assert prop_fwd.certified
         # B_w with w = 2 is regime (a); its inverse is the forward regime (B)
         assert prop_fwd.property_label == "B"
 
     def test_blocks_both_average_expansive(self, build4):
-        sys = ShiftSystem(ShiftOperator("backward", build4.weights, preset("c0_Z")))
+        op = ShiftOperator("backward", build4.weights, preset("c0_Z"))
         cfg = HorizonConfig(n_max=build4.layout.t_max, window=300, m_grid=(1, 2, 4), k_max=1)
-        assert system_check(sys, "ae", cfg).certified
-        assert system_check(invert(sys), "ae", cfg).certified
+        assert check_criterion(op, "ae", cfg).certified
+        assert check_criterion(dual_form(op), "ae", cfg).certified
 
 
 class TestPower:
-    def test_identity_power(self):
-        sys = backward(2)
-        assert power(sys, 1) is sys
+    def test_first_power_is_the_base(self):
+        op = backward(F(3, 5))
+        for n in range(-4, 5):
+            assert power_orbit_norm(PowerShift(op, 1), 2, n, 1) == basis_orbit_norm(op, 2, n, 1)
+        with pytest.raises(InvalidSpecError):
+            PowerShift(op, 0)
 
     def test_grouped_weights_constant(self):
-        p = power(backward(2), 3)
-        assert isinstance(p, PowerShift)
+        p = PowerShift(backward(2), 3)
         assert p.grouped_weight(0) == 8
         assert power_orbit_norm(p, 0, 2, 1) == 2 ** 6
 
@@ -111,66 +80,22 @@ class TestConjugacy:
     def test_transfer_preserves_orbits(self, build4):
         for weights in (constant_weights(2), build4.weights):
             op = ShiftOperator("backward", weights, preset("c0_Z"))
-            conj, v = conjugacy_transfer(ShiftSystem(op))
+            _, unweighted, v = conjugate_to_unweighted(op)
             for j0 in (-3, -1, 0, 2):
                 for n in range(-6, 7):
-                    assert (basis_orbit_norm(conj.op, j0, n, 1)
+                    assert (basis_orbit_norm(unweighted, j0, n, 1)
                             == abs(v(j0)) * basis_orbit_norm(op, j0, n, 1))
 
     def test_unit_diagonal_is_identity(self):
-        op = ShiftOperator("backward", constant_weights(1), preset("lp_Z", 2))
-        conj, v = conjugacy_transfer(ShiftSystem(op))
+        op = backward(1)
+        _, unweighted, v = conjugate_to_unweighted(op)
         assert all(v(j) == 1 for j in range(-5, 6))
         for j0 in (-2, 0, 3):
-            assert basis_orbit_norm(conj.op, j0, 4, 2) == basis_orbit_norm(op, j0, 4, 2)
-
-
-class TestDirectSum:
-    def test_diagonal_counterexample(self):
-        # (x, y) -> (2x, y/2): expansive on both components and average
-        # expansive, but neither the map nor its inverse is one-sided
-        sys = direct_sum([ScalingSystem(F(2)), ScalingSystem(F(1, 2))])
-        assert system_check(sys, "e", CFG).certified
-        assert system_check(sys, "ae", CFG).certified
-        assert not system_check(sys, "ape", CFG).certified
-        assert not system_check(invert(sys), "ape", CFG).certified
-
-    def test_two_expanding_shifts(self):
-        sys = direct_sum([backward(2), backward(3)])
-        assert system_check(sys, "ue", CFG).certified
-
-    def test_identity_component_blocks_everything(self):
-        sys = direct_sum([backward(2), backward(1)])
-        for crit in ("ae", "ue", "ape", "upe"):
-            assert not system_check(sys, crit, CFG).certified
-
-    def test_sum_orbit_norm_addresses_components(self):
-        sys = direct_sum([backward(2), ScalingSystem(F(3))])
-        assert system_orbit_norm(sys, (0, 5), 2, 1) == 4
-        assert system_orbit_norm(sys, (1, None), 2, 1) == 9
-
-    def test_component_extraction_restricts(self):
-        # restriction to an invariant summand keeps that summand's verdicts
-        from shiftlab.algebra import component
-
-        summed = direct_sum([backward(2), backward(1)])
-        extracted = component(summed, 0)
-        assert system_check(extracted, "ue", CFG).certified
-        assert not system_check(component(summed, 1), "ue", CFG).certified
-        with pytest.raises(InvalidSpecError):
-            component(backward(2), 0)
-
-    def test_conjunction_matches_componentwise(self):
-        for pair in ((2, 2), (2, F(1, 2)), (F(1, 2), 1), (1, 1)):
-            sa, sb = backward(pair[0]), backward(pair[1])
-            summed = direct_sum([sa, sb])
-            for crit in ("ae", "ue"):
-                whole = system_check(summed, crit, CFG).certified
-                parts = (system_check(sa, crit, CFG).certified
-                         and system_check(sb, crit, CFG).certified)
-                assert whole == parts
+            assert basis_orbit_norm(unweighted, j0, 4, 2) == basis_orbit_norm(op, j0, 4, 2)
 
 
 def test_props_suite_passes():
     results = run_props_suite()
+    assert sorted(results) == ["all_passed", "conjugacy-invariance", "inversion-orbit-symmetry",
+                               "power-lattice"]
     assert results["all_passed"], results

@@ -4,13 +4,21 @@ from fractions import Fraction
 
 import pytest
 
+from shiftlab import algebra, shifts
+from shiftlab.algebra import PowerShift
 from shiftlab.blocks import build_blocks, hypercyclicity_witness, norm_runs, verify_inequalities
-from shiftlab.cli import EXIT_OK, EXIT_USAGE, main
+from shiftlab.cli import EXIT_AUDIT, EXIT_OK, EXIT_USAGE, main
 from shiftlab.criteria import HorizonConfig, check_criterion, hierarchy_audit
 from shiftlab.density import cesaro_trace, distributional_report
 from shiftlab.reporting import canonical_json
-from shiftlab.shifts import ShiftOperator, parse_weights, window_check
-from shiftlab.spaces import parse_space
+from shiftlab.shifts import (
+    DualWeights,
+    ShiftOperator,
+    constant_weights,
+    parse_weights,
+    window_check,
+)
+from shiftlab.spaces import ScaledMatrix, SpaceSpec, parse_space
 
 
 def run(capsys, *args):
@@ -532,12 +540,60 @@ class TestHierarchyExitCodes:
         assert rep["consistent"] is False
 
 
+def _dual_off_by_one(op):
+    # the inverse of B_w has weights 1/w_{j+1}; this one reads 1/w_j
+    return ShiftOperator("forward", DualWeights(op.weights, 0), op.space)
+
+
+_grouped_weight = PowerShift.grouped_weight
+
+
+def _grouped_off_by_one(self, j):
+    return _grouped_weight(self, j + 1)
+
+
+def _conjugacy_missing_w1(op):
+    # v_j = 1/(w_1 ... w_j) for j > 0, here with the factor w_1 dropped
+    _, _, v = shifts.conjugate_to_unweighted(op)
+    w1 = op.weights.value(1)
+
+    def v_bad(j):
+        return v(j) * w1 if j > 0 else v(j)
+
+    space = SpaceSpec(ScaledMatrix(op.space.matrix, v_bad), op.space.p)
+    return space, ShiftOperator("backward", constant_weights(1), space), v_bad
+
+
 class TestProps:
     def test_suite_passes(self, capsys):
         code, out, _ = run(capsys, "props", "--no-timestamp")
         assert code == EXIT_OK
         rep = json.loads(out)
+        assert rep["config"] == {}
+        assert sorted(rep["report"]) == ["all_passed", "conjugacy-invariance",
+                                         "inversion-orbit-symmetry", "power-lattice"]
         assert rep["report"]["all_passed"] is True
+
+    def test_takes_no_horizon_option(self, capsys):
+        code, _, err = run(capsys, "props", "--n-max", "64")
+        assert code == EXIT_USAGE
+        assert "--n-max" in err
+
+    @pytest.mark.parametrize("law, owner, attr, mutant", [
+        ("inversion-orbit-symmetry", algebra, "dual_form", _dual_off_by_one),
+        ("power-lattice", PowerShift, "grouped_weight", _grouped_off_by_one),
+        ("conjugacy-invariance", algebra, "conjugate_to_unweighted", _conjugacy_missing_w1),
+    ], ids=["inversion", "power", "conjugacy"])
+    def test_each_law_can_fail(self, capsys, monkeypatch, law, owner, attr, mutant):
+        monkeypatch.setattr(owner, attr, mutant)
+        code, out, err = run(capsys, "props", "--no-timestamp")
+        assert code == EXIT_AUDIT
+        assert "closure-law suite failed" in err
+        rep = json.loads(out)["report"]
+        assert rep["all_passed"] is False
+        assert not all(rep[law].values())
+        assert all(all(section.values()) for name, section in rep.items()
+                   if name not in (law, "all_passed"))
 
 
 def test_version(capsys):

@@ -712,7 +712,7 @@ import json, sys
 import shiftlab
 
 def loaded():
-    lane = {"numpy", "shiftlab._kernels", "shiftlab.criteria", "shiftlab.algebra"}
+    lane = {"numpy", "shiftlab._kernels", "shiftlab.criteria"}
     print(json.dumps(sorted(lane & set(sys.modules))))
 
 loaded()
@@ -724,16 +724,17 @@ for i, args in enumerate(json.loads(sys.argv[2])):
 
 
 def test_exact_lane_loads_no_log_lane(tmp_path):
-    # synthesize and density run on Fractions alone; check needs the log lane,
-    # so the last line shows that the probe sees it load
+    # synthesize, density and props run on Fractions alone; check needs the
+    # log lane, so the last line shows that the probe sees it load
     runs = [["synthesize", "--blocks", "2"],
             ["density", "--weights", "blocks:2", "--format", "csv"],
             ["density", "--weights", "blocks:2", "--format", "json"],
+            ["props"],
             ["check", "--space", "lp_Z:2", "--weights", "constant:2", "--criterion", "ue",
              "--n-max", "64", "--window", "16"]]
     out = _python("-c", LANE_PROBE, str(tmp_path), json.dumps(runs))
     assert [json.loads(line) for line in out.splitlines()] == [
-        [], [], [], [], ["numpy", "shiftlab._kernels", "shiftlab.criteria"]]
+        [], [], [], [], [], ["numpy", "shiftlab._kernels", "shiftlab.criteria"]]
 
 
 class TestSearchStopsWhenDecided:

@@ -45,8 +45,8 @@ def test_readme_lists_the_package_exports():
 
 # Exports that nothing in src/shiftlab calls, kept on purpose
 DEAD_EXPORT_ALLOWLIST = {
-    # the closure-law API that tests/test_acceptance.py exercises
-    "algebra.invert", "algebra.component", "algebra.system_orbit_norm", "density.upper_density",
+    # exercised by tests/test_acceptance.py
+    "density.upper_density",
     # named by the README and timed by perfbench
     "density.cesaro_trace",
 }

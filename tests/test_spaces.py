@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from shiftlab.spaces import (
     InvalidSpecError,
     PowerMatrix,
+    SpaceSpec,
+    constant_matrix,
     parse_space,
     preset,
     space_from_json,
@@ -156,3 +158,19 @@ def test_json_roundtrip():
         for j in (-3, 0, 2):
             for k in (1, 2):
                 assert again.matrix.entry(j, k) == sp.matrix.entry(j, k)
+
+
+def test_halfline_json_needs_the_bilateral_index_set():
+    # the halfline matrix is defined on Z only; "N" must not load as Z
+    assert space_from_json({"family": "halfline", "index_set": "Z"}).index_set == "Z"
+    with pytest.raises(InvalidSpecError, match="halfline space JSON needs index_set 'Z', got 'N'"):
+        space_from_json({"family": "halfline", "index_set": "N"})
+
+
+def test_bool_exponent_rejected():
+    # bool is an int subclass: p = True must not pass as the lp_1 exponent
+    for p in (True, False):
+        with pytest.raises(InvalidSpecError, match=f"got {p!r}"):
+            SpaceSpec(constant_matrix(1, "Z"), p)
+        with pytest.raises(InvalidSpecError, match=f"got {p!r}"):
+            space_from_json({"family": "constant", "p": p})
