@@ -48,8 +48,24 @@ class TestInvert:
         assert check_criterion(dual_form(op), "ae", cfg).certified
 
 
+# The verdicts that the deleted direct-sum tests read through their summands,
+# checked on each shift itself. ||B_w^n x|| = w^n ||x||: w > 1 expands forward
+# in time, w < 1 only backward, and w = 1 is an isometry.
+@pytest.mark.parametrize("w, certified, ue_label", [
+    (2, {"e", "ae", "ue", "ape", "upe"}, "a"),
+    (3, {"e", "ae", "ue", "ape", "upe"}, "a"),
+    (F(1, 2), {"e", "ae", "ue"}, "b"),
+    (1, set(), "none"),
+], ids=["w=2", "w=3", "w=1/2", "w=1"])
+def test_constant_weight_verdicts(w, certified, ue_label):
+    op = backward(w)
+    verdicts = {crit: check_criterion(op, crit, CFG) for crit in ("e", "ae", "ue", "ape", "upe")}
+    assert {crit for crit, v in verdicts.items() if v.certified} == certified
+    assert verdicts["ue"].property_label == ue_label
+
+
 class TestPower:
-    def test_first_power_is_the_base(self):
+    def test_identity_power(self):
         op = backward(F(3, 5))
         for n in range(-4, 5):
             assert power_orbit_norm(PowerShift(op, 1), 2, n, 1) == basis_orbit_norm(op, 2, n, 1)
