@@ -35,25 +35,27 @@ def bench_running_average(n=1_000_000):
             timeit(_kernels.running_log2_average, terms), None)
 
 
-def bench_window_inf(width=2001, n_max=4000):
+def bench_window_inf(width=2001, n_max=10_000, invalid=0.1):
+    """A grid of `check`'s default horizon; `invalid` is the share of invalid columns."""
     h = rng.uniform(-10, 10, size=width)
     g = rng.uniform(-10, 10, size=width + n_max)
-    valid = rng.random(width) > 0.1
+    valid = rng.random(width) >= invalid
     kernel = timeit(_kernels.window_inf_curve, g, h, valid, n_max)
     reference = timeit(window_inf_curve_reference, g, h, valid, n_max)
-    return "window_inf_curve", f"{width} x {n_max} grid", kernel, reference
+    return ("window_inf_curve", f"{n_max} x {width}, {invalid:.0%} inv", kernel, reference)
 
 
 def main():
     print("=" * 72)
     print("shiftlab kernel benchmark (best of 5)")
     print("=" * 72)
-    rows = [bench_running_average(), bench_window_inf()]
-    print(f"{'kernel':<24}{'size':<18}{'kernel':>10}{'per-n ref':>12}{'speedup':>9}")
+    rows = [bench_running_average(), bench_window_inf(invalid=0.1),
+            bench_window_inf(invalid=0.5)]
+    print(f"{'kernel':<24}{'size':<24}{'kernel':>10}{'per-n ref':>12}{'speedup':>9}")
     for name, size, kernel, reference in rows:
         ref_cols = (f"{reference * 1e3:>10.1f}ms{reference / kernel:>8.1f}x"
                     if reference is not None else f"{'-':>12}{'-':>9}")
-        print(f"{name:<24}{size:<18}{kernel * 1e3:>8.1f}ms{ref_cols}")
+        print(f"{name:<24}{size:<24}{kernel * 1e3:>8.1f}ms{ref_cols}")
 
 
 if __name__ == "__main__":

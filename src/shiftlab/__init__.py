@@ -10,13 +10,17 @@ __version__ = "0.1.0"
 from .scalars import Exact
 from .spaces import SpaceSpec, preset
 from .shifts import ShiftOperator, WeightSequence, basis_orbit_norm, constant_weights
-from .blocks import build_blocks
 
 
-def __getattr__(name):  # PEP 562: the criteria names load the log lane, and numpy, on first use
+def __getattr__(name):
+    # PEP 562: the criteria names load the log lane, and numpy, on first use;
+    # build_blocks loads the block construction
     if name in ("HorizonConfig", "Verdict", "VerdictKind"):
         from . import criteria
         return getattr(criteria, name)
+    if name == "build_blocks":
+        from .blocks import build_blocks
+        return build_blocks
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

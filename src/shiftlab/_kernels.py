@@ -5,8 +5,8 @@ kernels dominate runtime on long horizon sweeps:
 
 * running_log2_average  running Cesàro averages of a magnitude sequence
 * window_inf_curve      per-step infima of ratio grids for uniform-expansivity
-                        certificates: a blocked sweep over a zero-copy
-                        sliding-window view of the ratio grid
+                        certificates: the elementwise minimum of the grid's
+                        valid columns, each a contiguous strip of g
 """
 
 from __future__ import annotations
@@ -14,9 +14,13 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-# Cells of the window-infimum scratch block (128 KiB of float64).  Blocks of a
-# few rows lose to per-row overhead, larger ones to cache misses and peak RSS.
+# Cells the window-infimum sweep folds per step (128 KiB of float64).  Steps of
+# a few cells lose to per-call overhead, larger ones to cache misses and peak RSS.
 _BLOCK_CELLS = 1 << 14
+# Fewest strips worth gathering into one step: the gather, the in-place
+# subtract and the column minimum cost more than subtracting and folding
+# fewer strips one at a time.
+_MIN_GATHER = 8
 
 
 class Log2Cache:
@@ -79,33 +83,34 @@ def window_inf_curve(g: np.ndarray, h: np.ndarray, valid: np.ndarray, n_max: int
     Returns the inf curve; an all-invalid window yields +inf.  Valid entries
     of g and h must not be NaN or +inf.
 
-    The span [a, b) from the first to the last valid index is one
-    (n_max, b - a) grid whose row n - 1 is g[a+n : b+n] - h[a:b], a
-    zero-copy sliding-window view of g.  It is reduced a block of rows at a
-    time in one scratch buffer of _BLOCK_CELLS cells (one row, if the span
-    is wider).  Invalid columns are set to +inf, which leaves each row's
-    minimum that of its valid columns (column 0 is valid).
+    Column j of the (n_max, len(h)) grid is the contiguous strip
+    g[j+1 : j+1+n_max] - h[j], and the curve is the elementwise minimum of
+    the strips of the valid columns; invalid columns are never read.  Long
+    strips are folded into the curve one at a time through one strip-sized
+    buffer.  When n_max is short, each step gathers a block of about
+    _BLOCK_CELLS cells (at least _MIN_GATHER strips) and folds its column
+    minimum instead.  The minimum of the same float64 values does not depend
+    on the order it is taken in (valid cells hold no NaN, and no -0.0
+    arises), so the curve is bitwise that of the per-n loop.
     """
     g = np.asarray(g, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
     inf_curve = np.full(n_max, np.inf, dtype=np.float64)
-    idx = np.flatnonzero(valid)
-    if idx.size == 0:
+    cols = np.flatnonzero(valid)
+    if cols.size == 0 or n_max == 0:
         return inf_curve
-    a, b = int(idx[0]), int(idx[-1]) + 1
-    width = b - a
-    holes = np.flatnonzero(~valid[a:b])
-    h_span = h[a:b].copy()
-    h_span[holes] = 0.0  # keep -inf - -inf (NaN, with a warning) out of the holes
-    grid = sliding_window_view(g[a + 1:b + n_max], width)
-    rows = max(1, _BLOCK_CELLS // width)
-    scratch = np.empty((min(rows, n_max), width), dtype=np.float64)
-    for r0 in range(0, n_max, rows):
-        r1 = min(r0 + rows, n_max)
-        block = scratch[:r1 - r0]
-        np.subtract(grid[r0:r1], h_span, out=block)
-        if holes.size:
-            block[:, holes] = np.inf
-        block.min(axis=1, out=inf_curve[r0:r1])
+    per_step = _BLOCK_CELLS // n_max
+    if per_step < _MIN_GATHER:
+        strip = np.empty(n_max, dtype=np.float64)
+        for j in cols.tolist():
+            np.subtract(g[j + 1:j + 1 + n_max], h[j], out=strip)
+            np.minimum(inf_curve, strip, out=inf_curve)
+        return inf_curve
+    strips = sliding_window_view(g[1:], n_max)  # row j is column j's g slice
+    for c0 in range(0, cols.size, per_step):
+        step = cols[c0:c0 + per_step]
+        block = strips[step]  # a gathered copy
+        block -= h[step, None]
+        np.minimum(inf_curve, block.min(axis=0), out=inf_curve)
     return inf_curve

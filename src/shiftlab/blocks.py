@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .scalars import SearchCapExceeded
 from .spaces import InvalidSpecError
 from .shifts import TableWeights, UndefinedWeightError, WeightSequence, weight_product
 
@@ -56,10 +57,6 @@ __all__ = [
 ]
 
 K_CAP_DEFAULT = 64
-
-
-class SearchCapExceeded(RuntimeError):
-    """Minimal-parameter search ran past its configured cap."""
 
 
 def r_of(j: int) -> int:

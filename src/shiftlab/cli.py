@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: check, synthesize, orbit, density, props.  Exit codes:
-0 completed, 1 usage/input error, 2 math audit or property failure.
+0 completed, 1 usage/input error or interrupt, 2 math audit or property failure,
+3 internal error (a defect; the traceback goes to stderr).
 Outputs embed the resolved config and the library version; pass
 --no-timestamp for byte-reproducible files.
 """
@@ -10,23 +11,22 @@ from __future__ import annotations
 
 import json
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
 import click
 
 from . import __version__
-from .blocks import (SearchCapExceeded, build_blocks, build_of, hypercyclicity_witness,
-                     verify_inequalities)
-from .density import density_rows, distributional_report
 from .reporting import RUNS, canonical_json, envelope, splice_runs, write_csv
-from .scalars import log2_exact
+from .scalars import SearchCapExceeded, log2_exact
 from .shifts import ShiftOperator, basis_orbit_norm, parse_weights, weights_from_json, window_check
 from .spaces import InvalidSpecError, parse_space, space_from_json, space_to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_AUDIT = 2
+EXIT_INTERNAL = 3
 
 
 class AuditFailure(Exception):
@@ -132,6 +132,7 @@ def check(space_text, weights_text, criterion, side, n_max, window, k_max, l_max
 @click.option("--no-timestamp", is_flag=True, default=False)
 def synthesize(j_max, t_range, out, weights_out, no_timestamp):
     """Build the block weight sequence and audit every inequality exactly."""
+    from .blocks import build_blocks, hypercyclicity_witness, verify_inequalities
     build = build_blocks(j_max)
     audit = verify_inequalities(build)
     witness = hypercyclicity_witness(build, t_range=t_range)
@@ -203,6 +204,8 @@ def orbit(space_text, weights_text, side, vector, n_range, k_range, fmt, out, no
 def density(weights_text, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_timestamp):
     """Per-step norms, running averages, and counting ratios for the witness
     orbits of the block construction."""
+    from .blocks import build_of
+    from .density import density_rows, distributional_report
     build = build_of(_load_weights(weights_text))
     n_horizon = build.layout.t_max if n_horizon is None else n_horizon
     taus = ([Fraction(t) for t in tau_grid.split(",")] if tau_grid
@@ -250,6 +253,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except click.exceptions.Exit as exc:  # --help / --version
         return exc.exit_code
+    except click.Abort:  # interrupted (Ctrl-C); click's own message and status
+        click.echo("Aborted!", err=True)
+        return EXIT_USAGE
+    except Exception:  # escaped every handler above: a defect, not an input error
+        click.echo(f"internal error:\n{traceback.format_exc()}", err=True, nl=False)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ __all__ = [
     "Exact",
     "ExactLike",
     "InvalidSpecError",
+    "SearchCapExceeded",
     "ZERO_LOG2",
     "exact_from_json",
     "exact_to_json",
@@ -41,6 +42,14 @@ ZERO_LOG2 = float("-inf")  # sentinel log2 of a zero magnitude
 
 class InvalidSpecError(ValueError):
     """Raised for malformed space/weight descriptors."""
+
+
+class SearchCapExceeded(RuntimeError):
+    """The block construction's minimal-parameter search ran past its cap.
+
+    Defined here, beside InvalidSpecError, so that the CLI can catch it
+    without loading the block construction; blocks re-exports it.
+    """
 
 
 def exact_to_json(x: ExactLike) -> dict:
@@ -89,6 +98,12 @@ def log2_exact(x: ExactLike) -> float:
     rounded int/int division (the one Fraction->float uses), and only then
     handed to libm.
     """
+    if type(x) is int:  # the general route with den = 1, bitwise; not bool
+        if x == 0:
+            return ZERO_LOG2
+        num = abs(x)
+        e = num.bit_length() - 1
+        return e + math.log2(num / (1 << e))
     if not isinstance(x, (int, Fraction)):
         x = Fraction(x)
     num = abs(x.numerator)

@@ -39,7 +39,7 @@ HORIZON = ("--n-max", "600", "--window", "60", "--m-grid", "1,2,4", "--no-timest
 # both are the first-crossing uniform certificate: a regime is a limit in n,
 # but a curve that crosses the grid once and falls back is certified
 DEFECTS = {
-    "AssertionError": "ROADMAP item 2: two exclusive uniform regimes certified",
+    3: "ROADMAP item 2: two exclusive uniform regimes certified",
     2: "ROADMAP item 2: hierarchy inversion under a first-crossing uniform certificate",
 }
 

@@ -10,7 +10,7 @@ import bench_blocks  # noqa: E402
 import bench_kernels  # noqa: E402
 
 TINY_KERNELS = {"bench_running_average": {"n": 1_000},
-                "bench_window_inf": {"width": 21, "n_max": 40}}
+                "bench_window_inf": {"width": 21, "n_max": 40, "invalid": 0.5}}
 
 
 def test_bench_kernels_at_tiny_size():

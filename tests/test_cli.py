@@ -7,7 +7,7 @@ import pytest
 from shiftlab import algebra, shifts
 from shiftlab.algebra import PowerShift
 from shiftlab.blocks import build_blocks, hypercyclicity_witness, norm_runs, verify_inequalities
-from shiftlab.cli import EXIT_AUDIT, EXIT_OK, EXIT_USAGE, main
+from shiftlab.cli import EXIT_AUDIT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from shiftlab.criteria import HorizonConfig, check_criterion, hierarchy_audit
 from shiftlab.density import cesaro_trace, distributional_report
 from shiftlab.reporting import canonical_json
@@ -54,6 +54,35 @@ class TestCheck:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    def test_internal_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        # an exception no handler expects is a defect: exit 3 with its traceback
+        import shiftlab.criteria
+
+        def broken(op, criterion, cfg):
+            raise RuntimeError("checker broke")
+
+        monkeypatch.setattr(shiftlab.criteria, "check_criterion", broken)
+        code, out, err = run(capsys, "check", "--space", "lp_Z:2", "--weights", "constant:2",
+                             "--criterion", "ue", "--n-max", "64", "--window", "16")
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert EXIT_INTERNAL == 3
+        assert err.startswith("internal error:\nTraceback (most recent call last):\n")
+        assert err.endswith("RuntimeError: checker broke\n")
+        assert "in broken" in err
+
+    def test_interrupt_is_not_an_internal_error(self, capsys, monkeypatch):
+        import shiftlab.criteria
+
+        def interrupted(op, criterion, cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(shiftlab.criteria, "check_criterion", interrupted)
+        code, out, err = run(capsys, "check", "--space", "lp_Z:2", "--weights", "constant:2",
+                             "--criterion", "ue", "--n-max", "64", "--window", "16")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith("Aborted!\n")
+        assert "Traceback" not in err
 
     def test_unknown_space_is_usage_error(self, capsys):
         code, _, err = run(capsys, "check", "--space", "nope", "--weights", "constant:2")
@@ -474,7 +503,6 @@ class TestDensity:
 
     def test_builds_the_blocks_once(self, capsys, monkeypatch):
         import shiftlab.blocks
-        import shiftlab.cli
 
         calls = []
         real = shiftlab.blocks.build_blocks
@@ -484,7 +512,6 @@ class TestDensity:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(shiftlab.blocks, "build_blocks", counted)
-        monkeypatch.setattr(shiftlab.cli, "build_blocks", counted)
         for fmt in ("csv", "json"):
             code, _, _ = run(capsys, "density", "--weights", "blocks:2", "--format", fmt)
             assert code == EXIT_OK

@@ -705,22 +705,32 @@ def test_cli_import_loads_no_hashlib():
     assert _python("-c", code).strip() == "[]"
 
 
-# Prints the log-lane modules loaded after a bare `import shiftlab`, then after
-# each command line (a JSON list in argv[2]) run through cli.main.
+# Prints the lazily loaded modules present after a bare `import shiftlab`, after
+# `import shiftlab.cli`, then after each command line (a JSON list in argv[2])
+# run through cli.main.
 LANE_PROBE = """
 import json, sys
 import shiftlab
 
 def loaded():
-    lane = {"numpy", "shiftlab._kernels", "shiftlab.criteria"}
-    print(json.dumps(sorted(lane & set(sys.modules))))
+    lazy = {"numpy", "shiftlab._kernels", "shiftlab.criteria", "shiftlab.blocks",
+            "shiftlab.density"}
+    print(json.dumps(sorted(lazy & set(sys.modules))))
 
 loaded()
 from shiftlab.cli import main
+loaded()
 for i, args in enumerate(json.loads(sys.argv[2])):
     assert main([*args, "--no-timestamp", "--out", f"{sys.argv[1]}/{i}"]) == 0
     loaded()
 """
+LOG_LANE = {"numpy", "shiftlab._kernels", "shiftlab.criteria"}
+BLOCKS, DENSITY = {"shiftlab.blocks"}, {"shiftlab.density"}
+
+
+def _probe(tmp_path, runs) -> list[set]:
+    out = _python("-c", LANE_PROBE, str(tmp_path), json.dumps(runs))
+    return [set(json.loads(line)) for line in out.splitlines()]
 
 
 def test_exact_lane_loads_no_log_lane(tmp_path):
@@ -732,9 +742,17 @@ def test_exact_lane_loads_no_log_lane(tmp_path):
             ["props"],
             ["check", "--space", "lp_Z:2", "--weights", "constant:2", "--criterion", "ue",
              "--n-max", "64", "--window", "16"]]
-    out = _python("-c", LANE_PROBE, str(tmp_path), json.dumps(runs))
-    assert [json.loads(line) for line in out.splitlines()] == [
-        [], [], [], [], [], ["numpy", "shiftlab._kernels", "shiftlab.criteria"]]
+    assert _probe(tmp_path, runs) == [
+        set(), set(), BLOCKS, BLOCKS | DENSITY, BLOCKS | DENSITY, BLOCKS | DENSITY,
+        BLOCKS | DENSITY | LOG_LANE]
+
+
+def test_check_loads_the_block_construction_only_for_block_weights(tmp_path):
+    # neither the package nor the CLI compiles blocks or density up front
+    horizon = ["--criterion", "ue", "--n-max", "64", "--window", "16"]
+    runs = [["check", "--space", "lp_Z:2", "--weights", "constant:2", *horizon],
+            ["check", "--space", "lp_Z:2", "--weights", "blocks:2", *horizon]]
+    assert _probe(tmp_path, runs) == [set(), set(), LOG_LANE, LOG_LANE | BLOCKS]
 
 
 class TestSearchStopsWhenDecided:

@@ -112,8 +112,9 @@ class TestWindowInfCurve:
     @settings(max_examples=300, deadline=None)
     @given(window_cases(), st.sampled_from([1, 3, 16, 50, 1 << 14]))
     def test_matches_reference_bitwise(self, case, block_cells):
-        # small blocks put the block-row boundaries (and spans wider than a
-        # block) inside the drawn shapes
+        # _BLOCK_CELLS is the cells folded per step: small values put the
+        # boundaries between gathered blocks of columns inside the drawn
+        # shapes, and the smallest send every shape down the one-strip path
         with mock.patch.object(_kernels, "_BLOCK_CELLS", block_cells):
             got = _kernels.window_inf_curve(*case)
         assert_same_curve(got, window_inf_curve_reference(*case))
@@ -125,6 +126,22 @@ class TestWindowInfCurve:
         for valid in (np.ones(width, dtype=bool), rng.random(width) > 0.3):
             assert_same_curve(_kernels.window_inf_curve(g, h, valid, n_max),
                               window_inf_curve_reference(g, h, valid, n_max))
+
+    @pytest.mark.parametrize("n_max,width,invalid", [(9_000, 301, 0.0), (9_000, 301, 0.3),
+                                                     (2_049, 301, 0.3), (2_048, 301, 0.3)])
+    @pytest.mark.parametrize("neg_inf", [False, True], ids=["finite", "neg-inf-in-g"])
+    def test_default_horizon_shapes(self, n_max, width, invalid, neg_inf):
+        # at the module's _BLOCK_CELLS, n_max = 9 000 (as the default horizon,
+        # 10 000) and 2 049 take one strip per step, and 2 048 gathers
+        # _MIN_GATHER strips per step; the hypothesis test never gets there
+        g = rng.integers(-40, 40, size=width + n_max + 2).astype(float)
+        h = rng.integers(-40, 40, size=width).astype(float)
+        valid = rng.random(width) >= invalid
+        valid[0] = True
+        if neg_inf:
+            g[rng.choice(g.size, size=g.size // 50, replace=False)] = -np.inf
+        assert_same_curve(_kernels.window_inf_curve(g, h, valid, n_max),
+                          window_inf_curve_reference(g, h, valid, n_max))
 
     def test_ties_take_first_index(self):
         g = np.zeros(10)

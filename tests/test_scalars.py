@@ -86,6 +86,14 @@ class TestLog2ExactReference:
     def test_fixed_values(self, x):
         assert _same_float(log2_exact(x), _log2_exact_reference(x))
 
+    @pytest.mark.parametrize("x", [0, -1, -3, -(2 ** 70) - 5, 1, 2, 2 ** 40, -(2 ** 52),
+                                   2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 1100, 2 ** 1100 + 1,
+                                   3 ** 700, -(2 ** 1201) + 1])
+    def test_int_route_equals_fraction_route(self, x):
+        # a plain int takes its own route; the Fraction of the same value the general one
+        assert _same_float(log2_exact(x), log2_exact(Fraction(x)))
+        assert _same_float(log2_exact(x), _log2_exact_reference(x))
+
 
 class TestToLog:
     """Values of log2_exact, the exact-to-log conversion."""
