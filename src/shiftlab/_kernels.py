@@ -17,10 +17,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 # Cells the window-infimum sweep folds per step (128 KiB of float64).  Steps of
 # a few cells lose to per-call overhead, larger ones to cache misses and peak RSS.
 _BLOCK_CELLS = 1 << 14
-# Fewest strips worth gathering into one step: the gather, the in-place
-# subtract and the column minimum cost more than subtracting and folding
-# fewer strips one at a time.
-_MIN_GATHER = 8
+# Fewest strips worth gathering into one step: below it, the gather, the
+# in-place subtract and the column minimum cost more than subtracting and
+# folding the strips one at a time (benchmarks/bench_kernels.py times both).
+_MIN_GATHER = 12
 
 
 class Log2Cache:

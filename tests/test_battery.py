@@ -3,9 +3,9 @@
 The commands are ``check --space S --weights W --side D --criterion C`` at a
 short horizon (``--n-max 600 --window 60 --m-grid 1,2,4``) over every S, W, D
 and C below, plus ``props``, all run in one process through
-``shiftlab.cli.main``.  A row holds the exit code (or the type of an
-exception that escaped ``main``), the verdict summary and the sha256 of
-stdout.  The test names every row that differs.
+``shiftlab.cli.main``.  A row holds the exit code, the verdict summary, the
+sha256 of stdout and, for an internal error (exit 3), the last line of the
+traceback, ``Type: message``.  The test names every row that differs.
 
 A row may move only when a recorded defect is fixed.  Re-record the table with
 
@@ -25,7 +25,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
 
-from shiftlab.cli import main
+from shiftlab.cli import EXIT_INTERNAL, main
 
 TABLE = Path(__file__).with_name("battery.json")
 
@@ -39,7 +39,7 @@ HORIZON = ("--n-max", "600", "--window", "60", "--m-grid", "1,2,4", "--no-timest
 # both are the first-crossing uniform certificate: a regime is a limit in n,
 # but a curve that crosses the grid once and falls back is certified
 DEFECTS = {
-    3: "ROADMAP item 2: two exclusive uniform regimes certified",
+    "AssertionError": "ROADMAP item 2: two exclusive uniform regimes certified",
     2: "ROADMAP item 2: hierarchy inversion under a first-crossing uniform certificate",
 }
 
@@ -76,15 +76,20 @@ def summary(args: tuple[str, ...], out: str):
 
 
 def run_one(args: tuple[str, ...]) -> dict:
-    stdout = io.StringIO()
-    with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
-        try:
-            code = main(list(args))
-        except Exception as exc:  # recorded: an escaped exception is an outcome
-            code = type(exc).__name__
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(list(args))
     out = stdout.getvalue()
-    return {"exit": code, "summary": summary(args, out) if code in (0, 2) else None,
-            "sha256": hashlib.sha256(out.encode()).hexdigest()}
+    row = {"exit": code, "summary": summary(args, out) if code in (0, 2) else None,
+           "sha256": hashlib.sha256(out.encode()).hexdigest()}
+    if code == EXIT_INTERNAL:
+        row["error"] = stderr.getvalue().splitlines()[-1]
+    return row
+
+
+def _outcome(row: dict):
+    """The exception type of an internal error, else the exit code."""
+    return row["error"].partition(":")[0] if "error" in row else row["exit"]
 
 
 def run_battery() -> dict[str, dict]:
@@ -94,8 +99,8 @@ def run_battery() -> dict[str, dict]:
 def record() -> None:
     rows = run_battery()
     for row in rows.values():
-        if row["exit"] in DEFECTS:
-            row["defect"] = DEFECTS[row["exit"]]
+        if _outcome(row) in DEFECTS:
+            row["defect"] = DEFECTS[_outcome(row)]
     lines = [f"{json.dumps(cmd)}: {json.dumps(row, sort_keys=True)}" for cmd, row in rows.items()]
     TABLE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 

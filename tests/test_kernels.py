@@ -16,6 +16,8 @@ from shiftlab import _kernels
 
 
 rng = np.random.default_rng(20240817)
+# the longest horizon whose sweep gathers strips
+GATHER_MAX = _kernels._BLOCK_CELLS // _kernels._MIN_GATHER
 
 
 def running_log2_average_reference(log_terms):
@@ -128,12 +130,13 @@ class TestWindowInfCurve:
                               window_inf_curve_reference(g, h, valid, n_max))
 
     @pytest.mark.parametrize("n_max,width,invalid", [(9_000, 301, 0.0), (9_000, 301, 0.3),
-                                                     (2_049, 301, 0.3), (2_048, 301, 0.3)])
+                                                     (GATHER_MAX + 1, 301, 0.3),
+                                                     (GATHER_MAX, 301, 0.3)])
     @pytest.mark.parametrize("neg_inf", [False, True], ids=["finite", "neg-inf-in-g"])
     def test_default_horizon_shapes(self, n_max, width, invalid, neg_inf):
-        # at the module's _BLOCK_CELLS, n_max = 9 000 (as the default horizon,
-        # 10 000) and 2 049 take one strip per step, and 2 048 gathers
-        # _MIN_GATHER strips per step; the hypothesis test never gets there
+        # at the module's constants, n_max = 9 000 (as the default horizon,
+        # 10 000) and GATHER_MAX + 1 take one strip per step, and GATHER_MAX
+        # gathers _MIN_GATHER strips per step; the hypothesis test never gets there
         g = rng.integers(-40, 40, size=width + n_max + 2).astype(float)
         h = rng.integers(-40, 40, size=width).astype(float)
         valid = rng.random(width) >= invalid
