@@ -78,8 +78,9 @@ def layers(j_max):
          lambda: block_oracle.distributional_report(build)),
         (f"csv text (n={n:,})",
          lambda: to_text(lambda: write_csv(None, header,
-                                           density_rows(build, "e:-1", n, taus, kays))),
-         lambda: csv_text(block_oracle.density_csv_rows(build, "e:-1", n, taus, kays), header)),
+                                           density_rows(build, "e-1-forward", n, taus, kays))),
+         lambda: csv_text(block_oracle.density_csv_rows(build, "e-1-forward", n, taus, kays),
+                          header)),
     ]
     if j_max == 4:
         out.append(("synthesize report", lambda: to_text(

@@ -30,24 +30,22 @@ in tests/block_oracle.py.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .scalars import SearchCapExceeded
 from .spaces import InvalidSpecError
-from .shifts import TableWeights, UndefinedWeightError, WeightSequence, weight_product
+from .shifts import TableWeights, UndefinedWeightError, weight_product
 
 __all__ = [
     "AuditReport",
-    "BlockBuild",
     "BlockLayout",
     "BlockParams",
     "BlockWeights",
     "HypercyclicityAudit",
     "SearchCapExceeded",
     "build_blocks",
-    "build_of",
     "closed_form_norms",
     "hypercyclicity_witness",
     "norm_runs",
@@ -90,9 +88,7 @@ class BlockParams:
     alpha: Fraction
 
     def to_json(self) -> dict:
-        return {"j": self.j, "k": self.k, "i": self.i, "r": self.r, "a": self.a,
-                "b": self.b, "s": self.s, "t": self.t, "n_mid": self.n_mid,
-                "alpha": str(self.alpha)}
+        return asdict(self) | {"alpha": str(self.alpha)}
 
 
 @dataclass(frozen=True)
@@ -138,25 +134,13 @@ class BlockLayout:
 
 @dataclass(frozen=True)
 class BlockWeights(TableWeights):
-    """The table of layout.weight_runs(); it carries the layout, so the
-    BlockBuild and the blocks wire form are recovered from the weights."""
+    """The finished construction: the table of layout.weight_runs(), carrying
+    its layout, so the audits and the blocks wire form read the weights."""
 
     layout: BlockLayout
 
     def to_json(self) -> dict:
         return {"family": "blocks", "j_max": self.layout.j_max}
-
-
-@dataclass(frozen=True)
-class BlockBuild:
-    """Finished construction: layout and weight table."""
-
-    layout: BlockLayout
-    weights: WeightSequence
-
-    @property
-    def j_max(self) -> int:
-        return self.layout.j_max
 
 
 def _closed_form_a_range(j: int, k: int) -> list:
@@ -226,7 +210,7 @@ def _canonical(segments) -> list:
     return [tuple(seg[:3]) for seg in out]
 
 
-def build_blocks(j_max: int, k_cap: int = K_CAP_DEFAULT) -> BlockBuild:
+def build_blocks(j_max: int, k_cap: int = K_CAP_DEFAULT) -> BlockWeights:
     """Construct blocks 1..j_max with minimal admissible parameters.
 
     eq1 (at j): card{1 <= n <= s_j : norm_n <= 1/(j+1)} / s_j >= 1 - 1/j
@@ -262,7 +246,8 @@ def build_blocks(j_max: int, k_cap: int = K_CAP_DEFAULT) -> BlockBuild:
         blocks.append(BlockParams(j, k_j, i_j, r, a_j, b_j, s_j, t_j, n_mid, alpha_j))
         t_prev, k_prev, i_prev = t_j, k_j, i_j
     layout = BlockLayout(tuple(blocks))
-    return BlockBuild(layout, _assemble_weights(layout))
+    return BlockWeights(tuple(layout.weight_runs()), "error", -layout.t_max, layout.t_max + 1,
+                        layout)
 
 
 def _search_k(j: int, k_prev: int, r: int, runs: list, t_prev: int, k_cap: int) -> int:
@@ -306,19 +291,7 @@ def _search_i(j: int, i_prev: int, r: int, runs: list, s_j: int) -> int:
     return i_j
 
 
-def _assemble_weights(layout: BlockLayout) -> BlockWeights:
-    return BlockWeights(tuple(layout.weight_runs()), "error", -layout.t_max, layout.t_max + 1,
-                        layout)
-
-
-def build_of(weights: WeightSequence) -> BlockBuild:
-    """The BlockBuild whose table the weights are (a blocks:<J> weight)."""
-    if not isinstance(weights, BlockWeights):
-        raise InvalidSpecError("density works on the synthesized block weights (blocks:<J>)")
-    return BlockBuild(weights.layout, weights)
-
-
-def orbit_segments(build: BlockBuild, direction: str) -> list:
+def orbit_segments(build: BlockWeights, direction: str) -> list:
     """Raw-product route, independent of the closed forms: the witness orbit
     norms, n = 1..t_max, as segments formed from the weight runs the orbit
     meets.  'backward': ||B^n e_{-1}|| = w_{-1} ... w_{-n}; 'forward': the
@@ -335,7 +308,7 @@ def orbit_segments(build: BlockBuild, direction: str) -> list:
     return out
 
 
-def norm_runs(build: BlockBuild, direction: str, n_max: Optional[int] = None) -> list:
+def norm_runs(build: BlockWeights, direction: str, n_max: Optional[int] = None) -> list:
     """(value, length) runs of orbit_segments(build, direction) for
     n = 1..n_max (default t_max).  Past t_max the orbit leaves the table:
     UndefinedWeightError, as the table itself raises."""
@@ -411,7 +384,7 @@ class AuditReport:
         }
 
 
-def verify_inequalities(build: BlockBuild) -> AuditReport:
+def verify_inequalities(build: BlockWeights) -> AuditReport:
     """Re-verify every inequality with exact arithmetic from weight products.
 
     Checks, for 2 <= j <= j_max: eq1, eq2, eq3 at the chosen parameters; the
@@ -435,7 +408,7 @@ def verify_inequalities(build: BlockBuild) -> AuditReport:
     matches = canonical == _canonical(closed)
     if not matches:
         violations.append("closed-form norms disagree with raw products")
-    if build.weights.runs != tuple(layout.weight_runs()):
+    if build.runs != tuple(layout.weight_runs()):
         violations.append("weight table disagrees with its runs")
 
     eq1: dict = {}
@@ -514,7 +487,7 @@ class HypercyclicityAudit:
         }
 
 
-def hypercyclicity_witness(build: BlockBuild, t_range: int = 8) -> HypercyclicityAudit:
+def hypercyclicity_witness(build: BlockWeights, t_range: int = 8) -> HypercyclicityAudit:
     """Audit the transitivity witness sequence n_j = t_{j-1} + 4k_j + 2**(k_j-1).
 
     First part: the orbit norms equal 1/(j+1) exactly for every n in
@@ -527,7 +500,6 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8) -> Hypercyclicit
     """
     layout = build.layout
     orbits = [norm_runs(build, "backward"), norm_runs(build, "forward")]
-    weights = build.weights
     violations: list[str] = []
 
     plateau_ok = True
@@ -554,7 +526,7 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8) -> Hypercyclicit
         # the products stay in the unit-weight stretch of the block only for
         # shifts well inside the plateau half-width; the rule depends on |t|,
         # so products[-t] has the same blocks as products[t]
-        products[t] = {j: weight_product(weights, t - layout[j].n_mid + 1, t)
+        products[t] = {j: weight_product(build, t - layout[j].n_mid + 1, t)
                        for j in range(1, layout.j_max + 1)
                        if abs(t) <= 2 ** (layout[j].k - 1) - 2}
 
@@ -564,7 +536,7 @@ def hypercyclicity_witness(build: BlockBuild, t_range: int = 8) -> Hypercyclicit
         for j in per_j:
             # inverse products q_j(t) = 1/|w_{t+1}...w_{t+n_j}| must equal the
             # mirrored products p_j(-t) by the reversed-reciprocal symmetry
-            q = 1 / weight_product(weights, t + 1, t + layout[j].n_mid)
+            q = 1 / weight_product(build, t + 1, t + layout[j].n_mid)
             if q != products[-t][j]:
                 inverse_match = False
                 violations.append(f"inverse product mismatch at t={t}, j={j}")

@@ -53,6 +53,14 @@ def _ints(option: str, form: str, text: str, fields) -> tuple:
         raise InvalidSpecError(f"{option} needs {form}, got {text!r}") from None
 
 
+def _fractions(option: str, text: str) -> list:
+    """The comma-separated fractions; an input error naming the option otherwise."""
+    try:
+        return [Fraction(field) for field in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise InvalidSpecError(f"{option} needs fractions like 1/2,3, got {text!r}") from None
+
+
 def _parse_range(option: str, text: str):
     lo, _, hi = text.partition(":")
     return _ints(option, "<lo>:<hi> or <n> with integers", text, (lo, hi or lo))
@@ -136,7 +144,6 @@ def synthesize(j_max, t_range, out, weights_out, no_timestamp):
     build = build_blocks(j_max)
     audit = verify_inequalities(build)
     witness = hypercyclicity_witness(build, t_range=t_range)
-    runs = build.layout.weight_runs()
     payload = {
         "layout": [build.layout[j].to_json() for j in range(1, j_max + 1)],
         "weights_window": RUNS,
@@ -145,10 +152,10 @@ def synthesize(j_max, t_range, out, weights_out, no_timestamp):
     }
     config = {"blocks": j_max, "t_range": t_range}
     _emit(out, splice_runs(
-        canonical_json(envelope("synthesize", config, payload, not no_timestamp)), runs))
+        canonical_json(envelope("synthesize", config, payload, not no_timestamp)), build.runs))
     if weights_out:
         Path(weights_out).write_text(splice_runs(
-            canonical_json(build.weights.to_json() | {"table_window": RUNS}), runs))
+            canonical_json(build.to_json() | {"table_window": RUNS}), build.runs))
     if not payload["all_passed"]:
         raise AuditFailure("block construction audit failed")
 
@@ -204,25 +211,27 @@ def orbit(space_text, weights_text, side, vector, n_range, k_range, fmt, out, no
 def density(weights_text, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_timestamp):
     """Per-step norms, running averages, and counting ratios for the witness
     orbits of the block construction."""
-    from .blocks import build_of
+    from .blocks import BlockWeights
     from .density import density_rows, distributional_report
-    build = build_of(_load_weights(weights_text))
-    n_horizon = build.layout.t_max if n_horizon is None else n_horizon
-    taus = ([Fraction(t) for t in tau_grid.split(",")] if tau_grid
-            else [Fraction(1, j + 1) for j in range(1, build.j_max + 1)])
-    kays = ([Fraction(v) for v in k_grid.split(",")] if k_grid
-            else [Fraction(j + 1) for j in range(1, build.j_max + 1)])
+    build = _load_weights(weights_text)
+    if not isinstance(build, BlockWeights):
+        raise InvalidSpecError("density works on the synthesized block weights (blocks:<J>)")
+    layout = build.layout
+    n_horizon = layout.t_max if n_horizon is None else n_horizon
+    taus = (_fractions("--tau-grid", tau_grid) if tau_grid
+            else [Fraction(1, j + 1) for j in range(1, layout.j_max + 1)])
+    kays = (_fractions("--k-grid", k_grid) if k_grid
+            else [Fraction(j + 1) for j in range(1, layout.j_max + 1)])
+    vec_name = "e-1-forward" if vector == "e:-1" else "e1-backward"
     if fmt == "json":
-        vec_name = "e-1-forward" if vector == "e:-1" else "e1-backward"
-        report = distributional_report(build, vec_name, [int(K) for K in kays], taus,
-                                       n_horizon, n0)
+        report = distributional_report(build, vec_name, kays, taus, n_horizon, n0)
         config = {"weights": weights_text, "vector": vector, "n": n_horizon, "n0": n0}
         _emit(out, canonical_json(envelope("density", config, report, not no_timestamp)))
         return
 
     header = (["n", "norm_log2", "running_average"]
               + [f"ratio_small({t})" for t in taus] + [f"ratio_large({K})" for K in kays])
-    write_csv(out, header, density_rows(build, vector, n_horizon, taus, kays))
+    write_csv(out, header, density_rows(build, vec_name, n_horizon, taus, kays))
 
 
 @cli.command()

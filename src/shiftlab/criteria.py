@@ -4,16 +4,21 @@ The analytic statements all have the shape "some sup/limit is infinite".
 At desk scale they become three-valued verdicts:
 
 * certified-unbounded: every threshold of the run's grid was crossed within
-  the horizon (first-crossing schedule recorded).  For window-infimum
-  criteria a crossing only counts when the window value is a true infimum,
-  which requires a structural tail attestation of the ratio profile plus an
-  interior (not tail-edge) attainment check.
+  the horizon (the crossing schedule is recorded as first_n per threshold).
+  For window-infimum criteria a crossing only counts when the window value
+  is a true infimum, which requires a structural tail attestation of the
+  ratio profile plus an interior (not tail-edge) attainment check.
 * bounded-witness: an explicit per-term bound on the window together with a
   tail attestation (term profile eventually nonincreasing or constant).
 * inconclusive: window evidence only.
 
-Enlarging the horizon or the window never revokes a certificate: crossings
-are first crossings, and attested window values do not move.
+A sup (averages, basis orbits) records first crossings, which a larger
+horizon keeps.  Uniform expansivity (Bernardes et al., J. Funct. Anal. 288
+(2025) 110696) is a limit in n, checked as: for k <= k_max some l <= l_max
+has lim over n of inf over j in the window of the (k, l) ratio infinite.
+Its first_n is the first usable step after the last usable step below the
+threshold, so only a fall past the horizon can revoke it; an attested
+window value at a usable step is a true infimum, fixed as the window grows.
 
 A check searches only while its report can still change, so no
 window-infimum curve is swept for a family pair without a tail attestation.
@@ -158,13 +163,17 @@ def _grid_log2(m_grid: Sequence) -> list[float]:
 
 def _first_crossings(values: np.ndarray, m_grid: Sequence,
                      usable: Optional[np.ndarray] = None):
-    """First n (1-based) with values[n-1] >= log2(M), restricted to usable
-    steps; certified when every threshold crosses."""
+    """Per threshold M, the first n (1-based) with values[n-1] >= log2(M);
+    certified when every threshold crosses.  With usable (a limit in n), the
+    first usable n after the last usable step below log2(M)."""
     crossings = []
     for m, lm in zip(m_grid, _grid_log2(m_grid)):
         mask = values >= lm - CROSS_EPS
         if usable is not None:
-            mask = mask & usable
+            below = np.nonzero(usable & ~mask)[0]
+            mask &= usable
+            if below.size:
+                mask[:below[-1] + 1] = False
         hit = np.nonzero(mask)[0]
         first = int(hit[0]) + 1 if hit.size else None
         crossings.append(Crossing(float(m), first))
@@ -566,17 +575,18 @@ def _basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
             entry0, pos, neg = _orbit_log_curves(op, j0, k, n_eff)
             # outward running sup over n = 0, +-1, +-2, ...
             two_sided = pos if neg is None else np.maximum(pos, neg)
-            sup = np.maximum.accumulate(np.concatenate(([entry0], two_sided)))
+            norms = np.concatenate(([entry0], two_sided))
+            sup = np.maximum.accumulate(norms)
             crossings, certified = _first_crossings(sup, cfg.m_grid)
             ev = BranchEvidence(k=k, level=k, label=f"e_{j0}", certified=certified,
                                 crossings=crossings, n_eff=n_eff)
             if certified:
                 best = ev
                 break
-            combined = sup[-1]
-            if pair_ok:
+            # no bound from a sup still rising at the window edge
+            if pair_ok and int(np.argmax(norms)) < norms.size - 1:
                 ev = BranchEvidence(k=k, level=k, label=f"e_{j0}", certified=False,
-                                    crossings=crossings, bound_log2=float(combined),
+                                    crossings=crossings, bound_log2=float(sup[-1]),
                                     attestation="orbit norms attested monotone beyond window",
                                     n_eff=n_eff)
             best = ev

@@ -11,75 +11,55 @@ maximum over the run is at one of the run's ends.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import truediv
 from typing import Iterator, Optional, Sequence
 
-from .blocks import BlockBuild, norm_runs
+from .blocks import BlockWeights, norm_runs
 from .scalars import log2_exact
 from .spaces import InvalidSpecError
 
 __all__ = [
     "DensityEstimate",
-    "cesaro_trace",
     "density_rows",
     "distributional_report",
-    "upper_density",
 ]
 
 
 @dataclass(frozen=True)
 class DensityEstimate:
-    """max over N0 <= n <= N of card(A ∩ [1, n]) / n, with the ratio trace."""
+    """max over N0 <= n <= N of card(A ∩ [1, n]) / n."""
 
     horizon: int
     base: int
     value: Fraction
-    ratios: tuple  # (n, Fraction) at each n in [base, horizon], or at run ends
 
     def to_json(self) -> dict:
         return {"horizon": self.horizon, "base": self.base, "value": str(self.value),
                 "value_float": float(self.value)}
 
 
-def upper_density(indicator, n_max: int, n0: Optional[int] = None) -> DensityEstimate:
-    """Finite limsup surrogate for the density of {n : indicator(n)}.
-
-    indicator: callable n -> bool or a sequence indexed from n = 1.
-    Default base N0 = max(1, n_max // 10).
-    """
-    if callable(indicator):
-        flags = [bool(indicator(n)) for n in range(1, n_max + 1)]
-    else:
-        flags = [bool(v) for v in indicator[:n_max]]
-        if len(flags) < n_max:
-            raise InvalidSpecError("indicator sequence shorter than the horizon")
-    return _run_density([(flag, 1) for flag in flags], bool, n_max, n0)
-
-
 def _run_density(runs, pred, n_max: int, n0: Optional[int]) -> DensityEstimate:
-    """upper_density of {n : pred(v)} for a sequence given as (v, length)
-    runs: on the run after n = a the ratio (count_a + f*(n - a))/n is
-    monotone in n, so only the ends of the run's part of [n0, n_max] count."""
+    """Finite limsup surrogate for the density of {n : pred(v_n)}, for a
+    sequence given as (v, length) runs; default base N0 = max(1, n_max // 10).
+    On the run after n = a the ratio (count_a + f*(n - a))/n is monotone in
+    n, so only the ends of the run's part of [n0, n_max] count."""
     n0 = max(1, n_max // 10) if n0 is None else n0
     if not (1 <= n0 <= n_max):
         raise InvalidSpecError("need 1 <= n0 <= n_max")
-    count, a, best, ratios = 0, 0, Fraction(0), []
+    count, a, best = 0, 0, Fraction(0)
     for v, m in runs:
         f = pred(v)
         for n in sorted({max(a + 1, n0), a + m}):
             if n0 <= n <= a + m:
-                ratios.append((n, Fraction(count + f * (n - a), n)))
-                best = max(best, ratios[-1][1])
+                best = max(best, Fraction(count + f * (n - a), n))
         count, a = count + f * m, a + m
-    return DensityEstimate(n_max, n0, best, tuple(ratios))
+    return DensityEstimate(n_max, n0, best)
 
 
-_ORBITS = {"e-1-forward": "backward", "e:-1": "backward",
-           "e1-backward": "forward", "e:1": "forward"}
+_ORBITS = {"e-1-forward": "backward", "e1-backward": "forward"}
 
 
 def _orbit(vector: str) -> str:
@@ -89,8 +69,8 @@ def _orbit(vector: str) -> str:
     return _ORBITS[vector]
 
 
-def distributional_report(build: BlockBuild, vector: str = "e-1-forward",
-                          k_grid: Optional[Sequence[int]] = None,
+def distributional_report(build: BlockWeights, vector: str = "e-1-forward",
+                          k_grid: Optional[Sequence[Fraction]] = None,
                           tau_grid: Optional[Sequence[Fraction]] = None,
                           n_horizon: Optional[int] = None,
                           n0: Optional[int] = None) -> dict:
@@ -132,45 +112,7 @@ def distributional_report(build: BlockBuild, vector: str = "e-1-forward",
     }
 
 
-@dataclass(frozen=True)
-class ExactTrace:
-    """Running averages (1/n) sum of orbit norms, exact, kept per norm run."""
-
-    label: str
-    runs: tuple  # (first n of the run, sum of the norms before it, norm)
-    n_max: int
-
-    def value_at(self, n: int) -> Fraction:
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"trace covers n = 1..{self.n_max}, got {n}")
-        start, before, v = self.runs[bisect_right(self.runs, n, key=lambda run: run[0]) - 1]
-        return (before + v * (n - start + 1)) / n
-
-
-def cesaro_trace(build: BlockBuild, vector: str = "e-1-forward",
-                 side: str = "op", n_max: Optional[int] = None) -> ExactTrace:
-    """Exact running averages of the orbit norms of a witness basis vector.
-
-    side 'op' averages ||B^n e|| (the backward orbit for e_{-1}); side
-    'inverse' averages the inverse orbit.  By the reversed-reciprocal
-    symmetry of the construction the two traces coincide; both routes are
-    computed from weight products so the equality stays testable.
-    """
-    n_max = build.layout.t_max if n_max is None else n_max
-    if side not in ("op", "inverse"):
-        raise InvalidSpecError("side must be 'op' or 'inverse'")
-    direction = _orbit(vector)
-    if side == "inverse":
-        direction = "forward" if direction == "backward" else "backward"
-    runs = norm_runs(build, direction, n_max)
-    out, start, acc = [], 1, Fraction(0)
-    for v, m in runs:
-        out.append((start, acc, v))
-        start, acc = start + m, acc + v * m
-    return ExactTrace(f"cesaro:{vector}:{side}", tuple(out), n_max)
-
-
-def density_rows(build: BlockBuild, vector: str, n_horizon: int, taus, kays) -> Iterator[str]:
+def density_rows(build: BlockWeights, vector: str, n_horizon: int, taus, kays) -> Iterator[str]:
     """CSV records (rows joined with commas) n, log2 norm, running average and
     the counting ratios of the small- and large-norm sets, for n = 1..n_horizon,
     made as read (a horizon past the table's reach raises at the call).  The

@@ -377,8 +377,9 @@ def _ratio_terms(op: ShiftOperator, condition: str, k: int, level: int, window: 
 # The one table of tail attestations.  A (matrix, weight) family pair is
 # attested when its weights are constant and its matrix tail tag is listed;
 # the entry says why window_check's ratio sup ("ratio") and a uniform ratio
-# profile ("profile") extend past the window.  A "hold" matrix attests only
-# the running-average term profiles, which need no stored reason.
+# profile ("profile") extend past the window.  A "hold" matrix attests the
+# running-average term profiles and the "e" orbit bound (an empty entry
+# attests), which need no stored reason.
 _TAIL_ATTESTATIONS = {
     "constant": {"ratio": "constant matrix rows and constant weights: ratio constant in j",
                  "profile": "constant ratio profile in j"},
@@ -499,7 +500,7 @@ def weights_from_json(obj: dict) -> WeightSequence:
     if fam == "blocks":
         from .blocks import build_blocks
 
-        return build_blocks(json_field(obj, "j_max", where, int)).weights
+        return build_blocks(json_field(obj, "j_max", where, int))
     raise InvalidSpecError(f"unknown weight family {fam!r}")
 
 
@@ -527,4 +528,4 @@ def parse_weights(text: str) -> WeightSequence:
         return geometric_weights(nums[0], nums[1], args[2:3] == ["abs"])
     from .blocks import build_blocks
 
-    return build_blocks(nums[0]).weights
+    return build_blocks(nums[0])

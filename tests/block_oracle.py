@@ -42,7 +42,7 @@ def backward_norms(build, n_max: Optional[int] = None) -> list:
     out = [Fraction(1)]
     p = Fraction(1)
     for n in range(1, n_max + 1):
-        p *= build.weights.value(-n)
+        p *= build.value(-n)
         out.append(p)
     return out
 
@@ -53,7 +53,7 @@ def forward_norms(build, n_max: Optional[int] = None) -> list:
     out = [Fraction(1)]
     p = Fraction(1)
     for n in range(1, n_max + 1):
-        p *= build.weights.value(n + 1)
+        p *= build.value(n + 1)
         out.append(1 / p)
     return out
 
@@ -61,7 +61,7 @@ def forward_norms(build, n_max: Optional[int] = None) -> list:
 def closed_norms(build) -> list:
     """The closed-form orbit norms written out, out[0] = 1."""
     out = [Fraction(1)]
-    for j in range(1, build.j_max + 1):
+    for j in range(1, build.layout.j_max + 1):
         for half in closed_form_norms(build.layout, j):
             out += expand_segments(half)
     return out
@@ -145,7 +145,6 @@ def hypercyclicity_witness(build, t_range: int = 8,
     layout = build.layout
     nb = backward_norms(build)
     nf = forward_norms(build)
-    w = build.weights
     violations: list[str] = []
 
     plateau_ok = True
@@ -169,14 +168,14 @@ def hypercyclicity_witness(build, t_range: int = 8,
 
     ts = range(-t_range, t_range + 1)
     for t in ts:
-        products[t] = {j: abs(weight_product(w, t - layout[j].n_mid + 1, t))
+        products[t] = {j: abs(weight_product(build, t - layout[j].n_mid + 1, t))
                        for j in range(1, layout.j_max + 1)
                        if abs(t) <= 2 ** (layout[j].k - 1) - 2}
 
     for t in ts:
         per_j = products[t]
         for j in per_j:
-            q = 1 / abs(weight_product(w, t + 1, t + layout[j].n_mid))
+            q = 1 / abs(weight_product(build, t + 1, t + layout[j].n_mid))
             if q != products[-t][j]:
                 inverse_match = False
                 violations.append(f"inverse product mismatch at t={t}, j={j}")
@@ -228,23 +227,16 @@ def orbit_norms(build, vector: str, n_max: int) -> list:
     raise ValueError(vector)
 
 
-def upper_density(flags, n_max: int, n0: Optional[int] = None,
-                  keep_ratios: bool = True) -> DensityEstimate:
-    """max over n0 <= n <= n_max of card(A ∩ [1, n]) / n, one ratio per n
-    (kept in the estimate unless keep_ratios is false)."""
+def upper_density(flags, n_max: int, n0: Optional[int] = None) -> DensityEstimate:
+    """max over n0 <= n <= n_max of card(A ∩ [1, n]) / n, one ratio per n."""
     n0 = max(1, n_max // 10) if n0 is None else n0
     count = 0
     best = Fraction(0)
-    ratios = []
     for n, flag in enumerate(flags[:n_max], start=1):
         count += flag
         if n >= n0:
-            r = Fraction(count, n)
-            if keep_ratios:
-                ratios.append((n, r))
-            if r > best:
-                best = r
-    return DensityEstimate(n_max, n0, best, tuple(ratios))
+            best = max(best, Fraction(count, n))
+    return DensityEstimate(n_max, n0, best)
 
 
 def distributional_report(build, vector: str = "e-1-forward", k_grid=None, tau_grid=None,
@@ -257,9 +249,9 @@ def distributional_report(build, vector: str = "e-1-forward", k_grid=None, tau_g
     if tau_grid is None:
         tau_grid = [Fraction(1, j + 1) for j in range(1, layout.j_max + 1)]
     norms = orbit_norms(build, vector, n_horizon)
-    large = {K: upper_density([v >= K for v in norms[1:]], n_horizon, n0, False)
+    large = {K: upper_density([v >= K for v in norms[1:]], n_horizon, n0)
              for K in k_grid}
-    small = {tau: upper_density([v <= tau for v in norms[1:]], n_horizon, n0, False)
+    small = {tau: upper_density([v <= tau for v in norms[1:]], n_horizon, n0)
              for tau in tau_grid}
     levels = {}
     for j in range(1, layout.j_max + 1):

@@ -33,7 +33,7 @@ from shiftlab.shifts import (
     dual_form,
 )
 from shiftlab.spaces import preset
-from shiftlab.density import upper_density
+from shiftlab.density import distributional_report
 
 F = Fraction
 
@@ -105,13 +105,12 @@ def test_04_hypercyclicity_witness(build4):
 
 
 def test_05_density_claims(build4):
-    nb = backward_norms(build4)
     for j in range(2, 5):
-        p = build4.layout[j]
-        small = upper_density([v <= F(1, j + 1) for v in nb[1:p.s + 1]], p.s)
-        large = upper_density([v >= j + 1 for v in nb[1:p.t + 1]], p.t)
-        assert small.value >= 1 - F(1, j)
-        assert large.value >= 1 - F(1, j)
+        p, K, tau = build4.layout[j], j + 1, F(1, j + 1)
+        small = distributional_report(build4, k_grid=[K], tau_grid=[tau], n_horizon=p.s)
+        large = distributional_report(build4, k_grid=[K], tau_grid=[tau], n_horizon=p.t)
+        assert F(small["small"][str(tau)]["value"]) >= 1 - F(1, j)
+        assert F(large["large"][str(K)]["value"]) >= 1 - F(1, j)
     _passed(5, "small- and large-norm upper densities reach 1 - 1/j at block horizons, exact ratios")
 
 
@@ -158,7 +157,7 @@ def test_07_mixing_exclusion(build4):
         ("w=2 on c0_Z", ShiftOperator("backward", constant_weights(2), preset("c0_Z")), cfg),
         ("w=2 on lp_Z(1)", ShiftOperator("backward", constant_weights(2), preset("lp_Z", 1)), cfg),
         ("w=1/2 on c0_Z", ShiftOperator("backward", constant_weights(F(1, 2)), preset("c0_Z")), cfg),
-        ("blocks on c0_Z", ShiftOperator("backward", build4.weights, preset("c0_Z")),
+        ("blocks on c0_Z", ShiftOperator("backward", build4, preset("c0_Z")),
          HorizonConfig(n_max=build4.layout.t_max, window=300, m_grid=(1, 2, 4), k_max=2)),
     ]
     for name, op, use in battery:
@@ -213,12 +212,12 @@ def test_09_algebra_laws(build4):
             for j0 in (-2, 0, 3):
                 for n in range(-5, 6):
                     assert power_orbit_norm(p, j0, n, 1) == basis_orbit_norm(op, j0, m * n, 1)
-    blocks_op = ShiftOperator("backward", build4.weights, preset("c0_Z"))
+    blocks_op = ShiftOperator("backward", build4, preset("c0_Z"))
     p2 = PowerShift(blocks_op, 2)
     for n in range(0, build4.layout[3].t // 2, 97):
         assert power_orbit_norm(p2, -1, n, 1) == basis_orbit_norm(blocks_op, -1, 2 * n, 1)
 
-    for weights in (constant_weights(2), build4.weights):  # conjugacy invariance
+    for weights in (constant_weights(2), build4):  # conjugacy invariance
         op = ShiftOperator("backward", weights, preset("c0_Z"))
         _, unweighted, v = conjugate_to_unweighted(op)
         for j0 in (-4, -1, 0, 2):
@@ -240,7 +239,7 @@ def test_10_hierarchy_audit(build4):
                        basis_window=8)),
         ("forward halfline w=2", ShiftOperator("forward", constant_weights(2),
                                                preset("halfline_Z")), cfg),
-        ("blocks c0", ShiftOperator("backward", build4.weights, preset("c0_Z")),
+        ("blocks c0", ShiftOperator("backward", build4, preset("c0_Z")),
          HorizonConfig(n_max=4000, window=300, m_grid=(1, 2, 4), k_max=2, basis_window=6)),
     ]
     for name, op, use in battery:

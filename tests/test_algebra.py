@@ -42,7 +42,7 @@ class TestInvert:
         assert prop_fwd.property_label == "B"
 
     def test_blocks_both_average_expansive(self, build4):
-        op = ShiftOperator("backward", build4.weights, preset("c0_Z"))
+        op = ShiftOperator("backward", build4, preset("c0_Z"))
         cfg = HorizonConfig(n_max=build4.layout.t_max, window=300, m_grid=(1, 2, 4), k_max=1)
         assert check_criterion(op, "ae", cfg).certified
         assert check_criterion(dual_form(op), "ae", cfg).certified
@@ -78,7 +78,7 @@ class TestPower:
         assert power_orbit_norm(p, 0, 2, 1) == 2 ** 6
 
     def test_lattice_law_blocks(self, build4):
-        op = ShiftOperator("backward", build4.weights, preset("c0_Z"))
+        op = ShiftOperator("backward", build4, preset("c0_Z"))
         p = PowerShift(op, 2)
         half = build4.layout[3].t // 2
         for n in list(range(0, 40)) + [half // 2, half]:
@@ -94,7 +94,7 @@ class TestPower:
 
 class TestConjugacy:
     def test_transfer_preserves_orbits(self, build4):
-        for weights in (constant_weights(2), build4.weights):
+        for weights in (constant_weights(2), build4):
             op = ShiftOperator("backward", weights, preset("c0_Z"))
             _, unweighted, v = conjugate_to_unweighted(op)
             for j0 in (-3, -1, 0, 2):

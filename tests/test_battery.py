@@ -11,8 +11,7 @@ A row may move only when a recorded defect is fixed.  Re-record the table with
 
     PYTHONPATH=src python tests/test_battery.py --record
 
-and list every changed row with its cause in CHANGES.md.  A row with a
-``defect`` field is a known wrong outcome, recorded as it stands.
+and list every changed row with its cause in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
 
-from shiftlab.cli import EXIT_INTERNAL, main
+from shiftlab.cli import EXIT_AUDIT, EXIT_INTERNAL, main
 
 TABLE = Path(__file__).with_name("battery.json")
 
@@ -35,13 +34,6 @@ WEIGHTS = ("constant:2", "constant:1/2", "constant:1", "geometric:1:2",
 SIDES = ("backward", "forward")
 CRITERIA = ("ae", "ape", "ape-inverse", "ue", "upe", "e", "mixing", "hierarchy", "wellposed")
 HORIZON = ("--n-max", "600", "--window", "60", "--m-grid", "1,2,4", "--no-timestamp")
-
-# both are the first-crossing uniform certificate: a regime is a limit in n,
-# but a curve that crosses the grid once and falls back is certified
-DEFECTS = {
-    "AssertionError": "ROADMAP item 2: two exclusive uniform regimes certified",
-    2: "ROADMAP item 2: hierarchy inversion under a first-crossing uniform certificate",
-}
 
 
 def commands() -> list[tuple[str, ...]]:
@@ -87,20 +79,12 @@ def run_one(args: tuple[str, ...]) -> dict:
     return row
 
 
-def _outcome(row: dict):
-    """The exception type of an internal error, else the exit code."""
-    return row["error"].partition(":")[0] if "error" in row else row["exit"]
-
-
 def run_battery() -> dict[str, dict]:
     return {" ".join(args): run_one(args) for args in commands()}
 
 
 def record() -> None:
     rows = run_battery()
-    for row in rows.values():
-        if _outcome(row) in DEFECTS:
-            row["defect"] = DEFECTS[_outcome(row)]
     lines = [f"{json.dumps(cmd)}: {json.dumps(row, sort_keys=True)}" for cmd, row in rows.items()]
     TABLE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
 
@@ -111,10 +95,20 @@ def test_battery_matches_table():
     assert len(actual) == 649
     differ = []
     for cmd in sorted(set(expected) | set(actual)):
-        want = {k: v for k, v in expected.get(cmd, {}).items() if k != "defect"}
+        want = expected.get(cmd)
         if want != actual.get(cmd):
             differ.append(f"{cmd}\n    table: {want}\n    now:   {actual.get(cmd)}")
     assert not differ, f"{len(differ)} battery rows differ:\n" + "\n".join(differ)
+
+
+def test_battery_has_no_internal_error_or_inversion():
+    # a uniform certificate holds up to the horizon, so no two exclusive
+    # regimes are certified (exit 3) and no hierarchy is inverted (exit 2)
+    rows = json.loads(TABLE.read_text())
+    assert [cmd for cmd, row in rows.items() if row["exit"] in (EXIT_AUDIT, EXIT_INTERNAL)] == []
+    hierarchy = [row["summary"] for cmd, row in rows.items()
+                 if "--criterion hierarchy" in cmd and row["exit"] == 0]
+    assert hierarchy and all(summary["consistent"] for summary in hierarchy)
 
 
 if __name__ == "__main__":

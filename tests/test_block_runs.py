@@ -1,10 +1,11 @@
 """The exact block lane on runs against the per-index reference route.
 
 For J = 1..4 every field of the audit, the witness audit, the density
-report and the Cesàro trace must equal what tests/block_oracle.py computes
-one index at a time.  The run helpers are also checked against brute force
-on random inputs, including the failing cases a passing build never reaches
-(an eq4 violation inside a run, a broken plateau, a density ratio at n0).
+report and the density CSV's running averages must equal what
+tests/block_oracle.py computes one index at a time.  The run helpers are
+also checked against brute force on random inputs, including the failing
+cases a passing build never reaches (an eq4 violation inside a run, a
+broken plateau, a density ratio at n0).
 """
 
 import dataclasses
@@ -22,10 +23,10 @@ from shiftlab.blocks import (
     orbit_segments,
     verify_inequalities,
 )
-from shiftlab.density import _run_density, cesaro_trace, distributional_report, upper_density
+from shiftlab.cli import EXIT_USAGE, main
+from shiftlab.density import _run_density, density_rows, distributional_report
 from shiftlab.reporting import canonical_json
 from shiftlab.shifts import UndefinedWeightError, parse_weights
-from shiftlab.spaces import InvalidSpecError
 
 F = Fraction
 J_VALUES = (1, 2, 3, 4)
@@ -45,12 +46,12 @@ def test_table_entries_equal_their_weight_runs(j_max):
     position = -t_max
     for start, n, v in b.layout.weight_runs():
         assert start == position and n > 0  # contiguous, no empty run
-        assert all(b.weights.value(j) == v for j in range(start, start + n))
+        assert all(b.value(j) == v for j in range(start, start + n))
         position += n
     assert position == t_max + 2
     for j in (-t_max - 1, t_max + 2):
         with pytest.raises(UndefinedWeightError) as error:
-            b.weights.value(j)
+            b.value(j)
         assert error.value.args == (f"weight table spans [{-t_max}, {t_max + 1}], got {j}",)
 
 
@@ -101,34 +102,29 @@ def test_density_report_equals_per_index_route(j_max, vector):
 @pytest.mark.parametrize("j_max", J_VALUES)
 @pytest.mark.parametrize("side", ["op", "inverse"])
 def test_cesaro_trace_equals_per_index_route(j_max, side):
+    # the CSV's running_average column is the route to the Cesàro means
     b = build(j_max)
-    trace = cesaro_trace(b, "e-1-forward", side)
+    vector = "e-1-forward" if side == "op" else "e1-backward"
+    got = [row.split(",")[2] for row in density_rows(b, vector, b.layout.t_max, [], [])]
     want = oracle.cesaro_values(b, "e-1-forward", side)
-    assert [trace.value_at(n) for n in range(1, len(want) + 1)] == want
-    with pytest.raises(IndexError):
-        trace.value_at(len(want) + 1)
+    assert got == [repr(float(v)) for v in want]
 
 
 def test_orbit_past_the_table_raises_the_table_error():
     b = build(2)
     for direction, index in (("backward", -173), ("forward", 174)):
         with pytest.raises(UndefinedWeightError) as table_error:
-            b.weights.value(index)
+            b.value(index)
         with pytest.raises(UndefinedWeightError) as orbit_error:
             norm_runs(b, direction, 173)
         assert str(orbit_error.value) == str(table_error.value)
-
-
-def _tampered(b, runs):
-    weights = dataclasses.replace(b.weights, runs=tuple(runs))
-    return blocks.BlockBuild(b.layout, weights)
 
 
 @pytest.mark.parametrize("j_max", (2, 3))
 def test_audit_checks_the_table_against_its_runs(j_max):
     b = build(j_max)
     assert verify_inequalities(b).all_passed
-    runs = list(b.weights.runs)
+    runs = list(b.runs)
     i = next(i for i in range(len(runs) // 2, len(runs)) if runs[i][1] > 1)
     start, n, v = runs[i]
     head, tail = runs[:i], runs[i + 1:]
@@ -136,16 +132,15 @@ def test_audit_checks_the_table_against_its_runs(j_max):
                      head + [(start, n - 1, v)] + tail,  # a shortened run
                      head + tail,  # a dropped run
                      runs + [(b.layout.t_max + 2, 1, F(1))]):  # an extra run
-        audit = verify_inequalities(_tampered(b, tampered))
+        audit = verify_inequalities(dataclasses.replace(b, runs=tuple(tampered)))
         assert audit.violations == ("weight table disagrees with its runs",)
 
 
-def test_build_of_recovers_the_build_from_its_weights():
-    b = build(3)
-    assert blocks.build_of(b.weights) == b
-    assert blocks.build_of(parse_weights("blocks:3")).layout == b.layout
-    with pytest.raises(InvalidSpecError, match="blocks:<J>"):
-        blocks.build_of(parse_weights("constant:2"))
+def test_blocks_shorthand_is_the_build(capsys):
+    assert parse_weights("blocks:3") == build(3)
+    assert main(["density", "--weights", "constant:2"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: density works on the synthesized block weights (blocks:<J>)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +204,7 @@ def test_run_density_matches_per_index(runs, threshold, large, data):
 
     got = _run_density(runs_cut, pred, n_max, n0)
     want = oracle.upper_density([pred(v) for v in seq], n_max, n0)
-    assert got.value == want.value
-    assert set(got.ratios) <= set(want.ratios)
-    assert upper_density([pred(v) for v in seq[:n_max]], n_max, n0) == want
+    assert got == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -235,7 +228,7 @@ def test_window_product_matches_weight_by_weight(lo, width):
 
     b = build(2)
     hi = min(lo + width, 173)
-    assert weight_product(b.weights, lo, hi) == oracle.weight_product(b.weights, lo, hi)
+    assert weight_product(b, lo, hi) == oracle.weight_product(b, lo, hi)
 
 
 def _layout(params):
@@ -250,7 +243,8 @@ def _layout(params):
                                           F(0)))
         t_prev += a + b
     layout = blocks.BlockLayout(tuple(blocks_))
-    return blocks.BlockBuild(layout, blocks._assemble_weights(layout))
+    return blocks.BlockWeights(tuple(layout.weight_runs()), "error", -layout.t_max,
+                               layout.t_max + 1, layout)
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,7 @@ import pytest
 
 from block_oracle import backward_norms, expand_runs, expand_segments, forward_norms
 from shiftlab.blocks import (
-    BlockBuild,
+    BlockWeights,
     SearchCapExceeded,
     build_blocks,
     closed_form_norms,
@@ -39,7 +39,7 @@ GOLDEN_LAYOUT = {
 
 
 @pytest.fixture(scope="module")
-def build4() -> BlockBuild:
+def build4() -> BlockWeights:
     return build_blocks(4)
 
 
@@ -75,7 +75,7 @@ class TestGoldenBlocks:
             assert (p.k, p.i, p.r, p.a, p.b, p.s, p.t, p.n_mid) == (k, i, r, a, b, s, t, n_mid)
 
     def test_weight_positions_first_block(self, build4):
-        w = build4.weights
+        w = build4
         assert [w.value(j) for j in range(-12, 0)] == GOLDEN_A1
         assert [w.value(j) for j in range(-17, -12)] == GOLDEN_B1
         assert [w.value(j) for j in range(2, 14)] == GOLDEN_C1
@@ -87,7 +87,7 @@ class TestGoldenBlocks:
         assert build4.layout[2].alpha * 105 == F(49679, 6)
 
     def test_weight_value_set(self, build4):
-        w = build4.weights
+        w = build4
         lo, hi = -build4.layout.t_max, build4.layout.t_max + 1
         allowed = {F(1), F(2), F(1, 2), F(4), F(1, 4)}
         allowed |= {F(j, 2 * (j + 1)) for j in range(1, 5)}

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from shiftlab import algebra, shifts
+from shiftlab import algebra, criteria, shifts
 from shiftlab.algebra import PowerShift
 from shiftlab.blocks import build_blocks, hypercyclicity_witness, norm_runs, verify_inequalities
 from shiftlab.cli import EXIT_AUDIT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
-from shiftlab.criteria import HorizonConfig, check_criterion, hierarchy_audit
-from shiftlab.density import cesaro_trace, distributional_report
+from shiftlab.criteria import HorizonConfig, Verdict, VerdictKind, check_criterion, hierarchy_audit
+from shiftlab.density import distributional_report
 from shiftlab.reporting import canonical_json
 from shiftlab.shifts import (
     DualWeights,
@@ -452,16 +452,16 @@ class TestDensity:
     @pytest.mark.parametrize("vector, name", [("e:-1", "e-1-forward"), ("e:1", "e1-backward")])
     def test_routes_agree_with_library(self, capsys, vector, name):
         # the CSV keeps its own running sum and the JSON branch calls the
-        # library report; both must stay what the library computes
+        # library report; both must stay what the library and the per-index
+        # route compute
+        from block_oracle import cesaro_values
+
         build = build_blocks(2)
         code, out, _ = run(capsys, "density", "--weights", "blocks:2", "--vector", vector,
                            "--format", "csv")
         assert code == EXIT_OK
         rows = [line.split(",") for line in out.split("\r\n")[1:] if line]
-        trace = cesaro_trace(build, name, "op", build.layout.t_max)
-        assert len(rows) == build.layout.t_max
-        assert [row[2] for row in rows] == [repr(float(trace.value_at(n)))
-                                            for n in range(1, len(rows) + 1)]
+        assert [row[2] for row in rows] == [repr(float(v)) for v in cesaro_values(build, name)]
         code, out, _ = run(capsys, "density", "--weights", "blocks:2", "--vector", vector,
                            "--format", "json", "--no-timestamp")
         assert code == EXIT_OK
@@ -481,6 +481,22 @@ class TestDensity:
                 assert (out, err) == ("", message)
                 assert not out_file.exists()
 
+
+    @pytest.mark.parametrize("option", ["--tau-grid", "--k-grid"])
+    @pytest.mark.parametrize("grid", ["1/0", "1/2,x"])
+    def test_malformed_grid_is_input_error(self, capsys, option, grid):
+        code, out, err = run(capsys, "density", "--weights", "blocks:2", option, grid)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {option} needs fractions like 1/2,3, got {grid!r}\n"
+
+    def test_fractional_large_threshold_is_kept(self, capsys):
+        # K = 5/2 is reported as 5/2, as the CSV header names it, not cut to 2
+        code, out, _ = run(capsys, "density", "--weights", "blocks:2", "--format", "json",
+                           "--k-grid", "5/2", "--no-timestamp")
+        assert code == EXIT_OK
+        large = json.loads(out)["report"]["large"]
+        want = distributional_report(build_blocks(2), "e-1-forward", [Fraction(5, 2)])["large"]
+        assert list(large) == ["5/2"] and large == json.loads(canonical_json(want))
 
     def test_blocks_shorthand_error_names_the_form(self, capsys):
         code, _, err = run(capsys, "density", "--weights", "blocks:x")
@@ -555,16 +571,31 @@ class TestHierarchyExitCodes:
         assert rep["e_diag"]["kind"] == "Inconclusive"
         assert rep["consistent"] is True and rep["violations"] == []
 
-    def test_bounded_witness_is_an_inversion(self, capsys):
-        # ue certifies while ae has a BoundedWitness: a real contradiction
+    def test_bounded_witness_is_an_inversion(self, capsys, monkeypatch):
+        # ue certified while ae has a BoundedWitness is a real contradiction;
+        # no preset gives one, so the verdict pair is stubbed
+        real = criteria.check_criterion
+
+        def stubbed(op, criterion, cfg):
+            if criterion == "ue":
+                return Verdict("unif-expansive", VerdictKind.CERTIFIED_UNBOUNDED,
+                               property_label="a", config=cfg)
+            if criterion == "ae":
+                return Verdict("avg-expansive", VerdictKind.BOUNDED_WITNESS, branch="none",
+                               config=cfg)
+            return real(op, criterion, cfg)
+
+        monkeypatch.setattr(criteria, "check_criterion", stubbed)
         code, out, err = run(capsys, "check", "--space", "halfline_Z", "--weights", "constant:2",
-                             "--criterion", "hierarchy", "--m-grid", "1,2,4", "--no-timestamp")
+                             "--criterion", "hierarchy", "--n-max", "64", "--window", "16",
+                             "--m-grid", "1,2,4", "--no-timestamp")
         assert code == 2
         assert "hierarchy audit inconsistent" in err
         rep = json.loads(out)["report"]
         assert rep["ue"]["kind"] == "CertifiedUnbounded"
         assert rep["ae"]["kind"] == "BoundedWitness"
         assert rep["consistent"] is False
+        assert rep["violations"] == ["uniform certified but average bounded"]
 
 
 def _dual_off_by_one(op):

@@ -14,6 +14,7 @@ from shiftlab.criteria import (
     HorizonConfig,
     VerdictKind,
     _avg_n_eff,
+    _first_crossings,
     check_criterion,
     hierarchy_audit,
 )
@@ -32,7 +33,7 @@ def build4():
 
 @pytest.fixture(scope="module")
 def blocks_op(build4):
-    return ShiftOperator("backward", build4.weights, preset("c0_Z"))
+    return ShiftOperator("backward", build4, preset("c0_Z"))
 
 
 def blocks_cfg(build4, **kw):
@@ -232,6 +233,34 @@ def test_avg_n_eff_closed_form_matches_the_loop(reach, n_max, direction, space):
     assert _avg_n_eff(op, cfg) == want
 
 
+class TestFirstCrossings:
+    # log2 values against the thresholds M = 1 and M = 4 (log2 M = 0 and 2)
+    GRID = (1, 4)
+
+    @staticmethod
+    def firsts(curve, usable=None):
+        crossings, certified = _first_crossings(np.array(curve), TestFirstCrossings.GRID,
+                                                None if usable is None else np.array(usable))
+        return [c.first_n for c in crossings], certified
+
+    def test_a_sup_keeps_its_first_crossing(self):
+        assert self.firsts([0.5, 2.5, 1.0, 2.5, 3.0]) == ([1, 2], True)
+
+    def test_a_limit_counts_after_the_last_usable_step_below(self):
+        assert self.firsts([0.5, 2.5, 1.0, 2.5, 3.0], [True] * 5) == ([1, 4], True)
+
+    def test_a_curve_that_crosses_and_falls_back_is_not_certified(self):
+        assert self.firsts([0.5, 2.5, 3.0, 1.0], [True] * 4) == ([1, None], False)
+
+    def test_an_unusable_dip_does_not_refute(self):
+        assert self.firsts([0.5, 2.5, 1.0, 2.5, 3.0],
+                           [True, True, False, True, True]) == ([1, 2], True)
+
+    def test_an_unusable_crossing_does_not_confirm(self):
+        assert self.firsts([0.5, 2.5, 3.0], [True, True, False]) == ([1, 2], True)
+        assert self.firsts([0.5, 1.0, 3.0], [True, True, False]) == ([1, None], False)
+
+
 class TestUnifExpansiveForward:
     def test_doubling_is_A(self):
         op = ShiftOperator("forward", constant_weights(2), preset("lp_Z", 2))
@@ -304,7 +333,7 @@ class TestUnifExpansiveForward:
         assert np.all(np.isinf(curve)) and np.all(usable)
 
     def test_blocks_has_no_regime(self, build4):
-        op = ShiftOperator("forward", build4.weights, preset("c0_Z"))
+        op = ShiftOperator("forward", build4, preset("c0_Z"))
         cfg = HorizonConfig(n_max=256, window=300, m_grid=(1, 2, 4), k_max=2)
         v = check_criterion(op, "ue", cfg)
         assert v.property_label == "none" and not v.certified
@@ -370,6 +399,13 @@ class TestBasisDiagnostic:
     def test_blocks_certified(self, build4, blocks_op):
         v = check_criterion(blocks_op, "e", blocks_cfg(build4, n_max=4000))
         assert v.certified
+
+    def test_a_sup_rising_at_the_window_edge_gives_no_bound(self):
+        # ||B^n e_j|| = c^n is unbounded; at n = 10 000 it has only reached e
+        op = ShiftOperator("backward", constant_weights(F(10001, 10000)), preset("lp_Z", 2))
+        v = check_criterion(op, "e", HorizonConfig(basis_window=2))
+        assert v.kind is VerdictKind.INCONCLUSIVE
+        assert all(e.bound_log2 is None and e.attestation is None for e in v.evidence)
 
 
 class TestMixing:

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from block_oracle import backward_norms
-from shiftlab.blocks import build_blocks
-from shiftlab.density import _rows, cesaro_trace, distributional_report, upper_density
+from block_oracle import backward_norms, cesaro_values
+from shiftlab.blocks import build_blocks, norm_runs
+from shiftlab.density import _rows, _run_density, density_rows, distributional_report
 from shiftlab.scalars import log2_exact
 from shiftlab.spaces import InvalidSpecError
 
@@ -19,35 +19,33 @@ def build4():
 
 class TestUpperDensity:
     def test_even_numbers(self):
-        est = upper_density(lambda n: n % 2 == 0, 1000, 100)
+        est = _run_density([(1, 1), (2, 1)] * 500, lambda v: v == 2, 1000, 100)
         assert est.value == F(1, 2)
 
     def test_full_set(self):
-        assert upper_density(lambda n: True, 500).value == 1
+        assert _run_density([(1, 500)], bool, 500, None).value == 1
 
-    def test_exact_ratio_trace(self):
-        est = upper_density(lambda n: n <= 3, 10, 1)
-        assert dict(est.ratios)[10] == F(3, 10)
-        assert est.value == 1  # ratio 1 at n <= 3
+    def test_exact_ratio_at_the_run_end(self):
+        assert _run_density([(True, 3), (False, 7)], bool, 10, 1).value == 1  # 1 at n <= 3
+        assert _run_density([(False, 7), (True, 3)], bool, 10, 1).value == F(3, 10)
 
     def test_small_norm_set_at_block_horizon(self, build4):
         # the level-4 small set at horizon s_4 has density >= 3/4
         s4 = build4.layout[4].s
-        norms = backward_norms(build4, s4)
-        est = upper_density([v <= F(1, 5) for v in norms[1:]], s4)
+        est = _run_density(norm_runs(build4, "backward", s4), lambda v: v <= F(1, 5), s4, None)
         assert est.value >= 1 - F(1, 4)
 
     def test_base_validation(self):
         with pytest.raises(InvalidSpecError):
-            upper_density(lambda n: True, 10, 20)
+            _run_density([(True, 10)], bool, 10, 20)
 
     @given(st.lists(st.booleans(), min_size=5, max_size=120),
            st.lists(st.booleans(), min_size=5, max_size=120))
     def test_subset_monotone(self, a, b):
         n = min(len(a), len(b))
-        sub = [a[i] and b[i] for i in range(n)]
-        sup = [a[i] or b[i] for i in range(n)]
-        assert upper_density(sub, n, 1).value <= upper_density(sup, n, 1).value
+        sub = [(a[i] and b[i], 1) for i in range(n)]
+        sup = [(a[i] or b[i], 1) for i in range(n)]
+        assert _run_density(sub, bool, n, 1).value <= _run_density(sup, bool, n, 1).value
 
 
 def _per_index_rows(runs, taus, kays):
@@ -103,24 +101,28 @@ class TestDistributionalReport:
             distributional_report(build4, n_horizon=build4.layout.t_max + 1)
 
 
+def _running_averages(build, vector, n_max):
+    """The density CSV's running_average column, the route to the Cesàro means."""
+    return [float(row.split(",")[2]) for row in density_rows(build, vector, n_max, [], [])]
+
+
 class TestCesaroTrace:
     def test_blocks_probe(self, build4):
-        trace = cesaro_trace(build4, n_max=32)
-        assert trace.value_at(8) == F(15, 2)
+        assert _running_averages(build4, "e-1-forward", 32)[8 - 1] == 7.5
 
     def test_eq4_band(self, build4):
-        trace = cesaro_trace(build4)
+        # exact averages: a float one could round onto the bound j + 1
+        averages = cesaro_values(build4)
         layout = build4.layout
         for j in range(1, 4):
             p, nxt = layout[j], layout[j + 1]
             t_prev = p.t - p.a - p.b
             for n in range(t_prev + 4 * p.k, p.t + 4 * nxt.k + 1):
-                assert trace.value_at(n) >= j + 1
+                assert averages[n - 1] >= j + 1
 
     def test_sides_agree(self, build4):
-        a = cesaro_trace(build4, "e-1-forward", "op", 500)
-        b = cesaro_trace(build4, "e-1-forward", "inverse", 500)
-        assert [a.value_at(n) for n in range(1, 501)] == [b.value_at(n) for n in range(1, 501)]
+        assert _running_averages(build4, "e-1-forward", 500) == _running_averages(
+            build4, "e1-backward", 500)
 
     def test_log_lane_agrees_with_exact_route(self, build4):
         # the criteria module forms its averages in the log domain; rebuild
@@ -133,9 +135,9 @@ class TestCesaroTrace:
         from shiftlab.shifts import ShiftOperator, weight_product
         from shiftlab.spaces import preset
 
-        op = ShiftOperator("backward", build4.weights, preset("c0_Z"))
+        op = ShiftOperator("backward", build4, preset("c0_Z"))
         logs = _kernels.running_log2_average(_avg_term_logs(op, 1, "left", 2000))
-        terms = [weight_product(build4.weights, -j + 1, 0) for j in range(1, 2001)]
+        terms = [weight_product(build4, -j + 1, 0) for j in range(1, 2001)]
         acc = F(0)
         want = []
         for n, t in enumerate(terms, start=1):
@@ -150,4 +152,4 @@ class TestCesaroTrace:
 
         norms = backward_norms(build4, 50)
         for j in range(1, 50):
-            assert weight_product(build4.weights, -j + 1, 0) == norms[j - 1]
+            assert weight_product(build4, -j + 1, 0) == norms[j - 1]

@@ -1,8 +1,8 @@
 """Every name a shiftlab module lists in __all__ must exist in it, so that a
 deletion that leaves a stale export fails here rather than at
 ``from shiftlab.<module> import *``; every such name has a caller in the
-package or is a package export or is allowlisted, so that code whose last
-caller goes does not stay behind as an export; and the package's own
+package or is a package export, so that code whose last caller goes does
+not stay behind as an export; and the package's own
 __all__ is the list the README documents."""
 
 import ast
@@ -43,15 +43,6 @@ def test_readme_lists_the_package_exports():
     exec(compile(code, "README.md", "exec"), {})
 
 
-# Exports that nothing in src/shiftlab calls, kept on purpose
-DEAD_EXPORT_ALLOWLIST = {
-    # exercised by tests/test_acceptance.py
-    "density.upper_density",
-    # named by the README and timed by perfbench
-    "density.cesaro_trace",
-}
-
-
 def _count_references(node, owners: frozenset, refs: Counter) -> None:
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
@@ -80,10 +71,9 @@ def _references() -> Counter:
 
 
 def test_every_export_has_a_caller():
-    # a submodule export is used in src/shiftlab, is a package export, or is
-    # allowlisted above; and an allowlisted name is really unused
+    # a submodule export is used in src/shiftlab or is a package export
     refs = _references()
     unused = {f"{name.rsplit('.', 1)[1]}.{attr}" for name in MODULES if name != "shiftlab"
               for attr in getattr(importlib.import_module(name), "__all__", ())
               if refs[attr] == 0 and attr not in shiftlab.__all__}
-    assert unused == DEAD_EXPORT_ALLOWLIST
+    assert unused == set()

@@ -56,7 +56,7 @@ WEIGHTS = {
     "geometric": (geometric_weights(2, F(1, 2), abs_index=True), None),
     "table-hold": (table_weights({-1: 2, 0: F(1, 3), 1: 1}, tail="hold"), None),
     "table-error": (table_weights({-2: 2, 0: F(1, 3), 1: 1}), None),
-    "blocks": (build_blocks(2).weights, None),
+    "blocks": (build_blocks(2), None),
 }
 # the families with no wire form to read back
 UNWRITTEN = {ScaledMatrix, DualWeights}

@@ -71,7 +71,7 @@ WEIGHTS = {
     "geometric-abs": lambda: geometric_weights(3, F(2, 5), abs_index=True),
     "table-error": lambda: table_weights(_weight_table(-25, 25)),
     "table-hold": lambda: table_weights(_weight_table(-25, 25), tail="hold"),
-    "blocks": lambda: build_blocks(2).weights,
+    "blocks": lambda: build_blocks(2),
     "dual-table": lambda: DualWeights(base=table_weights(_weight_table(-25, 25)), shift=1),
     "dual-geometric": lambda: DualWeights(base=geometric_weights(F(1, 3), F(5, 2)), shift=-1),
 }
@@ -224,7 +224,7 @@ DUAL_BASES = {
     "constant:1/2": lambda: constant_weights(F(1, 2)),
     "table-error": lambda: table_weights(_weight_table(-25, 25)),
     "table-hold": lambda: table_weights(_weight_table(-25, 25), tail="hold"),
-    "blocks:3": lambda: build_blocks(3).weights,
+    "blocks:3": lambda: build_blocks(3),
 }
 
 
@@ -277,7 +277,7 @@ AVG_WEIGHTS = {
     "odd-table-hold": lambda: table_weights(_weight_table(-40, 40), tail="hold"),
     "geometric": lambda: geometric_weights(F(1, 3), F(5, 2), abs_index=True),
     "constant": lambda: constant_weights(F(8, 3)),
-    "blocks": lambda: build_blocks(3).weights,
+    "blocks": lambda: build_blocks(3),
 }
 
 

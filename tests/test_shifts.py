@@ -50,7 +50,7 @@ def outcome(f, *args):
 class TestWeightProduct:
     def test_block_table_segment(self):
         # positions -1..-4 of the first synthesized block all carry 2
-        assert weight_product(BUILD.weights, -4, -1) == 16
+        assert weight_product(BUILD, -4, -1) == 16
 
     def test_empty_range(self):
         assert weight_product(constant_weights(3), 5, 4) == 1
@@ -70,7 +70,7 @@ class TestApply:
     """The one-step route of tests/vector_oracle.py."""
 
     def test_step_on_block_weights(self):
-        got = apply(op_backward(BUILD.weights), basis_vector(-1), 1)
+        got = apply(op_backward(BUILD), basis_vector(-1), 1)
         assert got == {-2: Fraction(2)}
 
     def test_identity(self):
@@ -105,7 +105,7 @@ class TestApply:
 
 class TestBasisOrbitNorm:
     def test_first_block_display(self):
-        op = op_backward(BUILD.weights)
+        op = op_backward(BUILD)
         got = [basis_orbit_norm(op, -1, n, 1) for n in range(1, 9)]
         assert got == [2, 4, 8, 16, 16, 8, 4, 2]
 
@@ -141,7 +141,7 @@ class TestBasisOrbitNorm:
         space = preset(name)
         if not space.bilateral:
             j0 = abs(j0) + 1
-        op = ShiftOperator(direction, BUILD.weights, space)
+        op = ShiftOperator(direction, BUILD, space)
         assert outcome(basis_orbit_norm, op, j0, n, k) == outcome(oracle_norm, op, j0, n, k)
 
 
@@ -232,7 +232,7 @@ class TestConjugacy:
 
     def test_orbit_transfer_exact(self):
         # ||B^n e_j||' == |v_j| * ||B_w^n e_j|| for the transferred space
-        op = op_backward(BUILD.weights)
+        op = op_backward(BUILD)
         new_space, unweighted, v = conjugate_to_unweighted(op)
         for j0 in (-4, -1, 0, 2):
             for n in range(-6, 7):
@@ -242,10 +242,10 @@ class TestConjugacy:
 
     def test_block_weights_left_products(self):
         # ||e_{-n}||'_1 = |w_{-n+1} ... w_0| checked against the raw product
-        op = op_backward(BUILD.weights)
+        op = op_backward(BUILD)
         new_space, _, _ = conjugate_to_unweighted(op)
         for n in range(1, 17):
-            want = weight_product(BUILD.weights, -n + 1, 0)
+            want = weight_product(BUILD, -n + 1, 0)
             assert seminorm(basis_vector(-n), 1, new_space) == want
 
     def test_diagonal_recurrences(self):
@@ -257,7 +257,7 @@ class TestConjugacy:
             "geometric-abs": geometric_weights(3, Fraction(2, 5), abs_index=True),
             "table-hold": table_weights({-2: 3, -1: Fraction(1, 2), 0: 2, 1: Fraction(5, 3)},
                                         tail="hold"),
-            "blocks:3": build_blocks(3).weights,
+            "blocks:3": build_blocks(3),
         }
         for name, w in families.items():
             _, _, v = conjugate_to_unweighted(op_backward(w))
@@ -282,7 +282,7 @@ class TestDualForm:
         assert dual.weights.value(7) == Fraction(1, 2)
 
     def test_apply_matches_inverse(self):
-        op = op_backward(BUILD.weights)
+        op = op_backward(BUILD)
         dual = dual_form(op)
         x = {1: Fraction(1), -3: Fraction(2, 5)}
         for n in range(-8, 9):
@@ -290,15 +290,15 @@ class TestDualForm:
 
     def test_block_inverse_value(self):
         # w_2 = 1/2 so B^{-1} e_1 = e_2 / w_2 = 2 e_2, via both routes
-        op = op_backward(BUILD.weights)
+        op = op_backward(BUILD)
         assert apply(op, basis_vector(1), -1) == {2: Fraction(2)}
         assert apply(dual_form(op), basis_vector(1), 1) == {2: Fraction(2)}
 
     def test_double_dual_restores_magnitudes(self):
-        op = op_backward(BUILD.weights)
+        op = op_backward(BUILD)
         dd = dual_form(dual_form(op))
         for j in range(-10, 11):
-            assert dd.weights.value(j) == BUILD.weights.value(j)
+            assert dd.weights.value(j) == BUILD.value(j)
 
 
 def test_weight_json_roundtrip():
