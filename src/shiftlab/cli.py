@@ -5,11 +5,19 @@ Subcommands: check, synthesize, orbit, density, props.  Exit codes:
 3 internal error (a defect; the traceback goes to stderr).
 Outputs embed the resolved config and the library version; pass
 --no-timestamp for byte-reproducible files.
+
+``main(argv)`` is the in-process entry: it returns the exit code and leaves
+the interpreter running.  The ``shiftlab`` script and ``python -m
+shiftlab.cli`` go through ``run``, which flushes the output and ends the
+process without interpreter teardown: tearing down a process that loaded
+numpy costs tens of milliseconds, more than the criterion work of a short
+``check``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -201,7 +209,8 @@ def orbit(space_text, weights_text, side, vector, n_range, k_range, fmt, out, no
               help="blocks:<J> or @file.json (needs a finite table)")
 @click.option("--vector", type=click.Choice(["e:-1", "e:1"]), default="e:-1", show_default=True)
 @click.option("--n", "n_horizon", default=None, type=int, help="horizon (default: table reach)")
-@click.option("--n0", default=None, type=int, help="density base N0 (default horizon/10)")
+@click.option("--n0", default=None, type=int,
+              help="density base N0 of the JSON report (default horizon/10)")
 @click.option("--tau-grid", default=None, help="comma-separated small thresholds, e.g. 1/2,1/3")
 @click.option("--k-grid", default=None, help="comma-separated large thresholds, e.g. 2,3,4")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
@@ -218,6 +227,10 @@ def density(weights_text, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_
         raise InvalidSpecError("density works on the synthesized block weights (blocks:<J>)")
     layout = build.layout
     n_horizon = layout.t_max if n_horizon is None else n_horizon
+    if n_horizon < 1:
+        raise InvalidSpecError(f"--n needs a horizon of at least 1, got {n_horizon}")
+    if n0 is not None and not 1 <= n0 <= n_horizon:
+        raise InvalidSpecError(f"--n0 needs 1 <= n0 <= the horizon {n_horizon}, got {n0}")
     taus = (_fractions("--tau-grid", tau_grid) if tau_grid
             else [Fraction(1, j + 1) for j in range(1, layout.j_max + 1)])
     kays = (_fractions("--k-grid", k_grid) if k_grid
@@ -270,5 +283,25 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> None:
+    """Console entry: run main() on sys.argv, flush stdout and stderr, and end
+    the process with os._exit, skipping interpreter teardown.
+
+    Skipping teardown loses nothing: every report writer closes its file
+    before main returns (_emit uses Path.write_text, write_csv a with
+    block), and nothing in the package registers atexit or logging
+    handlers.  A buffered sink added later (a logger, say) must be flushed
+    here, before os._exit.  If a flush fails (a closed stdout pipe), the
+    process exits through sys.exit, as it would without this entry.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -165,19 +165,23 @@ def _first_crossings(values: np.ndarray, m_grid: Sequence,
                      usable: Optional[np.ndarray] = None):
     """Per threshold M, the first n (1-based) with values[n-1] >= log2(M);
     certified when every threshold crosses.  With usable (a limit in n), the
-    first usable n after the last usable step below log2(M)."""
-    crossings = []
-    for m, lm in zip(m_grid, _grid_log2(m_grid)):
-        mask = values >= lm - CROSS_EPS
-        if usable is not None:
-            below = np.nonzero(usable & ~mask)[0]
-            mask &= usable
-            if below.size:
-                mask[:below[-1] + 1] = False
-        hit = np.nonzero(mask)[0]
-        first = int(hit[0]) + 1 if hit.size else None
-        crossings.append(Crossing(float(m), first))
-    return tuple(crossings), all(c.first_n is not None for c in crossings)
+    first usable n after the last usable step below log2(M).
+
+    One searchsorted reads every threshold off a nondecreasing curve: the
+    running maximum for a first crossing; for a limit, the suffix minimum
+    over the usable steps, whose first entry at or above log2(M) is the
+    first usable step after the last one below.  This needs values free of
+    NaN, which the curves are (finite or -inf)."""
+    thresholds = np.array(_grid_log2(m_grid)) - CROSS_EPS
+    if usable is None:
+        steps = np.arange(values.size)
+        rising = np.maximum.accumulate(values)
+    else:
+        steps = np.flatnonzero(usable)
+        rising = np.minimum.accumulate(values[steps][::-1])[::-1]
+    crossings = tuple(Crossing(float(m), int(steps[i]) + 1 if i < steps.size else None)
+                      for m, i in zip(m_grid, np.searchsorted(rising, thresholds)))
+    return crossings, all(c.first_n is not None for c in crossings)
 
 
 def _avg_term_logs(op: ShiftOperator, k: int, branch: str, n_eff: int) -> np.ndarray:

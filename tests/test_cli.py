@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -498,6 +502,23 @@ class TestDensity:
         want = distributional_report(build_blocks(2), "e-1-forward", [Fraction(5, 2)])["large"]
         assert list(large) == ["5/2"] and large == json.loads(canonical_json(want))
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_horizon_below_one_is_input_error(self, capsys, fmt, n):
+        code, out, err = run(capsys, "density", "--weights", "blocks:1", "--n", n,
+                             "--format", fmt)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: --n needs a horizon of at least 1, "
+                                                    f"got {n}\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n0", ["0", "18"])
+    def test_base_outside_the_horizon_is_input_error(self, capsys, fmt, n0):
+        # the horizon of blocks:1 is its table reach, 17
+        code, out, err = run(capsys, "density", "--weights", "blocks:1", "--n0", n0,
+                             "--format", fmt)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: --n0 needs 1 <= n0 <= the horizon "
+                                                    f"17, got {n0}\n")
+
     def test_blocks_shorthand_error_names_the_form(self, capsys):
         code, _, err = run(capsys, "density", "--weights", "blocks:x")
         assert code == EXIT_USAGE
@@ -652,6 +673,71 @@ class TestProps:
         assert not all(rep[law].values())
         assert all(all(section.values()) for name, section in rep.items()
                    if name not in (law, "all_passed"))
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+# the console entry, which ends through run(), and main() in a fresh
+# interpreter that exits with normal teardown
+ENTRIES = {"run": ["-m", "shiftlab.cli"],
+           "main": ["-c", "import sys; from shiftlab.cli import main; sys.exit(main())"]}
+
+
+def _spawn(entry: str, *args, **kwargs):
+    # stdout on a pipe block-buffered, as it is unless PYTHONUNBUFFERED is set
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.Popen([sys.executable, *ENTRIES[entry], *args],
+                            env=env | {"PYTHONPATH": SRC}, **kwargs)
+
+
+class TestRun:
+    """python -m shiftlab.cli ends without interpreter teardown once its output
+    is flushed; it must give what main() gives."""
+
+    @staticmethod
+    def console(*args):
+        proc = _spawn("run", *args, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = proc.communicate(timeout=120)
+        return proc.returncode, out.decode(), err.decode()
+
+    @pytest.mark.parametrize("args, code", [
+        # a report golden (tests/test_report_goldens.py)
+        (("check", "--space", "c0_Z", "--weights", "blocks:2", "--side", "forward",
+          "--criterion", "ue", "--n-max", "64", "--window", "16", "--m-grid", "1,2,4",
+          "--no-timestamp"), EXIT_OK),
+        (("check", "--space", "nowhere", "--weights", "constant:2"), EXIT_USAGE),
+    ], ids=["golden", "input-error"])
+    def test_stdout_stderr_and_exit(self, capsys, args, code):
+        want = run(capsys, *args)
+        assert want[0] == code
+        assert self.console(*args) == want
+
+    def test_files(self, capsys, tmp_path):
+        written = []
+        for side in ("console", "main"):
+            paths = (tmp_path / f"{side}.json", tmp_path / f"{side}-weights.json")
+            args = ("synthesize", "--blocks", "2", "--out", str(paths[0]),
+                    "--weights-out", str(paths[1]), "--no-timestamp")
+            code, out, err = self.console(*args) if side == "console" else run(capsys, *args)
+            assert (code, out, err) == (EXIT_OK, "", "")
+            written.append([path.read_bytes() for path in paths])
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("args, read", [
+        # a pipe holds 64 KiB, so a write inside main fails (click exits 1)
+        (("density", "--weights", "blocks:3", "--format", "csv"), 1),
+        # the report waits in the stdout buffer, so the final flush fails
+        (("density", "--weights", "blocks:1", "--format", "csv"), 0),
+    ], ids=["report-over-64KiB", "report-in-the-buffer"])
+    def test_closed_stdout(self, args, read):
+        ends = []
+        for entry in ENTRIES:
+            proc = _spawn(entry, *args, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            proc.stdout.read(read)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            ends.append((proc.wait(timeout=120), err))
+        assert ends[0] == ends[1]
+        assert ends[0][0] != EXIT_OK
 
 
 def test_version(capsys):

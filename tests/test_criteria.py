@@ -1,8 +1,11 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from shiftlab.blocks import build_blocks
 from shiftlab.criteria import (
+    CROSS_EPS,
+    Crossing,
     HorizonConfig,
     VerdictKind,
     _avg_n_eff,
@@ -18,8 +23,15 @@ from shiftlab.criteria import (
     check_criterion,
     hierarchy_audit,
 )
-from shiftlab.shifts import ShiftOperator, constant_weights, table_weights
-from shiftlab.spaces import InvalidSpecError, PowerMatrix, SpaceSpec, preset, table_matrix
+from shiftlab.shifts import ShiftOperator, constant_weights, parse_weights, table_weights
+from shiftlab.spaces import (
+    InvalidSpecError,
+    PowerMatrix,
+    SpaceSpec,
+    parse_space,
+    preset,
+    table_matrix,
+)
 
 F = Fraction
 CFG = HorizonConfig(n_max=256, window=128, m_grid=(1, 2, 4, 16, 2 ** 10), k_max=2,
@@ -261,6 +273,42 @@ class TestFirstCrossings:
         assert self.firsts([0.5, 1.0, 3.0], [True, True, False]) == ([1, None], False)
 
 
+def _first_crossings_loop(values, m_grid, usable=None):
+    """Reference for _first_crossings: one mask per threshold."""
+    crossings = []
+    for m in m_grid:
+        mask = values >= math.log2(float(m)) - CROSS_EPS
+        if usable is not None:
+            below = np.nonzero(usable & ~mask)[0]
+            mask &= usable
+            if below.size:
+                mask[:below[-1] + 1] = False
+        hit = np.nonzero(mask)[0]
+        crossings.append(Crossing(float(m), int(hit[0]) + 1 if hit.size else None))
+    return tuple(crossings), all(c.first_n is not None for c in crossings)
+
+
+_CROSS_GRID = (1, 2, 3, 4, 1024)
+# every threshold as the tie guard moves it, one ulp on either side of it, the
+# threshold itself, and the ends of the curves' range
+_CROSS_VALUES = sorted({v for m in _CROSS_GRID
+                        for x in (math.log2(m) - CROSS_EPS,)
+                        for v in (x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf),
+                                  math.log2(m))} | {-math.inf, math.inf, -0.5, 11.0})
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_first_crossings_match_the_loop(data):
+    values = np.array(data.draw(st.lists(st.sampled_from(_CROSS_VALUES), max_size=40)), float)
+    usable = data.draw(st.one_of(
+        st.none(), st.just(np.zeros(values.size, bool)),
+        st.lists(st.booleans(), min_size=values.size, max_size=values.size).map(
+            lambda flags: np.array(flags, bool))))
+    grid = data.draw(st.permutations(_CROSS_GRID))
+    assert _first_crossings(values, grid, usable) == _first_crossings_loop(values, grid, usable)
+
+
 class TestUnifExpansiveForward:
     def test_doubling_is_A(self):
         op = ShiftOperator("forward", constant_weights(2), preset("lp_Z", 2))
@@ -382,6 +430,32 @@ class TestUnifPosExpansive:
         op = ShiftOperator("backward", constant_weights(3), preset("lp_N", 1))
         v = check_criterion(op, "upe", CFG)
         assert v.kind is VerdictKind.BOUNDED_WITNESS
+
+
+def test_uniform_certificates_hold_at_four_times_the_horizon():
+    # a uniform certificate stands for a limit in n: every one made at a short
+    # horizon keeps its regime at 4x that horizon, and no check certifies two
+    # regimes (a regime holds when it has certified evidence at k_max)
+    short = HorizonConfig(n_max=150, window=15, m_grid=(1, 2, 4))
+    long = replace(short, n_max=4 * short.n_max)
+    certified, moved = [], []
+    for space, weights, side in product(("lp_Z:2", "c0_Z", "s_Z", "halfline_Z", "lp_N:2", "c0_N"),
+                                        ("constant:2", "constant:1/2", "constant:1"),
+                                        ("backward", "forward")):
+        op = ShiftOperator(side, parse_weights(weights), parse_space(space))
+        for criterion in ("ue", "upe") if op.bilateral else ("upe",):
+            case = (space, weights, side, criterion)
+            verdict = check_criterion(op, criterion, short)
+            regimes = {ev.label.split(":")[0] for ev in verdict.evidence
+                       if ev.certified and ev.k == short.k_max}
+            assert len(regimes) <= 1, case
+            if verdict.certified:
+                certified.append(case)
+                again = check_criterion(op, criterion, long)
+                if not (again.certified and again.property_label == verdict.property_label):
+                    moved.append((case, verdict.property_label, again.property_label))
+    assert moved == []
+    assert len(certified) == 25
 
 
 class TestBasisDiagnostic:
