@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
 """Time the numpy kernels; the window-infimum kernel also against the per-n
-reference loop kept in tests/test_kernels.py, and at short horizons against
-its own one-strip-per-step loop (gathering switched off).
+reference loop kept in tests/test_kernels.py, at long and short horizons.
 
 Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -9,7 +8,6 @@ Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
 import sys
 import time
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 
@@ -37,18 +35,15 @@ def bench_running_average(n=1_000_000):
             timeit(_kernels.running_log2_average, terms), None)
 
 
-def bench_window_inf(width=2001, n_max=10_000, invalid=0.1, strips_only=False):
+def bench_window_inf(width=2001, n_max=10_000, invalid=0.1):
     """A grid of `check`'s default horizon; `invalid` is the share of invalid
-    columns.  `strips_only` times the kernel with gathering switched off."""
+    columns."""
     h = rng.uniform(-10, 10, size=width)
     g = rng.uniform(-10, 10, size=width + n_max)
     valid = rng.random(width) >= invalid
-    min_gather = _kernels._BLOCK_CELLS + 1 if strips_only else _kernels._MIN_GATHER
-    with mock.patch.object(_kernels, "_MIN_GATHER", min_gather):
-        kernel = timeit(_kernels.window_inf_curve, g, h, valid, n_max)
+    kernel = timeit(_kernels.window_inf_curve, g, h, valid, n_max)
     reference = timeit(window_inf_curve_reference, g, h, valid, n_max)
-    name = "window_inf_curve" + (", strips" if strips_only else "")
-    return (name, f"{n_max} x {width}, {invalid:.0%} inv", kernel, reference)
+    return ("window_inf_curve", f"{n_max} x {width}, {invalid:.0%} inv", kernel, reference)
 
 
 def main():
@@ -57,9 +52,10 @@ def main():
     print("=" * 81)
     rows = [bench_running_average(), bench_window_inf(invalid=0.1),
             bench_window_inf(invalid=0.5)]
-    # short horizons (the battery's 600 x 121 among them) gather strips
-    for width, n_max in ((121, 600), (2001, 1000), (16_384, 3)):
-        rows += [bench_window_inf(width, n_max, strips_only=strips) for strips in (False, True)]
+    # short horizons, the battery's 600 x 121 among them; on wide grids of a
+    # few steps the per-n reference wins
+    rows += [bench_window_inf(width, n_max) for width, n_max in ((121, 600), (2001, 1000),
+                                                                 (16_384, 3))]
     print(f"{'kernel':<26}{'size':<24}{'kernel':>10}{'per-n ref':>12}{'speedup':>9}")
     for name, size, kernel, reference in rows:
         ref_cols = (f"{reference * 1e3:>10.2f}ms{reference / kernel:>8.1f}x"

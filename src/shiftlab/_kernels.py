@@ -12,15 +12,6 @@ kernels dominate runtime on long horizon sweeps:
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
-# Cells the window-infimum sweep folds per step (128 KiB of float64).  Steps of
-# a few cells lose to per-call overhead, larger ones to cache misses and peak RSS.
-_BLOCK_CELLS = 1 << 14
-# Fewest strips worth gathering into one step: below it, the gather, the
-# in-place subtract and the column minimum cost more than subtracting and
-# folding the strips one at a time (benchmarks/bench_kernels.py times both).
-_MIN_GATHER = 12
 
 
 class Log2Cache:
@@ -85,32 +76,17 @@ def window_inf_curve(g: np.ndarray, h: np.ndarray, valid: np.ndarray, n_max: int
 
     Column j of the (n_max, len(h)) grid is the contiguous strip
     g[j+1 : j+1+n_max] - h[j], and the curve is the elementwise minimum of
-    the strips of the valid columns; invalid columns are never read.  Long
-    strips are folded into the curve one at a time through one strip-sized
-    buffer.  When n_max is short, each step gathers a block of about
-    _BLOCK_CELLS cells (at least _MIN_GATHER strips) and folds its column
-    minimum instead.  The minimum of the same float64 values does not depend
-    on the order it is taken in (valid cells hold no NaN, and no -0.0
-    arises), so the curve is bitwise that of the per-n loop.
+    the strips of the valid columns; invalid columns are never read.  Each
+    strip is subtracted into one strip-sized buffer and folded into the
+    curve.  The minimum of the same float64 values does not depend on the
+    order it is taken in (valid cells hold no NaN, and no -0.0 arises), so
+    the curve is bitwise that of the per-n loop.
     """
     g = np.asarray(g, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    valid = np.asarray(valid, dtype=bool)
     inf_curve = np.full(n_max, np.inf, dtype=np.float64)
-    cols = np.flatnonzero(valid)
-    if cols.size == 0 or n_max == 0:
-        return inf_curve
-    per_step = _BLOCK_CELLS // n_max
-    if per_step < _MIN_GATHER:
-        strip = np.empty(n_max, dtype=np.float64)
-        for j in cols.tolist():
-            np.subtract(g[j + 1:j + 1 + n_max], h[j], out=strip)
-            np.minimum(inf_curve, strip, out=inf_curve)
-        return inf_curve
-    strips = sliding_window_view(g[1:], n_max)  # row j is column j's g slice
-    for c0 in range(0, cols.size, per_step):
-        step = cols[c0:c0 + per_step]
-        block = strips[step]  # a gathered copy
-        block -= h[step, None]
-        np.minimum(inf_curve, block.min(axis=0), out=inf_curve)
+    strip = np.empty(n_max, dtype=np.float64)
+    for j in np.flatnonzero(valid).tolist():
+        np.subtract(g[j + 1:j + 1 + n_max], h[j], out=strip)
+        np.minimum(inf_curve, strip, out=inf_curve)
     return inf_curve

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: check, synthesize, orbit, density, props.  Exit codes:
-0 completed, 1 usage/input error or interrupt, 2 math audit or property failure,
+0 completed, 1 usage/input error, interrupt (Ctrl-C) or closed output pipe,
+2 math audit or property failure,
 3 internal error (a defect; the traceback goes to stderr).
 Outputs embed the resolved config and the library version; pass
 --no-timestamp for byte-reproducible files.
@@ -71,7 +72,10 @@ def _fractions(option: str, text: str) -> list:
 
 def _parse_range(option: str, text: str):
     lo, _, hi = text.partition(":")
-    return _ints(option, "<lo>:<hi> or <n> with integers", text, (lo, hi or lo))
+    lo, hi = _ints(option, "<lo>:<hi> or <n> with integers", text, (lo, hi or lo))
+    if lo > hi:
+        raise InvalidSpecError(f"{option} needs lo <= hi, got {text!r}")
+    return lo, hi
 
 
 def _emit(out_path, text: str):
@@ -141,7 +145,8 @@ def check(space_text, weights_text, criterion, side, n_max, window, k_max, l_max
 @cli.command()
 @click.option("--blocks", "j_max", default=4, show_default=True, type=click.IntRange(1, 5),
               help="blocks to construct")
-@click.option("--t-range", default=8, show_default=True, help="shift range for the witness audit")
+@click.option("--t-range", default=8, show_default=True, type=click.IntRange(min=0),
+              help="shift range for the witness audit")
 @click.option("--out", default=None, type=click.Path())
 @click.option("--weights-out", default=None, type=click.Path(),
               help="also write the weight table as a weight-spec JSON file")
@@ -191,6 +196,8 @@ def orbit(space_text, weights_text, side, vector, n_range, k_range, fmt, out, no
                   (index if prefix == "e" else "",))
     n_lo, n_hi = _parse_range("--n", n_range)
     k_lo, k_hi = _parse_range("--k", k_range)
+    if k_lo < 1:
+        raise InvalidSpecError(f"--k needs seminorm levels of at least 1, got {k_range!r}")
     ks = range(k_lo, k_hi + 1)
     rows = [[n] + [repr(log2_exact(basis_orbit_norm(op, j0, n, k))) for k in ks]
             for n in range(n_lo, n_hi + 1)]
@@ -229,6 +236,9 @@ def density(weights_text, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_
     n_horizon = layout.t_max if n_horizon is None else n_horizon
     if n_horizon < 1:
         raise InvalidSpecError(f"--n needs a horizon of at least 1, got {n_horizon}")
+    if n_horizon > layout.t_max:
+        raise InvalidSpecError(f"--n needs a horizon of at most the table reach {layout.t_max}, "
+                               f"got {n_horizon}")
     if n0 is not None and not 1 <= n0 <= n_horizon:
         raise InvalidSpecError(f"--n0 needs 1 <= n0 <= the horizon {n_horizon}, got {n0}")
     taus = (_fractions("--tau-grid", tau_grid) if tau_grid
@@ -277,6 +287,8 @@ def main(argv=None) -> int:
         return exc.exit_code
     except click.Abort:  # interrupted (Ctrl-C); click's own message and status
         click.echo("Aborted!", err=True)
+        return EXIT_USAGE
+    except SystemExit:  # click's exit on a closed output pipe (EPIPE), its status
         return EXIT_USAGE
     except Exception:  # escaped every handler above: a defect, not an input error
         click.echo(f"internal error:\n{traceback.format_exc()}", err=True, nl=False)

@@ -395,6 +395,13 @@ class TestSynthesize:
         assert code == EXIT_USAGE and out == ""
         assert "is not in the range 1<=x<=5" in err
 
+    def test_negative_t_range_is_usage_error(self, capsys):
+        # a negative range would audit no shift and pass
+        code, out, err = run(capsys, "synthesize", "--blocks", "1", "--t-range", "-3",
+                             "--no-timestamp")
+        assert code == EXIT_USAGE and out == ""
+        assert "Invalid value for '--t-range': -3 is not in the range x>=0" in err
+
 
 class TestOrbit:
     def test_polynomial_growth_csv(self, capsys):
@@ -431,6 +438,17 @@ class TestOrbit:
                              "--n", "0:400", "--k", "1:1")
         assert code == EXIT_USAGE
         assert out == "" and err == "error: weight table spans [-172, 173], got 174\n"
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--n", "5:1", "--n needs lo <= hi, got '5:1'"),
+        ("--k", "3:1", "--k needs lo <= hi, got '3:1'"),
+        ("--k", "0:2", "--k needs seminorm levels of at least 1, got '0:2'"),
+    ])
+    def test_empty_or_out_of_range_is_input_error(self, capsys, option, value, message):
+        # each printed a bare header (or, at k 0, an error naming no option)
+        code, out, err = run(capsys, "orbit", "--space", "c0_Z", "--weights", "constant:2",
+                             option, value)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
 
 class TestDensity:
@@ -476,8 +494,8 @@ class TestDensity:
     def test_horizon_past_table_reach_is_input_error(self, capsys, tmp_path):
         # rejected before any output: no CSV header on stdout, no --out file
         out_file = tmp_path / "rows.csv"
-        for fmt, message in (("csv", "error: weight table spans [-172, 173], got -173\n"),
-                             ("json", "error: horizon 999 exceeds the table reach 172\n")):
+        message = "error: --n needs a horizon of at most the table reach 172, got 999\n"
+        for fmt in ("csv", "json"):
             for extra in ((), ("--out", str(out_file))):
                 code, out, err = run(capsys, "density", "--weights", "blocks:2", "--n", "999",
                                      "--format", fmt, *extra)
@@ -738,6 +756,19 @@ class TestRun:
             ends.append((proc.wait(timeout=120), err))
         assert ends[0] == ends[1]
         assert ends[0][0] != EXIT_OK
+
+
+def test_closed_output_pipe_returns_usage_status(monkeypatch):
+    # click answers EPIPE with sys.exit(1); main returns that status instead
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["density", "--weights", "blocks:2", "--format", "csv"]) == EXIT_USAGE
 
 
 def test_version(capsys):

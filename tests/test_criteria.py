@@ -23,7 +23,13 @@ from shiftlab.criteria import (
     check_criterion,
     hierarchy_audit,
 )
-from shiftlab.shifts import ShiftOperator, constant_weights, parse_weights, table_weights
+from shiftlab.shifts import (
+    ShiftOperator,
+    constant_weights,
+    geometric_weights,
+    parse_weights,
+    table_weights,
+)
 from shiftlab.spaces import (
     InvalidSpecError,
     PowerMatrix,
@@ -456,6 +462,34 @@ def test_uniform_certificates_hold_at_four_times_the_horizon():
                     moved.append((case, verdict.property_label, again.property_label))
     assert moved == []
     assert len(certified) == 25
+
+
+def test_hierarchy_is_consistent_over_presets_and_weight_families():
+    # every bilateral preset x constant and geometric weights (coef and ratio
+    # from {1/2, 1, 3/2, 2}, abs_index both ways) x both sides: the audit
+    # never raises, no certificate sits above a BoundedWitness, and ue
+    # certifies at most one regime
+    cfg = HorizonConfig(n_max=150, window=15, m_grid=(1, 2, 4))
+    steps = (F(1, 2), F(1), F(3, 2), F(2))
+    weights = [parse_weights(w) for w in ("constant:2", "constant:1/2", "constant:1")]
+    weights += [geometric_weights(c, r, abs_index) for c, r, abs_index
+                in product(steps, steps, (False, True))]
+    certified = []
+    for space, w, side in product(("lp_Z:2", "c0_Z", "s_Z", "halfline_Z"), weights,
+                                  ("backward", "forward")):
+        case = (space, w.to_json(), side)
+        report = check_criterion(ShiftOperator(side, w, parse_space(space)), "hierarchy", cfg)
+        for upper, lower in ((report.ue, report.ae), (report.ae, report.e_diag)):
+            assert not (upper.certified and lower.kind is VerdictKind.BOUNDED_WITNESS), case
+        assert report.consistent, case
+        regimes = {ev.label.split(":")[0] for ev in report.ue.evidence
+                   if ev.certified and ev.k == cfg.k_max}
+        assert len(regimes) <= 1, case
+        if report.ue.certified:
+            certified.append(case)
+    # constant weights only: a geometric family has no tail attestation, even at ratio 1
+    assert len(certified) == 16
+    assert all(w["family"] == "constant" for _, w, _ in certified)
 
 
 class TestBasisDiagnostic:

@@ -6,7 +6,6 @@ within its error budget.
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +15,6 @@ from shiftlab import _kernels
 
 
 rng = np.random.default_rng(20240817)
-# the longest horizon whose sweep gathers strips
-GATHER_MAX = _kernels._BLOCK_CELLS // _kernels._MIN_GATHER
 
 
 def running_log2_average_reference(log_terms):
@@ -112,17 +109,12 @@ class TestWindowInfCurve:
                           window_inf_curve_reference(g, h, valid, n_max))
 
     @settings(max_examples=300, deadline=None)
-    @given(window_cases(), st.sampled_from([1, 3, 16, 50, 1 << 14]))
-    def test_matches_reference_bitwise(self, case, block_cells):
-        # _BLOCK_CELLS is the cells folded per step: small values put the
-        # boundaries between gathered blocks of columns inside the drawn
-        # shapes, and the smallest send every shape down the one-strip path
-        with mock.patch.object(_kernels, "_BLOCK_CELLS", block_cells):
-            got = _kernels.window_inf_curve(*case)
-        assert_same_curve(got, window_inf_curve_reference(*case))
+    @given(window_cases())
+    def test_matches_reference_bitwise(self, case):
+        assert_same_curve(_kernels.window_inf_curve(*case), window_inf_curve_reference(*case))
 
     @pytest.mark.parametrize("width,n_max", [(300, 120), (1 << 14, 3), ((1 << 14) + 5, 4)])
-    def test_block_boundaries_at_module_block_size(self, width, n_max):
+    def test_wide_and_short_grids(self, width, n_max):
         g = rng.integers(-4, 4, size=width + n_max).astype(float)
         h = rng.integers(-4, 4, size=width).astype(float)
         for valid in (np.ones(width, dtype=bool), rng.random(width) > 0.3):
@@ -130,13 +122,11 @@ class TestWindowInfCurve:
                               window_inf_curve_reference(g, h, valid, n_max))
 
     @pytest.mark.parametrize("n_max,width,invalid", [(9_000, 301, 0.0), (9_000, 301, 0.3),
-                                                     (GATHER_MAX + 1, 301, 0.3),
-                                                     (GATHER_MAX, 301, 0.3)])
+                                                     (1_366, 301, 0.3), (1_365, 301, 0.3)])
     @pytest.mark.parametrize("neg_inf", [False, True], ids=["finite", "neg-inf-in-g"])
     def test_default_horizon_shapes(self, n_max, width, invalid, neg_inf):
-        # at the module's constants, n_max = 9 000 (as the default horizon,
-        # 10 000) and GATHER_MAX + 1 take one strip per step, and GATHER_MAX
-        # gathers _MIN_GATHER strips per step; the hypothesis test never gets there
+        # horizons near the default (10 000) and of a thousand-odd steps,
+        # longer than the hypothesis test draws
         g = rng.integers(-40, 40, size=width + n_max + 2).astype(float)
         h = rng.integers(-40, 40, size=width).astype(float)
         valid = rng.random(width) >= invalid
