@@ -1,9 +1,11 @@
-"""The verdict battery: the outcome of 649 CLI commands, pinned in battery.json.
+"""The verdict battery: the outcome of 697 CLI commands, pinned in battery.json.
 
 The commands are ``check --space S --weights W --side D --criterion C`` at a
 short horizon (``--n-max 600 --window 60 --m-grid 1,2,4``) over every S, W, D
 and C below, plus ``props``, all run in one process through
-``shiftlab.cli.main``.  A row holds the exit code, the verdict summary, the
+``shiftlab.cli.main``.  The weights above are dyadic, whose log prefix sums
+are exact; the uniform criteria also run with non-dyadic constants at
+windows 3 and 60, where mathematically equal ratios differ in rounding.  A row holds the exit code, the verdict summary, the
 sha256 of stdout and, for an internal error (exit 3), the last line of the
 traceback, ``Type: message``.  The test names every row that differs.
 
@@ -34,12 +36,17 @@ WEIGHTS = ("constant:2", "constant:1/2", "constant:1", "geometric:1:2",
 SIDES = ("backward", "forward")
 CRITERIA = ("ae", "ape", "ape-inverse", "ue", "upe", "e", "mixing", "hierarchy", "wellposed")
 HORIZON = ("--n-max", "600", "--window", "60", "--m-grid", "1,2,4", "--no-timestamp")
+NON_DYADIC = (("lp_Z:2", "s_Z", "halfline_Z"), ("constant:5/2", "constant:2/3"), SIDES,
+              ("ue", "upe"), ("3", "60"))
 
 
 def commands() -> list[tuple[str, ...]]:
     checks = [("check", "--space", s, "--weights", w, "--side", d, "--criterion", c, *HORIZON)
               for s, w, d, c in product(SPACES, WEIGHTS, SIDES, CRITERIA)]
-    return checks + [("props", "--no-timestamp")]
+    non_dyadic = [("check", "--space", s, "--weights", w, "--side", d, "--criterion", c,
+                   "--n-max", "600", "--window", window, "--m-grid", "1,2,4", "--no-timestamp")
+                  for s, w, d, c, window in product(*NON_DYADIC)]
+    return checks + non_dyadic + [("props", "--no-timestamp")]
 
 
 def _verdict(v: dict) -> list:
@@ -92,7 +99,7 @@ def record() -> None:
 def test_battery_matches_table():
     expected = json.loads(TABLE.read_text())
     actual = run_battery()
-    assert len(actual) == 649
+    assert len(actual) == 697
     differ = []
     for cmd in sorted(set(expected) | set(actual)):
         want = expected.get(cmd)
