@@ -1,12 +1,6 @@
-"""Hot numeric kernels and the log2 cache they read: the log lane, in numpy.
-
-Everything here works on float64 arrays of base-2 logarithms.  The two
-kernels dominate runtime on long horizon sweeps:
-
-* running_log2_average  running Cesàro averages of a magnitude sequence
-* window_inf_curve      per-step infima of ratio grids for uniform-expansivity
-                        certificates: the elementwise minimum of the grid's
-                        valid columns, each a contiguous strip of g
+"""The log lane in numpy: the cached log2 rows of matrices and weights
+(Log2Cache) and the running Cesàro average of a magnitude sequence
+(running_log2_average), all on float64 arrays of base-2 logarithms.
 """
 
 from __future__ import annotations
@@ -62,31 +56,3 @@ def running_log2_average(log_terms: np.ndarray) -> np.ndarray:
     counts = np.log2(np.arange(1, log_terms.size + 1, dtype=np.float64))
     return prefix - counts
 
-
-# ---------------------------------------------------------------------------
-# window-infimum curves
-# ---------------------------------------------------------------------------
-
-def window_inf_curve(g: np.ndarray, h: np.ndarray, valid: np.ndarray, n_max: int):
-    """For n = 1..n_max compute inf over valid j of g[j+n] - h[j].
-
-    g has length at least len(h) + n_max; h and valid share an origin.
-    Returns the inf curve; an all-invalid window yields +inf.  Valid entries
-    of g and h must not be NaN or +inf.
-
-    Column j of the (n_max, len(h)) grid is the contiguous strip
-    g[j+1 : j+1+n_max] - h[j], and the curve is the elementwise minimum of
-    the strips of the valid columns; invalid columns are never read.  Each
-    strip is subtracted into one strip-sized buffer and folded into the
-    curve.  The minimum of the same float64 values does not depend on the
-    order it is taken in (valid cells hold no NaN, and no -0.0 arises), so
-    the curve is bitwise that of the per-n loop.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    inf_curve = np.full(n_max, np.inf, dtype=np.float64)
-    strip = np.empty(n_max, dtype=np.float64)
-    for j in np.flatnonzero(valid).tolist():
-        np.subtract(g[j + 1:j + 1 + n_max], h[j], out=strip)
-        np.minimum(inf_curve, strip, out=inf_curve)
-    return inf_curve

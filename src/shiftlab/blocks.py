@@ -496,7 +496,9 @@ def hypercyclicity_witness(build: BlockWeights, t_range: int = 8) -> Hypercyclic
     with 2**(k_j - 1) > |t| + 1, the range on which the case analysis applies.
     The reversed-reciprocal symmetry gives the inverse products as
     q_j(t) = p_j(-t); they are checked directly as well (derived, not
-    displayed).
+    displayed).  A shift with fewer than two blocks in reach is skipped, and
+    the audit certifies only if some shift was audited: at J = 2 that is
+    t = 0 alone, and at J = 1 no shift is.
     """
     layout = build.layout
     orbits = [norm_runs(build, "backward"), norm_runs(build, "forward")]
@@ -567,6 +569,9 @@ def hypercyclicity_witness(build: BlockWeights, t_range: int = 8) -> Hypercyclic
             schedules[t].append({"threshold": str(tau), "first_j": first_j,
                                  "extrapolated": measured is None})
 
+    if len(skipped) == len(ts):
+        certified = False
+        violations.append("no shift audited: each has fewer than two blocks in reach")
     return HypercyclicityAudit(
         layout.j_max, t_range, plateau_ok, products, hyperbolic, c_values,
         schedules, inverse_match, certified and inverse_match, tuple(violations), tuple(skipped))

@@ -20,8 +20,11 @@ Its first_n is the first usable step after the last usable step below the
 threshold, so only a fall past the horizon can revoke it; an attested
 window value at a usable step is a true infimum, fixed as the window grows.
 
+A window-infimum curve is read only at the columns where its matrix family
+puts the minimum (its ratio_minimisers, see KotheMatrix), and a tie between equal
+ratios is decided from that structure or exactly, never by float equality.
 A check searches only while its report can still change, so no
-window-infimum curve is swept for a family pair without a tail attestation.
+window-infimum curve is computed for a family pair without a tail attestation.
 """
 
 from __future__ import annotations
@@ -326,22 +329,9 @@ def _split_window(op: ShiftOperator, split: str, cfg: HorizonConfig):
     raise ValueError(split)
 
 
-# the last interior curves, oldest evicted first (README, "Log lane": why grids repeat)
-_CURVE_MEMO_SIZE = 16
-_curve_memo: dict = {}
-
-
-def _interior_curve(g, h, trimmed, n_eff: int) -> np.ndarray:
-    """window_inf_curve(g, h, trimmed, n_eff)'s curve, read-only."""
-    key = (n_eff, g.tobytes(), h.tobytes(), trimmed.tobytes())
-    curve = _curve_memo.get(key)
-    if curve is None:
-        curve = _kernels.window_inf_curve(g, h, trimmed, n_eff)
-        curve.flags.writeable = False
-        if len(_curve_memo) >= _CURVE_MEMO_SIZE:
-            del _curve_memo[next(iter(_curve_memo))]
-        _curve_memo[key] = curve
-    return curve
+# two log2 ratios this close are compared exactly: the rounding in a curve
+# value is orders of magnitude smaller
+_TIE_LOG2 = 2.0 ** -20
 
 
 def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
@@ -355,70 +345,66 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     tail-edge candidates does not change the infimum (the window value is
     then a true infimum for attested ratio profiles).
 
-    The interior curve is memoized whole (no early exit), keyed by n_eff and
-    the bytes of g, h and trimmed: a repeat is swept once, bitwise equal.
+    Attested weights are constant, so the weight product is the same in
+    every column, and the infimum at step n is where the matrix ratio
+    a(j+s, l)/a(j, k) is least (s = n for the A-form, -n for the B-form):
+    at a column the matrix family names (its ratio_minimisers),
+    clipped to the edge-trimmed window, or at a tail edge.  Only those
+    columns are read.  usable compares the interior minimum with each edge
+    in float order, and exactly where the two are within _TIE_LOG2.
     """
     m = op.space.matrix
-    w = op.weights
     lo, hi, tail_edges = _split_window(op, split, cfg)
+    s = np.arange(1, n_eff + 1) if form == "A" else -np.arange(1, n_eff + 1)
+    ext_lo, ext_hi = (lo, hi + n_eff) if form == "A" else (lo - n_eff, hi)
 
-    if form == "A":
-        ext_lo, ext_hi = lo, hi + n_eff
-    else:
-        ext_lo, ext_hi = lo - n_eff, hi
-
-    wlogs = w.log2_window(min(ext_lo, lo) - 1, max(ext_hi, hi) + 1)
-    base = min(ext_lo, lo) - 1
-    prefix = np.concatenate(([0.0], np.cumsum(wlogs)))
-    # product |w(a) ... w(b)| has log prefix[b - base + 1] - prefix[a - base]
-
-    la_level = m.log2_row(level, ext_lo, ext_hi)
+    prefix = np.concatenate(([0.0], np.cumsum(op.weights.log2_window(ext_lo - 1, ext_hi + 1))))
+    # with P(i) = prefix[i - ext_lo + 1] the log-prefix ending just before i, g
+    # holds la_l(i) + P(i) from ext_lo, h holds la_k(j) + P(j) from lo
+    g = m.log2_row(level, ext_lo, ext_hi) + prefix[1:ext_hi - ext_lo + 2]
     la_k = m.log2_row(k, lo, hi)
-    valid = la_k != ZERO_LOG2
+    h = la_k + prefix[lo - ext_lo + 1:hi - ext_lo + 2]
 
-    # P(i) = prefix[i - base] is the log-prefix ending just before index i;
-    # g[i] = la_l(i) + P(i), h[j] = la_k(j) + P(j), and the A-form value is
-    # value(j, n) = g[j+n] - h[j]
-    g = la_level + prefix[np.arange(ext_lo, ext_hi + 1) - base]
-    h = la_k + prefix[np.arange(lo, hi + 1) - base]
-    if form == "B":
-        # value(j, n) = g[j-n] - h[j]; reverse the index direction so the
-        # kernel's g[j + n] convention applies
-        g = g[::-1].copy()
-        h = h[::-1].copy()
-        valid = valid[::-1].copy()
+    nz = np.flatnonzero(la_k != ZERO_LOG2)
+    if not nz.size:
+        return np.full(n_eff, np.inf), np.ones(n_eff, dtype=bool)
+    # the valid columns are one run [lo + nz[0], lo + nz[-1]]; a tail edge is
+    # its end on that tail
+    ends = {"lo": lo + int(nz[0]), "hi": lo + int(nz[-1])}
+    edges = sorted({ends[tail] for tail in tail_edges})
+    t_lo = ends["lo"] + (ends["lo"] in edges)
+    t_hi = ends["hi"] - (ends["hi"] in edges)
 
-    if not valid.any():
-        curve = np.full(n_eff, np.inf)
-        return curve, np.ones(n_eff, dtype=bool)
+    def log2_ratios(cols):  # at column(s) j and step n
+        return g[cols + s - ext_lo] - h[cols - lo]
 
-    # tail-edge sensitivity: the outermost valid candidate on each tail is
-    # kept out of the kernel and folded in afterwards, in index order, so
-    # the curve is the infimum over all of valid and usable marks the steps
-    # where the interior alone attains it
-    edges = tail_edges if form == "A" else tuple(
-        {"lo": "hi", "hi": "lo"}[e] for e in tail_edges)
-    nz = np.flatnonzero(valid)
-    lo_edge = nz[0] if "lo" in edges else None
-    hi_edge = nz[-1] if "hi" in edges and nz[-1] != lo_edge else None
-    trimmed = valid.copy()
-    trimmed[[j for j in (lo_edge, hi_edge) if j is not None]] = False
-    interior = _interior_curve(g, h, trimmed, n_eff)  # +inf if empty
-    curve = interior.copy()
-    # the low edge precedes every interior index, so it wins a tie; the high
-    # edge follows them and loses it
-    for j, wins in ((lo_edge, np.less_equal), (hi_edge, np.less)):
-        if j is not None:
-            edge_vals = g[j + 1:j + 1 + n_eff] - h[j]
-            np.copyto(curve, edge_vals, where=wins(edge_vals, curve))
-    # an empty interior (+inf) never equals an edge value (never +inf): not usable
-    return curve, interior == curve
+    columns, ratio = m.ratio_minimisers(k, level, s)
+    interior = np.full(n_eff, np.inf)  # an empty interior never attains
+    for j in (t_lo, t_hi, *columns) if t_lo <= t_hi else ():
+        np.minimum(interior, log2_ratios(np.clip(j, t_lo, t_hi)), out=interior)
+    curve, usable = interior, np.ones(n_eff, dtype=bool)
+    for edge in edges:
+        edge_vals = log2_ratios(edge)
+        curve = np.minimum(curve, edge_vals)
+        attains = interior <= edge_vals
+        gap = np.subtract(interior, edge_vals, out=np.full(n_eff, np.inf),
+                          where=np.isfinite(interior) & np.isfinite(edge_vals))
+        near = np.abs(gap) <= _TIE_LOG2
+        if ratio is None:  # the finite ratios at a step are all equal
+            attains |= near
+        else:
+            for i in np.flatnonzero(near).tolist():
+                si = int(s[i])
+                cols = (t_lo, t_hi, *m.ratio_minimisers(k, level, si)[0])
+                attains[i] = min(ratio(min(max(j, t_lo), t_hi), si) for j in cols) <= ratio(edge, si)
+        usable &= attains
+    return curve, usable
 
 
 def _ue_n_eff(op: ShiftOperator, cfg: HorizonConfig, radius: int) -> Optional[int]:
     """cfg.n_max, cut to what a finite weight table reaches from within
     `radius`; None when the table does not reach past it.  Such a table has
-    an 'error' tail, so its pair is unattested and sweeps no curve."""
+    an 'error' tail, so its pair is unattested and computes no curve."""
     lo, hi = op.weights.defined_range() or (-math.inf, math.inf)
     room = min(abs(lo), abs(hi)) - radius - 2
     return min(cfg.n_max, room) if room >= 1 else None
@@ -451,7 +437,7 @@ def _ue_regime(op: ShiftOperator, prop: str, cfg: HorizonConfig, n_eff: int,
     """(holds, evidence) for one regime: a succeeding level at every k in
     1..k_max.  The search stops at the first k with none, whose evidence
     records the failure.  Without an attestation no level can succeed, so
-    no curve is swept: the report is the failing k = 1 row."""
+    no curve is computed: the report is the failing k = 1 row."""
     evidence = []
     for k in range(1, cfg.k_max + 1):
         found = _ue_property_for_k(op, k, prop, cfg, n_eff) if attestation else None

@@ -63,7 +63,15 @@ class KotheMatrix:
     """Base of the matrix families a(j, k).  A family gives its entries
     (_entry), wire name and params, and tail_tag: the structural attestation
     with which the finite-horizon checkers decide whether window extrema
-    extend to the index tails (None: no rule)."""
+    extend to the index tails (None: no rule).
+
+    The families with an attested ratio profile also give
+    ratio_minimisers(k, l, s) -> (columns, ratio) for r(j) = a(j + s, l) /
+    a(j, k), s an int array (one shift per step) or an int.  Over any run
+    of consecutive valid columns (a(j, k) > 0), r is least at a run end or
+    at one of the columns clipped to the run; the family's docstring proves
+    it.  ratio is None when the finite values of r at a step are all equal,
+    else the exact r(j) at (j, s)."""
 
     family: ClassVar[str]
     tail_tag: ClassVar[Optional[str]] = None
@@ -137,6 +145,12 @@ class ConstantMatrix(KotheMatrix):
         import numpy as np
         return np.full(hi - lo + 1, log2_exact(self.value))
 
+    def ratio_minimisers(self, k: int, l: int, s):
+        """r(j) is 0 while a(j + s, l) = 0 (j + s < 1 on N) and 1 after:
+        nondecreasing in j, so the low end of a run is a minimiser, and
+        every finite value is 1."""
+        return (), None
+
     def wire_params(self) -> dict:
         return {"value": exact_to_json(self.value)}
 
@@ -166,6 +180,29 @@ class PowerMatrix(KotheMatrix):
             dtype=np.float64, count=b - a + 1))
         return row[mags - m_lo]
 
+    def ratio_minimisers(self, k: int, l: int, s):
+        """r(j) = (|j + s| + 1)**l / (|j| + 1)**k.  The kinks j = 0 and
+        j = -s split the integers into three pieces:
+        - between the kinks r is monotone: one of |j + s| and |j| grows with
+          j while the other shrinks;
+        - on j >= max(0, -s), r(j) = (j + s + 1)**l / (j + 1)**k, whose log
+          has derivative l/(j + s + 1) - k/(j + 1), of the sign of
+          (l - k) j - (k (s + 1) - l): of one sign for l = k, else falling
+          then rising through j* = (k (s + 1) - l) / (l - k);
+        - on j <= min(0, -s), with u = -j, r = (u + 1 - s)**l / (u + 1)**k,
+          the same shape in u, about u* = (k (1 - s) - l) / (l - k).
+        So on a run of columns r is least at a run end, at a kink, or at an
+        integer next to j* or -u*.  Inside a run the kink 0 is not least:
+        one step towards -s, |j| grows while |j + s| shrinks.  On N, r is 0
+        for j + s < 1 and as above after: the zeros are the low end of a
+        run, and a run without them lies in the last piece."""
+        columns = [-s]
+        if l > k:
+            j_star, u_star = k * (s + 1) - l, k * (1 - s) - l  # times l - k
+            columns += [j_star // (l - k), -(-j_star // (l - k)),
+                        -u_star // (l - k), -(u_star // (l - k))]
+        return columns, lambda j, s: Fraction((abs(j + s) + 1) ** l, (abs(j) + 1) ** k)
+
 
 @dataclass(frozen=True)
 class HalflineMatrix(KotheMatrix):
@@ -175,6 +212,11 @@ class HalflineMatrix(KotheMatrix):
 
     def _entry(self, j: int, k: int) -> Fraction:
         return Fraction(1) if j > -k else Fraction(0)
+
+    def ratio_minimisers(self, k: int, l: int, s):
+        """r(j) is 0 for j + s <= -l and 1 after: nondecreasing in j, so the
+        low end of a run is a minimiser, and every finite value is 1."""
+        return (), None
 
 
 @dataclass(frozen=True)

@@ -214,6 +214,9 @@ def hypercyclicity_witness(build, t_range: int = 8,
 
     if inverse_match is False:
         certified = False
+    if len(skipped) == len(ts):
+        certified = False
+        violations.append("no shift audited: each has fewer than two blocks in reach")
     return HypercyclicityAudit(
         layout.j_max, t_range, plateau_ok, products, hyperbolic, c_values,
         schedules, inverse_match, certified, tuple(violations), tuple(skipped))

@@ -190,6 +190,16 @@ class TestWitness:
         nb = backward_norms(build4, 12)
         assert all(nb[n] == F(1, 2) for n in range(9, 13))
 
+    @pytest.mark.parametrize("j_max, audited", [(1, []), (2, [0])])
+    def test_certifies_only_when_a_shift_is_audited(self, j_max, audited):
+        # a shift is audited once two blocks reach it: none at J = 1, t = 0
+        # alone at J = 2
+        audit = hypercyclicity_witness(build_blocks(j_max), t_range=8)
+        assert [t for t in range(-8, 9) if t not in audit.skipped_shifts] == audited
+        assert audit.certified is bool(audited)
+        assert audit.violations == (() if audited else (
+            "no shift audited: each has fewer than two blocks in reach",))
+
     def test_audit_certifies(self, build4):
         audit = hypercyclicity_witness(build4, t_range=8)
         assert audit.certified

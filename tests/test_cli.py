@@ -363,7 +363,8 @@ class TestSynthesize:
         weights_file = tmp_path / "weights.json"
         code, _, _ = run(capsys, "synthesize", "--blocks", "1", "--out", str(out_file),
                          "--weights-out", str(weights_file), "--no-timestamp")
-        assert code == EXIT_OK
+        # one block reaches no shift of the witness audit, which then certifies nothing
+        assert code == EXIT_AUDIT
         rep = json.loads(out_file.read_text())
         window = rep["report"]["weights_window"]
         assert [window[str(j)] for j in range(-12, 0)] == [
@@ -373,7 +374,9 @@ class TestSynthesize:
             "1/2", "1/2", "1/2", "1/2", "1", "2", "2", "2", "4", "1", "1", "1"]
         layout = rep["report"]["layout"][0]
         assert (layout["a"], layout["b"], layout["s"], layout["t"]) == (12, 5, 12, 17)
-        assert rep["report"]["all_passed"] is True
+        assert rep["report"]["all_passed"] is False
+        assert rep["report"]["audits"]["hc"]["violations"] == [
+            "no shift audited: each has fewer than two blocks in reach"]
         spec = json.loads(weights_file.read_text())
         assert spec["family"] == "blocks" and spec["j_max"] == 1
 

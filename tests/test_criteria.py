@@ -36,8 +36,8 @@ from shiftlab.spaces import (
     SpaceSpec,
     parse_space,
     preset,
-    table_matrix,
 )
+from test_kernels import ue_curve_reference
 
 F = Fraction
 CFG = HorizonConfig(n_max=256, window=128, m_grid=(1, 2, 4, 16, 2 ** 10), k_max=2,
@@ -446,7 +446,8 @@ def test_uniform_certificates_hold_at_four_times_the_horizon():
     long = replace(short, n_max=4 * short.n_max)
     certified, moved = [], []
     for space, weights, side in product(("lp_Z:2", "c0_Z", "s_Z", "halfline_Z", "lp_N:2", "c0_N"),
-                                        ("constant:2", "constant:1/2", "constant:1"),
+                                        ("constant:2", "constant:1/2", "constant:1",
+                                         "constant:5/2", "constant:2/3"),
                                         ("backward", "forward")):
         op = ShiftOperator(side, parse_weights(weights), parse_space(space))
         for criterion in ("ue", "upe") if op.bilateral else ("upe",):
@@ -461,7 +462,7 @@ def test_uniform_certificates_hold_at_four_times_the_horizon():
                 if not (again.certified and again.property_label == verdict.property_label):
                     moved.append((case, verdict.property_label, again.property_label))
     assert moved == []
-    assert len(certified) == 25
+    assert len(certified) == 46
 
 
 def test_hierarchy_is_consistent_over_presets_and_weight_families():
@@ -624,216 +625,112 @@ class TestHierarchy:
         assert not rep.ue.certified and not rep.ae.certified and not rep.e_diag.certified
 
 
-def _ue_curve_two_pass(op, k, level, split, form, cfg, n_eff):
-    """The two-pass tail-edge check: the kernel over the full mask, then
-    again over the edge-trimmed mask, usable where the two agree."""
-    from shiftlab import _kernels
-    from shiftlab.criteria import _split_window
-
-    m = op.space.matrix
-    lo, hi, tail_edges = _split_window(op, split, cfg)
-    ext_lo, ext_hi = (lo, hi + n_eff) if form == "A" else (lo - n_eff, hi)
-    base = min(ext_lo, lo) - 1
-    wlogs = op.weights.log2_window(base, max(ext_hi, hi) + 1)
-    prefix = np.concatenate(([0.0], np.cumsum(wlogs)))
-    la_k = m.log2_row(k, lo, hi)
-    valid = la_k != -np.inf
-    g = m.log2_row(level, ext_lo, ext_hi) + prefix[np.arange(ext_lo, ext_hi + 1) - base]
-    h = la_k + prefix[np.arange(lo, hi + 1) - base]
-    if form == "B":
-        g, h, valid = g[::-1].copy(), h[::-1].copy(), valid[::-1].copy()
-    if not valid.any():
-        return np.full(n_eff, np.inf), np.ones(n_eff, dtype=bool)
-    curve = _kernels.window_inf_curve(g, h, valid, n_eff)
-    trimmed = valid.copy()
-    edges = tail_edges if form == "A" else tuple({"lo": "hi", "hi": "lo"}[e] for e in tail_edges)
-    nz = np.nonzero(trimmed)[0]
-    for edge in edges:
-        trimmed[nz[0] if edge == "lo" else nz[-1]] = False
-    if not trimmed.any():
-        return curve, np.zeros(n_eff, dtype=bool)
-    curve2 = _kernels.window_inf_curve(g, h, trimmed, n_eff)
-    return curve, curve2 == curve
-
-
-def _single_support_space():
-    # level 1 is nonzero at j = 3 only, so a window holds one valid index
-    # and the edge-trimmed mask is empty
-    rows = {j: [F(0), F(1)] for j in range(-20, 21)}
-    rows[3] = [F(2, 3), F(5, 2)]
-    return SpaceSpec(table_matrix(rows, -20, 20, tail="hold"), 0)
-
-
-def _odd_table_weights():
-    odd = (F(1, 3), F(5, 2), F(8, 3), F(3, 8), F(2, 5), F(2))
-    return table_weights({j: odd[(j * j + 3 * j) % len(odd)] for j in range(-60, 61)},
-                         tail="hold")
-
-
-class TestUeCurveSinglePass:
-    """_ue_curve runs the kernel once, on the edge-trimmed mask, and folds
-    the tail-edge columns in afterwards; curve and usable must be bitwise
-    the two-pass result."""
+class TestUeCurveOnPresets:
+    """_ue_curve reads only the columns the matrix family names; on the
+    attested presets with dyadic weights its curve and usable must be
+    bitwise the full sweep's (tests/test_kernels.py)."""
 
     CFG = HorizonConfig(n_max=40, window=12, m_grid=(1,), k_max=2)
     SPACES = {
         "c0_Z": lambda: preset("c0_Z"),
         "s_Z": lambda: preset("s_Z"),
         "halfline_Z": lambda: preset("halfline_Z"),
-        "single": _single_support_space,
         "lp_N": lambda: preset("lp_N", 2),
         "s_N": lambda: SpaceSpec(PowerMatrix("N"), 1),
     }
-    WEIGHTS = {"constant": lambda: constant_weights(F(5, 2)), "odd-table": _odd_table_weights}
 
-    @pytest.mark.parametrize("weights", sorted(WEIGHTS))
+    @pytest.mark.parametrize("c", [2, F(1, 2)])
     @pytest.mark.parametrize("space", sorted(SPACES))
     @pytest.mark.parametrize("direction", ["forward", "backward"])
-    def test_matches_two_pass_bitwise(self, direction, space, weights):
+    def test_matches_sweep_bitwise(self, direction, space, c):
         from shiftlab.criteria import _ue_curve
 
-        op = ShiftOperator(direction, self.WEIGHTS[weights](), self.SPACES[space]())
+        op = ShiftOperator(direction, constant_weights(c), self.SPACES[space]())
         splits = ("Z", "N", "-N") if op.bilateral else ("N",)
         n_eff = 30
         for split in splits:
             for form in ("A", "B"):
                 for k, level in ((1, 1), (1, 2), (2, 3)):
-                    curve, usable = _ue_curve(op, k, level, split, form, self.CFG, n_eff)
-                    want_curve, want_usable = _ue_curve_two_pass(
-                        op, k, level, split, form, self.CFG, n_eff)
+                    case = (op, k, level, split, form, self.CFG, n_eff)
+                    curve, usable = _ue_curve(*case)
+                    want_curve, want_usable = ue_curve_reference(*case)
                     assert curve.tobytes() == want_curve.tobytes(), (split, form, k, level)
                     assert np.array_equal(usable, want_usable), (split, form, k, level)
+
+    def test_near_tie_with_the_edge_is_decided_exactly(self):
+        from shiftlab.criteria import _TIE_LOG2, _ue_curve
+
+        # s_Z, k = 1, l = 3 on the N split of radius 48: at n = 97 the ratio
+        # (j + 98)**3 / (j + 1) is least at j* = 47.5, between the last
+        # interior column and the tail edge, which is less by under 2^-20
+        op = ShiftOperator("forward", constant_weights(1), preset("s_Z"))
+        cfg = HorizonConfig(n_max=100, window=48, m_grid=(1,), k_max=1)
+        _, usable = _ue_curve(op, 1, 3, "N", "A", cfg, 100)
+        interior, edge = F(47 + 98) ** 3 / 48, F(48 + 98) ** 3 / 49
+        assert 0 < math.log2(interior / edge) <= _TIE_LOG2
+        assert not usable[96] and usable[95]
 
     def test_single_valid_index_is_never_usable(self):
         from shiftlab.criteria import _ue_curve
 
-        op = ShiftOperator("forward", constant_weights(2), _single_support_space())
-        for split, form in (("Z", "A"), ("Z", "B"), ("N", "A"), ("N", "B")):
-            curve, usable = _ue_curve(op, 1, 2, split, form, self.CFG, 30)
-            assert np.all(np.isfinite(curve)) and not usable.any()
+        # halfline_Z at k = 2 is nonzero from j = -1 on: the -N split holds one
+        # valid column, its tail edge, and the trimmed interior is empty
+        op = ShiftOperator("forward", constant_weights(2), preset("halfline_Z"))
+        for form in ("A", "B"):
+            case = (op, 2, 3, "-N", form, self.CFG, 30)
+            curve, usable = _ue_curve(*case)
+            assert not usable.any()
+            assert curve.tobytes() == ue_curve_reference(*case)[0].tobytes()
+
+
+@pytest.mark.parametrize("space", ["lp_Z:2", "halfline_Z"])
+@pytest.mark.parametrize("side, c", [("forward", F(5, 2)), ("forward", F(3)),
+                                     ("forward", F(7, 5)), ("backward", F(2, 3))])
+def test_uniform_first_n_is_the_exact_crossing(space, side, c):
+    # on a constant or step matrix every finite ratio column at step n is
+    # |c|^n (|1/c|^n on the backward dual), whatever the rounding of the log
+    # prefix sums, so first_n is the first n at which that power reaches M
+    growth = abs(c) if side == "forward" else abs(1 / c)
+    m_grid = (1, 2, 3, 4, 16, 1000)
+    want = [next(n for n in range(1, 100) if growth ** n >= m) for m in m_grid]
+    op = ShiftOperator(side, constant_weights(c), parse_space(space))
+    for window in range(2, 11):
+        verdict = check_criterion(op, "ue", HorizonConfig(n_max=64, window=window, m_grid=m_grid))
+        rows = [ev for ev in verdict.evidence if ev.label == "A:Z"]
+        assert verdict.certified and len(rows) == 3, window
+        assert all([cr.first_n for cr in ev.crossings] == want for ev in rows), window
 
 
 @pytest.fixture
-def cold_memo(monkeypatch):
-    """An empty curve memo, and the list of kernel calls made through it."""
-    from shiftlab import _kernels, criteria
+def ue_curves(monkeypatch):
+    """The list of (k, level, split, form) of every _ue_curve call."""
+    from shiftlab import criteria
 
     calls = []
-    real = _kernels.window_inf_curve
+    real = criteria._ue_curve
 
-    def counted(g, h, valid, n_max):
-        calls.append(n_max)
-        return real(g, h, valid, n_max)
+    def counted(op, k, level, split, form, cfg, n_eff):
+        calls.append((k, level, split, form))
+        return real(op, k, level, split, form, cfg, n_eff)
 
-    monkeypatch.setattr(criteria, "_curve_memo", {})
-    monkeypatch.setattr(_kernels, "window_inf_curve", counted)
+    monkeypatch.setattr(criteria, "_ue_curve", counted)
     return calls
 
 
-def _grid(n_eff=6, width=9, seed=0):
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=width + n_eff)
-    h = rng.normal(size=width)
-    return g, h, np.ones(width, dtype=bool)
+def test_reports_do_not_depend_on_run_order(tmp_path):
+    from shiftlab.cli import EXIT_OK, main
 
-
-class TestCurveMemo:
-    """_ue_curve sweeps each byte-distinct interior grid once; hits must be
-    bitwise what the kernel returns and must not depend on call order."""
-
-    CFG = HorizonConfig(n_max=40, window=12, m_grid=(1,), k_max=2)
-
-    @pytest.mark.parametrize("space", [("lp_Z", 2), ("s_Z",), ("c0_Z",)])
-    def test_warm_memo_matches_cold(self, cold_memo, space):
-        from shiftlab.criteria import _ue_curve
-
-        op = ShiftOperator("forward", constant_weights(F(5, 2)), preset(*space))
-        args = [(k, level, split, form) for k, level in ((1, 1), (1, 2))
-                for split in ("Z", "N", "-N") for form in ("A", "B")]
-        cold = [_ue_curve(op, *a, self.CFG, 30) for a in args]
-        swept = len(cold_memo)
-        warm = [_ue_curve(op, *a, self.CFG, 30) for a in args]
-        assert len(cold_memo) == swept  # 12 grids fit in the memo: all hits
-        for (c_curve, c_usable), (w_curve, w_usable) in zip(cold, warm):
-            assert w_curve.tobytes() == c_curve.tobytes()
-            assert np.array_equal(w_usable, c_usable)
-
-    def test_level_independent_rows_share_one_sweep(self, cold_memo):
-        from shiftlab.criteria import _ue_curve
-
-        op = ShiftOperator("forward", constant_weights(2), preset("lp_Z", 2))
-        for k, level in ((1, 1), (1, 2), (2, 2), (2, 3)):
-            _ue_curve(op, k, level, "Z", "A", self.CFG, 30)
-        assert len(cold_memo) == 1
-
-    def test_hits_are_read_only_and_unaffected_by_copies(self, cold_memo):
-        from shiftlab import _kernels
-        from shiftlab.criteria import _interior_curve, _ue_curve
-
-        g, h, valid = _grid()
-        first = _interior_curve(g, h, valid, 6)
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0] = 0.0
-        mine = first.copy()
-        mine[:] = 7.0
-        again = _interior_curve(g, h, valid, 6)
-        assert len(cold_memo) == 1
-        assert again.tobytes() == _kernels.window_inf_curve(g, h, valid, 6).tobytes()
-        op = ShiftOperator("forward", constant_weights(2), preset("s_Z"))
-        curve, usable = _ue_curve(op, 1, 2, "Z", "A", self.CFG, 30)
-        want = curve.tobytes(), usable.tobytes()
-        curve[:], usable[:] = 0.0, False
-        curve, usable = _ue_curve(op, 1, 2, "Z", "A", self.CFG, 30)
-        assert (curve.tobytes(), usable.tobytes()) == want
-
-    def test_byte_distinct_inputs_miss(self, cold_memo):
-        from shiftlab import _kernels
-        from shiftlab.criteria import _interior_curve
-
-        g, h, valid = _grid()
-        h[4] = 0.0
-        _interior_curve(g, h, valid, 6)
-        negative_zero = h.copy()
-        negative_zero[4] = -0.0
-        _interior_curve(g, negative_zero, valid, 6)
-        assert len(cold_memo) == 2
-        holed = valid.copy()
-        holed[5] = False
-        got = _interior_curve(g, h, holed, 6)
-        assert len(cold_memo) == 3
-        _interior_curve(g, h, valid, 5)
-        assert len(cold_memo) == 4
-        assert got.tobytes() == _kernels.window_inf_curve(g, h, holed, 6).tobytes()
-
-    def test_memo_is_bounded_and_evicts_the_oldest(self, cold_memo):
-        from shiftlab import criteria
-
-        bound = criteria._CURVE_MEMO_SIZE
-        grids = [_grid(seed=s) for s in range(bound + 3)]
-        for grid in grids:
-            criteria._interior_curve(*grid, 6)
-            assert len(criteria._curve_memo) <= bound
-        assert len(cold_memo) == bound + 3
-        criteria._interior_curve(*grids[-1], 6)  # newest: a hit
-        assert len(cold_memo) == bound + 3
-        criteria._interior_curve(*grids[0], 6)  # oldest: evicted, swept again
-        assert len(cold_memo) == bound + 4
-
-    def test_reports_do_not_depend_on_run_order(self, tmp_path):
-        from shiftlab.cli import EXIT_OK, main
-
-        args = ["check", "--weights", "constant:2", "--criterion", "ue", "--n-max", "64",
-                "--window", "32", "--m-grid", "1,2,4,16", "--no-timestamp"]
-        spaces = ("lp_Z:2", "c0_Z", "halfline_Z")  # lp_Z and c0_Z sweep the same grids
-        for space in spaces:
-            out = tmp_path / f"fresh-{space}.json"
-            _python("-m", "shiftlab.cli", *args, "--space", space, "--out", str(out))
-        for order in (spaces, spaces[::-1]):
-            for space in order:
-                out = tmp_path / "in-process.json"
-                assert main(args + ["--space", space, "--out", str(out)]) == EXIT_OK
-                assert out.read_bytes() == (tmp_path / f"fresh-{space}.json").read_bytes()
+    args = ["check", "--weights", "constant:2", "--criterion", "ue", "--n-max", "64",
+            "--window", "32", "--m-grid", "1,2,4,16", "--no-timestamp"]
+    spaces = ("lp_Z:2", "c0_Z", "halfline_Z")  # lp_Z and c0_Z read the same log rows
+    for space in spaces:
+        out = tmp_path / f"fresh-{space}.json"
+        _python("-m", "shiftlab.cli", *args, "--space", space, "--out", str(out))
+    for order in (spaces, spaces[::-1]):
+        for space in order:
+            out = tmp_path / "in-process.json"
+            assert main(args + ["--space", space, "--out", str(out)]) == EXIT_OK
+            assert out.read_bytes() == (tmp_path / f"fresh-{space}.json").read_bytes()
 
 
 def _python(*args) -> str:
@@ -844,7 +741,7 @@ def _python(*args) -> str:
 
 
 def test_cli_import_loads_no_hashlib():
-    # the curve memo keys on raw bytes; hashlib would load OpenSSL (+4 MiB RSS)
+    # hashlib would load OpenSSL (+4 MiB RSS)
     code = "import sys, shiftlab.cli; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
     assert _python("-c", code).strip() == "[]"
 
@@ -908,7 +805,7 @@ class TestSearchStopsWhenDecided:
     @pytest.mark.parametrize("criterion", ["ue", "upe", "hierarchy"])
     @pytest.mark.parametrize("side", ["backward", "forward"])
     @pytest.mark.parametrize("space, weights", [("s_Z", "geometric:1:2"), ("c0_Z", "blocks:3")])
-    def test_unattested_pair_sweeps_no_curve(self, cold_memo, space, weights, side, criterion):
+    def test_unattested_pair_sweeps_no_curve(self, ue_curves, space, weights, side, criterion):
         from shiftlab.shifts import parse_weights
         from shiftlab.spaces import parse_space
 
@@ -917,12 +814,12 @@ class TestSearchStopsWhenDecided:
             ue = hierarchy_audit(op, self.CFG).ue
         else:
             ue = check_criterion(op, criterion, self.CFG)
-        assert cold_memo == []
+        assert ue_curves == []
         assert ue.kind is VerdictKind.INCONCLUSIVE
         assert [(ev.k, ev.level, ev.certified) for ev in ue.evidence] == [
             (1, None, False)] * len(ue.evidence)
 
-    def test_attested_pair_sweeps(self, cold_memo):
+    def test_attested_pair_sweeps(self, ue_curves):
         op = ShiftOperator("backward", constant_weights(2), preset("lp_Z", 2))
         assert check_criterion(op, "ue", self.CFG).certified
-        assert cold_memo
+        assert ue_curves

@@ -1,17 +1,21 @@
-"""Kernels against per-step reference loops kept in this file.
+"""Kernels and uniform curves against reference loops kept in this file.
 
-window_inf_curve must be bitwise equal to the per-n loop it replaced
-(values as bytes); the running average agrees with a sequential loop
-within its error budget.
+The running average agrees with a sequential loop within its error budget.
+criteria._ue_curve reads only the columns its matrix family names; for each
+attested family its curve must be bitwise the per-n sweep over every valid
+column (values as bytes), and usable the sweep's own edge check, wherever
+the log prefix sums are exact (dyadic weights).
 """
 
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftlab import _kernels
+from shiftlab.criteria import HorizonConfig, _split_window, _ue_curve
+from shiftlab.shifts import ShiftOperator, constant_weights
+from shiftlab.spaces import PowerMatrix, SpaceSpec, preset
 
 
 rng = np.random.default_rng(20240817)
@@ -44,9 +48,28 @@ def window_inf_curve_reference(g, h, valid, n_max):
     return inf_curve
 
 
-def assert_same_curve(got, want):
-    assert got.dtype == np.float64
-    assert got.tobytes() == want.tobytes()
+def ue_curve_reference(op, k, level, split, form, cfg, n_eff):
+    """_ue_curve by sweeping: the per-n loop over every valid column, then
+    over the edge-trimmed columns; usable where the two agree."""
+    m = op.space.matrix
+    lo, hi, tail_edges = _split_window(op, split, cfg)
+    ext_lo, ext_hi = (lo, hi + n_eff) if form == "A" else (lo - n_eff, hi)
+    prefix = np.concatenate(([0.0], np.cumsum(op.weights.log2_window(ext_lo - 1, ext_hi + 1))))
+    la_k = m.log2_row(k, lo, hi)
+    g = m.log2_row(level, ext_lo, ext_hi) + prefix[1:ext_hi - ext_lo + 2]
+    h = la_k + prefix[lo - ext_lo + 1:hi - ext_lo + 2]
+    valid = la_k != -np.inf
+    if form == "B":
+        # value(j, n) = g[j - n] - h[j]: reversed, it is the loop's g[j + n] - h[j]
+        g, h, valid = g[::-1], h[::-1], valid[::-1]
+        tail_edges = [{"lo": "hi", "hi": "lo"}[e] for e in tail_edges]
+    curve = window_inf_curve_reference(g, h, valid, n_eff)
+    if not valid.any():
+        return curve, np.ones(n_eff, dtype=bool)
+    nz = np.flatnonzero(valid)
+    trimmed = valid.copy()
+    trimmed[[nz[0] if e == "lo" else nz[-1] for e in tail_edges]] = False
+    return curve, window_inf_curve_reference(g, h, trimmed, n_eff) == curve
 
 
 class TestRunningAverage:
@@ -69,88 +92,46 @@ class TestRunningAverage:
         np.testing.assert_allclose(out, want, rtol=1e-12)
 
 
-# few distinct values, so rows tie often; -inf only in g (h is finite on
-# valid indices, as in the criteria)
-_G_VALUES = st.sampled_from([-2.0, -0.5, 0.0, 1.0, 1.0, 3.25, -np.inf])
-_H_VALUES = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+DYADIC = st.sampled_from([2, 1 / 2, 1, 4, 1 / 8, 1 / 4])
 
 
 @st.composite
-def window_cases(draw):
-    width = draw(st.integers(1, 40))
-    n_max = draw(st.integers(1, 60))
-    extra = draw(st.integers(0, 3))  # g may be longer than len(h) + n_max
-    g = np.array(draw(st.lists(_G_VALUES, min_size=width + n_max + extra,
-                               max_size=width + n_max + extra)))
-    h = np.array(draw(st.lists(_H_VALUES, min_size=width, max_size=width)))
-    shape = draw(st.sampled_from(["random", "none", "one-run", "single"]))
-    if shape == "random":
-        valid = np.array(draw(st.lists(st.booleans(), min_size=width, max_size=width)))
-    else:
-        valid = np.zeros(width, dtype=bool)
-        a = draw(st.integers(0, width - 1))
-        b = a + 1 if shape == "single" else draw(st.integers(a + 1, width))
-        if shape != "none":
-            valid[a:b] = True
-    h[~valid] = draw(st.sampled_from([-np.inf, 7.0]))  # never read
-    return g, h, valid, n_max
+def curve_cases(draw, spaces):
+    """(op, k, level, split, form, cfg, n_eff) over one matrix family."""
+    space = draw(st.sampled_from(spaces))
+    k = draw(st.integers(1, 3))
+    level = draw(st.integers(k, k + 5))
+    n_eff = draw(st.integers(1, 120))
+    window = draw(st.integers(1, 40))
+    op = ShiftOperator("forward", constant_weights(draw(DYADIC)), space)
+    split = draw(st.sampled_from(("Z", "N", "-N") if op.bilateral else ("N",)))
+    form = draw(st.sampled_from("AB"))
+    return op, k, level, split, form, HorizonConfig(n_max=n_eff, window=window), n_eff
 
 
-class TestWindowInfCurve:
-    def _random_case(self, width=64, n_max=48):
-        h = rng.uniform(-10, 10, size=width)
-        g = rng.uniform(-10, 10, size=width + n_max)
-        valid = rng.random(width) > 0.2
-        return g, h, valid, n_max
+def assert_matches_sweep(case):
+    curve, usable = _ue_curve(*case)
+    want_curve, want_usable = ue_curve_reference(*case)
+    assert curve.dtype == np.float64
+    assert curve.tobytes() == want_curve.tobytes()
+    assert np.array_equal(usable, want_usable)
 
-    def test_matches_fallback_bitwise(self):
-        g, h, valid, n_max = self._random_case()
-        assert_same_curve(_kernels.window_inf_curve(g, h, valid, n_max),
-                          window_inf_curve_reference(g, h, valid, n_max))
+
+class TestUeCurveMatchesSweep:
+    """One family per test: constant rows (on Z and on N), the half-line
+    step, and the power rows of s (on Z and on N)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(curve_cases([preset("c0_Z"), preset("lp_N", 2)]))
+    def test_constant_family(self, case):
+        assert_matches_sweep(case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(curve_cases([preset("halfline_Z")]))
+    def test_step_family(self, case):
+        assert_matches_sweep(case)
 
     @settings(max_examples=300, deadline=None)
-    @given(window_cases())
-    def test_matches_reference_bitwise(self, case):
-        assert_same_curve(_kernels.window_inf_curve(*case), window_inf_curve_reference(*case))
-
-    @pytest.mark.parametrize("width,n_max", [(300, 120), (1 << 14, 3), ((1 << 14) + 5, 4)])
-    def test_wide_and_short_grids(self, width, n_max):
-        g = rng.integers(-4, 4, size=width + n_max).astype(float)
-        h = rng.integers(-4, 4, size=width).astype(float)
-        for valid in (np.ones(width, dtype=bool), rng.random(width) > 0.3):
-            assert_same_curve(_kernels.window_inf_curve(g, h, valid, n_max),
-                              window_inf_curve_reference(g, h, valid, n_max))
-
-    @pytest.mark.parametrize("n_max,width,invalid", [(9_000, 301, 0.0), (9_000, 301, 0.3),
-                                                     (1_366, 301, 0.3), (1_365, 301, 0.3)])
-    @pytest.mark.parametrize("neg_inf", [False, True], ids=["finite", "neg-inf-in-g"])
-    def test_default_horizon_shapes(self, n_max, width, invalid, neg_inf):
-        # horizons near the default (10 000) and of a thousand-odd steps,
-        # longer than the hypothesis test draws
-        g = rng.integers(-40, 40, size=width + n_max + 2).astype(float)
-        h = rng.integers(-40, 40, size=width).astype(float)
-        valid = rng.random(width) >= invalid
-        valid[0] = True
-        if neg_inf:
-            g[rng.choice(g.size, size=g.size // 50, replace=False)] = -np.inf
-        assert_same_curve(_kernels.window_inf_curve(g, h, valid, n_max),
-                          window_inf_curve_reference(g, h, valid, n_max))
-
-    def test_ties_take_first_index(self):
-        g = np.zeros(10)
-        h = np.zeros(5)
-        valid = np.array([False, True, False, True, True])
-        curve = _kernels.window_inf_curve(g, h, valid, 5)
-        assert np.all(curve == 0.0)
-
-    def test_all_invalid_gives_inf(self):
-        g, h, _, n_max = self._random_case()
-        curve = _kernels.window_inf_curve(g, h, np.zeros(h.size, dtype=bool), n_max)
-        assert np.all(np.isinf(curve))
-
-    def test_brute_force_small(self):
-        g, h, valid, n_max = self._random_case(width=12, n_max=9)
-        curve = _kernels.window_inf_curve(g, h, valid, n_max)
-        for n in range(1, n_max + 1):
-            vals = [g[j + n] - h[j] for j in range(h.size) if valid[j]]
-            assert curve[n - 1] == min(vals)
+    @given(curve_cases([preset("s_Z"), SpaceSpec(PowerMatrix("N"), 1)]))
+    def test_power_family(self, case):
+        assert_matches_sweep(case)

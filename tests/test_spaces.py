@@ -3,9 +3,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shiftlab.spaces import (
+    HalflineMatrix,
     InvalidSpecError,
     PowerMatrix,
     SpaceSpec,
@@ -148,6 +149,44 @@ class TestTableMatrix:
         spec = {"family": "table", "params": {"lo": -1, "hi": 1, "rows": {"-1": [one], "1": [one]}}}
         with pytest.raises(InvalidSpecError, match="index 0 "):
             space_from_json(spec)
+
+
+RATIO_FAMILIES = [constant_matrix(1), constant_matrix(3, "N"), HalflineMatrix(),
+                  PowerMatrix(), PowerMatrix("N")]
+
+
+def _entry_or_zero(m, j, k):
+    return m.entry(j, k) if m.index_set == "Z" or j >= 1 else Fraction(0)
+
+
+class TestRatioMinimisers:
+    """The docstring claim of each attested family, in exact arithmetic:
+    over a run of valid columns, the least r(j) = a(j + s, l) / a(j, k) is at
+    a run end or at a named column clipped to the run."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(RATIO_FAMILIES), st.integers(1, 4), st.integers(0, 6),
+           st.integers(1, 60), st.booleans(), st.integers(-120, 60), st.integers(0, 60))
+    @example(PowerMatrix(), 1, 1, 10, True, -20, 19)  # least at -u* = -9, inside the run
+    def test_least_ratio_is_at_a_named_column(self, m, k, dl, n, b_form, lo, width):
+        level, s = k + dl, -n if b_form else n
+        if m.index_set == "N":
+            lo = max(lo, 1)
+        if isinstance(m, HalflineMatrix):
+            lo = max(lo, 1 - k)
+        run = range(lo, lo + width + 1)  # a(j, k) > 0 on it
+
+        def r(j):
+            return _entry_or_zero(m, j + s, level) / m.entry(j, k)
+
+        columns, ratio = m.ratio_minimisers(k, level, s)
+        named = [min(max(int(j), run[0]), run[-1]) for j in (run[0], run[-1], *columns)]
+        assert min(r(j) for j in named) == min(r(j) for j in run)
+        finite = {j: r(j) for j in run if r(j) != 0}
+        if ratio is None:
+            assert len(set(finite.values())) <= 1
+        else:
+            assert all(ratio(j, s) == value for j, value in finite.items())
 
 
 def test_json_roundtrip():
