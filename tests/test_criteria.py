@@ -670,6 +670,48 @@ class TestUeCurveOnPresets:
         assert 0 < math.log2(interior / edge) <= _TIE_LOG2
         assert not usable[96] and usable[95]
 
+    @pytest.mark.parametrize("c", [F(5, 2), F(2, 3), F(3), F(1001, 1000), F(7, 5)], ids=str)
+    def test_usable_matches_exact_ratios(self, c):
+        from shiftlab.criteria import _split_window, _ue_curve
+
+        # with constant weights the weight product is the same in every column,
+        # so usable is the exact matrix ratio a(j + s, l)/a(j, k) of the
+        # interior reaching the least tail edge's; the float sweep gets this
+        # wrong on these weights, where the log prefix sums round
+        def entry(m, j, k):
+            return F(0) if m.index_set == "N" and j < 1 else m.entry(j, k)
+
+        for space, window, (k, level) in product(sorted(self.SPACES), (3, 10),
+                                                 ((1, 1), (1, 2), (2, 3), (1, 4))):
+            op = ShiftOperator("forward", constant_weights(c), self.SPACES[space]())
+            m, cfg = op.space.matrix, HorizonConfig(n_max=24, window=window)
+            for split, form in product(("Z", "N", "-N") if op.bilateral else ("N",), "AB"):
+                _, usable = _ue_curve(op, k, level, split, form, cfg, 24)
+                lo, hi, tails = _split_window(op, split, cfg)
+                valid = [j for j in range(lo, hi + 1) if entry(m, j, k) > 0]
+                edges = {valid[0] if t == "lo" else valid[-1] for t in tails} if valid else set()
+                want = []
+                for n in range(1, 25):
+                    s = n if form == "A" else -n
+                    r = {j: entry(m, j + s, level) / entry(m, j, k) for j in valid}
+                    inner = [r[j] for j in valid if j not in edges]
+                    want.append(not valid or (bool(inner) and all(
+                        min(inner) <= r[e] for e in edges)))
+                assert usable.tolist() == want, (space, window, k, level, split, form)
+
+    def test_no_valid_column_gives_inf(self):
+        from shiftlab.criteria import _ue_curve
+
+        # halfline_Z at k = 1 is nonzero from j = 0 on: the -N split holds none
+        op = ShiftOperator("forward", constant_weights(2), preset("halfline_Z"))
+        for form in ("A", "B"):
+            case = (op, 1, 2, "-N", form, self.CFG, 30)
+            curve, usable = _ue_curve(*case)
+            assert np.all(curve == np.inf) and usable.all()
+            want_curve, want_usable = ue_curve_reference(*case)
+            assert curve.tobytes() == want_curve.tobytes()
+            assert np.array_equal(usable, want_usable)
+
     def test_single_valid_index_is_never_usable(self):
         from shiftlab.criteria import _ue_curve
 

@@ -10,6 +10,7 @@ the log prefix sums are exact (dyadic weights).
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftlab import _kernels
@@ -135,3 +136,17 @@ class TestUeCurveMatchesSweep:
     @given(curve_cases([preset("s_Z"), SpaceSpec(PowerMatrix("N"), 1)]))
     def test_power_family(self, case):
         assert_matches_sweep(case)
+
+
+class TestUeCurveAtDefaultHorizon:
+    """The default horizon (n_max 10 000, window 1 000), far longer than the
+    hypothesis tests draw: the named columns of the power rows move across
+    the whole window as n grows."""
+
+    @pytest.mark.parametrize("form", ["A", "B"])
+    @pytest.mark.parametrize("space", ["c0_Z", "halfline_Z", "s_Z", "s_N"])
+    def test_matches_sweep_bitwise(self, space, form):
+        spec = SpaceSpec(PowerMatrix("N"), 1) if space == "s_N" else preset(space)
+        op = ShiftOperator("forward", constant_weights(2), spec)
+        cfg = HorizonConfig()
+        assert_matches_sweep((op, 1, 3, "Z" if op.bilateral else "N", form, cfg, cfg.n_max))
