@@ -133,7 +133,7 @@ def check(space_text, weights_text, criterion, side, n_max, window, k_max, l_max
     else:
         payload = check_criterion(op, criterion, cfg).to_json()
         if criterion == "ue":
-            payload["upe"] = payload["property"] == "a"
+            payload["upe"] = payload["property"] in ("A", "a")
 
     config = {"space": space_to_json(space), "weights": weights.to_json(),
               "side": side, "criterion": criterion, "horizon": cfg.to_json()}

@@ -13,12 +13,15 @@ At desk scale they become three-valued verdicts:
 * inconclusive: window evidence only.
 
 A sup (averages, basis orbits) records first crossings, which a larger
-horizon keeps.  Uniform expansivity (Bernardes et al., J. Funct. Anal. 288
-(2025) 110696) is a limit in n, checked as: for k <= k_max some l <= l_max
-has lim over n of inf over j in the window of the (k, l) ratio infinite.
-Its first_n is the first usable step after the last usable step below the
-threshold, so only a fall past the horizon can revoke it; an attested
-window value at a usable step is a true infimum, fixed as the window grows.
+horizon keeps; both read _orbit_log2, one orbit curve per (basis vector,
+level) summed in walk order: the averages at e_0, the basis diagnostic at
+every index of its window.  Uniform expansivity (Bernardes et al., J.
+Funct. Anal. 288 (2025) 110696) is a limit in n: for k <= k_max some
+l <= l_max has lim over n of inf over j in the window of the (k, l) ratio
+infinite.  Its first_n is the first usable step after the last usable step
+below the threshold, so only a fall past the horizon can revoke it; an
+attested window value at a usable step is a true infimum, fixed as the
+window grows.
 
 A window-infimum curve is read only at the columns where its matrix family
 puts the minimum (its ratio_minimisers, see KotheMatrix), and a tie between equal
@@ -187,33 +190,38 @@ def _first_crossings(values: np.ndarray, m_grid: Sequence,
     return crossings, all(c.first_n is not None for c in crossings)
 
 
-def _avg_term_logs(op: ShiftOperator, k: int, branch: str, n_eff: int) -> np.ndarray:
-    """log2 of the branch term sequence, j = 1..n_eff.
+def _orbit_log2(op: ShiftOperator, j0: int, k: int, n: int):
+    """(pos, neg): log2 ||T^i e_{j0}||_k and log2 ||T^-i e_{j0}||_k at
+    i = 1..n; neg is None when the shift has no inverse.
 
-    backward left:  a(-j, k) |w(-j+1) ... w(0)|
-    backward right: a(j, k) / |w(1) ... w(j)|
-    forward  left:  a(j, k) |w(0) ... w(j-1)|
-    forward  right: a(-j, k) / |w(-j) ... w(-1)|
-    unilateral-forward: a(j, k) |w(1) ... w(j-1)|, empty product at j = 1
-    """
-    m = op.space.matrix
-    w = op.weights
-    # each cumsum runs over this call's own slice in the order j = 1, 2, ...:
-    # it is the sequential running sum, bitwise (a difference of a longer
-    # prefix is not, for non-dyadic weights)
+    By the walk rule of shifts (d = -1 backward, +1 forward), T^i e_{j0}
+    meets w at j0, ..., j0 + (i - 1)d and T^-i e_{j0} at j0 - d, ..., j0 - id;
+    each product sums their log2 in that order (np.cumsum: a difference of
+    prefix sums rounds otherwise).  Off-lattice targets give -inf."""
+    d = -1 if op.direction == "backward" else 1
+    row = op.space.matrix.log2_row(k, j0 - n, j0 + n)  # a(j0 + i, k) at row[n + i]
+
+    def weights(start, step):  # log2 |w| at start, start + step, ... (n values)
+        read = op.weights.log2_window
+        return read(start, start + n - 1) if step > 0 else read(start - n + 1, start)[::-1]
+
+    pos = row[n + d::d][:n] + np.cumsum(weights(j0, d))
+    if not op.bilateral:
+        return pos, None
+    return pos, row[n - d::-d][:n] - np.cumsum(weights(j0 - d, -d))
+
+
+def _avg_term_logs(op: ShiftOperator, k: int, branch: str, n_eff: int) -> np.ndarray:
+    """log2 of the branch term sequence, j = 1..n_eff: the orbit of e_0 under
+    T ('left') or T^-1 ('right'); on a unilateral forward shift
+    ('unilateral') ||e_1||_k followed by the orbit of e_1."""
     if branch == "unilateral":
-        acc = np.concatenate(([0.0], np.cumsum(w.log2_window(1, n_eff - 1))))
-        return m.log2_row(k, 1, n_eff) + acc
-    backward = op.direction == "backward"
-    if branch == "left" and backward:
-        return m.log2_row(k, -n_eff, -1)[::-1] + np.cumsum(w.log2_window(-n_eff + 1, 0)[::-1])
-    if branch == "right" and backward:
-        return m.log2_row(k, 1, n_eff) - np.cumsum(w.log2_window(1, n_eff))
-    if branch == "left":
-        return m.log2_row(k, 1, n_eff) + np.cumsum(w.log2_window(0, n_eff - 1))
-    if branch == "right":
-        return m.log2_row(k, -n_eff, -1)[::-1] - np.cumsum(w.log2_window(-n_eff, -1)[::-1])
-    raise ValueError(f"unknown branch {branch!r}")
+        pos, _ = _orbit_log2(op, 1, k, n_eff - 1)
+        return np.concatenate((op.space.matrix.log2_row(k, 1, 1), pos))
+    if branch not in ("left", "right"):
+        raise ValueError(f"unknown branch {branch!r}")
+    pos, neg = _orbit_log2(op, 0, k, n_eff)
+    return pos if branch == "left" else neg
 
 
 def _avg_bound_attestation(op: ShiftOperator, terms: np.ndarray) -> Optional[tuple[float, str]]:
@@ -514,38 +522,6 @@ def _unif_pos_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
 # basis expansivity diagnostic, mixing exclusion, hierarchy
 # ---------------------------------------------------------------------------
 
-def _orbit_log_curves(op: ShiftOperator, j0: int, k: int, n_eff: int):
-    """(entry0, pos, neg): log2 orbit norms ||T^n e_{j0}||_k at n = 0, at
-    n = 1..n_eff, and at n = -1..-n_eff; neg is None without an inverse.
-    Off-lattice targets of a unilateral backward shift give -inf (zero
-    vector) through the matrix row."""
-    m = op.space.matrix
-    w = op.weights
-    step = -1 if op.direction == "backward" else 1
-    lo, hi = j0 - n_eff - 1, j0 + n_eff + 1
-    prefix = np.concatenate(([0.0], np.cumsum(w.log2_window(lo, hi))))
-    # log2 |w(a) ... w(b)| = prefix[b - lo + 1] - prefix[a - lo]
-    row = m.log2_row(k, lo, hi)
-    ns = np.arange(1, n_eff + 1)
-
-    tgt_pos = j0 + step * ns
-    if op.direction == "backward":
-        p_pos = prefix[j0 - lo + 1] - prefix[(j0 - ns + 1) - lo]
-    else:
-        p_pos = prefix[(j0 + ns - 1) - lo + 1] - prefix[j0 - lo]
-    pos = p_pos + row[tgt_pos - lo]
-    entry0 = float(row[j0 - lo])
-    if not op.bilateral:
-        return entry0, pos, None
-    tgt_neg = j0 - step * ns
-    if op.direction == "backward":
-        p_neg = -(prefix[(j0 + ns) - lo + 1] - prefix[(j0 + 1) - lo])
-    else:
-        p_neg = -(prefix[(j0 - 1) - lo + 1] - prefix[(j0 - ns) - lo])
-    neg = p_neg + row[tgt_neg - lo]
-    return entry0, pos, neg
-
-
 def _basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     """DIAGNOSTIC: necessary evidence only.  For each basis index in the
     window, does some level's two-sided orbit-norm sup cross the whole grid?
@@ -562,12 +538,11 @@ def _basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     for j0 in range(j_lo, cfg.basis_window + 1):
         best: Optional[BranchEvidence] = None
         for k in range(1, cfg.k_max + 1):
-            entry0, pos, neg = _orbit_log_curves(op, j0, k, n_eff)
-            # outward running sup over n = 0, +-1, +-2, ...
-            two_sided = pos if neg is None else np.maximum(pos, neg)
-            norms = np.concatenate(([entry0], two_sided))
-            sup = np.maximum.accumulate(norms)
-            crossings, certified = _first_crossings(sup, cfg.m_grid)
+            pos, neg = _orbit_log2(op, j0, k, n_eff)
+            # orbit norms outward, n = 0, +-1, +-2, ...; crossings read their running sup
+            norms = np.concatenate((op.space.matrix.log2_row(k, j0, j0),
+                                    pos if neg is None else np.maximum(pos, neg)))
+            crossings, certified = _first_crossings(norms, cfg.m_grid)
             ev = BranchEvidence(k=k, level=k, label=f"e_{j0}", certified=certified,
                                 crossings=crossings, n_eff=n_eff)
             if certified:
@@ -576,7 +551,7 @@ def _basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
             # no bound from a sup still rising at the window edge
             if pair_ok and int(np.argmax(norms)) < norms.size - 1:
                 ev = BranchEvidence(k=k, level=k, label=f"e_{j0}", certified=False,
-                                    crossings=crossings, bound_log2=float(sup[-1]),
+                                    crossings=crossings, bound_log2=float(norms.max()),
                                     attestation="orbit norms attested monotone beyond window",
                                     n_eff=n_eff)
             best = ev

@@ -5,6 +5,11 @@ Basis action conventions (bilateral):
     backward:  B e_j = w_j e_{j-1}        (B x)_j = w_{j+1} x_{j+1}
     forward:   F e_j = w_j e_{j+1}        (F x)_j = w_{j-1} x_{j-1}
 
+The walk rule, d = -1 backward and +1 forward: T^i e_{j0} is
+(w_{j0} w_{j0+d} ... w_{j0+(i-1)d}) e_{j0+id} and T^-i e_{j0} is
+e_{j0-id} / (w_{j0-d} ... w_{j0-id}).  basis_orbit_norm follows it exactly,
+and the log lane's orbit curves sum the log2 weights in that walk order.
+
 Unilateral spaces use indices 1, 2, 3, ...; the unilateral backward shift
 kills e_1 and the unilateral forward shift has no inverse.  All weights are
 ingested as magnitudes (positive exact rationals): every criterion downstream
@@ -266,21 +271,13 @@ def weight_product(w: WeightSequence, lo: int, hi: int) -> Fraction:
 
 
 def _orbit_product(op: ShiftOperator, j0: int, n: int) -> Fraction:
-    """|coefficient| of T^n e_{j0} (n may be negative for invertible shifts)."""
-    w = op.weights
+    """|coefficient| of T^n e_{j0} (n < 0 for invertible shifts): the walk rule."""
     if n == 0:
         return Fraction(1)
-    if op.direction == "backward":
-        if n > 0:
-            # B^n e_j = (w_j ... w_{j-n+1}) e_{j-n}
-            return weight_product(w, j0 - n + 1, j0)
-        # B^{-m} e_j = e_{j+m} / (w_{j+1} ... w_{j+m})
-        return 1 / weight_product(w, j0 + 1, j0 - n)
-    if n > 0:
-        # F^n e_j = (w_j ... w_{j+n-1}) e_{j+n}
-        return weight_product(w, j0, j0 + n - 1)
-    # F^{-m} e_j = e_{j-m} / (w_{j-m} ... w_{j-1})
-    return 1 / weight_product(w, j0 + n, j0 - 1)
+    d = -1 if op.direction == "backward" else 1
+    ends = (j0, j0 + (n - 1) * d) if n > 0 else (j0 - d, j0 + n * d)
+    product = weight_product(op.weights, min(ends), max(ends))
+    return product if n > 0 else 1 / product
 
 
 def basis_orbit_norm(op: ShiftOperator, j0: int, n: int, k: int) -> Fraction:
@@ -290,16 +287,14 @@ def basis_orbit_norm(op: ShiftOperator, j0: int, n: int, k: int) -> Fraction:
     on the exponent p).  tests/vector_oracle.py keeps the per-vector route
     this stands in for: T applied one step at a time, then the seminorm.
     """
-    unilateral = not op.bilateral
-    target = j0 - n if op.direction == "backward" else j0 + n
-    if unilateral:
-        if op.direction == "backward":
-            if n < 0:
-                raise NotInvertibleError("unilateral backward shift has no inverse")
-            if target < 1:
-                return Fraction(0)
-        if op.direction == "forward" and target < 1:
+    d = -1 if op.direction == "backward" else 1
+    target = j0 + d * n
+    if not op.bilateral and d < 0 and n < 0:
+        raise NotInvertibleError("unilateral backward shift has no inverse")
+    if not op.bilateral and target < 1:
+        if d > 0:
             raise NotInvertibleError("inverse forward orbit leaves the index set")
+        return Fraction(0)
     return abs(_orbit_product(op, j0, n)) * op.space.matrix.entry(target, k)
 
 

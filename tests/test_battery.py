@@ -118,6 +118,18 @@ def test_battery_has_no_internal_error_or_inversion():
     assert hierarchy and all(summary["consistent"] for summary in hierarchy)
 
 
+def test_ue_upe_flag_agrees_with_the_upe_verdict():
+    # the ue report's upe flag says the uniform regime is (A) or (a), which
+    # is what upe certifies on the same operator and horizon
+    rows = json.loads(TABLE.read_text())
+    upe = {cmd.replace("--criterion upe", "--criterion ue"): row["summary"]["verdict"][0]
+           for cmd, row in rows.items() if "--criterion upe" in cmd}
+    pairs = [(cmd, row["summary"]["upe"], upe[cmd]) for cmd, row in rows.items()
+             if "--criterion ue " in cmd and row["summary"] is not None]
+    assert len(pairs) == 72
+    assert [cmd for cmd, flag, kind in pairs if flag != (kind == "CertifiedUnbounded")] == []
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_battery.py --record")

@@ -9,7 +9,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 import bench_blocks  # noqa: E402
 import bench_kernels  # noqa: E402
 
-TINY_KERNELS = {"bench_running_average": {"n": 1_000}}
+TINY_KERNELS = {"bench_running_average": {"n": 1_000},
+                "bench_basis_diagnostic": {"n_max": 20, "basis_window": 2}}
 
 
 def test_bench_kernels_at_tiny_size():

@@ -212,7 +212,7 @@ class TestCheck:
         assert code == EXIT_USAGE
         assert out == "" and err == f"error: preset {space} takes no exponent, got p = {p}\n"
 
-    @pytest.mark.parametrize("criterion, j", [("ae", -50), ("ape", -50), ("e", -101),
+    @pytest.mark.parametrize("criterion, j", [("ae", -50), ("ape", -50), ("e", -100),
                                               ("mixing", -50)])
     def test_horizon_past_an_error_tail_table_is_input_error(self, capsys, tmp_path,
                                                              criterion, j):
@@ -334,7 +334,7 @@ def _direct_report(op: ShiftOperator, criterion: str) -> dict:
         return hierarchy_audit(op, cfg).to_json()
     report = check_criterion(op, criterion, cfg).to_json()
     if criterion == "ue":
-        report["upe"] = report["property"] == "a"
+        report["upe"] = report["property"] in ("A", "a")
     return report
 
 

@@ -3,12 +3,14 @@
 KotheMatrix.log2_row and WeightSequence.log2_window serve slices of one
 lazily grown array per object; every slice must be bitwise equal to the
 per-index entry_log2 / log2 reference, fail where the reference fails, and
-leave the cache usable afterwards.  _avg_term_logs builds its running
-products with np.cumsum over those slices and must match the sequential
-per-j loop it replaced, bit for bit.
+leave the cache usable afterwards.  _orbit_log2 builds its orbit norms
+with np.cumsum over those slices and must match the sequential per-step
+walk, bit for bit; the running-average terms and the basis diagnostic read
+that one curve.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from shiftlab._kernels import Log2Cache
 from shiftlab.blocks import build_blocks
-from shiftlab.criteria import _avg_term_logs
+from shiftlab import criteria
+from shiftlab.criteria import HorizonConfig, _avg_term_logs, _orbit_log2, check_criterion
 from shiftlab.scalars import ZERO_LOG2, InvalidSpecError, log2_exact
 from shiftlab.shifts import (
     DualWeights,
@@ -25,6 +28,7 @@ from shiftlab.shifts import (
     constant_weights,
     dual_form,
     geometric_weights,
+    parse_weights,
     table_weights,
 )
 from shiftlab.spaces import (
@@ -33,6 +37,7 @@ from shiftlab.spaces import (
     ScaledMatrix,
     SpaceSpec,
     constant_matrix,
+    parse_space,
     preset,
     table_matrix,
 )
@@ -245,32 +250,35 @@ def test_dual_windows_match_per_index_values(name, shift):
         assert w.log2_window(a, b).tobytes() == want.tobytes(), (a, b)
 
 
-def _avg_term_logs_loop(op, k, branch, n_eff):
-    """The per-j loop _avg_term_logs replaced: the bitwise reference."""
+def _orbit_walk_loop(op, j0, k, n, sign):
+    """log2 ||T^(sign i) e_{j0}||_k for i = 1..n, one step at a time through
+    w.log2 and m.entry_log2: the bitwise reference of the orbit walk.  T^i
+    e_{j0} meets the weights j0, j0 + d, ..., T^-i e_{j0} the weights j0 - d,
+    j0 - 2d, ... (d = -1 backward, +1 forward)."""
     m = op.space.matrix
     w = op.weights
-    out = np.empty(n_eff, dtype=np.float64)
-    acc = 0.0
-    for j in range(1, n_eff + 1):
-        if branch == "left" and op.direction == "backward":
-            acc += w.log2(-j + 1)
-            out[j - 1] = m.entry_log2(-j, k) + acc
-        elif branch == "right" and op.direction == "backward":
+    d = -1 if op.direction == "backward" else 1
+    out = np.empty(n, dtype=np.float64)
+    acc, j = 0.0, j0
+    for i in range(n):
+        if sign > 0:
             acc += w.log2(j)
-            out[j - 1] = m.entry_log2(j, k) - acc
-        elif branch == "left" and op.direction == "forward":
-            acc += w.log2(j - 1)
-            out[j - 1] = m.entry_log2(j, k) + acc
-        elif branch == "right" and op.direction == "forward":
-            acc += w.log2(-j)
-            out[j - 1] = m.entry_log2(-j, k) - acc
-        elif branch == "unilateral":
-            if j >= 2:
-                acc += w.log2(j - 1)
-            out[j - 1] = m.entry_log2(j, k) + acc
+            j += d
         else:
-            raise ValueError(f"unknown branch {branch!r}")
+            j -= d
+            acc += w.log2(j)
+        entry = ZERO_LOG2 if m.index_set == "N" and j < 1 else m.entry_log2(j, k)
+        out[i] = entry + acc if sign > 0 else entry - acc
     return out
+
+
+def _avg_term_logs_loop(op, k, branch, n_eff):
+    """The branch terms from the walk: e_0 under T ('left') or T^-1
+    ('right'); ||e_1||_k, then the orbit of e_1 ('unilateral')."""
+    if branch == "unilateral":
+        head = [op.space.matrix.entry_log2(1, k)]
+        return np.concatenate((head, _orbit_walk_loop(op, 1, k, n_eff - 1, 1)))
+    return _orbit_walk_loop(op, 0, k, n_eff, 1 if branch == "left" else -1)
 
 
 AVG_WEIGHTS = {
@@ -316,3 +324,59 @@ class TestAvgTermLogs:
         op = ShiftOperator("backward", constant_weights(2), preset("c0_Z"))
         with pytest.raises(ValueError):
             _avg_term_logs(op, 1, "sideways", 4)
+
+
+def _check_walk(op, j0, k, n):
+    pos, neg = _orbit_log2(op, j0, k, n)
+    assert pos.tobytes() == _orbit_walk_loop(op, j0, k, n, 1).tobytes(), (j0, k, n)
+    if op.bilateral:
+        assert neg.tobytes() == _orbit_walk_loop(op, j0, k, n, -1).tobytes(), (j0, k, n)
+    else:
+        assert neg is None
+
+
+class TestOrbitLog2:
+    @pytest.mark.parametrize("weights", sorted(AVG_WEIGHTS))
+    @pytest.mark.parametrize("space", ["c0_Z", "s_Z", "halfline_Z"])
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    def test_bilateral_walk_bitwise(self, weights, space, direction):
+        op = ShiftOperator(direction, AVG_WEIGHTS[weights](), preset(space))
+        for j0 in (-50, -7, 0, 13, 50):
+            for k in (1, 3):
+                for n in (0, 1, 2, 150):
+                    _check_walk(op, j0, k, n)
+
+    @pytest.mark.parametrize("weights", sorted(AVG_WEIGHTS))
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    def test_unilateral_walk_bitwise(self, weights, direction):
+        # backward orbits leave the index set and read -inf from there on
+        op = ShiftOperator(direction, AVG_WEIGHTS[weights](), SpaceSpec(PowerMatrix("N"), 1))
+        for j0 in (1, 13, 50):
+            for k in (1, 2):
+                for n in (1, 2, 97):
+                    _check_walk(op, j0, k, n)
+
+    def test_dual_form_walk_bitwise(self):
+        op = dual_form(ShiftOperator("backward", AVG_WEIGHTS["odd-table-hold"](),
+                                     preset("s_Z")))
+        for j0 in (-50, -7, 0, 13, 50):
+            _check_walk(op, j0, 2, 120)
+
+    @pytest.mark.parametrize("weights", ["blocks:4", "constant:5/2", "constant:2/3"])
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    def test_e_diagnostic_reads_the_ae_terms_at_e0(self, weights, direction):
+        # with no threshold reachable, the diagnostic crosses every level of
+        # e_-1, e_0, e_1 in turn; its e_0 norms are a(0, k) followed by the
+        # larger of the ae right and left terms, bit for bit
+        op = ShiftOperator(direction, parse_weights(weights), parse_space("lp_Z:2"))
+        cfg = HorizonConfig(n_max=400, basis_window=1, m_grid=(2.0 ** 1020,))
+        with mock.patch.object(criteria, "_first_crossings",
+                               wraps=criteria._first_crossings) as spy:
+            check_criterion(op, "e", cfg)
+        assert spy.call_count == 9
+        for k in (1, 2, 3):
+            norms = spy.call_args_list[2 + k].args[0]
+            terms = np.maximum(_avg_term_logs(op, k, "left", 400),
+                               _avg_term_logs(op, k, "right", 400))
+            want = np.concatenate((op.space.matrix.log2_row(k, 0, 0), terms))
+            assert norms.tobytes() == want.tobytes(), k
