@@ -365,9 +365,9 @@ class TestOrbitLog2:
     @pytest.mark.parametrize("weights", ["blocks:4", "constant:5/2", "constant:2/3"])
     @pytest.mark.parametrize("direction", ["backward", "forward"])
     def test_e_diagnostic_reads_the_ae_terms_at_e0(self, weights, direction):
-        # with no threshold reachable, the diagnostic crosses every level of
-        # e_-1, e_0, e_1 in turn; its e_0 norms are a(0, k) followed by the
-        # larger of the ae right and left terms, bit for bit
+        # no threshold is reachable, so the diagnostic tries every level of
+        # e_-1, e_0 and e_1 in turn; its e_0 norms are a(0, k) followed by the
+        # larger of the ae left and right terms, bit for bit
         op = ShiftOperator(direction, parse_weights(weights), parse_space("lp_Z:2"))
         cfg = HorizonConfig(n_max=400, basis_window=1, m_grid=(2.0 ** 1020,))
         with mock.patch.object(criteria, "_first_crossings",
