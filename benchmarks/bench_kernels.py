@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the numpy kernels and the basis-orbit diagnostic built on them.
+"""Time the numpy kernels, the basis-orbit diagnostic and a uniform curve.
 
 Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
 """
@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from shiftlab import _kernels
-from shiftlab.criteria import HorizonConfig, check_criterion
+from shiftlab.criteria import HorizonConfig, _ue_curve, check_criterion
 from shiftlab.shifts import ShiftOperator, parse_weights
 from shiftlab.spaces import parse_space
 
@@ -41,12 +41,23 @@ def bench_basis_diagnostic(n_max=10_000, basis_window=50):
     return "basis_diagnostic (e)", f"{2 * basis_window + 1} x {n_max:,}", seconds
 
 
+def bench_uniform_curve(n_max=10_000, window=1_000):
+    """criteria._ue_curve on s_Z with constant:2 weights, forward, A-form,
+    k = 1, level 3, split Z: the power rows' named columns move with n
+    across the 2 * window + 1 columns (the default horizon)."""
+    op = ShiftOperator("forward", parse_weights("constant:2"), parse_space("s_Z"))
+    cfg = HorizonConfig(n_max=n_max, window=window)
+    seconds = timeit(_ue_curve, op, 1, 3, "Z", "A", cfg, n_max)
+    return "uniform_curve (ue)", f"{2 * window + 1} x {n_max:,}", seconds
+
+
 def main():
     print("=" * 60)
     print("shiftlab kernel benchmark (best of 5)")
     print("=" * 60)
     print(f"{'kernel':<26}{'size':<24}{'time':>10}")
-    for name, size, seconds in [bench_running_average(), bench_basis_diagnostic()]:
+    for name, size, seconds in [bench_running_average(), bench_basis_diagnostic(),
+                                bench_uniform_curve()]:
         print(f"{name:<26}{size:<24}{seconds * 1e3:>8.2f}ms")
 
 

@@ -13,21 +13,22 @@ At desk scale they become three-valued verdicts:
 * inconclusive: window evidence only.
 
 A sup (averages, basis orbits) records first crossings, which a larger
-horizon keeps; both read _orbit_log2, one orbit curve per (basis vector,
-level) summed in walk order: the averages at e_0, the basis diagnostic at
-every index of its window.  Uniform expansivity (Bernardes et al., J.
-Funct. Anal. 288 (2025) 110696) is a limit in n: for k <= k_max some
-l <= l_max has lim over n of inf over j in the window of the (k, l) ratio
-infinite.  Its first_n is the first usable step after the last usable step
-below the threshold, so only a fall past the horizon can revoke it; an
-attested window value at a usable step is a true infimum, fixed as the
-window grows.
+horizon keeps; both read _orbit_log2, a matrix row plus the walk sum
+(_walk_log2): the averages at e_0, the basis diagnostic at every index of
+its window.  Uniform expansivity (Bernardes et al., J. Funct. Anal. 288
+(2025) 110696) is a limit in n: for k <= k_max some l <= l_max has lim
+over n of inf over j in the window of ||T^n e_j||_l / ||e_j||_k infinite;
+its curves read the same walk sum.  Its first_n is the first usable step
+after the last usable step below the threshold, so only a fall past the
+horizon can revoke it; an attested window value at a usable step is a
+true infimum, fixed as the window grows.
 
 A window-infimum curve is read only at the columns where its matrix family
-puts the minimum (its ratio_minimisers, see KotheMatrix), and a tie between equal
-ratios is decided from that structure or exactly, never by float equality.
-A check searches only while its report can still change, so no
-window-infimum curve is computed for a family pair without a tail attestation.
+puts the minimum (its ratio_minimisers, see KotheMatrix).  A tie between
+equal ratios is float equality of identical operands on constant and step
+matrices, and is decided exactly on power matrices.  A check searches only
+while its report can still change, so no window-infimum curve is computed
+for a family pair without a tail attestation.
 """
 
 from __future__ import annotations
@@ -190,25 +191,29 @@ def _first_crossings(values: np.ndarray, m_grid: Sequence,
     return crossings, all(c.first_n is not None for c in crossings)
 
 
-def _orbit_log2(op: ShiftOperator, j0: int, k: int, n: int):
-    """(pos, neg): log2 ||T^i e_{j0}||_k and log2 ||T^-i e_{j0}||_k at
-    i = 1..n; neg is None when the shift has no inverse.
+def _walk_log2(op: ShiftOperator, j0: int, n: int, sign: int) -> np.ndarray:
+    """log2 |coefficient| of T^(sign i) e_{j0} at i = 1..n.
 
     By the walk rule of shifts (d = -1 backward, +1 forward), T^i e_{j0}
     meets w at j0, ..., j0 + (i - 1)d and T^-i e_{j0} at j0 - d, ..., j0 - id;
-    each product sums their log2 in that order (np.cumsum: a difference of
-    prefix sums rounds otherwise).  Off-lattice targets give -inf."""
+    the walk sums their log2 in that order (np.cumsum; another summation
+    order rounds otherwise), negated for T^-i."""
+    step = sign * (-1 if op.direction == "backward" else 1)
+    first = j0 + (sign < 0) * step  # the first weight the walk meets
+    logs = op.weights.log2_window(*((first, first + n - 1) if step > 0 else (first - n + 1, first)))
+    return sign * np.cumsum(logs[::step])  # in walk order
+
+
+def _orbit_log2(op: ShiftOperator, j0: int, k: int, n: int):
+    """(pos, neg): log2 ||T^i e_{j0}||_k and log2 ||T^-i e_{j0}||_k at
+    i = 1..n, the row at e_{j0 +- id} plus the walk; neg is None when the
+    shift has no inverse.  Off-lattice targets give -inf."""
     d = -1 if op.direction == "backward" else 1
     row = op.space.matrix.log2_row(k, j0 - n, j0 + n)  # a(j0 + i, k) at row[n + i]
-
-    def weights(start, step):  # log2 |w| at start, start + step, ... (n values)
-        read = op.weights.log2_window
-        return read(start, start + n - 1) if step > 0 else read(start - n + 1, start)[::-1]
-
-    pos = row[n + d::d][:n] + np.cumsum(weights(j0, d))
+    pos = row[n + d::d][:n] + _walk_log2(op, j0, n, 1)
     if not op.bilateral:
         return pos, None
-    return pos, row[n - d::-d][:n] - np.cumsum(weights(j0 - d, -d))
+    return pos, row[n - d::-d][:n] + _walk_log2(op, j0, n, -1)
 
 
 def _avg_term_logs(op: ShiftOperator, k: int, branch: str, n_eff: int) -> np.ndarray:
@@ -240,20 +245,21 @@ def _avg_bound_attestation(op: ShiftOperator, terms: np.ndarray) -> Optional[tup
     return float(terms[arg]), f"{profile} ({op.space.matrix.tail_tag} matrix, constant weights)"
 
 
-def _avg_n_eff(op: ShiftOperator, cfg: HorizonConfig) -> int:
-    """cfg.n_max, cut to what a finite weight table on [lo, hi] allows: at
-    horizon n the branch terms read w(-n+1..n) backward, w(-n..n-1) forward
-    and w(1..n-1) on a unilateral forward shift."""
+def _walk_n_eff(op: ShiftOperator, cfg: HorizonConfig, radius: int) -> Optional[int]:
+    """The largest n <= cfg.n_max at which the walks from every basis index
+    within `radius` ([-r, r]; [1, r] on N) read only weights of a finite
+    table on [lo, hi], else None.  n steps each way read w on [-r-n+1, r+n]
+    backward and [-r-n, r+n-1] forward; on N, T alone reads [2-n, r]
+    backward and [1, r+n-1] forward (r = 0: the averages' n-1 steps from e_1)."""
     lo, hi = op.weights.defined_range() or (-math.inf, math.inf)
-    if op.direction == "backward":
-        n = min(cfg.n_max, 1 - lo, hi)
-    elif op.bilateral:
-        n = min(cfg.n_max, -lo, hi + 1)
+    back = op.direction == "backward"
+    if op.bilateral:
+        n = min(cfg.n_max, back - radius - lo, hi - radius + 1 - back)
+    elif back:
+        n = min(cfg.n_max, 2 - lo) if radius <= hi else 0
     else:
-        n = min(cfg.n_max, hi + 1) if lo <= 1 else 0
-    if n < 1:
-        raise InvalidSpecError("weight table too small for the requested horizon")
-    return n
+        n = min(cfg.n_max, hi - radius + 1) if lo <= 1 else 0
+    return n if n >= 1 else None
 
 
 def _avg_branch_evidence(op: ShiftOperator, k: int, branch: str,
@@ -269,10 +275,13 @@ def _avg_branch_evidence(op: ShiftOperator, k: int, branch: str,
         n_eff=n_eff)
 
 
-def _avg_evidence(op: ShiftOperator, cfg: HorizonConfig, branches: Sequence[str],
-                  n_eff: int) -> list[BranchEvidence]:
+def _avg_evidence(op: ShiftOperator, cfg: HorizonConfig,
+                  branches: Sequence[str]) -> list[BranchEvidence]:
     """Evidence for every level k = 1..k_max, k-major, branches in the given
     order within each k."""
+    n_eff = _walk_n_eff(op, cfg, 0)
+    if n_eff is None:
+        raise InvalidSpecError("weight table too small for the requested horizon")
     return [_avg_branch_evidence(op, k, branch, cfg, n_eff)
             for k in range(1, cfg.k_max + 1) for branch in branches]
 
@@ -287,7 +296,7 @@ def _avg_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     """Running averages of the left and right branch terms (_avg_term_logs):
     divergence of either branch at any level certifies average expansivity
     of a bilateral shift."""
-    evidence = _avg_evidence(op, cfg, ("left", "right"), _avg_n_eff(op, cfg))
+    evidence = _avg_evidence(op, cfg, ("left", "right"))
     left = any(ev.certified for ev in evidence if ev.label == "left")
     right = any(ev.certified for ev in evidence if ev.label == "right")
     branch = {(True, True): "both", (True, False): "left", (False, True): "right",
@@ -312,7 +321,7 @@ def _avg_pos_expansive(op: ShiftOperator, cfg: HorizonConfig, criterion: str) ->
         branch = "unilateral"
     else:
         branch = "left" if criterion == "ape" else "right"
-    evidence = _avg_evidence(op, cfg, (branch,), _avg_n_eff(op, cfg))
+    evidence = _avg_evidence(op, cfg, (branch,))
     kind = _kind(any(ev.certified for ev in evidence),
                  all(ev.attestation is not None for ev in evidence))
     return Verdict("avg-pos-expansive", kind, branch=branch,
@@ -353,25 +362,23 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     tail-edge candidates does not change the infimum (the window value is
     then a true infimum for attested ratio profiles).
 
-    Attested weights are constant, so the weight product is the same in
-    every column, and the infimum at step n is where the matrix ratio
-    a(j+s, l)/a(j, k) is least (s = n for the A-form, -n for the B-form):
-    at a column the matrix family names (its ratio_minimisers),
-    clipped to the edge-trimmed window, or at a tail edge.  Only those
+    Attested weights are constant, so the walk sum is one float array at
+    every column: the value at j is (log2 a(j+s, l) + walk) - log2 a(j, k),
+    s = n (A-form) or -n (B-form), that is _orbit_log2 at e_j less
+    log2 ||e_j||_k.  The infimum at step n is where a(j+s, l)/a(j, k) is
+    least: at a column the matrix family names (its ratio_minimisers),
+    clipped to the edge-trimmed window, or at a tail edge; only those
     columns are read.  usable compares the interior minimum with each edge
-    in float order, and exactly where the two are within _TIE_LOG2.
+    in float order, and on power rows exactly where the two are within
+    _TIE_LOG2.
     """
     m = op.space.matrix
     lo, hi, tail_edges = _split_window(op, split, cfg)
     s = np.arange(1, n_eff + 1) if form == "A" else -np.arange(1, n_eff + 1)
     ext_lo, ext_hi = (lo, hi + n_eff) if form == "A" else (lo - n_eff, hi)
-
-    prefix = np.concatenate(([0.0], np.cumsum(op.weights.log2_window(ext_lo - 1, ext_hi + 1))))
-    # with P(i) = prefix[i - ext_lo + 1] the log-prefix ending just before i, g
-    # holds la_l(i) + P(i) from ext_lo, h holds la_k(j) + P(j) from lo
-    g = m.log2_row(level, ext_lo, ext_hi) + prefix[1:ext_hi - ext_lo + 2]
+    la_l = m.log2_row(level, ext_lo, ext_hi)
     la_k = m.log2_row(k, lo, hi)
-    h = la_k + prefix[lo - ext_lo + 1:hi - ext_lo + 2]
+    walk = _walk_log2(op, 0, n_eff, 1 if form == "A" else -1)
 
     nz = np.flatnonzero(la_k != ZERO_LOG2)
     if not nz.size:
@@ -384,7 +391,7 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     t_hi = ends["hi"] - (ends["hi"] in edges)
 
     def log2_ratios(cols):  # at column(s) j and step n
-        return g[cols + s - ext_lo] - h[cols - lo]
+        return (la_l[cols + s - ext_lo] + walk) - la_k[cols - lo]
 
     columns, ratio = m.ratio_minimisers(k, level, s)
     interior = np.full(n_eff, np.inf)  # an empty interior never attains
@@ -395,27 +402,15 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
         edge_vals = log2_ratios(edge)
         curve = np.minimum(curve, edge_vals)
         attains = interior <= edge_vals
-        gap = np.subtract(interior, edge_vals, out=np.full(n_eff, np.inf),
-                          where=np.isfinite(interior) & np.isfinite(edge_vals))
-        near = np.abs(gap) <= _TIE_LOG2
-        if ratio is None:  # the finite ratios at a step are all equal
-            attains |= near
-        else:
-            for i in np.flatnonzero(near).tolist():
+        if ratio is not None:
+            gap = np.subtract(interior, edge_vals, out=np.full(n_eff, np.inf),
+                              where=np.isfinite(interior) & np.isfinite(edge_vals))
+            for i in np.flatnonzero(np.abs(gap) <= _TIE_LOG2).tolist():
                 si = int(s[i])
                 cols = (t_lo, t_hi, *m.ratio_minimisers(k, level, si)[0])
                 attains[i] = min(ratio(min(max(j, t_lo), t_hi), si) for j in cols) <= ratio(edge, si)
         usable &= attains
     return curve, usable
-
-
-def _ue_n_eff(op: ShiftOperator, cfg: HorizonConfig, radius: int) -> Optional[int]:
-    """cfg.n_max, cut to what a finite weight table reaches from within
-    `radius`; None when the table does not reach past it.  Such a table has
-    an 'error' tail, so its pair is unattested and computes no curve."""
-    lo, hi = op.weights.defined_range() or (-math.inf, math.inf)
-    room = min(abs(lo), abs(hi)) - radius - 2
-    return min(cfg.n_max, room) if room >= 1 else None
 
 
 def _ue_property_for_k(op: ShiftOperator, k: int, prop: str, cfg: HorizonConfig,
@@ -479,7 +474,7 @@ def _unif_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
         return Verdict("unif-expansive", verdict.kind, property_label=prop,
                        evidence=verdict.evidence, notes=notes, config=cfg)
     attestation = (tail_attestation(op) or {}).get("profile")
-    n_eff = _ue_n_eff(op, cfg, cfg.window)
+    n_eff = _walk_n_eff(op, cfg, cfg.window)
     holders = []
     evidence = []
     for regime in ("A", "B", "C"):
@@ -501,7 +496,7 @@ def _unif_pos_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     """Uniform positive expansivity: regime (A) alone for forward shifts
     (bilateral or unilateral), regime (a) for bilateral backward shifts."""
     if op.direction == "forward":
-        holds, evidence = _ue_regime(op, "A", cfg, _ue_n_eff(op, cfg, cfg.window),
+        holds, evidence = _ue_regime(op, "A", cfg, _walk_n_eff(op, cfg, cfg.window),
                                      (tail_attestation(op) or {}).get("profile"))
         return Verdict("unif-pos-expansive", _kind(holds, False),
                        property_label="A" if holds else "none",
@@ -527,7 +522,7 @@ def _basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     window, does some level's two-sided orbit-norm sup cross the whole grid?
     The full expansivity condition quantifies over all vectors; basis orbits
     are the computable shadow."""
-    n_eff = _ue_n_eff(op, cfg, cfg.basis_window)
+    n_eff = _walk_n_eff(op, cfg, cfg.basis_window)
     if n_eff is None:
         raise InvalidSpecError(f"weight table too small for a window of radius {cfg.basis_window}")
     j_lo = 1 if not op.bilateral else -cfg.basis_window
@@ -591,7 +586,9 @@ def _mixing(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     some branch terms diverge in average, so this must not certify: the
     exclusion is asserted by the hierarchy tests."""
     tau_grid = [2.0 ** (-m) for m in range(0, 11)]
-    n_eff = _avg_n_eff(op, cfg)
+    n_eff = _walk_n_eff(op, cfg, 0)
+    if n_eff is None:
+        raise InvalidSpecError("weight table too small for the requested horizon")
     evidence = []
     mixing = True
     definitive_not = False

@@ -7,8 +7,8 @@ Basis action conventions (bilateral):
 
 The walk rule, d = -1 backward and +1 forward: T^i e_{j0} is
 (w_{j0} w_{j0+d} ... w_{j0+(i-1)d}) e_{j0+id} and T^-i e_{j0} is
-e_{j0-id} / (w_{j0-d} ... w_{j0-id}).  basis_orbit_norm follows it exactly,
-and the log lane's orbit curves sum the log2 weights in that walk order.
+e_{j0-id} / (w_{j0-d} ... w_{j0-id}).  basis_orbit_norm and window_check
+follow it exactly, and every log-lane orbit norm sums its log2 weights in it.
 
 Unilateral spaces use indices 1, 2, 3, ...; the unilateral backward shift
 kills e_1 and the unilateral forward shift has no inverse.  All weights are
@@ -340,29 +340,24 @@ class WitnessReport:
 
 
 def _ratio_terms(op: ShiftOperator, condition: str, k: int, level: int, window: int):
-    """Exact (numerator, denominator) pairs over the window for one condition.
+    """Exact (numerator, denominator) pairs over the window for one condition,
+    by the walk rule T e_i = w(i) e_{i+d} with i = j + (d < 0):
 
-    backward defined:    a(j,k) |w(j+1)|   vs  a(j+1, l)
-    backward invertible: a(j+1,k)          vs  a(j, l) |w(j+1)|
-    forward defined:     a(j+1,k) |w(j)|   vs  a(j, l)
-    forward invertible:  a(j,k)            vs  a(j+1, l) |w(j)|
+    defined:     ||T e_i||_k = a(i+d, k) |w(i)|  vs  ||e_i||_l = a(i, l)
+    invertible:  ||T^-1 e_{i+d}||_k vs ||e_{i+d}||_l, times |w(i)|:
+                 a(i, k)  vs  a(i+d, l) |w(i)|
     """
-    m = op.space.matrix
-    w = op.weights
+    m, w = op.space.matrix, op.weights
+    d = -1 if op.direction == "backward" else 1
     lo = 1 if not op.bilateral else -window
     pairs = []
     for j in range(lo, window + 1):
+        i = j + (d < 0)
         try:
             if condition == "defined":
-                if op.direction == "backward":
-                    num, den = m.entry(j, k) * w.value(j + 1), m.entry(j + 1, level)
-                else:
-                    num, den = m.entry(j + 1, k) * w.value(j), m.entry(j, level)
+                num, den = m.entry(i + d, k) * w.value(i), m.entry(i, level)
             else:
-                if op.direction == "backward":
-                    num, den = m.entry(j + 1, k), m.entry(j, level) * w.value(j + 1)
-                else:
-                    num, den = m.entry(j, k), m.entry(j + 1, level) * w.value(j)
+                num, den = m.entry(i, k), m.entry(i + d, level) * w.value(i)
         except (UndefinedWeightError, IndexError):
             continue
         pairs.append((j, num, den))

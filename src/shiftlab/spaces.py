@@ -266,6 +266,8 @@ class ScaledMatrix(KotheMatrix):
 
 
 def constant_matrix(value: Fraction | int = 1, index_set: str = _BILATERAL) -> ConstantMatrix:
+    if Fraction(value) <= 0:  # every row must be eventually positive
+        raise InvalidSpecError(f"constant matrix value must be > 0, got {value}")
     return ConstantMatrix(Fraction(value), index_set)
 
 
@@ -370,8 +372,8 @@ def space_from_json(obj: dict) -> SpaceSpec:
             f"space JSON field 'index_set' must be 'Z' or 'N', got {index_set!r}")
     p = obj.get("p", 0)
     if fam == "constant":
-        value = params.get("value")
-        matrix = constant_matrix(exact_from_json(value) if value else 1, index_set)
+        matrix = constant_matrix(exact_from_json(params["value"]) if "value" in params else 1,
+                                 index_set)
     elif fam == "power":
         matrix = PowerMatrix(index_set)
     elif fam == "halfline":

@@ -3,11 +3,13 @@
 The commands are ``check --space S --weights W --side D --criterion C`` at a
 short horizon (``--n-max 600 --window 60 --m-grid 1,2,4``) over every S, W, D
 and C below, plus ``props``, all run in one process through
-``shiftlab.cli.main``.  The weights above are dyadic, whose log prefix sums
+``shiftlab.cli.main``.  The weights above are dyadic, whose log walk sums
 are exact; the uniform criteria also run with non-dyadic constants at
-windows 3 and 60, where mathematically equal ratios differ in rounding.  A row holds the exit code, the verdict summary, the
-sha256 of stdout and, for an internal error (exit 3), the last line of the
-traceback, ``Type: message``.  The test names every row that differs.
+windows 3 and 60, whose walk sums round (equal ratios at a step still read
+one float on constant and step rows).  A row holds the exit code, the
+verdict summary, the sha256 of stdout and, for an internal error (exit 3),
+the last line of the traceback, ``Type: message``.  The test names every
+row that differs.
 
 A row may move only when a recorded defect is fixed.  Re-record the table with
 

@@ -10,7 +10,8 @@ import bench_blocks  # noqa: E402
 import bench_kernels  # noqa: E402
 
 TINY_KERNELS = {"bench_running_average": {"n": 1_000},
-                "bench_basis_diagnostic": {"n_max": 20, "basis_window": 2}}
+                "bench_basis_diagnostic": {"n_max": 20, "basis_window": 2},
+                "bench_uniform_curve": {"n_max": 20, "window": 4}}
 
 
 def test_bench_kernels_at_tiny_size():

@@ -145,6 +145,20 @@ class TestCheck:
         assert code == EXIT_USAGE
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("value, message", [
+        ({"num": "0", "den": "1"}, "constant matrix value must be > 0, got 0"),
+        ({"num": "-3", "den": "1"}, "constant matrix value must be > 0, got -3"),
+        ({}, 'exact scalar must be {"num": <int>, "den": <nonzero int>}, got {}'),
+    ])
+    def test_constant_space_value_must_be_positive(self, capsys, tmp_path, value, message):
+        # rows must be eventually positive; {} is a malformed scalar, not 1
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"family": "constant", "params": {"value": value}}))
+        code, _, err = run(capsys, "check", "--space", f"@{path}", "--weights", "constant:2",
+                           "--criterion", "ue", "--n-max", "8", "--window", "4")
+        assert code == EXIT_USAGE
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("spec, message", [
         ({"family": "table", "tail": "hold"}, "weight JSON has no 'table' field"),
         ({"family": "table", "table": [1]}, "weight JSON field 'table' must be an object, got [1]"),
@@ -288,7 +302,9 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--space", "c0_Z", "--weights", "blocks:2",
                            "--criterion", "ue", "--window", "100", "--no-timestamp")
         assert code == EXIT_OK
-        assert {ev["n_eff"] for ev in json.loads(out)["report"]["evidence"]} == {70}
+        # the dual of blocks:2 has weights on [-173, 172]: forward walks of
+        # 73 steps from [-100, 100] read w(-173..172)
+        assert {ev["n_eff"] for ev in json.loads(out)["report"]["evidence"]} == {73}
 
     def test_missing_option_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "check", "--space", "c0_Z")

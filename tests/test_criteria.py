@@ -18,13 +18,15 @@ from shiftlab.criteria import (
     Crossing,
     HorizonConfig,
     VerdictKind,
-    _avg_n_eff,
     _first_crossings,
+    _orbit_log2,
+    _walk_n_eff,
     check_criterion,
     hierarchy_audit,
 )
 from shiftlab.shifts import (
     ShiftOperator,
+    UndefinedWeightError,
     constant_weights,
     geometric_weights,
     parse_weights,
@@ -205,17 +207,19 @@ class TestAvgPosExpansive:
         assert v.kind is VerdictKind.BOUNDED_WITNESS
 
 
-def _avg_n_eff_loop(op, cfg):
-    """The step-by-step search _avg_n_eff's closed form replaced: from n_max
-    down, the first n whose branch terms read only weights in the table's
-    reach (w(-n+1..n) backward, w(-n..n-1) forward, w(1..n-1) on a
-    unilateral forward shift)."""
+def _walk_n_eff_loop(op, cfg, radius):
+    """The step-by-step search _walk_n_eff solves in closed form: from n_max
+    down, the first n whose walks from the window ([-r, r], or [1, r] on a
+    unilateral shift) read only weights in the table's reach: w(-r-n+1..r+n)
+    backward, w(-r-n..r+n-1) forward and w(1..r+n-1) on a unilateral forward
+    shift (radius 0: the averages' n - 1 steps from e_1); None when none
+    does."""
     if op.direction == "backward":
-        need_lo, need_hi = (lambda n: -n + 1), (lambda n: n)
+        need_lo, need_hi = (lambda n: -radius - n + 1), (lambda n: radius + n)
     elif op.bilateral:
-        need_lo, need_hi = (lambda n: -n), (lambda n: n - 1)
+        need_lo, need_hi = (lambda n: -radius - n), (lambda n: radius + n - 1)
     else:
-        need_lo, need_hi = (lambda n: 1), (lambda n: n - 1)
+        need_lo, need_hi = (lambda n: 1), (lambda n: radius + n - 1)
     reach = op.weights.defined_range()
     n = cfg.n_max
     if reach is None:
@@ -223,32 +227,63 @@ def _avg_n_eff_loop(op, cfg):
     lo, hi = reach
     while n >= 1 and not (need_lo(n) >= lo and need_hi(n) <= hi):
         n -= 1
-    if n < 1:
-        raise InvalidSpecError("weight table too small for the requested horizon")
-    return n
+    return n if n >= 1 else None
+
+
+def _reach_weights(reach):
+    """reach None: constant weights, defined everywhere; else an 'error'
+    table on [lo, lo + width]."""
+    return (constant_weights(2) if reach is None
+            else table_weights({j: 2 for j in range(reach[0], sum(reach) + 1)}))
+
+
+REACHES = st.one_of(st.none(), st.tuples(st.integers(-80, 60), st.integers(0, 200)))
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(st.none(), st.tuples(st.integers(-12, 12), st.integers(0, 30))),
-       st.integers(1, 40), st.sampled_from(["backward", "forward"]),
-       st.sampled_from(["c0_Z", "c0_N"]))
-@example((1, 3), 9, "forward", "c0_N")  # a unilateral table from 1 is cut at hi + 1
-@example((2, 3), 9, "forward", "c0_N")  # one from 2 misses w(1)
-def test_avg_n_eff_closed_form_matches_the_loop(reach, n_max, direction, space):
-    # reach None: constant weights, defined everywhere; else a table on
-    # [lo, lo + width]
-    weights = (constant_weights(2) if reach is None
-               else table_weights({j: 2 for j in range(reach[0], sum(reach) + 1)}))
-    op = ShiftOperator(direction, weights, preset(space))
+@given(REACHES, st.integers(1, 40), st.sampled_from([0, 1, 7, 50]),
+       st.sampled_from([("backward", "c0_Z"), ("forward", "c0_Z"), ("forward", "c0_N")]))
+@example((1, 3), 9, 0, ("forward", "c0_N"))  # a unilateral table from 1 is cut at hi + 1
+@example((2, 3), 9, 0, ("forward", "c0_N"))  # one from 2 misses w(1)
+@example((-80, 200), 40, 50, ("backward", "c0_Z"))  # radius 50 leaves 31 steps below
+def test_walk_n_eff_closed_form_matches_the_loop(reach, n_max, radius, shift):
+    op = ShiftOperator(shift[0], _reach_weights(reach), preset(shift[1]))
     cfg = HorizonConfig(n_max=n_max, window=8)
-    try:
-        want = _avg_n_eff_loop(op, cfg)
-    except InvalidSpecError as exc:
+    want = _walk_n_eff_loop(op, cfg, radius)
+    assert _walk_n_eff(op, cfg, radius) == want
+    if radius == 0 and want is None:  # the averages keep their message
         with pytest.raises(InvalidSpecError) as got:
-            _avg_n_eff(op, cfg)
-        assert str(got.value) == str(exc)
-        return
-    assert _avg_n_eff(op, cfg) == want
+            check_criterion(op, "ape", cfg)
+        assert str(got.value) == "weight table too small for the requested horizon"
+
+
+def _walks_read_inside(op, radius, n):
+    """Whether the orbit walks of n steps from every basis index within
+    radius read only weights of the table, which raises otherwise."""
+    try:
+        for j0 in range(-radius if op.bilateral else 1, radius + 1):
+            _orbit_log2(op, j0, 1, n)
+    except UndefinedWeightError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(REACHES, st.integers(1, 40), st.sampled_from([1, 7, 50]),
+       st.sampled_from(["backward", "forward"]), st.sampled_from(["c0_Z", "c0_N"]))
+@example((1, 60), 40, 7, "backward", "c0_N")  # T e_1 reads w(1), T^2 e_1 also w(0)
+@example((-40, 60), 40, 7, "backward", "c0_N")
+@example((-80, 100), 40, 7, "forward", "c0_Z")  # the table's top binds
+@example((-30, 150), 40, 7, "backward", "c0_Z")  # its bottom binds
+def test_walk_n_eff_is_the_longest_walk_inside_the_table(reach, n_max, radius,
+                                                        direction, space):
+    # on a unilateral backward shift too, where T^n e_j reads w(j - n + 1..j)
+    # below the index set
+    op = ShiftOperator(direction, _reach_weights(reach), preset(space))
+    n = _walk_n_eff(op, HorizonConfig(n_max=n_max, window=8), radius)
+    assert n is None or _walks_read_inside(op, radius, n)
+    if (n or 0) < n_max:
+        assert not _walks_read_inside(op, radius, (n or 0) + 1)
 
 
 class TestFirstCrossings:

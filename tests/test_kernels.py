@@ -3,18 +3,21 @@
 The running average agrees with a sequential loop within its error budget.
 criteria._ue_curve reads only the columns its matrix family names; for each
 attested family its curve must be bitwise the per-n sweep over every valid
-column (values as bytes), and usable the sweep's own edge check, wherever
-the log prefix sums are exact (dyadic weights).
+column (values as bytes), and usable the sweep's own edge check.  Both read
+a column as (log2 a(j+s, l) + W[n]) - log2 a(j, k), W the walk sum, so on
+constant and step rows, where every finite value at a step is the same
+float, any constant weight matches; power rows draw dyadic weights.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftlab import _kernels
-from shiftlab.criteria import HorizonConfig, _split_window, _ue_curve
+from shiftlab.criteria import HorizonConfig, _orbit_log2, _split_window, _ue_curve
 from shiftlab.shifts import ShiftOperator, constant_weights
 from shiftlab.spaces import PowerMatrix, SpaceSpec, preset
 
@@ -33,44 +36,63 @@ def running_log2_average_reference(log_terms):
     return np.array(out)
 
 
-def window_inf_curve_reference(g, h, valid, n_max):
-    """The per-n loop: one gather over the valid indices per step."""
+def window_inf_curve_reference(g, h, valid, walk):
+    """The per-n loop: one gather over the valid indices per step, each
+    value (g[j + n] + walk[n - 1]) - h[j]."""
     g = np.asarray(g, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     valid = np.asarray(valid, dtype=bool)
+    n_max = len(walk)
     inf_curve = np.full(n_max, np.inf, dtype=np.float64)
     if not valid.any():
         return inf_curve
     idx = np.nonzero(valid)[0]
     hv = h[idx]
     for n in range(1, n_max + 1):
-        vals = g[idx + n] - hv
+        vals = (g[idx + n] + walk[n - 1]) - hv
         inf_curve[n - 1] = vals[int(np.argmin(vals))]
     return inf_curve
 
 
+def walk_reference(op, n, sign):
+    """log2 |coefficient| of T^(sign i) e_0 at i = 1..n, one weight at a
+    time in walk order (d = -1 backward, +1 forward: T^i e_0 meets w(0),
+    w(d), ..., T^-i e_0 meets w(-d), w(-2d), ...)."""
+    step = sign * (-1 if op.direction == "backward" else 1)
+    j = 0 if sign > 0 else step
+    acc, out = 0.0, []
+    for _ in range(n):
+        acc += op.weights.log2(j)
+        out.append(acc if sign > 0 else -acc)
+        j += step
+    return out
+
+
 def ue_curve_reference(op, k, level, split, form, cfg, n_eff):
     """_ue_curve by sweeping: the per-n loop over every valid column, then
-    over the edge-trimmed columns; usable where the two agree."""
+    over the edge-trimmed columns; usable where the two agree.  A column's
+    value is (log2 a(j+s, l) + W[n]) - log2 a(j, k), s = n (A-form) or -n
+    (B-form), W the walk sum from e_0: the weights are constant, so the
+    walk from every column is the same."""
     m = op.space.matrix
     lo, hi, tail_edges = _split_window(op, split, cfg)
     ext_lo, ext_hi = (lo, hi + n_eff) if form == "A" else (lo - n_eff, hi)
-    prefix = np.concatenate(([0.0], np.cumsum(op.weights.log2_window(ext_lo - 1, ext_hi + 1))))
-    la_k = m.log2_row(k, lo, hi)
-    g = m.log2_row(level, ext_lo, ext_hi) + prefix[1:ext_hi - ext_lo + 2]
-    h = la_k + prefix[lo - ext_lo + 1:hi - ext_lo + 2]
-    valid = la_k != -np.inf
+    g = m.log2_row(level, ext_lo, ext_hi)
+    h = m.log2_row(k, lo, hi)
+    walk = walk_reference(op, n_eff, 1 if form == "A" else -1)
+    valid = h != -np.inf
     if form == "B":
-        # value(j, n) = g[j - n] - h[j]: reversed, it is the loop's g[j + n] - h[j]
+        # value(j, n) = (g[j - n] + W[n]) - h[j]: reversed, it is the loop's
+        # (g[j + n] + W[n]) - h[j]
         g, h, valid = g[::-1], h[::-1], valid[::-1]
         tail_edges = [{"lo": "hi", "hi": "lo"}[e] for e in tail_edges]
-    curve = window_inf_curve_reference(g, h, valid, n_eff)
+    curve = window_inf_curve_reference(g, h, valid, walk)
     if not valid.any():
         return curve, np.ones(n_eff, dtype=bool)
     nz = np.flatnonzero(valid)
     trimmed = valid.copy()
     trimmed[[nz[0] if e == "lo" else nz[-1] for e in tail_edges]] = False
-    return curve, window_inf_curve_reference(g, h, trimmed, n_eff) == curve
+    return curve, window_inf_curve_reference(g, h, trimmed, walk) == curve
 
 
 class TestRunningAverage:
@@ -93,18 +115,20 @@ class TestRunningAverage:
         np.testing.assert_allclose(out, want, rtol=1e-12)
 
 
-DYADIC = st.sampled_from([2, 1 / 2, 1, 4, 1 / 8, 1 / 4])
+DYADIC = [2, 1 / 2, 1, 4, 1 / 8, 1 / 4]
+# log2 of these is not a short binary fraction, so walk sums round
+NON_DYADIC = [Fraction(5, 2), Fraction(2, 3), Fraction(7, 5), 3, Fraction(1001, 1000)]
 
 
 @st.composite
-def curve_cases(draw, spaces):
+def curve_cases(draw, spaces, weights=DYADIC):
     """(op, k, level, split, form, cfg, n_eff) over one matrix family."""
     space = draw(st.sampled_from(spaces))
     k = draw(st.integers(1, 3))
     level = draw(st.integers(k, k + 5))
     n_eff = draw(st.integers(1, 120))
     window = draw(st.integers(1, 40))
-    op = ShiftOperator("forward", constant_weights(draw(DYADIC)), space)
+    op = ShiftOperator("forward", constant_weights(draw(st.sampled_from(weights))), space)
     split = draw(st.sampled_from(("Z", "N", "-N") if op.bilateral else ("N",)))
     form = draw(st.sampled_from("AB"))
     return op, k, level, split, form, HorizonConfig(n_max=n_eff, window=window), n_eff
@@ -119,16 +143,17 @@ def assert_matches_sweep(case):
 
 
 class TestUeCurveMatchesSweep:
-    """One family per test: constant rows (on Z and on N), the half-line
-    step, and the power rows of s (on Z and on N)."""
+    """One family per test: constant rows (on Z and on N) and the half-line
+    step, on dyadic and non-dyadic weights, and the power rows of s (on Z
+    and on N) on dyadic weights."""
 
     @settings(max_examples=150, deadline=None)
-    @given(curve_cases([preset("c0_Z"), preset("lp_N", 2)]))
+    @given(curve_cases([preset("c0_Z"), preset("lp_N", 2)], DYADIC + NON_DYADIC))
     def test_constant_family(self, case):
         assert_matches_sweep(case)
 
     @settings(max_examples=150, deadline=None)
-    @given(curve_cases([preset("halfline_Z")]))
+    @given(curve_cases([preset("halfline_Z")], DYADIC + NON_DYADIC))
     def test_step_family(self, case):
         assert_matches_sweep(case)
 
@@ -150,3 +175,30 @@ class TestUeCurveAtDefaultHorizon:
         op = ShiftOperator("forward", constant_weights(2), spec)
         cfg = HorizonConfig()
         assert_matches_sweep((op, 1, 3, "Z" if op.bilateral else "N", form, cfg, cfg.n_max))
+
+
+class TestUeCurveIsTheOrbitNorm:
+    """On constant and step rows every finite ratio at a step is the same
+    float, the least being at the low end j of the valid run: the curve is
+    bitwise _orbit_log2 at e_j (its T^n row for the A-form, T^-n for the
+    B-form, which only bilateral shifts take) less log2 ||e_j||_k, with
+    non-dyadic weights too."""
+
+    @pytest.mark.parametrize("c", [Fraction(5, 2), Fraction(2, 3)])
+    @pytest.mark.parametrize("space", ["c0_Z", "lp_N", "halfline_Z"])
+    def test_curve_is_orbit_log2_at_the_low_end(self, space, c):
+        spec = preset(space, 2) if space == "lp_N" else preset(space)
+        op = ShiftOperator("forward", constant_weights(c), spec)
+        cfg, n_eff = HorizonConfig(n_max=200, window=30), 200
+        for split in ("Z", "N", "-N") if op.bilateral else ("N",):
+            lo, hi, _ = _split_window(op, split, cfg)
+            for form in "AB" if op.bilateral else "A":
+                for k, level in ((1, 1), (1, 3), (2, 4)):
+                    nz = np.flatnonzero(spec.matrix.log2_row(k, lo, hi) != -np.inf)
+                    if not nz.size:
+                        continue  # no valid column: the curve is +inf
+                    j = lo + int(nz[0])
+                    pos, neg = _orbit_log2(op, j, level, n_eff)
+                    want = (pos if form == "A" else neg) - spec.matrix.log2_row(k, j, j)
+                    curve, _ = _ue_curve(op, k, level, split, form, cfg, n_eff)
+                    assert curve.tobytes() == want.tobytes(), (split, form, k, level)
