@@ -34,7 +34,7 @@ for a family pair without a tail attestation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -229,20 +229,17 @@ def _avg_term_logs(op: ShiftOperator, k: int, branch: str, n_eff: int) -> np.nda
     return pos if branch == "left" else neg
 
 
-def _avg_bound_attestation(op: ShiftOperator, terms: np.ndarray) -> Optional[tuple[float, str]]:
-    """Per-term bound plus tail attestation, when the family pair supports one.
-
-    The structural gate is shifts.tail_attestation; the numeric gate requires
-    the term maximum to sit at the start (nonincreasing profile) or strictly
-    inside the window (unimodal peak).
-    """
-    if tail_attestation(op) is None or terms.size == 0:
+def _window_bound(op: ShiftOperator, values: np.ndarray) -> Optional[tuple[int, dict]]:
+    """The window-bound rule of ae, ape, mixing and e: (index of the
+    maximum, tail attestation) when shifts.tail_attestation attests the
+    family pair and the maximum of values sits at the start (nonincreasing
+    profile) or strictly inside the window (unimodal peak); else None, as
+    for a sequence still rising at the window edge."""
+    attestation = tail_attestation(op)
+    if attestation is None or values.size == 0:
         return None
-    arg = int(np.argmax(terms))
-    if arg == terms.size - 1:
-        return None  # still growing at the window edge
-    profile = "nonincreasing term profile" if arg == 0 else "unimodal term profile"
-    return float(terms[arg]), f"{profile} ({op.space.matrix.tail_tag} matrix, constant weights)"
+    arg = int(np.argmax(values))
+    return None if arg == values.size - 1 else (arg, attestation)
 
 
 def _walk_n_eff(op: ShiftOperator, cfg: HorizonConfig, radius: int) -> Optional[int]:
@@ -267,12 +264,15 @@ def _avg_branch_evidence(op: ShiftOperator, k: int, branch: str,
     terms = _avg_term_logs(op, k, branch, n_eff)
     averages = _kernels.running_log2_average(terms)
     crossings, certified = _first_crossings(averages, cfg.m_grid)
-    bound = _avg_bound_attestation(op, terms)
-    return BranchEvidence(
-        k=k, level=k, label=branch, certified=certified, crossings=crossings,
-        bound_log2=None if bound is None else bound[0],
-        attestation=None if bound is None else bound[1],
-        n_eff=n_eff)
+    ev = BranchEvidence(k=k, level=k, label=branch, certified=certified,
+                        crossings=crossings, n_eff=n_eff)
+    bound = _window_bound(op, terms)
+    if bound is None:
+        return ev
+    arg, attestation = bound
+    profile = "nonincreasing term profile" if arg == 0 else "unimodal term profile"
+    return replace(ev, bound_log2=float(terms[arg]),
+                   attestation=f"{profile} ({attestation['name']} matrix, constant weights)")
 
 
 def _avg_evidence(op: ShiftOperator, cfg: HorizonConfig,
@@ -435,12 +435,14 @@ def _ue_property_for_k(op: ShiftOperator, k: int, prop: str, cfg: HorizonConfig,
     return None
 
 
-def _ue_regime(op: ShiftOperator, prop: str, cfg: HorizonConfig, n_eff: int,
-               attestation: Optional[str]):
+def _ue_regime(op: ShiftOperator, prop: str, cfg: HorizonConfig):
     """(holds, evidence) for one regime: a succeeding level at every k in
-    1..k_max.  The search stops at the first k with none, whose evidence
-    records the failure.  Without an attestation no level can succeed, so
-    no curve is computed: the report is the failing k = 1 row."""
+    1..k_max, up to the reach of the walks from the window.  The search
+    stops at the first k with none, whose evidence records the failure.
+    Without a ratio-profile attestation no level can succeed, so no curve is
+    computed: the report is the failing k = 1 row."""
+    attestation = (tail_attestation(op) or {}).get("profile")
+    n_eff = _walk_n_eff(op, cfg, cfg.window)
     evidence = []
     for k in range(1, cfg.k_max + 1):
         found = _ue_property_for_k(op, k, prop, cfg, n_eff) if attestation else None
@@ -473,12 +475,10 @@ def _unif_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
                                  if prop == "a" else ())
         return Verdict("unif-expansive", verdict.kind, property_label=prop,
                        evidence=verdict.evidence, notes=notes, config=cfg)
-    attestation = (tail_attestation(op) or {}).get("profile")
-    n_eff = _walk_n_eff(op, cfg, cfg.window)
     holders = []
     evidence = []
     for regime in ("A", "B", "C"):
-        holds, per_k = _ue_regime(op, regime, cfg, n_eff, attestation)
+        holds, per_k = _ue_regime(op, regime, cfg)
         evidence.extend(per_k)
         if holds:
             holders.append(regime)
@@ -487,7 +487,7 @@ def _unif_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     return Verdict("unif-expansive", _kind(bool(holders), False),
                    property_label=holders[0] if holders else "none",
                    evidence=tuple(evidence), config=cfg,
-                   notes=() if attestation else
+                   notes=() if evidence[0].attestation else
                    ("no ratio-profile attestation for this weight family; "
                     "certificates unavailable, window evidence only",))
 
@@ -496,8 +496,7 @@ def _unif_pos_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     """Uniform positive expansivity: regime (A) alone for forward shifts
     (bilateral or unilateral), regime (a) for bilateral backward shifts."""
     if op.direction == "forward":
-        holds, evidence = _ue_regime(op, "A", cfg, _walk_n_eff(op, cfg, cfg.window),
-                                     (tail_attestation(op) or {}).get("profile"))
+        holds, evidence = _ue_regime(op, "A", cfg)
         return Verdict("unif-pos-expansive", _kind(holds, False),
                        property_label="A" if holds else "none",
                        evidence=tuple(evidence), config=cfg)
@@ -529,7 +528,6 @@ def _basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     evidence = []
     all_certified = True
     all_bounded = True
-    pair_ok = tail_attestation(op) is not None
     for j0 in range(j_lo, cfg.basis_window + 1):
         best: Optional[BranchEvidence] = None
         for k in range(1, cfg.k_max + 1):
@@ -543,12 +541,10 @@ def _basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
             if certified:
                 best = ev
                 break
-            # no bound from a sup still rising at the window edge
-            if pair_ok and int(np.argmax(norms)) < norms.size - 1:
-                ev = BranchEvidence(k=k, level=k, label=f"e_{j0}", certified=False,
-                                    crossings=crossings, bound_log2=float(norms.max()),
-                                    attestation="orbit norms attested monotone beyond window",
-                                    n_eff=n_eff)
+            bound = _window_bound(op, norms)
+            if bound is not None:
+                ev = replace(ev, bound_log2=float(norms[bound[0]]),
+                             attestation="orbit norms attested monotone beyond window")
             best = ev
         evidence.append(best)
         if not best.certified:
@@ -595,7 +591,7 @@ def _mixing(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     for k in range(1, cfg.k_max + 1):
         for branch in ("left", "right"):
             terms = _avg_term_logs(op, k, branch, n_eff)
-            attested = _avg_bound_attestation(op, terms) is not None
+            attested = _window_bound(op, terms) is not None
             certified, settle = _null_certification(terms, attested, tau_grid)
             crossings, unbounded = _first_crossings(terms, cfg.m_grid)
             evidence.append(BranchEvidence(

@@ -38,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import ClassVar, Optional
+from typing import Optional
 
 from .scalars import exact_from_json, exact_to_json, json_field, log2_exact
 from .spaces import InvalidSpecError, ScaledMatrix, SpaceSpec
@@ -82,9 +82,9 @@ class WeightSequence:
     """Base of the weight families: nonzero weight magnitudes w(j), read as
     the (start, length, value) runs that cover [lo, hi] exactly (_runs; []
     if hi < lo), which raise UndefinedWeightError at the first index no run
-    covers."""
+    covers.  A weight family carries no tail attestation: tail_attestation
+    admits ConstantWeights and their duals by type."""
 
-    tail_tag: ClassVar[Optional[str]] = None
     _log2_cache: object = field(default=None, init=False, repr=False, compare=False)
 
     def value(self, j: int) -> Fraction:
@@ -122,7 +122,6 @@ class ConstantWeights(WeightSequence):
     """w(j) = weight at every j: one run."""
 
     weight: Fraction
-    tail_tag = "constant"
 
     def _runs(self, lo: int, hi: int) -> list:
         return [(lo, hi - lo + 1, self.weight)] if lo <= hi else []
@@ -194,10 +193,6 @@ class DualWeights(WeightSequence):
 
     base: WeightSequence
     shift: int
-
-    @property
-    def tail_tag(self) -> Optional[str]:
-        return self.base.tail_tag
 
     def _runs(self, lo: int, hi: int) -> list:
         s = self.shift
@@ -364,29 +359,14 @@ def _ratio_terms(op: ShiftOperator, condition: str, k: int, level: int, window: 
     return pairs
 
 
-# The one table of tail attestations.  A (matrix, weight) family pair is
-# attested when its weights are constant and its matrix tail tag is listed;
-# the entry says why window_check's ratio sup ("ratio") and a uniform ratio
-# profile ("profile") extend past the window.  A "hold" matrix attests the
-# running-average term profiles and the "e" orbit bound (an empty entry
-# attests), which need no stored reason.
-_TAIL_ATTESTATIONS = {
-    "constant": {"ratio": "constant matrix rows and constant weights: ratio constant in j",
-                 "profile": "constant ratio profile in j"},
-    "step": {"ratio": "step matrix and constant weights: ratio eventually constant on each tail",
-             "profile": "ratio profile constant on the support"},
-    "polynomial": {"ratio": "polynomial matrix and constant weights: ratio monotone on each tail",
-                   "profile": "ratio profile unimodal in j on each half-line"},
-    "hold": {},
-}
-
-
 def tail_attestation(op: ShiftOperator) -> Optional[dict]:
-    """The _TAIL_ATTESTATIONS entry of the operator's family pair; None when
-    the pair has no tail attestation."""
-    if op.weights.tail_tag != "constant":
-        return None
-    return _TAIL_ATTESTATIONS.get(op.space.matrix.tail_tag)
+    """The one gate of tail attestations: the matrix family's attestation
+    (KotheMatrix) when the weights are constant, or the dual of constant
+    weights; None when the (matrix, weight) family pair has none."""
+    weights = op.weights
+    while isinstance(weights, DualWeights):
+        weights = weights.base
+    return op.space.matrix.attestation if isinstance(weights, ConstantWeights) else None
 
 
 def window_check(op: ShiftOperator, condition: str, k: int, cfg) -> WitnessReport:

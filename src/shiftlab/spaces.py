@@ -61,11 +61,15 @@ _UNILATERAL = "N"
 @dataclass(frozen=True)
 class KotheMatrix:
     """Base of the matrix families a(j, k).  A family gives its entries
-    (_entry), wire name and params, and tail_tag: the structural attestation
-    with which the finite-horizon checkers decide whether window extrema
-    extend to the index tails (None: no rule).
+    (_entry), wire name and params, and its tail attestation (None: no
+    rule), with which the finite-horizon checkers decide, under constant
+    weights (shifts.tail_attestation), whether window extrema extend to the
+    index tails: its name in reports, and the reasons why a window-check
+    ratio sup ("ratio") and a uniform ratio profile ("profile") do.  An
+    attestation without reasons attests only the running-average term
+    profiles and the "e" orbit bound.
 
-    The families with an attested ratio profile also give
+    The families with a "profile" reason, and only they, also give
     ratio_minimisers(k, l, s) -> (columns, ratio) for r(j) = a(j + s, l) /
     a(j, k), s an int array (one shift per step) or an int.  Over any run
     of consecutive valid columns (a(j, k) > 0), r is least at a run end or
@@ -74,7 +78,7 @@ class KotheMatrix:
     else the exact r(j) at (j, s)."""
 
     family: ClassVar[str]
-    tail_tag: ClassVar[Optional[str]] = None
+    attestation: ClassVar[Optional[dict]] = None
     index_set = _BILATERAL  # a field of the families that take either index set
     _log2_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _log2_half_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -136,7 +140,7 @@ class ConstantMatrix(KotheMatrix):
 
     value: Fraction
     index_set: str = _BILATERAL
-    family, tail_tag = "constant", "constant"
+    family = "constant"
 
     def _entry(self, j: int, k: int) -> Fraction:
         return self.value
@@ -144,6 +148,10 @@ class ConstantMatrix(KotheMatrix):
     def _log2_cells(self, k: int, lo: int, hi: int) -> np.ndarray:
         import numpy as np
         return np.full(hi - lo + 1, log2_exact(self.value))
+
+    attestation = {"name": "constant",
+                   "ratio": "constant matrix rows and constant weights: ratio constant in j",
+                   "profile": "constant ratio profile in j"}
 
     def ratio_minimisers(self, k: int, l: int, s):
         """r(j) is 0 while a(j + s, l) = 0 (j + s < 1 on N) and 1 after:
@@ -160,7 +168,7 @@ class PowerMatrix(KotheMatrix):
     """a(j, k) = (|j| + 1)**k, the rapidly-decreasing-sequences family."""
 
     index_set: str = _BILATERAL
-    family, tail_tag = "power", "polynomial"
+    family = "power"
 
     def _entry(self, j: int, k: int) -> Fraction:
         return Fraction((abs(j) + 1) ** k)
@@ -179,6 +187,10 @@ class PowerMatrix(KotheMatrix):
             (log2_exact((i + 1) ** k) for i in range(a, b + 1)),
             dtype=np.float64, count=b - a + 1))
         return row[mags - m_lo]
+
+    attestation = {"name": "polynomial",
+                   "ratio": "polynomial matrix and constant weights: ratio monotone on each tail",
+                   "profile": "ratio profile unimodal in j on each half-line"}
 
     def ratio_minimisers(self, k: int, l: int, s):
         """r(j) = (|j + s| + 1)**l / (|j| + 1)**k.  The kinks j = 0 and
@@ -208,10 +220,14 @@ class PowerMatrix(KotheMatrix):
 class HalflineMatrix(KotheMatrix):
     """a(j, k) = 1 for j > -k, else 0; rows fill in as the level grows."""
 
-    family, tail_tag = "halfline", "step"
+    family = "halfline"
 
     def _entry(self, j: int, k: int) -> Fraction:
         return Fraction(1) if j > -k else Fraction(0)
+
+    attestation = {"name": "step",
+                   "ratio": "step matrix and constant weights: ratio eventually constant on each tail",
+                   "profile": "ratio profile constant on the support"}
 
     def ratio_minimisers(self, k: int, l: int, s):
         """r(j) is 0 for j + s <= -l and 1 after: nondecreasing in j, so the
@@ -231,8 +247,8 @@ class TableMatrix(KotheMatrix):
     family = "table"
 
     @property
-    def tail_tag(self) -> Optional[str]:
-        return "hold" if self.tail == "hold" else None
+    def attestation(self) -> Optional[dict]:
+        return {"name": "hold"} if self.tail == "hold" else None
 
     def _entry(self, j: int, k: int) -> Fraction:
         lo, hi = self.lo, self.hi

@@ -15,7 +15,8 @@ A row may move only when a recorded defect is fixed.  Re-record the table with
 
     PYTHONPATH=src python tests/test_battery.py --record
 
-and list every changed row with its cause in CHANGES.md.
+which prints each row it moved, with the fields of it that changed, and
+their count; list every changed row with its cause in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -93,9 +94,19 @@ def run_battery() -> dict[str, dict]:
 
 
 def record() -> None:
+    old = json.loads(TABLE.read_text()) if TABLE.exists() else {}
     rows = run_battery()
     lines = [f"{json.dumps(cmd)}: {json.dumps(row, sort_keys=True)}" for cmd, row in rows.items()]
     TABLE.write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    moved = 0
+    for cmd in sorted(set(old) | set(rows)):
+        was, now = old.get(cmd), rows.get(cmd)
+        if was != now:
+            moved += 1
+            fields = ("new" if was is None else "gone" if now is None else
+                      ", ".join(f for f in sorted(set(was) | set(now)) if was.get(f) != now.get(f)))
+            print(f"{cmd}: {fields}")
+    print(f"{moved} of {len(rows)} rows moved")
 
 
 def test_battery_matches_table():

@@ -1,10 +1,13 @@
 """Matrix and weight families as types.
 
-Each family is a KotheMatrix or WeightSequence subclass.  Its tail_tag (the
-key of shifts._TAIL_ATTESTATIONS) follows from the type and its fields and
-is never a constructor argument; its JSON wire form reads back to an equal
-object; and no family overrides a method that perfbench/trace_op.py wraps
-on the base classes, which would drop it out of the per-layer counts.
+Each family is a KotheMatrix or WeightSequence subclass.  A matrix
+family's tail attestation follows from the type and its fields and is never
+a constructor argument, and it has a "profile" reason exactly when the
+family names its ratio minimisers; shifts.tail_attestation reads it under
+constant weights and their duals only.  A family's JSON wire form reads
+back to an equal object with the same attestation; and no family overrides
+a method that perfbench/trace_op.py wraps on the base classes, which would
+drop it out of the per-layer counts.
 """
 
 import dataclasses
@@ -19,10 +22,12 @@ from shiftlab.blocks import BlockWeights, build_blocks
 from shiftlab.scalars import InvalidSpecError
 from shiftlab.shifts import (
     DualWeights,
+    ShiftOperator,
     WeightSequence,
     constant_weights,
     geometric_weights,
     table_weights,
+    tail_attestation,
     weights_from_json,
 )
 from shiftlab.spaces import (
@@ -32,6 +37,7 @@ from shiftlab.spaces import (
     ScaledMatrix,
     SpaceSpec,
     constant_matrix,
+    preset,
     space_from_json,
     space_to_json,
     table_matrix,
@@ -41,7 +47,7 @@ F = Fraction
 TRACE_OP = Path(__file__).resolve().parent.parent / "perfbench" / "trace_op.py"
 ROWS = {-1: [1, 2], 0: [F(1, 3)], 1: [2, F(7, 2)]}
 
-# name -> (space, tail_tag of its matrix)
+# name -> (space, the name in its matrix's attestation)
 SPACES = {
     "constant": (SpaceSpec(constant_matrix(F(5, 3), "N"), 2), "constant"),
     "power": (SpaceSpec(PowerMatrix("N"), 1), "polynomial"),
@@ -50,16 +56,21 @@ SPACES = {
     "table-error": (SpaceSpec(table_matrix({j + 2: r for j, r in ROWS.items()}, 1, 3,
                                           index_set="N"), 1), None),
 }
-# name -> (weights, tail_tag)
+# name -> (weights, whether tail_attestation admits them)
 WEIGHTS = {
-    "constant": (constant_weights(F(3, 7)), "constant"),
-    "geometric": (geometric_weights(2, F(1, 2), abs_index=True), None),
-    "table-hold": (table_weights({-1: 2, 0: F(1, 3), 1: 1}, tail="hold"), None),
-    "table-error": (table_weights({-2: 2, 0: F(1, 3), 1: 1}), None),
-    "blocks": (build_blocks(2), None),
+    "constant": (constant_weights(F(3, 7)), True),
+    "geometric": (geometric_weights(2, F(1, 2), abs_index=True), False),
+    "table-hold": (table_weights({-1: 2, 0: F(1, 3), 1: 1}, tail="hold"), False),
+    "table-error": (table_weights({-2: 2, 0: F(1, 3), 1: 1}), False),
+    "blocks": (build_blocks(2), False),
 }
 # the families with no wire form to read back
 UNWRITTEN = {ScaledMatrix, DualWeights}
+SCALED = ScaledMatrix(PowerMatrix("N"), lambda j: F(1, j))
+
+
+def _on_c0_z(weights) -> ShiftOperator:
+    return ShiftOperator("backward", weights, preset("c0_Z"))
 
 
 def _family_types(base) -> set:
@@ -97,8 +108,15 @@ def test_no_family_overrides_a_traced_method():
 
 @pytest.mark.parametrize("cls", sorted(FAMILY_TYPES | {KotheMatrix, WeightSequence},
                                        key=lambda c: c.__name__))
-def test_tail_tag_is_never_an_init_field(cls):
-    assert "tail_tag" not in {f.name for f in dataclasses.fields(cls) if f.init}
+def test_attestation_is_never_an_init_field(cls):
+    assert "attestation" not in {f.name for f in dataclasses.fields(cls) if f.init}
+
+
+def test_a_profile_reason_comes_with_ratio_minimisers():
+    matrices = [space.matrix for space, _ in SPACES.values()] + [SCALED]
+    assert {type(m) for m in matrices} == _family_types(KotheMatrix)
+    for m in matrices:
+        assert ("profile" in (m.attestation or {})) == hasattr(m, "ratio_minimisers"), m.family
 
 
 def test_every_family_type_is_exercised():
@@ -109,29 +127,33 @@ def test_every_family_type_is_exercised():
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
-def test_space_round_trip_keeps_the_type_and_tail_tag(name):
+def test_space_round_trip_keeps_the_type_and_attestation(name):
     space, tag = SPACES[name]
     again = space_from_json(json.loads(json.dumps(space_to_json(space))))
     assert again == space and type(again.matrix) is type(space.matrix)
-    assert again.matrix.tail_tag == space.matrix.tail_tag == tag
+    assert again.matrix.attestation == space.matrix.attestation
+    assert (again.matrix.attestation or {}).get("name") == tag
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHTS))
-def test_weight_round_trip_keeps_the_type_and_tail_tag(name):
-    weights, tag = WEIGHTS[name]
+def test_weight_round_trip_keeps_the_type_and_tail_attestation(name):
+    weights, attested = WEIGHTS[name]
     again = weights_from_json(json.loads(json.dumps(weights.to_json())))
     assert again == weights and type(again) is type(weights)
-    assert again.tail_tag == weights.tail_tag == tag
+    found = tail_attestation(_on_c0_z(again))
+    assert found == tail_attestation(_on_c0_z(weights))
+    assert found == (preset("c0_Z").matrix.attestation if attested else None)
 
 
 def test_unwritten_families():
     dual = DualWeights(base=constant_weights(2), shift=1)
-    assert dual.tail_tag == "constant"
-    assert DualWeights(base=WEIGHTS["table-error"][0], shift=-1).tail_tag is None
+    assert tail_attestation(_on_c0_z(dual))["name"] == "constant"
+    assert tail_attestation(_on_c0_z(DualWeights(base=dual, shift=-1)))["name"] == "constant"
+    assert tail_attestation(_on_c0_z(DualWeights(base=WEIGHTS["table-error"][0], shift=-1))) is None
     with pytest.raises(InvalidSpecError, match="cannot serialize weight family 'dual'"):
         dual.to_json()
-    scaled = ScaledMatrix(PowerMatrix("N"), lambda j: F(1, j))
-    assert scaled.index_set == "N" and scaled.tail_tag is None
-    assert scaled.entry(3, 2) == F(16, 3)
+    assert SCALED.index_set == "N" and SCALED.attestation is None
+    assert tail_attestation(ShiftOperator("forward", dual, SpaceSpec(SCALED, 1))) is None
+    assert SCALED.entry(3, 2) == F(16, 3)
     with pytest.raises(InvalidSpecError, match="cannot serialize matrix family 'scaled'"):
-        space_to_json(SpaceSpec(scaled, 1))
+        space_to_json(SpaceSpec(SCALED, 1))
