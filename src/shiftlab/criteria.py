@@ -169,8 +169,9 @@ def _grid_log2(m_grid: Sequence) -> list[float]:
 
 
 def _first_crossings(values: np.ndarray, m_grid: Sequence,
-                     usable: Optional[np.ndarray] = None):
-    """Per threshold M, the first n (1-based) with values[n-1] >= log2(M);
+                     usable: Optional[np.ndarray] = None, n0: int = 1):
+    """Per threshold M, the first step n with values[n - n0] >= log2(M),
+    values[0] being step n0 (1, or 0 for a sup from ||e_j||_k on);
     certified when every threshold crosses.  With usable (a limit in n), the
     first usable n after the last usable step below log2(M).
 
@@ -186,7 +187,7 @@ def _first_crossings(values: np.ndarray, m_grid: Sequence,
     else:
         steps = np.flatnonzero(usable)
         rising = np.minimum.accumulate(values[steps][::-1])[::-1]
-    crossings = tuple(Crossing(float(m), int(steps[i]) + 1 if i < steps.size else None)
+    crossings = tuple(Crossing(float(m), int(steps[i]) + n0 if i < steps.size else None)
                       for m, i in zip(m_grid, np.searchsorted(rising, thresholds)))
     return crossings, all(c.first_n is not None for c in crossings)
 
@@ -535,7 +536,7 @@ def _basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
             # orbit norms outward, n = 0, +-1, +-2, ...; crossings read their running sup
             norms = np.concatenate((op.space.matrix.log2_row(k, j0, j0),
                                     pos if neg is None else np.maximum(pos, neg)))
-            crossings, certified = _first_crossings(norms, cfg.m_grid)
+            crossings, certified = _first_crossings(norms, cfg.m_grid, n0=0)
             ev = BranchEvidence(k=k, level=k, label=f"e_{j0}", certified=certified,
                                 crossings=crossings, n_eff=n_eff)
             if certified:

@@ -27,6 +27,7 @@ from shiftlab.criteria import (
 from shiftlab.shifts import (
     ShiftOperator,
     UndefinedWeightError,
+    basis_orbit_norm,
     constant_weights,
     geometric_weights,
     parse_weights,
@@ -313,6 +314,10 @@ class TestFirstCrossings:
         assert self.firsts([0.5, 2.5, 3.0], [True, True, False]) == ([1, 2], True)
         assert self.firsts([0.5, 1.0, 3.0], [True, True, False]) == ([1, None], False)
 
+    def test_a_sup_from_step_zero_reports_the_step(self):
+        crossings, _ = _first_crossings(np.array([0.0, 2.5]), self.GRID, n0=0)
+        assert [c.first_n for c in crossings] == [0, 1]
+
 
 def _first_crossings_loop(values, m_grid, usable=None):
     """Reference for _first_crossings: one mask per threshold."""
@@ -550,6 +555,26 @@ class TestBasisDiagnostic:
         v = check_criterion(op, "e", HorizonConfig(basis_window=2))
         assert v.kind is VerdictKind.INCONCLUSIVE
         assert all(e.bound_log2 is None and e.attestation is None for e in v.evidence)
+
+
+@pytest.mark.parametrize("space", ["lp_Z:2", "c0_Z", "s_Z", "halfline_Z", "c0_N"])
+@pytest.mark.parametrize("side", ["backward", "forward"])
+@pytest.mark.parametrize("c", [F(2), F(1, 2)])
+def test_basis_first_n_is_the_exact_orbit_step(space, side, c):
+    # first_n is the least orbit step n >= 0 (n = 0 is ||e_j||_k itself) at
+    # which max over m <= n of ||T^m e_j||_k, and of ||T^-m e_j||_k on a
+    # bilateral space, reaches M, in Fractions
+    op = ShiftOperator(side, constant_weights(c), parse_space(space))
+    verdict = check_criterion(op, "e", HorizonConfig(n_max=40, basis_window=3))
+    signs = (1, -1) if op.bilateral else (1,)
+    for ev in verdict.evidence:
+        j, sups = int(ev.label[2:]), []
+        for n in range(ev.n_eff + 1):
+            sups.append(max([*sups[-1:], *(basis_orbit_norm(op, j, s * n, ev.k) for s in signs)]))
+        for cr in ev.crossings:
+            want = next((n for n, sup in enumerate(sups) if sup >= F(cr.threshold)), None)
+            assert cr.first_n == want, (ev.label, ev.k, cr.threshold)
+            assert cr.first_n is None or cr.first_n <= ev.n_eff
 
 
 class TestMixing:
