@@ -361,8 +361,8 @@ def _ratio_terms(op: ShiftOperator, condition: str, k: int, level: int, window: 
 
 def tail_attestation(op: ShiftOperator) -> Optional[dict]:
     """The one gate of tail attestations: the matrix family's attestation
-    (KotheMatrix) when the weights are constant, or the dual of constant
-    weights; None when the (matrix, weight) family pair has none."""
+    (see KotheMatrix) when the weights are constant or a dual of constant
+    weights; None otherwise."""
     weights = op.weights
     while isinstance(weights, DualWeights):
         weights = weights.base
