@@ -20,8 +20,9 @@ i_j > i_{j-1} making the large-norm density bound (eq3) hold exactly.  All
 counts and sums are exact rationals; nothing here touches floating point.
 
 All of it works on runs, not per index: (value, length) weight runs, and
-orbit norms as geometric segments (first, ratio, length), compared as maximal
-segments and counted, summed and bounded at the ends of constant runs.
+orbit norms as maximal (value, length) runs, where no two neighbours share a
+value, so equal sequences compare equal as lists; norms are counted, summed
+and bounded at the ends of those runs.
 The weight table is held as the layout's nonempty weight runs and audited
 against them, run by run.  The per-index raw-product route is the reference
 in tests/block_oracle.py.
@@ -49,7 +50,7 @@ __all__ = [
     "closed_form_norms",
     "hypercyclicity_witness",
     "norm_runs",
-    "orbit_segments",
+    "orbit_runs",
     "r_of",
     "verify_inequalities",
 ]
@@ -143,23 +144,45 @@ class BlockWeights(TableWeights):
         return {"family": "blocks", "j_max": self.layout.j_max}
 
 
+def _run_terms(runs: list, terms) -> list:
+    """Append (value, length) terms of positive length to the maximal runs
+    runs, merging equal neighbours, so no two adjacent runs share a value
+    and equal sequences give equal lists; returns runs."""
+    for v, n in terms:
+        if runs and runs[-1][0] == v:
+            runs[-1] = (v, runs[-1][1] + n)
+        else:
+            runs.append((v, n))
+    return runs
+
+
+def _head(runs, n: int) -> list:
+    """The runs of the first n terms."""
+    out = []
+    for v, m in runs:
+        if n <= 0:
+            break
+        out.append((v, min(m, n)))
+        n -= m
+    return out
+
+
 def _closed_form_a_range(j: int, k: int) -> list:
-    """Orbit norms contributed by A_j, as segments (first, ratio, length):
-    rise 2/j..2**(2k)/j, repeat the peak and fall back to 2/j, then 2**k
-    copies of 1/(j+1)."""
-    return [(Fraction(2, j), 2, 2 * k), (Fraction(2 ** (2 * k), j), Fraction(1, 2), 2 * k),
-            (Fraction(1, j + 1), 1, 2 ** k)]
+    """Orbit norms contributed by A_j, as runs: rise 2/j..2**(2k)/j, repeat
+    the peak and fall back to 2/j, then 2**k copies of 1/(j+1)."""
+    rise = [(Fraction(2 ** e, j), 1) for e in range(1, 2 * k + 1)]
+    return _run_terms([], rise + rise[::-1] + [(Fraction(1, j + 1), 2 ** k)])
 
 
 def _closed_form_b_range(j: int, r: int, i: int) -> list:
-    """Orbit norms contributed by B_j: rise to 2**(r-1)/(j+1), hold
+    """Orbit norms contributed by B_j, as runs: rise to 2**(r-1)/(j+1), hold
     2**r/(j+1) i times, fall to 1/(j+1)."""
-    return [(Fraction(2, j + 1), 2, r - 1), (Fraction(2 ** r, j + 1), 1, i),
-            (Fraction(2 ** (r - 1), j + 1), Fraction(1, 2), r)]
+    rise = [(Fraction(2 ** e, j + 1), 1) for e in range(1, r)]
+    return rise + [(Fraction(2 ** r, j + 1), i)] + rise[::-1] + [(Fraction(1, j + 1), 1)]
 
 
 def closed_form_norms(layout: BlockLayout, j: int):
-    """The two displayed norm stretches for block j, as segments.
+    """The two displayed norm stretches for block j, as maximal runs.
 
     Returns (first, second): the orbit norms on (t_{j-1}, s_j] and on
     (s_j, t_j].  The backward orbit of e_{-1} and the inverse orbit of e_1
@@ -167,47 +190,6 @@ def closed_form_norms(layout: BlockLayout, j: int):
     """
     p = layout[j]
     return _closed_form_a_range(j, p.k), _closed_form_b_range(j, p.r, p.i)
-
-
-def _value_runs(segments, n_max: Optional[int] = None) -> list:
-    """(value, length) runs of the sequence the segments spell, cut after
-    n_max terms: a ratio-1 segment is one run, a rise or fall (short) one run
-    per term."""
-    out = []
-    room = math.inf if n_max is None else n_max
-    for f, r, n in segments:
-        if r == 1:
-            terms = [(f, n)]
-        else:
-            terms = [(f * r ** e, 1) for e in range(n)]
-        for v, m in terms:
-            if room <= 0:
-                return out
-            if m:
-                out.append((v, min(m, room)))
-                room -= m
-    return out
-
-
-def _canonical(segments) -> list:
-    """Maximal geometric segments of the sequence the segments spell: from
-    the left, a segment takes the ratio of its first two terms and runs while
-    that ratio holds.  Equal sequences give equal lists."""
-    out = []  # [first, ratio (None while one term long), length, last term]
-    for f, r, n in segments:
-        while n:
-            cur = out[-1] if out else None
-            if cur and cur[1] is None:
-                cur[1] = f / cur[3]
-            if cur and f == cur[3] * cur[1]:
-                take = n if r == cur[1] else 1
-                cur[2] += take
-            else:
-                cur, take = [f, None, 1, f], 1
-                out.append(cur)
-            cur[3] = f * r ** (take - 1)
-            f, n = cur[3] * r, n - take
-    return [tuple(seg[:3]) for seg in out]
 
 
 def build_blocks(j_max: int, k_cap: int = K_CAP_DEFAULT) -> BlockWeights:
@@ -224,24 +206,23 @@ def build_blocks(j_max: int, k_cap: int = K_CAP_DEFAULT) -> BlockWeights:
     """
     if j_max < 1:
         raise InvalidSpecError("need at least one block")
-    segs: list = []  # closed-form norm segments, n = 1..t_{j-1}
+    runs: list = []  # closed-form norm runs, n = 1..t_{j-1}
     blocks: list[BlockParams] = []
     t_prev = 0
     k_prev, i_prev = 0, 0
     for j in range(1, j_max + 1):
         r = r_of(j)
-        k_j = 2 if j == 1 else _search_k(j, k_prev, r, _value_runs(segs), t_prev, k_cap)
-        segs += _closed_form_a_range(j, k_j)
+        k_j = 2 if j == 1 else _search_k(j, k_prev, r, runs, t_prev, k_cap)
+        _run_terms(runs, _closed_form_a_range(j, k_j))
         a_j = 4 * k_j + 2 ** k_j
         s_j = t_prev + a_j
-        runs = _value_runs(segs)
         assert sum(n for _, n in runs) == s_j
         alpha_j = sum(v * n for v, n in runs) / s_j
         i_j = 2 if j == 1 else _search_i(j, i_prev, r, runs, s_j)
-        segs += _closed_form_b_range(j, r, i_j)
+        _run_terms(runs, _closed_form_b_range(j, r, i_j))
         b_j = 2 * r + i_j - 1
         t_j = s_j + b_j
-        assert sum(n for _, _, n in segs) == t_j
+        assert sum(n for _, n in runs) == t_j
         n_mid = t_prev + 4 * k_j + 2 ** (k_j - 1)
         blocks.append(BlockParams(j, k_j, i_j, r, a_j, b_j, s_j, t_j, n_mid, alpha_j))
         t_prev, k_prev, i_prev = t_j, k_j, i_j
@@ -256,7 +237,7 @@ def _search_k(j: int, k_prev: int, r: int, runs: list, t_prev: int, k_cap: int) 
     prefix_small = sum(n for v, n in runs if v <= small)
     prefix_total = sum(v * n for v, n in runs)
     for k in range(k_prev + 1, k_cap + 1):
-        a_runs = _value_runs(_closed_form_a_range(j, k))
+        a_runs = _closed_form_a_range(j, k)
         s_j = t_prev + 4 * k + 2 ** k
         card = prefix_small + sum(n for v, n in a_runs if v <= small)
         eq1 = Fraction(card, s_j) >= need
@@ -278,7 +259,7 @@ def _search_i(j: int, i_prev: int, r: int, runs: list, s_j: int) -> int:
 
     def eq3(i: int) -> bool:
         t_j = s_j + 2 * r + i - 1
-        card = c + sum(n for v, n in _value_runs(_closed_form_b_range(j, r, i)) if v >= big)
+        card = c + sum(n for v, n in _closed_form_b_range(j, r, i) if v >= big)
         return Fraction(card, t_j) >= 1 - Fraction(1, j)
 
     # j(c + i) >= (j-1)(s_j + 2r + i - 1)  <=>  i >= (j-1)(s_j + 2r - 1) - j c
@@ -291,10 +272,11 @@ def _search_i(j: int, i_prev: int, r: int, runs: list, s_j: int) -> int:
     return i_j
 
 
-def orbit_segments(build: BlockWeights, direction: str) -> list:
+def orbit_runs(build: BlockWeights, direction: str) -> list:
     """Raw-product route, independent of the closed forms: the witness orbit
-    norms, n = 1..t_max, as segments formed from the weight runs the orbit
-    meets.  'backward': ||B^n e_{-1}|| = w_{-1} ... w_{-n}; 'forward': the
+    norms, n = 1..t_max, as maximal runs formed from the weight runs the
+    orbit meets (a unit weight run holds the norm, another moves it at every
+    step).  'backward': ||B^n e_{-1}|| = w_{-1} ... w_{-n}; 'forward': the
     inverse orbit of e_1, 1 / (w_2 ... w_{n+1})."""
     runs = build.layout.weight_runs()
     if direction == "backward":
@@ -303,21 +285,21 @@ def orbit_segments(build: BlockWeights, direction: str) -> list:
         steps = [(1 / v, n) for start, n, v in runs if start > 1]
     out, p = [], Fraction(1)
     for v, n in steps:
-        out.append((p * v, v, n))
+        _run_terms(out, [(p, n)] if v == 1 else [(p * v ** e, 1) for e in range(1, n + 1)])
         p *= v ** n
     return out
 
 
 def norm_runs(build: BlockWeights, direction: str, n_max: Optional[int] = None) -> list:
-    """(value, length) runs of orbit_segments(build, direction) for
-    n = 1..n_max (default t_max).  Past t_max the orbit leaves the table:
+    """The maximal runs of orbit_runs(build, direction) for n = 1..n_max
+    (default t_max).  Past t_max the orbit leaves the table:
     UndefinedWeightError, as the table itself raises."""
     t_max = build.layout.t_max
     n_max = t_max if n_max is None else n_max
     if n_max > t_max:
         j = -t_max - 1 if direction == "backward" else t_max + 2
         raise UndefinedWeightError(f"weight table spans [{-t_max}, {t_max + 1}], got {j}")
-    return _value_runs(orbit_segments(build, direction), n_max)
+    return _head(orbit_runs(build, direction), n_max)
 
 
 def _first_below(runs, c, lo: int, hi: int) -> Optional[int]:
@@ -391,21 +373,20 @@ def verify_inequalities(build: BlockWeights) -> AuditReport:
     running-average lower bound eq4 (average >= j+1 for every n in
     [t_{j-1} + 4 k_j, t_j + 4 k_{j+1}], needs block j+1); and the equality
     of the closed-form sequences with the products plus the backward/forward
-    symmetry, both as maximal geometric segments.  eq2 at j = 1 is reported
+    symmetry, both as maximal runs.  eq2 at j = 1 is reported
     but not required (k_1 is fixed, not chosen).
     """
     layout = build.layout
     j_max = layout.j_max
     violations: list[str] = []
 
-    backward = orbit_segments(build, "backward")
-    canonical = _canonical(backward)
-    symmetry = canonical == _canonical(orbit_segments(build, "forward"))
+    backward = orbit_runs(build, "backward")
+    symmetry = backward == orbit_runs(build, "forward")
     if not symmetry:
         violations.append("backward/forward norm symmetry broken")
-    closed = [seg for j in range(1, j_max + 1) for half in closed_form_norms(layout, j)
-              for seg in half]
-    matches = canonical == _canonical(closed)
+    closed = _run_terms([], [run for j in range(1, j_max + 1)
+                             for half in closed_form_norms(layout, j) for run in half])
+    matches = backward == closed
     if not matches:
         violations.append("closed-form norms disagree with raw products")
     if build.runs != tuple(layout.weight_runs()):
@@ -417,31 +398,30 @@ def verify_inequalities(build: BlockWeights) -> AuditReport:
     for j in range(2, j_max + 1):
         p = layout[j]
         need = 1 - Fraction(1, j)
-        head = _value_runs(backward, p.s)
+        head = _head(backward, p.s)
         card1 = sum(n for v, n in head if v <= Fraction(1, j + 1))
         ratio1 = Fraction(card1, p.s)
         eq1[j] = {"card": card1, "ratio": str(ratio1), "ok": ratio1 >= need}
         lhs2 = sum(v * n for v, n in head) / (p.s + 4 * p.r)
         eq2[j] = {"value": str(lhs2), "ok": lhs2 >= j + 1}
-        card3 = sum(n for v, n in _value_runs(backward, p.t) if v >= j + 1)
+        card3 = sum(n for v, n in _head(backward, p.t) if v >= j + 1)
         ratio3 = Fraction(card3, p.t)
         eq3[j] = {"card": card3, "ratio": str(ratio3), "ok": ratio3 >= need}
         for i, eq in enumerate((eq1, eq2, eq3), 1):
             if not eq[j]["ok"]:
                 violations.append(f"eq{i} fails at j={j}")
 
-    runs = _value_runs(backward)
     eq4_first = None
     for j in range(1, j_max):
         p, nxt = layout[j], layout[j + 1]
         t_prev = p.t - p.a - p.b
-        eq4_first = _first_below(runs, j + 1, t_prev + 4 * p.k, p.t + 4 * nxt.k)
+        eq4_first = _first_below(backward, j + 1, t_prev + 4 * p.k, p.t + 4 * nxt.k)
         if eq4_first is not None:
             violations.append(f"eq4 fails at j={j}, n={eq4_first}")
             break
 
     p1 = layout[1]
-    lhs_j1 = sum(v * n for v, n in _value_runs(backward, p1.s)) / (p1.s + 4 * p1.r)
+    lhs_j1 = sum(v * n for v, n in _head(backward, p1.s)) / (p1.s + 4 * p1.r)
     eq2_j1 = {"value": str(lhs_j1), "holds": lhs_j1 >= 2}
 
     return AuditReport(j_max, matches, symmetry, eq1, eq2, eq3, eq4_first is None, eq4_first,

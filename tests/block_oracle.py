@@ -31,11 +31,6 @@ def expand_runs(runs) -> list:
     return [v for v, n in runs for _ in range(n)]
 
 
-def expand_segments(segments) -> list:
-    """The sequence spelled by geometric segments (first, ratio, length)."""
-    return [f * r ** e for f, r, n in segments for e in range(n)]
-
-
 def backward_norms(build, n_max: Optional[int] = None) -> list:
     """out[n] = |w_{-1} w_{-2} ... w_{-n}| for n <= n_max, out[0] = 1."""
     n_max = build.layout.t_max if n_max is None else n_max
@@ -63,7 +58,7 @@ def closed_norms(build) -> list:
     out = [Fraction(1)]
     for j in range(1, build.layout.j_max + 1):
         for half in closed_form_norms(build.layout, j):
-            out += expand_segments(half)
+            out += expand_runs(half)
     return out
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from shiftlab.algebra import PowerShift, power_orbit_norm
-from block_oracle import backward_norms, expand_runs, expand_segments, forward_norms
+from block_oracle import backward_norms, expand_runs, forward_norms
 from vector_oracle import apply, basis_vector, seminorm
 from shiftlab.blocks import (
     build_blocks,
@@ -66,7 +66,7 @@ def test_02_oracle_equivalence(build4):
     for j in range(1, 5):
         p = build4.layout[j]
         t_prev = p.t - p.a - p.b
-        first, second = map(expand_segments, closed_form_norms(build4.layout, j))
+        first, second = map(expand_runs, closed_form_norms(build4.layout, j))
         assert first == nb[t_prev + 1:p.s + 1]
         assert second == nb[p.s + 1:p.t + 1]
     _passed(2, f"closed forms == raw products and orbit symmetry for all n <= {build4.layout.t_max}")

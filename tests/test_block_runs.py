@@ -20,7 +20,7 @@ from shiftlab.blocks import (
     build_blocks,
     hypercyclicity_witness,
     norm_runs,
-    orbit_segments,
+    orbit_runs,
     verify_inequalities,
 )
 from shiftlab.cli import EXIT_USAGE, main
@@ -60,7 +60,7 @@ def test_orbit_runs_spell_the_raw_products(j_max):
     b = build(j_max)
     for direction, raw in (("backward", oracle.backward_norms(b)),
                            ("forward", oracle.forward_norms(b))):
-        assert oracle.expand_segments(orbit_segments(b, direction)) == raw[1:]
+        assert oracle.expand_runs(orbit_runs(b, direction)) == raw[1:]
         assert oracle.expand_runs(norm_runs(b, direction)) == raw[1:]
         cut = min(37, b.layout.t_max - 1)
         assert oracle.expand_runs(norm_runs(b, direction, cut)) == raw[1:cut + 1]
@@ -149,8 +149,6 @@ def test_blocks_shorthand_is_the_build(capsys):
 
 values = st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(2), F(4)])
 value_runs = st.lists(st.tuples(values, st.integers(1, 6)), min_size=1, max_size=12)
-segments = st.lists(st.tuples(values, st.sampled_from([F(1, 2), F(1), F(2), F(3)]),
-                              st.integers(1, 5)), min_size=1, max_size=8)
 
 
 def _prefix(seq):
@@ -197,7 +195,7 @@ def test_run_density_matches_per_index(runs, threshold, large, data):
     seq = oracle.expand_runs(runs)
     n_max = data.draw(st.integers(1, len(seq)))
     n0 = data.draw(st.integers(1, n_max))
-    runs_cut = blocks._value_runs([(v, 1, n) for v, n in runs], n_max)
+    runs_cut = blocks._head(runs, n_max)
 
     def pred(v):
         return v >= threshold if large else v <= threshold
@@ -208,17 +206,19 @@ def test_run_density_matches_per_index(runs, threshold, large, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(segments, st.integers(0, 40))
-def test_value_runs_and_canonical_form(segs, cut):
-    seq = oracle.expand_segments(segs)
-    assert oracle.expand_runs(blocks._value_runs(segs)) == seq
-    assert oracle.expand_runs(blocks._value_runs(segs, cut)) == seq[:cut]
-    canonical = blocks._canonical(segs)
-    # the canonical form spells the same sequence and depends on nothing else
-    assert oracle.expand_segments(
-        (f, 1 if r is None else r, n) for f, r, n in canonical) == seq
-    assert blocks._canonical([(v, 1, 1) for v in seq]) == canonical
-    assert all(n >= 2 for _, _, n in canonical[:-1])
+@given(value_runs, st.integers(0, 60), st.data())
+def test_run_terms_are_maximal_and_head_cuts_them(terms, cut, data):
+    seq = oracle.expand_runs(terms)
+    split = data.draw(st.integers(0, len(terms)))
+    runs = blocks._run_terms(blocks._run_terms([], terms[:split]), terms[split:])
+    # the runs spell the same sequence, no two neighbours share a value, and
+    # they depend on the sequence alone
+    assert oracle.expand_runs(runs) == seq
+    assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:]))
+    assert blocks._run_terms([], [(v, 1) for v in seq]) == runs
+    head = blocks._head(runs, cut)
+    assert oracle.expand_runs(head) == seq[:cut]
+    assert head == blocks._run_terms([], [(v, 1) for v in seq[:cut]])
 
 
 @settings(max_examples=200, deadline=None)

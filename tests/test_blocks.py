@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from block_oracle import backward_norms, expand_runs, expand_segments, forward_norms
+from block_oracle import backward_norms, expand_runs, forward_norms
 from shiftlab.blocks import (
     BlockWeights,
     SearchCapExceeded,
@@ -99,7 +99,7 @@ class TestGoldenBlocks:
 
 class TestClosedFormNorms:
     def test_first_range_j1(self, build4):
-        first, second = map(expand_segments, closed_form_norms(build4.layout, 1))
+        first, second = map(expand_runs, closed_form_norms(build4.layout, 1))
         assert first == [F(2), F(4), F(8), F(16), F(16), F(8), F(4), F(2),
                          F(1, 2), F(1, 2), F(1, 2), F(1, 2)]
         assert second == [F(1), F(2), F(2), F(1), F(1, 2)]
@@ -109,7 +109,7 @@ class TestClosedFormNorms:
         for j in range(1, 5):
             p = build4.layout[j]
             t_prev = p.t - p.a - p.b
-            first, second = map(expand_segments, closed_form_norms(build4.layout, j))
+            first, second = map(expand_runs, closed_form_norms(build4.layout, j))
             assert first == nb[t_prev + 1:p.s + 1]
             assert second == nb[p.s + 1:p.t + 1]
 

@@ -49,6 +49,10 @@ GOLDENS = [
     (("density", "--weights", "blocks:4", "--vector", "e:1", "--format", "json",
       "--no-timestamp"),
      "3491068845101692f3cd1c08ac97ddac0e9814bc4dd8f1a40a5c106a4bd5ec53"),
+    # the block lane at J = 5 (t_5 = 1 360 775), recorded before its orbit
+    # norms became maximal value runs
+    (("density", "--weights", "blocks:5", "--format", "json", "--no-timestamp"),
+     "df3f4253c2dd87a1b271e79f4f2d30ea05583965654af6ad28049217419e8f0b"),
     (("check", "--space", "lp_Z:2", "--weights", "constant:2", "--criterion", "ae", *HORIZON),
      "80307aac95479f47f3bd49bc5067c814ca4915df7a2a0202b8c11b9ffb905b45"),
     (("check", "--space", "lp_Z:2", "--weights", "constant:2", "--criterion", "ue", *HORIZON),
