@@ -208,10 +208,13 @@ def _walk_log2(op: ShiftOperator, j0: int, n: int, sign: int) -> np.ndarray:
 def _orbit_log2(op: ShiftOperator, j0: int, k: int, n: int):
     """(pos, neg): log2 ||T^i e_{j0}||_k and log2 ||T^-i e_{j0}||_k at
     i = 1..n, the row at e_{j0 +- id} plus the walk; neg is None when the
-    shift has no inverse.  Off-lattice targets give -inf."""
+    shift has no inverse.  Off-lattice targets give -inf; on N, B e_1 = 0
+    ends a backward orbit, whose walk reads w_{j0} ... w_2 only."""
     d = -1 if op.direction == "backward" else 1
     row = op.space.matrix.log2_row(k, j0 - n, j0 + n)  # a(j0 + i, k) at row[n + i]
-    pos = row[n + d::d][:n] + _walk_log2(op, j0, n, 1)
+    live = n if op.bilateral or d > 0 else min(n, j0 - 1)  # steps before the orbit dies
+    walk = np.concatenate((_walk_log2(op, j0, live, 1), np.full(n - live, ZERO_LOG2)))
+    pos = row[n + d::d][:n] + walk
     if not op.bilateral:
         return pos, None
     return pos, row[n - d::-d][:n] + _walk_log2(op, j0, n, -1)
@@ -247,14 +250,14 @@ def _walk_n_eff(op: ShiftOperator, cfg: HorizonConfig, radius: int) -> Optional[
     """The largest n <= cfg.n_max at which the walks from every basis index
     within `radius` ([-r, r]; [1, r] on N) read only weights of a finite
     table on [lo, hi], else None.  n steps each way read w on [-r-n+1, r+n]
-    backward and [-r-n, r+n-1] forward; on N, T alone reads [2-n, r]
-    backward and [1, r+n-1] forward (r = 0: the averages' n-1 steps from e_1)."""
+    backward and [-r-n, r+n-1] forward; on N, T alone reads [2, r] backward
+    (_orbit_log2) and [1, r+n-1] forward (r = 0: the averages' n-1 steps from e_1)."""
     lo, hi = op.weights.defined_range() or (-math.inf, math.inf)
     back = op.direction == "backward"
     if op.bilateral:
         n = min(cfg.n_max, back - radius - lo, hi - radius + 1 - back)
     elif back:
-        n = min(cfg.n_max, 2 - lo) if radius <= hi else 0
+        n = cfg.n_max if radius < 2 or lo <= 2 and radius <= hi else 0
     else:
         n = min(cfg.n_max, hi - radius + 1) if lo <= 1 else 0
     return n if n >= 1 else None

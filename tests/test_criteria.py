@@ -272,19 +272,37 @@ def _walks_read_inside(op, radius, n):
 @settings(max_examples=300, deadline=None)
 @given(REACHES, st.integers(1, 40), st.sampled_from([1, 7, 50]),
        st.sampled_from(["backward", "forward"]), st.sampled_from(["c0_Z", "c0_N"]))
-@example((1, 60), 40, 7, "backward", "c0_N")  # T e_1 reads w(1), T^2 e_1 also w(0)
-@example((-40, 60), 40, 7, "backward", "c0_N")
+@example((2, 5), 40, 7, "backward", "c0_N")  # w(2..7) holds every walk from e_1..e_7
+@example((3, 60), 40, 7, "backward", "c0_N")  # a table from 3 misses w(2), read by T e_2
 @example((-80, 100), 40, 7, "forward", "c0_Z")  # the table's top binds
 @example((-30, 150), 40, 7, "backward", "c0_Z")  # its bottom binds
 def test_walk_n_eff_is_the_longest_walk_inside_the_table(reach, n_max, radius,
                                                         direction, space):
-    # on a unilateral backward shift too, where T^n e_j reads w(j - n + 1..j)
-    # below the index set
     op = ShiftOperator(direction, _reach_weights(reach), preset(space))
     n = _walk_n_eff(op, HorizonConfig(n_max=n_max, window=8), radius)
     assert n is None or _walks_read_inside(op, radius, n)
     if (n or 0) < n_max:
         assert not _walks_read_inside(op, radius, (n or 0) + 1)
+    if direction == "backward" and space == "c0_N":
+        # B e_1 = 0, so T^n e_j reads w(j..2) at any n: the walks from [1, r]
+        # read w(2..r), and either all n_max steps fit or none does
+        fits = radius < 2 or reach is None or reach[0] <= 2 and radius <= sum(reach)
+        assert n == (n_max if fits else None)
+
+
+def test_unilateral_backward_walks_stop_where_the_orbit_dies():
+    # a table of 2s on [1, 200] holds every weight the orbits of e_1..e_50
+    # meet before B e_1 = 0 ends them, so e reads it as it reads constant 2s
+    # up to the horizon (and attests neither: a table has no tail rule)
+    cfg = HorizonConfig(n_max=100)
+
+    def evidence(weights):
+        verdict = check_criterion(ShiftOperator("backward", weights, preset("c0_N")), "e", cfg)
+        return [replace(ev, bound_log2=None, attestation=None) for ev in verdict.evidence]
+
+    got = evidence(table_weights({j: 2 for j in range(1, 201)}))
+    assert {ev.n_eff for ev in got} == {100}
+    assert got == evidence(constant_weights(2))
 
 
 class TestFirstCrossings:
