@@ -293,7 +293,8 @@ def test_walk_n_eff_is_the_longest_walk_inside_the_table(reach, n_max, radius,
 def test_unilateral_backward_walks_stop_where_the_orbit_dies():
     # a table of 2s on [1, 200] holds every weight the orbits of e_1..e_50
     # meet before B e_1 = 0 ends them, so e reads it as it reads constant 2s
-    # up to the horizon (and attests neither: a table has no tail rule)
+    # up to the horizon; the bounds are set aside, since constant weights
+    # are attested and an error table is not
     cfg = HorizonConfig(n_max=100)
 
     def evidence(weights):
