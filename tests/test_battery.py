@@ -1,4 +1,4 @@
-"""The verdict battery: the outcome of 697 CLI commands, pinned in battery.json.
+"""The verdict battery: the outcome of 711 CLI commands, pinned in battery.json.
 
 The commands are ``check --space S --weights W --side D --criterion C`` at a
 short horizon (``--n-max 600 --window 60 --m-grid 1,2,4``) over every S, W, D
@@ -6,7 +6,10 @@ and C below, plus ``props``, all run in one process through
 ``shiftlab.cli.main``.  The weights above are dyadic, whose log walk sums
 are exact; the uniform criteria also run with non-dyadic constants at
 windows 3 and 60, whose walk sums round (equal ratios at a step still read
-one float on constant and step rows).  A row holds the exit code, the
+one float on constant and step rows).  A ``hold`` matrix table on [-100,
+100] (hold_table.json, a(j, 1) = 2^-|j|) runs the window-bound criteria at
+horizons inside and past its edges.  An argument ``@name`` names a file in
+this directory, so a row's key does not depend on the checkout.  A row holds the exit code, the
 verdict summary, the sha256 of stdout and, for an internal error (exit 3),
 the last line of the traceback, ``Type: message``.  The test names every
 row that differs.
@@ -41,6 +44,7 @@ CRITERIA = ("ae", "ape", "ape-inverse", "ue", "upe", "e", "mixing", "hierarchy",
 HORIZON = ("--n-max", "600", "--window", "60", "--m-grid", "1,2,4", "--no-timestamp")
 NON_DYADIC = (("lp_Z:2", "s_Z", "halfline_Z"), ("constant:5/2", "constant:2/3"), SIDES,
               ("ue", "upe"), ("3", "60"))
+HOLD_CHECKS = [(c, d) for c in ("ape", "ae", "e") for d in SIDES] + [("mixing", "backward")]
 
 
 def commands() -> list[tuple[str, ...]]:
@@ -49,7 +53,11 @@ def commands() -> list[tuple[str, ...]]:
     non_dyadic = [("check", "--space", s, "--weights", w, "--side", d, "--criterion", c,
                    "--n-max", "600", "--window", window, "--m-grid", "1,2,4", "--no-timestamp")
                   for s, w, d, c, window in product(*NON_DYADIC)]
-    return checks + non_dyadic + [("props", "--no-timestamp")]
+    hold = [("check", "--space", "@hold_table.json", "--weights", "constant:3/2", "--side", d,
+             "--criterion", c, "--n-max", n_max, "--window", "10", "--basis-window", "3",
+             "--k-max", "1", "--no-timestamp")
+            for n_max in ("50", "600") for c, d in HOLD_CHECKS]
+    return checks + non_dyadic + hold + [("props", "--no-timestamp")]
 
 
 def _verdict(v: dict) -> list:
@@ -79,8 +87,9 @@ def summary(args: tuple[str, ...], out: str):
 
 def run_one(args: tuple[str, ...]) -> dict:
     stdout, stderr = io.StringIO(), io.StringIO()
+    argv = [f"@{TABLE.parent / a[1:]}" if a.startswith("@") else a for a in args]
     with redirect_stdout(stdout), redirect_stderr(stderr):
-        code = main(list(args))
+        code = main(argv)
     out = stdout.getvalue()
     row = {"exit": code, "summary": summary(args, out) if code in (0, 2) else None,
            "sha256": hashlib.sha256(out.encode()).hexdigest()}
@@ -112,7 +121,7 @@ def record() -> None:
 def test_battery_matches_table():
     expected = json.loads(TABLE.read_text())
     actual = run_battery()
-    assert len(actual) == 697
+    assert len(actual) == 711
     differ = []
     for cmd in sorted(set(expected) | set(actual)):
         want = expected.get(cmd)
