@@ -43,7 +43,7 @@ import numpy as np
 from . import _kernels
 from .scalars import ZERO_LOG2
 from .spaces import InvalidSpecError
-from .shifts import NotInvertibleError, ShiftOperator, dual_form, tail_attestation
+from .shifts import NotInvertibleError, ShiftOperator, tail_attestation
 
 __all__ = [
     "BranchEvidence",
@@ -193,7 +193,7 @@ def _first_crossings(values: np.ndarray, m_grid: Sequence,
 
 
 def _walk_log2(op: ShiftOperator, j0: int, n: int, sign: int) -> np.ndarray:
-    """log2 |coefficient| of T^(sign i) e_{j0} at i = 1..n.
+    """log2 |coefficient| of T^(sign i) e_{j0} at i = 0..n, 0.0 at i = 0.
 
     By the walk rule of shifts (d = -1 backward, +1 forward), T^i e_{j0}
     meets w at j0, ..., j0 + (i - 1)d and T^-i e_{j0} at j0 - d, ..., j0 - id;
@@ -202,22 +202,22 @@ def _walk_log2(op: ShiftOperator, j0: int, n: int, sign: int) -> np.ndarray:
     step = sign * (-1 if op.direction == "backward" else 1)
     first = j0 + (sign < 0) * step  # the first weight the walk meets
     logs = op.weights.log2_window(*((first, first + n - 1) if step > 0 else (first - n + 1, first)))
-    return sign * np.cumsum(logs[::step])  # in walk order
+    return sign * np.cumsum(np.concatenate(([0.0], logs[::step])))  # in walk order
 
 
 def _orbit_log2(op: ShiftOperator, j0: int, k: int, n: int):
     """(pos, neg): log2 ||T^i e_{j0}||_k and log2 ||T^-i e_{j0}||_k at
-    i = 1..n, the row at e_{j0 +- id} plus the walk; neg is None when the
+    i = 0..n, the row at e_{j0 +- id} plus the walk; neg is None when the
     shift has no inverse.  Off-lattice targets give -inf; on N, B e_1 = 0
     ends a backward orbit, whose walk reads w_{j0} ... w_2 only."""
     d = -1 if op.direction == "backward" else 1
     row = op.space.matrix.log2_row(k, j0 - n, j0 + n)  # a(j0 + i, k) at row[n + i]
     live = n if op.bilateral or d > 0 else min(n, j0 - 1)  # steps before the orbit dies
     walk = np.concatenate((_walk_log2(op, j0, live, 1), np.full(n - live, ZERO_LOG2)))
-    pos = row[n + d::d][:n] + walk
+    pos = row[n::d] + walk
     if not op.bilateral:
         return pos, None
-    return pos, row[n - d::-d][:n] + _walk_log2(op, j0, n, -1)
+    return pos, row[n::-d] + _walk_log2(op, j0, n, -1)
 
 
 def _avg_term_logs(op: ShiftOperator, k: int, branch: str, n_eff: int) -> np.ndarray:
@@ -225,12 +225,11 @@ def _avg_term_logs(op: ShiftOperator, k: int, branch: str, n_eff: int) -> np.nda
     T ('left') or T^-1 ('right'); on a unilateral forward shift
     ('unilateral') ||e_1||_k followed by the orbit of e_1."""
     if branch == "unilateral":
-        pos, _ = _orbit_log2(op, 1, k, n_eff - 1)
-        return np.concatenate((op.space.matrix.log2_row(k, 1, 1), pos))
+        return _orbit_log2(op, 1, k, n_eff - 1)[0]
     if branch not in ("left", "right"):
         raise ValueError(f"unknown branch {branch!r}")
     pos, neg = _orbit_log2(op, 0, k, n_eff)
-    return pos if branch == "left" else neg
+    return (pos if branch == "left" else neg)[1:]
 
 
 def _window_bound(op: ShiftOperator, values: np.ndarray) -> Optional[tuple[int, dict]]:
@@ -336,11 +335,9 @@ def _avg_pos_expansive(op: ShiftOperator, cfg: HorizonConfig, criterion: str) ->
 # uniform expansivity: window-infimum curves
 # ---------------------------------------------------------------------------
 
-def _split_window(op: ShiftOperator, split: str, cfg: HorizonConfig):
-    """(lo, hi, tail_edges) of the j-window for one split of the support."""
+def _split_window(split: str, cfg: HorizonConfig):
+    """(lo, hi, tail_edges) of the j-window for one split; a unilateral shift takes "N"."""
     w = cfg.window
-    if not op.bilateral:
-        return 1, w, ("hi",)
     if split == "Z":
         return -w, w, ("lo", "hi")
     if split == "N":
@@ -357,10 +354,9 @@ _TIE_LOG2 = 2.0 ** -20
 
 def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
               cfg: HorizonConfig, n_eff: int):
-    """Window-infimum curve for the A-form or B-form ratio on one split.
-
-    A-form: inf_j a(j+n, l) |w(j) ... w(j+n-1)| / a(j, k)
-    B-form: inf_j a(j-n, l) / (a(j, k) |w(j-n) ... w(j-1)|)
+    """Window-infimum curve of inf_j ||T^(+-n) e_j||_l / ||e_j||_k on one
+    split, over the orbit that lands at e_{j+n} (A-form: T^n on a forward
+    shift, T^-n on a backward one) or at e_{j-n} (B-form).
 
     Returns (curve, usable) where usable marks steps at which removing the
     tail-edge candidates does not change the infimum (the window value is
@@ -377,12 +373,13 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     _TIE_LOG2.
     """
     m = op.space.matrix
-    lo, hi, tail_edges = _split_window(op, split, cfg)
+    lo, hi, tail_edges = _split_window(split, cfg)
     s = np.arange(1, n_eff + 1) if form == "A" else -np.arange(1, n_eff + 1)
     ext_lo, ext_hi = (lo, hi + n_eff) if form == "A" else (lo - n_eff, hi)
     la_l = m.log2_row(level, ext_lo, ext_hi)
     la_k = m.log2_row(k, lo, hi)
-    walk = _walk_log2(op, 0, n_eff, 1 if form == "A" else -1)
+    d = -1 if op.direction == "backward" else 1  # T^d e_j lands at e_{j+1}
+    walk = _walk_log2(op, 0, n_eff, d if form == "A" else -d)[1:]
 
     nz = np.flatnonzero(la_k != ZERO_LOG2)
     if not nz.size:
@@ -422,10 +419,8 @@ def _ue_property_for_k(op: ShiftOperator, k: int, prop: str, cfg: HorizonConfig,
     """Search levels for one property at one k; smallest succeeding level."""
     parts = {"A": (("Z", "A"),), "B": (("Z", "B"),),
              "C": (("N", "A"), ("-N", "B"))}[prop]
-    if not op.bilateral:
-        parts = {"A": (("N", "A"),)}.get(prop, ())
-        if not parts:
-            return None
+    if not op.bilateral:  # only regime A, of upe on a forward shift, comes here
+        parts = (("N", "A"),)
     for level in range(k, cfg.l_max + 1):
         all_crossings = []
         for split, form in parts:
@@ -466,19 +461,11 @@ _BACKWARD_PROPERTY = {"A": "b", "B": "a", "C": "c", "none": "none"}
 
 
 def _unif_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
-    """The certified uniform-expansivity regime of a bilateral shift.
-
-    Forward: (A) forward products beat every level uniformly, (B) the inverse
-    products do, (C) each half-line handles one direction.  Backward: the
-    forward regime of the inverse's opposite-direction form, mapped to
-    (a), (b), (c); regime (a) also means uniformly positively expansive."""
-    if op.direction == "backward":
-        verdict = _unif_expansive(dual_form(op), cfg)
-        prop = _BACKWARD_PROPERTY[verdict.property_label]
-        notes = verdict.notes + (("regime (a): uniformly positively expansive",)
-                                 if prop == "a" else ())
-        return Verdict("unif-expansive", verdict.kind, property_label=prop,
-                       evidence=verdict.evidence, notes=notes, config=cfg)
+    """The certified uniform-expansivity regime of a bilateral shift, read
+    on the shift itself: (A) the orbits towards e_{j+n} beat every level
+    uniformly, (B) those towards e_{j-n} do, (C) each half-line handles one
+    direction.  Backward, those are the inverse's and the shift's own orbits:
+    regimes (b), (a) and (c), where (a) means uniformly positively expansive."""
     holders = []
     evidence = []
     for regime in ("A", "B", "C"):
@@ -488,12 +475,15 @@ def _unif_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
             holders.append(regime)
     if len(holders) > 1:
         raise AssertionError(f"mutually exclusive properties both certified: {holders}")
-    return Verdict("unif-expansive", _kind(bool(holders), False),
-                   property_label=holders[0] if holders else "none",
-                   evidence=tuple(evidence), config=cfg,
-                   notes=() if evidence[0].attestation else
-                   ("no ratio-profile attestation for this weight family; "
-                    "certificates unavailable, window evidence only",))
+    prop = holders[0] if holders else "none"
+    notes = () if evidence[0].attestation else (
+        "no ratio-profile attestation for this weight family; "
+        "certificates unavailable, window evidence only",)
+    if op.direction == "backward":
+        prop = _BACKWARD_PROPERTY[prop]
+        notes += ("regime (a): uniformly positively expansive",) if prop == "a" else ()
+    return Verdict("unif-expansive", _kind(bool(holders), False), property_label=prop,
+                   evidence=tuple(evidence), notes=notes, config=cfg)
 
 
 def _unif_pos_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
@@ -537,8 +527,7 @@ def _basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
         for k in range(1, cfg.k_max + 1):
             pos, neg = _orbit_log2(op, j0, k, n_eff)
             # orbit norms outward, n = 0, +-1, +-2, ...; crossings read their running sup
-            norms = np.concatenate((op.space.matrix.log2_row(k, j0, j0),
-                                    pos if neg is None else np.maximum(pos, neg)))
+            norms = pos if neg is None else np.maximum(pos, neg)
             crossings, certified = _first_crossings(norms, cfg.m_grid, n0=0)
             ev = BranchEvidence(k=k, level=k, label=f"e_{j0}", certified=certified,
                                 crossings=crossings, n_eff=n_eff)

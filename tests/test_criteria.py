@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from shiftlab import shifts
 from shiftlab.blocks import build_blocks
 from shiftlab.criteria import (
     CROSS_EPS,
@@ -469,6 +470,21 @@ class TestUnifExpansiveBackward:
         v = check_criterion(blocks_op, "ue", cfg)
         assert v.property_label == "none" and not v.certified
 
+    @pytest.mark.parametrize("criterion", ["ue", "upe", "hierarchy"])
+    def test_reads_the_shift_itself(self, criterion, monkeypatch):
+        # the regimes are read off the shift's own walk sum, as ae and e read
+        # it, not off its inverse rebuilt as a dual shift, whose weights
+        # log2(1/w) round otherwise than -log2(w)
+        def refuse(*args):
+            raise AssertionError("a uniform criterion built the dual form")
+
+        monkeypatch.setattr(shifts, "dual_form", refuse)
+        monkeypatch.setattr(shifts.DualWeights, "_runs", refuse)
+        op = ShiftOperator("backward", constant_weights(F(5, 2)), preset("lp_Z", 2))
+        result = check_criterion(op, criterion, CFG)
+        prop = result.ue_property if criterion == "hierarchy" else result.property_label
+        assert prop == "a"
+
 
 class TestUnifPosExpansive:
     def test_forward_doubling(self):
@@ -766,7 +782,7 @@ class TestUeCurveOnPresets:
             m, cfg = op.space.matrix, HorizonConfig(n_max=24, window=window)
             for split, form in product(("Z", "N", "-N") if op.bilateral else ("N",), "AB"):
                 _, usable = _ue_curve(op, k, level, split, form, cfg, 24)
-                lo, hi, tails = _split_window(op, split, cfg)
+                lo, hi, tails = _split_window(split, cfg)
                 valid = [j for j in range(lo, hi + 1) if entry(m, j, k) > 0]
                 edges = {valid[0] if t == "lo" else valid[-1] for t in tails} if valid else set()
                 want = []

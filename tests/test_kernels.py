@@ -72,14 +72,16 @@ def ue_curve_reference(op, k, level, split, form, cfg, n_eff):
     """_ue_curve by sweeping: the per-n loop over every valid column, then
     over the edge-trimmed columns; usable where the two agree.  A column's
     value is (log2 a(j+s, l) + W[n]) - log2 a(j, k), s = n (A-form) or -n
-    (B-form), W the walk sum from e_0: the weights are constant, so the
+    (B-form), W the walk sum from e_0 of the orbit that lands at e_s (T^n
+    or T^-n, by the shift's direction): the weights are constant, so the
     walk from every column is the same."""
     m = op.space.matrix
-    lo, hi, tail_edges = _split_window(op, split, cfg)
+    lo, hi, tail_edges = _split_window(split, cfg)
     ext_lo, ext_hi = (lo, hi + n_eff) if form == "A" else (lo - n_eff, hi)
     g = m.log2_row(level, ext_lo, ext_hi)
     h = m.log2_row(k, lo, hi)
-    walk = walk_reference(op, n_eff, 1 if form == "A" else -1)
+    d = -1 if op.direction == "backward" else 1
+    walk = walk_reference(op, n_eff, d if form == "A" else -d)
     valid = h != -np.inf
     if form == "B":
         # value(j, n) = (g[j - n] + W[n]) - h[j]: reversed, it is the loop's
@@ -128,7 +130,8 @@ def curve_cases(draw, spaces, weights=DYADIC):
     level = draw(st.integers(k, k + 5))
     n_eff = draw(st.integers(1, 120))
     window = draw(st.integers(1, 40))
-    op = ShiftOperator("forward", constant_weights(draw(st.sampled_from(weights))), space)
+    direction = draw(st.sampled_from(("forward", "backward") if space.bilateral else ("forward",)))
+    op = ShiftOperator(direction, constant_weights(draw(st.sampled_from(weights))), space)
     split = draw(st.sampled_from(("Z", "N", "-N") if op.bilateral else ("N",)))
     form = draw(st.sampled_from("AB"))
     return op, k, level, split, form, HorizonConfig(n_max=n_eff, window=window), n_eff
@@ -180,18 +183,21 @@ class TestUeCurveAtDefaultHorizon:
 class TestUeCurveIsTheOrbitNorm:
     """On constant and step rows every finite ratio at a step is the same
     float, the least being at the low end j of the valid run: the curve is
-    bitwise _orbit_log2 at e_j (its T^n row for the A-form, T^-n for the
-    B-form, which only bilateral shifts take) less log2 ||e_j||_k, with
-    non-dyadic weights too."""
+    bitwise _orbit_log2 at e_j (for the A-form the orbit that lands at
+    e_{j+n}: T^n on a forward shift, T^-n on a backward one; for the
+    B-form, which only bilateral shifts take, the other) less
+    log2 ||e_j||_k, with non-dyadic weights too."""
 
     @pytest.mark.parametrize("c", [Fraction(5, 2), Fraction(2, 3)])
-    @pytest.mark.parametrize("space", ["c0_Z", "lp_N", "halfline_Z"])
-    def test_curve_is_orbit_log2_at_the_low_end(self, space, c):
+    @pytest.mark.parametrize("space, direction", [
+        ("c0_Z", "forward"), ("lp_N", "forward"), ("halfline_Z", "forward"),
+        ("c0_Z", "backward"), ("halfline_Z", "backward")])
+    def test_curve_is_orbit_log2_at_the_low_end(self, space, direction, c):
         spec = preset(space, 2) if space == "lp_N" else preset(space)
-        op = ShiftOperator("forward", constant_weights(c), spec)
+        op = ShiftOperator(direction, constant_weights(c), spec)
         cfg, n_eff = HorizonConfig(n_max=200, window=30), 200
         for split in ("Z", "N", "-N") if op.bilateral else ("N",):
-            lo, hi, _ = _split_window(op, split, cfg)
+            lo, hi, _ = _split_window(split, cfg)
             for form in "AB" if op.bilateral else "A":
                 for k, level in ((1, 1), (1, 3), (2, 4)):
                     nz = np.flatnonzero(spec.matrix.log2_row(k, lo, hi) != -np.inf)
@@ -199,6 +205,7 @@ class TestUeCurveIsTheOrbitNorm:
                         continue  # no valid column: the curve is +inf
                     j = lo + int(nz[0])
                     pos, neg = _orbit_log2(op, j, level, n_eff)
-                    want = (pos if form == "A" else neg) - spec.matrix.log2_row(k, j, j)
+                    up = (form == "A") == (direction == "forward")  # lands at e_{j+n}
+                    want = (pos if up else neg)[1:] - spec.matrix.log2_row(k, j, j)
                     curve, _ = _ue_curve(op, k, level, split, form, cfg, n_eff)
                     assert curve.tobytes() == want.tobytes(), (split, form, k, level)

@@ -327,10 +327,13 @@ class TestAvgTermLogs:
 
 
 def _check_walk(op, j0, k, n):
+    # both orbits start at ||e_{j0}||_k, n = 0
     pos, neg = _orbit_log2(op, j0, k, n)
-    assert pos.tobytes() == _orbit_walk_loop(op, j0, k, n, 1).tobytes(), (j0, k, n)
+    assert pos[0] == op.space.matrix.entry_log2(j0, k)
+    assert pos[1:].tobytes() == _orbit_walk_loop(op, j0, k, n, 1).tobytes(), (j0, k, n)
     if op.bilateral:
-        assert neg.tobytes() == _orbit_walk_loop(op, j0, k, n, -1).tobytes(), (j0, k, n)
+        assert neg[0] == pos[0]
+        assert neg[1:].tobytes() == _orbit_walk_loop(op, j0, k, n, -1).tobytes(), (j0, k, n)
     else:
         assert neg is None
 
