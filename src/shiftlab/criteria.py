@@ -232,17 +232,21 @@ def _avg_term_logs(op: ShiftOperator, k: int, branch: str, n_eff: int) -> np.nda
     return (pos if branch == "left" else neg)[1:]
 
 
-def _window_bound(op: ShiftOperator, values: np.ndarray) -> Optional[tuple[int, dict]]:
-    """The window-bound rule of ae, ape, mixing and e: (index of the
-    maximum, tail attestation) when shifts.tail_attestation attests the
-    family pair and the maximum of values sits at the start (nonincreasing
-    profile) or strictly inside the window (unimodal peak); else None, as
-    for a sequence still rising at the window edge."""
-    attestation = tail_attestation(op)
-    if attestation is None or values.size == 0:
-        return None
+def _window_bound(op: ShiftOperator, values: np.ndarray, j0: int,
+                  n: int) -> Optional[tuple[int, dict]]:
+    """The window-bound rule of ae, ape, mixing and e, for values along a
+    walk of n steps from e_{j0}: (index of the maximum, tail attestation)
+    when shifts.tail_attestation attests the family pair and the maximum
+    sits at the start (nonincreasing profile) or strictly inside the window
+    (unimodal peak), the last step not rising; else None.  Edges (lo, hi) in
+    the attestation vouch only past them, where walks of constant weights
+    are geometric: the walk's last two steps must lie outside [lo, hi]."""
+    attestation = tail_attestation(op) or {}
+    lo, hi = attestation.get("edges", (math.inf, -math.inf))  # none: everywhere
     arg = int(np.argmax(values))
-    return None if arg == values.size - 1 else (arg, attestation)
+    if not attestation or j0 - n + 1 >= lo or hi >= j0 + n - 1 or arg == values.size - 1:
+        return None
+    return (arg, attestation) if values[-1] <= values[-2] else None
 
 
 def _walk_n_eff(op: ShiftOperator, cfg: HorizonConfig, radius: int) -> Optional[int]:
@@ -269,7 +273,7 @@ def _avg_branch_evidence(op: ShiftOperator, k: int, branch: str,
     crossings, certified = _first_crossings(averages, cfg.m_grid)
     ev = BranchEvidence(k=k, level=k, label=branch, certified=certified,
                         crossings=crossings, n_eff=n_eff)
-    bound = _window_bound(op, terms)
+    bound = _window_bound(op, terms, 0, n_eff)
     if bound is None:
         return ev
     arg, attestation = bound
@@ -534,9 +538,8 @@ def _basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
             if certified:
                 best = ev
                 break
-            bound = _window_bound(op, norms)
-            if bound is not None:
-                ev = replace(ev, bound_log2=float(norms[bound[0]]),
+            if all(_window_bound(op, side, j0, n_eff) for side in (pos, neg) if side is not None):
+                ev = replace(ev, bound_log2=float(norms.max()),
                              attestation="orbit norms attested monotone beyond window")
             best = ev
         evidence.append(best)
@@ -584,7 +587,7 @@ def _mixing(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     for k in range(1, cfg.k_max + 1):
         for branch in ("left", "right"):
             terms = _avg_term_logs(op, k, branch, n_eff)
-            attested = _window_bound(op, terms) is not None
+            attested = _window_bound(op, terms, 0, n_eff) is not None
             certified, settle = _null_certification(terms, attested, tau_grid)
             crossings, unbounded = _first_crossings(terms, cfg.m_grid)
             evidence.append(BranchEvidence(

@@ -66,8 +66,8 @@ class KotheMatrix:
     weights (shifts.tail_attestation), whether window extrema extend to the
     index tails: its name in reports, and the reasons why a window-check
     ratio sup ("ratio") and a uniform ratio profile ("profile") do.  An
-    attestation without reasons attests only the running-average term
-    profiles and the "e" orbit bound.
+    attestation without reasons, a hold table's, attests only the term
+    profiles of the running averages and "e" past its "edges" (lo, hi).
 
     The families with a "profile" reason, and only they, also give
     ratio_minimisers(k, l, s) -> (columns, ratio) for r(j) = a(j + s, l) /
@@ -248,7 +248,7 @@ class TableMatrix(KotheMatrix):
 
     @property
     def attestation(self) -> Optional[dict]:
-        return {"name": "hold"} if self.tail == "hold" else None
+        return {"name": "hold", "edges": (self.lo, self.hi)} if self.tail == "hold" else None
 
     def _entry(self, j: int, k: int) -> Fraction:
         lo, hi = self.lo, self.hi

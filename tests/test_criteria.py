@@ -40,6 +40,7 @@ from shiftlab.spaces import (
     SpaceSpec,
     parse_space,
     preset,
+    table_matrix,
 )
 from test_kernels import ue_curve_reference
 
@@ -538,6 +539,57 @@ def test_uniform_certificates_hold_at_four_times_the_horizon():
                     moved.append((case, verdict.property_label, again.property_label))
     assert moved == []
     assert len(certified) == 46
+
+
+@st.composite
+def hold_tables(draw):
+    """(lo, hi, rows) of a one-level hold matrix table inside [-20, 20]:
+    at most 6 runs of values in [1/4, 4]."""
+    lo = draw(st.integers(-20, 20))
+    value = st.fractions(F(1, 4), F(4), max_denominator=8)
+    runs = draw(st.lists(st.tuples(st.integers(1, 4), value), min_size=1, max_size=6))
+    values = [v for length, v in runs for _ in range(length)][:21 - lo]
+    return lo, lo + len(values) - 1, {lo + i: [v] for i, v in enumerate(values)}
+
+
+# F4: a(j, 1) = 2^-|j| on [-2, 2] falls faster than the weights 3/2 grow,
+# so walks inside the table fall, and rise once they have left it
+F4_TABLE = (-2, 2, {j: [F(1, 2 ** abs(j))] for j in range(-2, 3)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(hold_tables(), st.sampled_from([F(1, 2), F(2, 3), F(1), F(3, 2), F(2)]),
+       st.sampled_from(["backward", "forward"]), st.sampled_from(["ae", "ape", "e"]),
+       st.integers(-12, 12))
+@example(F4_TABLE, F(3, 2), "forward", "ape", 0)
+@example(F4_TABLE, F(3, 2), "backward", "ae", 0)
+@example((-100, 100, {j: [F(1, 2 ** abs(j))] for j in range(-100, 101)}),
+         F(3, 2), "forward", "e", -50)
+# the walk has left the table, but its last step rises: 6 at n = 1, then
+# 9/16, 27/32, ..., 6561/1024 at n = 8
+@example((1, 2, {1: [F(4)], 2: [F(1, 4)]}), F(3, 2), "forward", "ape", 3)
+def test_hold_table_bounds_hold_past_the_table(table, c, side, criterion, past):
+    # a hold table vouches for its profile only past its edges: every
+    # BoundedWitness bound, the exact maximum of its window's terms, is at
+    # least every exact term up to four times past the table edge; the
+    # horizon ends up to 12 steps before or after the table edge
+    lo, hi, rows = table
+    n_max = max(1, max(abs(lo), abs(hi)) + past)
+    op = ShiftOperator(side, constant_weights(c), SpaceSpec(table_matrix(rows, lo, hi, "hold"), 1))
+    cfg = HorizonConfig(n_max=n_max, window=4, m_grid=(2 ** 64,), k_max=1, basis_window=2)
+    verdict = check_criterion(op, criterion, cfg)
+    if verdict.kind is not VerdictKind.BOUNDED_WITNESS:
+        return
+    reach = max(n_max, 4 * (max(abs(lo), abs(hi)) + cfg.basis_window + 1))
+    for ev in verdict.evidence:
+        j0 = int(ev.label[2:]) if criterion == "e" else 0
+        sign = {"left": 1, "right": -1}.get(ev.label)
+        window, beyond = ((range(sign, sign * (n + 1), sign) for n in (n_max, reach)) if sign
+                          else (range(-n, n + 1) for n in (n_max, reach)))
+        bound = max(basis_orbit_norm(op, j0, n, 1) for n in window)
+        assert ev.bound_log2 == pytest.approx(math.log2(bound), abs=1e-9), ev.label
+        late = [n for n in beyond if basis_orbit_norm(op, j0, n, 1) > bound]
+        assert late == [], (ev.label, late[:3])
 
 
 def test_hierarchy_is_consistent_over_presets_and_weight_families():
