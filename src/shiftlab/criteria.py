@@ -79,6 +79,8 @@ class HorizonConfig:
             raise InvalidSpecError("m_grid must be nonempty and strictly increasing")
         if grid[0] <= 0:
             raise InvalidSpecError(f"m_grid entries must be > 0, got {grid[0]}")
+        if grid[-1] <= 1:  # reaching only M <= 1 shows no growth
+            raise InvalidSpecError(f"m_grid needs a threshold above 1, got {list(grid)}")
         object.__setattr__(self, "m_grid", grid)
         if self.l_max is None:
             object.__setattr__(self, "l_max", self.k_max + 5)

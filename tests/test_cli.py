@@ -257,6 +257,12 @@ class TestCheck:
          "m_grid entries must be > 0, got 0"),
         (("--space", "c0_Z", "--weights", "constant:2", "--m-grid", "-4,2"),
          "m_grid entries must be > 0, got -4"),
+        # no threshold above 1 shows growth: ue and hierarchy used to certify
+        # all three regimes at once on constant weights 1 and exit 3
+        (("--space", "lp_Z:2", "--weights", "constant:1", "--criterion", "ue", "--m-grid", "1"),
+         "m_grid needs a threshold above 1, got [1]"),
+        (("--space", "lp_Z:2", "--weights", "constant:1", "--criterion", "hierarchy",
+          "--m-grid", "1"), "m_grid needs a threshold above 1, got [1]"),
     ])
     def test_horizon_out_of_range_names_the_field(self, capsys, args, message):
         code, out, err = run(capsys, "check", *args, "--n-max", "8", "--window", "4")

@@ -81,6 +81,14 @@ class TestHorizonConfig:
         with pytest.raises(InvalidSpecError):
             HorizonConfig(k_max=3, l_max=2)
 
+    @pytest.mark.parametrize("grid", [(1,), (F(1, 2), 1), (F(1, 4),)], ids=str)
+    def test_grid_needs_a_threshold_above_1(self, grid):
+        # a ratio that reaches only M <= 1 shows no growth, so regimes A, B
+        # and C of ue could all certify at once
+        with pytest.raises(InvalidSpecError, match="m_grid needs a threshold above 1"):
+            HorizonConfig(m_grid=grid)
+        HorizonConfig(m_grid=grid + (F(3, 2),))
+
 
 class TestAvgExpansive:
     def test_doubling_backward_left(self):
@@ -416,7 +424,7 @@ class TestUnifExpansiveForward:
         from shiftlab.criteria import _ue_curve
 
         op = ShiftOperator("forward", constant_weights(1), preset("s_Z"))
-        cfg = HorizonConfig(n_max=10, window=100, m_grid=(1,), k_max=1)
+        cfg = HorizonConfig(n_max=10, window=100, m_grid=(1, 2), k_max=1)
         curve, usable = _ue_curve(op, 1, 2, "N", "A", cfg, 10)
         brute = min(F((j + 3 + 1) ** 2, j + 1) for j in range(1, 101))
         assert brute == 12
@@ -428,7 +436,7 @@ class TestUnifExpansiveForward:
         import math
 
         op = ShiftOperator("forward", constant_weights(1), preset("s_Z"))
-        cfg = HorizonConfig(n_max=100, window=1000, m_grid=(1,), k_max=3)
+        cfg = HorizonConfig(n_max=100, window=1000, m_grid=(1, 2), k_max=3)
         for k in (1, 2, 3):
             curve, usable = _ue_curve(op, k, k + 1, "N", "A", cfg, 100)
             for n in range(1, 101):
@@ -443,7 +451,7 @@ class TestUnifExpansiveForward:
         from shiftlab.criteria import _ue_curve
 
         op = ShiftOperator("forward", constant_weights(2), preset("halfline_Z"))
-        cfg = HorizonConfig(n_max=8, window=50, m_grid=(1,), k_max=1)
+        cfg = HorizonConfig(n_max=8, window=50, m_grid=(1, 2), k_max=1)
         curve, usable = _ue_curve(op, 1, 1, "-N", "B", cfg, 8)
         assert np.all(np.isinf(curve)) and np.all(usable)
 
@@ -715,7 +723,7 @@ class TestTraces:
         from shiftlab.criteria import _ue_curve
 
         op = ShiftOperator("forward", constant_weights(2), preset("lp_Z", 2))
-        cfg = HorizonConfig(n_max=30, window=16, m_grid=(1,))
+        cfg = HorizonConfig(n_max=30, window=16, m_grid=(1, 2))
         curve, _ = _ue_curve(op, 1, 1, "Z", "A", cfg, 30)
         for n in range(1, 31):
             assert curve[n - 1] == pytest.approx(float(n), abs=1e-12)
@@ -777,7 +785,7 @@ class TestUeCurveOnPresets:
     attested presets with dyadic weights its curve and usable must be
     bitwise the full sweep's (tests/test_kernels.py)."""
 
-    CFG = HorizonConfig(n_max=40, window=12, m_grid=(1,), k_max=2)
+    CFG = HorizonConfig(n_max=40, window=12, m_grid=(1, 2), k_max=2)
     SPACES = {
         "c0_Z": lambda: preset("c0_Z"),
         "s_Z": lambda: preset("s_Z"),
@@ -811,7 +819,7 @@ class TestUeCurveOnPresets:
         # (j + 98)**3 / (j + 1) is least at j* = 47.5, between the last
         # interior column and the tail edge, which is less by under 2^-20
         op = ShiftOperator("forward", constant_weights(1), preset("s_Z"))
-        cfg = HorizonConfig(n_max=100, window=48, m_grid=(1,), k_max=1)
+        cfg = HorizonConfig(n_max=100, window=48, m_grid=(1, 2), k_max=1)
         _, usable = _ue_curve(op, 1, 3, "N", "A", cfg, 100)
         interior, edge = F(47 + 98) ** 3 / 48, F(48 + 98) ** 3 / 49
         assert 0 < math.log2(interior / edge) <= _TIE_LOG2
