@@ -11,6 +11,7 @@ from shiftlab.shifts import (
     conjugate_to_unweighted,
     constant_weights,
     dual_form,
+    geometric_weights,
 )
 from shiftlab.spaces import InvalidSpecError, preset
 
@@ -76,6 +77,17 @@ class TestPower:
         p = PowerShift(backward(2), 3)
         assert p.grouped_weight(0) == 8
         assert power_orbit_norm(p, 0, 2, 1) == 2 ** 6
+
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    def test_grouped_weights_follow_the_walk(self, direction):
+        # a geometric weight differs at every index, so a grouped product
+        # read one index off would break the power law on either side
+        op = ShiftOperator(direction, geometric_weights(F(2, 3), F(5, 4)), preset("s_Z"))
+        for m in (2, 3):
+            p = PowerShift(op, m)
+            for j0 in (-4, 0, 5):
+                for n in range(-3, 4):
+                    assert power_orbit_norm(p, j0, n, 2) == basis_orbit_norm(op, j0, m * n, 2)
 
     def test_lattice_law_blocks(self, build4):
         op = ShiftOperator("backward", build4, preset("c0_Z"))

@@ -695,6 +695,12 @@ class TestMixing:
         v = check_criterion(op, "mixing", cfg)
         assert v.property_label == "not-mixing"
 
+    def test_weights_that_miss_e0_are_an_input_error(self):
+        # an error table on [5, 10] holds no weight of the walks from e_0
+        op = ShiftOperator("backward", table_weights({j: 2 for j in range(5, 11)}), preset("c0_Z"))
+        with pytest.raises(InvalidSpecError, match="weight table too small for the requested horizon"):
+            check_criterion(op, "mixing", HorizonConfig(n_max=8, window=4))
+
     def test_exclusion_on_certified_family(self, build4, blocks_op):
         cfg = blocks_cfg(build4)
         assert check_criterion(blocks_op, "ae", cfg).certified

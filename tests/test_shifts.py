@@ -19,7 +19,7 @@ from shiftlab.shifts import (
     weights_from_json,
     window_check,
 )
-from shiftlab.spaces import parse_space, preset
+from shiftlab.spaces import SpaceSpec, parse_space, preset, table_matrix
 from vector_oracle import apply, basis_vector, seminorm
 
 CFG = HorizonConfig(n_max=64, window=60, m_grid=(1, 2, 4), k_max=2)
@@ -210,6 +210,29 @@ class TestWellPosedInvertible:
         rep = window_check(op, "defined", k, HorizonConfig(window=16, k_max=3))
         assert rep.ok and rep.level == k + 1
         assert levels == [k, k + 1]
+
+    def test_window_past_an_error_table_reads_the_table(self):
+        # the window [-10, 10] reaches past the weights on [-3, 3]; the
+        # check reads the indices they cover and skips the rest
+        op = op_backward(table_weights({j: 2 for j in range(-3, 4)}))
+        rep = window_check(op, "defined", 1, HorizonConfig(window=10, k_max=1))
+        assert rep.status == "inconclusive" and rep.level == 1 and rep.window_sup == "2"
+
+    def test_no_weights_on_window(self):
+        op = op_backward(table_weights({50: 2}))
+        rep = window_check(op, "defined", 1, HorizonConfig(window=5, k_max=1))
+        assert (rep.status, rep.level, rep.detail) == ("inconclusive", None, "no weights on window")
+
+    def test_zero_row_through_l_max_fails(self):
+        # a(0, l) = 0 for every l <= l_max = 3 while a(-1, 1) = 1: B e_0
+        # has norm 1 at level 1, which no level of ||e_0|| bounds
+        rows = {j: [1] for j in range(-3, 4)}
+        rows[0] = [0, 0, 0, 1]
+        space = SpaceSpec(table_matrix(rows, -3, 3, tail="hold"), 0)
+        op = ShiftOperator("backward", constant_weights(1), space)
+        rep = window_check(op, "defined", 1, HorizonConfig(window=2, k_max=1, l_max=3))
+        assert (rep.status, rep.level) == ("fails", None)
+        assert rep.detail == "zero-pattern implication fails for every level <= 3 on the window"
 
     def test_unilateral_forward_not_invertible(self):
         op = ShiftOperator("forward", constant_weights(2), preset("lp_N", 1))
