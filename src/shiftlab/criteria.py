@@ -8,20 +8,20 @@ At desk scale they become three-valued verdicts:
   For window-infimum criteria a crossing only counts when the window value
   is a true infimum, which requires a structural tail attestation of the
   ratio profile plus an interior (not tail-edge) attainment check.
-* bounded-witness: an explicit per-term bound on the window together with a
-  tail attestation (term profile eventually nonincreasing or constant).
+* bounded-witness: an explicit per-term bound on the window with a tail
+  attestation (term profile eventually nonincreasing, past a table's edges).
 * inconclusive: window evidence only.
 
 A sup (averages, basis orbits) records first crossings, which a larger
-horizon keeps; both read _orbit_log2, a matrix row plus the walk sum
-(_walk_log2): the averages at e_0, the basis diagnostic at every index of
-its window.  Uniform expansivity (Bernardes et al., J. Funct. Anal. 288
-(2025) 110696) is a limit in n: for k <= k_max some l <= l_max has lim
-over n of inf over j in the window of ||T^n e_j||_l / ||e_j||_k infinite;
-its curves read the same walk sum.  Its first_n is the first usable step
-after the last usable step below the threshold, so only a fall past the
-horizon can revoke it; an attested window value at a usable step is a
-true infimum, fixed as the window grows.
+horizon keeps; both read _orbit_log2 from n = 0, a matrix row plus the walk
+sum (_walk_log2): the averages at e_0, the basis diagnostic at every index
+of its window.  Uniform expansivity (Bernardes et al., J. Funct. Anal. 288
+(2025) 110696) is a limit in n: for k <= k_max some l <= l_max has lim over
+n of inf over j in the window of ||T^n e_j||_l / ||e_j||_k infinite; its
+curves read the same walk sum, of the shift itself.  Its first_n is the
+first usable step after the last usable step below the threshold, so only a
+fall past the horizon can revoke it; an attested window value at a usable
+step is a true infimum, fixed as the window grows.
 
 A window-infimum curve is read only at the columns where its matrix family
 puts the minimum (its ratio_minimisers, see KotheMatrix).  A tie between
