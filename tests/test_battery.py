@@ -3,16 +3,16 @@
 The commands are ``check --space S --weights W --side D --criterion C`` at a
 short horizon (``--n-max 600 --window 60 --m-grid 1,2,4``) over every S, W, D
 and C below, plus ``props``, all run in one process through
-``shiftlab.cli.main``.  The weights above are dyadic, whose log walk sums
-are exact; the uniform criteria also run with non-dyadic constants at
-windows 3 and 60, whose walk sums round (equal ratios at a step still read
-one float on constant and step rows).  A ``hold`` matrix table on [-100,
-100] (hold_table.json, a(j, 1) = 2^-|j|) runs the window-bound criteria at
+``shiftlab.cli.main``.  The weights above are dyadic, whose log walk sums are
+exact; the uniform criteria also run with non-dyadic constants at windows 3
+and 60, whose walk sums round (equal ratios at a step still read one float on
+constant and step rows).  A ``hold`` matrix table on [-100, 100]
+(hold_table.json, a(j, 1) = 2^-|j|) runs the window-bound criteria at
 horizons inside and past its edges.  An argument ``@name`` names a file in
-this directory, so a row's key does not depend on the checkout.  A row holds the exit code, the
-verdict summary, the sha256 of stdout and, for an internal error (exit 3),
-the last line of the traceback, ``Type: message``.  The test names every
-row that differs.
+this directory, so a row's key does not depend on the checkout.  A row holds
+the exit code, the verdict summary, the sha256 of stdout and, for an internal
+error (exit 3), the last line of the traceback, ``Type: message``.  The test
+names every row that differs.
 
 A row may move only when a recorded defect is fixed.  Re-record the table with
 
