@@ -9,13 +9,13 @@ At desk scale they become three-valued verdicts:
   is a true infimum, which requires a structural tail attestation of the
   ratio profile plus an interior (not tail-edge) attainment check.
 * bounded-witness: an explicit per-term bound on the window with a tail
-  attestation (term profile eventually nonincreasing, past a table's edges).
+  attestation (term profile nonincreasing past the matrix's edges(k)).
 * inconclusive: window evidence only.
 
 A sup (averages, basis orbits) records first crossings, which a larger
 horizon keeps; both read _orbit_log2 from n = 0, a matrix row plus the walk
-sum (_walk_log2): the averages at e_0, the basis diagnostic at every index
-of its window.  Uniform expansivity (Bernardes et al., J. Funct. Anal. 288
+sum (_walk_log2): the averages at e_0, one orbit per level for both
+branches, the basis diagnostic at every index of its window.  Uniform expansivity (Bernardes et al., J. Funct. Anal. 288
 (2025) 110696) is a limit in n: for k <= k_max some l <= l_max has lim over
 n of inf over j in the window of ||T^n e_j||_l / ||e_j||_k infinite; its
 curves read the same walk sum, of the shift itself.  Its first_n is the
@@ -222,29 +222,28 @@ def _orbit_log2(op: ShiftOperator, j0: int, k: int, n: int):
     return pos, row[n::-d] + _walk_log2(op, j0, n, -1)
 
 
-def _avg_term_logs(op: ShiftOperator, k: int, branch: str, n_eff: int) -> np.ndarray:
-    """log2 of the branch term sequence, j = 1..n_eff: the orbit of e_0 under
-    T ('left') or T^-1 ('right'); on a unilateral forward shift
-    ('unilateral') ||e_1||_k followed by the orbit of e_1."""
-    if branch == "unilateral":
-        return _orbit_log2(op, 1, k, n_eff - 1)[0]
-    if branch not in ("left", "right"):
-        raise ValueError(f"unknown branch {branch!r}")
+def _avg_term_logs(op: ShiftOperator, k: int, n_eff: int) -> dict:
+    """log2 of each branch's term sequence, j = 1..n_eff, from one orbit: the
+    orbit of e_0 under T ('left') and T^-1 ('right'); on a unilateral
+    forward shift ('unilateral') ||e_1||_k followed by the orbit of e_1."""
+    if not op.bilateral:
+        return {"unilateral": _orbit_log2(op, 1, k, n_eff - 1)[0]}
     pos, neg = _orbit_log2(op, 0, k, n_eff)
-    return (pos if branch == "left" else neg)[1:]
+    return {"left": pos[1:], "right": neg[1:]}
 
 
-def _window_bound(op: ShiftOperator, values: np.ndarray, j0: int,
-                  n: int) -> Optional[tuple[int, dict]]:
-    """The window-bound rule of ae, ape, mixing and e, for values along a
-    walk of n steps from e_{j0}: (index of the maximum, tail attestation)
-    when shifts.tail_attestation attests the family pair and the maximum
-    sits at the start (nonincreasing profile) or strictly inside the window
-    (unimodal peak), the last step not rising; else None.  Edges (lo, hi) in
-    the attestation vouch only past them, where walks of constant weights
-    are geometric: the walk's last two steps must lie outside [lo, hi]."""
-    attestation = tail_attestation(op) or {}
-    lo, hi = attestation.get("edges", (math.inf, -math.inf))  # none: everywhere
+def _window_bound(op: ShiftOperator, values: np.ndarray, j0: int, n: int,
+                  k: int) -> Optional[tuple[int, dict]]:
+    """The window-bound rule of ae, ape, mixing and e, for level-k values
+    along a walk of n steps from e_{j0}: (index of the maximum, tail
+    attestation) when shifts.tail_attestation attests the family pair and
+    the maximum sits at the start (nonincreasing profile) or strictly inside
+    the window (unimodal peak), the last step not rising; else None.  The
+    attestation vouches only past the matrix's edges (lo, hi) at level k
+    (KotheMatrix.edges), where walks of constant weights are log-concave:
+    the walk's last two steps must lie outside [lo, hi]."""
+    attestation = tail_attestation(op)
+    lo, hi = op.space.matrix.edges(k) or (math.inf, -math.inf)  # none: everywhere
     arg = int(np.argmax(values))
     if not attestation or j0 - n + 1 >= lo or hi >= j0 + n - 1 or arg == values.size - 1:
         return None
@@ -268,31 +267,36 @@ def _walk_n_eff(op: ShiftOperator, cfg: HorizonConfig, radius: int) -> Optional[
     return n if n >= 1 else None
 
 
-def _avg_branch_evidence(op: ShiftOperator, k: int, branch: str,
-                         cfg: HorizonConfig, n_eff: int) -> BranchEvidence:
-    terms = _avg_term_logs(op, k, branch, n_eff)
-    averages = _kernels.running_log2_average(terms)
-    crossings, certified = _first_crossings(averages, cfg.m_grid)
-    ev = BranchEvidence(k=k, level=k, label=branch, certified=certified,
-                        crossings=crossings, n_eff=n_eff)
-    bound = _window_bound(op, terms, 0, n_eff)
-    if bound is None:
-        return ev
-    arg, attestation = bound
-    profile = "nonincreasing term profile" if arg == 0 else "unimodal term profile"
-    return replace(ev, bound_log2=float(terms[arg]),
-                   attestation=f"{profile} ({attestation['name']} matrix, constant weights)")
+def _avg_n_eff(op: ShiftOperator, cfg: HorizonConfig) -> int:
+    """The reach of the walks from e_0 (e_1 on N), which ae, ape and mixing read."""
+    n_eff = _walk_n_eff(op, cfg, 0)
+    if n_eff is None:
+        raise InvalidSpecError("weight table too small for the requested horizon")
+    return n_eff
 
 
 def _avg_evidence(op: ShiftOperator, cfg: HorizonConfig,
                   branches: Sequence[str]) -> list[BranchEvidence]:
     """Evidence for every level k = 1..k_max, k-major, branches in the given
-    order within each k."""
-    n_eff = _walk_n_eff(op, cfg, 0)
-    if n_eff is None:
-        raise InvalidSpecError("weight table too small for the requested horizon")
-    return [_avg_branch_evidence(op, k, branch, cfg, n_eff)
-            for k in range(1, cfg.k_max + 1) for branch in branches]
+    order within each k: the first crossings of the running averages, and a
+    bound on the terms where _window_bound gives one."""
+    n_eff = _avg_n_eff(op, cfg)
+    evidence = []
+    for k in range(1, cfg.k_max + 1):
+        terms = _avg_term_logs(op, k, n_eff)
+        for branch in branches:
+            averages = _kernels.running_log2_average(terms[branch])
+            crossings, certified = _first_crossings(averages, cfg.m_grid)
+            ev = BranchEvidence(k=k, level=k, label=branch, certified=certified,
+                                crossings=crossings, n_eff=n_eff)
+            bound = _window_bound(op, terms[branch], 0, n_eff, k)
+            if bound is not None:
+                arg, attestation = bound
+                profile = "nonincreasing term profile" if arg == 0 else "unimodal term profile"
+                ev = replace(ev, bound_log2=float(terms[branch][arg]), attestation=(
+                    f"{profile} ({attestation['name']} matrix, constant weights)"))
+            evidence.append(ev)
+    return evidence
 
 
 def _kind(certified: bool, bounded: bool) -> VerdictKind:
@@ -420,46 +424,40 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     return curve, usable
 
 
-def _ue_property_for_k(op: ShiftOperator, k: int, prop: str, cfg: HorizonConfig,
-                       n_eff: int):
-    """Search levels for one property at one k; smallest succeeding level."""
-    parts = {"A": (("Z", "A"),), "B": (("Z", "B"),),
-             "C": (("N", "A"), ("-N", "B"))}[prop]
-    if not op.bilateral:  # only regime A, of upe on a forward shift, comes here
-        parts = (("N", "A"),)
-    for level in range(k, cfg.l_max + 1):
-        all_crossings = []
-        for split, form in parts:
-            curve, usable = _ue_curve(op, k, level, split, form, cfg, n_eff)
-            crossings, certified = _first_crossings(curve, cfg.m_grid, usable)
-            all_crossings.append((split, crossings))
-            if not certified:
-                break
-        else:
-            return level, all_crossings
-    return None
+# regime -> the (split, form) curves that must all certify at one level; a
+# unilateral shift has regime A alone, of upe on a forward shift, on "N"
+_REGIME_PARTS = {"A": (("Z", "A"),), "B": (("Z", "B"),), "C": (("N", "A"), ("-N", "B"))}
 
 
 def _ue_regime(op: ShiftOperator, prop: str, cfg: HorizonConfig):
-    """(holds, evidence) for one regime: a succeeding level at every k in
-    1..k_max, up to the reach of the walks from the window.  The search
-    stops at the first k with none, whose evidence records the failure.
-    Without a ratio-profile attestation no level can succeed, so no curve is
-    computed: the report is the failing k = 1 row."""
+    """(holds, evidence) for one regime: at every k in 1..k_max the smallest
+    level in k..l_max whose curves all certify, up to the reach of the walks
+    from the window.  The search stops at the first k with none, whose
+    evidence records the failure.  Without a ratio-profile attestation no
+    level can succeed, so no curve is computed: the report is the failing
+    k = 1 row."""
     attestation = (tail_attestation(op) or {}).get("profile")
     n_eff = _walk_n_eff(op, cfg, cfg.window)
+    parts = _REGIME_PARTS[prop] if op.bilateral else (("N", "A"),)
     evidence = []
     for k in range(1, cfg.k_max + 1):
-        found = _ue_property_for_k(op, k, prop, cfg, n_eff) if attestation else None
-        if found is None:
+        for level in range(k, cfg.l_max + 1) if attestation else ():
+            rows = []
+            for split, form in parts:
+                curve, usable = _ue_curve(op, k, level, split, form, cfg, n_eff)
+                crossings, certified = _first_crossings(curve, cfg.m_grid, usable)
+                if not certified:
+                    break
+                rows.append(BranchEvidence(k=k, level=level, label=f"{prop}:{split}",
+                                           certified=True, crossings=crossings,
+                                           attestation=attestation, n_eff=n_eff))
+            else:  # every curve certified: this level succeeds
+                evidence += rows
+                break
+        else:  # no level succeeds
             evidence.append(BranchEvidence(k=k, level=None, label=prop, certified=False,
                                            attestation=attestation, n_eff=n_eff))
             return False, evidence
-        level, split_crossings = found
-        for split, crossings in split_crossings:
-            evidence.append(BranchEvidence(
-                k=k, level=level, label=f"{prop}:{split}", certified=True,
-                crossings=crossings, attestation=attestation, n_eff=n_eff))
     return True, evidence
 
 
@@ -526,10 +524,7 @@ def _basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
         raise InvalidSpecError(f"weight table too small for a window of radius {cfg.basis_window}")
     j_lo = 1 if not op.bilateral else -cfg.basis_window
     evidence = []
-    all_certified = True
-    all_bounded = True
     for j0 in range(j_lo, cfg.basis_window + 1):
-        best: Optional[BranchEvidence] = None
         for k in range(1, cfg.k_max + 1):
             pos, neg = _orbit_log2(op, j0, k, n_eff)
             # orbit norms outward, n = 0, +-1, +-2, ...; crossings read their running sup
@@ -538,75 +533,51 @@ def _basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
             ev = BranchEvidence(k=k, level=k, label=f"e_{j0}", certified=certified,
                                 crossings=crossings, n_eff=n_eff)
             if certified:
-                best = ev
                 break
-            if all(_window_bound(op, side, j0, n_eff) for side in (pos, neg) if side is not None):
+            if all(_window_bound(op, side, j0, n_eff, k) for side in (pos, neg) if side is not None):
                 ev = replace(ev, bound_log2=float(norms.max()),
                              attestation="orbit norms attested monotone beyond window")
-            best = ev
-        evidence.append(best)
-        if not best.certified:
-            all_certified = False
-            if best.attestation is None:
-                all_bounded = False
-    kind = (VerdictKind.CERTIFIED_UNBOUNDED if all_certified
-            else VerdictKind.BOUNDED_WITNESS if all_bounded else VerdictKind.INCONCLUSIVE)
+        evidence.append(ev)
+    kind = _kind(all(ev.certified for ev in evidence),
+                 all(ev.certified or ev.attestation for ev in evidence))
     notes = ("diagnostic: basis orbits only; the underlying condition quantifies over all vectors",)
-    if not op.bilateral:
-        notes = notes + ("one-sided orbit only: operator has no inverse",)
+    notes += () if op.bilateral else ("one-sided orbit only: operator has no inverse",)
     return Verdict("expansive-basis-diagnostic", kind, evidence=tuple(evidence),
                    notes=notes, config=cfg)
 
 
-def _null_certification(terms: np.ndarray, attested: bool, tau_grid: Sequence[float]):
-    """Certify terms -> 0: for each tau the terms must sit at or below tau from
-    some index onward through the window, with an attested tail profile."""
-    results = []
-    certified = attested
-    for tau in tau_grid:
-        lt = math.log2(tau)
-        above = np.nonzero(terms > lt + CROSS_EPS)[0]
-        settle = int(above[-1]) + 2 if above.size else 1
-        ok = settle <= terms.size  # settles within the window
-        results.append({"tau": tau, "settle_n": settle if ok else None})
-        certified = certified and ok
-    return certified, results
+# mixing's null threshold: terms at or below 2^-10 from some n on through the
+# window.  No threshold in [2^-10, 1] has more terms above it, so none
+# settles later: this one decides for all of them.
+_NULL_LOG2 = -10.0
 
 
 def _mixing(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     """Topological-mixing surrogate for bilateral backward shifts: both term
     sequences a(-j,k)|w(-j+1)...w(0)| and a(j,k)/|w(1)...w(j)| must be
-    certified null at every level.  On any average-expansivity certificate
-    some branch terms diverge in average, so this must not certify: the
-    exclusion is asserted by the hierarchy tests."""
-    tau_grid = [2.0 ** (-m) for m in range(0, 11)]
-    n_eff = _walk_n_eff(op, cfg, 0)
-    if n_eff is None:
-        raise InvalidSpecError("weight table too small for the requested horizon")
+    certified null at every level: settled at or below 2^-10 within the
+    window, with an attested tail profile.  A branch whose terms cross the
+    whole grid certifies that the shift is not mixing.  On any
+    average-expansivity certificate some branch terms diverge in average, so
+    this must not certify: the exclusion is asserted by the hierarchy tests."""
+    n_eff = _avg_n_eff(op, cfg)
     evidence = []
-    mixing = True
-    definitive_not = False
     for k in range(1, cfg.k_max + 1):
-        for branch in ("left", "right"):
-            terms = _avg_term_logs(op, k, branch, n_eff)
-            attested = _window_bound(op, terms, 0, n_eff) is not None
-            certified, settle = _null_certification(terms, attested, tau_grid)
-            crossings, unbounded = _first_crossings(terms, cfg.m_grid)
+        for branch, terms in _avg_term_logs(op, k, n_eff).items():
+            above = np.flatnonzero(terms > _NULL_LOG2 + CROSS_EPS)
+            settle = int(above[-1]) + 2 if above.size else 1  # the first n from which none is
+            settle = settle if settle <= n_eff else None
+            attested = _window_bound(op, terms, 0, n_eff, k) is not None
+            crossings, _ = _first_crossings(terms, cfg.m_grid)
             evidence.append(BranchEvidence(
-                k=k, level=k, label=f"null:{branch}", certified=certified,
+                k=k, level=k, label=f"null:{branch}", certified=attested and settle is not None,
                 crossings=crossings, n_eff=n_eff,
-                attestation="tail attested" if attested else None,
-                detail=f"settle={settle[-1]['settle_n']}"))
-            if not certified:
-                mixing = False
-            if unbounded:
-                definitive_not = True
-    if mixing:
-        kind, label = VerdictKind.BOUNDED_WITNESS, "mixing"
-    elif definitive_not:
-        kind, label = VerdictKind.CERTIFIED_UNBOUNDED, "not-mixing"
-    else:
-        kind, label = VerdictKind.INCONCLUSIVE, "not-certified"
+                attestation="tail attested" if attested else None, detail=f"settle={settle}"))
+    mixing = all(ev.certified for ev in evidence)
+    unbounded = any(all(c.first_n is not None for c in ev.crossings) for ev in evidence)
+    kind = _kind(unbounded and not mixing, mixing)
+    label = {VerdictKind.BOUNDED_WITNESS: "mixing", VerdictKind.CERTIFIED_UNBOUNDED: "not-mixing",
+             VerdictKind.INCONCLUSIVE: "not-certified"}[kind]
     return Verdict("mixing", kind, property_label=label, evidence=tuple(evidence),
                    config=cfg)
 

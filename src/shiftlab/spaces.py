@@ -67,7 +67,8 @@ class KotheMatrix:
     index tails: its name in reports, and the reasons why a window-check
     ratio sup ("ratio") and a uniform ratio profile ("profile") do.  An
     attestation without reasons, a hold table's, attests only the term
-    profiles of the running averages and "e" past its "edges" (lo, hi).
+    profiles of the running averages and "e".  Every family states its
+    edges(k); those profiles are attested only past them.
 
     The families with a "profile" reason, and only they, also give
     ratio_minimisers(k, l, s) -> (columns, ratio) for r(j) = a(j + s, l) /
@@ -130,6 +131,12 @@ class KotheMatrix:
         except IndexError as exc:  # an 'error' tail table that the horizon outruns
             raise InvalidSpecError(str(exc)) from None
 
+    def edges(self, k: int) -> Optional[tuple[int, int]]:
+        """(lo, hi): on j <= lo and on j >= hi, log2 a(j, k) is concave or
+        constantly -inf, so a walk of constant weights past them has
+        log-concave norms.  None: everywhere."""
+        return None
+
     def wire_params(self) -> dict:  # the "params" of the space wire form
         return {}
 
@@ -172,6 +179,9 @@ class PowerMatrix(KotheMatrix):
 
     def _entry(self, j: int, k: int) -> Fraction:
         return Fraction((abs(j) + 1) ** k)
+
+    def edges(self, k: int) -> tuple[int, int]:
+        return 0, 0  # the kink of |j|
 
     def _log2_cells(self, k: int, lo: int, hi: int) -> np.ndarray:
         """a(j, k) = a(-j, k): gather a cached row over |j| >= 0, so each
@@ -225,6 +235,9 @@ class HalflineMatrix(KotheMatrix):
     def _entry(self, j: int, k: int) -> Fraction:
         return Fraction(1) if j > -k else Fraction(0)
 
+    def edges(self, k: int) -> tuple[int, int]:
+        return -k, 1 - k  # the step from 0 to 1
+
     attestation = {"name": "step",
                    "ratio": "step matrix and constant weights: ratio eventually constant on each tail",
                    "profile": "ratio profile constant on the support"}
@@ -248,7 +261,10 @@ class TableMatrix(KotheMatrix):
 
     @property
     def attestation(self) -> Optional[dict]:
-        return {"name": "hold", "edges": (self.lo, self.hi)} if self.tail == "hold" else None
+        return {"name": "hold"} if self.tail == "hold" else None
+
+    def edges(self, k: int) -> tuple[int, int]:
+        return self.lo, self.hi  # a 'hold' tail repeats the edge rows past them
 
     def _entry(self, j: int, k: int) -> Fraction:
         lo, hi = self.lo, self.hi

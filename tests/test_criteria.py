@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shiftlab import shifts
+from shiftlab import criteria, shifts
 from shiftlab.blocks import build_blocks
 from shiftlab.criteria import (
     CROSS_EPS,
@@ -589,15 +589,44 @@ def test_hold_table_bounds_hold_past_the_table(table, c, side, criterion, past):
     if verdict.kind is not VerdictKind.BOUNDED_WITNESS:
         return
     reach = max(n_max, 4 * (max(abs(lo), abs(hi)) + cfg.basis_window + 1))
+    _assert_bounds_hold(op, verdict, criterion, n_max, reach)
+
+
+def _assert_bounds_hold(op, verdict, criterion, n_max, reach):
+    """Each stated bound is the exact maximum of its window's terms (the
+    orbit norms of e_j for e, a branch's terms for ae and ape) and at least
+    every exact term up to `reach` steps."""
     for ev in verdict.evidence:
+        if ev.bound_log2 is None:
+            continue
         j0 = int(ev.label[2:]) if criterion == "e" else 0
         sign = {"left": 1, "right": -1}.get(ev.label)
         window, beyond = ((range(sign, sign * (n + 1), sign) for n in (n_max, reach)) if sign
                           else (range(-n, n + 1) for n in (n_max, reach)))
-        bound = max(basis_orbit_norm(op, j0, n, 1) for n in window)
-        assert ev.bound_log2 == pytest.approx(math.log2(bound), abs=1e-9), ev.label
-        late = [n for n in beyond if basis_orbit_norm(op, j0, n, 1) > bound]
+        bound = max(basis_orbit_norm(op, j0, n, ev.k) for n in window)
+        want = math.log2(bound) if bound else -math.inf
+        assert ev.bound_log2 == pytest.approx(want, abs=1e-9), ev.label
+        late = [n for n in beyond if basis_orbit_norm(op, j0, n, ev.k) > bound]
         assert late == [], (ev.label, late[:3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["s_Z", "halfline_Z"]),
+       st.sampled_from([F(1, 2), F(2, 3), F(1), F(11, 10), F(3, 2), F(2)]),
+       st.sampled_from(["backward", "forward"]), st.sampled_from(["ae", "ape", "e"]),
+       st.integers(5, 60), st.integers(1, 12), st.integers(1, 2))
+# orbits of e_j, j < 0, that fall towards the kink of s_Z at 0 and rise past it
+@example("s_Z", F(11, 10), "forward", "e", 45, 50, 1)
+# orbits of e_j, j <= -21, that read 0 until they pass the step of halfline_Z
+@example("halfline_Z", F(2), "forward", "e", 20, 50, 1)
+def test_preset_bounds_hold_past_the_horizon(space, c, side, criterion, n_max, radius, k_max):
+    # every stated bound, whatever the verdict, is at least every exact term
+    # up to four times the horizon: a power or step row changes shape at its
+    # edges (KotheMatrix.edges), so only walks past them are attested
+    op = ShiftOperator(side, constant_weights(c), parse_space(space))
+    cfg = HorizonConfig(n_max=n_max, window=4, m_grid=(2 ** 64,), k_max=k_max,
+                        basis_window=radius)
+    _assert_bounds_hold(op, check_criterion(op, criterion, cfg), criterion, n_max, 4 * n_max)
 
 
 def test_hierarchy_is_consistent_over_presets_and_weight_families():
@@ -712,6 +741,17 @@ class TestMixing:
             assert not (sides["null:left"] and sides["null:right"])
 
 
+@pytest.mark.parametrize("criterion", ["ae", "ape", "mixing"])
+def test_average_criteria_read_one_orbit_per_level(criterion, monkeypatch):
+    # every branch's terms come from one orbit of e_0 per level
+    calls = []
+    real = criteria._orbit_log2
+    monkeypatch.setattr(criteria, "_orbit_log2", lambda op, j0, k, n: (
+        calls.append((j0, k)) or real(op, j0, k, n)))
+    check_criterion(ShiftOperator("backward", constant_weights(2), preset("c0_Z")), criterion, CFG)
+    assert calls == [(0, k) for k in range(1, CFG.k_max + 1)]
+
+
 class TestTraces:
     def test_average_trace_closed_form(self):
         import math
@@ -720,7 +760,7 @@ class TestTraces:
         from shiftlab.criteria import _avg_term_logs
 
         op = ShiftOperator("backward", constant_weights(2), preset("c0_Z"))
-        averages = _kernels.running_log2_average(_avg_term_logs(op, 1, "left", 40))
+        averages = _kernels.running_log2_average(_avg_term_logs(op, 1, 40)["left"])
         for n in (1, 5, 20, 40):
             want = math.log2((2 ** (n + 1) - 2) / n)
             assert averages[n - 1] == pytest.approx(want, rel=1e-12)

@@ -7,7 +7,8 @@ family names its ratio minimisers; shifts.tail_attestation reads it under
 constant weights and their duals only.  A family's JSON wire form reads
 back to an equal object with the same attestation; and no family overrides
 a method that perfbench/trace_op.py wraps on the base classes, which would
-drop it out of the per-layer counts.
+drop it out of the per-layer counts.  An attested matrix's log2 rows are
+concave, or constantly -inf, on each side outside its edges.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shiftlab.blocks import BlockWeights, build_blocks
@@ -31,6 +33,7 @@ from shiftlab.shifts import (
     weights_from_json,
 )
 from shiftlab.spaces import (
+    PRESET_NAMES,
     HalflineMatrix,
     KotheMatrix,
     PowerMatrix,
@@ -124,6 +127,25 @@ def test_every_family_type_is_exercised():
                | {type(weights) for weights, _ in WEIGHTS.values()})
     assert written | UNWRITTEN == FAMILY_TYPES
     assert BlockWeights in written
+
+
+@pytest.mark.parametrize("matrix", [space.matrix for space, _ in SPACES.values()]
+                         + [preset(name).matrix for name in PRESET_NAMES],
+                         ids=[*SPACES, *PRESET_NAMES])
+def test_log2_rows_are_concave_outside_the_edges(matrix):
+    # past its edges a walk of constant weights has log-concave norms, so a
+    # last step that does not rise bounds the rest (criteria._window_bound);
+    # the rows are read on the index set, which an orbit on N leaves only to
+    # die
+    if matrix.attestation is None:
+        return
+    first = 1 if matrix.index_set == "N" else -40
+    for k in range(1, 6):
+        edges = matrix.edges(k)
+        sides = [(first, 40)] if edges is None else [(first, edges[0]), (max(first, edges[1]), 40)]
+        for a, b in sides:
+            row = matrix.log2_row(k, a, b) if a <= b else np.array([])
+            assert np.all(row == -np.inf) or np.all(np.diff(row, 2) <= 0), (k, a, b)
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
