@@ -561,20 +561,20 @@ def _mixing(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     average-expansivity certificate some branch terms diverge in average, so
     this must not certify: the exclusion is asserted by the hierarchy tests."""
     n_eff = _avg_n_eff(op, cfg)
-    evidence = []
+    evidence, unbounded = [], False
     for k in range(1, cfg.k_max + 1):
         for branch, terms in _avg_term_logs(op, k, n_eff).items():
             above = np.flatnonzero(terms > _NULL_LOG2 + CROSS_EPS)
-            settle = int(above[-1]) + 2 if above.size else 1  # the first n from which none is
+            settle = int(above[-1]) + 2 if above.size else 1  # the step after the last above
             settle = settle if settle <= n_eff else None
             attested = _window_bound(op, terms, 0, n_eff, k) is not None
-            crossings, _ = _first_crossings(terms, cfg.m_grid)
+            crossings, crossed = _first_crossings(terms, cfg.m_grid)
+            unbounded |= crossed
             evidence.append(BranchEvidence(
                 k=k, level=k, label=f"null:{branch}", certified=attested and settle is not None,
                 crossings=crossings, n_eff=n_eff,
                 attestation="tail attested" if attested else None, detail=f"settle={settle}"))
     mixing = all(ev.certified for ev in evidence)
-    unbounded = any(all(c.first_n is not None for c in ev.crossings) for ev in evidence)
     kind = _kind(unbounded and not mixing, mixing)
     label = {VerdictKind.BOUNDED_WITNESS: "mixing", VerdictKind.CERTIFIED_UNBOUNDED: "not-mixing",
              VerdictKind.INCONCLUSIVE: "not-certified"}[kind]
