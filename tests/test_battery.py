@@ -1,4 +1,4 @@
-"""The verdict battery: the outcome of 713 CLI commands, pinned in battery.json.
+"""The verdict battery: the outcome of 719 CLI commands, pinned in battery.json.
 
 The commands are ``check --space S --weights W --side D --criterion C`` at a
 short horizon (``--n-max 600 --window 60 --m-grid 1,2,4``) over every S, W, D
@@ -8,8 +8,10 @@ exact; the uniform criteria also run with non-dyadic constants at windows 3
 and 60, whose walk sums round (equal ratios at a step still read one float on
 constant and step rows).  A ``hold`` matrix table on [-100, 100]
 (hold_table.json, a(j, 1) = 2^-|j|) runs the window-bound criteria at
-horizons inside and past its edges, and two ``e`` diagnostics read orbits
-that cross the kink of s_Z and the step of halfline_Z.  An argument ``@name`` names a file in
+horizons inside and past its edges, as does a table of ones on [-100, 5]
+(hold_ones_table.json), whose forward walks from e_0 leave it on one side
+only; and two ``e`` diagnostics read orbits that cross the kink of s_Z and
+the step of halfline_Z.  An argument ``@name`` names a file in
 this directory, so a row's key does not depend on the checkout.  A row holds
 the exit code, the verdict summary, the sha256 of stdout and, for an internal
 error (exit 3), the last line of the traceback, ``Type: message``.  The test
@@ -46,6 +48,7 @@ HORIZON = ("--n-max", "600", "--window", "60", "--m-grid", "1,2,4", "--no-timest
 NON_DYADIC = (("lp_Z:2", "s_Z", "halfline_Z"), ("constant:5/2", "constant:2/3"), SIDES,
               ("ue", "upe"), ("3", "60"))
 HOLD_CHECKS = [(c, d) for c in ("ape", "ae", "e") for d in SIDES] + [("mixing", "backward")]
+ONES_CHECKS = ("ape", "ae", "e")
 EDGE_CHECKS = (("s_Z", "constant:11/10", "45"), ("halfline_Z", "constant:2", "20"))
 
 
@@ -59,10 +62,13 @@ def commands() -> list[tuple[str, ...]]:
              "--criterion", c, "--n-max", n_max, "--window", "10", "--basis-window", "3",
              "--k-max", "1", "--no-timestamp")
             for n_max in ("50", "600") for c, d in HOLD_CHECKS]
+    ones = [("check", "--space", "@hold_ones_table.json", "--weights", "constant:1/2", "--side",
+             "forward", "--criterion", c, "--n-max", n_max, "--k-max", "1", "--no-timestamp")
+            for n_max in ("50", "600") for c in ONES_CHECKS]
     edge = [("check", "--space", s, "--weights", w, "--side", "forward", "--criterion", "e",
              "--n-max", n_max, "--k-max", "1", "--basis-window", "50", "--no-timestamp")
             for s, w, n_max in EDGE_CHECKS]
-    return checks + non_dyadic + hold + edge + [("props", "--no-timestamp")]
+    return checks + non_dyadic + hold + ones + edge + [("props", "--no-timestamp")]
 
 
 def _verdict(v: dict) -> list:
@@ -126,7 +132,7 @@ def record() -> None:
 def test_battery_matches_table():
     expected = json.loads(TABLE.read_text())
     actual = run_battery()
-    assert len(actual) == 713
+    assert len(actual) == 719
     differ = []
     for cmd in sorted(set(expected) | set(actual)):
         want = expected.get(cmd)
