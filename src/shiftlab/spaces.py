@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, ClassVar, Optional
 
 from .scalars import (
@@ -82,7 +83,6 @@ class KotheMatrix:
     attestation: ClassVar[Optional[dict]] = None
     index_set = _BILATERAL  # a field of the families that take either index set
     _log2_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _log2_half_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def entry(self, j: int, k: int) -> Fraction:
         """Exact entry a(j, k); k >= 1."""
@@ -99,28 +99,31 @@ class KotheMatrix:
         """Vector of log2 a(j, k) for j in [lo, hi]; -inf marks zero entries.
 
         Unilateral matrices report -inf for j < 1 so that window sweeps can
-        use a uniform indexing.  Each level (one for all levels of a constant
-        matrix) keeps one cached float64 row that grows with the index range
-        requested, so every entry is converted at most once per matrix;
-        constant rows convert their one value, and power rows convert
-        a(j, k) = a(-j, k) once.  The result is a read-only view into that
-        cache: copy it before writing.
+        use a uniform indexing.  Each family holds only what it converts, so
+        every value is converted at most once per level: a constant matrix
+        its one value, a power matrix a cached row over |j| per level, the
+        other families a cached row per level that grows with the index range
+        requested (_log2_span).  The result may be a view into a cache or a
+        fresh array: callers only read it.
         """
-        from ._kernels import Log2Cache  # the log lane, and numpy, load here
+        import numpy as np
         if k < 1:
             raise ValueError("seminorm level k must be >= 1")
-        key = 1 if isinstance(self, ConstantMatrix) else k  # equal rows at every level
-        row = self._log2_rows.get(key)
-        if row is None:
-            row = self._log2_rows[key] = Log2Cache()
-        return row.window(lo, hi, lambda a, b: self._log2_fill(k, a, b))
-
-    def _log2_fill(self, k: int, lo: int, hi: int) -> np.ndarray:
-        import numpy as np
+        if hi < lo:
+            return np.empty(0)
         if self.index_set == _UNILATERAL and lo < 1:
             head = np.full(min(hi, 0) - lo + 1, ZERO_LOG2)
-            return head if hi < 1 else np.concatenate((head, self._log2_fill(k, 1, hi)))
-        return self._log2_cells(k, lo, hi)
+            return head if hi < 1 else np.concatenate((head, self._log2_span(k, 1, hi)))
+        return self._log2_span(k, lo, hi)
+
+    def _log2_span(self, k: int, lo: int, hi: int) -> np.ndarray:
+        """log2 a(j, k) for j in [lo, hi] inside the index set: from the
+        level's cached row, filled by _log2_cells, unless a family holds less."""
+        from ._kernels import Log2Cache  # the log lane, and numpy, load here
+        row = self._log2_rows.get(k)
+        if row is None:
+            row = self._log2_rows[k] = Log2Cache()
+        return row.window(lo, hi, lambda a, b: self._log2_cells(k, a, b))
 
     def _log2_cells(self, k: int, lo: int, hi: int) -> np.ndarray:
         """log2 a(j, k) for j in [lo, hi] inside the index set, entry by entry."""
@@ -152,9 +155,13 @@ class ConstantMatrix(KotheMatrix):
     def _entry(self, j: int, k: int) -> Fraction:
         return self.value
 
-    def _log2_cells(self, k: int, lo: int, hi: int) -> np.ndarray:
+    @cached_property
+    def _log2_value(self) -> float:
+        return log2_exact(self.value)
+
+    def _log2_span(self, k: int, lo: int, hi: int) -> np.ndarray:
         import numpy as np
-        return np.full(hi - lo + 1, log2_exact(self.value))
+        return np.full(hi - lo + 1, self._log2_value)  # one value at every index and level
 
     attestation = {"name": "constant",
                    "ratio": "constant matrix rows and constant weights: ratio constant in j",
@@ -175,6 +182,7 @@ class PowerMatrix(KotheMatrix):
     """a(j, k) = (|j| + 1)**k, the rapidly-decreasing-sequences family."""
 
     index_set: str = _BILATERAL
+    _log2_half_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     family = "power"
 
     def _entry(self, j: int, k: int) -> Fraction:
@@ -183,8 +191,8 @@ class PowerMatrix(KotheMatrix):
     def edges(self, k: int) -> tuple[int, int]:
         return 0, 0  # the kink of |j|
 
-    def _log2_cells(self, k: int, lo: int, hi: int) -> np.ndarray:
-        """a(j, k) = a(-j, k): gather a cached row over |j| >= 0, so each
+    def _log2_span(self, k: int, lo: int, hi: int) -> np.ndarray:
+        """a(j, k) = a(-j, k): gather from a cached row over |j| >= 0, so each
         value is converted once per level whatever the signs of j."""
         import numpy as np
         from ._kernels import Log2Cache

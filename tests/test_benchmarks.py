@@ -8,6 +8,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 import bench_blocks  # noqa: E402
 import bench_kernels  # noqa: E402
+import bench_memory  # noqa: E402
 
 TINY_KERNELS = {"bench_running_average": {"n": 1_000},
                 "bench_basis_diagnostic": {"n_max": 20, "basis_window": 2},
@@ -27,3 +28,11 @@ def test_bench_blocks_layers_run_once():
         run()
         if reference is not None:
             reference()
+
+
+def test_bench_memory_reads_the_perfbench_ops_and_an_op_peak():
+    ops = {op for op_list in bench_memory.workloads().values() for op, _ in op_list}
+    assert {"check_ue_forward", "check_e", "synthesize"} <= ops
+    tiny = ["check", "--space", "lp_Z:2", "--weights", "constant:2", "--criterion", "ae",
+            "--n-max", "20", "--k-max", "1"]
+    assert 1 < bench_memory.op_peak(tiny) < 1024

@@ -1,12 +1,12 @@
 """Cached log2 rows and weight windows against per-index conversion.
 
-KotheMatrix.log2_row and WeightSequence.log2_window serve slices of one
-lazily grown array per object; every slice must be bitwise equal to the
-per-index entry_log2 / log2 reference, fail where the reference fails, and
-leave the cache usable afterwards.  _orbit_log2 builds its orbit norms
-with np.cumsum over those slices and must match the sequential per-step
-walk, bit for bit; the running-average terms and the basis diagnostic read
-that one curve.
+KotheMatrix.log2_row serves rows from what each matrix family holds, and
+WeightSequence.log2_window slices of one lazily grown array per object;
+every result must be bitwise equal to the per-index entry_log2 / log2
+reference, fail where the reference fails, and leave the cache usable
+afterwards.  _orbit_log2 builds its orbit norms with np.cumsum over those
+slices and must match the sequential per-step walk, bit for bit; the
+running-average terms and the basis diagnostic read that one curve.
 """
 
 from fractions import Fraction
@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from shiftlab._kernels import Log2Cache
 from shiftlab.blocks import build_blocks
-from shiftlab import criteria
+from shiftlab import criteria, spaces
 from shiftlab.criteria import HorizonConfig, _avg_term_logs, _orbit_log2, check_criterion
 from shiftlab.scalars import ZERO_LOG2, InvalidSpecError, log2_exact
 from shiftlab.shifts import (
@@ -144,10 +144,37 @@ class TestLog2Cache:
 
     @pytest.mark.parametrize("name", sorted(MATRICES))
     def test_matrix_holds_no_array_before_its_first_row(self, name):
+        # each family holds only what it converts: a constant matrix its one
+        # value, a power matrix a row over |j| per level, the others a row
+        # per level
         m = MATRICES[name]()
-        assert m._log2_rows == {} and m._log2_half_rows == {}
+        assert m._log2_rows == {} and getattr(m, "_log2_half_rows", {}) == {}
+        assert "_log2_value" not in vars(m)
         m.log2_row(2, 1, 3)
-        assert all(isinstance(c, Log2Cache) for c in m._log2_rows.values()) and m._log2_rows
+        family = name.split("-")[0]
+        if family == "constant":
+            assert m._log2_rows == {} and vars(m)["_log2_value"] == log2_exact(F(5, 3))
+        elif family == "power":
+            assert m._log2_rows == {} and list(m._log2_half_rows) == [2]
+            assert isinstance(m._log2_half_rows[2], Log2Cache)
+        else:
+            assert list(m._log2_rows) == [2] and isinstance(m._log2_rows[2], Log2Cache)
+
+    def test_each_value_is_converted_once_per_level(self, monkeypatch):
+        # a power level grown across zero converts a(j, k) = a(-j, k) once;
+        # a constant matrix converts its value once for every level
+        calls = []
+        monkeypatch.setattr(spaces, "log2_exact", lambda q: calls.append(q) or log2_exact(q))
+        power = PowerMatrix()
+        power.log2_row(3, -11_000, 1_000)
+        power.log2_row(3, -1_000, 11_000)
+        assert len(calls) == 11_001
+        calls.clear()
+        constant = constant_matrix(F(5, 3))
+        for k in (1, 2, 3):
+            constant.log2_row(k, -5, 5)
+            constant.log2_row(k, 100, 200)
+        assert calls == [F(5, 3)]
 
     @pytest.mark.parametrize("name", sorted(WEIGHTS))
     def test_weights_hold_no_array_before_their_first_window(self, name):
