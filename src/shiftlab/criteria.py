@@ -207,29 +207,29 @@ def _walk_log2(op: ShiftOperator, j0: int, n: int, sign: int) -> np.ndarray:
     return sign * np.cumsum(np.concatenate(([0.0], logs[::step])))  # in walk order
 
 
-def _orbit_log2(op: ShiftOperator, j0: int, k: int, n: int):
-    """(pos, neg): log2 ||T^i e_{j0}||_k and log2 ||T^-i e_{j0}||_k at
-    i = 0..n, the row at e_{j0 +- id} plus the walk; neg is None when the
-    shift has no inverse.  Off-lattice targets give -inf; on N, B e_1 = 0
+def _orbit_log2(op: ShiftOperator, j0: int, levels: Sequence[int], n: int):
+    """Per level k in levels, (pos, neg): log2 ||T^i e_{j0}||_k and log2
+    ||T^-i e_{j0}||_k at i = 0..n, the row at e_{j0 +- id} plus the walk; neg
+    is None when the shift has no inverse.  The walk sums, the same at every
+    level, are taken once.  Off-lattice targets give -inf; on N, B e_1 = 0
     ends a backward orbit, whose walk reads w_{j0} ... w_2 only."""
     d = -1 if op.direction == "backward" else 1
-    row = op.space.matrix.log2_row(k, j0 - n, j0 + n)  # a(j0 + i, k) at row[n + i]
     live = n if op.bilateral or d > 0 else min(n, j0 - 1)  # steps before the orbit dies
     walk = np.concatenate((_walk_log2(op, j0, live, 1), np.full(n - live, ZERO_LOG2)))
-    pos = row[n::d] + walk
-    if not op.bilateral:
-        return pos, None
-    return pos, row[n::-d] + _walk_log2(op, j0, n, -1)
+    back = _walk_log2(op, j0, n, -1) if op.bilateral else None
+    for k in levels:
+        row = op.space.matrix.log2_row(k, j0 - n, j0 + n)  # a(j0 + i, k) at row[n + i]
+        yield row[n::d] + walk, None if back is None else row[n::-d] + back
 
 
-def _avg_term_logs(op: ShiftOperator, k: int, n_eff: int) -> dict:
-    """log2 of each branch's term sequence, j = 1..n_eff, from one orbit: the
-    orbit of e_0 under T ('left') and T^-1 ('right'); on a unilateral
-    forward shift ('unilateral') ||e_1||_k followed by the orbit of e_1."""
+def _avg_term_logs(op: ShiftOperator, levels: Sequence[int], n_eff: int):
+    """Per level k in levels, log2 of each branch's term sequence, j =
+    1..n_eff, from one orbit: the orbit of e_0 under T ('left') and T^-1
+    ('right'); on a unilateral forward shift ('unilateral') ||e_1||_k
+    followed by the orbit of e_1."""
     if not op.bilateral:
-        return {"unilateral": _orbit_log2(op, 1, k, n_eff - 1)[0]}
-    pos, neg = _orbit_log2(op, 0, k, n_eff)
-    return {"left": pos[1:], "right": neg[1:]}
+        return ({"unilateral": pos} for pos, _ in _orbit_log2(op, 1, levels, n_eff - 1))
+    return ({"left": pos[1:], "right": neg[1:]} for pos, neg in _orbit_log2(op, 0, levels, n_eff))
 
 
 def _window_bound(op: ShiftOperator, values: np.ndarray, j0: int, n: int,
@@ -282,8 +282,7 @@ def _avg_evidence(op: ShiftOperator, cfg: HorizonConfig,
     bound on the terms where _window_bound gives one."""
     n_eff = _avg_n_eff(op, cfg)
     evidence = []
-    for k in range(1, cfg.k_max + 1):
-        terms = _avg_term_logs(op, k, n_eff)
+    for k, terms in enumerate(_avg_term_logs(op, range(1, cfg.k_max + 1), n_eff), 1):
         for branch in branches:
             averages = _kernels.running_log2_average(terms[branch])
             crossings, certified = _first_crossings(averages, cfg.m_grid)
@@ -525,8 +524,7 @@ def _basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     j_lo = 1 if not op.bilateral else -cfg.basis_window
     evidence = []
     for j0 in range(j_lo, cfg.basis_window + 1):
-        for k in range(1, cfg.k_max + 1):
-            pos, neg = _orbit_log2(op, j0, k, n_eff)
+        for k, (pos, neg) in enumerate(_orbit_log2(op, j0, range(1, cfg.k_max + 1), n_eff), 1):
             # orbit norms outward, n = 0, +-1, +-2, ...; crossings read their running sup
             norms = pos if neg is None else np.maximum(pos, neg)
             crossings, certified = _first_crossings(norms, cfg.m_grid, n0=0)
@@ -562,8 +560,8 @@ def _mixing(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
     this must not certify: the exclusion is asserted by the hierarchy tests."""
     n_eff = _avg_n_eff(op, cfg)
     evidence, unbounded = [], False
-    for k in range(1, cfg.k_max + 1):
-        for branch, terms in _avg_term_logs(op, k, n_eff).items():
+    for k, branch_terms in enumerate(_avg_term_logs(op, range(1, cfg.k_max + 1), n_eff), 1):
+        for branch, terms in branch_terms.items():
             above = np.flatnonzero(terms > _NULL_LOG2 + CROSS_EPS)
             settle = int(above[-1]) + 2 if above.size else 1  # the step after the last above
             settle = settle if settle <= n_eff else None

@@ -273,7 +273,7 @@ def _walks_read_inside(op, radius, n):
     radius read only weights of the table, which raises otherwise."""
     try:
         for j0 in range(-radius if op.bilateral else 1, radius + 1):
-            _orbit_log2(op, j0, 1, n)
+            next(_orbit_log2(op, j0, [1], n))
     except UndefinedWeightError:
         return False
     return True
@@ -743,13 +743,27 @@ class TestMixing:
 
 @pytest.mark.parametrize("criterion", ["ae", "mixing"])
 def test_average_criteria_read_one_orbit_per_level(criterion, monkeypatch):
-    # both branches' terms come from one orbit of e_0 per level
+    # both branches' terms come from one orbit of e_0, which serves every level
     calls = []
     real = criteria._orbit_log2
-    monkeypatch.setattr(criteria, "_orbit_log2", lambda op, j0, k, n: (
-        calls.append((j0, k)) or real(op, j0, k, n)))
+    monkeypatch.setattr(criteria, "_orbit_log2", lambda op, j0, levels, n: (
+        calls.append((j0, tuple(levels))) or real(op, j0, levels, n)))
     check_criterion(ShiftOperator("backward", constant_weights(2), preset("c0_Z")), criterion, CFG)
-    assert calls == [(0, k) for k in range(1, CFG.k_max + 1)]
+    assert calls == [(0, tuple(range(1, CFG.k_max + 1)))]
+
+
+@pytest.mark.parametrize("criterion, walks", [("ae", 2), ("ape", 2), ("mixing", 2), ("e", 10)])
+def test_walks_are_summed_once_per_basis_index(criterion, walks, monkeypatch):
+    # the walk sums do not depend on the level: each orbit sums its T and
+    # T^-1 walks once, 2 per basis index (e_0, or e_-2 ... e_2 for e), not
+    # once per index and level (6 for ae at k_max 3)
+    calls = []
+    real = criteria._walk_log2
+    monkeypatch.setattr(criteria, "_walk_log2", lambda *args: calls.append(args) or real(*args))
+    cfg = HorizonConfig(n_max=200, k_max=3, basis_window=2, m_grid=(2.0 ** 1020,))
+    check_criterion(ShiftOperator("backward", constant_weights(2), preset("lp_Z", 2)),
+                    criterion, cfg)
+    assert len(calls) == walks
 
 
 class TestTraces:
@@ -760,7 +774,7 @@ class TestTraces:
         from shiftlab.criteria import _avg_term_logs
 
         op = ShiftOperator("backward", constant_weights(2), preset("c0_Z"))
-        averages = _kernels.running_log2_average(_avg_term_logs(op, 1, 40)["left"])
+        averages = _kernels.running_log2_average(next(_avg_term_logs(op, [1], 40))["left"])
         for n in (1, 5, 20, 40):
             want = math.log2((2 ** (n + 1) - 2) / n)
             assert averages[n - 1] == pytest.approx(want, rel=1e-12)

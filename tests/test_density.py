@@ -136,7 +136,7 @@ class TestCesaroTrace:
         from shiftlab.spaces import preset
 
         op = ShiftOperator("backward", build4, preset("c0_Z"))
-        logs = _kernels.running_log2_average(_avg_term_logs(op, 1, 2000)["left"])
+        logs = _kernels.running_log2_average(next(_avg_term_logs(op, [1], 2000))["left"])
         terms = [weight_product(build4, -j + 1, 0) for j in range(1, 2001)]
         acc = F(0)
         want = []

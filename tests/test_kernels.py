@@ -204,7 +204,7 @@ class TestUeCurveIsTheOrbitNorm:
                     if not nz.size:
                         continue  # no valid column: the curve is +inf
                     j = lo + int(nz[0])
-                    pos, neg = _orbit_log2(op, j, level, n_eff)
+                    pos, neg = next(_orbit_log2(op, j, [level], n_eff))
                     up = (form == "A") == (direction == "forward")  # lands at e_{j+n}
                     want = (pos if up else neg)[1:] - spec.matrix.log2_row(k, j, j)
                     curve, _ = _ue_curve(op, k, level, split, form, cfg, n_eff)

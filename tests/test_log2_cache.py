@@ -322,41 +322,39 @@ class TestAvgTermLogs:
     @pytest.mark.parametrize("direction", ["backward", "forward"])
     def test_bilateral_branches_bitwise(self, weights, space, direction):
         op = ShiftOperator(direction, AVG_WEIGHTS[weights](), preset(space))
-        for k in (1, 3):
-            for branch in ("left", "right"):
-                for n_eff in (1, 2, 97, 300):
-                    got = _avg_term_logs(op, k, n_eff)[branch]
+        for n_eff in (1, 2, 97, 300):
+            for k, terms in zip((1, 3), _avg_term_logs(op, (1, 3), n_eff)):
+                for branch in ("left", "right"):
                     want = _avg_term_logs_loop(op, k, branch, n_eff)
-                    assert got.tobytes() == want.tobytes(), (branch, k, n_eff)
+                    assert terms[branch].tobytes() == want.tobytes(), (branch, k, n_eff)
 
     @pytest.mark.parametrize("weights", sorted(AVG_WEIGHTS))
     @pytest.mark.parametrize("matrix", ["constant", "power"])
     def test_unilateral_branch_bitwise(self, weights, matrix):
         m = constant_matrix(1, "N") if matrix == "constant" else PowerMatrix("N")
         op = ShiftOperator("forward", AVG_WEIGHTS[weights](), SpaceSpec(m, 1))
-        for k in (1, 2):
-            for n_eff in (1, 2, 150):
-                got = _avg_term_logs(op, k, n_eff)["unilateral"]
+        for n_eff in (1, 2, 150):
+            for k, terms in zip((1, 2), _avg_term_logs(op, (1, 2), n_eff)):
                 want = _avg_term_logs_loop(op, k, "unilateral", n_eff)
-                assert got.tobytes() == want.tobytes(), (k, n_eff)
+                assert terms["unilateral"].tobytes() == want.tobytes(), (k, n_eff)
 
     def test_dual_form_branches_bitwise(self):
         op = dual_form(ShiftOperator("backward", AVG_WEIGHTS["odd-table-hold"](),
                                      preset("s_Z")))
-        for branch, got in _avg_term_logs(op, 2, 200).items():
+        for branch, got in next(_avg_term_logs(op, [2], 200)).items():
             assert got.tobytes() == _avg_term_logs_loop(op, 2, branch, 200).tobytes()
 
 
-def _check_walk(op, j0, k, n):
-    # both orbits start at ||e_{j0}||_k, n = 0
-    pos, neg = _orbit_log2(op, j0, k, n)
-    assert pos[0] == op.space.matrix.entry_log2(j0, k)
-    assert pos[1:].tobytes() == _orbit_walk_loop(op, j0, k, n, 1).tobytes(), (j0, k, n)
-    if op.bilateral:
-        assert neg[0] == pos[0]
-        assert neg[1:].tobytes() == _orbit_walk_loop(op, j0, k, n, -1).tobytes(), (j0, k, n)
-    else:
-        assert neg is None
+def _check_walk(op, j0, levels, n):
+    # both orbits start at ||e_{j0}||_k, n = 0; one call serves every level
+    for k, (pos, neg) in zip(levels, _orbit_log2(op, j0, levels, n)):
+        assert pos[0] == op.space.matrix.entry_log2(j0, k)
+        assert pos[1:].tobytes() == _orbit_walk_loop(op, j0, k, n, 1).tobytes(), (j0, k, n)
+        if op.bilateral:
+            assert neg[0] == pos[0]
+            assert neg[1:].tobytes() == _orbit_walk_loop(op, j0, k, n, -1).tobytes(), (j0, k, n)
+        else:
+            assert neg is None
 
 
 class TestOrbitLog2:
@@ -366,9 +364,8 @@ class TestOrbitLog2:
     def test_bilateral_walk_bitwise(self, weights, space, direction):
         op = ShiftOperator(direction, AVG_WEIGHTS[weights](), preset(space))
         for j0 in (-50, -7, 0, 13, 50):
-            for k in (1, 3):
-                for n in (0, 1, 2, 150):
-                    _check_walk(op, j0, k, n)
+            for n in (0, 1, 2, 150):
+                _check_walk(op, j0, (1, 3), n)
 
     @pytest.mark.parametrize("weights", sorted(AVG_WEIGHTS))
     @pytest.mark.parametrize("direction", ["backward", "forward"])
@@ -376,15 +373,14 @@ class TestOrbitLog2:
         # backward orbits leave the index set and read -inf from there on
         op = ShiftOperator(direction, AVG_WEIGHTS[weights](), SpaceSpec(PowerMatrix("N"), 1))
         for j0 in (1, 13, 50):
-            for k in (1, 2):
-                for n in (1, 2, 97):
-                    _check_walk(op, j0, k, n)
+            for n in (1, 2, 97):
+                _check_walk(op, j0, (1, 2), n)
 
     def test_dual_form_walk_bitwise(self):
         op = dual_form(ShiftOperator("backward", AVG_WEIGHTS["odd-table-hold"](),
                                      preset("s_Z")))
         for j0 in (-50, -7, 0, 13, 50):
-            _check_walk(op, j0, 2, 120)
+            _check_walk(op, j0, [2], 120)
 
     @pytest.mark.parametrize("weights", ["blocks:4", "constant:5/2", "constant:2/3"])
     @pytest.mark.parametrize("direction", ["backward", "forward"])
@@ -398,8 +394,8 @@ class TestOrbitLog2:
                                wraps=criteria._first_crossings) as spy:
             check_criterion(op, "e", cfg)
         assert spy.call_count == 9
-        for k in (1, 2, 3):
+        for k, branch_terms in zip((1, 2, 3), _avg_term_logs(op, (1, 2, 3), 400)):
             norms = spy.call_args_list[2 + k].args[0]
-            terms = np.maximum(*_avg_term_logs(op, k, 400).values())
+            terms = np.maximum(*branch_terms.values())
             want = np.concatenate((op.space.matrix.log2_row(k, 0, 0), terms))
             assert norms.tobytes() == want.tobytes(), k
