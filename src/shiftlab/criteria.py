@@ -222,6 +222,10 @@ def _orbit_log2(op: ShiftOperator, j0: int, levels: Sequence[int], n: int):
         yield row[n::d] + walk, None if back is None else row[n::-d] + back
 
 
+# the walk sign of each branch: T for 'left' and 'unilateral', T^-1 for 'right'
+_BRANCH_SIGN = {"left": 1, "right": -1, "unilateral": 1}
+
+
 def _avg_term_logs(op: ShiftOperator, levels: Sequence[int], n_eff: int):
     """Per level k in levels, log2 of each branch's term sequence, j =
     1..n_eff, from one orbit: the orbit of e_0 under T ('left') and T^-1
@@ -232,20 +236,24 @@ def _avg_term_logs(op: ShiftOperator, levels: Sequence[int], n_eff: int):
     return ({"left": pos[1:], "right": neg[1:]} for pos, neg in _orbit_log2(op, 0, levels, n_eff))
 
 
-def _window_bound(op: ShiftOperator, values: np.ndarray, j0: int, n: int,
+def _window_bound(op: ShiftOperator, values: np.ndarray, j0: int, n: int, sign: int,
                   k: int) -> Optional[tuple[int, dict]]:
     """The window-bound rule of ae, ape, mixing and e, for level-k values
-    along a walk of n steps from e_{j0}: (index of the maximum, tail
-    attestation) when shifts.tail_attestation attests the family pair and
-    the maximum sits at the start (nonincreasing profile) or strictly inside
-    the window (unimodal peak), the last step not rising; else None.  The
-    attestation vouches only past the matrix's edges (lo, hi) at level k
-    (KotheMatrix.edges), where walks of constant weights are log-concave:
-    the walk's last two steps must lie outside [lo, hi]."""
+    along the walk of n steps from e_{j0} under T^sign (as _walk_log2):
+    (index of the maximum, tail attestation) when shifts.tail_attestation
+    attests the family pair and the maximum sits at the start (nonincreasing
+    profile) or strictly inside the window (unimodal peak), the last step not
+    rising; else None.  The attestation vouches only past the matrix's edges
+    (lo, hi) at level k (KotheMatrix.edges), where walks of constant weights
+    are log-concave: the walk's last two steps must lie past the edge on the
+    side it walks, below lo or above hi."""
     attestation = tail_attestation(op)
     lo, hi = op.space.matrix.edges(k) or (math.inf, -math.inf)  # none: everywhere
+    step = sign * (-1 if op.direction == "backward" else 1)  # T^sign e_j lands at e_{j+step}
+    before_last = j0 + step * (n - 1)
     arg = int(np.argmax(values))
-    if not attestation or j0 - n + 1 >= lo or hi >= j0 + n - 1 or arg == values.size - 1:
+    if (not attestation or (before_last >= lo if step < 0 else before_last <= hi)
+            or arg == values.size - 1):
         return None
     return (arg, attestation) if values[-1] <= values[-2] else None
 
@@ -288,7 +296,7 @@ def _avg_evidence(op: ShiftOperator, cfg: HorizonConfig,
             crossings, certified = _first_crossings(averages, cfg.m_grid)
             ev = BranchEvidence(k=k, level=k, label=branch, certified=certified,
                                 crossings=crossings, n_eff=n_eff)
-            bound = _window_bound(op, terms[branch], 0, n_eff, k)
+            bound = _window_bound(op, terms[branch], 0, n_eff, _BRANCH_SIGN[branch], k)
             if bound is not None:
                 arg, attestation = bound
                 profile = "nonincreasing term profile" if arg == 0 else "unimodal term profile"
@@ -532,7 +540,8 @@ def _basis_diagnostic(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
                                 crossings=crossings, n_eff=n_eff)
             if certified:
                 break
-            if all(_window_bound(op, side, j0, n_eff, k) for side in (pos, neg) if side is not None):
+            if all(_window_bound(op, side, j0, n_eff, sign, k)
+                   for side, sign in ((pos, 1), (neg, -1)) if side is not None):
                 ev = replace(ev, bound_log2=float(norms.max()),
                              attestation="orbit norms attested monotone beyond window")
         evidence.append(ev)
@@ -565,7 +574,7 @@ def _mixing(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
             above = np.flatnonzero(terms > _NULL_LOG2 + CROSS_EPS)
             settle = int(above[-1]) + 2 if above.size else 1  # the step after the last above
             settle = settle if settle <= n_eff else None
-            attested = _window_bound(op, terms, 0, n_eff, k) is not None
+            attested = _window_bound(op, terms, 0, n_eff, _BRANCH_SIGN[branch], k) is not None
             crossings, crossed = _first_crossings(terms, cfg.m_grid)
             unbounded |= crossed
             evidence.append(BranchEvidence(

@@ -551,12 +551,19 @@ def test_uniform_certificates_hold_at_four_times_the_horizon():
 
 @st.composite
 def hold_tables(draw):
-    """(lo, hi, rows) of a one-level hold matrix table inside [-20, 20]:
-    at most 6 runs of values in [1/4, 4]."""
-    lo = draw(st.integers(-20, 20))
+    """(lo, hi, rows) of a one-level hold matrix table of at most 6 runs of
+    values in [1/4, 4]: inside [-20, 20], or wholly on one side of e_0, its
+    near edge within 12 of it, so that walks leave it on one side first."""
     value = st.fractions(F(1, 4), F(4), max_denominator=8)
     runs = draw(st.lists(st.tuples(st.integers(1, 4), value), min_size=1, max_size=6))
-    values = [v for length, v in runs for _ in range(length)][:21 - lo]
+    values = [v for length, v in runs for _ in range(length)]
+    place = draw(st.sampled_from(["inside", "left", "right"]))
+    if place == "inside":
+        lo = draw(st.integers(-20, 20))
+        values = values[:21 - lo]
+    else:
+        near = draw(st.integers(1, 12))
+        lo = near if place == "right" else -near - len(values) + 1
     return lo, lo + len(values) - 1, {lo + i: [v] for i, v in enumerate(values)}
 
 
@@ -578,18 +585,27 @@ F4_TABLE = (-2, 2, {j: [F(1, 2 ** abs(j))] for j in range(-2, 3)})
 @example((1, 2, {1: [F(4)], 2: [F(1, 4)]}), F(3, 2), "forward", "ape", 3)
 def test_hold_table_bounds_hold_past_the_table(table, c, side, criterion, past):
     # a hold table vouches for its profile only past its edges: every
-    # BoundedWitness bound, the exact maximum of its window's terms, is at
-    # least every exact term up to four times past the table edge; the
-    # horizon ends up to 12 steps before or after the table edge
+    # stated bound, whatever the verdict, is the exact maximum of its
+    # window's terms and at least every exact term up to four times past the
+    # far table edge; the horizon ends up to 12 steps before or after it
     lo, hi, rows = table
     n_max = max(1, max(abs(lo), abs(hi)) + past)
     op = ShiftOperator(side, constant_weights(c), SpaceSpec(table_matrix(rows, lo, hi, "hold"), 1))
     cfg = HorizonConfig(n_max=n_max, window=4, m_grid=(2 ** 64,), k_max=1, basis_window=2)
-    verdict = check_criterion(op, criterion, cfg)
-    if verdict.kind is not VerdictKind.BOUNDED_WITNESS:
-        return
     reach = max(n_max, 4 * (max(abs(lo), abs(hi)) + cfg.basis_window + 1))
-    _assert_bounds_hold(op, verdict, criterion, n_max, reach)
+    _assert_bounds_hold(op, check_criterion(op, criterion, cfg), criterion, n_max, reach)
+
+
+def test_a_walk_past_its_own_edge_is_attested():
+    # the forward walk from e_0 leaves a hold table of ones on [-100, 5] at
+    # step 6 and halves at each step: ape bounds its terms by the first,
+    # 1/2, though the horizon never reaches the table's far edge
+    ones = table_matrix({j: [1] for j in range(-100, 6)}, -100, 5, "hold")
+    op = ShiftOperator("forward", constant_weights(F(1, 2)), SpaceSpec(ones, 1))
+    verdict = check_criterion(op, "ape", HorizonConfig(n_max=50, k_max=1))
+    assert verdict.kind is VerdictKind.BOUNDED_WITNESS
+    assert [ev.bound_log2 for ev in verdict.evidence] == [-1.0]
+    _assert_bounds_hold(op, verdict, "ape", 50, 200)
 
 
 def _assert_bounds_hold(op, verdict, criterion, n_max, reach):
