@@ -222,15 +222,10 @@ def _orbit_log2(op: ShiftOperator, j0: int, levels: Sequence[int], n: int):
         yield row[n::d] + walk, None if back is None else row[n::-d] + back
 
 
-# the walk sign of each branch: T for 'left' and 'unilateral', T^-1 for 'right'
-_BRANCH_SIGN = {"left": 1, "right": -1, "unilateral": 1}
-
-
 def _avg_term_logs(op: ShiftOperator, levels: Sequence[int], n_eff: int):
-    """Per level k in levels, log2 of each branch's term sequence, j =
-    1..n_eff, from one orbit: the orbit of e_0 under T ('left') and T^-1
-    ('right'); on a unilateral forward shift ('unilateral') ||e_1||_k
-    followed by the orbit of e_1."""
+    """Per level k in levels, log2 of each branch's terms, j = 1..n_eff, from
+    one orbit: of e_0 under T ('left') and T^-1 ('right'); on a unilateral
+    forward shift ('unilateral') ||e_1||_k, then the orbit of e_1."""
     if not op.bilateral:
         return ({"unilateral": pos} for pos, _ in _orbit_log2(op, 1, levels, n_eff - 1))
     return ({"left": pos[1:], "right": neg[1:]} for pos, neg in _orbit_log2(op, 0, levels, n_eff))
@@ -250,10 +245,9 @@ def _window_bound(op: ShiftOperator, values: np.ndarray, j0: int, n: int, sign: 
     attestation = tail_attestation(op)
     lo, hi = op.space.matrix.edges(k) or (math.inf, -math.inf)  # none: everywhere
     step = sign * (-1 if op.direction == "backward" else 1)  # T^sign e_j lands at e_{j+step}
-    before_last = j0 + step * (n - 1)
+    last = j0 + step * (n - 1)  # the walk's next-to-last step
     arg = int(np.argmax(values))
-    if (not attestation or (before_last >= lo if step < 0 else before_last <= hi)
-            or arg == values.size - 1):
+    if not attestation or (last >= lo if step < 0 else last <= hi) or arg == values.size - 1:
         return None
     return (arg, attestation) if values[-1] <= values[-2] else None
 
@@ -296,7 +290,7 @@ def _avg_evidence(op: ShiftOperator, cfg: HorizonConfig,
             crossings, certified = _first_crossings(averages, cfg.m_grid)
             ev = BranchEvidence(k=k, level=k, label=branch, certified=certified,
                                 crossings=crossings, n_eff=n_eff)
-            bound = _window_bound(op, terms[branch], 0, n_eff, _BRANCH_SIGN[branch], k)
+            bound = _window_bound(op, terms[branch], 0, n_eff, -1 if branch == "right" else 1, k)
             if bound is not None:
                 arg, attestation = bound
                 profile = "nonincreasing term profile" if arg == 0 else "unimodal term profile"
@@ -574,7 +568,7 @@ def _mixing(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
             above = np.flatnonzero(terms > _NULL_LOG2 + CROSS_EPS)
             settle = int(above[-1]) + 2 if above.size else 1  # the step after the last above
             settle = settle if settle <= n_eff else None
-            attested = _window_bound(op, terms, 0, n_eff, _BRANCH_SIGN[branch], k) is not None
+            attested = bool(_window_bound(op, terms, 0, n_eff, -1 if branch == "right" else 1, k))
             crossings, crossed = _first_crossings(terms, cfg.m_grid)
             unbounded |= crossed
             evidence.append(BranchEvidence(

@@ -98,15 +98,14 @@ class KotheMatrix:
     def log2_row(self, k: int, lo: int, hi: int) -> np.ndarray:
         """Vector of log2 a(j, k) for j in [lo, hi]; -inf marks zero entries.
 
-        Unilateral matrices report -inf for j < 1 so that window sweeps can
-        use a uniform indexing.  Each family holds only what it converts, so
-        every value is converted at most once per level: a constant matrix
-        its one value, a power matrix a cached row over |j| per level, the
-        other families a cached row per level that grows with the index range
-        requested (_log2_span).  The result may be a view into a cache or a
-        fresh array: callers only read it.
+        Unilateral matrices report -inf for j < 1 so that window sweeps can use
+        a uniform indexing.  Each family holds only what it converts, so every
+        value is converted at most once per level: a constant matrix its one
+        value, a power matrix a cached row over |j| per level, the others a
+        cached row per level grown on request (_log2_span).  The result may be a
+        view into a cache or a fresh array: callers only read it.
         """
-        import numpy as np
+        import numpy as np  # the log lane, and numpy, load here
         if k < 1:
             raise ValueError("seminorm level k must be >= 1")
         if hi < lo:
@@ -117,22 +116,17 @@ class KotheMatrix:
         return self._log2_span(k, lo, hi)
 
     def _log2_span(self, k: int, lo: int, hi: int) -> np.ndarray:
-        """log2 a(j, k) for j in [lo, hi] inside the index set: from the
-        level's cached row, filled by _log2_cells, unless a family holds less."""
-        from ._kernels import Log2Cache  # the log lane, and numpy, load here
-        row = self._log2_rows.get(k)
-        if row is None:
-            row = self._log2_rows[k] = Log2Cache()
-        return row.window(lo, hi, lambda a, b: self._log2_cells(k, a, b))
-
-    def _log2_cells(self, k: int, lo: int, hi: int) -> np.ndarray:
-        """log2 a(j, k) for j in [lo, hi] inside the index set, entry by entry."""
+        """The level's cached row over [lo, hi] inside the index set, filled entry by entry."""
         import numpy as np
-        entries = (self.entry(j, k) for j in range(lo, hi + 1))
-        try:
-            return np.fromiter(map(log2_exact, entries), dtype=np.float64, count=hi - lo + 1)
-        except IndexError as exc:  # an 'error' tail table that the horizon outruns
-            raise InvalidSpecError(str(exc)) from None
+        from ._kernels import Log2Cache
+
+        def fill(a: int, b: int) -> np.ndarray:
+            entries = (self.entry(j, k) for j in range(a, b + 1))
+            try:
+                return np.fromiter(map(log2_exact, entries), dtype=np.float64, count=b - a + 1)
+            except IndexError as exc:  # an 'error' tail table that the horizon outruns
+                raise InvalidSpecError(str(exc)) from None
+        return self._log2_rows.setdefault(k, Log2Cache()).window(lo, hi, fill)
 
     def edges(self, k: int) -> Optional[tuple[int, int]]:
         """(lo, hi): on j <= lo and on j >= hi, log2 a(j, k) is concave or
@@ -198,10 +192,7 @@ class PowerMatrix(KotheMatrix):
         from ._kernels import Log2Cache
         mags = np.abs(np.arange(lo, hi + 1))
         m_lo, m_hi = int(mags.min()), int(mags.max())
-        half = self._log2_half_rows.get(k)
-        if half is None:
-            half = self._log2_half_rows[k] = Log2Cache()
-        row = half.window(m_lo, m_hi, lambda a, b: np.fromiter(
+        row = self._log2_half_rows.setdefault(k, Log2Cache()).window(m_lo, m_hi, lambda a, b: np.fromiter(
             (log2_exact((i + 1) ** k) for i in range(a, b + 1)),
             dtype=np.float64, count=b - a + 1))
         return row[mags - m_lo]
