@@ -8,8 +8,9 @@ each op of run.py's WORKLOADS runs in a fresh interpreter, which calls
 ``shiftlab.cli.main`` on the op's arguments (with ``--no-timestamp`` and the
 report written to a temporary file) and then reads its own VmHWM from
 /proc/self/status (Linux only).  The ``(imports)`` row is the floor: an
-interpreter that imports the CLI and the log lane and runs nothing.
-Figures are MiB, the median over the repeats.
+interpreter that imports the CLI and runs nothing; an op loads the rest of
+what it needs, as it does under perfbench (the exact-lane ops load no
+numpy).  Figures are MiB, the median over the repeats.
 
 Run:  PYTHONPATH=src python benchmarks/bench_memory.py [--workload NAME] [--repeats N]
 """
@@ -28,7 +29,7 @@ PERFBENCH = ROOT / "perfbench"
 
 # the child: run one op (no arguments: import only), then print its VmHWM in kB
 CHILD = """import sys
-import shiftlab.cli, shiftlab.criteria
+import shiftlab.cli
 code = shiftlab.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 status = open("/proc/self/status").read().splitlines()
 print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
