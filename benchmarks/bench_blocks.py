@@ -4,8 +4,9 @@ against the per-index reference route kept in tests/block_oracle.py.
 
 Layers, at J = 4 and J = 5: build_blocks, verify_inequalities (audit),
 hypercyclicity_witness, distributional_report, and report emission: the
-density CSV text as the CLI writes it (write_csv of density_rows, e_{-1}
-orbit, default thresholds, into a StringIO), horizon min(t_J, 200 000) so
+density CSV text as the CLI writes it (write_csv_forked of density_rows' two
+parts, so a forked worker makes the second half; e_{-1} orbit, default
+thresholds, into a StringIO), horizon min(t_J, 200 000) so
 that the reference route's row list stays a few hundred MB at J = 5, and at
 J = 4 the whole `synthesize` report text (build, audits and the JSON report
 with its weights_window; no reference route).  The run route is the best of
@@ -25,7 +26,7 @@ from pathlib import Path
 from shiftlab.blocks import build_blocks, hypercyclicity_witness, verify_inequalities
 from shiftlab.cli import main as cli_main
 from shiftlab.density import density_rows, distributional_report
-from shiftlab.reporting import write_csv
+from shiftlab.reporting import write_csv_forked
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import block_oracle  # noqa: E402
@@ -77,8 +78,8 @@ def layers(j_max):
         ("distributional_report", lambda: distributional_report(build),
          lambda: block_oracle.distributional_report(build)),
         (f"csv text (n={n:,})",
-         lambda: to_text(lambda: write_csv(None, header,
-                                           density_rows(build, "e-1-forward", n, taus, kays))),
+         lambda: to_text(lambda: write_csv_forked(
+             None, header, *density_rows(build, "e-1-forward", n, taus, kays))),
          lambda: csv_text(block_oracle.density_csv_rows(build, "e-1-forward", n, taus, kays),
                           header)),
     ]

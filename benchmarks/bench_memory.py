@@ -7,10 +7,13 @@ process that started it, so that figure can be the harness's own.  Here
 each op of run.py's WORKLOADS runs in a fresh interpreter, which calls
 ``shiftlab.cli.main`` on the op's arguments (with ``--no-timestamp`` and the
 report written to a temporary file) and then reads its own VmHWM from
-/proc/self/status (Linux only).  The ``(imports)`` row is the floor: an
-interpreter that imports the CLI and runs nothing; an op loads the rest of
-what it needs, as it does under perfbench (the exact-lane ops load no
-numpy).  Figures are MiB, the median over the repeats.
+/proc/self/status (Linux only).  An op that forks a worker (the density
+CSV) counts it: the figure is the larger of VmHWM and the peak of the
+reaped children, getrusage(RUSAGE_CHILDREN).ru_maxrss.  The ``(imports)``
+row is the floor: an interpreter that imports the CLI and runs nothing; an
+op loads the rest of what it needs, as it does under perfbench (the
+exact-lane ops load no numpy).  Figures are MiB, the median over the
+repeats.
 
 Run:  PYTHONPATH=src python benchmarks/bench_memory.py [--workload NAME] [--repeats N]
 """
@@ -27,12 +30,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
-# the child: run one op (no arguments: import only), then print its VmHWM in kB
+# the child: run one op (no arguments: import only), then print in kB the
+# larger of its VmHWM and its reaped workers' peak
 CHILD = """import sys
 import shiftlab.cli
 code = shiftlab.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+import resource
 status = open("/proc/self/status").read().splitlines()
-print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+own = int(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+print(max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss))
 sys.exit(code)
 """
 

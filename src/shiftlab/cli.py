@@ -27,7 +27,8 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .reporting import RUNS, canonical_json, envelope, splice_runs, write_csv
+from .reporting import (RUNS, canonical_json, envelope, splice_runs, write_csv,
+                        write_csv_forked)
 from .scalars import SearchCapExceeded, log2_exact
 from .shifts import ShiftOperator, basis_orbit_norm, parse_weights, weights_from_json, window_check
 from .spaces import InvalidSpecError, parse_space, space_from_json, space_to_json
@@ -254,7 +255,7 @@ def density(weights_text, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_
 
     header = (["n", "norm_log2", "running_average"]
               + [f"ratio_small({t})" for t in taus] + [f"ratio_large({K})" for K in kays])
-    write_csv(out, header, density_rows(build, vec_name, n_horizon, taus, kays))
+    write_csv_forked(out, header, *density_rows(build, vec_name, n_horizon, taus, kays))
 
 
 @cli.command()

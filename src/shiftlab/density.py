@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from operator import truediv
 from typing import Iterator, Optional, Sequence
 
@@ -112,25 +112,34 @@ def distributional_report(build: BlockWeights, vector: str = "e-1-forward",
     }
 
 
-def density_rows(build: BlockWeights, vector: str, n_horizon: int, taus, kays) -> Iterator[str]:
+def density_rows(build: BlockWeights, vector: str, n_horizon: int, taus,
+                 kays) -> tuple[Iterator[str], Iterator[str]]:
     """CSV records (rows joined with commas) n, log2 norm, running average and
     the counting ratios of the small- and large-norm sets, for n = 1..n_horizon,
-    made as read (a horizon past the table's reach raises at the call).  The
-    running sum is N / L with L the lcm of the norm denominators: N / (L * n)
-    is float(sum / n), one correctly rounded int division, as is count / n."""
-    return _rows(norm_runs(build, _orbit(vector), n_horizon), taus, kays)
+    in two parts cut at the middle row, n <= n_horizon // 2 and the rest, for
+    the two processes of reporting.write_csv_forked.  Each part is made when
+    iterated (a horizon past the table's reach raises at the call); the second
+    starts from the sums of the runs before the cut.  The running sum is N / L
+    with L the lcm of the norm denominators: N / (L * n) is float(sum / n),
+    one correctly rounded int division, as is count / n."""
+    runs = norm_runs(build, _orbit(vector), n_horizon)
+    cut = n_horizon // 2
+    return islice(_rows(runs, taus, kays), cut), _rows(runs, taus, kays, cut)
 
 
-def _rows(runs, taus, kays) -> Iterator[str]:
+def _rows(runs, taus, kays, start: int = 0) -> Iterator[str]:
     lcm = math.lcm(*(v.denominator for v, _ in runs))
     scales = [lcm] + [1] * (len(taus) + len(kays))
     sums, a = [0] * len(scales), 0  # N and the counts at n = a
     for v, m in runs:  # inside a run each ratio is (c + f * (n - a)) / (d * n)
         flags = [v <= t for t in taus] + [v >= K for K in kays]
         steps = [v.numerator * (lcm // v.denominator)] + flags  # N grows by v * lcm
-        cols = [map(repr, map(truediv, range(c + f, c + f * m + 1, f) if f else repeat(c, m),
-                              range(d * (a + 1), d * (a + m + 1), d)))
-                for c, f, d in zip(sums, steps, scales)]
-        yield from map(",".join, zip(map(str, range(a + 1, a + m + 1)),
-                                     repeat(repr(log2_exact(v)), m), *cols))
-        sums, a = [c + f * m for c, f in zip(sums, steps)], a + m
+        lo, hi = max(a, start), a + m  # the rows lo < n <= hi are made
+        if lo < hi:
+            cols = [map(repr, map(truediv, range(c + f * (lo + 1 - a), c + f * m + 1, f) if f
+                                  else repeat(c, hi - lo),
+                                  range(d * (lo + 1), d * (hi + 1), d)))
+                    for c, f, d in zip(sums, steps, scales)]
+            yield from map(",".join, zip(map(str, range(lo + 1, hi + 1)),
+                                         repeat(repr(log2_exact(v)), hi - lo), *cols))
+        sums, a = [c + f * m for c, f in zip(sums, steps)], hi

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import datetime
 import json
+import os
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -17,7 +18,7 @@ from typing import Iterable, Optional
 
 from . import __version__
 
-__all__ = ["RUNS", "canonical_json", "envelope", "splice_runs", "write_csv"]
+__all__ = ["RUNS", "canonical_json", "envelope", "splice_runs", "write_csv", "write_csv_forked"]
 
 RUNS = "<runs>"  # the value splice_runs replaces
 
@@ -60,12 +61,84 @@ def envelope(command: str, config: dict, payload: dict, timestamp: bool = True) 
     return out
 
 
+def _sink(out_path: Optional[str]):
+    return open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout)
+
+
+def _lines(records: Iterable[str]) -> Iterable[str]:
+    return map("%s\r\n".__mod__, records)
+
+
+def _write(stream, header: list[str], records: Iterable[str]) -> None:
+    csv.writer(stream, lineterminator="\r\n").writerow(header)
+    stream.writelines(_lines(records))
+
+
 def write_csv(out_path: Optional[str], header: list[str], records: Iterable[str]) -> None:
     """RFC-4180 text into the file out_path, or stdout if None: CRLF line
     ends, mandatory header.  The header is quoted where it needs it (minimal
     quoting: a threshold given on the command line is free text).  Records
-    come joined with commas and are written as read, unquoted: their fields
-    are int and float reprs, which hold no comma, quote or line break."""
-    with open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout) as stream:
-        csv.writer(stream, lineterminator="\r\n").writerow(header)
-        stream.writelines(map("%s\r\n".__mod__, records))
+    come joined with commas and are written unquoted, in this process, as
+    they are made: their fields are int and float reprs, which hold no comma,
+    quote or line break."""
+    with _sink(out_path) as stream:
+        _write(stream, header, records)
+
+
+def write_csv_forked(out_path: Optional[str], header: list[str], records: Iterable[str],
+                     worker_records: Iterable[str]) -> None:
+    """The bytes of write_csv(out_path, header, chain(records, worker_records)),
+    made on two cores (POSIX os.fork; the process must have no other thread).
+
+    A forked worker makes the text of worker_records while this process writes
+    the header and records; then this process copies the worker's text after
+    its own, in chunks, from a pipe.  The worker makes its whole text before it
+    writes: the pipe holds 64 KiB and is read only after records.  On every
+    exit the worker is reaped, and killed first if this process did not finish
+    its copy (an exception, a closed output pipe, Ctrl-C).  A worker that fails
+    (its traceback goes to file descriptor 2) raises RuntimeError here, an
+    internal error rather than an input error.
+    """
+    import shutil  # here, so that importing the CLI does not load them
+    import signal
+
+    with _sink(out_path) as stream:
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            _send(read_end, write_end, worker_records)
+        try:
+            os.close(write_end)
+            with open(read_end, encoding="ascii", newline="") as pipe:
+                _write(stream, header, records)
+                shutil.copyfileobj(pipe, stream)
+            status = os.waitpid(pid, 0)[1]
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    if status:
+        raise RuntimeError(f"the CSV worker failed (wait status {status})")
+
+
+def _send(read_end: int, write_end: int, records: Iterable[str]) -> None:
+    """The worker of write_csv_forked: the records' text into write_end.
+    Never returns: the worker leaves by os._exit, so it flushes no stream and
+    runs no cleanup of the process it was forked from.  It ignores Ctrl-C,
+    which the process it was forked from answers by killing it."""
+    code = 1
+    try:
+        import signal
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        os.close(read_end)  # so a write finds the pipe broken once the reader ends
+        view = memoryview("".join(_lines(records)).encode("ascii"))
+        while view:
+            view = view[os.write(write_end, view):]
+        code = 0
+    except BaseException:
+        import traceback
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)

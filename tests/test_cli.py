@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,8 @@ from shiftlab.algebra import PowerShift
 from shiftlab.blocks import build_blocks, hypercyclicity_witness, norm_runs, verify_inequalities
 from shiftlab.cli import EXIT_AUDIT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from shiftlab.criteria import HorizonConfig, Verdict, VerdictKind, check_criterion, hierarchy_audit
-from shiftlab.density import distributional_report
-from shiftlab.reporting import canonical_json
+from shiftlab.density import _rows, distributional_report
+from shiftlab.reporting import canonical_json, write_csv
 from shiftlab.shifts import (
     DualWeights,
     ShiftOperator,
@@ -621,6 +622,86 @@ class TestDensity:
                                                                       for j in range(1, 4)])
             assert rows == [[str(c) for c in row] for row in want]
 
+    @pytest.mark.parametrize("grids", [None, ("1/4,1/2,3/5", "4,1,5/2")],
+                             ids=["default-grids", "thresholds-at-norms"])
+    @pytest.mark.parametrize("vector", ["e:-1", "e:1"])
+    @pytest.mark.parametrize("where", ["n1", "n2", "run-boundary", "in-longest-run", "t_max"])
+    def test_csv_bytes_across_the_cut(self, tmp_path, vector, where, grids):
+        # a forked worker makes the rows past n // 2; the file must hold the
+        # bytes one process writes from the rows over all runs, and the
+        # per-index route's rows
+        from block_oracle import density_csv_rows
+
+        build = build_blocks(3)
+        t_max = build.layout.t_max
+        runs = norm_runs(build, "backward" if vector == "e:-1" else "forward")
+        ends = list(accumulate(m for _, m in runs))
+        longest = max(range(len(runs)), key=lambda i: runs[i][1])
+        first = ends[longest] - runs[longest][1] + 1  # the longest run's first n
+        n = {"n1": 1, "n2": 2, "run-boundary": 2 * max(e for e in ends if 2 * e <= t_max),
+             "in-longest-run": 2 * first + 1, "t_max": t_max}[where]
+        if where == "run-boundary":
+            assert n // 2 in ends and n // 2 + 1 <= t_max
+        if where in ("in-longest-run", "t_max"):
+            assert first <= n // 2 < ends[longest]
+        taus, kays = grids or ("1/2,1/3,1/4", "2,3,4")
+        taus, kays = [Fraction(t) for t in taus.split(",")], [Fraction(K) for K in kays.split(",")]
+        assert set(taus + kays) & {v for v, _ in runs}  # a threshold at a norm
+        out = tmp_path / "rows.csv"
+        args = ["density", "--weights", "blocks:3", "--vector", vector, "--n", str(n),
+                "--format", "csv", "--out", str(out)]
+        args += ["--tau-grid", grids[0], "--k-grid", grids[1]] if grids else []
+        assert main(args) == EXIT_OK
+        header = (["n", "norm_log2", "running_average"]
+                  + [f"ratio_small({t})" for t in taus] + [f"ratio_large({K})" for K in kays])
+        rows = list(_rows(norm_runs(build, "backward" if vector == "e:-1" else "forward", n),
+                          taus, kays))
+        write_csv(str(tmp_path / "one.csv"), header, rows)
+        assert out.read_bytes() == (tmp_path / "one.csv").read_bytes()
+        want = density_csv_rows(build, vector, n, taus, kays)
+        assert rows == [",".join(map(str, row)) for row in want]
+
+
+class TestCsvWorker:
+    """The density CSV's forked worker never outlives the command: it is
+    reaped on success, on a failure of either process and on Ctrl-C; on a
+    closed output pipe see test_closed_output_pipe_returns_usage_status."""
+
+    @staticmethod
+    def no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_success(self, capsys):
+        code, out, _ = run(capsys, "density", "--weights", "blocks:2", "--format", "csv")
+        assert code == EXIT_OK and out.count("\r\n") == 173
+        self.no_child_left()
+
+    @pytest.mark.parametrize("side", ["worker", "parent"])
+    @pytest.mark.parametrize("error, code, message", [
+        (ZeroDivisionError, EXIT_INTERNAL, "internal error"),
+        (KeyboardInterrupt, EXIT_USAGE, "Aborted!"),
+    ])
+    def test_failure(self, capsys, monkeypatch, side, error, code, message):
+        # the rows raise only on one side of the cut, n // 2 = 86 at blocks:2
+        import shiftlab.density
+
+        real = shiftlab.density._rows
+
+        def rows(runs, taus, kays, start=0):
+            for row in real(runs, taus, kays, start):
+                if (int(row.split(",")[0]) > 86) == (side == "worker"):
+                    raise error
+                yield row
+
+        monkeypatch.setattr(shiftlab.density, "_rows", rows)
+        got, _, err = run(capsys, "density", "--weights", "blocks:2", "--format", "csv")
+        self.no_child_left()
+        if side == "worker":  # any failure of the worker is a defect
+            code, message = EXIT_INTERNAL, "internal error"
+        assert got == code and message in err
+        assert ("the CSV worker failed" in err) == (side == "worker")
+
 
 class TestHierarchyExitCodes:
     def test_inconclusive_diagnostic_is_not_an_inversion(self, capsys):
@@ -794,6 +875,7 @@ def test_closed_output_pipe_returns_usage_status(monkeypatch):
 
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     assert main(["density", "--weights", "blocks:2", "--format", "csv"]) == EXIT_USAGE
+    TestCsvWorker.no_child_left()  # the CSV worker was killed and reaped
 
 
 def test_version(capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
@@ -78,6 +79,20 @@ class TestDensityRows:
         taus, kays = data.draw(grid), data.draw(grid)
         assert list(_rows(runs, taus, kays)) == _per_index_rows(runs, taus, kays)
 
+    @given(st.lists(st.tuples(st.builds(F, _PART, _PART), st.integers(1, 50)),
+                    min_size=1, max_size=8),
+           st.data())
+    def test_rows_from_any_cut_are_the_tail(self, runs, data):
+        # the CSV worker starts mid-orbit, inside a run or at its end, from
+        # the sums of the runs before the cut; at the end it makes no row
+        norms = [v for v, _ in runs]
+        grid = st.lists(st.one_of(st.sampled_from(norms), st.builds(F, _PART, _PART)),
+                        max_size=3)
+        taus, kays = data.draw(grid), data.draw(grid)
+        full = list(_rows(runs, taus, kays))
+        cut = data.draw(st.integers(0, len(full)))
+        assert list(_rows(runs, taus, kays, cut)) == full[cut:]
+
 
 class TestDistributionalReport:
     def test_levels_certified(self, build4):
@@ -103,7 +118,8 @@ class TestDistributionalReport:
 
 def _running_averages(build, vector, n_max):
     """The density CSV's running_average column, the route to the Cesàro means."""
-    return [float(row.split(",")[2]) for row in density_rows(build, vector, n_max, [], [])]
+    rows = chain(*density_rows(build, vector, n_max, [], []))
+    return [float(row.split(",")[2]) for row in rows]
 
 
 class TestCesaroTrace:
