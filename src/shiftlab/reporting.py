@@ -118,7 +118,7 @@ def write_csv_forked(out_path: Optional[str], header: list[str], records: Iterab
             os.waitpid(pid, 0)
             raise
     if status:
-        raise RuntimeError(f"the CSV worker failed (wait status {status})")
+        raise RuntimeError(f"the CSV worker failed (exit {os.waitstatus_to_exitcode(status)})")
 
 
 def _send(read_end: int, write_end: int, records: Iterable[str]) -> None:

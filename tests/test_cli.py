@@ -634,7 +634,8 @@ class TestDensity:
 
         build = build_blocks(3)
         t_max = build.layout.t_max
-        runs = norm_runs(build, "backward" if vector == "e:-1" else "forward")
+        direction = "backward" if vector == "e:-1" else "forward"
+        runs = norm_runs(build, direction)
         ends = list(accumulate(m for _, m in runs))
         longest = max(range(len(runs)), key=lambda i: runs[i][1])
         first = ends[longest] - runs[longest][1] + 1  # the longest run's first n
@@ -654,8 +655,7 @@ class TestDensity:
         assert main(args) == EXIT_OK
         header = (["n", "norm_log2", "running_average"]
                   + [f"ratio_small({t})" for t in taus] + [f"ratio_large({K})" for K in kays])
-        rows = list(_rows(norm_runs(build, "backward" if vector == "e:-1" else "forward", n),
-                          taus, kays))
+        rows = list(_rows(norm_runs(build, direction, n), taus, kays))
         write_csv(str(tmp_path / "one.csv"), header, rows)
         assert out.read_bytes() == (tmp_path / "one.csv").read_bytes()
         want = density_csv_rows(build, vector, n, taus, kays)
