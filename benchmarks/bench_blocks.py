@@ -4,9 +4,9 @@ against the per-index reference route kept in tests/block_oracle.py.
 
 Layers, at J = 4 and J = 5: build_blocks, verify_inequalities (audit),
 hypercyclicity_witness, distributional_report, and report emission: the
-density CSV text as the CLI writes it (write_csv_forked of density_rows' two
-parts, so a forked worker makes the second half; e_{-1} orbit, default
-thresholds, into a StringIO), horizon min(t_J, 200 000) so
+density CSV text as the CLI writes it (write_csv_forked of density_rows cut
+at the middle row, so a forked worker makes the second half; e_{-1} orbit,
+default thresholds, into a StringIO), horizon min(t_J, 200 000) so
 that the reference route's row list stays a few hundred MB at J = 5, and at
 J = 4 the whole `synthesize` report text (build, audits and the JSON report
 with its weights_window; no reference route).  The run route is the best of
@@ -21,6 +21,7 @@ import sys
 import time
 from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from shiftlab.blocks import build_blocks, hypercyclicity_witness, verify_inequalities
@@ -69,6 +70,7 @@ def layers(j_max):
     kays = [Fraction(j + 1) for j in range(1, j_max + 1)]
     header = (["n", "norm_log2", "running_average"]
               + [f"ratio_small({t})" for t in taus] + [f"ratio_large({K})" for K in kays])
+    args = (build, "e-1-forward", n, taus, kays)
     out = [
         ("build", lambda: build_blocks(j_max), None),
         ("audit", lambda: verify_inequalities(build),
@@ -79,9 +81,9 @@ def layers(j_max):
          lambda: block_oracle.distributional_report(build)),
         (f"csv text (n={n:,})",
          lambda: to_text(lambda: write_csv_forked(
-             None, header, *density_rows(build, "e-1-forward", n, taus, kays))),
-         lambda: csv_text(block_oracle.density_csv_rows(build, "e-1-forward", n, taus, kays),
-                          header)),
+             None, header, islice(density_rows(*args), n // 2),
+             density_rows(*args, start=n // 2))),
+         lambda: csv_text(block_oracle.density_csv_rows(*args), header)),
     ]
     if j_max == 4:
         out.append(("synthesize report", lambda: to_text(

@@ -22,6 +22,7 @@ import os
 import sys
 import traceback
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import click
@@ -255,7 +256,9 @@ def density(weights_text, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_
 
     header = (["n", "norm_log2", "running_average"]
               + [f"ratio_small({t})" for t in taus] + [f"ratio_large({K})" for K in kays])
-    write_csv_forked(out, header, *density_rows(build, vec_name, n_horizon, taus, kays))
+    args, cut = (build, vec_name, n_horizon, taus, kays), n_horizon // 2
+    # a forked worker makes the rows past the cut
+    write_csv_forked(out, header, islice(density_rows(*args), cut), density_rows(*args, start=cut))
 
 
 @cli.command()

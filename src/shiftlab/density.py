@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import repeat
 from operator import truediv
 from typing import Iterator, Optional, Sequence
 
@@ -112,19 +112,17 @@ def distributional_report(build: BlockWeights, vector: str = "e-1-forward",
     }
 
 
-def density_rows(build: BlockWeights, vector: str, n_horizon: int, taus,
-                 kays) -> tuple[Iterator[str], Iterator[str]]:
+def density_rows(build: BlockWeights, vector: str, n_horizon: int, taus, kays,
+                 start: int = 0) -> Iterator[str]:
     """CSV records (rows joined with commas) n, log2 norm, running average and
-    the counting ratios of the small- and large-norm sets, for n = 1..n_horizon,
-    in two parts cut at the middle row, n <= n_horizon // 2 and the rest, for
-    the two processes of reporting.write_csv_forked.  Each part is made when
-    iterated (a horizon past the table's reach raises at the call); the second
-    starts from the sums of the runs before the cut.  The running sum is N / L
-    with L the lcm of the norm denominators: N / (L * n) is float(sum / n),
-    one correctly rounded int division, as is count / n."""
-    runs = norm_runs(build, _orbit(vector), n_horizon)
-    cut = n_horizon // 2
-    return islice(_rows(runs, taus, kays), cut), _rows(runs, taus, kays, cut)
+    the counting ratios of the small- and large-norm sets, for n = start+1..
+    n_horizon, made when iterated (a horizon past the table's reach raises at
+    the call).  A start past 0 begins from the sums of the runs before it, in
+    O(runs): the CLI's forked CSV worker makes the rows past the middle one.
+    The running sum is N / L with L the lcm of the norm denominators:
+    N / (L * n) is float(sum / n), one correctly rounded int division, as is
+    count / n."""
+    return _rows(norm_runs(build, _orbit(vector), n_horizon), taus, kays, start)
 
 
 def _rows(runs, taus, kays, start: int = 0) -> Iterator[str]:

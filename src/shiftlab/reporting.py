@@ -90,51 +90,52 @@ def write_csv_forked(out_path: Optional[str], header: list[str], records: Iterab
     """The bytes of write_csv(out_path, header, chain(records, worker_records)),
     made on two cores (POSIX os.fork; the process must have no other thread).
 
-    A forked worker makes the text of worker_records while this process writes
-    the header and records; then this process copies the worker's text after
-    its own, in chunks, from a pipe.  The worker makes its whole text before it
-    writes: the pipe holds 64 KiB and is read only after records.  On every
-    exit the worker is reaped, and killed first if this process did not finish
-    its copy (an exception, a closed output pipe, Ctrl-C).  A worker that fails
-    (its traceback goes to file descriptor 2) raises RuntimeError here, an
-    internal error rather than an input error.
+    A forked worker writes the text of worker_records into an unnamed
+    temporary file, as it makes it, while this process writes the header and
+    records; then this process reaps the worker and copies the file after its
+    own text, in chunks.  Neither process holds its part whole.  On every
+    other exit the worker is killed and reaped (an exception, a closed output
+    pipe, Ctrl-C).  A fork that fails, or a worker that fails (its traceback
+    goes to file descriptor 2), raises RuntimeError here: an internal error
+    rather than an input error.
     """
     import shutil  # here, so that importing the CLI does not load them
     import signal
+    import tempfile
 
-    with _sink(out_path) as stream:
-        read_end, write_end = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            _send(read_end, write_end, worker_records)
+    with _sink(out_path) as stream, \
+            tempfile.TemporaryFile("w+", encoding="ascii", newline="") as part:
         try:
-            os.close(write_end)
-            with open(read_end, encoding="ascii", newline="") as pipe:
-                _write(stream, header, records)
-                shutil.copyfileobj(pipe, stream)
+            pid = os.fork()
+        except OSError as exc:
+            raise RuntimeError(f"could not fork the CSV worker: {exc}") from exc
+        if pid == 0:
+            _work(part, worker_records)
+        try:
+            _write(stream, header, records)
             status = os.waitpid(pid, 0)[1]
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             raise
-    if status:
-        raise RuntimeError(f"the CSV worker failed (exit {os.waitstatus_to_exitcode(status)})")
+        if status:
+            raise RuntimeError(f"the CSV worker failed (exit {os.waitstatus_to_exitcode(status)})")
+        part.seek(0)
+        shutil.copyfileobj(part, stream)
 
 
-def _send(read_end: int, write_end: int, records: Iterable[str]) -> None:
-    """The worker of write_csv_forked: the records' text into write_end.
-    Never returns: the worker leaves by os._exit, so it flushes no stream and
-    runs no cleanup of the process it was forked from.  It ignores Ctrl-C,
-    which the process it was forked from answers by killing it."""
+def _work(part, records: Iterable[str]) -> None:
+    """The worker of write_csv_forked: the records' text into the file part.
+    Never returns: the worker leaves by os._exit, so it flushes no stream but
+    part and runs no cleanup of the process it was forked from.  It ignores
+    Ctrl-C, which the process it was forked from answers by killing it."""
     code = 1
     try:
         import signal
 
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        os.close(read_end)  # so a write finds the pipe broken once the reader ends
-        view = memoryview("".join(_lines(records)).encode("ascii"))
-        while view:
-            view = view[os.write(write_end, view):]
+        part.writelines(_lines(records))
+        part.flush()
         code = 0
     except BaseException:
         import traceback

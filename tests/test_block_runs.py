@@ -10,7 +10,6 @@ broken plateau, a density ratio at n0).
 
 import dataclasses
 from fractions import Fraction
-from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,8 +105,7 @@ def test_cesaro_trace_equals_per_index_route(j_max, side):
     # the CSV's running_average column is the route to the Cesàro means
     b = build(j_max)
     vector = "e-1-forward" if side == "op" else "e1-backward"
-    rows = chain(*density_rows(b, vector, b.layout.t_max, [], []))
-    got = [row.split(",")[2] for row in rows]
+    got = [row.split(",")[2] for row in density_rows(b, vector, b.layout.t_max, [], [])]
     want = oracle.cesaro_values(b, "e-1-forward", side)
     assert got == [repr(float(v)) for v in want]
 

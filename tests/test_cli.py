@@ -665,7 +665,8 @@ class TestDensity:
 class TestCsvWorker:
     """The density CSV's forked worker never outlives the command: it is
     reaped on success, on a failure of either process and on Ctrl-C; on a
-    closed output pipe see test_closed_output_pipe_returns_usage_status."""
+    closed output pipe see test_closed_output_pipe_returns_usage_status.  A
+    fork that fails leaves no file open."""
 
     @staticmethod
     def no_child_left():
@@ -701,6 +702,27 @@ class TestCsvWorker:
             code, message = EXIT_INTERNAL, "internal error"
         assert got == code and message in err
         assert ("the CSV worker failed" in err) == (side == "worker")
+
+    def test_fork_fails(self, capsys, monkeypatch):
+        # a fork refused by the host is an internal error, not an input
+        # error, and the worker's temporary file is closed
+        import tempfile
+
+        real, opened = tempfile.TemporaryFile, []
+
+        def temporary_file(*args, **kwargs):
+            opened.append(real(*args, **kwargs))
+            return opened[-1]
+
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", temporary_file)
+        monkeypatch.setattr(os, "fork", fork)
+        code, out, err = run(capsys, "density", "--weights", "blocks:2", "--format", "csv")
+        assert code == EXIT_INTERNAL and "could not fork the CSV worker" in err
+        assert out == "" and len(opened) == 1 and opened[0].closed
+        self.no_child_left()
 
 
 class TestHierarchyExitCodes:

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
@@ -118,8 +117,7 @@ class TestDistributionalReport:
 
 def _running_averages(build, vector, n_max):
     """The density CSV's running_average column, the route to the Cesàro means."""
-    rows = chain(*density_rows(build, vector, n_max, [], []))
-    return [float(row.split(",")[2]) for row in rows]
+    return [float(row.split(",")[2]) for row in density_rows(build, vector, n_max, [], [])]
 
 
 class TestCesaroTrace:
