@@ -1,34 +1,32 @@
-"""Command-line front end.
+"""Command-line front end (argparse): check, synthesize, orbit, density, props.
 
-Subcommands: check, synthesize, orbit, density, props.  Exit codes:
-0 completed, 1 usage/input error, interrupt (Ctrl-C) or closed output pipe,
-2 math audit or property failure,
-3 internal error (a defect; the traceback goes to stderr).
-Outputs embed the resolved config and the library version; pass
---no-timestamp for byte-reproducible files.
+Exit codes: 0 completed (also --help, --version); 1 usage/input error,
+interrupt (Ctrl-C) or closed output pipe; 2 math audit or property failure;
+3 internal error (a defect; the traceback goes to stderr).  Outputs embed
+the resolved config and the library version; pass --no-timestamp for
+byte-reproducible files.
 
-``main(argv)`` is the in-process entry: it returns the exit code and leaves
-the interpreter running.  The ``shiftlab`` script and ``python -m
-shiftlab.cli`` go through ``run``, which flushes the output and ends the
-process without interpreter teardown: tearing down a process that loaded
-numpy costs tens of milliseconds, more than the criterion work of a short
-``check``.
+``main(argv)`` is the in-process entry; it returns the exit code.  The
+``shiftlab`` script and ``python -m shiftlab.cli`` go through ``run``, which
+flushes the output and ends the process without interpreter teardown (tens
+of milliseconds once numpy is loaded, more than a short ``check``'s work).
 """
 
 from __future__ import annotations
 
+import argparse
+import io
 import json
 import os
 import sys
 import traceback
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from pathlib import Path
 
-import click
-
 from . import __version__
-from .reporting import (RUNS, canonical_json, envelope, splice_runs, write_csv,
+from .reporting import (RUNS, _sink, canonical_json, envelope, splice_runs, write_csv,
                         write_csv_forked)
 from .scalars import SearchCapExceeded, log2_exact
 from .shifts import ShiftOperator, basis_orbit_norm, parse_weights, weights_from_json, window_check
@@ -44,16 +42,10 @@ class AuditFailure(Exception):
     """A math audit or property suite reported violations."""
 
 
-def _load_space(text: str):
+def _load(text: str, parse, from_json):
     if text.startswith("@"):
-        return space_from_json(json.loads(Path(text[1:]).read_text()))
-    return parse_space(text)
-
-
-def _load_weights(text: str):
-    if text.startswith("@"):
-        return weights_from_json(json.loads(Path(text[1:]).read_text()))
-    return parse_weights(text)
+        return from_json(json.loads(Path(text[1:]).read_text()))
+    return parse(text)
 
 
 def _ints(option: str, form: str, text: str, fields) -> tuple:
@@ -81,10 +73,9 @@ def _parse_range(option: str, text: str):
 
 
 def _emit(out_path, text: str):
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        click.echo(text, nl=False)
+    with _sink(out_path) as stream:
+        stream.write(text)
+        stream.flush()
 
 
 def _horizon(n_max, window, k_max, l_max, m_grid, basis_window) -> HorizonConfig:
@@ -95,36 +86,12 @@ def _horizon(n_max, window, k_max, l_max, m_grid, basis_window) -> HorizonConfig
                          basis_window=basis_window)
 
 
-@click.group()
-@click.version_option(__version__)
-def cli():
-    """Orbit-norm dynamics of weighted shifts: certificates and audits."""
-
-
-@cli.command()
-@click.option("--space", "space_text", required=True, help="preset (lp_Z:2, s_Z, ...) or @file.json")
-@click.option("--weights", "weights_text", required=True,
-              help="constant:2, geometric:1:2, blocks:4, or @file.json")
-@click.option("--criterion", type=click.Choice(
-    ["ae", "ape", "ape-inverse", "ue", "upe", "e", "mixing", "hierarchy", "wellposed"]),
-    default="ae", show_default=True)
-@click.option("--side", type=click.Choice(["backward", "forward"]), default="backward",
-              show_default=True)
-@click.option("--n-max", default=10_000, show_default=True, help="horizon for n")
-@click.option("--window", default=1_000, show_default=True, help="index-window radius")
-@click.option("--k-max", default=3, show_default=True, help="seminorm levels checked")
-@click.option("--l-max", default=None, type=int, help="level search bound (default k_max+5)")
-@click.option("--m-grid", default=None, help="comma-separated ascending thresholds")
-@click.option("--basis-window", default=50, show_default=True,
-              help="basis-index radius for the expansivity diagnostic")
-@click.option("--out", default=None, type=click.Path())
-@click.option("--no-timestamp", is_flag=True, default=False)
-def check(space_text, weights_text, criterion, side, n_max, window, k_max, l_max,
+def check(space, weights, criterion, side, n_max, window, k_max, l_max,
           m_grid, basis_window, out, no_timestamp):
     """Run one criterion checker and emit its verdict report."""
     from .criteria import check_criterion
-    space = _load_space(space_text)
-    weights = _load_weights(weights_text)
+    space = _load(space, parse_space, space_from_json)
+    weights = _load(weights, parse_weights, weights_from_json)
     op = ShiftOperator(side, weights, space)
     cfg = _horizon(n_max, window, k_max, l_max, m_grid, basis_window)
 
@@ -144,18 +111,11 @@ def check(space_text, weights_text, criterion, side, n_max, window, k_max, l_max
         raise AuditFailure("hierarchy audit inconsistent")
 
 
-@cli.command()
-@click.option("--blocks", "j_max", default=4, show_default=True, type=click.IntRange(1, 5),
-              help="blocks to construct")
-@click.option("--t-range", default=8, show_default=True, type=click.IntRange(min=0),
-              help="shift range for the witness audit")
-@click.option("--out", default=None, type=click.Path())
-@click.option("--weights-out", default=None, type=click.Path(),
-              help="also write the weight table as a weight-spec JSON file")
-@click.option("--no-timestamp", is_flag=True, default=False)
 def synthesize(j_max, t_range, out, weights_out, no_timestamp):
     """Build the block weight sequence and audit every inequality exactly."""
     from .blocks import build_blocks, hypercyclicity_witness, verify_inequalities
+    if t_range < 0:  # a negative range would audit no shift and pass
+        raise InvalidSpecError(f"--t-range needs a range of at least 0, got {t_range}")
     build = build_blocks(j_max)
     audit = verify_inequalities(build)
     witness = hypercyclicity_witness(build, t_range=t_range)
@@ -175,22 +135,10 @@ def synthesize(j_max, t_range, out, weights_out, no_timestamp):
         raise AuditFailure("block construction audit failed")
 
 
-@cli.command()
-@click.option("--space", "space_text", required=True)
-@click.option("--weights", "weights_text", required=True)
-@click.option("--side", type=click.Choice(["backward", "forward"]), default="forward",
-              show_default=True)
-@click.option("--vector", default="e:0", show_default=True, help="basis vector, e:<index>")
-@click.option("--n", "n_range", default="-50:50", show_default=True, help="orbit step range lo:hi")
-@click.option("--k", "k_range", default="1:3", show_default=True, help="seminorm level range lo:hi")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@click.option("--out", default=None, type=click.Path())
-@click.option("--no-timestamp", is_flag=True, default=False)
-def orbit(space_text, weights_text, side, vector, n_range, k_range, fmt, out, no_timestamp):
+def orbit(space, weights, side, vector, n_range, k_range, fmt, out, no_timestamp):
     """Tabulate log2 orbit norms of a basis vector over a step range."""
-    space = _load_space(space_text)
-    weights = _load_weights(weights_text)
+    space = _load(space, parse_space, space_from_json)
+    weights = _load(weights, parse_weights, weights_from_json)
     op = ShiftOperator(side, weights, space)
     prefix, _, index = vector.partition(":")
     # a prefix other than 'e' fails as an empty index
@@ -213,25 +161,12 @@ def orbit(space_text, weights_text, side, vector, n_range, k_range, fmt, out, no
     _emit(out, canonical_json(envelope("orbit", config, payload, not no_timestamp)))
 
 
-@cli.command()
-@click.option("--weights", "weights_text", default="blocks:4", show_default=True,
-              help="blocks:<J> or @file.json (needs a finite table)")
-@click.option("--vector", type=click.Choice(["e:-1", "e:1"]), default="e:-1", show_default=True)
-@click.option("--n", "n_horizon", default=None, type=int, help="horizon (default: table reach)")
-@click.option("--n0", default=None, type=int,
-              help="density base N0 of the JSON report (default horizon/10)")
-@click.option("--tau-grid", default=None, help="comma-separated small thresholds, e.g. 1/2,1/3")
-@click.option("--k-grid", default=None, help="comma-separated large thresholds, e.g. 2,3,4")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-              show_default=True)
-@click.option("--out", default=None, type=click.Path())
-@click.option("--no-timestamp", is_flag=True, default=False)
-def density(weights_text, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_timestamp):
+def density(weights, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_timestamp):
     """Per-step norms, running averages, and counting ratios for the witness
     orbits of the block construction."""
     from .blocks import BlockWeights
     from .density import density_rows, distributional_report
-    build = _load_weights(weights_text)
+    build = _load(weights, parse_weights, weights_from_json)
     if not isinstance(build, BlockWeights):
         raise InvalidSpecError("density works on the synthesized block weights (blocks:<J>)")
     layout = build.layout
@@ -250,7 +185,7 @@ def density(weights_text, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_
     vec_name = "e-1-forward" if vector == "e:-1" else "e1-backward"
     if fmt == "json":
         report = distributional_report(build, vec_name, kays, taus, n_horizon, n0)
-        config = {"weights": weights_text, "vector": vector, "n": n_horizon, "n0": n0}
+        config = {"weights": weights, "vector": vector, "n": n_horizon, "n0": n0}
         _emit(out, canonical_json(envelope("density", config, report, not no_timestamp)))
         return
 
@@ -261,9 +196,6 @@ def density(weights_text, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_
     write_csv_forked(out, header, islice(density_rows(*args), cut), density_rows(*args, start=cut))
 
 
-@cli.command()
-@click.option("--out", default=None, type=click.Path())
-@click.option("--no-timestamp", is_flag=True, default=False)
 def props(out, no_timestamp):
     """Run the closure-law suite over the preset battery (exit 2 on failure)."""
     from .algebra import run_props_suite  # here, so that other commands do not compile it
@@ -273,29 +205,97 @@ def props(out, no_timestamp):
         raise AuditFailure("closure-law suite failed")
 
 
+class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)  # no -h, no prefixes
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+    def error(self, message):  # an input error: argparse's status 2 is EXIT_AUDIT here
+        raise InvalidSpecError(message)
+
+
+def _joined(argv: list) -> list:
+    """argv with `--option -value` written `--option=-value`: argparse reads a
+    word that starts with '-' as an option, and no option here has one '-'."""
+    out = []
+    for word in argv:
+        if out and out[-1].startswith("--") and word.startswith("-") and word[1:2] != "-":
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
+@cache  # one parser per process, built by the first call to main
+def _parser() -> _Parser:
+    parser = _Parser(prog="shiftlab", description="Weighted shifts: certificates and audits.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(required=True)
+
+    def command(name, fn):  # the options every command takes
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__)
+        sub.add_argument("--out", metavar="PATH", help="report file; default stdout")
+        sub.add_argument("--no-timestamp", action="store_true")
+        sub.set_defaults(command=fn)
+        return sub.add_argument
+    sides, formats, default = ("backward", "forward"), ("csv", "json"), "default %(default)s"
+    option = command("check", check)
+    option("--space", required=True, help="preset (lp_Z:2, s_Z, ...) or @file.json")
+    option("--weights", required=True, help="constant:2, geometric:1:2, blocks:4, or @file.json")
+    option("--criterion", default="ae", help=default, choices=("ae", "ape", "ape-inverse", "ue",
+           "upe", "e", "mixing", "hierarchy", "wellposed"))
+    option("--side", default="backward", choices=sides, help=default)
+    option("--n-max", type=int, default=10_000, help="horizon for n; " + default)
+    option("--window", type=int, default=1_000, help="index-window radius; " + default)
+    option("--k-max", type=int, default=3, help="seminorm levels checked; " + default)
+    option("--l-max", type=int, help="level search bound; default k_max+5")
+    option("--m-grid", help="comma-separated ascending thresholds")
+    option("--basis-window", type=int, default=50, help="basis diagnostic radius; " + default)
+    option = command("synthesize", synthesize)
+    option("--blocks", dest="j_max", type=int, default=4, choices=range(1, 6), help=default)
+    option("--t-range", type=int, default=8, help="shift range for the witness audit; " + default)
+    option("--weights-out", metavar="PATH", help="also write the weight table (weight-spec JSON)")
+    option = command("orbit", orbit)
+    option("--space", required=True)
+    option("--weights", required=True)
+    option("--side", default="forward", choices=sides, help=default)
+    option("--vector", default="e:0", help="basis vector, e:<index>; " + default)
+    option("--n", dest="n_range", metavar="LO:HI", default="-50:50", help="step range; " + default)
+    option("--k", dest="k_range", metavar="LO:HI", default="1:3", help="level range; " + default)
+    option("--format", dest="fmt", default="csv", choices=formats, help=default)
+    option = command("density", density)
+    option("--weights", default="blocks:4", help="blocks:<J> or @file.json; " + default)
+    option("--vector", default="e:-1", choices=("e:-1", "e:1"), help=default)
+    option("--n", dest="n_horizon", metavar="N", type=int, help="horizon; default the table reach")
+    option("--n0", type=int, help="density base N0 of the JSON report; default horizon/10")
+    option("--tau-grid", help="comma-separated small thresholds, e.g. 1/2,1/3")
+    option("--k-grid", help="comma-separated large thresholds, e.g. 2,3,4")
+    option("--format", dest="fmt", default="csv", choices=formats, help=default)
+    command("props", props)
+    return parser
+
+
 def main(argv=None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
+        args = vars(_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv)))
+        args.pop("command")(**args)
         return EXIT_OK
+    except SystemExit as exc:  # --help and --version print, then exit 0
+        return exc.code
+    except BrokenPipeError:  # a closed output pipe; what stdout still holds is dropped, so
+        sys.stdout = io.StringIO()  # the exit flush cannot fail (Python's status 120)
+        return EXIT_USAGE
     except AuditFailure as exc:
-        click.echo(f"audit failure: {exc}", err=True)
+        print(f"audit failure: {exc}", file=sys.stderr)
         return EXIT_AUDIT
-    except (click.UsageError, click.BadParameter) as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
+    except (InvalidSpecError, SearchCapExceeded, ValueError, KeyError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InvalidSpecError, SearchCapExceeded, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_USAGE
-    except click.exceptions.Exit as exc:  # --help / --version
-        return exc.exit_code
-    except click.Abort:  # interrupted (Ctrl-C); click's own message and status
-        click.echo("Aborted!", err=True)
-        return EXIT_USAGE
-    except SystemExit:  # click's exit on a closed output pipe (EPIPE), its status
+    except KeyboardInterrupt:  # interrupted (Ctrl-C)
+        sys.stderr.write("\nAborted!\n")
         return EXIT_USAGE
     except Exception:  # escaped every handler above: a defect, not an input error
-        click.echo(f"internal error:\n{traceback.format_exc()}", err=True, nl=False)
+        sys.stderr.write(f"internal error:\n{traceback.format_exc()}")
         return EXIT_INTERNAL
 
 
@@ -304,11 +304,11 @@ def run() -> None:
     the process with os._exit, skipping interpreter teardown.
 
     Skipping teardown loses nothing: every report writer closes its file
-    before main returns (_emit uses Path.write_text, write_csv a with
-    block), and nothing in the package registers atexit or logging
-    handlers.  A buffered sink added later (a logger, say) must be flushed
-    here, before os._exit.  If a flush fails (a closed stdout pipe), the
-    process exits through sys.exit, as it would without this entry.
+    before main returns (_emit and write_csv write in a with block), and
+    nothing in the package registers atexit or logging handlers.  A buffered
+    sink added later (a logger, say) must be flushed here, before os._exit.
+    If a flush fails (a closed stdout pipe), the process exits through
+    sys.exit, as it would without this entry.
     """
     code = main()
     try:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftlab import algebra, criteria, shifts
+from shiftlab import __version__, algebra, criteria, shifts
 from shiftlab.algebra import PowerShift
 from shiftlab.blocks import build_blocks, hypercyclicity_witness, norm_runs, verify_inequalities
 from shiftlab.cli import EXIT_AUDIT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
@@ -419,14 +419,14 @@ class TestSynthesize:
         # 2 t_J + 2 weights one by one (t_6 = 52 142 520)
         code, out, err = run(capsys, "synthesize", "--blocks", j_max, "--no-timestamp")
         assert code == EXIT_USAGE and out == ""
-        assert "is not in the range 1<=x<=5" in err
+        assert f"argument --blocks: invalid choice: {j_max} (choose from 1, 2, 3, 4, 5)" in err
 
     def test_negative_t_range_is_usage_error(self, capsys):
         # a negative range would audit no shift and pass
         code, out, err = run(capsys, "synthesize", "--blocks", "1", "--t-range", "-3",
                              "--no-timestamp")
         assert code == EXIT_USAGE and out == ""
-        assert "Invalid value for '--t-range': -3 is not in the range x>=0" in err
+        assert "--t-range needs a range of at least 0, got -3" in err
 
 
 class TestOrbit:
@@ -869,7 +869,7 @@ class TestRun:
         assert written[0] == written[1]
 
     @pytest.mark.parametrize("args, read", [
-        # a pipe holds 64 KiB, so a write inside main fails (click exits 1)
+        # a pipe holds 64 KiB, so a write inside main fails (main exits 1)
         (("density", "--weights", "blocks:3", "--format", "csv"), 1),
         # the report waits in the stdout buffer, so the final flush fails
         (("density", "--weights", "blocks:1", "--format", "csv"), 0),
@@ -877,17 +877,29 @@ class TestRun:
     def test_closed_stdout(self, args, read):
         ends = []
         for entry in ENTRIES:
-            proc = _spawn(entry, *args, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-            proc.stdout.read(read)
-            proc.stdout.close()
-            err = proc.stderr.read()
-            ends.append((proc.wait(timeout=120), err))
+            # the with block closes stderr as well
+            with _spawn(entry, *args, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                proc.stdout.read(read)
+                proc.stdout.close()
+                err = proc.stderr.read()
+                ends.append((proc.wait(timeout=120), err))
         assert ends[0] == ends[1]
         assert ends[0][0] != EXIT_OK
 
+    def test_closed_stdout_under_a_buffered_json_report(self):
+        # the report is flushed inside main, which then drops what stdout
+        # still holds, so the flush at exit cannot fail: exit 1, quietly
+        args = ("orbit", "--space", "c0_Z", "--weights", "constant:1", "--n", "0:1",
+                "--format", "json")
+        for entry in ENTRIES:
+            with _spawn(entry, *args, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                proc.stdout.close()
+                err = proc.stderr.read()
+                assert (proc.wait(timeout=120), err) == (EXIT_USAGE, b"")
+
 
 def test_closed_output_pipe_returns_usage_status(monkeypatch):
-    # click answers EPIPE with sys.exit(1); main returns that status instead
+    # main answers a closed output pipe (EPIPE) with exit 1
     class ClosedPipe:
         def write(self, text):
             raise BrokenPipeError(32, "Broken pipe")
@@ -903,3 +915,68 @@ def test_closed_output_pipe_returns_usage_status(monkeypatch):
 def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == EXIT_OK
+
+
+_ORBIT = ("orbit", "--space", "s_Z", "--weights", "constant:1", "--k", "1:1")
+
+
+ARGV_CASES = [
+    # a value that starts with '-' is a value, not an option
+    ((*_ORBIT, "--n", "-50:50"), EXIT_OK, ()),
+    ((*_ORBIT, "--n=-2:2"), EXIT_OK, ()),
+    (("check", "--space", "lp_Z:2", "--weights", "constant:2", "--m-grid", "-4,2"),
+     EXIT_USAGE, ("m_grid", "-4")),
+    (("density", "--weights", "blocks:2", "--n", "-5"), EXIT_USAGE, ("--n", "-5")),
+    (("synthesize", "--blocks", "0"), EXIT_USAGE, ("--blocks", "0")),
+    (("synthesize", "--blocks", "6"), EXIT_USAGE, ("--blocks", "6")),
+    (("synthesize", "--blocks", "x"), EXIT_USAGE, ("--blocks", "'x'")),
+    (("synthesize", "--t-range", "-3"), EXIT_USAGE, ("--t-range", "-3")),
+    (("check", "--space", "lp_Z:2", "--weights", "constant:2", "--n-max", "x"),
+     EXIT_USAGE, ("--n-max", "'x'")),
+    (("check", "--space", "lp_Z:2", "--weights", "constant:2", "--criterion", "be"),
+     EXIT_USAGE, ("--criterion", "'be'")),
+    (("check", "--weights", "constant:2"), EXIT_USAGE, ("--space",)),
+    (("synthesize", "--blocks"), EXIT_USAGE, ("--blocks",)),
+    # no abbreviations, no -h, no extra words
+    (("synthesize", "--no-time"), EXIT_USAGE, ("--no-time",)),
+    (("synthesize", "--bogus", "3"), EXIT_USAGE, ("--bogus 3",)),
+    (("synthesize", "-h"), EXIT_USAGE, ("-h",)),
+    (("props", "extra"), EXIT_USAGE, ("extra",)),
+    (("nope",), EXIT_USAGE, ("'nope'",)),
+    ((), EXIT_USAGE, ("check,synthesize,orbit,density,props",)),
+    (("--help",), EXIT_OK, ("usage: shiftlab", "synthesize")),
+    (("density", "--help"), EXIT_OK, ("usage: shiftlab density", "--tau-grid")),
+    (("--version",), EXIT_OK, (__version__,)),
+]
+
+
+@pytest.mark.parametrize("args, code, needles", ARGV_CASES,
+                         ids=[" ".join(args) or "(no words)" for args, _, _ in ARGV_CASES])
+def test_argv_edge_cases(capsys, args, code, needles):
+    # errors name the option and the value on stderr; --help and --version
+    # write to stdout; a parse error is never argparse's own status 2,
+    # which is EXIT_AUDIT here
+    got, out, err = run(capsys, *args)
+    assert got == code != EXIT_AUDIT
+    if code == EXIT_OK:
+        assert err == "" and all(needle in out for needle in needles)
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert all(needle in err for needle in needles)
+
+
+IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import shiftlab.cli
+added = set(sys.modules) - before
+print(sorted(name for name in added
+             if name.partition(".")[0] not in sys.stdlib_module_names | {"shiftlab"}))
+"""
+
+
+def test_cli_import_loads_only_the_standard_library():
+    # a diff, so that modules a site hook preloads (a .pth file) do not count
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True, text=True,
+                         check=True, env=os.environ | {"PYTHONPATH": SRC}).stdout
+    assert out == "[]\n"
