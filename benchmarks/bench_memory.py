@@ -12,8 +12,10 @@ CSV) counts it: the figure is the larger of VmHWM and the peak of the
 reaped children, getrusage(RUSAGE_CHILDREN).ru_maxrss.  The ``(imports)``
 row is the floor: an interpreter that imports the CLI and runs nothing; an
 op loads the rest of what it needs, as it does under perfbench (the
-exact-lane ops load no numpy).  Figures are MiB, the median over the
-repeats.
+exact-lane ops load no numpy).  After the perfbench ops comes one fixed
+row, ``synthesize --blocks 5``: the largest report, whose spliced weight
+window sets a peak that the ops at ``--blocks 4`` do not show.  Figures are
+MiB, the median over the repeats.
 
 Run:  PYTHONPATH=src python benchmarks/bench_memory.py [--workload NAME] [--repeats N]
 """
@@ -29,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
+LARGEST = ("synthesize_j5", ["synthesize", "--blocks", "5"])  # the fixed last row
 
 # the child: run one op (no arguments: import only), then print in kB the
 # larger of its VmHWM and its reaped workers' peak
@@ -81,6 +84,8 @@ def main():
     for name in opts.workload or table:
         for op_id, args in table[name]:
             print(f"{name:<14}{op_id:<20}{op_peak(args, opts.repeats):>10.2f}")
+    op_id, args = LARGEST
+    print(f"{'(fixed)':<14}{op_id:<20}{op_peak(args, opts.repeats):>10.2f}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Command-line front end (argparse): check, synthesize, orbit, density, props.
 
 Exit codes: 0 completed (also --help, --version); 1 usage/input error,
-interrupt (Ctrl-C) or closed output pipe; 2 math audit or property failure;
-3 internal error (a defect; the traceback goes to stderr).  Outputs embed
-the resolved config and the library version; pass --no-timestamp for
+interrupt (Ctrl-C) or closed output pipe (any format: every report leaves
+through ``reporting``, flushed inside ``main``); 2 math audit or property
+failure; 3 internal error (a defect; the traceback goes to stderr).  Outputs
+embed the resolved config and the library version; pass --no-timestamp for
 byte-reproducible files.
 
 ``main(argv)`` is the in-process entry; it returns the exit code.  The
@@ -26,7 +27,7 @@ from itertools import islice
 from pathlib import Path
 
 from . import __version__
-from .reporting import (RUNS, _sink, canonical_json, envelope, splice_runs, write_csv,
+from .reporting import (RUNS, canonical_json, csv_lines, emit, envelope, splice_runs,
                         write_csv_forked)
 from .scalars import SearchCapExceeded, log2_exact
 from .shifts import ShiftOperator, basis_orbit_norm, parse_weights, weights_from_json, window_check
@@ -72,12 +73,6 @@ def _parse_range(option: str, text: str):
     return lo, hi
 
 
-def _emit(out_path, text: str):
-    with _sink(out_path) as stream:
-        stream.write(text)
-        stream.flush()
-
-
 def _horizon(n_max, window, k_max, l_max, m_grid, basis_window) -> HorizonConfig:
     from .criteria import HorizonConfig  # the log lane: only check loads it
     grid = HorizonConfig.m_grid if m_grid is None else _ints(
@@ -106,7 +101,7 @@ def check(space, weights, criterion, side, n_max, window, k_max, l_max,
 
     config = {"space": space_to_json(space), "weights": weights.to_json(),
               "side": side, "criterion": criterion, "horizon": cfg.to_json()}
-    _emit(out, canonical_json(envelope("check", config, payload, not no_timestamp)))
+    emit(out, canonical_json(envelope("check", config, payload, not no_timestamp)))
     if criterion == "hierarchy" and not payload["consistent"]:
         raise AuditFailure("hierarchy audit inconsistent")
 
@@ -126,10 +121,10 @@ def synthesize(j_max, t_range, out, weights_out, no_timestamp):
         "all_passed": audit.all_passed and witness.certified,
     }
     config = {"blocks": j_max, "t_range": t_range}
-    _emit(out, splice_runs(
+    emit(out, *splice_runs(
         canonical_json(envelope("synthesize", config, payload, not no_timestamp)), build.runs))
     if weights_out:
-        Path(weights_out).write_text(splice_runs(
+        emit(weights_out, *splice_runs(
             canonical_json(build.to_json() | {"table_window": RUNS}), build.runs))
     if not payload["all_passed"]:
         raise AuditFailure("block construction audit failed")
@@ -153,12 +148,12 @@ def orbit(space, weights, side, vector, n_range, k_range, fmt, out, no_timestamp
             for n in range(n_lo, n_hi + 1)]
     header = ["n"] + [f"log2_norm_k{k}" for k in ks]
     if fmt == "csv":
-        write_csv(out, header, (",".join(map(str, row)) for row in rows))
+        emit(out, *csv_lines(header, (",".join(map(str, row)) for row in rows)))
         return
     config = {"space": space_to_json(space), "weights": weights.to_json(),
               "side": side, "vector": vector, "n": n_range, "k": k_range}
     payload = {"header": header, "rows": rows}
-    _emit(out, canonical_json(envelope("orbit", config, payload, not no_timestamp)))
+    emit(out, canonical_json(envelope("orbit", config, payload, not no_timestamp)))
 
 
 def density(weights, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_timestamp):
@@ -186,7 +181,7 @@ def density(weights, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_times
     if fmt == "json":
         report = distributional_report(build, vec_name, kays, taus, n_horizon, n0)
         config = {"weights": weights, "vector": vector, "n": n_horizon, "n0": n0}
-        _emit(out, canonical_json(envelope("density", config, report, not no_timestamp)))
+        emit(out, canonical_json(envelope("density", config, report, not no_timestamp)))
         return
 
     header = (["n", "norm_log2", "running_average"]
@@ -200,7 +195,7 @@ def props(out, no_timestamp):
     """Run the closure-law suite over the preset battery (exit 2 on failure)."""
     from .algebra import run_props_suite  # here, so that other commands do not compile it
     results = run_props_suite()
-    _emit(out, canonical_json(envelope("props", {}, results, not no_timestamp)))
+    emit(out, canonical_json(envelope("props", {}, results, not no_timestamp)))
     if not results["all_passed"]:
         raise AuditFailure("closure-law suite failed")
 
@@ -303,12 +298,11 @@ def run() -> None:
     """Console entry: run main() on sys.argv, flush stdout and stderr, and end
     the process with os._exit, skipping interpreter teardown.
 
-    Skipping teardown loses nothing: every report writer closes its file
-    before main returns (_emit and write_csv write in a with block), and
-    nothing in the package registers atexit or logging handlers.  A buffered
-    sink added later (a logger, say) must be flushed here, before os._exit.
-    If a flush fails (a closed stdout pipe), the process exits through
-    sys.exit, as it would without this entry.
+    Skipping teardown loses nothing: every report leaves through reporting,
+    closed or flushed before main returns, and nothing in the package
+    registers atexit or logging handlers (a buffered sink added later must be
+    flushed here).  If a flush fails (a closed stdout pipe after --help, say),
+    the process exits through sys.exit, as it would without this entry.
     """
     code = main()
     try:

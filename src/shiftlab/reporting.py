@@ -9,18 +9,22 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 import json
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
 from . import __version__
 
-__all__ = ["RUNS", "canonical_json", "envelope", "splice_runs", "write_csv", "write_csv_forked"]
+__all__ = ["RUNS", "canonical_json", "csv_lines", "emit", "envelope", "splice_runs",
+           "write_csv_forked"]
 
 RUNS = "<runs>"  # the value splice_runs replaces
+_LINE = "%s\r\n".__mod__  # a CSV record as one line
 
 
 def _default(obj):
@@ -35,17 +39,18 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, default=_default) + "\n"
 
 
-def splice_runs(text: str, runs) -> str:
+def splice_runs(text: str, runs) -> tuple[str, str, str]:
     """text (canonical JSON) with the value RUNS replaced by the object
     {str(j): str(v) for j in [start, start + length)} of the (start, length, v)
-    runs, as canonical_json writes it; ints and Fractions need no escaping."""
+    runs, as canonical_json writes it; ints and Fractions need no escaping.
+    As three chunks, the middle one the entries, which emit writes unjoined."""
     head, _, tail = text.partition(f'"{RUNS}"')
     entries = []
     for start, n, v in runs:
         entries += map(f'"%d": "{v}"'.__mod__, range(start, start + n))
     entries.sort()  # as sort_keys sorts: the quote closing a key sorts below digits
     pad = "\n  " + " " * head[head.rindex("\n") + 1:].index('"')  # the key's indent + 2
-    return "".join((head, "{", pad, ("," + pad).join(entries), pad[:-2], "}", tail))
+    return head + "{" + pad, ("," + pad).join(entries), pad[:-2] + "}" + tail
 
 
 def envelope(command: str, config: dict, payload: dict, timestamp: bool = True) -> dict:
@@ -61,34 +66,34 @@ def envelope(command: str, config: dict, payload: dict, timestamp: bool = True) 
     return out
 
 
+@contextmanager
 def _sink(out_path: Optional[str]):
-    return open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout)
+    """The file out_path or stdout, flushed when the writer is done: EPIPE reaches main."""
+    with open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout) as stream:
+        yield stream
+        stream.flush()
 
 
-def _lines(records: Iterable[str]) -> Iterable[str]:
-    return map("%s\r\n".__mod__, records)
-
-
-def _write(stream, header: list[str], records: Iterable[str]) -> None:
-    csv.writer(stream, lineterminator="\r\n").writerow(header)
-    stream.writelines(_lines(records))
-
-
-def write_csv(out_path: Optional[str], header: list[str], records: Iterable[str]) -> None:
-    """RFC-4180 text into the file out_path, or stdout if None: CRLF line
-    ends, mandatory header.  The header is quoted where it needs it (minimal
-    quoting: a threshold given on the command line is free text).  Records
-    come joined with commas and are written unquoted, in this process, as
-    they are made: their fields are int and float reprs, which hold no comma,
-    quote or line break."""
+def emit(out_path: Optional[str], *chunks: str) -> None:
+    """The chunks, in order, into the file out_path, or stdout if None."""
     with _sink(out_path) as stream:
-        _write(stream, header, records)
+        stream.writelines(chunks)
+
+
+def csv_lines(header: list[str], records: Iterable[str]) -> Iterator[str]:
+    """RFC-4180 text, line by line: CRLF line ends, a mandatory header quoted
+    where it needs it (minimal quoting: a threshold given on the command line
+    is free text), then the records, joined with commas and unquoted: their
+    fields are int and float reprs, which hold no comma, quote or line break."""
+    head = io.StringIO()
+    csv.writer(head, lineterminator="\r\n").writerow(header)
+    return chain((head.getvalue(),), map(_LINE, records))
 
 
 def write_csv_forked(out_path: Optional[str], header: list[str], records: Iterable[str],
                      worker_records: Iterable[str]) -> None:
-    """The bytes of write_csv(out_path, header, chain(records, worker_records)),
-    made on two cores (POSIX os.fork; the process must have no other thread).
+    """What emit(out_path, *csv_lines(header, chain(records, worker_records)))
+    writes, made on two cores (POSIX os.fork; the process must have no other thread).
 
     A forked worker writes the text of worker_records into an unnamed
     temporary file, as it makes it, while this process writes the header and
@@ -112,7 +117,7 @@ def write_csv_forked(out_path: Optional[str], header: list[str], records: Iterab
         if pid == 0:
             _work(part, worker_records)
         try:
-            _write(stream, header, records)
+            stream.writelines(csv_lines(header, records))
             status = os.waitpid(pid, 0)[1]
         except BaseException:
             os.kill(pid, signal.SIGKILL)
@@ -134,7 +139,7 @@ def _work(part, records: Iterable[str]) -> None:
         import signal
 
         signal.signal(signal.SIGINT, signal.SIG_IGN)
-        part.writelines(_lines(records))
+        part.writelines(map(_LINE, records))
         part.flush()
         code = 0
     except BaseException:

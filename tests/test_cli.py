@@ -15,7 +15,7 @@ from shiftlab.blocks import build_blocks, hypercyclicity_witness, norm_runs, ver
 from shiftlab.cli import EXIT_AUDIT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from shiftlab.criteria import HorizonConfig, Verdict, VerdictKind, check_criterion, hierarchy_audit
 from shiftlab.density import _rows, distributional_report
-from shiftlab.reporting import canonical_json, write_csv
+from shiftlab.reporting import canonical_json, csv_lines, emit
 from shiftlab.shifts import (
     DualWeights,
     ShiftOperator,
@@ -656,7 +656,7 @@ class TestDensity:
         header = (["n", "norm_log2", "running_average"]
                   + [f"ratio_small({t})" for t in taus] + [f"ratio_large({K})" for K in kays])
         rows = list(_rows(norm_runs(build, direction, n), taus, kays))
-        write_csv(str(tmp_path / "one.csv"), header, rows)
+        emit(str(tmp_path / "one.csv"), *csv_lines(header, rows))
         assert out.read_bytes() == (tmp_path / "one.csv").read_bytes()
         want = density_csv_rows(build, vector, n, taus, kays)
         assert rows == [",".join(map(str, row)) for row in want]
@@ -869,22 +869,23 @@ class TestRun:
         assert written[0] == written[1]
 
     @pytest.mark.parametrize("args, read", [
-        # a pipe holds 64 KiB, so a write inside main fails (main exits 1)
+        # a pipe holds 64 KiB, so a write inside main fails
         (("density", "--weights", "blocks:3", "--format", "csv"), 1),
-        # the report waits in the stdout buffer, so the final flush fails
+        # the report fits the stdout buffer, so the flush inside main fails
         (("density", "--weights", "blocks:1", "--format", "csv"), 0),
-    ], ids=["report-over-64KiB", "report-in-the-buffer"])
+        (("orbit", "--space", "c0_Z", "--weights", "constant:1", "--n", "0:3"), 0),
+        # the closed pipe comes before the audit failure (exit 2)
+        (("synthesize", "--blocks", "1"), 0),
+    ], ids=["report-over-64KiB", "report-in-the-buffer", "orbit-csv", "synthesize"])
     def test_closed_stdout(self, args, read):
-        ends = []
+        # exit 1 and nothing on stderr, in every format and through both entries
         for entry in ENTRIES:
             # the with block closes stderr as well
             with _spawn(entry, *args, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
                 proc.stdout.read(read)
                 proc.stdout.close()
                 err = proc.stderr.read()
-                ends.append((proc.wait(timeout=120), err))
-        assert ends[0] == ends[1]
-        assert ends[0][0] != EXIT_OK
+                assert (proc.wait(timeout=120), err) == (EXIT_USAGE, b"")
 
     def test_closed_stdout_under_a_buffered_json_report(self):
         # the report is flushed inside main, which then drops what stdout
@@ -902,6 +903,9 @@ def test_closed_output_pipe_returns_usage_status(monkeypatch):
     # main answers a closed output pipe (EPIPE) with exit 1
     class ClosedPipe:
         def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def writelines(self, lines):
             raise BrokenPipeError(32, "Broken pipe")
 
         def flush(self):

@@ -2,8 +2,8 @@
 deletion that leaves a stale export fails here rather than at
 ``from shiftlab.<module> import *``; every such name has a caller in the
 package or is a package export, so that code whose last caller goes does
-not stay behind as an export; and the package's own
-__all__ is the list the README documents."""
+not stay behind as an export; that cli.py writes no report but through
+reporting; and the package's own __all__ is the list the README documents."""
 
 import ast
 import importlib
@@ -68,6 +68,21 @@ def _references() -> Counter:
     for path in Path(shiftlab.__file__).parent.glob("*.py"):
         _count_references(ast.parse(path.read_text()), frozenset(), refs)
     return refs
+
+
+def test_cli_writes_reports_only_through_reporting():
+    # cli.py opens no file and imports no private name of reporting, so every
+    # report leaves through reporting's writers, which flush inside main
+    tree = ast.parse((Path(shiftlab.__file__).parent / "cli.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            found += [name] if name in ("open", "write_text", "write_bytes") else []
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("reporting"):
+            found += [alias.name for alias in node.names if alias.name.startswith("_")]
+    assert found == []
 
 
 def test_every_export_has_a_caller():
