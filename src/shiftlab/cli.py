@@ -1,11 +1,11 @@
 """Command-line front end (argparse): check, synthesize, orbit, density, props.
 
 Exit codes: 0 completed (also --help, --version); 1 usage/input error,
-interrupt (Ctrl-C) or closed output pipe (any format: every report leaves
-through ``reporting``, flushed inside ``main``); 2 math audit or property
-failure; 3 internal error (a defect; the traceback goes to stderr).  Outputs
-embed the resolved config and the library version; pass --no-timestamp for
-byte-reproducible files.
+interrupt (Ctrl-C) or closed output pipe (any format, and --help and
+--version: every report leaves through ``reporting``, and their text too is
+flushed inside ``main``); 2 math audit or property failure; 3 internal error
+(a defect; the traceback goes to stderr).  Outputs embed the resolved config
+and the library version; pass --no-timestamp for byte-reproducible files.
 
 ``main(argv)`` is the in-process entry; it returns the exit code.  The
 ``shiftlab`` script and ``python -m shiftlab.cli`` go through ``run``, which
@@ -272,11 +272,13 @@ def _parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        args = vars(_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv)))
+        try:
+            args = vars(_parser().parse_args(_joined(sys.argv[1:] if argv is None else argv)))
+        except SystemExit as exc:  # --help and --version print, then exit 0; flushed here
+            sys.stdout.flush()  # as a report is, so that a closed pipe is handled below
+            return exc.code
         args.pop("command")(**args)
         return EXIT_OK
-    except SystemExit as exc:  # --help and --version print, then exit 0
-        return exc.code
     except BrokenPipeError:  # a closed output pipe; what stdout still holds is dropped, so
         sys.stdout = io.StringIO()  # the exit flush cannot fail (Python's status 120)
         return EXIT_USAGE
@@ -301,8 +303,8 @@ def run() -> None:
     Skipping teardown loses nothing: every report leaves through reporting,
     closed or flushed before main returns, and nothing in the package
     registers atexit or logging handlers (a buffered sink added later must be
-    flushed here).  If a flush fails (a closed stdout pipe after --help, say),
-    the process exits through sys.exit, as it would without this entry.
+    flushed here).  If a flush fails (stdout closed after main's last write,
+    say), the process exits through sys.exit, as it would without this entry.
     """
     code = main()
     try:

@@ -43,7 +43,7 @@ import numpy as np
 from . import _kernels
 from .scalars import ZERO_LOG2
 from .spaces import InvalidSpecError
-from .shifts import NotInvertibleError, ShiftOperator, tail_attestation
+from .shifts import ShiftOperator, tail_attestation
 
 __all__ = [
     "BranchEvidence",
@@ -197,23 +197,20 @@ def _first_crossings(values: np.ndarray, m_grid: Sequence,
 def _walk_log2(op: ShiftOperator, j0: int, n: int, sign: int) -> np.ndarray:
     """log2 |coefficient| of T^(sign i) e_{j0} at i = 0..n, 0.0 at i = 0.
 
-    By the walk rule of shifts (d = -1 backward, +1 forward), T^i e_{j0}
-    meets w at j0, ..., j0 + (i - 1)d and T^-i e_{j0} at j0 - d, ..., j0 - id;
-    the walk sums their log2 in that order (np.cumsum; another summation
+    The weights T^(sign n) e_{j0} meets are ShiftOperator.walk's; the walk
+    sums their log2 in the order it meets them (np.cumsum; another summation
     order rounds otherwise), negated for T^-i."""
-    step = sign * (-1 if op.direction == "backward" else 1)
-    first = j0 + (sign < 0) * step  # the first weight the walk meets
-    logs = op.weights.log2_window(*((first, first + n - 1) if step > 0 else (first - n + 1, first)))
-    return sign * np.cumsum(np.concatenate(([0.0], logs[::step])))  # in walk order
+    lo, hi, order = op.walk(j0, sign * n)
+    return sign * np.cumsum(np.concatenate(([0.0], op.weights.log2_window(lo, hi)[::order])))
 
 
 def _orbit_log2(op: ShiftOperator, j0: int, levels: Sequence[int], n: int):
     """Per level k in levels, (pos, neg): log2 ||T^i e_{j0}||_k and log2
-    ||T^-i e_{j0}||_k at i = 0..n, the row at e_{j0 +- id} plus the walk; neg
-    is None when the shift has no inverse.  The walk sums, the same at every
-    level, are taken once.  Off-lattice targets give -inf; on N, B e_1 = 0
-    ends a backward orbit, whose walk reads w_{j0} ... w_2 only."""
-    d = -1 if op.direction == "backward" else 1
+    ||T^-i e_{j0}||_k at i = 0..n, the row at e_{j0 +- id} (d = op.step) plus
+    _walk_log2; neg is None when the shift has no inverse.  The walk sums, the
+    same at every level, are taken once.  Off-lattice targets give -inf; on N,
+    B e_1 = 0 ends a backward orbit, whose walk reads w_{j0} ... w_2 only."""
+    d = op.step
     live = n if op.bilateral or d > 0 else min(n, j0 - 1)  # steps before the orbit dies
     walk = np.concatenate((_walk_log2(op, j0, live, 1), np.full(n - live, ZERO_LOG2)))
     back = _walk_log2(op, j0, n, -1) if op.bilateral else None
@@ -244,7 +241,7 @@ def _window_bound(op: ShiftOperator, values: np.ndarray, j0: int, n: int, sign: 
     side it walks, below lo or above hi."""
     attestation = tail_attestation(op)
     lo, hi = op.space.matrix.edges(k) or (math.inf, -math.inf)  # none: everywhere
-    step = sign * (-1 if op.direction == "backward" else 1)  # T^sign e_j lands at e_{j+step}
+    step = sign * op.step  # T^sign e_j lands at e_{j+step}
     last = j0 + step * (n - 1)  # the walk's next-to-last step
     arg = int(np.argmax(values))
     if not attestation or (last >= lo if step < 0 else last <= hi) or arg == values.size - 1:
@@ -259,7 +256,7 @@ def _walk_n_eff(op: ShiftOperator, cfg: HorizonConfig, radius: int) -> Optional[
     backward and [-r-n, r+n-1] forward; on N, T alone reads [2, r] backward
     (_orbit_log2) and [1, r+n-1] forward (r = 0: the averages' n-1 steps from e_1)."""
     lo, hi = op.weights.defined_range() or (-math.inf, math.inf)
-    back = op.direction == "backward"
+    back = op.step < 0
     if op.bilateral:
         n = min(cfg.n_max, back - radius - lo, hi - radius + 1 - back)
     elif back:
@@ -321,20 +318,15 @@ def _avg_expansive(op: ShiftOperator, cfg: HorizonConfig) -> Verdict:
 
 def _avg_pos_expansive(op: ShiftOperator, cfg: HorizonConfig, criterion: str) -> Verdict:
     """One-sided averages: the left branch certifies the operator itself
-    ('ape'), the right branch its inverse ('ape-inverse').  Unilateral
-    forward shifts use the convention |w(1)...w(j-1)| = 1 at j = 1;
-    unilateral backward shifts are never positively expansive (the first
-    basis vector dies)."""
-    if not op.bilateral:
-        if op.direction == "backward":
-            return Verdict("avg-pos-expansive", VerdictKind.BOUNDED_WITNESS, branch="none",
-                           notes=("unilateral backward shift: orbit of e_1 is eventually zero",),
-                           config=cfg)
-        if criterion == "ape-inverse":
-            raise NotInvertibleError("unilateral forward shift has no inverse")
-        branch = "unilateral"
-    else:
-        branch = "left" if criterion == "ape" else "right"
+    ('ape'), the right branch its inverse ('ape-inverse', bilateral shifts
+    only).  Unilateral forward shifts use the convention |w(1)...w(j-1)| = 1
+    at j = 1; unilateral backward shifts are never positively expansive (the
+    first basis vector dies)."""
+    if not op.bilateral and op.direction == "backward":
+        return Verdict("avg-pos-expansive", VerdictKind.BOUNDED_WITNESS, branch="none",
+                       notes=("unilateral backward shift: orbit of e_1 is eventually zero",),
+                       config=cfg)
+    branch = ("left" if criterion == "ape" else "right") if op.bilateral else "unilateral"
     evidence = _avg_evidence(op, cfg, (branch,))
     kind = _kind(any(ev.certified for ev in evidence),
                  all(ev.attestation is not None for ev in evidence))
@@ -389,8 +381,7 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     ext_lo, ext_hi = (lo, hi + n_eff) if form == "A" else (lo - n_eff, hi)
     la_l = m.log2_row(level, ext_lo, ext_hi)
     la_k = m.log2_row(k, lo, hi)
-    d = -1 if op.direction == "backward" else 1  # T^d e_j lands at e_{j+1}
-    walk = _walk_log2(op, 0, n_eff, d if form == "A" else -d)[1:]
+    walk = _walk_log2(op, 0, n_eff, op.step if form == "A" else -op.step)[1:]  # A: to e_{j+n}
 
     nz = np.flatnonzero(la_k != ZERO_LOG2)
     if not nz.size:
@@ -617,8 +608,9 @@ def hierarchy_audit(op: ShiftOperator, cfg: HorizonConfig) -> HierarchyReport:
 
 # criterion name -> the directions of the bilateral shifts it is defined for;
 # the other criteria take every shift
-_BILATERAL_ONLY = {"ae": ("backward", "forward"), "ue": ("backward", "forward"),
-                   "hierarchy": ("backward", "forward"), "mixing": ("backward",)}
+_BILATERAL_ONLY = {"ae": ("backward", "forward"), "ape-inverse": ("backward", "forward"),
+                   "ue": ("backward", "forward"), "hierarchy": ("backward", "forward"),
+                   "mixing": ("backward",)}
 
 
 def check_criterion(op: ShiftOperator, criterion: str, cfg: HorizonConfig):
@@ -626,8 +618,7 @@ def check_criterion(op: ShiftOperator, criterion: str, cfg: HorizonConfig):
 
     'ae'           average expansivity (bilateral shifts only)
     'ape'          average positive expansivity of the operator
-    'ape-inverse'  the same for its inverse (NotInvertibleError for a
-                   unilateral forward shift)
+    'ape-inverse'  the same for its inverse T^-1 (bilateral shifts only)
     'ue'           uniform expansivity regime (bilateral shifts only)
     'upe'          uniform positive expansivity
     'e'            basis-orbit expansivity diagnostic

@@ -5,10 +5,12 @@ Basis action conventions (bilateral):
     backward:  B e_j = w_j e_{j-1}        (B x)_j = w_{j+1} x_{j+1}
     forward:   F e_j = w_j e_{j+1}        (F x)_j = w_{j-1} x_{j-1}
 
-The walk rule, d = -1 backward and +1 forward: T^i e_{j0} is
-(w_{j0} w_{j0+d} ... w_{j0+(i-1)d}) e_{j0+id} and T^-i e_{j0} is
-e_{j0-id} / (w_{j0-d} ... w_{j0-id}).  basis_orbit_norm and window_check
-follow it exactly, and every log-lane orbit norm sums its log2 weights in it.
+The walk rule, with d = ShiftOperator.step (-1 backward, +1 forward): T^i
+e_{j0} is (w_{j0} w_{j0+d} ... w_{j0+(i-1)d}) e_{j0+id} and T^-i e_{j0} is
+e_{j0-id} / (w_{j0-d} ... w_{j0-id}).  ShiftOperator.walk states it once, as
+the span of weights an orbit meets and the order it meets them in;
+basis_orbit_norm takes its product over that span, and every log-lane orbit
+norm sums its log2 weights in that order.
 
 Unilateral spaces use indices 1, 2, 3, ...; the unilateral backward shift
 kills e_1 and the unilateral forward shift has no inverse.  All weights are
@@ -256,6 +258,21 @@ class ShiftOperator:
     def bilateral(self) -> bool:
         return self.space.bilateral
 
+    @property
+    def step(self) -> int:
+        """d in T e_j = w_j e_{j+d}: -1 backward, +1 forward."""
+        return -1 if self.direction == "backward" else 1
+
+    def walk(self, j0: int, n: int) -> tuple[int, int, int]:
+        """(lo, hi, order): T^n e_{j0} (T^-|n| for n < 0) meets the weights at
+        lo..hi, ascending when order is 1 and descending when it is -1; hi =
+        lo - 1 at n = 0.  A pure index rule on Z: whether the index set holds
+        the walk, or the inverse exists, is the caller's question."""
+        d = self.step if n >= 0 else -self.step
+        first = j0 if n >= 0 else j0 + d  # T^-1 e_{j0} = e_{j0+d} / w_{j0+d}
+        last = first + (abs(n) - 1) * d
+        return (first, last, d) if d > 0 else (last, first, d)
+
 
 def weight_product(w: WeightSequence, lo: int, hi: int) -> Fraction:
     """prod of w(j) over [lo, hi], one power per run; empty product is 1."""
@@ -265,16 +282,6 @@ def weight_product(w: WeightSequence, lo: int, hi: int) -> Fraction:
     return out
 
 
-def _orbit_product(op: ShiftOperator, j0: int, n: int) -> Fraction:
-    """|coefficient| of T^n e_{j0} (n < 0 for invertible shifts): the walk rule."""
-    if n == 0:
-        return Fraction(1)
-    d = -1 if op.direction == "backward" else 1
-    ends = (j0, j0 + (n - 1) * d) if n > 0 else (j0 - d, j0 + n * d)
-    product = weight_product(op.weights, min(ends), max(ends))
-    return product if n > 0 else 1 / product
-
-
 def basis_orbit_norm(op: ShiftOperator, j0: int, n: int, k: int) -> Fraction:
     """||T^n e_{j0}||_k via the single-coordinate closed form.
 
@@ -282,15 +289,15 @@ def basis_orbit_norm(op: ShiftOperator, j0: int, n: int, k: int) -> Fraction:
     on the exponent p).  tests/vector_oracle.py keeps the per-vector route
     this stands in for: T applied one step at a time, then the seminorm.
     """
-    d = -1 if op.direction == "backward" else 1
-    target = j0 + d * n
-    if not op.bilateral and d < 0 and n < 0:
+    target = j0 + op.step * n
+    if not op.bilateral and op.step < 0 and n < 0:
         raise NotInvertibleError("unilateral backward shift has no inverse")
     if not op.bilateral and target < 1:
-        if d > 0:
+        if op.step > 0:
             raise NotInvertibleError("inverse forward orbit leaves the index set")
         return Fraction(0)
-    return abs(_orbit_product(op, j0, n)) * op.space.matrix.entry(target, k)
+    product = weight_product(op.weights, *op.walk(j0, n)[:2])
+    return (product if n >= 0 else 1 / product) * op.space.matrix.entry(target, k)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +349,7 @@ def _ratio_terms(op: ShiftOperator, condition: str, k: int, level: int, window: 
     invertible:  ||T^-1 e_{i+d}||_k vs ||e_{i+d}||_l, times |w(i)|:
                  a(i, k)  vs  a(i+d, l) |w(i)|
     """
-    m, w = op.space.matrix, op.weights
-    d = -1 if op.direction == "backward" else 1
+    m, w, d = op.space.matrix, op.weights, op.step
     lo = 1 if not op.bilateral else -window
     pairs = []
     for j in range(lo, window + 1):
@@ -443,9 +449,8 @@ def dual_form(op: ShiftOperator) -> ShiftOperator:
     """
     if not op.bilateral:  # a unilateral forward shift misses e_1, a backward one kills it
         raise NotInvertibleError("unilateral shifts have no dual inverse form")
-    if op.direction == "backward":
-        return ShiftOperator("forward", DualWeights(op.weights, 1), op.space)
-    return ShiftOperator("backward", DualWeights(op.weights, -1), op.space)
+    return ShiftOperator("forward" if op.step < 0 else "backward",
+                         DualWeights(op.weights, -op.step), op.space)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ deletion that leaves a stale export fails here rather than at
 ``from shiftlab.<module> import *``; every such name has a caller in the
 package or is a package export, so that code whose last caller goes does
 not stay behind as an export; that cli.py writes no report but through
-reporting; and the package's own __all__ is the list the README documents."""
+reporting; that only ShiftOperator maps a direction to its step; and the
+package's own __all__ is the list the README documents."""
 
 import ast
 import importlib
@@ -82,6 +83,37 @@ def test_cli_writes_reports_only_through_reporting():
             found += [name] if name in ("open", "write_text", "write_bytes") else []
         elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("reporting"):
             found += [alias.name for alias in node.names if alias.name.startswith("_")]
+    assert found == []
+
+
+def _maps_direction_to_unit(node) -> bool:
+    """node is `-1 if <test of .direction> else 1` (either way round) or a
+    dict literal from "backward"/"forward" to -1 and 1."""
+    def unit(expr):
+        try:
+            return ast.literal_eval(expr) in (-1, 1)
+        except ValueError:
+            return False
+    if isinstance(node, ast.IfExp):
+        reads = any(isinstance(n, ast.Attribute) and n.attr == "direction"
+                    or isinstance(n, ast.Name) and n.id == "direction" for n in ast.walk(node.test))
+        return reads and unit(node.body) and unit(node.orelse)
+    if isinstance(node, ast.Dict):
+        keys = {k.value for k in node.keys if isinstance(k, ast.Constant)}
+        return bool(keys & {"backward", "forward"}) and all(map(unit, node.values))
+    return False
+
+
+def test_walk_rule_is_stated_once():
+    # only ShiftOperator maps a shift's direction to its step d = -1 or +1;
+    # every other reader takes op.step or op.walk
+    found = []
+    for path in Path(shiftlab.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        owner = {id(n) for c in ast.walk(tree)
+                 if isinstance(c, ast.ClassDef) and c.name == "ShiftOperator" for n in ast.walk(c)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in owner and _maps_direction_to_unit(node)]
     assert found == []
 
 

@@ -103,6 +103,40 @@ class TestApply:
             apply(op, basis_vector(1), -1)
 
 
+class LoggedWeights:
+    """w(j) = 2 everywhere, read only through value(j), which appends j to
+    reads (not a WeightSequence: no family may override its value)."""
+
+    def __init__(self):
+        self.reads = []
+
+    def value(self, j: int) -> Fraction:
+        self.reads.append(j)
+        return Fraction(2)
+
+
+class TestWalk:
+    # ShiftOperator.walk names the weights the per-vector route of
+    # tests/vector_oracle.py reads, in the order it reads them
+    @given(st.sampled_from(["backward", "forward"]), st.integers(-30, 30), st.integers(-30, 30))
+    @example("backward", 0, 0)
+    @example("forward", 0, -1)  # F^-1 e_0 = e_-1 / w_-1
+    @example("backward", 0, -1)  # B^-1 e_0 = e_1 / w_1
+    def test_walk_is_what_apply_reads(self, direction, j0, n):
+        w = LoggedWeights()
+        op = ShiftOperator(direction, w, preset("c0_Z"))
+        apply(op, basis_vector(j0), n)
+        lo, hi, order = op.walk(j0, n)
+        assert order in (-1, 1) and hi - lo + 1 == abs(n)
+        assert w.reads == list(range(lo, hi + 1))[::order]
+
+    def test_step(self):
+        # T e_0 = w_0 e_step
+        for direction, d in (("backward", -1), ("forward", 1)):
+            op = ShiftOperator(direction, constant_weights(1), preset("c0_Z"))
+            assert op.step == d and apply(op, basis_vector(0), 1) == {d: 1}
+
+
 class TestBasisOrbitNorm:
     def test_first_block_display(self):
         op = op_backward(BUILD)
