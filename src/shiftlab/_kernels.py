@@ -53,6 +53,6 @@ def running_log2_average(log_terms: np.ndarray) -> np.ndarray:
     if log_terms.size == 0:
         return np.empty(0, dtype=np.float64)
     prefix = np.logaddexp2.accumulate(log_terms)
-    counts = np.log2(np.arange(1, log_terms.size + 1, dtype=np.float64))
-    return prefix - counts
+    counts = np.arange(1, log_terms.size + 1, dtype=np.float64)
+    return np.subtract(prefix, np.log2(counts, out=counts), out=prefix)
 

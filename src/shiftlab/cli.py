@@ -9,8 +9,9 @@ and the library version; pass --no-timestamp for byte-reproducible files.
 
 ``main(argv)`` is the in-process entry; it returns the exit code.  The
 ``shiftlab`` script and ``python -m shiftlab.cli`` go through ``run``, which
-flushes the output and ends the process without interpreter teardown (tens
-of milliseconds once numpy is loaded, more than a short ``check``'s work).
+keeps numpy's BLAS to one thread, flushes the output and ends the process
+without interpreter teardown (tens of milliseconds once numpy is loaded,
+more than a short ``check``'s work).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from itertools import islice
 from pathlib import Path
 
 from . import __version__
-from .reporting import (RUNS, canonical_json, csv_lines, emit, envelope, splice_runs,
-                        write_csv_forked)
+from .reporting import (RUNS, canonical_json, csv_lines, emit, envelope, json_chunks,
+                        splice_runs, write_csv_forked)
 from .scalars import SearchCapExceeded, log2_exact
 from .shifts import ShiftOperator, basis_orbit_norm, parse_weights, weights_from_json, window_check
 from .spaces import InvalidSpecError, parse_space, space_from_json, space_to_json
@@ -101,7 +102,7 @@ def check(space, weights, criterion, side, n_max, window, k_max, l_max,
 
     config = {"space": space_to_json(space), "weights": weights.to_json(),
               "side": side, "criterion": criterion, "horizon": cfg.to_json()}
-    emit(out, canonical_json(envelope("check", config, payload, not no_timestamp)))
+    emit(out, json_chunks(envelope("check", config, payload, not no_timestamp)))
     if criterion == "hierarchy" and not payload["consistent"]:
         raise AuditFailure("hierarchy audit inconsistent")
 
@@ -121,10 +122,10 @@ def synthesize(j_max, t_range, out, weights_out, no_timestamp):
         "all_passed": audit.all_passed and witness.certified,
     }
     config = {"blocks": j_max, "t_range": t_range}
-    emit(out, *splice_runs(
+    emit(out, splice_runs(
         canonical_json(envelope("synthesize", config, payload, not no_timestamp)), build.runs))
     if weights_out:
-        emit(weights_out, *splice_runs(
+        emit(weights_out, splice_runs(
             canonical_json(build.to_json() | {"table_window": RUNS}), build.runs))
     if not payload["all_passed"]:
         raise AuditFailure("block construction audit failed")
@@ -148,12 +149,12 @@ def orbit(space, weights, side, vector, n_range, k_range, fmt, out, no_timestamp
             for n in range(n_lo, n_hi + 1)]
     header = ["n"] + [f"log2_norm_k{k}" for k in ks]
     if fmt == "csv":
-        emit(out, *csv_lines(header, (",".join(map(str, row)) for row in rows)))
+        emit(out, csv_lines(header, (",".join(map(str, row)) for row in rows)))
         return
     config = {"space": space_to_json(space), "weights": weights.to_json(),
               "side": side, "vector": vector, "n": n_range, "k": k_range}
     payload = {"header": header, "rows": rows}
-    emit(out, canonical_json(envelope("orbit", config, payload, not no_timestamp)))
+    emit(out, json_chunks(envelope("orbit", config, payload, not no_timestamp)))
 
 
 def density(weights, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_timestamp):
@@ -181,7 +182,7 @@ def density(weights, vector, n_horizon, n0, tau_grid, k_grid, fmt, out, no_times
     if fmt == "json":
         report = distributional_report(build, vec_name, kays, taus, n_horizon, n0)
         config = {"weights": weights, "vector": vector, "n": n_horizon, "n0": n0}
-        emit(out, canonical_json(envelope("density", config, report, not no_timestamp)))
+        emit(out, json_chunks(envelope("density", config, report, not no_timestamp)))
         return
 
     header = (["n", "norm_log2", "running_average"]
@@ -195,7 +196,7 @@ def props(out, no_timestamp):
     """Run the closure-law suite over the preset battery (exit 2 on failure)."""
     from .algebra import run_props_suite  # here, so that other commands do not compile it
     results = run_props_suite()
-    emit(out, canonical_json(envelope("props", {}, results, not no_timestamp)))
+    emit(out, json_chunks(envelope("props", {}, results, not no_timestamp)))
     if not results["all_passed"]:
         raise AuditFailure("closure-law suite failed")
 
@@ -300,12 +301,19 @@ def run() -> None:
     """Console entry: run main() on sys.argv, flush stdout and stderr, and end
     the process with os._exit, skipping interpreter teardown.
 
+    Before main, OPENBLAS_NUM_THREADS defaults to 1 (a value already set is
+    kept): importing numpy otherwise starts an OpenBLAS thread pool, which
+    costs start-up time and which no command uses, since the package calls
+    no BLAS routine; and no CLI command may start a thread, because the
+    density CSV forks.  main and library imports leave the setting alone.
+
     Skipping teardown loses nothing: every report leaves through reporting,
     closed or flushed before main returns, and nothing in the package
     registers atexit or logging handlers (a buffered sink added later must be
     flushed here).  If a flush fails (stdout closed after main's last write,
     say), the process exits through sys.exit, as it would without this entry.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads
     code = main()
     try:
         sys.stdout.flush()

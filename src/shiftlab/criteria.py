@@ -166,10 +166,6 @@ class Verdict:
 CROSS_EPS = 2.0 ** -30
 
 
-def _grid_log2(m_grid: Sequence) -> list[float]:
-    return [math.log2(float(m)) for m in m_grid]
-
-
 def _first_crossings(values: np.ndarray, m_grid: Sequence,
                      usable: Optional[np.ndarray] = None, n0: int = 1):
     """Per threshold M, the first step n with values[n - n0] >= log2(M),
@@ -182,14 +178,14 @@ def _first_crossings(values: np.ndarray, m_grid: Sequence,
     over the usable steps, whose first entry at or above log2(M) is the
     first usable step after the last one below.  This needs values free of
     NaN, which the curves are (finite or -inf)."""
-    thresholds = np.array(_grid_log2(m_grid)) - CROSS_EPS
+    thresholds = np.array([math.log2(float(m)) for m in m_grid]) - CROSS_EPS
     if usable is None:
-        steps = np.arange(values.size)
+        steps = range(values.size)  # no array: entry i is step i + n0
         rising = np.maximum.accumulate(values)
     else:
         steps = np.flatnonzero(usable)
         rising = np.minimum.accumulate(values[steps][::-1])[::-1]
-    crossings = tuple(Crossing(float(m), int(steps[i]) + n0 if i < steps.size else None)
+    crossings = tuple(Crossing(float(m), int(steps[i]) + n0 if i < len(steps) else None)
                       for m, i in zip(m_grid, np.searchsorted(rising, thresholds)))
     return crossings, all(c.first_n is not None for c in crossings)
 
@@ -199,9 +195,11 @@ def _walk_log2(op: ShiftOperator, j0: int, n: int, sign: int) -> np.ndarray:
 
     The weights T^(sign n) e_{j0} meets are ShiftOperator.walk's; the walk
     sums their log2 in the order it meets them (np.cumsum; another summation
-    order rounds otherwise), negated for T^-i."""
+    order rounds otherwise) into one array, negated in place for T^-i."""
     lo, hi, order = op.walk(j0, sign * n)
-    return sign * np.cumsum(np.concatenate(([0.0], op.weights.log2_window(lo, hi)[::order])))
+    walk = np.zeros(n + 1)
+    np.cumsum(op.weights.log2_window(lo, hi)[::order], out=walk[1:])
+    return walk if sign > 0 else np.negative(walk, out=walk)
 
 
 def _orbit_log2(op: ShiftOperator, j0: int, levels: Sequence[int], n: int):
@@ -212,7 +210,8 @@ def _orbit_log2(op: ShiftOperator, j0: int, levels: Sequence[int], n: int):
     B e_1 = 0 ends a backward orbit, whose walk reads w_{j0} ... w_2 only."""
     d = op.step
     live = n if op.bilateral or d > 0 else min(n, j0 - 1)  # steps before the orbit dies
-    walk = np.concatenate((_walk_log2(op, j0, live, 1), np.full(n - live, ZERO_LOG2)))
+    walk = _walk_log2(op, j0, live, 1)
+    walk = walk if live == n else np.concatenate((walk, np.full(n - live, ZERO_LOG2)))
     back = _walk_log2(op, j0, n, -1) if op.bilateral else None
     for k in levels:
         row = op.space.matrix.log2_row(k, j0 - n, j0 + n)  # a(j0 + i, k) at row[n + i]
@@ -341,18 +340,13 @@ def _avg_pos_expansive(op: ShiftOperator, cfg: HorizonConfig, criterion: str) ->
 def _split_window(split: str, cfg: HorizonConfig):
     """(lo, hi, tail_edges) of the j-window for one split; a unilateral shift takes "N"."""
     w = cfg.window
-    if split == "Z":
-        return -w, w, ("lo", "hi")
-    if split == "N":
-        return 1, w, ("hi",)
-    if split == "-N":
-        return -w, -1, ("lo",)
-    raise ValueError(split)
+    return {"Z": (-w, w, ("lo", "hi")), "N": (1, w, ("hi",)), "-N": (-w, -1, ("lo",))}[split]
 
 
 # two log2 ratios this close are compared exactly: the rounding in a curve
 # value is orders of magnitude smaller
 _TIE_LOG2 = 2.0 ** -20
+_BLOCK = 2048  # steps of a curve made at once: no temporary of _ue_curve is longer
 
 
 def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
@@ -371,17 +365,15 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     log2 ||e_j||_k.  The infimum at step n is where a(j+s, l)/a(j, k) is
     least: at a column the matrix family names (its ratio_minimisers),
     clipped to the edge-trimmed window, or at a tail edge; only those
-    columns are read.  usable compares the interior minimum with each edge
+    columns are read, _BLOCK steps at a time.  usable compares the interior minimum with each edge
     in float order, and on power rows exactly where the two are within
     _TIE_LOG2.
     """
     m = op.space.matrix
     lo, hi, tail_edges = _split_window(split, cfg)
-    s = np.arange(1, n_eff + 1) if form == "A" else -np.arange(1, n_eff + 1)
-    ext_lo, ext_hi = (lo, hi + n_eff) if form == "A" else (lo - n_eff, hi)
-    la_l = m.log2_row(level, ext_lo, ext_hi)
     la_k = m.log2_row(k, lo, hi)
-    walk = _walk_log2(op, 0, n_eff, op.step if form == "A" else -op.step)[1:]  # A: to e_{j+n}
+    sign = 1 if form == "A" else -1
+    walk = _walk_log2(op, 0, n_eff, sign * op.step)  # A: to e_{j+n}
 
     nz = np.flatnonzero(la_k != ZERO_LOG2)
     if not nz.size:
@@ -393,26 +385,33 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     t_lo = ends["lo"] + (ends["lo"] in edges)
     t_hi = ends["hi"] - (ends["hi"] in edges)
 
-    def log2_ratios(cols):  # at column(s) j and step n
-        return (la_l[cols + s - ext_lo] + walk) - la_k[cols - lo]
+    curve, usable = np.empty(n_eff), np.ones(n_eff, dtype=bool)
+    for first in range(1, n_eff + 1, _BLOCK):  # steps first..last
+        last = min(first + _BLOCK - 1, n_eff)
+        s, part = np.arange(sign * first, sign * (last + 1), sign), slice(first - 1, last)
+        ext_lo = lo + first if sign > 0 else lo - last  # la_l holds a(j + s, l), j in [lo, hi]
+        la_l = m.log2_row(level, ext_lo, ext_lo + (hi - lo) + (last - first))
 
-    columns, ratio = m.ratio_minimisers(k, level, s)
-    interior = np.full(n_eff, np.inf)  # an empty interior never attains
-    for j in (t_lo, t_hi, *columns) if t_lo <= t_hi else ():
-        np.minimum(interior, log2_ratios(np.clip(j, t_lo, t_hi)), out=interior)
-    curve, usable = interior, np.ones(n_eff, dtype=bool)
-    for edge in edges:
-        edge_vals = log2_ratios(edge)
-        curve = np.minimum(curve, edge_vals)
-        attains = interior <= edge_vals
-        if ratio is not None:
-            gap = np.subtract(interior, edge_vals, out=np.full(n_eff, np.inf),
-                              where=np.isfinite(interior) & np.isfinite(edge_vals))
-            for i in np.flatnonzero(np.abs(gap) <= _TIE_LOG2).tolist():
-                si = int(s[i])
-                cols = (t_lo, t_hi, *m.ratio_minimisers(k, level, si)[0])
-                attains[i] = min(ratio(min(max(j, t_lo), t_hi), si) for j in cols) <= ratio(edge, si)
-        usable &= attains
+        def log2_ratios(cols):  # at column(s) j and the block's steps: one j reads a slice
+            vals = la_l[cols - lo:][:s.size][::sign] if np.ndim(cols) == 0 else la_l[cols + s - ext_lo]
+            return (vals + walk[first:last + 1]) - la_k[cols - lo]
+        columns, ratio = m.ratio_minimisers(k, level, s)
+        interior = np.full(s.size, np.inf)  # an empty interior never attains
+        for j in (t_lo, t_hi, *columns) if t_lo <= t_hi else ():
+            np.minimum(interior, log2_ratios(np.clip(j, t_lo, t_hi)), out=interior)
+        curve[part] = interior
+        for edge in edges:
+            edge_vals = log2_ratios(edge)
+            np.minimum(curve[part], edge_vals, out=curve[part])
+            attains = interior <= edge_vals
+            if ratio is not None:
+                gap = np.subtract(interior, edge_vals, out=np.full(s.size, np.inf),
+                                  where=np.isfinite(interior) & np.isfinite(edge_vals))
+                for i in np.flatnonzero(np.abs(gap) <= _TIE_LOG2).tolist():
+                    si = int(s[i])
+                    cols = (t_lo, t_hi, *m.ratio_minimisers(k, level, si)[0])
+                    attains[i] = min(ratio(min(max(j, t_lo), t_hi), si) for j in cols) <= ratio(edge, si)
+            usable[part] &= attains
     return curve, usable
 
 
@@ -438,6 +437,7 @@ def _ue_regime(op: ShiftOperator, prop: str, cfg: HorizonConfig):
             for split, form in parts:
                 curve, usable = _ue_curve(op, k, level, split, form, cfg, n_eff)
                 crossings, certified = _first_crossings(curve, cfg.m_grid, usable)
+                del curve, usable  # gone before the next curve is built
                 if not certified:
                     break
                 rows.append(BranchEvidence(k=k, level=level, label=f"{prop}:{split}",

@@ -20,8 +20,8 @@ from typing import Iterable, Iterator, Optional
 
 from . import __version__
 
-__all__ = ["RUNS", "canonical_json", "csv_lines", "emit", "envelope", "splice_runs",
-           "write_csv_forked"]
+__all__ = ["RUNS", "canonical_json", "csv_lines", "emit", "envelope", "json_chunks",
+           "splice_runs", "write_csv_forked"]
 
 RUNS = "<runs>"  # the value splice_runs replaces
 _LINE = "%s\r\n".__mod__  # a CSV record as one line
@@ -35,8 +35,18 @@ def _default(obj):
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=_default)
+
+
 def canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_default) + "\n"
+    """The report text: sorted keys, two-space indent, a final line break."""
+    return _ENCODER.encode(payload) + "\n"
+
+
+def json_chunks(payload) -> Iterator[str]:
+    """canonical_json(payload) as the encoder makes it, chunk by chunk (as
+    json.dump writes), so that emit streams it and no one holds it whole."""
+    return chain(_ENCODER.iterencode(payload), ("\n",))
 
 
 def splice_runs(text: str, runs) -> tuple[str, str, str]:
@@ -74,8 +84,11 @@ def _sink(out_path: Optional[str]):
         stream.flush()
 
 
-def emit(out_path: Optional[str], *chunks: str) -> None:
-    """The chunks, in order, into the file out_path, or stdout if None."""
+def emit(out_path: Optional[str], chunks: Iterable[str]) -> None:
+    """The chunks, in order, into the file out_path, or stdout if None, each
+    written as the iterable yields it.  With json_chunks the report is
+    encoded as it is written: a defect that makes the encoder raise leaves
+    a partial report ahead of the exit-3 traceback."""
     with _sink(out_path) as stream:
         stream.writelines(chunks)
 
@@ -92,7 +105,7 @@ def csv_lines(header: list[str], records: Iterable[str]) -> Iterator[str]:
 
 def write_csv_forked(out_path: Optional[str], header: list[str], records: Iterable[str],
                      worker_records: Iterable[str]) -> None:
-    """What emit(out_path, *csv_lines(header, chain(records, worker_records)))
+    """What emit(out_path, csv_lines(header, chain(records, worker_records)))
     writes, made on two cores (POSIX os.fork; the process must have no other thread).
 
     A forked worker writes the text of worker_records into an unnamed

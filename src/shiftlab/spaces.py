@@ -103,7 +103,8 @@ class KotheMatrix:
         value is converted at most once per level: a constant matrix its one
         value, a power matrix a cached row over |j| per level, the others a
         cached row per level grown on request (_log2_span).  The result may be a
-        view into a cache or a fresh array: callers only read it.
+        read-only view (into a cache, or a constant matrix's one value at every
+        index, with stride 0) or a fresh array: callers only read it.
         """
         import numpy as np  # the log lane, and numpy, load here
         if k < 1:
@@ -155,7 +156,8 @@ class ConstantMatrix(KotheMatrix):
 
     def _log2_span(self, k: int, lo: int, hi: int) -> np.ndarray:
         import numpy as np
-        return np.full(hi - lo + 1, self._log2_value)  # one value at every index and level
+        # one value at every index and level: a read-only view, no row
+        return np.broadcast_to(self._log2_value, hi - lo + 1)
 
     attestation = {"name": "constant",
                    "ratio": "constant matrix rows and constant weights: ratio constant in j",
@@ -186,16 +188,21 @@ class PowerMatrix(KotheMatrix):
         return 0, 0  # the kink of |j|
 
     def _log2_span(self, k: int, lo: int, hi: int) -> np.ndarray:
-        """a(j, k) = a(-j, k): gather from a cached row over |j| >= 0, so each
+        """a(j, k) = a(-j, k): slices of a cached row over |j| >= 0, so each
         value is converted once per level whatever the signs of j."""
         import numpy as np
         from ._kernels import Log2Cache
-        mags = np.abs(np.arange(lo, hi + 1))
-        m_lo, m_hi = int(mags.min()), int(mags.max())
-        row = self._log2_half_rows.setdefault(k, Log2Cache()).window(m_lo, m_hi, lambda a, b: np.fromiter(
-            (log2_exact((i + 1) ** k) for i in range(a, b + 1)),
-            dtype=np.float64, count=b - a + 1))
-        return row[mags - m_lo]
+        rows = self._log2_half_rows.setdefault(k, Log2Cache())
+
+        def fill(a: int, b: int) -> np.ndarray:  # at |j| = a..b
+            return np.fromiter((log2_exact((i + 1) ** k) for i in range(a, b + 1)),
+                               dtype=np.float64, count=b - a + 1)
+        if lo >= 0:
+            return rows.window(lo, hi, fill)
+        if hi <= 0:
+            return rows.window(-hi, -lo, fill)[::-1]
+        row = rows.window(0, max(-lo, hi), fill)
+        return np.concatenate((row[-lo:0:-1], row[:hi + 1]))  # j = lo..-1, then 0..hi
 
     attestation = {"name": "polynomial",
                    "ratio": "polynomial matrix and constant weights: ratio monotone on each tail",

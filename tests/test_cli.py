@@ -656,7 +656,7 @@ class TestDensity:
         header = (["n", "norm_log2", "running_average"]
                   + [f"ratio_small({t})" for t in taus] + [f"ratio_large({K})" for K in kays])
         rows = list(_rows(norm_runs(build, direction, n), taus, kays))
-        emit(str(tmp_path / "one.csv"), *csv_lines(header, rows))
+        emit(str(tmp_path / "one.csv"), csv_lines(header, rows))
         assert out.read_bytes() == (tmp_path / "one.csv").read_bytes()
         want = density_csv_rows(build, vector, n, taus, kays)
         assert rows == [",".join(map(str, row)) for row in want]
