@@ -14,10 +14,10 @@ row is the floor: an interpreter that imports the CLI and runs nothing; an
 op loads the rest of what it needs, as it does under perfbench (the
 exact-lane ops load no numpy).  The ``(log-lane imports)`` row imports
 ``shiftlab.cli`` and ``shiftlab.criteria`` (and so numpy) and runs nothing:
-a log-lane op's working set is its peak less that row.  After the perfbench ops comes one fixed
-row, ``synthesize --blocks 5``: the largest report, whose spliced weight
-window sets a peak that the ops at ``--blocks 4`` do not show.  Figures are
-MiB, the median over the repeats.
+a log-lane op's working set is its peak less that row.  After the perfbench
+ops comes one fixed row, ``synthesize --blocks 5``: the largest report,
+whose spliced weight window sets a peak that the ops at ``--blocks 4`` do
+not show.  Figures are MiB, the median over the repeats.
 
 Run:  PYTHONPATH=src python benchmarks/bench_memory.py [--workload NAME] [--repeats N]
 """

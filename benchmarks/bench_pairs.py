@@ -10,7 +10,8 @@ rounds in which the change (the second checkout) was lower ("wins"), and
 whether the two reports were the same bytes in every round; then each
 side's sum of per-op medians (as perfbench's batch_s), its largest peak (as
 its peak_rss_mb), and the CPU seconds (user + system) its op processes
-spent in all.
+spent in all.  As under perfbench, a child's peak RSS starts from this
+process's own (Linux), so an op smaller than this script reads as its size.
 
 Run:  python benchmarks/bench_pairs.py PARENT CHANGE [--workload NAME] [--rounds N] [--seed S]
 """
@@ -65,18 +66,10 @@ def pairs(roots: tuple, ops: list, rounds: int, seed: int = 0) -> dict:
     return {"ops": table, "cpu": tuple(cpu)}
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", help="root of the first checkout")
-    ap.add_argument("change", help="root of the second checkout")
-    ap.add_argument("--workload", default="loglane", choices=sorted(bench_memory.workloads()))
-    ap.add_argument("--rounds", type=int, default=12)
-    ap.add_argument("--seed", type=int, default=0)
-    opts = ap.parse_args()
-    result = pairs((opts.parent, opts.change), bench_memory.workloads()[opts.workload],
-                   opts.rounds, opts.seed)
-    print(f"{'op':<20}{'metric':<8}{'parent median [q1, q3]':>28}{'change median [q1, q3]':>28}"
-          f"{'wins':>7}  same bytes")
+def report(result: dict) -> list[str]:
+    """The printed table of a pairs() result."""
+    lines = [f"{'op':<20}{'metric':<8}{'parent median [q1, q3]':>28}"
+             f"{'change median [q1, q3]':>28}{'wins':>7}  same bytes"]
     batch, peak = [0.0, 0.0], [0.0, 0.0]
     for op_id, row in result["ops"].items():
         for metric in ("wall", "rss"):
@@ -89,11 +82,25 @@ def main():
                 else:
                     peak[side] = max(peak[side], max(row[metric][side]))
             wins = sum(c < p for p, c in zip(*row[metric]))
-            print(f"{op_id:<20}{metric:<8}{cells[0]:>28}{cells[1]:>28}"
-                  f"{f'{wins}/{len(row[metric][0])}':>7}  {row['same']}")
-    print(f"sum of wall medians (s): parent {batch[0]:.3f}, change {batch[1]:.3f}")
-    print(f"largest peak RSS (MiB): parent {peak[0]:.2f}, change {peak[1]:.2f}")
-    print(f"CPU (user + system, s): parent {result['cpu'][0]:.2f}, change {result['cpu'][1]:.2f}")
+            lines.append(f"{op_id:<20}{metric:<8}{cells[0]:>28}{cells[1]:>28}"
+                         f"{f'{wins}/{len(row[metric][0])}':>7}  {row['same']}")
+    lines.append(f"sum of wall medians (s): parent {batch[0]:.3f}, change {batch[1]:.3f}")
+    lines.append(f"largest peak RSS (MiB): parent {peak[0]:.2f}, change {peak[1]:.2f}")
+    lines.append(f"CPU (user + system, s): parent {result['cpu'][0]:.2f}, "
+                 f"change {result['cpu'][1]:.2f}")
+    return lines
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", help="root of the first checkout")
+    ap.add_argument("change", help="root of the second checkout")
+    ap.add_argument("--workload", default="loglane", choices=sorted(bench_memory.workloads()))
+    ap.add_argument("--rounds", type=int, default=12)
+    ap.add_argument("--seed", type=int, default=0)
+    opts = ap.parse_args()
+    ops = bench_memory.workloads()[opts.workload]
+    print("\n".join(report(pairs((opts.parent, opts.change), ops, opts.rounds, opts.seed))))
 
 
 if __name__ == "__main__":

@@ -365,9 +365,9 @@ def _ue_curve(op: ShiftOperator, k: int, level: int, split: str, form: str,
     log2 ||e_j||_k.  The infimum at step n is where a(j+s, l)/a(j, k) is
     least: at a column the matrix family names (its ratio_minimisers),
     clipped to the edge-trimmed window, or at a tail edge; only those
-    columns are read, _BLOCK steps at a time.  usable compares the interior minimum with each edge
-    in float order, and on power rows exactly where the two are within
-    _TIE_LOG2.
+    columns are read, _BLOCK steps at a time.  usable compares the interior
+    minimum with each edge in float order, and on power rows exactly where
+    the two are within _TIE_LOG2.
     """
     m = op.space.matrix
     lo, hi, tail_edges = _split_window(split, cfg)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from shiftlab import __version__, algebra, criteria, shifts
+from shiftlab import __version__, algebra, cli, criteria, shifts
 from shiftlab.algebra import PowerShift
 from shiftlab.blocks import build_blocks, hypercyclicity_witness, norm_runs, verify_inequalities
 from shiftlab.cli import EXIT_AUDIT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
@@ -344,6 +344,42 @@ class TestCheck:
 
 CRITERIA = ["ae", "ape", "ape-inverse", "ue", "upe", "e", "mixing", "hierarchy", "wellposed"]
 PARITY_CFG = HorizonConfig(n_max=64, window=16, m_grid=(1, 2, 4))
+
+
+_SMALL_CHECK = ("check", "--space", "lp_Z:2", "--weights", "constant:2", "--n-max", "40",
+                "--window", "8", "--k-max", "2", "--basis-window", "3")
+STREAMED = {**{f"check-{criterion}": (*_SMALL_CHECK, "--criterion", criterion)
+               for criterion in CRITERIA},
+            "orbit-json": ("orbit", "--space", "s_Z", "--weights", "constant:2", "--n", "-5:5",
+                           "--format", "json"),
+            "density-json": ("density", "--weights", "blocks:2", "--format", "json"),
+            "props": ("props",)}
+
+
+@pytest.mark.parametrize("args", STREAMED.values(), ids=STREAMED)
+def test_streamed_report_is_the_canonical_text(capsys, monkeypatch, tmp_path, args):
+    # a JSON report is written chunk by chunk as it is encoded; the file is
+    # canonical_json of the same envelope
+    envelopes = []
+    real = cli.json_chunks
+    monkeypatch.setattr(cli, "json_chunks", lambda obj: envelopes.append(obj) or real(obj))
+    out = tmp_path / "report.json"
+    code, stdout, err = run(capsys, *args, "--out", str(out), "--no-timestamp")
+    assert (code, stdout, err) == (EXIT_OK, "", "") and len(envelopes) == 1
+    assert out.read_text() == canonical_json(envelopes[0])
+
+
+def test_unilateral_backward_basis_window_reads_weights_from_radius_2(capsys, tmp_path):
+    # B e_1 = 0, so a window of radius 1 reads no weight; radius 2 reads w_2,
+    # outside a table that starts at 3
+    table = tmp_path / "weights.json"
+    table.write_text(json.dumps({"family": "table", "tail": "error", "table": {
+        str(j): {"num": "2", "den": "1"} for j in range(3, 40)}}))
+    args = ("check", "--space", "lp_N:2", "--weights", f"@{table}", "--side", "backward",
+            "--criterion", "e", "--n-max", "20", "--no-timestamp")
+    assert run(capsys, *args, "--basis-window", "1")[0] == EXIT_OK
+    assert run(capsys, *args, "--basis-window", "2") == (
+        EXIT_USAGE, "", "error: weight table too small for a window of radius 2\n")
 
 
 def _direct_report(op: ShiftOperator, criterion: str) -> dict:
@@ -902,6 +938,41 @@ class TestRun:
                 proc.stdout.close()
                 err = proc.stderr.read()
                 assert (proc.wait(timeout=120), err) == (EXIT_USAGE, b"")
+
+
+# the child runs a small check through the console entry and, as it ends,
+# prints its thread count and its OPENBLAS_NUM_THREADS on stderr
+THREADS_PROBE = """
+import os, sys
+import shiftlab.cli
+
+def _exit(code, _exit=os._exit):
+    status = open("/proc/self/status").read().splitlines()
+    threads = next(line.split()[1] for line in status if line.startswith("Threads:"))
+    sys.stderr.write(f"{threads} {os.environ.get('OPENBLAS_NUM_THREADS')}")
+    sys.stderr.flush()
+    _exit(code)
+
+os._exit = _exit
+sys.argv[1:] = ["check", "--space", "lp_Z:2", "--weights", "constant:2", "--n-max", "20",
+                "--k-max", "1", "--no-timestamp"]
+shiftlab.cli.run()
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("setting", [None, "2"])
+def test_console_entry_starts_no_blas_thread(setting):
+    # run defaults numpy's BLAS to one thread, which the package never calls,
+    # so a check is one thread; a value the user set is kept
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env |= {"PYTHONPATH": SRC} | ({} if setting is None else {"OPENBLAS_NUM_THREADS": setting})
+    proc = subprocess.run([sys.executable, "-c", THREADS_PROBE], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == EXIT_OK
+    threads, blas = proc.stderr.split()
+    assert blas == (setting or "1")
+    assert setting is not None or threads == "1"
 
 
 def test_closed_output_pipe_returns_usage_status(monkeypatch):

@@ -81,6 +81,13 @@ class TestHorizonConfig:
         with pytest.raises(InvalidSpecError):
             HorizonConfig(k_max=3, l_max=2)
 
+    def test_a_repeated_threshold_is_refused(self):
+        with pytest.raises(InvalidSpecError, match="strictly increasing"):
+            HorizonConfig(m_grid=(1, 2, 2, 4))
+
+    def test_l_max_may_equal_k_max(self):
+        assert HorizonConfig(k_max=3, l_max=3).l_max == 3
+
     @pytest.mark.parametrize("grid", [(1,), (F(1, 2), 1), (F(1, 4),)], ids=str)
     def test_grid_needs_a_threshold_above_1(self, grid):
         # a ratio that reaches only M <= 1 shows no growth, so regimes A, B
@@ -726,6 +733,14 @@ class TestMixing:
         left = [e for e in v.evidence if e.label == "null:left" and e.k == 1][0]
         right = [e for e in v.evidence if e.label == "null:right" and e.k == 1][0]
         assert left.certified and not right.certified
+
+    def test_terms_that_settle_at_the_horizon_settle(self):
+        # the left terms 2^-j are above 2^-10 up to j = 9, the step before
+        # the horizon n_eff = 10: they settle at 10, inside the horizon
+        op = ShiftOperator("backward", constant_weights(F(1, 2)), preset("c0_Z"))
+        v = check_criterion(op, "mixing", HorizonConfig(n_max=10, window=4, k_max=1))
+        left = next(e for e in v.evidence if e.label == "null:left")
+        assert (left.n_eff, left.detail, left.certified) == (10, "settle=10", True)
 
     def test_blocks_not_mixing_to_full_horizon(self, build4, blocks_op):
         v = check_criterion(blocks_op, "mixing", blocks_cfg(build4))

@@ -3,8 +3,9 @@ deletion that leaves a stale export fails here rather than at
 ``from shiftlab.<module> import *``; every such name has a caller in the
 package or is a package export, so that code whose last caller goes does
 not stay behind as an export; that cli.py writes no report but through
-reporting; that only ShiftOperator maps a direction to its step; and the
-package's own __all__ is the list the README documents."""
+reporting; that only ShiftOperator maps a direction to its step; that no
+module calls BLAS; and the package's own __all__ is the list the README
+documents."""
 
 import ast
 import importlib
@@ -124,3 +125,26 @@ def test_every_export_has_a_caller():
               for attr in getattr(importlib.import_module(name), "__all__", ())
               if refs[attr] == 0 and attr not in shiftlab.__all__}
     assert unused == set()
+
+
+# numpy functions that call into BLAS (a matrix product, np.linalg)
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def test_no_module_calls_blas():
+    # cli.run keeps numpy's BLAS to one thread, which holds only while the
+    # package calls no BLAS routine: no such name and no `@` product
+    found = []
+    for path in Path(shiftlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                names = ["@"]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in BLAS_NAMES | {"@"}]
+    assert found == []

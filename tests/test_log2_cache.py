@@ -176,6 +176,14 @@ class TestLog2Cache:
             constant.log2_row(k, 100, 200)
         assert calls == [F(5, 3)]
 
+    def test_constant_rows_are_read_only_views(self):
+        # one value at every index: no row is made, and no caller may write it
+        row = constant_matrix(F(5, 3)).log2_row(2, -5, 5)
+        assert row.tolist() == [log2_exact(F(5, 3))] * 11 and row.strides == (0,)
+        assert not row.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.0
+
     @pytest.mark.parametrize("name", sorted(WEIGHTS))
     def test_weights_hold_no_array_before_their_first_window(self, name):
         w = WEIGHTS[name]()
